@@ -1,18 +1,15 @@
 (* Benchmark harness.
 
-   Two parts:
-
-   1. Figure regeneration — for every figure in the paper's evaluation
-      (Sections 5-6) plus the DESIGN.md ablations, run the corresponding
-      experiment and print the same rows/series the paper plots.  Pass
-      figure ids as argv to restrict (e.g. `bench/main.exe fig4c fig7`);
-      set CLOVE_BENCH_QUICK=1 for a fast smoke pass, CLOVE_BENCH_FULL=1
-      for the slow high-fidelity pass.
-
-   2. Bechamel microbenchmarks of the dataplane hot paths the paper's
-      Section 4 worries about ("minimal packet processing overhead"):
-      flowlet lookup, WRR pick, ECMP hashing, weight adaptation, event
-      queue churn, DRE updates, and a full per-packet switch traversal. *)
+   By default: end-to-end scenario records (part 3), the parallel sweep
+   (part 4) and chaos (part 5) cross-checks, then figure regeneration
+   (part 1) — for every figure in the paper's evaluation (Sections 5-6)
+   plus the DESIGN.md ablations, run the corresponding experiment and
+   print the same rows/series the paper plots.  Pass figure ids as argv
+   to restrict (e.g. `bench/main.exe fig4c fig7`); set
+   CLOVE_BENCH_QUICK=1 for a fast smoke pass, CLOVE_BENCH_FULL=1 for the
+   slow high-fidelity pass.  The remaining parts run alone behind
+   --hotpath, --stream-fct, --pdes and --chaos3.  Per-call dataplane
+   microbenchmarks live in perfbench (`probe.exe micro`). *)
 
 open Experiments
 
@@ -69,149 +66,6 @@ let run_figures ids =
       output_string oc (Stats.Table.csv report.Figures.table);
       close_out oc)
     selected
-
-(* ------------------- part 2: dataplane microbenchmarks ------------- *)
-
-let microbenches () =
-  let open Bechamel in
-  let sched = Scheduler.create () in
-  let cfg = Clove.Clove_config.default in
-  (* microbenchmark input stream, not an experiment — lint: allow sema-adhoc-seed *)
-  let rng = Rng.create 1 in
-
-  let flowlet_table = Clove.Flowlet.create ~sched ~gap:(Sim_time.us 40) ~dummy:0 in
-  let bench_flowlet =
-    Test.make ~name:"flowlet-table touch"
-      (Staged.stage (fun () ->
-           (* benchmark thunk: the lookup itself is what is timed — lint: allow bare-ignore *)
-           ignore
-             (Clove.Flowlet.touch flowlet_table ~key:(Rng.int rng 1024)
-                ~pick:(fun ~flowlet_id -> flowlet_id))))
-  in
-  let wrr = Clove.Wrr.create ~weights:[| 0.1; 0.3; 0.3; 0.3 |] in
-  let bench_wrr =
-    Test.make ~name:"wrr pick"
-      (* benchmark thunk: the pick itself is what is timed — lint: allow bare-ignore *)
-      (Staged.stage (fun () -> ignore (Clove.Wrr.pick wrr)))
-  in
-  let bench_hash =
-    Test.make ~name:"ecmp 5-tuple hash"
-      (Staged.stage (fun () ->
-           (* benchmark thunk: the hash itself is what is timed — lint: allow bare-ignore *)
-           ignore (Ecmp_hash.hash_tuple ~seed:7 (12, 34, 56, 78))))
-  in
-  let tbl = Clove.Path_table.create ~sched ~cfg in
-  Clove.Path_table.install tbl
-    [
-      (50001, [ { Packet.hop_node = 2; hop_port = 0 } ]);
-      (50002, [ { Packet.hop_node = 2; hop_port = 1 } ]);
-      (50003, [ { Packet.hop_node = 3; hop_port = 0 } ]);
-      (50004, [ { Packet.hop_node = 3; hop_port = 1 } ]);
-    ];
-  let bench_weights =
-    Test.make ~name:"path-table congestion update"
-      (Staged.stage (fun () -> Clove.Path_table.note_congested tbl ~port:50002))
-  in
-  let eq = Event_queue.create ~dummy:() () in
-  let bench_eq =
-    Test.make ~name:"event-queue add+pop"
-      (Staged.stage (fun () ->
-           (* synthetic queue-churn timestamps — lint: allow sema-time-boundary *)
-           Event_queue.add eq ~time:(Sim_time.of_ns (Rng.int rng 1_000_000)) ();
-           (* benchmark thunk: the pop itself is what is timed — lint: allow bare-ignore *)
-           ignore (Event_queue.pop eq)))
-  in
-  let dre = Dre.create ~rate_bps:10e9 sched in
-  let bench_dre =
-    Test.make ~name:"dre observe+read"
-      (Staged.stage (fun () ->
-           Dre.observe dre ~bytes_len:1500;
-           (* benchmark thunk: the read itself is what is timed — lint: allow bare-ignore *)
-           ignore (Dre.utilization dre)))
-  in
-  let bench_pool =
-    Test.make ~name:"packet-pool acquire+release"
-      (Staged.stage (fun () ->
-           let pkt =
-             Packet_pool.acquire_tenant ~src:(Addr.of_int 1) ~dst:(Addr.of_int 2)
-               ~conn_id:1 ~subflow:0 ~src_port:10 ~dst_port:20 ~seq:0 ~ack:0
-               ~kind:Packet.Data ~payload:1400 ~ece:false
-           in
-           Packet_pool.release pkt))
-  in
-  (* a full switch traversal: receive -> route -> pick -> enqueue *)
-  let sw_sched = Scheduler.create () in
-  let sw =
-    Switch.create ~sched:sw_sched ~id:0 ~level:Switch.Leaf ~ecmp_seed:3
-      ~latency:Sim_time.zero_span ()
-  in
-  let mk_link () =
-    let l =
-      Link.create ~sched:sw_sched ~rate_bps:40e9 ~prop_delay:Sim_time.zero_span ()
-    in
-    Link.set_sink l (fun _ -> ());
-    l
-  in
-  let ports =
-    Array.init 4 (fun i ->
-        Switch.add_port sw ~link:(mk_link ()) ~peer:(i + 1) ~parallel_index:0)
-  in
-  Switch.set_routes sw (Addr.of_int 99) ports;
-  let seg =
-    {
-      Packet.conn_id = 1;
-      subflow = 0;
-      src_port = 1;
-      dst_port = 2;
-      seq = 0;
-      ack = 0;
-      kind = Packet.Data;
-      payload = 1400;
-      ece = false;
-    }
-  in
-  let bench_switch =
-    Test.make ~name:"switch per-packet forwarding"
-      (Staged.stage (fun () ->
-           let pkt =
-             Packet.make_tenant ~src:(Addr.of_int 1) ~dst:(Addr.of_int 99) ~seg
-           in
-           Switch.receive sw ~in_port:0 pkt;
-           (* drain the zero-latency forwarding event; whether the queue had
-              one is irrelevant here — lint: allow bare-ignore *)
-           ignore (Scheduler.step sw_sched)))
-  in
-  let tests =
-    [
-      bench_flowlet;
-      bench_wrr;
-      bench_hash;
-      bench_weights;
-      bench_eq;
-      bench_dre;
-      bench_pool;
-      bench_switch;
-    ]
-  in
-  let benchmark test =
-    let instances = Toolkit.Instance.[ monotonic_clock ] in
-    let bcfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.25) ~stabilize:false () in
-    Benchmark.all bcfg instances test
-  in
-  Format.printf "== dataplane microbenchmarks (ns/op, OLS estimate) ==@.";
-  List.iter
-    (fun test ->
-      let results = benchmark test in
-      let ols = Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |] in
-      let analyzed = Analyze.all ols Toolkit.Instance.monotonic_clock results in
-      Det.iter_sorted ~compare:String.compare
-        (fun name result ->
-          match Analyze.OLS.estimates result with
-          | Some (est :: _) -> Format.printf "  %-32s %10.1f ns/op@." name est
-          | Some [] | None -> Format.printf "  %-32s (no estimate)@." name)
-        analyzed)
-    tests;
-  Format.printf "@."
 
 (* ------------- part 3: end-to-end scenario throughput -------------- *)
 
@@ -627,7 +481,7 @@ let chaos3_benchmark () =
     exit 1
   end
 
-(* ------------- part 6: hot-path A/B benchmark ---------------------- *)
+(* ------------- part 6: hot-path allocation budget ------------------ *)
 
 type hotpath_run = {
   hp_wall : float; (* best of the reps *)
@@ -638,34 +492,27 @@ type hotpath_run = {
   hp_wheel_scheduled : int;
   hp_heap_scheduled : int;
   hp_compactions : int;
-  hp_batches : int;
-  hp_batched_events : int;
   hp_pool_hits : int;
   hp_pool_misses : int;
   hp_pool_dropped : int;
   hp_flows_tracked : int;
-  hp_dump : string;  (* canonical FCT records, for the A/B cross-check *)
 }
 
-(* Deterministic allocation ceiling for the full optimized path, in
-   minor-heap words per event.  Minor words are a property of the code,
-   not the host — the same build allocates the same words wherever it
-   runs — so unlike events/s this gate cannot be loosened by a noisy
-   CI box.  History: seed ~23.5 w/e, wheel+tags pass 12.9 w/e, arena +
-   flat-record pass 6.3 w/e. *)
+(* Deterministic allocation ceiling for the event path, in minor-heap
+   words per event.  Minor words are a property of the code, not the
+   host — the same build allocates the same words wherever it runs — so
+   unlike events/s this gate cannot be loosened by a noisy CI box.
+   History: seed closure-per-event heap 21.1 w/e, wheel + tags 12.9 w/e,
+   packet arenas + flat records 6.4 w/e. *)
 let minor_words_budget = 8.0
 
-(* Same-host, same-process A/B/C of the scheduler hot path: the flagship
-   websearch scenario (failure recovery on, so the maintain tick and idle
-   flowlet eviction run) on the seed's closure-per-event binary-heap
-   path, on the timer wheel + defunctionalized tags path (the previous
-   optimization round), and on the full path with batched event
-   delivery.  All runs must produce byte-identical FCT records — the
-   optimization's contract is that it is observationally invisible — and
-   the GC/pool/throughput numbers land in results/BENCH_hotpath.json so
-   CI tracks the trajectory measured under identical conditions.  Wall
-   times are the best of [reps] back-to-back runs: the minimum is the
-   closest observable to the true cost on a timeshared box. *)
+(* The flagship websearch scenario (failure recovery on, so the maintain
+   tick and idle flowlet eviction run) on the scheduler's only path:
+   timer wheel, tagged events, one dispatch per event.  The GC, pool,
+   wheel and compaction counters land in results/BENCH_hotpath.json;
+   exits non-zero when minor words/event exceed the budget.  Wall time
+   is the best of [reps] back-to-back runs: the minimum is the closest
+   observable to the true cost on a timeshared box. *)
 let hotpath_benchmark () =
   (try Unix.mkdir "results" 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
   let quick = Sys.getenv_opt "CLOVE_BENCH_QUICK" <> None in
@@ -673,11 +520,7 @@ let hotpath_benchmark () =
   let reps = if quick then 2 else 3 in
   let load = 0.6 in
   let seed = 1 in
-  let run_once ~defunc ~wheel ~batch =
-    Scheduler.defunctionalized := defunc;
-    (* must be set before [Scenario.build]: captured at scheduler creation *)
-    Scheduler.wheel_enabled := wheel;
-    Scheduler.batched := batch;
+  let run_once () =
     let params =
       {
         Scenario.default_params with
@@ -708,7 +551,9 @@ let hotpath_benchmark () =
     let minor0, promoted0, major0 = Gc.counters () in
     (* wall-clock throughput of the harness itself — lint: allow sema-wall-clock *)
     let t0 = Unix.gettimeofday () in
-    let fct = Workload.Websearch.run ~sched ~rng:(Scenario.rng scn) ~conns cfg in
+    let (_ : Workload.Fct_stats.t) =
+      Workload.Websearch.run ~sched ~rng:(Scenario.rng scn) ~conns cfg
+    in
     (* wall-clock throughput of the harness itself — lint: allow sema-wall-clock *)
     let wall = Unix.gettimeofday () -. t0 in
     let minor1, promoted1, major1 = Gc.counters () in
@@ -732,143 +577,78 @@ let hotpath_benchmark () =
         hp_wheel_scheduled = Scheduler.wheel_scheduled sched;
         hp_heap_scheduled = Scheduler.heap_scheduled sched;
         hp_compactions = Scheduler.compactions sched;
-        hp_batches = Scheduler.batches_dispatched sched;
-        hp_batched_events = Scheduler.batched_events sched;
         hp_pool_hits = pool.Netsim.Packet_pool.hits;
         hp_pool_misses = pool.Netsim.Packet_pool.misses;
         hp_pool_dropped = pool.Netsim.Packet_pool.dropped;
         hp_flows_tracked = flows_tracked;
-        hp_dump = Workload.Fct_stats.canonical_dump fct;
       }
     in
     Scenario.quiesce scn;
-    Scheduler.defunctionalized := true;
-    Scheduler.wheel_enabled := true;
-    Scheduler.batched := true;
     r
   in
-  let run_config ~defunc ~wheel ~batch =
-    (* keep the last rep's counters (identical across reps — the runs are
-       deterministic) but the best wall time *)
-    let r = ref (run_once ~defunc ~wheel ~batch) in
-    for _ = 2 to reps do
-      let next = run_once ~defunc ~wheel ~batch in
-      r := { next with hp_wall = Float.min next.hp_wall !r.hp_wall }
-    done;
-    !r
-  in
-  let config_json r =
-    let events = float_of_int r.hp_events in
+  (* keep the last rep's counters (identical across reps — the runs are
+     deterministic) but the best wall time *)
+  let r = ref (run_once ()) in
+  for _ = 2 to reps do
+    let next = run_once () in
+    r := { next with hp_wall = Float.min next.hp_wall !r.hp_wall }
+  done;
+  let r = !r in
+  let events = float_of_int r.hp_events in
+  let per_event = if r.hp_events > 0 then r.hp_minor_words /. events else nan in
+  let eps = if r.hp_wall > 0.0 then events /. r.hp_wall else nan in
+  let wheel_fraction =
     let scheduled = r.hp_wheel_scheduled + r.hp_heap_scheduled in
+    if scheduled > 0 then float_of_int r.hp_wheel_scheduled /. float_of_int scheduled
+    else 0.0
+  in
+  let pool_hit_rate =
     let acquires = r.hp_pool_hits + r.hp_pool_misses in
-    Analysis.Json_out.Obj
-      [
-        ("wall_time_sec", Float r.hp_wall);
-        ("events_fired", Int r.hp_events);
-        ( "events_per_sec",
-          Float (if r.hp_wall > 0.0 then events /. r.hp_wall else nan) );
-        ("minor_words", Float r.hp_minor_words);
-        ( "minor_words_per_event",
-          Float (if r.hp_events > 0 then r.hp_minor_words /. events else nan) );
-        ("promoted_words", Float r.hp_promoted_words);
-        ("major_words", Float r.hp_major_words);
-        ("wheel_scheduled", Int r.hp_wheel_scheduled);
-        ("heap_scheduled", Int r.hp_heap_scheduled);
-        ( "wheel_fraction",
-          Float
-            (if scheduled > 0 then
-               float_of_int r.hp_wheel_scheduled /. float_of_int scheduled
-             else 0.0) );
-        ("compactions", Int r.hp_compactions);
-        ("batches_dispatched", Int r.hp_batches);
-        ("batched_events", Int r.hp_batched_events);
-        ("pool_hits", Int r.hp_pool_hits);
-        ("pool_misses", Int r.hp_pool_misses);
-        ("pool_dropped", Int r.hp_pool_dropped);
-        ( "pool_hit_rate",
-          Float
-            (if acquires > 0 then
-               float_of_int r.hp_pool_hits /. float_of_int acquires
-             else nan) );
-        ("flows_tracked", Int r.hp_flows_tracked);
-      ]
-  in
-  Format.printf
-    "== hot-path A/B/C (websearch/clove-ecn, load %.1f, %d jobs/conn, best of \
-     %d) ==@."
-    load jobs reps;
-  let base = run_config ~defunc:false ~wheel:false ~batch:false in
-  let mid = run_config ~defunc:true ~wheel:true ~batch:false in
-  let full = run_config ~defunc:true ~wheel:true ~batch:true in
-  let identical =
-    String.equal base.hp_dump mid.hp_dump && String.equal mid.hp_dump full.hp_dump
-  in
-  let per_event r =
-    if r.hp_events > 0 then r.hp_minor_words /. float_of_int r.hp_events else nan
-  in
-  let eps r =
-    if r.hp_wall > 0.0 then float_of_int r.hp_events /. r.hp_wall else nan
+    if acquires > 0 then float_of_int r.hp_pool_hits /. float_of_int acquires
+    else nan
   in
   let record =
     Analysis.Json_out.Obj
       [
-        ("scenario", String "hotpath-ab");
+        ("scenario", String "hotpath");
         ("scheme", String "clove-ecn");
         ("load", Float load);
         ("jobs_per_conn", Int jobs);
         ("seed", Int seed);
         ("reps", Int reps);
         ("failure_recovery", Bool true);
-        ("baseline", config_json base);
-        ("pr5_path", config_json mid);
-        ("round2", config_json full);
-        ( "trajectory",
-          Analysis.Json_out.Obj
-            [
-              ("baseline_events_per_sec", Float (eps base));
-              ("pr5_path_events_per_sec", Float (eps mid));
-              ("round2_events_per_sec", Float (eps full));
-              ("round2_vs_baseline", Float (eps full /. eps base));
-              ("round2_vs_pr5_path", Float (eps full /. eps mid));
-              ("baseline_minor_words_per_event", Float (per_event base));
-              ("pr5_path_minor_words_per_event", Float (per_event mid));
-              ("round2_minor_words_per_event", Float (per_event full));
-            ] );
+        ("wall_time_sec", Float r.hp_wall);
+        ("events_fired", Int r.hp_events);
+        ("events_per_sec", Float eps);
+        ("minor_words", Float r.hp_minor_words);
+        ("minor_words_per_event", Float per_event);
         ("minor_words_budget_per_event", Float minor_words_budget);
-        ( "minor_words_per_event_ratio",
-          Float (per_event full /. per_event base) );
-        ("deterministic", Bool identical);
+        ("promoted_words", Float r.hp_promoted_words);
+        ("major_words", Float r.hp_major_words);
+        ("wheel_scheduled", Int r.hp_wheel_scheduled);
+        ("heap_scheduled", Int r.hp_heap_scheduled);
+        ("wheel_fraction", Float wheel_fraction);
+        ("compactions", Int r.hp_compactions);
+        ("pool_hits", Int r.hp_pool_hits);
+        ("pool_misses", Int r.hp_pool_misses);
+        ("pool_dropped", Int r.hp_pool_dropped);
+        ("pool_hit_rate", Float pool_hit_rate);
+        ("flows_tracked", Int r.hp_flows_tracked);
       ]
   in
   let path = Filename.concat "results" "BENCH_hotpath.json" in
   Analysis.Json_out.to_file path record;
-  let line label r =
-    Format.printf
-      "  %-28s %8.2fs wall  %9.0f events/s  %6.1f minor words/event@." label
-      r.hp_wall (eps r) (per_event r)
-  in
-  line "baseline  (heap+closures)" base;
-  line "pr5 path  (wheel+tags)" mid;
-  line "round2    (wheel+tags+batch)" full;
   Format.printf
-    "  wheel share %.2f  batches %d  pool hit rate %.3f  flows tracked %d  \
-     identical %b  -> %s@.@."
-    (let s = full.hp_wheel_scheduled + full.hp_heap_scheduled in
-     if s > 0 then float_of_int full.hp_wheel_scheduled /. float_of_int s
-     else 0.0)
-    full.hp_batches
-    (let a = full.hp_pool_hits + full.hp_pool_misses in
-     if a > 0 then float_of_int full.hp_pool_hits /. float_of_int a else nan)
-    full.hp_flows_tracked identical path;
-  if not identical then begin
-    Format.eprintf
-      "hot-path benchmark: optimized runs diverged from closure baseline@.";
-    exit 1
-  end;
-  if per_event full > minor_words_budget then begin
+    "== hot path (websearch/clove-ecn, load %.1f, %d jobs/conn, best of %d) ==@.\
+    \  %8.2fs wall  %9.0f events/s  %6.1f minor words/event@.\
+    \  wheel share %.2f  compactions %d  pool hit rate %.3f  flows tracked %d  \
+     -> %s@.@."
+    load jobs reps r.hp_wall eps per_event wheel_fraction r.hp_compactions
+    pool_hit_rate r.hp_flows_tracked path;
+  if per_event > minor_words_budget then begin
     Format.eprintf
       "hot-path benchmark: %.2f minor words/event exceeds the %.1f budget@."
-      (per_event full) minor_words_budget;
+      per_event minor_words_budget;
     exit 1
   end
 
@@ -1191,7 +971,6 @@ let () =
   let args = strip_domains args in
   let flags =
     [
-      "--micro-only";
       "--scenarios-only";
       "--figures-only";
       "--hotpath";
@@ -1216,11 +995,8 @@ let () =
   end
   else if List.mem "--figures-only" args then run_figures figure_ids
   else begin
-    microbenches ();
-    if not (List.mem "--micro-only" args) then begin
-      scenario_benchmarks ();
-      parallel_sweep_benchmark ();
-      chaos_benchmark ();
-      run_figures figure_ids
-    end
+    scenario_benchmarks ();
+    parallel_sweep_benchmark ();
+    chaos_benchmark ();
+    run_figures figure_ids
   end

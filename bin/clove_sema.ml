@@ -7,9 +7,8 @@
 
    With [--cmt-root] the syntactic findings are refined against the
    compiler-generated typedtrees under DIR (see Sema.Typed_refine):
-   recognizable false positives — A/B baseline branches, audited error
-   paths, kept timer handles, benign Atomic.get reads — are dropped
-   without needing [lint: allow] annotations.
+   recognizable false positives — benign Atomic.get reads in parallel
+   modules — are dropped without needing [lint: allow] annotations.
 
    The [test] tree is not scanned for findings (tests may legitimately
    exercise forbidden constructs as fixtures) but its sources do count as

@@ -62,15 +62,14 @@ let apply_domains = function
 let shards_arg =
   let doc =
     "Shard the fabric across N domains with conservative time-window PDES \
-     (one shard per leaf, spines round-robin).  0 (default) is the legacy \
-     serial engine; 1 is the serial fallback with PDES stats conventions; \
-     figure and chaos digests are byte-identical for any N >= 1."
+     (one shard per leaf, spines round-robin).  1 (default) is the serial \
+     engine; figure and chaos digests are byte-identical for any N."
   in
-  Arg.(value & opt int 0 & info [ "shards" ] ~doc ~docv:"N")
+  Arg.(value & opt int 1 & info [ "shards" ] ~doc ~docv:"N")
 
 let apply_shards n =
-  if n < 0 then begin
-    Format.eprintf "clove-sim: --shards must be >= 0@.";
+  if n < 1 then begin
+    Format.eprintf "clove-sim: --shards must be >= 1@.";
     exit 2
   end;
   Scenario.default_shards := n

@@ -267,12 +267,6 @@ let pop t =
   end
 
 let min_time_ns t = if t.size = 0 then max_int else t.times.(0)
-
-(* Root peeks for the scheduler's batch coalescer: it must decide
-   whether the next event extends a same-kind run before committing to a
-   pop.  Callers check emptiness first, as with [pop_unsafe]. *)
-let top_unsafe t = t.values.(0)
-let top_born_ns t = t.borns.(0)
 let peek_time t = if t.size = 0 then None else Some (Sim_time.of_ns t.times.(0))
 let size t = t.size
 let is_empty t = t.size = 0

@@ -45,14 +45,6 @@ val pop_unsafe : 'a t -> 'a
 val min_time_ns : 'a t -> int
 (** Earliest queued time in raw ns, or [max_int] when empty. *)
 
-val top_unsafe : 'a t -> 'a
-(** Payload of the earliest event without popping it.  The queue must be
-    non-empty (check [size]/[min_time_ns] first). *)
-
-val top_born_ns : 'a t -> int
-(** Insertion instant of the earliest event without popping it.  The
-    queue must be non-empty. *)
-
 val compact : 'a t -> keep:('a -> bool) -> int
 (** Drop every entry whose payload fails [keep] and restore the heap in
     place; returns the number dropped.  Pop order of surviving entries is

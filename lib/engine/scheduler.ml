@@ -8,10 +8,10 @@
    draw sequence numbers from one scheduler-owned counter, and the wheel
    flushes whole windows into the heap before the clock can reach them,
    so pop order is exactly that of a single binary heap under the
-   (time, born, src, seq) total order — byte-identical results, wheel on
-   or off.  [born] is the insertion instant and [src] the owning
-   component's construction-order id; together they make same-timestamp
-   tie-breaking shard-invariant under PDES (see {!Event_queue}).
+   (time, born, src, seq) total order.  [born] is the insertion instant
+   and [src] the owning component's construction-order id; together they
+   make same-timestamp tie-breaking shard-invariant under PDES (see
+   {!Event_queue}).
 
    Steady-state events avoid closures entirely: a component registers a
    handler kind once at construction ([register_kind]) and then
@@ -24,19 +24,6 @@
    slot flushes, the heap when they pop, and a compaction sweep runs
    when dead handles outnumber live ones (a TCP sender re-arming its RTO
    on every ack would otherwise grow the queue without bound). *)
-
-(* A/B switches for the benchmark harness.  [defunctionalized] is read
-   by components at schedule time (they fall back to equivalent closure
-   scheduling when false); [use_wheel] is captured per-scheduler at
-   [create].  Both paths produce identical event schedules — these exist
-   so one process can measure before/after on the same host. *)
-let defunctionalized = ref true
-let wheel_enabled = ref true
-
-(* Third A/B switch: batch dispatch of adjacent same-kind tagged events
-   (captured per-scheduler at [create], like [wheel_enabled]).  Both
-   settings produce identical event schedules — see [dispatch_batch]. *)
-let batched = ref true
 
 type handle = {
   mutable live : bool;
@@ -65,18 +52,11 @@ type t = {
   mutable fired : int;
   queue : handle Event_queue.t;
   wheel : handle Timer_wheel.t;
-  use_wheel : bool;
   mutable next_seq : int; (* shared by wheel and heap: one tie-break stream *)
   mutable dead : int; (* cancelled handles still queued *)
   mutable handlers : (int -> unit) array;
-  mutable batch_handlers : (int array -> int -> unit) array;
-  mutable batch_capable : bool array; (* batch_handlers.(k) is real *)
   mutable kind_srcs : int array; (* component id per registered kind *)
   mutable n_kinds : int;
-  use_batch : bool;
-  mutable batch_args : int array; (* reusable operand buffer for batches *)
-  mutable batches : int; (* batch dispatches (runs of length >= 2) *)
-  mutable batched_events : int; (* events delivered inside those runs *)
   mutable cur_src : int; (* component id of the dispatching event; 0 at setup *)
   mutable pool : handle array; (* free tagged handles, stack discipline *)
   mutable pool_len : int;
@@ -98,10 +78,6 @@ let dummy_handle = { live = false; kind = -1; arg = 0; src = 0; thunk = nop }
 
 let nop_handler (_ : int) = ()
 
-(* pads [batch_handlers]; [batch_capable] decides dispatch, so this is
-   only ever called if a registration bug leaves the two out of sync *)
-let nop_batch_handler (_ : int array) (_ : int) = ()
-
 let create () =
   {
     id = 1 + Atomic.fetch_and_add next_id 1;
@@ -109,18 +85,11 @@ let create () =
     fired = 0;
     queue = Event_queue.create ~dummy:dummy_handle ();
     wheel = Timer_wheel.create ~dummy:dummy_handle ~keep:(fun h -> h.live) ();
-    use_wheel = !wheel_enabled;
     next_seq = 0;
     dead = 0;
     handlers = Array.make 8 nop_handler;
-    batch_handlers = Array.make 8 nop_batch_handler;
-    batch_capable = Array.make 8 false;
     kind_srcs = Array.make 8 0;
     n_kinds = 0;
-    use_batch = !batched;
-    batch_args = Array.make 64 0;
-    batches = 0;
-    batched_events = 0;
     cur_src = 0;
     pool = Array.make 32 dummy_handle;
     pool_len = 0;
@@ -136,16 +105,10 @@ let now t = t.clock
 let register_kind t f =
   if t.n_kinds = Array.length t.handlers then begin
     let handlers = Array.make (2 * t.n_kinds) nop_handler in
-    let batch_handlers = Array.make (2 * t.n_kinds) nop_batch_handler in
-    let batch_capable = Array.make (2 * t.n_kinds) false in
     let kind_srcs = Array.make (2 * t.n_kinds) 0 in
     Array.blit t.handlers 0 handlers 0 t.n_kinds;
-    Array.blit t.batch_handlers 0 batch_handlers 0 t.n_kinds;
-    Array.blit t.batch_capable 0 batch_capable 0 t.n_kinds;
     Array.blit t.kind_srcs 0 kind_srcs 0 t.n_kinds;
     t.handlers <- handlers;
-    t.batch_handlers <- batch_handlers;
-    t.batch_capable <- batch_capable;
     t.kind_srcs <- kind_srcs
   end;
   let k = t.n_kinds in
@@ -154,26 +117,11 @@ let register_kind t f =
   t.n_kinds <- k + 1;
   k
 
-(* A batch-capable kind supplies both forms of its handler: [single]
-   for isolated events (and for schedulers created with [batched]
-   off), [batch] for a coalesced run of operands.  [batch args n] must
-   be observably equivalent to [Array.iter single] over the first [n]
-   operands — the scheduler only ever coalesces events that were
-   already adjacent under the (time, born, src, seq) total order, so
-   equivalence of the two handlers is the only obligation left on the
-   component. *)
-let register_kind_batch t ~single ~batch =
-  let k = register_kind t single in
-  t.batch_handlers.(k) <- batch;
-  t.batch_capable.(k) <- true;
-  k
-
 (* A component with several kinds (or the same logical event reachable
    through different kinds, like a wire delivery scheduled locally
    vs. injected across a PDES boundary) overrides the per-registration
    default so all its events share one rank. *)
 let set_kind_src t ~kind ~src = t.kind_srcs.(kind) <- src
-let kind_src t ~kind = t.kind_srcs.(kind)
 
 (* ---- handle pool (tagged fire-and-forget events only) ---- *)
 
@@ -204,7 +152,7 @@ let release_handle t h =
 let push_born t ~time_ns ~born_ns ~src h =
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
-  if t.use_wheel && Timer_wheel.add t.wheel ~time_ns ~born_ns ~src ~seq h then
+  if Timer_wheel.add t.wheel ~time_ns ~born_ns ~src ~seq h then
     t.wheel_scheduled <- t.wheel_scheduled + 1
   else begin
     t.heap_scheduled <- t.heap_scheduled + 1;
@@ -216,18 +164,16 @@ let push_born t ~time_ns ~born_ns ~src h =
 let push t ~time_ns ~src h =
   push_born t ~time_ns ~born_ns:(Sim_time.to_ns t.clock) ~src h
 
-let schedule_at ?src t ~time f =
+let schedule_at t ~time f =
   if Sim_time.(time < t.clock) then
     invalid_arg "Scheduler.schedule_at: time in the past";
-  (* closures rank under the component whose handler scheduled them
-     unless the caller names the owning component explicitly *)
-  let src = match src with Some s -> s | None -> t.cur_src in
+  (* closures rank under the component whose handler scheduled them *)
+  let src = t.cur_src in
   let h = { live = true; kind = -1; arg = 0; src; thunk = f } in
   push t ~time_ns:(Sim_time.to_ns time) ~src h;
   h
 
-let schedule ?src t ~after f =
-  schedule_at ?src t ~time:(Sim_time.add t.clock after) f
+let schedule t ~after f = schedule_at t ~time:(Sim_time.add t.clock after) f
 
 let schedule_tag t ~after ~kind ~arg =
   let time_ns = Sim_time.to_ns t.clock + Sim_time.span_ns after in
@@ -293,7 +239,7 @@ let schedule_periodic t ~every f =
    heap, flush just the earliest occupied window.  Either way the heap
    top afterwards precedes every entry still staged in the wheel. *)
 let prepare t =
-  if t.use_wheel && not (Timer_wheel.is_empty t.wheel) then begin
+  if not (Timer_wheel.is_empty t.wheel) then begin
     let heap_min = Event_queue.min_time_ns t.queue in
     if Timer_wheel.min_bound_ns t.wheel <= heap_min then
       let purged =
@@ -306,64 +252,6 @@ let prepare t =
 let next_time_ns t =
   prepare t;
   Event_queue.min_time_ns t.queue
-
-(* Coalesce the maximal run of events adjacent to the one just popped
-   (kind [k], operand [a0], firing at [time_ns]) and deliver the whole
-   run through the kind's batch handler in one call.
-
-   Why this cannot change pop order: a heap-top event joins the run
-   only if it is (a) the same kind, (b) at the same [time_ns], (c) live
-   and (d) born strictly before [time_ns].  The clock equals [time_ns]
-   for the whole run, so anything a handler schedules during the batch
-   call is born *at* [time_ns] — under the (time, born, src, seq)
-   order every such event sorts strictly after every collected event
-   (same time, later born by (d)), so pre-collecting the run pops
-   exactly the events a one-at-a-time loop would have popped, in the
-   same order.  The wheel needs no re-flush between pops: [prepare]
-   left every staged wheel entry strictly later than the heap top, and
-   the run never advances past [time_ns].
-
-   Collection stops at the first non-matching top, so a cancelled
-   handle, a closure event, or a different kind at the same instant
-   ends the run — conservative, never wrong. *)
-let grow_batch_args t =
-  let len = Array.length t.batch_args in
-  (* alloc-allow: amortized doubling of the reusable operand buffer *)
-  let args = Array.make (2 * len) 0 in
-  Array.blit t.batch_args 0 args 0 len;
-  t.batch_args <- args
-
-(* tail-recursive collection (no ref cells on the dispatch path):
-   returns the run length once the heap top stops matching *)
-let rec collect_batch t ~kind ~time_ns n =
-  if Event_queue.min_time_ns t.queue <> time_ns then n
-  else begin
-    let h = Event_queue.top_unsafe t.queue in
-    if h.live && h.kind = kind && Event_queue.top_born_ns t.queue < time_ns
-    then begin
-      let (_ : handle) = Event_queue.pop_unsafe t.queue in
-      if !Analysis.Audit.on then
-        Analysis.Audit.note_clock ~clock_id:t.id ~now_ns:time_ns;
-      t.fired <- t.fired + 1;
-      h.live <- false;
-      if n = Array.length t.batch_args then grow_batch_args t;
-      t.batch_args.(n) <- h.arg;
-      release_handle t h;
-      collect_batch t ~kind ~time_ns (n + 1)
-    end
-    else n
-  end
-
-let dispatch_batch t ~kind ~arg0 ~time_ns =
-  t.batch_args.(0) <- arg0;
-  let n = collect_batch t ~kind ~time_ns 1 in
-  if n > 1 then begin
-    t.batches <- t.batches + 1;
-    t.batched_events <- t.batched_events + n
-  end;
-  (* alloc-allow: dispatch-table fetch returns the per-component closure registered once at construction; the arrow-result rule over-approximates *)
-  let f = t.batch_handlers.(kind) in
-  f t.batch_args n
 
 (* [step] minus the wheel flush, for drivers that just called [prepare]
    as part of their own horizon check ([run] / [run_until]): fusing the
@@ -386,11 +274,8 @@ let step_prepared t =
         let a = h.arg in
         t.cur_src <- t.kind_srcs.(k);
         release_handle t h;
-        if t.use_batch && t.batch_capable.(k) then
-          dispatch_batch t ~kind:k ~arg0:a ~time_ns
-        else
-          (* alloc-allow: dispatch-table fetch, same over-approximation as the batch fetch in dispatch_batch *)
-          t.handlers.(k) a
+        (* alloc-allow: dispatch-table fetch returns the per-component closure registered once at construction; the arrow-result rule over-approximates *)
+        t.handlers.(k) a
       end
       else begin
         t.cur_src <- h.src;
@@ -452,5 +337,4 @@ let heap_scheduled t = t.heap_scheduled
 let wheel_occupancy t = Timer_wheel.size t.wheel
 let heap_occupancy t = Event_queue.size t.queue
 let compactions t = t.compactions
-let batches_dispatched t = t.batches
-let batched_events t = t.batched_events
+let batched_events (_ : t) = 0

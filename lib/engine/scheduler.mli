@@ -5,8 +5,7 @@
     an overflow binary heap (far future).  Both share one insertion-
     sequence stream and the wheel flushes whole windows into the heap
     ahead of the clock, so pop order is exactly that of a single binary
-    heap under the (time, seq) total order — results are identical with
-    the wheel on or off.
+    heap under the (time, born, src, seq) total order.
 
     Steady-state events use the defunctionalized path: components
     register a handler kind once ({!register_kind}) and schedule
@@ -22,24 +21,19 @@ type handle
     handle. *)
 
 val create : unit -> t
-(** Captures {!wheel_enabled} at creation time. *)
 
 val now : t -> Sim_time.t
 (** Current simulation time. *)
 
-val schedule : ?src:int -> t -> after:Sim_time.span -> (unit -> unit) -> handle
+val schedule : t -> after:Sim_time.span -> (unit -> unit) -> handle
 (** [schedule t ~after f] runs [f] at [now t + after].  Allocates a
     handle and a closure — prefer {!schedule_tag} on per-packet paths.
-    [src] names the component the event ranks under for same-timestamp
-    tie-breaking; it defaults to the component whose handler is
-    executing, which is right for a component scheduling its own
-    follow-ups and wrong only where a closure stands in for another
-    component's tagged path (the closure A/B fallbacks pass it
-    explicitly so both paths rank identically). *)
+    For same-timestamp tie-breaking the event ranks under the component
+    whose handler is executing. *)
 
-val schedule_at : ?src:int -> t -> time:Sim_time.t -> (unit -> unit) -> handle
+val schedule_at : t -> time:Sim_time.t -> (unit -> unit) -> handle
 (** [schedule_at t ~time f] runs [f] at [time]; raises [Invalid_argument]
-    if [time] is in the past.  [src] as in {!schedule}. *)
+    if [time] is in the past. *)
 
 val fresh_src : unit -> int
 (** Allocate a component id for the (time, born, src, seq) event order.
@@ -54,23 +48,7 @@ val register_kind : t -> (int -> unit) -> int
     component id; components that spread one logical event stream over
     several kinds override it with {!set_kind_src}. *)
 
-val register_kind_batch :
-  t -> single:(int -> unit) -> batch:(int array -> int -> unit) -> int
-(** Like {!register_kind}, but the kind is batch-capable: when the
-    earliest pending events form a run of this kind at one instant (all
-    born strictly before it), the scheduler delivers the whole run as
-    one [batch args n] call over the first [n] operands instead of
-    re-entering dispatch per event.  Obligation on the caller:
-    [batch args n] must be observably equivalent to applying [single]
-    to [args.(0) .. args.(n-1)] in order.  Coalescing only joins events
-    already adjacent under the (time, born, src, seq) total order and
-    anything scheduled mid-batch is born at the batch instant (so sorts
-    after the whole run); pop order — and therefore every digest — is
-    unchanged.  [args] is the scheduler's reusable buffer: read it only
-    during the call. *)
-
 val set_kind_src : t -> kind:int -> src:int -> unit
-val kind_src : t -> kind:int -> int
 (** Override the component id events of [kind] rank under.  A link gives
     its locally scheduled and PDES-injected wire deliveries the same id
     so a delivery's tie-break rank does not depend on which path
@@ -152,23 +130,5 @@ val heap_occupancy : t -> int
 val compactions : t -> int
 (** Dead-handle sweeps performed. *)
 
-val batches_dispatched : t -> int
-(** Coalesced runs (length >= 2) delivered through a batch handler. *)
-
 val batched_events : t -> int
-(** Events delivered inside those runs (throughput accounting). *)
-
-val defunctionalized : bool ref
-(** A/B switch for the benchmark harness: when [false], components fall
-    back to closure scheduling on their steady-state paths.  Both
-    settings produce identical simulation results. *)
-
-val wheel_enabled : bool ref
-(** A/B switch: whether schedulers created from now on stage short
-    timers in the wheel.  Both settings produce identical results. *)
-
-val batched : bool ref
-(** A/B switch, captured per-scheduler at {!create}: whether adjacent
-    same-kind tagged events dispatch as coalesced runs through their
-    {!register_kind_batch} batch handler.  Both settings produce
-    identical results (see {!register_kind_batch}). *)
+(** Always 0: each event is dispatched on its own; kept for existing probes. *)

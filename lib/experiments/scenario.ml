@@ -120,7 +120,7 @@ type t = {
   caft : Fabric_lb.Caft.t option;
   clove_cfg : Clove.Clove_config.t;
   dist : Stats.Cdf.t;
-  shards : int; (* 0 = legacy serial; 1 = PDES serial fallback; >= 2 sharded *)
+  shards : int; (* 1 = serial; >= 2 sharded *)
   pdes : pdes option; (* Some iff shards >= 2 *)
   mutable conn_shards : int list; (* per conn id, src-host shard; reversed *)
   mutable next_conn : int;
@@ -128,11 +128,10 @@ type t = {
 }
 
 (* Shard count used by [build] when the caller passes none — the CLI's
-   [--shards] flag lands here.  0 keeps the legacy single-scheduler
-   path (byte-exact with historical runs); 1 is the PDES serial
-   fallback (same schedule, canonicalized stats ordering, comparable
-   with any width); >= 2 partitions the fabric across domains. *)
-let default_shards = ref 0
+   [--shards] flag lands here.  1 is the serial engine (canonicalized
+   stats ordering, comparable with any width); >= 2 partitions the
+   fabric across domains. *)
+let default_shards = ref 1
 
 let sched t = t.sched
 let fabric t = t.fabric
@@ -223,7 +222,7 @@ let vswitch_scheme = function
 
 let build ?shards ~scheme params =
   let shards = match shards with Some s -> s | None -> !default_shards in
-  if shards < 0 then invalid_arg "Scenario.build: shards must be >= 0";
+  if shards < 1 then invalid_arg "Scenario.build: shards must be >= 1";
   (* Graceful degradation keeps the digest contract ("identical at any
      --shards >= 1") for every scenario: MPTCP couples both endpoints on
      one scheduler so it runs the serial fallback, and one shard per
@@ -490,10 +489,8 @@ let run_websearch t ~rng ~conns cfg =
   match t.pdes with
   | None ->
     let stats = Workload.Websearch.run ~sched:t.sched ~rng ~conns cfg in
-    (* the serial PDES fallback canonicalizes record order like every
-       other width; the legacy path (shards = 0) keeps its historical
-       completion-order stats byte-exactly *)
-    if t.shards >= 1 then Workload.Fct_stats.canonicalize stats;
+    (* canonical record order, like every other width *)
+    Workload.Fct_stats.canonicalize stats;
     stats
   | Some p ->
     let width = Array.length p.scheds in

@@ -80,18 +80,17 @@ type t
 
 val default_shards : int ref
 (** Shard count [build] uses when the caller passes none (the CLI's
-    [--shards]).  0 = legacy serial execution, byte-exact with
-    historical runs; 1 = PDES serial fallback (same schedule,
-    canonicalized stats ordering — digest-comparable with any width);
+    [--shards]).  1 (default) = serial execution on one scheduler;
     [n >= 2] = conservative time-window PDES over [n] domains, one
-    shard per leaf (spines round-robin). *)
+    shard per leaf (spines round-robin).  Stats are canonicalized at
+    every width, so digests are comparable across widths. *)
 
 val build : ?shards:int -> scheme:scheme -> params -> t
-(** A width beyond the leaf count clamps (one shard per leaf is the
-    finest partition) and MPTCP always degrades to the serial fallback
-    (one scheduler spans both of its endpoints), so digests stay
-    comparable at any requested [shards >= 1]; {!shards} reports the
-    effective width. *)
+(** Raises [Invalid_argument] when [shards < 1].  A width beyond the
+    leaf count clamps (one shard per leaf is the finest partition) and
+    MPTCP always degrades to serial (one scheduler spans both of its
+    endpoints), so digests stay comparable at any requested width;
+    {!shards} reports the effective width. *)
 
 val sched : t -> Scheduler.t
 (** The control scheduler: the only scheduler in serial builds; under
@@ -158,12 +157,13 @@ val run_websearch :
   t -> rng:Rng.t -> conns:Workload.Websearch.submit array -> Workload.Websearch.config ->
   Workload.Fct_stats.t
 (** Run the websearch workload to completion under this scenario's
-    execution mode: the legacy drive loop at [shards = 0]; the same loop
-    with canonicalized stats at [shards = 1]; armed per-shard and driven
-    through the window-barrier coordinator at [shards >= 2], where each
-    connection schedules, records and counts down entirely on its source
-    host's shard.  [conns] must be every connection created on [t], in
-    creation order.  FCT digests are byte-identical at every PDES width. *)
+    execution mode: the serial drive loop at [shards = 1]; armed
+    per-shard and driven through the window-barrier coordinator at
+    [shards >= 2], where each connection schedules, records and counts
+    down entirely on its source host's shard.  Record order is
+    canonicalized at every width.  [conns] must be every connection
+    created on [t], in creation order.  FCT digests are byte-identical
+    at every width. *)
 
 val total_drops : t -> int
 val total_marks : t -> int

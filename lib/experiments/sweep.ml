@@ -50,9 +50,9 @@ let websearch_run ~scheme ~params ~load ~jobs_per_conn =
    configurations that happened to share a hash. *)
 type memo_key =
   Scenario.scheme * Scenario.params * float * int * int list * int
-(* the trailing int is the shard width: legacy (0) and PDES results are
-   behaviorally identical but not byte-identical in stats ordering, so
-   they must not alias in the memo *)
+(* the trailing int is the shard width, so a run at one width is never
+   answered from another width's memo — shard cross-checks compare
+   them *)
 
 let memo : (memo_key, Workload.Fct_stats.t) Hashtbl.t = Hashtbl.create 64
 
@@ -145,8 +145,8 @@ let websearch_point ~scheme ~params ~load ~opts =
 
 let incast_run ~scheme ~params ~fanout ~total_bytes ~requests =
   (* the incast driver steps the scenario scheduler directly, so it
-     always runs on the legacy serial build whatever --shards says *)
-  let scn = Scenario.build ~shards:0 ~scheme params in
+     always runs on the serial build whatever --shards says *)
+  let scn = Scenario.build ~shards:1 ~scheme params in
   let client = (Scenario.clients scn).(0) in
   let submits =
     Array.map

@@ -80,9 +80,7 @@ let alloc_tx_slot t pkt =
 
 (* Serializer completion at [tx] after start, then propagation for
    [prop_delay]; the serializer is free to start the next packet the
-   moment the wire takes this one.  Tagged and closure paths schedule
-   the same events at the same times in the same order — the closure
-   branch exists as the benchmark harness's before/after baseline. *)
+   moment the wire takes this one. *)
 let rec on_txdone t slot =
   let pkt = t.tx_slots.(slot) in
   t.tx_slots.(slot) <- Packet.placeholder;
@@ -126,43 +124,8 @@ and start_tx t =
     t.tx_bytes <- t.tx_bytes + pkt.Packet.size;
     t.tx_packets <- t.tx_packets + 1;
     let tx = Sim_time.tx_time ~bytes_len:pkt.Packet.size ~rate_bps:(effective_rate t) in
-    if !Scheduler.defunctionalized then
-      Scheduler.schedule_tag t.sched ~after:tx ~kind:t.k_txdone
-        ~arg:(alloc_tx_slot t pkt)
-    else
-      let (_ : Scheduler.handle) =
-        Scheduler.schedule ~src:t.src t.sched ~after:tx (fun () ->
-            (* propagation: packet reaches the far end after prop_delay; the
-               serializer is free to start the next packet immediately *)
-            (if not t.is_up then begin
-               t.down_drops <- t.down_drops + 1;
-               audit_drop "link-down"
-             end
-             else if brownout_lost t then begin
-               t.brownout_drops <- t.brownout_drops + 1;
-               audit_drop "brownout"
-             end
-             else
-               match t.boundary with
-               | Some push ->
-                 (* lint: allow sema-time-boundary *)
-                 let born_ns = Sim_time.to_ns (Scheduler.now t.sched) in
-                 (* lint: allow sema-time-boundary *)
-                 push ~born_ns ~time_ns:(born_ns + Sim_time.span_ns t.prop_delay) pkt
-               | None ->
-                 let (_ : Scheduler.handle) =
-                   Scheduler.schedule ~src:t.src t.sched ~after:t.prop_delay
-                     (fun () ->
-                       if t.is_up then deliver t pkt
-                       else begin
-                         t.down_drops <- t.down_drops + 1;
-                         audit_drop "link-down"
-                       end)
-                 in
-                 ());
-            start_tx t)
-      in
-      ()
+    Scheduler.schedule_tag t.sched ~after:tx ~kind:t.k_txdone
+      ~arg:(alloc_tx_slot t pkt)
   end
 
 let create ~sched ~rate_bps ~prop_delay ?queue ?(label = "link") () =
@@ -195,26 +158,9 @@ let create ~sched ~rate_bps ~prop_delay ?queue ?(label = "link") () =
     }
   in
   (* one handler closure per link for its whole lifetime, not one per
-     event: the steady-state transmit path allocates nothing.  Both
-     kinds are batch-capable — a run of same-nanosecond completions or
-     deliveries on one link dispatches as a single loop with the link's
-     state hot in cache.  Each batch body is literally the singleton
-     handler iterated, so the two forms are equivalent by
-     construction. *)
-  t.k_txdone <-
-    Scheduler.register_kind_batch sched
-      ~single:(fun slot -> on_txdone t slot)
-      ~batch:(fun args n ->
-        for i = 0 to n - 1 do
-          on_txdone t args.(i)
-        done);
-  t.k_deliver <-
-    Scheduler.register_kind_batch sched
-      ~single:(fun _ -> on_deliver t)
-      ~batch:(fun _ n ->
-        for _ = 1 to n do
-          on_deliver t
-        done);
+     event: the steady-state transmit path allocates nothing *)
+  t.k_txdone <- Scheduler.register_kind sched (fun slot -> on_txdone t slot);
+  t.k_deliver <- Scheduler.register_kind sched (fun _ -> on_deliver t);
   (* all of this link's events rank under one id, so a wire delivery's
      tie-break does not depend on whether it was scheduled locally
      (k_deliver) or injected across a PDES boundary (k_inject) *)
@@ -233,13 +179,7 @@ let set_boundary t ~dest_sched ~push =
   t.boundary <- Some push;
   t.inject_sched <- Some dest_sched;
   if t.k_inject < 0 then begin
-    t.k_inject <-
-      Scheduler.register_kind_batch dest_sched
-        ~single:(fun _ -> on_deliver t)
-        ~batch:(fun _ n ->
-          for _ = 1 to n do
-            on_deliver t
-          done);
+    t.k_inject <- Scheduler.register_kind dest_sched (fun _ -> on_deliver t);
     (* injected deliveries rank under the link's own id, same as the
        serial k_deliver path would *)
     Scheduler.set_kind_src dest_sched ~kind:t.k_inject ~src:t.src

@@ -151,21 +151,11 @@ let receive t ~in_port pkt =
       in
       ()
   end
-  else if !Scheduler.defunctionalized then begin
+  else begin
     Ring.push t.pipes.(in_port) pkt;
     Scheduler.schedule_tag t.sched ~after:t.latency ~kind:t.k_forwards.(in_port)
       ~arg:0
   end
-  else
-    (* closure fallback ranks under the same per-port id as the tagged
-       lane so both A/B paths break ties identically *)
-    let (_ : Scheduler.handle) =
-      Scheduler.schedule
-        ~src:(Scheduler.kind_src t.sched ~kind:t.k_forwards.(in_port))
-        t.sched ~after:t.latency
-        (fun () -> forward t ~in_port pkt)
-    in
-    ()
 
 (* Ports are wired after [create], in fabric construction order; each
    registers its pipeline lane's dispatch kind then, so lane ids follow
@@ -188,16 +178,9 @@ let add_port t ~link ~peer ~parallel_index =
   end;
   let p = t.nports in
   t.ports.(p) <- { link; peer; parallel_index };
-  (* batch-capable lane: a same-nanosecond run of forwards on one
-     ingress port dispatches as a single loop over the port's FIFO ring
-     (the batch body is the singleton handler iterated) *)
   t.k_forwards.(p) <-
-    Scheduler.register_kind_batch t.sched
-      ~single:(fun _ -> forward t ~in_port:p (Ring.pop t.pipes.(p)))
-      ~batch:(fun _ n ->
-        for _ = 1 to n do
-          forward t ~in_port:p (Ring.pop t.pipes.(p))
-        done);
+    Scheduler.register_kind t.sched (fun _ ->
+        forward t ~in_port:p (Ring.pop t.pipes.(p)));
   t.nports <- p + 1;
   p
 

@@ -136,10 +136,9 @@ let reachable ~n ~roots ~edges =
 (* --------------------------- cold branches ------------------------ *)
 
 (* An allocation inside one of these spans is off the steady-state
-   path: the A/B measurement baseline, an audited (serial) run, drop
-   accounting / violation reporting, or a branch that only builds an
-   exception.  Reported under [alloc-cold] instead of counting against
-   the budget. *)
+   path: an audited (serial) run, drop accounting / violation
+   reporting, or a branch that only builds an exception.  Reported
+   under [alloc-cold] instead of counting against the budget. *)
 
 type span = {
   sp_file : string;
@@ -149,19 +148,13 @@ type span = {
 }
 
 let deref_gate (e : Typedtree.expression) =
-  (* [!Scheduler.defunctionalized] and friends; which branch is cold:
-     [`Else] when true selects the hot path, [`Then] when true selects
-     the audited path *)
+  (* [!Audit.on]: the [`Then] branch is the audited path, so it is cold *)
   match e.Typedtree.exp_desc with
   | Typedtree.Texp_apply
       ( { exp_desc = Typedtree.Texp_ident (op, _, _); _ },
         [ (Asttypes.Nolabel, Some { exp_desc = Typedtree.Texp_ident (p, _, _); _ }) ] )
     when Race_extract.suffix2 op = Some ("Stdlib", "!") -> (
     match Race_extract.suffix2 p with
-    | Some ("Scheduler", "defunctionalized") ->
-      Some (`Else, "A/B baseline branch (!Scheduler.defunctionalized)")
-    | Some ("Scheduler", "wheel_enabled") ->
-      Some (`Else, "A/B baseline branch (!Scheduler.wheel_enabled)")
     | Some ("Audit", "on") -> Some (`Then, "audited-run branch (!Audit.on)")
     | _ -> None)
   | _ -> None

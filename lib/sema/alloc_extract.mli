@@ -1,7 +1,7 @@
 (** clove-alloc extraction: the hot region of the call graph — every
     function reachable from a scheduler dispatch root — and the
-    cold-branch spans (A/B gates, audited error paths, always-raising
-    branches) that demote allocation findings to [alloc-cold].
+    cold-branch spans (audited-run gates, audited error paths,
+    always-raising branches) that demote allocation findings to [alloc-cold].
 
     Allocation *sites* themselves are recorded per node during
     [Race_extract.analyze] (see {!Race_extract.alloc_site}); this
@@ -49,9 +49,7 @@ type span = {
 }
 
 val cold_spans : Cmt_load.unit_info list -> span list
-(** Line spans off the steady-state path: the branch of an
-    [if !Scheduler.defunctionalized] / [!Timer_wheel.wheel_enabled]
-    A/B gate that selects the baseline, branches under [!Audit.on],
+(** Line spans off the steady-state path: branches under [!Audit.on],
     branches calling [Audit.note_*]/[record_violation], and branches
     that always raise. *)
 

@@ -10,7 +10,7 @@
    (say, two closure literals in one function) merge into one finding
    carrying the first site's line and a count.
 
-   Cold-guarded sites (A/B baseline branches, audited error paths,
+   Cold-guarded sites (audited-run branches, audited error paths,
    always-raising branches) are reported under [alloc-cold] with the
    span's reason as their suppression — visible in the report, outside
    the budget. *)

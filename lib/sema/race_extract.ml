@@ -204,19 +204,13 @@ let parallel_entries =
     (("Thread", "create"), 0);
   ]
 
-(* (module, function) -> where the handler argument(s) live: a 0-based
-   positional index, or the labels of the handler arguments (a batched
-   kind registers both a singleton and a batch body — each is a
-   dispatch root).  A closure registered as a scheduler dispatch kind
-   becomes its own node so the hot-region analysis can root there,
-   while a call edge from the registering function is kept so the race
-   fixpoint still re-roots whatever the closure captured from the
-   creator's scope. *)
-let dispatch_entries =
-  [
-    (("Scheduler", "register_kind"), `Positional 1);
-    (("Scheduler", "register_kind_batch"), `Labelled [ "single"; "batch" ]);
-  ]
+(* (module, function) -> 0-based index of the handler argument among
+   the positional arguments.  A closure registered as a scheduler
+   dispatch kind becomes its own node so the hot-region analysis can
+   root there, while a call edge from the registering function is kept
+   so the race fixpoint still re-roots whatever the closure captured
+   from the creator's scope. *)
+let dispatch_entries = [ (("Scheduler", "register_kind"), 1) ]
 
 (* ----------------------------- context ---------------------------- *)
 
@@ -726,15 +720,9 @@ and handle_dispatch ctx it e m v args =
       args
   in
   let tasks =
-    match List.assoc (m, v) dispatch_entries with
-    | `Positional i -> (
-      match List.nth_opt positionals i with Some a -> [ a ] | None -> [])
-    | `Labelled names ->
-      List.filter_map
-        (function
-          | Asttypes.Labelled l, Some a when List.mem l names -> Some a
-          | _ -> None)
-        args
+    match List.nth_opt positionals (List.assoc (m, v) dispatch_entries) with
+    | Some a -> [ a ]
+    | None -> []
   in
   let spawn_site = site_of ctx e in
   let skip =

@@ -8,8 +8,8 @@
    available we can see that in the typedtree and drop the false
    positive instead of demanding a [lint: allow] annotation.
 
-   (The hot-path allocation refinements that used to live here — A/B
-   gates, audited error paths, cancellable timers — moved to
+   (The hot-path allocation refinements that used to live here —
+   audited error paths, cancellable timers — moved to
    [Alloc_extract.cold_spans]: clove-alloc replaced the syntactic
    sema-hotpath-alloc rule with reachability from the dispatch
    roots.) *)

@@ -64,10 +64,9 @@ val canonicalize : t -> unit
 (** Reorder the stored records into {!canonical_dump}'s sorted order.
     Recording order is a scheduling artifact — it differs across PDES
     shard counts — and order-sensitive folds ({!avg} accumulates floats
-    in list order) would otherwise leak it into reported numbers.  PDES
-    runs canonicalize at every width, including the serial fallback, so
-    all widths fold in the same order; legacy serial runs never call
-    this and keep their historical byte-exact outputs. *)
+    in list order) would otherwise leak it into reported numbers.
+    Scenario runs canonicalize at every width, including serial, so all
+    widths fold in the same order. *)
 
 val canonical_dump : t -> string
 (** A canonical textual dump of every record (size, arrival, FCT as hex

@@ -14,7 +14,7 @@ let arrival_rate_per_conn cfg ~conns =
   cfg.load *. cfg.bisection_bps /. float_of_int conns /. mean_bits
 
 (* Arm every connection's Poisson arrival process without driving the
-   scheduler(s) — the PDES coordinator (or the legacy [run] loop below)
+   scheduler(s) — the PDES coordinator (or the serial [run] loop below)
    owns the drive.  Each connection lives entirely on [sched_of_conn i]
    and records into [stats_of_conn i] / decrements [remaining_of_conn i],
    so a sharded build can hand each connection its shard's scheduler and

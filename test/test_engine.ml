@@ -284,30 +284,50 @@ let prop_scheduler_fires_all =
 
 (* -------------- timer wheel vs pure-heap equivalence -------------- *)
 
-(* Firing order of a scheduler with the wheel enabled, as indices into
-   the delay list (nested re-arms offset by 10_000).  [scale] spreads
-   delays across the wheel's levels and past its ~1.07 s horizon, where
-   events overflow into the binary heap; handlers of the shortest timers
-   re-arm far-future events to exercise insertion against an advanced
+(* Schedule the workload through [schedule d f] (run [f] in [d] ns) and
+   return the firing log, as indices into the delay list (nested
+   re-arms offset by 10_000).  [scale] spreads delays across the
+   wheel's levels and past its ~1.07 s horizon, where events overflow
+   into the binary heap; handlers of the shortest timers re-arm
+   far-future events to exercise insertion against an advanced
    frontier. *)
-let wheel_run_order ~wheel delays =
-  let saved = !Scheduler.wheel_enabled in
-  Scheduler.wheel_enabled := wheel;
-  let s = Scheduler.create () in
-  Scheduler.wheel_enabled := saved;
+let wheel_workload ~schedule delays =
   let log = ref [] in
   List.iteri
     (fun i (v, scale) ->
       let d = v * int_of_float (10. ** float_of_int scale) in
-      ignore
-        (Scheduler.schedule s ~after:(Sim_time.ns d) (fun () ->
-             log := i :: !log;
-             if scale = 0 then
-               ignore
-                 (Scheduler.schedule s ~after:(Sim_time.ns (v * 100_000))
-                    (fun () -> log := (i + 10_000) :: !log)))))
+      schedule d (fun () ->
+          log := i :: !log;
+          if scale = 0 then
+            schedule (v * 100_000) (fun () -> log := (i + 10_000) :: !log)))
     delays;
+  log
+
+let wheel_run_order delays =
+  let s = Scheduler.create () in
+  let log =
+    wheel_workload delays ~schedule:(fun d f ->
+        ignore (Scheduler.schedule s ~after:(Sim_time.ns d) f))
+  in
   Scheduler.run s;
+  List.rev !log
+
+(* Reference: the same schedule driven through one bare binary heap,
+   each event born at the loop's clock under component 0 (the
+   scheduler's rank for closures scheduled at setup or by closures). *)
+let heap_run_order delays =
+  let q = Event_queue.create ~dummy:(fun () -> ()) () in
+  let clock = ref 0 and seq = ref 0 in
+  let log =
+    wheel_workload delays ~schedule:(fun d f ->
+        Event_queue.add_at_ns q ~time_ns:(!clock + d) ~born_ns:!clock ~src:0
+          ~seq:!seq f;
+        incr seq)
+  in
+  while not (Event_queue.is_empty q) do
+    clock := Event_queue.min_time_ns q;
+    (Event_queue.pop_unsafe q) ()
+  done;
   List.rev !log
 
 let prop_wheel_matches_heap =
@@ -318,71 +338,7 @@ let prop_wheel_matches_heap =
     (fun (fifo, delays) ->
       let tb = if fifo then Analysis.Perturb.Fifo else Analysis.Perturb.Lifo in
       Analysis.Perturb.with_settings ~tb ~salt:0 (fun () ->
-          wheel_run_order ~wheel:true delays
-          = wheel_run_order ~wheel:false delays))
-
-(* Dispatch one tagged workload with batching on and off: the observable
-   fire order (kind, arg, clock) must be identical, because coalescing
-   only joins events already adjacent under the (time, born, src, seq)
-   total order.  Handlers occasionally schedule a same-instant follow-up
-   to exercise the born-at-the-batch-instant path (it must sort after
-   the whole run in both modes). *)
-let batch_run_order ~batch events =
-  let saved = !Scheduler.batched in
-  Scheduler.batched := batch;
-  let s = Scheduler.create () in
-  Scheduler.batched := saved;
-  let log = ref [] in
-  let kind_b_cell = ref (-1) in
-  let note name arg =
-    log := (name, arg, Sim_time.to_ns (Scheduler.now s)) :: !log;
-    if name = 0 && arg mod 5 = 0 then
-      Scheduler.schedule_tag s ~after:(Sim_time.ns 0) ~kind:!kind_b_cell
-        ~arg:(arg + 1001)
-  in
-  let mk name =
-    Scheduler.register_kind_batch s
-      ~single:(fun arg -> note name arg)
-      ~batch:(fun args n ->
-        for i = 0 to n - 1 do
-          note name args.(i)
-        done)
-  in
-  let kind_a = mk 0 in
-  let kind_b = mk 1 in
-  kind_b_cell := kind_b;
-  List.iteri
-    (fun i (after, pick_a) ->
-      let kind = if pick_a then kind_a else kind_b in
-      Scheduler.schedule_tag s ~after:(Sim_time.ns after) ~kind ~arg:i)
-    events;
-  Scheduler.run s;
-  (List.rev !log, Scheduler.batches_dispatched s, Scheduler.batched_events s)
-
-let prop_batch_matches_singleton =
-  (* delays are drawn from a tiny range so many events share an exact
-     nanosecond — the coalescing case — while others collide only in
-     part or not at all *)
-  QCheck.Test.make
-    ~name:"batched dispatch order identical to singleton dispatch" ~count:300
-    QCheck.(small_list (pair (int_bound 40) bool))
-    (fun events ->
-      let batched, _, _ = batch_run_order ~batch:true events in
-      let singleton, _, _ = batch_run_order ~batch:false events in
-      batched = singleton)
-
-let test_batch_coalesces_same_instant_run () =
-  (* n same-kind events at one instant, all born at time 0: the batched
-     scheduler must deliver them as a single coalesced run *)
-  let n = 32 in
-  let events = List.init n (fun _ -> (500, true)) in
-  let order_b, batches, batched_events = batch_run_order ~batch:true events in
-  let order_s, batches_s, _ = batch_run_order ~batch:false events in
-  check_bool "orders agree" true (order_b = order_s);
-  check_bool "run coalesced" true (batches >= 1);
-  (* the kind-a run itself: 32 events at one instant and one kind *)
-  check_bool "all kind-a events rode batches" true (batched_events >= n);
-  check_int "singleton mode never batches" 0 batches_s
+          wheel_run_order delays = heap_run_order delays))
 
 (* TCP-RTO shaped churn: every tick cancels the previous timer and arms
    a fresh one, so nearly every scheduled event dies unfired.  The lazy
@@ -521,9 +477,6 @@ let () =
           Alcotest.test_case "RTO churn keeps dead fraction bounded" `Quick
             test_sched_cancel_compaction;
           qc prop_wheel_matches_heap;
-          qc prop_batch_matches_singleton;
-          Alcotest.test_case "same-instant run coalesces" `Quick
-            test_batch_coalesces_same_instant_run;
         ] );
       ( "int_table",
         [

@@ -1,12 +1,10 @@
 (* Conservative time-window PDES: sharded runs must be byte-identical to
-   the serial fallback.
+   the serial engine.
 
-   The property at the heart of the tentpole: for random small fabrics,
-   schemes, loads and seeds, the canonical FCT dump of a run at --shards
-   n (n in {2, 4}) equals the dump at --shards 1 (the serial fallback
-   with PDES stats conventions).  Also covers the partition-time window
-   validation and the legacy/serial-fallback equivalence of record
-   *contents*. *)
+   The central property: for random small fabrics, schemes, loads and
+   seeds, the canonical FCT dump of a run at --shards n (n in {2, 4})
+   equals the dump at --shards 1 (serial).  Also covers the
+   partition-time window validation and width clamping. *)
 
 open Experiments
 
@@ -75,17 +73,6 @@ let prop_sharded_equals_serial =
            (fun n -> if n > leaves then true else String.equal serial (run n))
            [ 2; 4 ])
 
-(* The serial fallback reorders stats but must not change their content:
-   same multiset of records as the legacy path. *)
-let test_fallback_matches_legacy_records () =
-  let params = params ~leaves:2 ~hosts_per_leaf:4 ~asymmetric:true ~seed:7 in
-  let run shards =
-    run_once ~shards ~scheme:Scenario.S_clove_ecn ~params ~load:0.4
-      ~jobs_per_conn:5
-  in
-  (* canonical_dump sorts both, so legacy (0) and fallback (1) agree *)
-  check_string "legacy and serial-fallback digests equal" (run 0) (run 1)
-
 (* 3-tier Clos under CAFT: PDES shards the core tier round-robin along
    with the flattened leaves; digests must stay byte-identical at every
    width, including the hop-by-hop picker state on core switches. *)
@@ -104,7 +91,6 @@ let test_clos3_caft_sharded_digest () =
   in
   let serial = run 1 in
   check_bool "3-tier run not empty" true (String.length serial > 0);
-  check_string "legacy = serial fallback" (run 0) serial;
   check_string "shard 2 = serial" serial (run 2);
   check_string "shard 4 = serial" serial (run 4)
 
@@ -154,6 +140,12 @@ let test_width_clamps_to_leaves () =
     (Scenario.shards scn);
   Scenario.quiesce scn
 
+let test_zero_width_rejected () =
+  let params = params ~leaves:2 ~hosts_per_leaf:2 ~asymmetric:false ~seed:1 in
+  Alcotest.check_raises "width 0 is not a mode"
+    (Invalid_argument "Scenario.build: shards must be >= 1") (fun () ->
+      ignore (Scenario.build ~shards:0 ~scheme:Scenario.S_ecmp params))
+
 let test_mptcp_degrades_to_serial_fallback () =
   let params = params ~leaves:2 ~hosts_per_leaf:2 ~asymmetric:false ~seed:1 in
   let scn = Scenario.build ~shards:2 ~scheme:Scenario.S_mptcp params in
@@ -168,8 +160,6 @@ let () =
       ( "determinism",
         [
           qc prop_sharded_equals_serial;
-          Alcotest.test_case "fallback = legacy records" `Quick
-            test_fallback_matches_legacy_records;
           Alcotest.test_case "3-tier CAFT digests shard-invariant" `Quick
             test_clos3_caft_sharded_digest;
         ] );
@@ -179,6 +169,8 @@ let () =
             test_window_rejects_short_cross_link;
           Alcotest.test_case "width clamps to leaves" `Quick
             test_width_clamps_to_leaves;
+          Alcotest.test_case "zero width rejected" `Quick
+            test_zero_width_rejected;
           Alcotest.test_case "sharded MPTCP degrades to fallback" `Quick
             test_mptcp_degrades_to_serial_fallback;
         ] );
