@@ -27,11 +27,6 @@ let has_extension ext path = Filename.check_suffix path ext
 let wants_interface path =
   String.length path >= 4 && String.sub path 0 4 = "lib/"
 
-let file_suppresses_rule src rule =
-  String.split_on_char '\n' src
-  |> List.exists (fun line ->
-         List.mem rule (Analysis.Lint.allowed_rules_on_line line))
-
 let () =
   let roots =
     match Array.to_list Sys.argv with
@@ -60,10 +55,6 @@ let () =
     Analysis.Lint.check_interface_presence
       ~ml_files:(List.filter wants_interface ml_files)
       ~mli_files
-    |> List.filter (fun (f : Analysis.Lint.finding) ->
-           match List.assoc_opt f.Analysis.Lint.file sources with
-           | Some src -> not (file_suppresses_rule src f.Analysis.Lint.rule)
-           | None -> true)
   in
   let findings = per_line @ interface in
   List.iter

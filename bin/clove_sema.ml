@@ -8,7 +8,7 @@
    With [--cmt-root] the syntactic findings are refined against the
    compiler-generated typedtrees under DIR (see Sema.Typed_refine):
    recognizable false positives — benign Atomic.get reads in parallel
-   modules — are dropped without needing [lint: allow] annotations.
+   modules — are dropped without needing suppression markers.
 
    The [test] tree is not scanned for findings (tests may legitimately
    exercise forbidden constructs as fixtures) but its sources do count as
@@ -100,7 +100,7 @@ let () =
   Analysis.Json_out.to_file !report_path
     (Sema.Rules.report_json ~findings ~graph ~unused
        ~files_analyzed:(List.length ml_files));
-  List.iter (fun f -> Format.eprintf "%a@." Sema.Rules.pp_finding f) findings;
+  List.iter (fun f -> Format.eprintf "%a@." Analysis.Lint.pp_finding f) findings;
   if findings <> [] then begin
     Format.eprintf "clove-sema: %d finding(s) in %d file(s); report: %s@."
       (List.length findings) (List.length ml_files) !report_path;

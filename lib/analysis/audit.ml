@@ -1,4 +1,4 @@
-(* race-allow-file: audit state is serial by construction — mutations are gated on [!on] and every domain-parallel entry falls back to Array.map when the audit is enabled (sweep.ml, chaos.ml) *)
+(* lint: allow-file race-shared-mut — audit state is serial by construction — mutations are gated on [!on] and every domain-parallel entry falls back to Array.map when the audit is enabled (sweep.ml, chaos.ml) *)
 
 type violation = { invariant : string; detail : string }
 

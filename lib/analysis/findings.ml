@@ -1,13 +1,13 @@
-(* Shared findings emission for the static-analysis drivers.
+(* Shared findings layer of the static analyzers.
 
-   clove-sema, clove-race and clove-alloc each produce findings with
-   the same lifecycle: deterministic sorted serialization, a committed
-   baseline keyed by (rule, file, target) — line numbers deliberately
-   excluded so unrelated edits do not churn it — a diff that fails CI
-   only on *new* keys, SARIF 2.1.0 emission, and source-comment
-   suppressions whose justification text is mandatory.  This module is
-   that one code path; the per-tool modules keep only their analysis
-   and convert into [t] at the edge. *)
+   clove-check (the typed race and allocation analyses) produces
+   findings with one lifecycle: deterministic sorted serialization, a
+   committed baseline keyed by (rule, file, target) — line numbers
+   deliberately excluded so unrelated edits do not churn it — a diff
+   that fails CI only on *new* keys, and SARIF 2.1.0 emission.
+   clove-sema reuses the serialization for its report.  The source
+   suppression grammar below is the one that clove-lint, clove-sema
+   and clove-check all parse. *)
 
 type t = {
   rule : string;
@@ -37,82 +37,173 @@ let compare_finding a b =
 
 let sort fs = List.sort compare_finding fs
 
-(* ------------------------- source markers ------------------------- *)
+(* --------------------------- suppressions ------------------------- *)
 
-(* Suppressions are plain comments in the analyzed sources, e.g.
-   [(* race-allow: reason *)] on the flagged line or the line above,
-   or a file-scoped [(* race-allow-file: reason *)] anywhere.  The
-   cache is per-process; drivers reset it per run. *)
+(* One grammar for every analyzer: a comment naming the rule on the
+   flagged line or the line above, or a file-scoped variant anywhere in
+   the file (the "allow-file" form of the marker).  Several rule ids may
+   follow the keyword, separated by commas.  The justification is the
+   rest of the comment text on the marker's line, before or after the
+   marker; a marker whose justification has no letter suppresses
+   nothing and is itself an [allow-empty] finding. *)
 
-let source_cache : (string, string array) Hashtbl.t = Hashtbl.create 16
+type marker = {
+  m_line : int;
+  m_file_scope : bool;
+  m_rules : string list;
+  m_reason : string;
+}
 
-let clear_source_cache () = Hashtbl.reset source_cache
+(* group 1: the "-file" suffix; group 2: the comma-separated rule ids *)
+let marker_re =
+  let id = "[a-z][a-z0-9-]*" in
+  Str.regexp
+    ("lint:[ \t]*allow\\(-file\\)?[ \t]+\\(" ^ id ^ "\\([ \t]*,[ \t]*" ^ id
+   ^ "\\)*\\)")
 
-let lines_of ~source_root file =
-  let path = Filename.concat source_root file in
-  match Hashtbl.find_opt source_cache path with
-  | Some ls -> Some ls
+let has_letter s =
+  String.exists (fun c -> (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z')) s
+
+(* separators people put between a justification and the marker *)
+let rec strip_separators s =
+  let s = String.trim s in
+  let n = String.length s in
+  let seps = [ "—"; "--"; "-"; ":" ] in
+  match List.find_opt (fun p -> String.starts_with ~prefix:p s) seps with
+  | Some p ->
+    strip_separators (String.sub s (String.length p) (n - String.length p))
   | None -> (
-    match open_in path with
-    | exception Sys_error _ -> None
-    | ic ->
-      let acc = ref [] in
-      (try
-         while true do
-           acc := input_line ic :: !acc
-         done
-       with End_of_file -> ());
-      close_in ic;
-      let ls = Array.of_list (List.rev !acc) in
-      Hashtbl.replace source_cache path ls;
-      Some ls)
+    match List.find_opt (fun p -> String.ends_with ~suffix:p s) seps with
+    | Some p -> strip_separators (String.sub s 0 (n - String.length p))
+    | None -> s)
 
-let find_substring ~needle line start =
-  let n = String.length line and m = String.length needle in
-  let rec go i =
-    if i + m > n then None
-    else if String.sub line i m = needle then Some i
-    else go (i + 1)
+(* the comment text around the marker at [start, stop): back to the
+   comment opener (or the line start, inside a multi-line comment) and
+   on to the closer (or the line end) *)
+let reason_around line ~start ~stop =
+  let rec opener i =
+    if i < 0 then 0
+    else if line.[i] = '(' && line.[i + 1] = '*' then i + 2
+    else opener (i - 1)
   in
-  go start
+  let rec closer i =
+    if i + 1 >= String.length line then String.length line
+    else if line.[i] = '*' && line.[i + 1] = ')' then i
+    else closer (i + 1)
+  in
+  let b = opener (start - 2) and e = closer stop in
+  [ String.sub line b (start - b); String.sub line stop (e - stop) ]
+  |> List.map strip_separators
+  |> List.filter (fun s -> s <> "")
+  |> String.concat " "
 
-(* the marker's reason text: everything after the marker, trimmed at
-   the closing comment delimiter *)
-let reason_on_line ~marker line =
-  match find_substring ~needle:marker line 0 with
-  | None -> None
-  | Some i ->
-    let start = i + String.length marker in
-    let rest = String.sub line start (String.length line - start) in
-    let rest =
-      match find_substring ~needle:"*)" rest 0 with
-      | Some stop -> String.sub rest 0 stop
-      | None -> rest
-    in
-    Some (String.trim rest)
+let markers_of_line ~lineno line =
+  let rec go pos acc =
+    match Str.search_forward marker_re line pos with
+    | exception Not_found -> List.rev acc
+    | start ->
+      let stop = Str.match_end () in
+      let file_scope =
+        match Str.matched_group 1 line with
+        | _ -> true
+        | exception Not_found -> false
+      in
+      let rules =
+        String.split_on_char ',' (Str.matched_group 2 line)
+        |> List.map String.trim
+      in
+      let m =
+        {
+          m_line = lineno;
+          m_file_scope = file_scope;
+          m_rules = rules;
+          m_reason = reason_around line ~start ~stop;
+        }
+      in
+      go stop (m :: acc)
+  in
+  go 0 []
 
-let allow_at ~marker ~source_root file line =
-  match lines_of ~source_root file with
-  | None -> None
-  | Some ls ->
-    let check idx =
-      if idx < 0 || idx >= Array.length ls then None
-      else reason_on_line ~marker ls.(idx)
-    in
-    (match check (line - 1) with Some r -> Some r | None -> check (line - 2))
+let markers src =
+  String.split_on_char '\n' src
+  |> List.mapi (fun i line -> markers_of_line ~lineno:(i + 1) line)
+  |> List.concat
 
-let allow_file ~marker ~source_root file =
-  match lines_of ~source_root file with
-  | None -> None
-  | Some ls ->
-    let rec go idx =
-      if idx >= Array.length ls then None
+let justified m = has_letter m.m_reason
+
+let allowed ms ~rule ~line =
+  List.find_map
+    (fun m ->
+      if
+        justified m && List.mem rule m.m_rules
+        && (m.m_file_scope || m.m_line = line || m.m_line = line - 1)
+      then Some m.m_reason
+      else None)
+    ms
+
+let allow_empty_rule =
+  ("allow-empty", "a suppression marker has no justification text on its line")
+
+let allow_empty ms =
+  List.filter_map
+    (fun m ->
+      if justified m then None
       else
-        match reason_on_line ~marker ls.(idx) with
-        | Some r -> Some (idx + 1, r)
-        | None -> go (idx + 1)
-    in
-    go 0
+        Some
+          ( m.m_line,
+            Printf.sprintf "suppression of %s has no justification"
+              (String.concat ", " m.m_rules) ))
+    ms
+
+let read_source path =
+  match open_in_bin path with
+  | exception Sys_error _ -> None
+  | ic ->
+    Fun.protect
+      ~finally:(fun () -> close_in_noerr ic)
+      (fun () -> Some (really_input_string ic (in_channel_length ic)))
+
+let suppress ~source_root ~files fs =
+  let cache = Hashtbl.create 64 in
+  let markers_of file =
+    match Hashtbl.find_opt cache file with
+    | Some ms -> ms
+    | None ->
+      let ms =
+        match read_source (Filename.concat source_root file) with
+        | Some src -> markers src
+        | None -> []
+      in
+      Hashtbl.replace cache file ms;
+      ms
+  in
+  let fs =
+    List.map
+      (fun f ->
+        if f.reason <> None then f
+        else
+          { f with reason = allowed (markers_of f.file) ~rule:f.rule ~line:f.line })
+      fs
+  in
+  let empty =
+    List.concat_map
+      (fun file ->
+        List.map
+          (fun (line, message) ->
+            {
+              rule = fst allow_empty_rule;
+              file;
+              line;
+              target = message;
+              message;
+              witness = [];
+              extra = [];
+              reason = None;
+            })
+          (allow_empty (markers_of file)))
+      files
+  in
+  sort (fs @ empty)
 
 (* ----------------------------- baseline --------------------------- *)
 

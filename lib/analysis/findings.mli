@@ -1,7 +1,7 @@
-(** Shared findings emission for the static-analysis drivers
-    (clove-sema, clove-race, clove-alloc): one finding record, sorted
-    deterministic serialization, SARIF 2.1.0, committed-baseline
-    load/diff, and source-comment suppression scanning. *)
+(** Shared findings layer of the static analyzers: one finding record,
+    sorted deterministic serialization, SARIF 2.1.0, committed-baseline
+    load/diff for clove-check, and the one suppression grammar that
+    clove-lint, clove-sema and clove-check all parse. *)
 
 type t = {
   rule : string;
@@ -25,21 +25,44 @@ val is_active : t -> bool
 val sort : t list -> t list
 (** By (file, line, rule, target) — the one artifact order. *)
 
-(** {2 Source-comment suppressions} *)
+(** {2 Suppressions}
 
-val clear_source_cache : unit -> unit
-(** Drop the per-process source-line cache; call once per run. *)
+    The one suppression grammar of clove-lint, clove-sema and
+    clove-check, on the flagged line or the line above:
 
-val allow_at :
-  marker:string -> source_root:string -> string -> int -> string option
-(** [Some reason] (possibly empty) when the given line or the line
-    above it carries a [(* <marker> reason *)] comment.  [marker]
-    includes the trailing colon, e.g. ["race-allow:"]. *)
+    {[ (* why the finding is acceptable — lint: allow <rule-id> *) ]}
 
-val allow_file :
-  marker:string -> source_root:string -> string -> (int * string) option
-(** First file-scoped marker anywhere in the file, as
-    [(line, reason)]. *)
+    and, for a whole file, [lint: allow-file <rule-id>] anywhere in it.
+    Several comma-separated rule ids may follow the keyword.  The
+    justification is the rest of the comment text on the marker's line,
+    before or after the marker, and must contain a letter. *)
+
+type marker = {
+  m_line : int;  (** 1-based *)
+  m_file_scope : bool;  (** the [allow-file] form *)
+  m_rules : string list;
+  m_reason : string;  (** the justification, separators stripped *)
+}
+
+val markers : string -> marker list
+(** Every marker in a source text, in line order. *)
+
+val allowed : marker list -> rule:string -> line:int -> string option
+(** The justification of the first justified marker that suppresses
+    [rule] at [line]; [None] when the finding stands.  An unjustified
+    marker suppresses nothing. *)
+
+val allow_empty_rule : string * string
+(** [("allow-empty", description)]. *)
+
+val allow_empty : marker list -> (int * string) list
+(** [(line, message)] for every unjustified marker: each is one
+    [allow-empty] finding, whatever the tool. *)
+
+val suppress : source_root:string -> files:string list -> t list -> t list
+(** Apply the markers of each finding's source file (paths relative to
+    [source_root]) to every finding not already carrying a reason, and
+    add the [allow-empty] findings of every file in [files]; sorted. *)
 
 (** {2 Baseline} *)
 
@@ -57,7 +80,6 @@ val key_table : t list -> (string, unit) Hashtbl.t
 
 (** {2 Output} *)
 
-val finding_json : new_keys:(string, unit) Hashtbl.t -> t -> Json_out.t
 val findings_json : new_keys:(string, unit) Hashtbl.t -> t list -> Json_out.t
 
 val sarif :

@@ -16,6 +16,7 @@ let rules =
       "exact float =/<> in a conditional; compare against a tolerance or \
        restructure" );
     ("missing-mli", "public library module without an .mli interface");
+    Findings.allow_empty_rule;
   ]
 
 let obj_magic_allowlist : string list = []
@@ -98,22 +99,6 @@ let mask_comments_and_strings src =
     else incr i
   done;
   Bytes.to_string out
-
-(* ------------------------- suppressions --------------------------- *)
-
-let allow_re = Str.regexp "lint:[ \t]*allow[ \t]+\\([a-z][a-z-]*\\)"
-
-let allowed_rules_on_line raw =
-  let acc = ref [] in
-  let pos = ref 0 in
-  (try
-     while true do
-       let p = Str.search_forward allow_re raw !pos in
-       acc := Str.matched_group 1 raw :: !acc;
-       pos := p + 1
-     done
-   with Not_found -> ());
-  !acc
 
 (* ----------------------------- helpers ---------------------------- *)
 
@@ -275,24 +260,26 @@ let rule_float_eq line =
 
 (* --------------------------- driver core -------------------------- *)
 
+let suppress ~file src findings =
+  let markers = Findings.markers src in
+  List.filter
+    (fun f -> Findings.allowed markers ~rule:f.rule ~line:f.line = None)
+    findings
+  @ List.map
+      (fun (line, message) ->
+        { file; line; rule = fst Findings.allow_empty_rule; message })
+      (Findings.allow_empty markers)
+
 let check_source ~file src =
   let base = Filename.basename file in
-  let raw_lines = Array.of_list (split_lines src) in
   let masked_lines = Array.of_list (split_lines (mask_comments_and_strings src)) in
-  let allowed_at i =
-    (* suppression on the same or the immediately preceding line *)
-    let own = allowed_rules_on_line raw_lines.(i) in
-    if i > 0 then own @ allowed_rules_on_line raw_lines.(i - 1) else own
-  in
   let findings = ref [] in
   Array.iteri
     (fun i masked ->
-      let lineno = i + 1 in
+      let line = i + 1 in
       let emit rule msgs =
         List.iter
-          (fun message ->
-            if not (List.mem rule (allowed_at i)) then
-              findings := { file; line = lineno; rule; message } :: !findings)
+          (fun message -> findings := { file; line; rule; message } :: !findings)
           msgs
       in
       emit "obj-magic" (rule_obj_magic ~base masked);
@@ -301,7 +288,8 @@ let check_source ~file src =
       emit "hashtbl-find" (rule_hashtbl_find masked);
       emit "float-eq" (rule_float_eq masked))
     masked_lines;
-  List.rev !findings
+  suppress ~file src (List.rev !findings)
+  |> List.stable_sort (fun a b -> Int.compare a.line b.line)
 
 let check_interface_presence ~ml_files ~mli_files =
   let interfaces =

@@ -8,10 +8,10 @@
     [Hashtbl.find], exact float equality in conditionals, and public
     library modules without an interface.
 
-    Findings can be suppressed line-by-line with an annotation comment on
-    the same or the immediately preceding line:
+    Findings are suppressed with the shared marker grammar of
+    {!Findings} on the same or the immediately preceding line:
 
-    {[ (* lint: allow <rule> — justification *) ]}
+    {[ (* justification — lint: allow <rule> *) ]}
 
     The checker is deliberately lexical (comments and string literals are
     masked out, then rules match on the remaining code text): it has no
@@ -32,13 +32,15 @@ val mask_comments_and_strings : string -> string
     literals with spaces (newlines preserved), so rules never fire on
     prose or quoted text. *)
 
-val allowed_rules_on_line : string -> string list
-(** Rule names suppressed by [lint: allow <rule>] annotations found in a
-    raw (unmasked) source line. *)
+val suppress : file:string -> string -> finding list -> finding list
+(** Drop the findings that a justified marker in the source suppresses,
+    and add one [allow-empty] finding per unjustified marker (the
+    shared grammar of {!Findings}).  Used by clove-lint and clove-sema. *)
 
 val check_source : file:string -> string -> finding list
 (** Run every per-line rule over one [.ml] source, honouring
-    suppressions.  Findings are in line order. *)
+    suppressions; every unjustified marker is an [allow-empty] finding.
+    Findings are in line order. *)
 
 val check_interface_presence :
   ml_files:string list -> mli_files:string list -> finding list

@@ -41,7 +41,7 @@ let env_domains () =
   | None -> None
   | Some s -> (
     match int_of_string_opt (String.trim s) with
-    (* alloc-allow: pool-width lookup runs once at pool construction *)
+    (* lint: allow alloc-option — pool-width lookup runs once at pool construction *)
     | Some n when n >= 1 -> Some n
     | Some _ | None -> None)
 
@@ -100,7 +100,7 @@ let create ?domains () =
     match domains with Some n -> max 1 n | None -> default_domains ()
   in
   let t =
-    (* alloc-allow: pool construction allocates once per run, reused per window *)
+    (* lint: allow alloc-record — pool construction allocates once per run, reused per window *)
     {
       m = Mutex.create ();
       work_ready = Condition.create ();
@@ -111,7 +111,7 @@ let create ?domains () =
       workers = [||];
     }
   in
-  (* alloc-allow: worker spawn happens once per pool, not per task *)
+  (* lint: allow alloc-array, alloc-closure — worker spawn happens once per pool, not per task *)
   t.workers <- Array.init (n - 1) (fun _ -> Domain.spawn (fun () -> worker t));
   t
 

@@ -274,7 +274,7 @@ let step_prepared t =
         let a = h.arg in
         t.cur_src <- t.kind_srcs.(k);
         release_handle t h;
-        (* alloc-allow: dispatch-table fetch returns the per-component closure registered once at construction; the arrow-result rule over-approximates *)
+        (* lint: allow alloc-partial-app — dispatch-table fetch returns the per-component closure registered once at construction; the arrow-result rule over-approximates *)
         t.handlers.(k) a
       end
       else begin

@@ -45,7 +45,7 @@ type t = {
   mutable boundary_events : int;
 }
 
-(* The shard worker, clove-race's PDES parallel root: handed to
+(* The shard worker, clove-check's PDES parallel root: handed to
    [Domain_pool.map] as one persistent closure (the partial application
    in [create]) and re-entered every window on the pool's domains.  It
    may only touch state owned by the shard scheduler it is passed —
@@ -95,7 +95,7 @@ let pool t =
   match t.pool with
   | Some p -> p
   | None ->
-    (* alloc-allow: lazy pool construction runs once per simulation *)
+    (* lint: allow alloc-option — lazy pool construction runs once per simulation *)
     let p = Domain_pool.create ~domains:(Array.length t.scheds) () in
     t.pool <- Some p;
     p

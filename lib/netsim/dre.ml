@@ -30,7 +30,7 @@ let decay t =
   let ticks = elapsed /. t.tick_ns in
   if ticks >= 1.0 then begin
     let whole = floor ticks in
-    (* alloc-allow: float-array read consumed by float arithmetic stays unboxed; the float-result rule over-approximates *)
+    (* lint: allow alloc-boxed-float — float-array read consumed by float arithmetic stays unboxed; the float-result rule over-approximates *)
     t.x.(0) <- t.x.(0) *. ((1.0 -. t.alpha) ** whole);
     (* advance last_decay by the whole number of ticks applied, keeping the
        fractional remainder for the next call *)
@@ -41,12 +41,12 @@ let decay t =
 
 let observe t ~bytes_len =
   decay t;
-  (* alloc-allow: unboxed float-array read, as in decay *)
+  (* lint: allow alloc-boxed-float — unboxed float-array read, as in decay *)
   t.x.(0) <- t.x.(0) +. float_of_int bytes_len
 
 let utilization t =
   decay t;
-  (* alloc-allow: unboxed float-array read, as in decay *)
+  (* lint: allow alloc-boxed-float — unboxed float-array read, as in decay *)
   t.x.(0) /. t.capacity_bytes_per_tau
 
 let tau t = Sim_time.span_of_ns (int_of_float (t.tick_ns /. t.alpha))

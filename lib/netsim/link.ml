@@ -95,12 +95,11 @@ let rec on_txdone t slot =
    else
      match t.boundary with
      | Some push ->
-       (* exchange buffers carry absolute integer ns, the PDES barrier
-          currency; the txdone instant rides along as the delivery's
-          insertion rank *)
-       (* lint: allow sema-time-boundary *)
+       (* the txdone instant rides along as the delivery's insertion rank;
+          exchange buffers carry absolute integer ns, the PDES barrier
+          currency — lint: allow sema-time-boundary *)
        let born_ns = Sim_time.to_ns (Scheduler.now t.sched) in
-       (* lint: allow sema-time-boundary *)
+       (* the delivery instant in the same integer ns — lint: allow sema-time-boundary *)
        push ~born_ns ~time_ns:(born_ns + Sim_time.span_ns t.prop_delay) pkt
      | None ->
        Ring.push t.prop pkt;

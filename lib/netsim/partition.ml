@@ -76,7 +76,7 @@ let plan ~topo ~nshards ~shard_of_node ?window () =
          could cross between shards inside a window *)
       List.iter
         (fun ((e : Topology.edge), _, _) ->
-          (* lint: allow sema-time-boundary *)
+          (* cut-link latency in the window's integer ns — lint: allow sema-time-boundary *)
           let d = Sim_time.span_ns e.Topology.delay in
           if d < w then
             invalid_arg
@@ -95,7 +95,7 @@ let plan ~topo ~nshards ~shard_of_node ?window () =
         let w =
           List.fold_left
             (fun acc ((e : Topology.edge), _, _) ->
-              (* lint: allow sema-time-boundary *)
+              (* lookahead = least cut-link latency, in ns — lint: allow sema-time-boundary *)
               min acc (Sim_time.span_ns e.Topology.delay))
             max_int cross
         in

@@ -1,4 +1,4 @@
-(** clove-alloc extraction: the hot region of the call graph — every
+(** Allocation extraction for clove-check: the hot region of the call graph — every
     function reachable from a scheduler dispatch root — and the
     cold-branch spans (audited-run gates, audited error paths,
     always-raising branches) that demote allocation findings to [alloc-cold].
@@ -22,11 +22,10 @@ type hot = {
 
 val member : hot -> string -> bool
 
-val hot_region : ?extra_roots:string list -> Race_extract.linked -> hot
-(** Deterministic BFS from the dispatch roots ([l_dispatch]), the
-    {!named_roots} present in the graph, and any [extra_roots]: roots
-    sorted by id, edges in source order, parent pointers fixed at
-    discovery. *)
+val hot_region : Race_extract.linked -> hot
+(** Deterministic BFS from the dispatch roots ([l_dispatch]) and the
+    {!named_roots} present in the graph: roots sorted by id, edges in
+    source order, parent pointers fixed at discovery. *)
 
 val witness_to :
   hot -> string -> (string * Race_extract.site option) list option

@@ -1,7 +1,7 @@
-(* clove-alloc reporting: hot-region allocation findings with a
-   call-chain witness from a dispatch root, cold-branch demotion,
-   alloc-allow suppressions, and per-kind/per-module rollups.  The
-   baseline/JSON/SARIF lifecycle is [Analysis.Findings].
+(* The allocation analysis of clove-check: hot-region allocation
+   findings with a call-chain witness from a dispatch root, and
+   cold-branch demotion.  Suppressions, the baseline and the JSON/SARIF
+   output are [Analysis.Findings]'s, applied by the driver.
 
    Each finding's identity is ("alloc-<kind>", file, "node: desc") —
    line-free, so moving code inside a function does not churn the
@@ -15,22 +15,12 @@
    span's reason as their suppression — visible in the report, outside
    the budget. *)
 
-type stats = {
-  st_units : int;
-  st_nodes : int;
-  st_hot_nodes : int;
-  st_roots : int;
-  st_sites_total : int;  (** allocation sites in hot nodes, pre-merge *)
-  st_sites_cold : int;
-}
-
 type t = {
-  a_findings : Analysis.Findings.t list;  (** suppressed included, sorted *)
-  a_stats : stats;
-  a_roots : (string * string) list;  (** (node id, origin), sorted *)
-  a_files : string list;
-  a_per_kind : (string * int) list;  (** active sites per kind slug, sorted *)
-  a_per_module : (string * int) list;  (** active sites per file, sorted *)
+  a_findings : Analysis.Findings.t list;
+  a_roots : (string * string) list;
+  a_hot_nodes : int;
+  a_sites_total : int;
+  a_sites_cold : int;
 }
 
 let render_witness chain (al : Race_extract.alloc_site) =
@@ -47,8 +37,7 @@ let render_witness chain (al : Race_extract.alloc_site) =
         al.Race_extract.al_site.Race_extract.s_line al.Race_extract.al_desc;
     ]
 
-let findings ~source_root (l : Race_extract.linked)
-    (hot : Alloc_extract.hot) spans =
+let findings (l : Race_extract.linked) (hot : Alloc_extract.hot) spans =
   let sites_total = ref 0 in
   let sites_cold = ref 0 in
   (* merged per identity key; first (lowest-line) site wins, later
@@ -78,14 +67,7 @@ let findings ~source_root (l : Race_extract.linked)
               | Some r ->
                 incr sites_cold;
                 ("alloc-cold", Some ("cold: " ^ r))
-              | None -> (
-                match
-                  Analysis.Findings.allow_at ~marker:"alloc-allow:"
-                    ~source_root file line
-                with
-                | Some "" -> ("alloc-allow-empty", None)
-                | Some r -> ("alloc-" ^ slug, Some r)
-                | None -> ("alloc-" ^ slug, None))
+              | None -> ("alloc-" ^ slug, None)
             in
             let f =
               {
@@ -134,62 +116,34 @@ let findings ~source_root (l : Race_extract.linked)
   in
   (Analysis.Findings.sort fs, !sites_total, !sites_cold)
 
-let run ~source_root ?(extra_roots = []) units =
-  Analysis.Findings.clear_source_cache ();
-  let l = Race_extract.analyze units in
-  let hot = Alloc_extract.hot_region ~extra_roots l in
-  let spans = Alloc_extract.cold_spans units in
-  let fs, sites_total, sites_cold = findings ~source_root l hot spans in
-  let active = List.filter Analysis.Findings.is_active fs in
-  let bump tbl k =
-    match Hashtbl.find_opt tbl k with
-    | Some r -> incr r
-    | None -> Hashtbl.replace tbl k (ref 1)
-  in
-  let per_kind = Hashtbl.create 16 and per_module = Hashtbl.create 16 in
-  List.iter
-    (fun (f : Analysis.Findings.t) ->
-      (match List.assoc_opt "kind" f.extra with
-      | Some (Analysis.Json_out.String slug) -> bump per_kind slug
-      | _ -> ());
-      bump per_module f.Analysis.Findings.file)
-    active;
-  let sorted tbl =
-    Hashtbl.fold (fun k r acc -> (k, !r) :: acc) tbl []
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-  in
+let run ~cold (l : Race_extract.linked) =
+  let hot = Alloc_extract.hot_region l in
+  let fs, sites_total, sites_cold = findings l hot cold in
   {
     a_findings = fs;
-    a_stats =
-      {
-        st_units = List.length units;
-        st_nodes = List.length l.Race_extract.l_nodes;
-        st_hot_nodes = Hashtbl.length hot.Alloc_extract.h_member;
-        st_roots = List.length hot.Alloc_extract.h_roots;
-        st_sites_total = sites_total;
-        st_sites_cold = sites_cold;
-      };
     a_roots = hot.Alloc_extract.h_roots;
-    a_files = l.Race_extract.l_files;
-    a_per_kind = sorted per_kind;
-    a_per_module = sorted per_module;
+    a_hot_nodes = Hashtbl.length hot.Alloc_extract.h_member;
+    a_sites_total = sites_total;
+    a_sites_cold = sites_cold;
   }
 
-(* ----------------------------- lifecycle -------------------------- *)
+let summary_json r =
+  Analysis.Json_out.(
+    Obj
+      [
+        ( "roots",
+          List
+            (List.map
+               (fun (id, origin) ->
+                 Obj [ ("node", String id); ("origin", String origin) ])
+               r.a_roots) );
+        ("hot_nodes", Int r.a_hot_nodes);
+        ("dispatch_roots", Int (List.length r.a_roots));
+        ("sites_total", Int r.a_sites_total);
+        ("sites_cold", Int r.a_sites_cold);
+      ])
 
-let is_active = Analysis.Findings.is_active
-
-let finding_key = Analysis.Findings.key
-
-let baseline_json r =
-  Analysis.Findings.baseline_json ~tool:"clove-alloc" r.a_findings
-
-let load_baseline = Analysis.Findings.load_baseline
-
-let new_findings r baseline_keys =
-  Analysis.Findings.new_findings r.a_findings baseline_keys
-
-let rule_descriptions =
+let rules =
   [
     ("alloc-closure", "a closure is allocated on the hot path");
     ( "alloc-partial-app",
@@ -209,42 +163,6 @@ let rule_descriptions =
     ("alloc-format", "a format string is interpreted on the hot path");
     ("alloc-ref", "a ref or atomic cell is allocated on the hot path");
     ( "alloc-cold",
-      "an allocation site dominated by a cold (baseline/audit/raising) \
-       branch — informational, outside the budget" );
-    ( "alloc-allow-empty",
-      "an alloc-allow suppression has no justification text" );
+      "an allocation site dominated by a cold (audit or raising) branch — \
+       informational, outside the budget" );
   ]
-
-let report_json r ~new_keys =
-  Analysis.Json_out.(
-    Obj
-      [
-        ("tool", String "clove-alloc");
-        ("version", Int 1);
-        ("files", List (List.map (fun f -> String f) r.a_files));
-        ( "roots",
-          List
-            (List.map
-               (fun (id, origin) ->
-                 Obj [ ("node", String id); ("origin", String origin) ])
-               r.a_roots) );
-        ( "stats",
-          Obj
-            [
-              ("units", Int r.a_stats.st_units);
-              ("nodes", Int r.a_stats.st_nodes);
-              ("hot_nodes", Int r.a_stats.st_hot_nodes);
-              ("dispatch_roots", Int r.a_stats.st_roots);
-              ("sites_total", Int r.a_stats.st_sites_total);
-              ("sites_cold", Int r.a_stats.st_sites_cold);
-            ] );
-        ( "per_kind",
-          Obj (List.map (fun (k, n) -> (k, Int n)) r.a_per_kind) );
-        ( "per_module",
-          Obj (List.map (fun (k, n) -> (k, Int n)) r.a_per_module) );
-        ("findings", Analysis.Findings.findings_json ~new_keys r.a_findings);
-      ])
-
-let sarif r ~new_keys =
-  Analysis.Findings.sarif ~tool:"clove-alloc" ~rules:rule_descriptions
-    ~new_keys r.a_findings

@@ -1,44 +1,28 @@
-(** clove-alloc reporting: hot-region allocation findings with a
-    call-chain witness from their dispatch root, [alloc-cold]
-    demotion for cold-guarded sites, [(* alloc-allow: reason *)]
-    suppressions (empty reason = [alloc-allow-empty] finding), and the
-    committed-budget lifecycle via [Analysis.Findings].
+(** The allocation analysis of clove-check: hot-region allocation
+    findings with a call-chain witness from their dispatch root, and
+    [alloc-cold] demotion for cold-guarded sites.
 
     Finding identity is ("alloc-<kind>", file, "node: desc") —
     line-free; a new identity is a new hot-path allocation and exits
-    1 in the driver. *)
-
-type stats = {
-  st_units : int;
-  st_nodes : int;
-  st_hot_nodes : int;
-  st_roots : int;
-  st_sites_total : int;  (** allocation sites in hot nodes, pre-merge *)
-  st_sites_cold : int;
-}
+    1 in the driver.  Several sites with one identity merge into one
+    finding carrying the first site's line and a ["count"]. *)
 
 type t = {
-  a_findings : Analysis.Findings.t list;  (** suppressed included, sorted *)
-  a_stats : stats;
+  a_findings : Analysis.Findings.t list;
+      (** sorted; only [alloc-cold] findings carry a reason *)
   a_roots : (string * string) list;  (** (node id, origin), sorted *)
-  a_files : string list;
-  a_per_kind : (string * int) list;  (** active sites per kind slug, sorted *)
-  a_per_module : (string * int) list;  (** active sites per file, sorted *)
+  a_hot_nodes : int;
+  a_sites_total : int;  (** allocation sites in hot nodes, pre-merge *)
+  a_sites_cold : int;
 }
 
-val run :
-  source_root:string -> ?extra_roots:string list -> Cmt_load.unit_info list -> t
-(** Extract (via [Race_extract.analyze]), compute the hot region and
-    cold spans, and assemble the findings.  [source_root] anchors the
-    relative source paths when scanning for [alloc-allow] comments. *)
+val run : cold:Alloc_extract.span list -> Race_extract.linked -> t
+(** Compute the hot region and assemble the findings, demoting sites
+    inside a [cold] span ({!Alloc_extract.cold_spans}).  Reads no
+    source: suppressions are applied by {!Analysis.Findings.suppress}. *)
 
-val is_active : Analysis.Findings.t -> bool
-val finding_key : Analysis.Findings.t -> string
+val summary_json : t -> Analysis.Json_out.t
+(** Roots, hot-region size and site counts for the report. *)
 
-val baseline_json : t -> Analysis.Json_out.t
-val load_baseline : string -> ((string, unit) Hashtbl.t, string) result
-val new_findings : t -> (string, unit) Hashtbl.t -> Analysis.Findings.t list
-
-val rule_descriptions : (string * string) list
-val report_json : t -> new_keys:(string, unit) Hashtbl.t -> Analysis.Json_out.t
-val sarif : t -> new_keys:(string, unit) Hashtbl.t -> Analysis.Json_out.t
+val rules : (string * string) list
+(** [(rule_id, description)] for the SARIF rule table. *)

@@ -1,6 +1,6 @@
 (** Discovery and loading of compiler-generated [.cmt] typedtrees.
 
-    clove-race (and the typed refinement of clove-sema) work on the
+    clove-check (and the typed refinement of clove-sema) work on the
     typedtree rather than the parsetree: names are resolved, so
     [Hashtbl.replace] through an alias or an [open] is still seen, and
     idents carry stamps that distinguish a module-level table from a

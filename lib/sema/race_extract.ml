@@ -1,4 +1,4 @@
-(* Typedtree extraction for clove-race.
+(* Typedtree extraction for clove-check.
 
    One pass over every compilation unit's .cmt builds, per function:
 
@@ -44,7 +44,8 @@ let compare_site a b =
 (* Allocation sites, recorded during the same walk so each site is
    attributed to the call-graph node whose body performs it (a
    line-range reattribution after the fact would misfile closures).
-   clove-alloc consumes these; clove-race ignores them. *)
+   the allocation analysis consumes these; the race analysis ignores
+   them. *)
 type alloc_kind =
   | K_closure
   | K_partial

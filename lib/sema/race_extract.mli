@@ -1,4 +1,4 @@
-(** Typedtree extraction for clove-race: per-function mutation
+(** Typedtree extraction for clove-check: per-function mutation
     footprints, a whole-library call graph, and the domain-parallel
     roots, all read from [.cmt] files.
 

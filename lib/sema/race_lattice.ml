@@ -1,4 +1,4 @@
-(* The clove-race effect lattice.
+(* The race analysis's effect lattice.
 
    Each function gets a mutation footprint drawn from a five-point
    chain.  The order is "how far the mutated state can be seen from a

@@ -1,4 +1,4 @@
-(** The clove-race effect lattice and its fixpoint solver.
+(** The race analysis's effect lattice and its fixpoint solver.
 
     Footprints live on a five-point chain ordered by "how visible the
     mutated state is from another domain":

@@ -1,74 +1,29 @@
-(** clove-race reporting: the witness-carrying footprint fixpoint,
-    root analysis, [(* race-allow: reason *)] line and
-    [(* race-allow-file: reason *)] file suppressions, baseline
-    comparison, and JSON / SARIF emission (via [Analysis.Findings]).
+(** The race analysis of clove-check: the witness-carrying footprint
+    fixpoint and root analysis over the linked call graph.
 
     Rules: [race-shared-mut] (module-level state mutated by a
-    domain-parallel task without atomic/lock/DLS discipline),
-    [race-captured-mut] (same for closure-captured state), and
-    [race-allow-empty] (a suppression whose justification is blank —
-    justifications are mandatory). *)
-
-type hop = { h_site : Race_extract.site; h_desc : string }
-
-type finding = {
-  f_rule : string;
-  f_file : string;  (** file of the mutation site *)
-  f_line : int;
-  f_target : string;  (** e.g. ["Audit.n_dropped"], ["capture memo"] *)
-  f_roots : string list;  (** parallel roots that reach it, sorted *)
-  f_witness : string list;  (** rendered call chain, root first *)
-  f_reason : string option;  (** race-allow justification; [None] = active *)
-}
-
-val finding_key : finding -> string
-(** Baseline identity: ["rule|file|target"].  Line numbers are
-    deliberately excluded so unrelated edits do not churn the
-    baseline. *)
-
-val is_active : finding -> bool
-(** Not suppressed by a justified [race-allow]. *)
-
-type stats = {
-  st_units : int;
-  st_nodes : int;
-  st_edges : int;
-  st_mutations : int;
-  st_protected : int;
-  st_roots : int;
-}
+    domain-parallel task without atomic/lock/DLS discipline) and
+    [race-captured-mut] (same for closure-captured state).  Finding
+    identity is ("race-<kind>", file of the mutation site, target,
+    e.g. ["Audit.n_dropped"] or ["capture memo"]); each finding's
+    witness is the call chain root first, and its ["roots"] extra field
+    lists every parallel root that reaches it, sorted. *)
 
 type t = {
-  r_findings : finding list;  (** suppressed included; sorted by (file, line, rule, target) *)
-  r_stats : stats;
+  r_findings : Analysis.Findings.t list;  (** unsuppressed, sorted *)
   r_roots : (string * Race_extract.site) list;
-  r_files : string list;
+      (** (root node id, spawn site), sorted *)
+  r_mutations : int;  (** mutation sites in the graph *)
+  r_protected : int;  (** of which atomic-, lock- or DLS-protected *)
 }
 
-val run : source_root:string -> Cmt_load.unit_info list -> t
-(** Extract, link, solve, and report.  [source_root] anchors the
-    relative source paths recorded in the [.cmt]s when scanning for
-    [race-allow] comments. *)
+val run : Race_extract.linked -> t
+(** Solve the footprints and report every shared or captured target
+    mutated from a parallel root.  Reads no source: suppressions are
+    applied by {!Analysis.Findings.suppress}. *)
 
-val baseline_json : t -> Analysis.Json_out.t
-(** Baseline file content: the active findings' identity keys. *)
+val summary_json : t -> Analysis.Json_out.t
+(** Roots and mutation-site counts for the report. *)
 
-val load_baseline : string -> ((string, unit) Hashtbl.t, string) result
-
-val new_findings : t -> (string, unit) Hashtbl.t -> finding list
-(** Active findings whose identity key is not in the baseline. *)
-
-val report_json : t -> new_keys:(string, unit) Hashtbl.t -> Analysis.Json_out.t
-val sarif : t -> new_keys:(string, unit) Hashtbl.t -> Analysis.Json_out.t
-
-(**/**)
-
-val race_allow_at : source_root:string -> string -> int -> string option
-(** Exposed for tests: the line-scope suppression reason at
-    (file, line), if any. *)
-
-val race_allow_file : source_root:string -> string -> (int * string) option
-(** Exposed for tests: the first [(* race-allow-file: reason *)]
-    marker in the file, as [(line, reason)].  A file marker suppresses
-    every finding in the file (unjustified = finding, same as
-    line-scope); line-scope markers take precedence. *)
+val rules : (string * string) list
+(** [(rule_id, description)] for the SARIF rule table. *)

@@ -1,4 +1,9 @@
-type finding = { file : string; line : int; rule : string; message : string }
+type finding = Analysis.Lint.finding = {
+  file : string;
+  line : int;
+  rule : string;
+  message : string;
+}
 
 let rules =
   [
@@ -27,6 +32,7 @@ let rules =
        runtime whitelist: simulation code must stay single-domain \
        deterministic, parallelism lives in Engine.Domain_pool" );
     ("sema-parse-error", "source file failed to parse");
+    Analysis.Findings.allow_empty_rule;
   ]
 
 let protocol_constructors =
@@ -368,21 +374,13 @@ let collect_findings ~file (str : Parsetree.structure) =
   it.Ast_iterator.structure it str;
   List.rev !findings
 
-let suppressed lines (f : finding) =
-  let annotated l =
-    l >= 1 && l <= Array.length lines
-    && List.mem f.rule (Analysis.Lint.allowed_rules_on_line lines.(l - 1))
-  in
-  annotated f.line || annotated (f.line - 1)
-
 let analyze_source ~file source =
   match parse_with ~file Parse.implementation source with
   | exception _ ->
     [ { file; line = 1; rule = "sema-parse-error"; message = "failed to parse" } ]
   | str ->
-    let lines = Array.of_list (String.split_on_char '\n' source) in
     collect_findings ~file str
-    |> List.filter (fun f -> not (suppressed lines f))
+    |> Analysis.Lint.suppress ~file source
     |> List.sort (fun a b ->
            match Int.compare a.line b.line with
            | 0 -> String.compare a.rule b.rule
@@ -509,8 +507,8 @@ let unused_exports ~ml_sources ~mli_sources =
 (* ------------------------------- report --------------------------- *)
 
 (* the parsetree rules carry no stable line-free identity, so the
-   message doubles as the target; suppressions are in-source
-   [lint: allow] comments handled during analysis, never here *)
+   message doubles as the target; suppressions are in-source markers
+   handled during analysis, never here *)
 let to_shared f =
   {
     Analysis.Findings.rule = f.rule;
@@ -561,8 +559,8 @@ let report_json ~findings ~graph ~unused ~files_analyzed =
                Obj [ ("id", String id); ("description", String descr) ])
              rules) );
       ( "findings",
-        (* shared emission path with clove-race/clove-alloc; sema has
-           no baseline, so nothing is ever "new" *)
+        (* shared emission path with clove-check; sema has no
+           baseline, so nothing is ever "new" *)
         Analysis.Findings.findings_json ~new_keys:(Hashtbl.create 1)
           (List.map to_shared findings) );
       ( "call_graph",
@@ -588,6 +586,3 @@ let report_json ~findings ~graph ~unused ~files_analyzed =
                  ])
              unused) );
     ]
-
-let pp_finding fmt f =
-  Format.fprintf fmt "%s:%d: [%s] %s" f.file f.line f.rule f.message

@@ -35,17 +35,26 @@
       identifier vocabulary) like a time quantity on one side and a
       byte/packet quantity on the other.
 
-    Findings honour the same suppression annotation as clove-lint, on the
-    finding's line or the line above:
+    Findings honour the shared suppression grammar of
+    {!Analysis.Findings}, on the finding's line or the line above:
 
-    {[ (* lint: allow <rule> — justification *) ]}
+    {[ (* justification — lint: allow <rule> *) ]}
+
+    and an unjustified marker is an [allow-empty] finding.
 
     The analyzer also builds a cross-module report (module dependency
     graph and exports never referenced outside their module) emitted as
     JSON for CI consumption; that part is informational and never fails
     the build. *)
 
-type finding = { file : string; line : int; rule : string; message : string }
+type finding = Analysis.Lint.finding = {
+  file : string;
+  line : int;
+  rule : string;
+  message : string;
+}
+(** The lexical finding record, shared with clove-lint; print it with
+    {!Analysis.Lint.pp_finding}. *)
 
 val rules : (string * string) list
 (** [(rule_id, description)] for every implemented rule. *)
@@ -91,6 +100,3 @@ val report_json :
   Analysis.Json_out.t
 (** The CI artifact: findings, rule table, call-graph and unused-export
     report as one JSON document. *)
-
-val pp_finding : Format.formatter -> finding -> unit
-(** [file:line: [rule] message] *)

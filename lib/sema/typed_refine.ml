@@ -10,7 +10,7 @@
 
    (The hot-path allocation refinements that used to live here —
    audited error paths, cancellable timers — moved to
-   [Alloc_extract.cold_spans]: clove-alloc replaced the syntactic
+   [Alloc_extract.cold_spans]: clove-check replaced the syntactic
    sema-hotpath-alloc rule with reachability from the dispatch
    roots.) *)
 

@@ -3,7 +3,7 @@
     When [.cmt]s are available, [sema-domain-parallel] findings whose
     only multicore mention on the line is a plain [Atomic.get] are
     dropped as benign reads.  (The former [sema-hotpath-alloc]
-    refinements moved to [Alloc_extract]: clove-alloc replaced that
+    refinements moved to [Alloc_extract]: clove-check replaced that
     syntactic rule with call-graph reachability.) *)
 
 type t = {

@@ -1,6 +1,6 @@
 (* Non-allocating twin of alloc_hot: the handler is a preallocated
    named function that only writes preexisting mutable fields, so
-   nothing reachable from the dispatch root allocates and clove-alloc
+   nothing reachable from the dispatch root allocates and clove-check
    must report no active finding in this file. *)
 
 type handle = { mutable last : int; mutable fires : int }

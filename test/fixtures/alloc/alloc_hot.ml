@@ -1,6 +1,6 @@
 (* Seeded hot-path allocator: the dispatch handler registered with
    [Scheduler.register_kind] reaches, two calls deep, a helper that
-   conses a fresh closure per event.  clove-alloc must flag the
+   conses a fresh closure per event.  clove-check must flag the
    closure literal and the list cons in [push_thunk] with a witness
    chain from the registration root:
      install.<kind@..> -> on_event -> push_thunk -> closure/cons. *)

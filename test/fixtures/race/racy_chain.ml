@@ -1,6 +1,6 @@
 (* Seeded true positive: a module-level Hashtbl mutated two calls below
    a domain-parallel entry point, with no atomic/lock/DLS discipline.
-   clove-race must flag [stats] with the witness chain
+   clove-check must flag [stats] with the witness chain
    run_batch -> record -> bump -> Hashtbl.replace. *)
 
 let stats : (int, int) Hashtbl.t = Hashtbl.create 16

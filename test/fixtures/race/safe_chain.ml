@@ -1,7 +1,7 @@
 (* Seeded clean fixture: the same shape as racy_chain, but every
    mutation reachable from the parallel entry point is guarded by one
    of the three recognized disciplines — Atomic, a mutex taken in the
-   mutating function, or Domain.DLS.  clove-race must report nothing. *)
+   mutating function, or Domain.DLS.  clove-check must report nothing. *)
 
 let total = Atomic.make 0
 

@@ -1,4 +1,4 @@
-(* clove-alloc end-to-end on the seeded fixtures under
+(* clove-check's allocation analysis end-to-end on the seeded fixtures under
    test/fixtures/alloc/ (the .cmt files come out of the alloc_fixtures
    library's .objs directory): the allocating twin is flagged with a
    witness chain from its dispatch root, the preallocated twin is
@@ -18,8 +18,13 @@ let contains s sub =
 let load_fixture_units () =
   Sema.Cmt_load.load ~root:"fixtures" ~source_prefixes:[ "test/fixtures/alloc/" ]
 
+(* the driver's path: one linked graph, then the shared suppressions *)
 let run_fixtures () =
-  Sema.Alloc_report.run ~source_root:".." (load_fixture_units ())
+  let units = load_fixture_units () in
+  let l = Sema.Race_extract.analyze units in
+  Analysis.Findings.suppress ~source_root:".." ~files:l.Sema.Race_extract.l_files
+    (Sema.Alloc_report.run ~cold:(Sema.Alloc_extract.cold_spans units) l)
+      .Sema.Alloc_report.a_findings
 
 let fixture_result = lazy (run_fixtures ())
 
@@ -30,8 +35,7 @@ let test_fixtures_load () =
   Alcotest.(check bool) "clean unit loaded" true (List.mem "Alloc_clean" names)
 
 let active_findings () =
-  let r = Lazy.force fixture_result in
-  List.filter Sema.Alloc_report.is_active r.Sema.Alloc_report.a_findings
+  List.filter Analysis.Findings.is_active (Lazy.force fixture_result)
 
 let test_hot_flagged_with_witness () =
   let open Analysis.Findings in
@@ -90,11 +94,12 @@ let test_clean_twin () =
 
 let test_deterministic_output () =
   let render () =
-    let r = run_fixtures () in
-    ( Analysis.Json_out.to_string
-        (Sema.Alloc_report.report_json r ~new_keys:(Hashtbl.create 1)),
+    let fs = run_fixtures () in
+    let new_keys = Hashtbl.create 1 in
+    ( Analysis.Json_out.to_string (Analysis.Findings.findings_json ~new_keys fs),
       Analysis.Json_out.to_string
-        (Sema.Alloc_report.sarif r ~new_keys:(Hashtbl.create 1)) )
+        (Analysis.Findings.sarif ~tool:"clove-check"
+           ~rules:Sema.Alloc_report.rules ~new_keys fs) )
   in
   let j1, s1 = render () in
   let j2, s2 = render () in
@@ -103,11 +108,10 @@ let test_deterministic_output () =
 
 let test_findings_sorted () =
   let open Analysis.Findings in
-  let r = Lazy.force fixture_result in
   let keys =
     List.map
       (fun f -> (f.file, f.line, f.rule, f.target))
-      r.Sema.Alloc_report.a_findings
+      (Lazy.force fixture_result)
   in
   Alcotest.(check bool) "findings sorted by (file, line, rule)" true
     (List.sort compare keys = keys)

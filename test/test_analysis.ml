@@ -22,7 +22,13 @@ let test_lint_obj_magic () =
        "(* sentinel is never read back -- lint: allow obj-magic *)\n\
         let x = Obj.magic 0\n");
   check_int "suppressed on same line" 0
-    (count "let x = Obj.magic 0 (* lint: allow obj-magic *)\n")
+    (count "let x = Obj.magic 0 (* never read back -- lint: allow obj-magic *)\n");
+  Alcotest.(check (list string))
+    "an unjustified marker suppresses nothing and is a finding"
+    [ "obj-magic"; "allow-empty" ]
+    (List.map
+       (fun f -> f.Lint.rule)
+       (lint "let x = Obj.magic 0 (* lint: allow obj-magic *)\n"))
 
 let test_lint_poly_compare () =
   check_int "List.sort compare" 1 (count "let s = List.sort compare xs\n");
@@ -78,6 +84,66 @@ let test_lint_missing_mli () =
     check_bool "names the .ml" true (f.Lint.file = "lib/foo/b.ml");
     check_bool "right rule" true (f.Lint.rule = "missing-mli")
   | _ -> Alcotest.fail "expected exactly one finding"
+
+(* ----------------------- suppression grammar ----------------------- *)
+
+(* The one marker grammar every analyzer parses: (case, source, rule,
+   line of the finding, expected justification, expected allow-empty
+   lines). *)
+let suppression_cases =
+  [
+    ( "marker on the flagged line",
+      "let t = now () (* harness timing -- lint: allow sema-wall-clock *)\n",
+      "sema-wall-clock", 1, Some "harness timing", [] );
+    ( "marker on the line above",
+      "(* harness timing -- lint: allow sema-wall-clock *)\nlet t = now ()\n",
+      "sema-wall-clock", 2, Some "harness timing", [] );
+    ( "two lines above does not reach",
+      "(* harness timing -- lint: allow sema-wall-clock *)\n\nlet t = now ()\n",
+      "sema-wall-clock", 3, None, [] );
+    ( "wrong rule id does not suppress",
+      "(* harness timing -- lint: allow sema-wall-clock *)\nlet r = Random.int 3\n",
+      "sema-raw-random", 2, None, [] );
+    ( "justification before the marker",
+      "(* host time of the harness itself \xe2\x80\x94 lint: allow sema-wall-clock *)\n",
+      "sema-wall-clock", 1, Some "host time of the harness itself", [] );
+    ( "justification after the marker",
+      "(* lint: allow sema-wall-clock \xe2\x80\x94 analyzer harness timing *)\n",
+      "sema-wall-clock", 1, Some "analyzer harness timing", [] );
+    ( "justification on a continuation line",
+      "(* the remainder is the intent,\n   not a tolerance -- lint: allow float-eq *)\n",
+      "float-eq", 2, Some "not a tolerance", [] );
+    ( "several rule ids",
+      "(* once per pool -- lint: allow alloc-array, alloc-closure *)\n",
+      "alloc-closure", 2, Some "once per pool", [] );
+    ( "empty justification gives allow-empty",
+      "x\n(* lint: allow sema-wall-clock *)\nlet t = now ()\n",
+      "sema-wall-clock", 3, None, [ 2 ] );
+    ( "separators alone are no justification",
+      "(* -- lint: allow sema-wall-clock \xe2\x80\x94 *)\n",
+      "sema-wall-clock", 1, None, [ 1 ] );
+    ( "allow-file reaches any line",
+      "(* lint: allow-file race-shared-mut -- serial by design *)\n\n\n\nlet x = 1\n",
+      "race-shared-mut", 5, Some "serial by design", [] );
+    ( "a line marker is not a file marker",
+      "(* serial -- lint: allow race-shared-mut *)\n\n\n\nlet x = 1\n",
+      "race-shared-mut", 5, None, [] );
+    ( "unjustified allow-file gives allow-empty",
+      "(* lint: allow-file race-shared-mut *)\nlet x = 1\n",
+      "race-shared-mut", 2, None, [ 1 ] );
+  ]
+
+let test_suppression_grammar () =
+  List.iter
+    (fun (case, src, rule, line, reason, empty) ->
+      let ms = Analysis.Findings.markers src in
+      Alcotest.(check (option string))
+        (case ^ ": justification") reason
+        (Analysis.Findings.allowed ms ~rule ~line);
+      Alcotest.(check (list int))
+        (case ^ ": allow-empty lines") empty
+        (List.map fst (Analysis.Findings.allow_empty ms)))
+    suppression_cases
 
 (* --------------------------- audit: units -------------------------- *)
 
@@ -261,6 +327,8 @@ let () =
           Alcotest.test_case "float-eq" `Quick test_lint_float_eq;
           Alcotest.test_case "masking" `Quick test_lint_masking;
           Alcotest.test_case "missing-mli" `Quick test_lint_missing_mli;
+          Alcotest.test_case "suppression grammar" `Quick
+            test_suppression_grammar;
         ] );
       ( "audit-units",
         [

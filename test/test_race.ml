@@ -1,4 +1,4 @@
-(* clove-race end-to-end on the seeded fixtures under
+(* clove-check's race analysis end-to-end on the seeded fixtures under
    test/fixtures/race/ (the .cmt files come out of the race_fixtures
    library's .objs directory), plus the lattice monotonicity property:
    adding a call edge or raising a node's intrinsic footprint can only
@@ -16,8 +16,13 @@ let contains s sub =
 let load_fixture_units () =
   Sema.Cmt_load.load ~root:"fixtures" ~source_prefixes:[ "test/fixtures/race/" ]
 
+(* the driver's path: one linked graph, then the shared suppressions *)
 let run_fixtures () =
-  Sema.Race_report.run ~source_root:".." (load_fixture_units ())
+  let l = Sema.Race_extract.analyze (load_fixture_units ()) in
+  let r = Sema.Race_report.run l in
+  ( r,
+    Analysis.Findings.suppress ~source_root:".." ~files:l.Sema.Race_extract.l_files
+      r.Sema.Race_report.r_findings )
 
 let fixture_result = lazy (run_fixtures ())
 
@@ -27,112 +32,85 @@ let test_fixtures_load () =
   Alcotest.(check bool) "racy unit loaded" true (List.mem "Racy_chain" names);
   Alcotest.(check bool) "safe unit loaded" true (List.mem "Safe_chain" names)
 
+let active_findings () =
+  List.filter Analysis.Findings.is_active (snd (Lazy.force fixture_result))
+
+let roots_of (f : Analysis.Findings.t) =
+  match List.assoc_opt "roots" f.extra with
+  | Some (Analysis.Json_out.List rs) ->
+    List.filter_map (function Analysis.Json_out.String r -> Some r | _ -> None) rs
+  | _ -> []
+
+let flagged target =
+  let active = active_findings () in
+  match
+    List.find_opt (fun (f : Analysis.Findings.t) -> f.target = target) active
+  with
+  | Some f -> f
+  | None ->
+    Alcotest.failf "%s not flagged; findings: %s" target
+      (String.concat ", "
+         (List.map (fun (f : Analysis.Findings.t) -> f.target) active))
+
 let test_racy_flagged () =
-  let open Sema.Race_report in
-  let r = Lazy.force fixture_result in
-  let active = List.filter is_active r.r_findings in
-  let f =
-    match List.find_opt (fun f -> f.f_target = "Racy_chain.stats") active with
-    | Some f -> f
-    | None ->
-      Alcotest.failf "Racy_chain.stats not flagged; findings: %s"
-        (String.concat ", " (List.map (fun f -> f.f_target) active))
-  in
-  Alcotest.(check string) "rule" "race-shared-mut" f.f_rule;
-  Alcotest.(check string) "file" "test/fixtures/race/racy_chain.ml" f.f_file;
-  Alcotest.(check bool) "rooted at record" true (List.mem "Racy_chain.record" f.f_roots);
-  let witness_has sub = List.exists (fun w -> contains w sub) f.f_witness in
+  let f = flagged "Racy_chain.stats" in
+  Alcotest.(check string) "rule" "race-shared-mut" f.rule;
+  Alcotest.(check string) "file" "test/fixtures/race/racy_chain.ml" f.file;
+  Alcotest.(check bool) "rooted at record" true
+    (List.mem "Racy_chain.record" (roots_of f));
+  let witness_has sub = List.exists (fun w -> contains w sub) f.witness in
   Alcotest.(check bool) "witness passes through bump" true
     (witness_has "calls Racy_chain.bump");
   Alcotest.(check bool) "witness ends at the Hashtbl mutation" true
     (witness_has "Hashtbl.replace");
   (* the chain is root, one call hop, one mutation site *)
-  Alcotest.(check int) "witness length" 3 (List.length f.f_witness)
+  Alcotest.(check int) "witness length" 3 (List.length f.witness)
 
 let test_new_mutator_flagged () =
   (* [Array.fast_sort] entered the mutator table during the stdlib
      audit; target-arg index 1 must root the effect at the sorted
      array, not the compare function *)
-  let open Sema.Race_report in
-  let r = Lazy.force fixture_result in
-  let active = List.filter is_active r.r_findings in
-  let f =
-    match List.find_opt (fun f -> f.f_target = "Racy_chain.order") active with
-    | Some f -> f
-    | None ->
-      Alcotest.failf "Racy_chain.order not flagged; findings: %s"
-        (String.concat ", " (List.map (fun f -> f.f_target) active))
-  in
-  Alcotest.(check string) "rule" "race-shared-mut" f.f_rule;
+  let f = flagged "Racy_chain.order" in
+  Alcotest.(check string) "rule" "race-shared-mut" f.rule;
   Alcotest.(check bool) "rooted at reorder" true
-    (List.mem "Racy_chain.reorder" f.f_roots);
-  let witness_has sub = List.exists (fun w -> contains w sub) f.f_witness in
+    (List.mem "Racy_chain.reorder" (roots_of f));
+  let witness_has sub = List.exists (fun w -> contains w sub) f.witness in
   Alcotest.(check bool) "witness passes through resort" true
     (witness_has "calls Racy_chain.resort");
   Alcotest.(check bool) "witness ends at the sort" true
     (witness_has "Array.fast_sort")
 
-let test_file_scope_marker () =
-  (* file-scope suppression parsing: first marker anywhere in the
-     file, reason trimmed at the comment close; empty reason surfaces
-     so [race-allow-empty] can fire *)
-  let with_temp content k =
-    let path = Filename.temp_file "race_allow" ".ml" in
-    Fun.protect
-      ~finally:(fun () -> Sys.remove path)
-      (fun () ->
-        let oc = open_out path in
-        output_string oc content;
-        close_out oc;
-        Analysis.Findings.clear_source_cache ();
-        let r =
-          Sema.Race_report.race_allow_file
-            ~source_root:(Filename.dirname path)
-            (Filename.basename path)
-        in
-        Analysis.Findings.clear_source_cache ();
-        k r)
-  in
-  with_temp "let x = 1\n(* race-allow-file: serial by design *)\nlet y = 2\n"
-    (fun r ->
-      Alcotest.(check (option (pair int string)))
-        "justified marker" (Some (2, "serial by design")) r);
-  with_temp "(* race-allow-file: *)\nlet x = 1\n" (fun r ->
-      Alcotest.(check (option (pair int string)))
-        "empty reason surfaces" (Some (1, "")) r);
-  with_temp "(* race-allow: line scope only *)\nlet x = 1\n" (fun r ->
-      Alcotest.(check (option (pair int string)))
-        "line marker is not a file marker" None r)
-
 let test_safe_clean () =
-  let open Sema.Race_report in
-  let r = Lazy.force fixture_result in
   List.iter
-    (fun f ->
-      if contains f.f_file "safe_chain" then
-        Alcotest.failf "clean fixture flagged: %s at %s:%d" f.f_target f.f_file
-          f.f_line)
-    r.r_findings;
+    (fun (f : Analysis.Findings.t) ->
+      if contains f.file "safe_chain" then
+        Alcotest.failf "clean fixture flagged: %s at %s:%d" f.target f.file
+          f.line)
+    (snd (Lazy.force fixture_result));
   (* every finding in the fixture set comes from the seeded racy unit *)
   List.iter
-    (fun f ->
+    (fun (f : Analysis.Findings.t) ->
       Alcotest.(check string)
-        "finding file" "test/fixtures/race/racy_chain.ml" f.f_file)
-    (List.filter is_active r.r_findings)
+        "finding file" "test/fixtures/race/racy_chain.ml" f.file)
+    (active_findings ())
 
 let test_deterministic_output () =
   let render () =
-    let r = run_fixtures () in
+    let r, fs = run_fixtures () in
     Analysis.Json_out.to_string
-      (Sema.Race_report.report_json r ~new_keys:(Hashtbl.create 1))
+      (Analysis.Json_out.List
+         [
+           Sema.Race_report.summary_json r;
+           Analysis.Findings.findings_json ~new_keys:(Hashtbl.create 1) fs;
+         ])
   in
   Alcotest.(check string) "two runs render identically" (render ()) (render ())
 
 let test_findings_sorted () =
-  let open Sema.Race_report in
-  let r = Lazy.force fixture_result in
   let keys =
-    List.map (fun f -> (f.f_file, f.f_line, f.f_rule, f.f_target)) r.r_findings
+    List.map
+      (fun (f : Analysis.Findings.t) -> (f.file, f.line, f.rule, f.target))
+      (snd (Lazy.force fixture_result))
   in
   Alcotest.(check bool) "findings sorted by (file, line, rule)" true
     (List.sort compare keys = keys)
@@ -198,8 +176,6 @@ let () =
             test_racy_flagged;
           Alcotest.test_case "audited mutator flagged (Array.fast_sort)" `Quick
             test_new_mutator_flagged;
-          Alcotest.test_case "file-scope race-allow marker" `Quick
-            test_file_scope_marker;
           Alcotest.test_case "guarded chain clean" `Quick test_safe_clean;
           Alcotest.test_case "deterministic report" `Quick
             test_deterministic_output;
