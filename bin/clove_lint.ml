@@ -1,5 +1,5 @@
-(* clove-lint driver: walk the given roots (default: lib bin bench
-   examples), run every lexical rule over each [.ml] file, and check that
+(* clove-lint driver: walk the given roots (default: lib bin examples),
+   run every lexical rule over each [.ml] file, and check that
    library modules ship an interface.  Exits 1 if any finding survives
    its suppression check. *)
 
@@ -22,8 +22,8 @@ let rec walk path acc =
 
 let has_extension ext path = Filename.check_suffix path ext
 
-(* [missing-mli] applies to library modules only: executables, benchmarks
-   and examples are entry points, not public API *)
+(* [missing-mli] applies to library modules only: executables and
+   examples are entry points, not public API *)
 let wants_interface path =
   String.length path >= 4 && String.sub path 0 4 = "lib/"
 
@@ -31,7 +31,7 @@ let () =
   let roots =
     match Array.to_list Sys.argv with
     | _ :: (_ :: _ as roots) -> roots
-    | _ -> [ "lib"; "bin"; "bench"; "examples" ]
+    | _ -> [ "lib"; "bin"; "examples" ]
   in
   (* a typo'd root must not silently lint nothing and report OK *)
   List.iter

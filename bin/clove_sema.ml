@@ -1,5 +1,5 @@
 (* clove-sema driver: parse every [.ml] under the given roots (default:
-   lib bin bench examples), run the AST-level determinism and unit-safety
+   lib bin examples), run the AST-level determinism and unit-safety
    passes, and write the cross-module JSON report.  Exits 1 if any
    finding survives its suppression check.
 
@@ -59,7 +59,7 @@ let () =
   parse_args (List.tl (Array.to_list Sys.argv));
   let roots =
     match List.rev !roots with
-    | [] -> [ "lib"; "bin"; "bench"; "examples" ]
+    | [] -> [ "lib"; "bin"; "examples" ]
     | roots -> roots
   in
   List.iter

@@ -655,7 +655,6 @@ let stats t =
   }
 
 let flowlet_table_gap t = Flowlet.gap t.flowlets
-let flows_tracked t = Flowlet.flows_tracked t.flowlets
 let peak_flows_tracked t = Flowlet.peak_flows_tracked t.flowlets
 
 let stop t =

@@ -92,13 +92,10 @@ val host : t -> Host.t
 val stats : t -> stats
 val flowlet_table_gap : t -> Sim_time.span
 
-(** Flows currently resident in the flowlet table (bounded in long runs
-    by the maintain tick's idle-flow eviction). *)
-val flows_tracked : t -> int
-
 val peak_flows_tracked : t -> int
-(** High-water mark of {!flows_tracked} over the run — what the flowlet
-    table actually had to hold, independent of idle eviction. *)
+(** High-water mark over the run of the flows resident in the flowlet
+    table — what it actually had to hold, independent of the maintain
+    tick's idle-flow eviction. *)
 
 val stop : t -> unit
 (** Stop the traceroute daemon and the recovery maintenance timer (end of

@@ -54,7 +54,6 @@ let default_domains () =
     | None -> max 1 (Domain.recommended_domain_count () - 1))
 
 let set_default_domains n = override := Some (max 1 n)
-let host_cores () = Domain.recommended_domain_count ()
 
 (* --------------------------- the pool ----------------------------- *)
 

@@ -14,25 +14,17 @@
 
 type t
 
-val default_domains : unit -> int
-(** Pool width used when [?domains] is omitted: the [CLOVE_DOMAINS]
-    environment variable if set to a positive integer, else
-    [Domain.recommended_domain_count () - 1] (at least 1).  1 means
-    fully serial — no domains are spawned. *)
-
 val set_default_domains : int -> unit
-(** Override {!default_domains} for the process (the [--domains] CLI
-    flag); clamped to at least 1. *)
-
-val host_cores : unit -> int
-(** The runtime's view of the host's usable CPUs
-    ([Domain.recommended_domain_count]); benchmarks record it so
-    single-core scaling numbers are read for what they are. *)
+(** Override the pool width used when [?domains] is omitted, for the
+    process (the [--domains] CLI flag); clamped to at least 1.  Without
+    an override the width is the [CLOVE_DOMAINS] environment variable if
+    set to a positive integer, else [Domain.recommended_domain_count () -
+    1] (at least 1).  1 means fully serial — no domains are spawned. *)
 
 val create : ?domains:int -> unit -> t
 (** Spawn a pool of [domains - 1] workers (the submitting domain itself
-    is the remaining member).  [domains] defaults to
-    {!default_domains}. *)
+    is the remaining member).  [domains] defaults to the default width
+    (see {!set_default_domains}). *)
 
 val size : t -> int
 (** Total parallelism degree, workers + the submitting domain. *)

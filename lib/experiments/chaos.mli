@@ -28,7 +28,9 @@
     — are identical at any domain count. *)
 
 type opts = {
-  plan : Faults.Fault_plan.t;  (** [[]] selects {!default_plan} *)
+  plan : Faults.Fault_plan.t;
+      (** [[]] selects the default plan,
+          ["flap s2-l2b period=20ms duty=0.5 until=120ms @60ms"] *)
   schemes : Scenario.scheme list;
   load : float;
   jobs_per_conn : int;
@@ -42,11 +44,6 @@ type opts = {
 val default_opts : opts
 (** Clove-ECN vs ECMP at load 0.25, seed 1,
     750 jobs/conn, 20 ms probe interval, recovery on. *)
-
-val default_plan_spec : string
-(** ["flap s2-l2b period=20ms duty=0.5 until=120ms @60ms"]. *)
-
-val default_plan : unit -> Faults.Fault_plan.t
 
 val preset_names : string list
 (** Pod-level gray-failure presets for 3-tier topologies:
@@ -77,12 +74,10 @@ type row = {
       (** the paired fault-free baseline's FCT record *)
 }
 
-val run_scheme : opts -> Scenario.scheme -> row
-(** One scheme: a faulted run plus its fault-free baseline (serial). *)
-
 val run : ?domains:int -> opts -> row array
-(** All schemes across the domain pool, results by scheme index; serial
-    while the invariant auditor is on. *)
+(** All schemes across the domain pool — each a faulted run plus its
+    fault-free baseline — results by scheme index; serial while the
+    invariant auditor is on. *)
 
 val scorecard : plan:Faults.Fault_plan.t -> row array -> Figures.report
 (** Format already-computed rows as a figure-style report. *)

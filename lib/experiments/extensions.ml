@@ -1,5 +1,3 @@
-let opt_or default = function Some x -> x | None -> default
-
 (* ------------------------ fat-tree demonstration ------------------ *)
 
 (* A self-contained fat-tree scenario: hosts in pod 0 send to hosts in the
@@ -119,8 +117,7 @@ let fat_tree_point ~scheme ~seed ~load ~jobs =
   Det.iter_sorted ~compare:Int.compare (fun _ s -> Transport.Stack.stop_all s) scn.ft_stacks;
   Workload.Fct_stats.avg fct
 
-let fat_tree ?opts () =
-  let opts = opt_or Sweep.default_opts opts in
+let fat_tree opts =
   let schemes = [ Clove.Vswitch.Ecmp; Clove.Vswitch.Edge_flowlet; Clove.Vswitch.Clove_ecn ] in
   let header =
     "load%/avgFCT(s)" :: List.map Clove.Vswitch.scheme_name schemes
@@ -154,7 +151,11 @@ let fat_tree ?opts () =
 
 (* ----------------------- mid-run failure timeline ------------------ *)
 
-let failure_timeline ?(jobs = 2000) ?(seed = 3) () =
+(* a long single-seed run (25x the sweep's jobs per connection) so the
+   failure and the recovery both land mid-run *)
+let failure_timeline opts =
+  let jobs = 25 * opts.Sweep.jobs_per_conn in
+  let seed = 3 in
   let run scheme =
     let params =
       {
@@ -231,8 +232,7 @@ let failure_timeline ?(jobs = 2000) ?(seed = 3) () =
 
 (* --------------------------- dctcp guests -------------------------- *)
 
-let dctcp_guests ?opts () =
-  let opts = opt_or Sweep.default_opts opts in
+let dctcp_guests opts =
   let base = { Scenario.default_params with Scenario.asymmetric = true } in
   let variants =
     [
@@ -264,8 +264,7 @@ let dctcp_guests ?opts () =
 
 (* ----------------------------- variants ---------------------------- *)
 
-let variants ?opts () =
-  let opts = opt_or Sweep.default_opts opts in
+let variants opts =
   let base = { Scenario.default_params with Scenario.asymmetric = true } in
   let cases =
     [
@@ -308,8 +307,7 @@ let variants ?opts () =
 
 (* ---------------------------- data mining -------------------------- *)
 
-let data_mining ?opts () =
-  let opts = opt_or Sweep.default_opts opts in
+let data_mining opts =
   let base =
     { Scenario.default_params with Scenario.asymmetric = true; data_mining = true }
   in
@@ -338,11 +336,11 @@ let data_mining ?opts () =
 
 let all =
   [
-    ("ext-fattree", fun opts -> fat_tree ~opts ());
-    ("ext-failure", fun opts -> failure_timeline ~jobs:(25 * opts.Sweep.jobs_per_conn) ());
-    ("ext-dctcp", fun opts -> dctcp_guests ~opts ());
-    ("ext-variants", fun opts -> variants ~opts ());
-    ("ext-datamining", fun opts -> data_mining ~opts ());
+    ("ext-fattree", fat_tree);
+    ("ext-failure", failure_timeline);
+    ("ext-dctcp", dctcp_guests);
+    ("ext-variants", variants);
+    ("ext-datamining", data_mining);
     ( "ext-chaos",
       fun opts ->
         Chaos.report

@@ -1,22 +1,17 @@
 (** Extension experiments beyond the paper's figures, covering Section 7's
     discussion items and the design ablations DESIGN.md calls out:
 
-    - {!fat_tree}: Clove on a 3-tier k-ary fat-tree (the "works on any
+    - [ext-fattree]: Clove on a 3-tier k-ary fat-tree (the "works on any
       topology" claim) with a degraded core link;
-    - {!failure_timeline}: a fabric link fails mid-run; watch FCT recover
-      as routing reconverges and traceroute remaps the ports;
-    - {!dctcp_guests}: Clove-ECN with DCTCP guest stacks (Section 7);
-    - {!variants}: Clove-Latency, adaptive flowlet gap, receiver
+    - [ext-failure]: a fabric link fails mid-run; watch FCT recover as
+      routing reconverges and traceroute remaps the ports;
+    - [ext-dctcp]: Clove-ECN with DCTCP guest stacks (Section 7);
+    - [ext-variants]: Clove-Latency, adaptive flowlet gap, receiver
       reordering, non-overlay rewrite mode, and LetFlow side by side;
-    - {!data_mining}: the heavier-tailed data-mining workload;
+    - [ext-datamining]: the heavier-tailed data-mining workload;
     - [ext-chaos] (see {!Chaos}): a deterministic fault plan executed
       against each scheme, scored for resilience. *)
 
-val fat_tree : ?opts:Sweep.run_opts -> unit -> Figures.report
-val failure_timeline : ?jobs:int -> ?seed:int -> unit -> Figures.report
-val dctcp_guests : ?opts:Sweep.run_opts -> unit -> Figures.report
-val variants : ?opts:Sweep.run_opts -> unit -> Figures.report
-val data_mining : ?opts:Sweep.run_opts -> unit -> Figures.report
-
 val all : (string * (Sweep.run_opts -> Figures.report)) list
-(** Extension experiments keyed by id (ext-...). *)
+(** Extension experiments keyed by id (ext-...); [ext-failure] runs one
+    seed at 25x the options' jobs per connection. *)

@@ -52,39 +52,37 @@ let load_sweep ~id ~title ~paper_claim ~schemes ~loads ~metric ~metric_name ~opt
 
 let avg_fct fct = Workload.Fct_stats.avg fct
 
-let opt_or default = function Some x -> x | None -> default
-
-let fig4b ?opts ?params () =
-  let opts = opt_or Sweep.default_opts opts in
-  let params = opt_or Scenario.default_params params in
+(* Fig. 4b: avg FCT vs load, symmetric; ECMP / Edge-Flowlet / Clove-ECN /
+   MPTCP / Presto *)
+let fig4b opts =
   load_sweep ~id:"fig4b" ~title:"Avg FCT vs load, symmetric testbed"
     ~paper_claim:
       "all schemes close at low load; at 80% Clove-ECN beats ECMP 2.5x and \
        Edge-Flowlet 1.8x; MPTCP slightly ahead of Clove; Presto ~= Clove"
     ~schemes:testbed_schemes ~loads:default_loads ~metric:avg_fct
-    ~metric_name:"avgFCT(s)" ~opts ~params:{ params with Scenario.asymmetric = false }
+    ~metric_name:"avgFCT(s)" ~opts
+    ~params:{ Scenario.default_params with Scenario.asymmetric = false }
     ()
 
-let fig4c ?opts ?params () =
-  let opts = opt_or Sweep.default_opts opts in
-  let params = opt_or Scenario.default_params params in
+(* Fig. 4c: the same under asymmetry (one S2-L2 link down) *)
+let fig4c opts =
   load_sweep ~id:"fig4c" ~title:"Avg FCT vs load, asymmetric testbed (one S2-L2 link down)"
     ~paper_claim:
       "ECMP blows up past 50% load; Presto 1.8x better than ECMP at 70% but \
        3.8x behind Clove-ECN; Edge-Flowlet 4.2x better than ECMP at 80%; \
        Clove-ECN best (7.5x over ECMP at 80%), MPTCP close"
     ~schemes:testbed_schemes ~loads:default_loads ~metric:avg_fct
-    ~metric_name:"avgFCT(s)" ~opts ~params:{ params with Scenario.asymmetric = true }
+    ~metric_name:"avgFCT(s)" ~opts
+    ~params:{ Scenario.default_params with Scenario.asymmetric = true }
     ()
 
 (* the scaled workload scales the mice/elephant cutoffs identically *)
 let scaled_cutoff params cutoff =
   int_of_float (float_of_int cutoff *. params.Scenario.size_scale)
 
-let fig5a ?opts ?params () =
-  let opts = opt_or Sweep.default_opts opts in
-  let params = opt_or Scenario.default_params params in
-  let params = { params with Scenario.asymmetric = true } in
+(* Fig. 5a: avg FCT of <100 KB flows vs load, asymmetric *)
+let fig5a opts =
+  let params = { Scenario.default_params with Scenario.asymmetric = true } in
   let cutoff = scaled_cutoff params Workload.Fct_stats.mice_cutoff in
   load_sweep ~id:"fig5a" ~title:"Avg FCT of <100KB flows vs load, asymmetric"
     ~paper_claim:"relative ordering as overall FCT; Edge-Flowlet 3.7x over ECMP at 70%"
@@ -92,10 +90,9 @@ let fig5a ?opts ?params () =
     ~metric:(fun fct -> Workload.Fct_stats.avg ~max_size:cutoff fct)
     ~metric_name:"avgFCT(s)<100KB" ~opts ~params ()
 
-let fig5b ?opts ?params () =
-  let opts = opt_or Sweep.default_opts opts in
-  let params = opt_or Scenario.default_params params in
-  let params = { params with Scenario.asymmetric = true } in
+(* Fig. 5b: avg FCT of >10 MB flows vs load, asymmetric *)
+let fig5b opts =
+  let params = { Scenario.default_params with Scenario.asymmetric = true } in
   let cutoff = scaled_cutoff params Workload.Fct_stats.elephant_cutoff in
   load_sweep ~id:"fig5b" ~title:"Avg FCT of >10MB flows vs load, asymmetric"
     ~paper_claim:"larger spread than mice: Edge-Flowlet 4.1x over ECMP at 70%"
@@ -103,22 +100,22 @@ let fig5b ?opts ?params () =
     ~metric:(fun fct -> Workload.Fct_stats.avg ~min_size:cutoff fct)
     ~metric_name:"avgFCT(s)>10MB" ~opts ~params ()
 
-let fig5c ?opts ?params () =
-  let opts = opt_or Sweep.default_opts opts in
-  let params = opt_or Scenario.default_params params in
+(* Fig. 5c: 99th-percentile FCT vs load, asymmetric *)
+let fig5c opts =
   load_sweep ~id:"fig5c" ~title:"99th-percentile FCT vs load, asymmetric"
     ~paper_claim:
       "MPTCP falls behind at the tail (static subflow placement): Clove-ECN \
        2.7x better than MPTCP at 60% load"
     ~schemes:testbed_schemes ~loads:default_loads
     ~metric:(fun fct -> Workload.Fct_stats.percentile fct 99.0)
-    ~metric_name:"p99FCT(s)" ~opts ~params:{ params with Scenario.asymmetric = true }
+    ~metric_name:"p99FCT(s)" ~opts
+    ~params:{ Scenario.default_params with Scenario.asymmetric = true }
     ()
 
-let fig6 ?opts ?params () =
-  let opts = opt_or Sweep.default_opts opts in
-  let params = opt_or Scenario.default_params params in
-  let params = { params with Scenario.asymmetric = true } in
+(* Fig. 6: Clove-ECN parameter sensitivity (flowlet gap x RTT, ECN
+   threshold) *)
+let fig6 opts =
+  let params = { Scenario.default_params with Scenario.asymmetric = true } in
   let rtt = params.Scenario.rtt_estimate in
   let variants =
     [
@@ -167,13 +164,19 @@ let fig6 ?opts ?params () =
     table;
   }
 
-let fig7 ?requests ?params () =
-  let requests = opt_or 20 requests in
-  let params = opt_or Scenario.default_params params in
+(* Fig. 7: incast, client goodput vs request fan-in; Clove-ECN /
+   Edge-Flowlet / MPTCP.  The preset is fixed — 15 requests per fan-in
+   over seeds 1-3 — whatever the sweep options. *)
+let fig7 () =
+  let requests = 15 in
   (* the incast experiment uses the paper's full 16 servers so the fan-in
      axis matches; the fabric scales with the host count *)
   let params =
-    { params with Scenario.hosts_per_leaf = 16; fabric_rate_bps = 40e9 }
+    {
+      Scenario.default_params with
+      Scenario.hosts_per_leaf = 16;
+      fabric_rate_bps = 40e9;
+    }
   in
   let schemes = [ Scenario.S_clove_ecn; Scenario.S_edge_flowlet; Scenario.S_mptcp ] in
   let fanouts = [ 1; 3; 5; 7; 9; 11; 13; 15 ] in
@@ -203,9 +206,10 @@ let fig7 ?requests ?params () =
 
 let ns2_params params = { params with Scenario.conns_per_client = 3 }
 
-let fig8a ?opts ?params () =
-  let opts = opt_or Sweep.default_opts opts in
-  let params = ns2_params (opt_or Scenario.default_params params) in
+(* Fig. 8a: avg FCT vs load, symmetric; adds Clove-INT and CONGA, 3
+   connections per client as in the NS2 setup *)
+let fig8a opts =
+  let params = ns2_params Scenario.default_params in
   load_sweep ~id:"fig8a" ~title:"Avg FCT vs load, symmetric (packet-level sim)"
     ~paper_claim:
       "Clove-ECN 1.4x over ECMP at 80%; Clove-INT and CONGA another ~1.1x \
@@ -216,9 +220,9 @@ let fig8a ?opts ?params () =
     ~params:{ params with Scenario.asymmetric = false }
     ()
 
-let fig8b ?opts ?params () =
-  let opts = opt_or Sweep.default_opts opts in
-  let params = ns2_params (opt_or Scenario.default_params params) in
+(* Fig. 8b: the same under asymmetry *)
+let fig8b opts =
+  let params = ns2_params Scenario.default_params in
   load_sweep ~id:"fig8b" ~title:"Avg FCT vs load, asymmetric (packet-level sim)"
     ~paper_claim:
       "Clove-ECN 3x over ECMP and 1.8x over Edge-Flowlet at 70%; Clove-INT \
@@ -230,10 +234,12 @@ let fig8b ?opts ?params () =
     ~params:{ params with Scenario.asymmetric = true }
     ()
 
-let fig9 ?opts ?params () =
-  let opts = opt_or Sweep.default_opts opts in
-  let params = ns2_params (opt_or Scenario.default_params params) in
-  let params = { params with Scenario.asymmetric = true } in
+(* Fig. 9: CDF of mice FCTs at 70% load, asymmetric; ECMP / Clove-ECN /
+   CONGA *)
+let fig9 opts =
+  let params =
+    { (ns2_params Scenario.default_params) with Scenario.asymmetric = true }
+  in
   let schemes = [ Scenario.S_ecmp; Scenario.S_clove_ecn; Scenario.S_conga ] in
   let cutoff = scaled_cutoff params Workload.Fct_stats.mice_cutoff in
   Sweep.prefetch_points
@@ -287,10 +293,8 @@ let clove_ecn_sweep ~id ~title ~paper_claim ~variants ~apply ~opts ~params =
     [ 0.5; 0.7 ];
   { id; title; paper_claim; table }
 
-let ablation_relay ?opts ?params () =
-  let opts = opt_or Sweep.default_opts opts in
-  let params = opt_or Scenario.default_params params in
-  let params = { params with Scenario.asymmetric = true } in
+let ablation_relay opts =
+  let params = { Scenario.default_params with Scenario.asymmetric = true } in
   (* the relay interval is derived from the RTT estimate inside the Clove
      config; emulate different relay rates by scaling the estimate used
      for feedback pacing via the flowlet gap kept fixed *)
@@ -309,10 +313,8 @@ let ablation_relay ?opts ?params () =
       })
     ~opts ~params
 
-let ablation_paths ?opts ?params () =
-  let opts = opt_or Sweep.default_opts opts in
-  let params = opt_or Scenario.default_params params in
-  let params = { params with Scenario.asymmetric = true } in
+let ablation_paths opts =
+  let params = { Scenario.default_params with Scenario.asymmetric = true } in
   (* k is clamped by the topology's 4 distinct paths; k=1 and k=2 restrict
      Clove to a subset, showing the value of full path diversity.  The
      config knob lives in Clove_config; we reach it through the flowlet_gap
@@ -325,10 +327,8 @@ let ablation_paths ?opts ?params () =
     ~apply:(fun p k -> { p with Scenario.k_paths_override = Some k })
     ~opts ~params
 
-let ablation_beta ?opts ?params () =
-  let opts = opt_or Sweep.default_opts opts in
-  let params = opt_or Scenario.default_params params in
-  let params = { params with Scenario.asymmetric = true } in
+let ablation_beta opts =
+  let params = { Scenario.default_params with Scenario.asymmetric = true } in
   clove_ecn_sweep ~id:"ablation-beta"
     ~title:"Clove-ECN sensitivity to weight-reduction fraction (asymmetric)"
     ~paper_claim:"(design ablation; paper says 'e.g., by a third')"
@@ -336,19 +336,19 @@ let ablation_beta ?opts ?params () =
     ~apply:(fun p beta -> { p with Scenario.weight_cut_override = Some beta })
     ~opts ~params
 
-let all () =
+let all =
   [
-    ("fig4b", fun () -> fig4b ());
-    ("fig4c", fun () -> fig4c ());
-    ("fig5a", fun () -> fig5a ());
-    ("fig5b", fun () -> fig5b ());
-    ("fig5c", fun () -> fig5c ());
-    ("fig6", fun () -> fig6 ());
-    ("fig7", fun () -> fig7 ());
-    ("fig8a", fun () -> fig8a ());
-    ("fig8b", fun () -> fig8b ());
-    ("fig9", fun () -> fig9 ());
-    ("ablation-relay", fun () -> ablation_relay ());
-    ("ablation-paths", fun () -> ablation_paths ());
-    ("ablation-beta", fun () -> ablation_beta ());
+    ("fig4b", fig4b);
+    ("fig4c", fig4c);
+    ("fig5a", fig5a);
+    ("fig5b", fig5b);
+    ("fig5c", fig5c);
+    ("fig6", fig6);
+    ("fig7", fun (_ : Sweep.run_opts) -> fig7 ());
+    ("fig8a", fig8a);
+    ("fig8b", fig8b);
+    ("fig9", fig9);
+    ("ablation-relay", ablation_relay);
+    ("ablation-paths", ablation_paths);
+    ("ablation-beta", ablation_beta);
   ]

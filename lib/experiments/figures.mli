@@ -14,57 +14,13 @@ type report = {
 
 val pp_report : Format.formatter -> report -> unit
 
-(** {2 Testbed figures (Section 5)} *)
-
-val fig4b : ?opts:Sweep.run_opts -> ?params:Scenario.params -> unit -> report
-(** Avg FCT vs load, symmetric; ECMP / Edge-Flowlet / Clove-ECN / MPTCP /
-    Presto. *)
-
-val fig4c : ?opts:Sweep.run_opts -> ?params:Scenario.params -> unit -> report
-(** Same under asymmetry (one S2-L2 link down). *)
-
-val fig5a : ?opts:Sweep.run_opts -> ?params:Scenario.params -> unit -> report
-(** Avg FCT of <100 KB flows vs load, asymmetric. *)
-
-val fig5b : ?opts:Sweep.run_opts -> ?params:Scenario.params -> unit -> report
-(** Avg FCT of >10 MB flows vs load, asymmetric.  (With scaled flow sizes
-    the elephant cutoff is scaled identically.) *)
-
-val fig5c : ?opts:Sweep.run_opts -> ?params:Scenario.params -> unit -> report
-(** 99th-percentile FCT vs load, asymmetric. *)
-
-val fig6 : ?opts:Sweep.run_opts -> ?params:Scenario.params -> unit -> report
-(** Clove-ECN parameter sensitivity: (flowlet gap x RTT, ECN threshold). *)
-
-val fig7 : ?requests:int -> ?params:Scenario.params -> unit -> report
-(** Incast: client goodput vs request fan-in; Clove-ECN / Edge-Flowlet /
-    MPTCP. *)
-
-(** {2 Packet-level simulation figures (Section 6)} *)
-
-val fig8a : ?opts:Sweep.run_opts -> ?params:Scenario.params -> unit -> report
-(** Avg FCT vs load, symmetric; adds Clove-INT and CONGA, 3 connections
-    per client as in the NS2 setup. *)
-
-val fig8b : ?opts:Sweep.run_opts -> ?params:Scenario.params -> unit -> report
-(** Same under asymmetry. *)
-
-val fig9 : ?opts:Sweep.run_opts -> ?params:Scenario.params -> unit -> report
-(** CDF of mice FCTs at 70% load, asymmetric; ECMP / Clove-ECN / CONGA. *)
-
-(** {2 Ablations (Section 7 / DESIGN.md)} *)
-
-val ablation_relay : ?opts:Sweep.run_opts -> ?params:Scenario.params -> unit -> report
-(** Sensitivity to the ECN relay interval. *)
-
-val ablation_paths : ?opts:Sweep.run_opts -> ?params:Scenario.params -> unit -> report
-(** Sensitivity to the number of disjoint paths k. *)
-
-val ablation_beta : ?opts:Sweep.run_opts -> ?params:Scenario.params -> unit -> report
-(** Sensitivity to the weight-reduction fraction. *)
-
-val all : unit -> (string * (unit -> report)) list
-(** Every runner, keyed by id, with default options. *)
+val all : (string * (Sweep.run_opts -> report)) list
+(** One runner per figure, keyed by id, in paper order: the testbed
+    figures of Section 5 ([fig4b] ... [fig7]), the packet-level
+    simulation figures of Section 6 ([fig8a], [fig8b], [fig9]) and the
+    DESIGN.md ablations ([ablation-relay], [ablation-paths],
+    [ablation-beta]).  Every runner sweeps with the given options except
+    [fig7], whose incast preset is fixed. *)
 
 val capture_ratio :
   ecmp:float -> clove:float -> conga:float -> float

@@ -1,6 +1,6 @@
 type run_opts = { jobs_per_conn : int; seeds : int list }
 
-let default_opts = { jobs_per_conn = 30; seeds = [ 1; 2; 3 ] }
+let default_opts = { jobs_per_conn = 150; seeds = [ 1; 2; 3 ] }
 let quick_opts = { jobs_per_conn = 12; seeds = [ 1 ] }
 
 let build_conns scn =

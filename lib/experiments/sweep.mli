@@ -8,7 +8,8 @@ type run_opts = {
 }
 
 val default_opts : run_opts
-(** 30 jobs per connection, seeds [1; 2; 3] (the paper averages 3 runs). *)
+(** 150 jobs per connection, seeds [1; 2; 3] (the paper averages 3
+    runs): the preset that produced EXPERIMENTS.md and [results/*.csv]. *)
 
 val quick_opts : run_opts
 (** 12 jobs, single seed — for smoke tests. *)
@@ -36,8 +37,8 @@ val run_points_parallel :
 (** Run every point (each with a private scenario, scheduler and RNG)
     across a domain pool and return the results {e by point index}, so
     aggregation order — and every figure derived from it — is identical
-    for 1 and N domains.  [domains] defaults to
-    [Domain_pool.default_domains ()].  Falls back to a serial map while
+    for 1 and N domains.  [domains] defaults to the pool's default width
+    (see {!Domain_pool.set_default_domains}).  Falls back to a serial map while
     the invariant auditor is on (its tables are global). *)
 
 val prefetch_points :

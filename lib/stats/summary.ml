@@ -72,10 +72,6 @@ let percentile t p =
 
 let median t = percentile t 50.0
 
-let samples t =
-  ensure_sorted t;
-  Array.sub t.data 0 t.size
-
 let merge a b =
   let t = create () in
   for i = 0 to a.size - 1 do

@@ -23,8 +23,6 @@ val percentile : t -> float -> float
     order statistics; [nan] when empty. *)
 
 val median : t -> float
-val samples : t -> float array
-(** A sorted copy of the samples. *)
 
 val merge : t -> t -> t
 (** A fresh summary containing the samples of both arguments. *)

@@ -1,8 +1,9 @@
 (** Aligned text tables for experiment reports.
 
-    The bench harness prints each reproduced figure as a table with one row
-    per x-value (load, fan-in, ...) and one column per scheme, mirroring the
-    series in the paper's plots. *)
+    [clove-sim exp] prints each reproduced figure as a table with one row
+    per x-value (load, fan-in, ...) and one column per scheme, mirroring
+    the series in the paper's plots, and writes its {!csv} to
+    [results/<id>.csv]. *)
 
 type t
 

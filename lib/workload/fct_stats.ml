@@ -1,197 +1,92 @@
 type record = { size : int; start_sec : float; fct_sec : float }
 
-(* Exact mode stores records in a growable array in recording order and
-   iterates back-to-front: that is byte-for-byte the iteration order of
-   the historical cons-list representation (newest first), so every
+(* Records live in a growable array in recording order and iterate
+   back-to-front: that is byte-for-byte the iteration order of the
+   historical cons-list representation (newest first), so every
    order-sensitive float fold (summary means, timeline buckets) keeps
    its exact output while [record] stays O(1) amortized and [merge] /
    [filter_size] / [window] drop the old O(n) list append and repeated
    [List.length] passes. *)
-type exact = { mutable arr : record array; mutable len : int }
-
-(* Streaming mode keeps O(1) state per size class: count, float sums and
-   a deterministic mergeable q-digest of FCTs in nanoseconds.  The three
-   classes are the paper's slices (all, mice < 100 KB, elephants
-   >= 10 MB) — the only filters the figures use. *)
-type stream_class = {
-  sk : Stats.Quantile_sketch.t;
-  mutable c_count : int;
-  mutable c_sum : float;
-}
-
-type stream = {
-  all : stream_class;
-  mice : stream_class;
-  elephants : stream_class;
-  mutable s_bytes : int;
-}
-
-type repr = Exact of exact | Stream of stream
-
-type t = { repr : repr; mutable n : int }
+type t = { mutable arr : record array; mutable len : int }
 
 let dummy_record = { size = 0; start_sec = 0.0; fct_sec = 0.0 }
 
-let new_class () =
-  { sk = Stats.Quantile_sketch.create (); c_count = 0; c_sum = 0.0 }
+let create () = { arr = [||]; len = 0 }
 
-let create ?(stream = false) () =
-  let repr =
-    if stream then
-      Stream
-        { all = new_class (); mice = new_class (); elephants = new_class (); s_bytes = 0 }
-    else Exact { arr = [||]; len = 0 }
-  in
-  { repr; n = 0 }
-
-let is_streaming t = match t.repr with Stream _ -> true | Exact _ -> false
-
-let exact_of who t =
-  match t.repr with
-  | Exact e -> e
-  | Stream _ ->
-    invalid_arg (Printf.sprintf "Fct_stats.%s: not available in streaming mode" who)
-
-let push e r =
-  let cap = Array.length e.arr in
-  if e.len = cap then begin
+let push t r =
+  let cap = Array.length t.arr in
+  if t.len = cap then begin
     let arr = Array.make (if cap = 0 then 16 else 2 * cap) dummy_record in
-    Array.blit e.arr 0 arr 0 e.len;
-    e.arr <- arr
+    Array.blit t.arr 0 arr 0 t.len;
+    t.arr <- arr
   end;
-  e.arr.(e.len) <- r;
-  e.len <- e.len + 1
+  t.arr.(t.len) <- r;
+  t.len <- t.len + 1
 
 (* newest-first, the historical list order *)
-let iter_rev e f =
-  for i = e.len - 1 downto 0 do
-    f e.arr.(i)
+let iter_rev t f =
+  for i = t.len - 1 downto 0 do
+    f t.arr.(i)
   done
 
 let mice_cutoff = 100_000
 let elephant_cutoff = 10_000_000
 
-let class_add cl fct_sec =
-  cl.c_count <- cl.c_count + 1;
-  cl.c_sum <- cl.c_sum +. fct_sec;
-  Stats.Quantile_sketch.add cl.sk (int_of_float (fct_sec *. 1e9))
-
 let record t ~size ~start ~finish =
   let fct_sec = Sim_time.span_to_sec (Sim_time.diff finish start) in
-  (match t.repr with
-  | Exact e -> push e { size; start_sec = Sim_time.to_sec start; fct_sec }
-  | Stream s ->
-    class_add s.all fct_sec;
-    if size < mice_cutoff then class_add s.mice fct_sec;
-    if size >= elephant_cutoff then class_add s.elephants fct_sec;
-    s.s_bytes <- s.s_bytes + size);
-  t.n <- t.n + 1
+  push t { size; start_sec = Sim_time.to_sec start; fct_sec }
 
-let count t = t.n
-
-(* the streaming slice for a (min_size, max_size) filter; only the three
-   slices the figures query are representable without records *)
-let stream_class_of who s ~min_size ~max_size =
-  if min_size = 0 && max_size = max_int then s.all
-  else if min_size = 0 && max_size = mice_cutoff then s.mice
-  else if min_size = elephant_cutoff && max_size = max_int then s.elephants
-  else
-    invalid_arg
-      (Printf.sprintf
-         "Fct_stats.%s: streaming mode only supports the all/mice/elephant slices" who)
+let count t = t.len
 
 let summary ?(min_size = 0) ?(max_size = max_int) t =
-  let e = exact_of "summary" t in
   let s = Stats.Summary.create () in
-  iter_rev e (fun r ->
+  iter_rev t (fun r ->
       if r.size >= min_size && r.size < max_size then Stats.Summary.add s r.fct_sec);
   s
 
-let avg ?(min_size = 0) ?(max_size = max_int) t =
-  match t.repr with
-  | Exact _ -> Stats.Summary.mean (summary ~min_size ~max_size t)
-  | Stream s ->
-    let cl = stream_class_of "avg" s ~min_size ~max_size in
-    if cl.c_count = 0 then nan else cl.c_sum /. float_of_int cl.c_count
+let avg ?min_size ?max_size t = Stats.Summary.mean (summary ?min_size ?max_size t)
 
-let percentile ?(min_size = 0) ?(max_size = max_int) t p =
-  match t.repr with
-  | Exact _ -> Stats.Summary.percentile (summary ~min_size ~max_size t) p
-  | Stream s ->
-    let cl = stream_class_of "percentile" s ~min_size ~max_size in
-    if cl.c_count = 0 then nan
-    else float_of_int (Stats.Quantile_sketch.quantile cl.sk (p /. 100.0)) *. 1e-9
-
-let cdf ?min_size ?max_size t =
-  let (_ : exact) = exact_of "cdf" t in
-  Stats.Cdf.of_samples (Stats.Summary.samples (summary ?min_size ?max_size t))
+let percentile ?min_size ?max_size t p =
+  Stats.Summary.percentile (summary ?min_size ?max_size t) p
 
 let merge a b =
-  match (a.repr, b.repr) with
-  | Exact ea, Exact eb ->
-    (* the list representation produced a-then-b in newest-first order;
-       back-to-front iteration over [b's records; a's records] matches *)
-    let arr = Array.make (max 1 (ea.len + eb.len)) dummy_record in
-    Array.blit eb.arr 0 arr 0 eb.len;
-    Array.blit ea.arr 0 arr eb.len ea.len;
-    { repr = Exact { arr; len = ea.len + eb.len }; n = a.n + b.n }
-  | Stream sa, Stream sb ->
-    let merge_class ca cb =
-      {
-        sk = Stats.Quantile_sketch.merge ca.sk cb.sk;
-        c_count = ca.c_count + cb.c_count;
-        c_sum = ca.c_sum +. cb.c_sum;
-      }
-    in
-    {
-      repr =
-        Stream
-          {
-            all = merge_class sa.all sb.all;
-            mice = merge_class sa.mice sb.mice;
-            elephants = merge_class sa.elephants sb.elephants;
-            s_bytes = sa.s_bytes + sb.s_bytes;
-          };
-      n = a.n + b.n;
-    }
-  | _ -> invalid_arg "Fct_stats.merge: mixed exact/streaming arguments"
+  (* the list representation produced a-then-b in newest-first order;
+     back-to-front iteration over [b's records; a's records] matches *)
+  let arr = Array.make (max 1 (a.len + b.len)) dummy_record in
+  Array.blit b.arr 0 arr 0 b.len;
+  Array.blit a.arr 0 arr b.len a.len;
+  { arr; len = a.len + b.len }
 
-let filtered who t keep =
-  let e = exact_of who t in
-  let out = { arr = [||]; len = 0 } in
-  for i = 0 to e.len - 1 do
-    let r = e.arr.(i) in
+let filtered t keep =
+  let out = create () in
+  for i = 0 to t.len - 1 do
+    let r = t.arr.(i) in
     if keep r then push out r
   done;
-  { repr = Exact out; n = out.len }
+  out
 
 let filter_size ?(min_size = 0) ?(max_size = max_int) t =
-  filtered "filter_size" t (fun r -> r.size >= min_size && r.size < max_size)
+  filtered t (fun r -> r.size >= min_size && r.size < max_size)
 
 let window ~from ~until t =
-  filtered "window" t (fun r -> r.start_sec >= from && r.start_sec < until)
+  filtered t (fun r -> r.start_sec >= from && r.start_sec < until)
 
 let total_bytes t =
-  match t.repr with
-  | Exact e ->
-    let acc = ref 0 in
-    iter_rev e (fun r -> acc := !acc + r.size);
-    !acc
-  | Stream s -> s.s_bytes
+  let acc = ref 0 in
+  iter_rev t (fun r -> acc := !acc + r.size);
+  !acc
 
 let completed_bytes_in ~from ~until t =
-  let e = exact_of "completed_bytes_in" t in
   let acc = ref 0 in
-  iter_rev e (fun r ->
+  iter_rev t (fun r ->
       let fin = r.start_sec +. r.fct_sec in
       if fin >= from && fin < until then acc := !acc + r.size);
   !acc
 
 let timeline t ~bucket_sec =
   if bucket_sec <= 0.0 then invalid_arg "Fct_stats.timeline: bucket must be positive";
-  let e = exact_of "timeline" t in
   let buckets = Hashtbl.create 16 in
-  iter_rev e (fun r ->
+  iter_rev t (fun r ->
       let b = int_of_float (r.start_sec /. bucket_sec) in
       let s =
         match Hashtbl.find_opt buckets b with
@@ -215,28 +110,16 @@ let compare_records a b =
     if c <> 0 then c else Float.compare a.fct_sec b.fct_sec
 
 let canonicalize t =
-  let e = exact_of "canonicalize" t in
   (* back-to-front iteration must yield ascending canonical order, so the
      array itself is sorted descending, in place after a one-off shrink
      to the live prefix *)
-  if Array.length e.arr <> e.len then e.arr <- Array.sub e.arr 0 e.len;
-  Array.sort (fun a b -> compare_records b a) e.arr
+  if Array.length t.arr <> t.len then t.arr <- Array.sub t.arr 0 t.len;
+  Array.sort (fun a b -> compare_records b a) t.arr
 
 let canonical_dump t =
-  let e = exact_of "canonical_dump" t in
   (* hex floats round-trip every bit *)
-  let recs = Array.sub e.arr 0 e.len in
+  let recs = Array.sub t.arr 0 t.len in
   Array.sort compare_records recs;
-  let buf = Buffer.create (64 * (t.n + 1)) in
+  let buf = Buffer.create (64 * (t.len + 1)) in
   Array.iter (fun r -> Printf.bprintf buf "%d %h %h\n" r.size r.start_sec r.fct_sec) recs;
   Buffer.contents buf
-
-let stream_sketch_nodes t =
-  match t.repr with
-  | Stream s -> Stats.Quantile_sketch.nodes s.all.sk
-  | Exact _ -> invalid_arg "Fct_stats.stream_sketch_nodes: exact mode"
-
-let stream_rank_error t =
-  match t.repr with
-  | Stream s -> Stats.Quantile_sketch.rank_error s.all.sk
-  | Exact _ -> invalid_arg "Fct_stats.stream_rank_error: exact mode"

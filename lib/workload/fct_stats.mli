@@ -7,37 +7,23 @@
 
 type t
 
-val create : ?stream:bool -> unit -> t
-(** Exact mode (the default, and the digest gate) stores every record; a
-    [~stream:true] sink instead keeps O(1) state — counts, float sums
-    and a deterministic mergeable {!Stats.Quantile_sketch} of FCTs per
-    size class (all / mice / elephants) — so memory stays flat whatever
-    the flow count.  In streaming mode only {!record}, {!count},
-    {!avg}, {!percentile}, {!total_bytes} and {!merge} are available,
-    and the size filters are restricted to the paper's slices
-    ([min_size]/[max_size] omitted, [max_size = mice_cutoff], or
-    [min_size = elephant_cutoff]); everything else raises
-    [Invalid_argument].  Streaming percentiles carry the sketch's
-    guaranteed rank error (under 1%) instead of being exact. *)
+val create : unit -> t
+(** An empty sink.  Every record is stored: the records are the input of
+    {!canonical_dump}, the digest every determinism gate compares. *)
 
-val is_streaming : t -> bool
 val record : t -> size:int -> start:Sim_time.t -> finish:Sim_time.t -> unit
 val count : t -> int
 
-val summary :
-  ?min_size:int -> ?max_size:int -> t -> Stats.Summary.t
-(** FCTs in seconds of flows with [min_size <= size < max_size]. *)
-
 val avg : ?min_size:int -> ?max_size:int -> t -> float
-(** Mean FCT in seconds; [nan] if no flows match. *)
+(** Mean FCT in seconds of flows with [min_size <= size < max_size];
+    [nan] if no flows match. *)
 
 val percentile : ?min_size:int -> ?max_size:int -> t -> float -> float
-val cdf : ?min_size:int -> ?max_size:int -> t -> Stats.Cdf.t
+(** FCT percentile in seconds over the same size filter. *)
 
 val merge : t -> t -> t
-(** O(|a| + |b|) array concatenation in exact mode (fold order matches
-    the historical list [a @ b]); sketch/sum merging in streaming mode.
-    Mixing modes raises [Invalid_argument]. *)
+(** O(|a| + |b|) array concatenation (fold order matches the historical
+    list [a @ b]). *)
 
 val filter_size : ?min_size:int -> ?max_size:int -> t -> t
 (** Records of flows with [min_size <= size < max_size] as a new [t] —
@@ -79,11 +65,3 @@ val mice_cutoff : int
 
 val elephant_cutoff : int
 (** 10 MB — the paper's ">10MB" bucket. *)
-
-val stream_sketch_nodes : t -> int
-(** Node count of the streaming all-flows sketch (memory bound witness);
-    raises [Invalid_argument] in exact mode. *)
-
-val stream_rank_error : t -> float
-(** Guaranteed rank-error fraction of streaming percentiles; raises
-    [Invalid_argument] in exact mode. *)

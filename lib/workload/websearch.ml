@@ -58,9 +58,9 @@ let arm ~sched_of_conn ~stats_of_conn ~remaining_of_conn ~rng ~conns cfg =
       ())
     conns
 
-let run ?(stream = false) ~sched ~rng ~conns cfg =
+let run ~sched ~rng ~conns cfg =
   let n = Array.length conns in
-  let stats = Fct_stats.create ~stream () in
+  let stats = Fct_stats.create () in
   let remaining = ref (n * cfg.jobs_per_conn) in
   arm
     ~sched_of_conn:(fun _ -> sched)

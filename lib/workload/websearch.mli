@@ -40,7 +40,6 @@ val arm :
     shard layout. *)
 
 val run :
-  ?stream:bool ->
   sched:Scheduler.t ->
   rng:Rng.t ->
   conns:submit array ->
@@ -49,8 +48,7 @@ val run :
 (** Generates all arrivals, then drives the scheduler until every job has
     completed (there must be no other unbounded event sources that block
     progress — periodic probes etc. are fine).  Returns the recorded
-    FCTs; [~stream:true] records into an O(1)-memory streaming sink
-    (see {!Fct_stats.create}) instead of storing every record. *)
+    FCTs. *)
 
 val arrival_rate_per_conn : config -> conns:int -> float
 (** Jobs per second per connection implied by the config (exposed for

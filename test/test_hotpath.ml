@@ -1,0 +1,64 @@
+(* Hot-path allocation budget.
+
+   The flagship websearch scenario (Clove-ECN, load 0.6, asymmetric,
+   failure recovery on so the maintain tick and idle flowlet eviction
+   run, seed 1, 20 jobs/conn) on the scheduler's only path: timer
+   wheel, tagged events, one dispatch per event.  Minor-heap words per
+   event are a property of the build, not the host, so the budget is
+   exact wherever the suite runs.  The case lives in its own executable
+   and never enables the invariant auditor, so no earlier case warms
+   the packet pool or adds audit bookkeeping to the measured run.
+   History: closure-per-event heap 21.1 words/event, wheel + tags 12.9,
+   packet arenas + flat records 6.4. *)
+
+open Experiments
+
+let minor_words_budget = 8.0
+
+let test_minor_words_per_event () =
+  let params =
+    {
+      Scenario.default_params with
+      Scenario.asymmetric = true;
+      failure_recovery = true;
+      seed = 1;
+    }
+  in
+  let scn = Scenario.build ~scheme:Scenario.S_clove_ecn params in
+  let servers = Scenario.servers scn in
+  let conns =
+    Array.mapi
+      (fun i client ->
+        Scenario.connect scn ~src:client ~dst:servers.(i mod Array.length servers))
+      (Scenario.clients scn)
+  in
+  let cfg =
+    {
+      Workload.Websearch.load = 0.6;
+      bisection_bps = Scenario.bisection_bps scn;
+      jobs_per_conn = 20;
+      size_dist = Scenario.size_dist scn;
+      start_at = Scenario.warmup scn;
+    }
+  in
+  let sched = Scenario.sched scn in
+  let minor0 = Gc.minor_words () in
+  let fct = Workload.Websearch.run ~sched ~rng:(Scenario.rng scn) ~conns cfg in
+  let minor_words = Gc.minor_words () -. minor0 in
+  Scenario.quiesce scn;
+  let events = Scheduler.events_fired sched in
+  Alcotest.(check bool) "flows completed" true (Workload.Fct_stats.count fct > 0);
+  let per_event = minor_words /. float_of_int events in
+  if per_event > minor_words_budget then
+    Alcotest.failf "%.2f minor words/event over %d events exceeds the %.1f budget"
+      per_event events minor_words_budget
+
+let () =
+  Alcotest.run "hotpath"
+    [
+      ( "hot-path",
+        [
+          Alcotest.test_case "minor words per event within budget" `Quick
+            test_minor_words_per_event;
+        ] );
+    ]
