@@ -1,9 +1,11 @@
-(* clove-check driver: load every .cmt under the build root once, build
-   the call graph once, run the race analysis (shared mutable state
-   reached from the domain-parallel entry points) and the allocation
-   analysis (allocation sites reached from the scheduler dispatch roots)
-   over it, apply the source suppressions, and compare the merged
-   findings against one committed baseline.
+(* clove-check driver: load every .cmt/.cmti under the build root once,
+   build the call graph of the in-scope units once, run the race
+   analysis (shared mutable state reached from the domain-parallel entry
+   points) and the allocation analysis (allocation sites reached from the
+   scheduler dispatch roots) over it, run the unused-export pass (in-scope
+   interface values that no other loaded unit uses), apply the source
+   suppressions, and compare the merged findings against one committed
+   baseline.
 
    Usage:
      clove_check [--cmt-root DIR]        build root ( default: _build/default
@@ -11,7 +13,8 @@
                  [--source-root DIR]     where the .cmt-recorded relative
                                          source paths resolve (default .)
                  [--scope PREFIX]*       source prefixes to analyze
-                                         (default: lib/)
+                                         (default: lib/); every loaded
+                                         unit counts as a consumer
                  [--baseline FILE]       committed baseline to diff against
                  [--write-baseline FILE] regenerate the baseline and exit
                  [-o FILE]               JSON report (default
@@ -83,7 +86,10 @@ let () =
   let scopes = match List.rev !scopes with [] -> [ "lib/" ] | s -> s in
   (* analyzer harness timing, not simulation time — lint: allow sema-wall-clock *)
   let t0 = Unix.gettimeofday () in
-  let units = Sema.Cmt_load.load ~root:cmt_root ~source_prefixes:scopes in
+  let all_units, intfs = Sema.Cmt_load.load ~root:cmt_root ~source_prefixes:[] in
+  let units =
+    List.filter (fun u -> Sema.Cmt_load.in_scope scopes u.Sema.Cmt_load.u_source) all_units
+  in
   if units = [] then begin
     Format.eprintf
       "clove-check: no .cmt files under '%s' for scope(s) %s — build with \
@@ -98,7 +104,8 @@ let () =
   let findings =
     Analysis.Findings.suppress ~source_root:!source_root
       ~files:l.Sema.Race_extract.l_files
-      (race.Sema.Race_report.r_findings @ alloc.Sema.Alloc_report.a_findings)
+      (race.Sema.Race_report.r_findings @ alloc.Sema.Alloc_report.a_findings
+      @ Sema.Dead_export.findings ~scope:scopes all_units intfs)
   in
   (* analyzer harness timing, not simulation time — lint: allow sema-wall-clock *)
   let wall_s = Unix.gettimeofday () -. t0 in
@@ -133,7 +140,8 @@ let () =
   let summary =
     Analysis.Json_out.
       [
-        ("units", Int (List.length units));
+        ("units", Int (List.length all_units));
+        ("interfaces", Int (List.length intfs));
         ("nodes", Int (List.length l.Sema.Race_extract.l_nodes));
         ("call_edges", Int edges);
         ("race", Sema.Race_report.summary_json race);
@@ -162,7 +170,7 @@ let () =
       (Analysis.Findings.sarif ~tool:"clove-check"
          ~rules:
            (Sema.Race_report.rules @ Sema.Alloc_report.rules
-           @ [ Analysis.Findings.allow_empty_rule ])
+           @ [ Sema.Dead_export.rule; Analysis.Findings.allow_empty_rule ])
          ~new_keys findings)
   | None -> ());
   (match !bench_path with
@@ -186,10 +194,10 @@ let () =
       List.iter (fun w -> Format.eprintf "    %s@." w) f.witness)
     fresh;
   Format.printf
-    "clove-check: %d unit(s), %d node(s), %d call edge(s); %d parallel \
-     root(s), %d dispatch root(s), %d hot node(s); %d finding(s) (%d \
-     suppressed, %d new); report: %s@."
-    (List.length units)
+    "clove-check: %d unit(s) (%d in scope), %d interface(s), %d node(s), %d \
+     call edge(s); %d parallel root(s), %d dispatch root(s), %d hot \
+     node(s); %d finding(s) (%d suppressed, %d new); report: %s@."
+    (List.length all_units) (List.length units) (List.length intfs)
     (List.length l.Sema.Race_extract.l_nodes)
     edges
     (List.length race.Sema.Race_report.r_roots)

@@ -1,7 +1,7 @@
 (* clove-sema driver: parse every [.ml] under the given roots (default:
    lib bin examples), run the AST-level determinism and unit-safety
-   passes, and write the cross-module JSON report.  Exits 1 if any
-   finding survives its suppression check.
+   passes, and write the JSON report.  Exits 1 if any finding survives
+   its suppression check.
 
    Usage: clove_sema [-o report.json] [--cmt-root DIR] [root ...]
 
@@ -10,9 +10,8 @@
    recognizable false positives — benign Atomic.get reads in parallel
    modules — are dropped without needing suppression markers.
 
-   The [test] tree is not scanned for findings (tests may legitimately
-   exercise forbidden constructs as fixtures) but its sources do count as
-   consumers in the unused-export report. *)
+   Unused exports are reported by clove-check's typed dead-export pass,
+   not here. *)
 
 let read_file path =
   let ic = open_in_bin path in
@@ -72,34 +71,23 @@ let () =
   let files = List.fold_left (fun acc root -> walk root acc) [] roots in
   let files = List.sort String.compare files in
   let ml_files = List.filter (has_extension ".ml") files in
-  let mli_files = List.filter (has_extension ".mli") files in
-  let ml_sources = List.map (fun f -> (f, read_file f)) ml_files in
-  let mli_sources = List.map (fun f -> (f, read_file f)) mli_files in
   let findings =
-    List.concat_map (fun (file, src) -> Sema.Rules.analyze_source ~file src) ml_sources
+    List.concat_map
+      (fun file -> Sema.Rules.analyze_source ~file (read_file file))
+      ml_files
   in
   let findings, dropped =
     match !cmt_root with
     | None -> (findings, [])
     | Some dir ->
-      let units =
+      let units, _ =
         Sema.Cmt_load.load ~root:dir
           ~source_prefixes:(List.map (fun r -> r ^ "/") roots)
       in
       Sema.Typed_refine.refine (Sema.Typed_refine.of_units units) findings
   in
-  (* tests consume exports without being subject to the passes *)
-  let usage_sources =
-    if Sys.file_exists "test" && Sys.is_directory "test" then
-      let test_ml = List.filter (has_extension ".ml") (walk "test" []) in
-      ml_sources @ List.map (fun f -> (f, read_file f)) test_ml
-    else ml_sources
-  in
-  let graph = Sema.Rules.module_graph ml_sources in
-  let unused = Sema.Rules.unused_exports ~ml_sources:usage_sources ~mli_sources in
   Analysis.Json_out.to_file !report_path
-    (Sema.Rules.report_json ~findings ~graph ~unused
-       ~files_analyzed:(List.length ml_files));
+    (Sema.Rules.report_json ~findings ~files_analyzed:(List.length ml_files));
   List.iter (fun f -> Format.eprintf "%a@." Analysis.Lint.pp_finding f) findings;
   if findings <> [] then begin
     Format.eprintf "clove-sema: %d finding(s) in %d file(s); report: %s@."
@@ -108,7 +96,6 @@ let () =
   end
   else
     Format.printf
-      "clove-sema: OK (%d .ml files, %d unused-export candidates, %d typed \
-       refinement(s), report: %s)@."
-      (List.length ml_files) (List.length unused) (List.length dropped)
+      "clove-sema: OK (%d .ml files, %d typed refinement(s), report: %s)@."
+      (List.length ml_files) (List.length dropped)
       !report_path

@@ -13,6 +13,28 @@
 open Cmdliner
 open Experiments
 
+(* a bad option value exits 2 before anything runs, like an unknown
+   experiment id *)
+let reject fmt =
+  Format.kasprintf
+    (fun msg ->
+      Format.eprintf "clove-sim: %s@." msg;
+      exit 2)
+    fmt
+
+let at_least_1 flag n = if n < 1 then reject "%s must be >= 1 (got %d)" flag n
+
+let check_load load =
+  match Workload.Websearch.check_load load with
+  | Ok () -> ()
+  | Error e -> reject "--load: %s" e
+
+(* the options every workload run shares *)
+let check_workload ~load ~jobs ~hosts =
+  check_load load;
+  at_least_1 "--jobs" jobs;
+  at_least_1 "--hosts" hosts
+
 let scheme_conv =
   let parse s =
     match Scenario.scheme_of_string s with
@@ -51,13 +73,15 @@ let hosts_arg =
 
 let domains_arg =
   let doc =
-    "Number of domains for parallel sweeps (default: CLOVE_DOMAINS, else \
-     cores - 1).  Figure output is bit-identical for any value."
+    "Number of domains for parallel sweeps (default: cores - 1).  Figure \
+     output is bit-identical for any value."
   in
   Arg.(value & opt (some int) None & info [ "domains" ] ~doc ~docv:"N")
 
 let apply_domains = function
-  | Some n -> Domain_pool.set_default_domains n
+  | Some n ->
+    at_least_1 "--domains" n;
+    Domain_pool.set_default_domains n
   | None -> ()
 
 let shards_arg =
@@ -69,10 +93,7 @@ let shards_arg =
   Arg.(value & opt int 1 & info [ "shards" ] ~doc ~docv:"N")
 
 let apply_shards n =
-  if n < 1 then begin
-    Format.eprintf "clove-sim: --shards must be >= 1@.";
-    exit 2
-  end;
+  at_least_1 "--shards" n;
   Scenario.default_shards := n
 
 let quick_arg =
@@ -88,6 +109,7 @@ let full_arg =
 
 let run_cmd =
   let run scheme load jobs seed asym hosts shards =
+    check_workload ~load ~jobs ~hosts;
     apply_shards shards;
     let params =
       {
@@ -171,6 +193,7 @@ let exp_cmd =
 
 let determinism_cmd =
   let run scheme load jobs seed asym hosts recovery probe_ms =
+    check_workload ~load ~jobs ~hosts;
     let params =
       {
         Scenario.default_params with
@@ -227,6 +250,7 @@ let determinism_cmd =
 let chaos_cmd =
   let run faults preset schemes load jobs seed hosts pods cores core_rate
       domains shards audit no_recovery assert_recovery =
+    check_workload ~load ~jobs ~hosts;
     apply_domains domains;
     apply_shards shards;
     if audit then Analysis.Audit.set_enabled true;

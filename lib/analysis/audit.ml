@@ -2,13 +2,8 @@
 
 type violation = { invariant : string; detail : string }
 
-exception Violation of string
-
 let on = ref false
-let strict = ref false
 let set_enabled v = on := v
-let enabled () = !on
-let set_strict v = strict := v
 
 (* keep the first [max_kept] violations verbatim; count all of them *)
 let max_kept = 100
@@ -17,10 +12,8 @@ let n_viols = ref 0
 
 let record_violation ~invariant ~detail =
   incr n_viols;
-  if !n_viols <= max_kept then viols := { invariant; detail } :: !viols;
-  if !strict then raise (Violation (invariant ^ ": " ^ detail))
+  if !n_viols <= max_kept then viols := { invariant; detail } :: !viols
 
-let violations () = !viols
 let violation_count () = !n_viols
 let ok () = !n_viols = 0
 
@@ -44,10 +37,6 @@ let note_dropped ~reason =
 
 let injected () = !n_injected
 let delivered () = !n_delivered
-let dropped () = !n_dropped
-
-let dropped_by ~reason =
-  match Hashtbl.find_opt drops reason with Some r -> !r | None -> 0
 
 let drop_reasons () =
   Hashtbl.fold (fun reason r acc -> (reason, !r) :: acc) drops []

@@ -15,42 +15,27 @@
     - determinism: the same seeded scenario run twice produces the same
       observable digest.
 
-    Violations are recorded (and optionally raised); [violations] and
-    [report] expose them to tests and CLIs.
+    Violations are recorded; [violation_count], [ok] and [report] expose
+    them to tests and CLIs.
 
     The auditor keeps global state: it audits one scenario at a time.
-    Call [begin_run] when a fresh simulation starts, or [reset] to also
-    clear recorded violations. *)
+    Call [reset] before a fresh audited run. *)
 
 type violation = { invariant : string; detail : string }
-
-exception Violation of string
-(** Raised by hook points on violation when [set_strict true] is set. *)
 
 val on : bool ref
 (** Master switch, read by every hook point.  Prefer [set_enabled] for
     writing; hooks in hot paths guard with [if !Audit.on then ...]. *)
 
 val set_enabled : bool -> unit
-val enabled : unit -> bool
-
-val set_strict : bool -> unit
-(** When strict, a violation raises {!Violation} at the offending hook
-    point instead of only being recorded. *)
-
-val begin_run : unit -> unit
-(** Clear per-run state (counters, clock watermarks, FIFO streams) but
-    keep recorded violations and the enabled flag.  Call before each
-    audited simulation run. *)
 
 val reset : unit -> unit
-(** [begin_run] plus clearing all recorded violations. *)
+(** Clear per-run state (counters, clock watermarks, FIFO streams) and
+    all recorded violations. *)
 
 (** {2 Violations} *)
 
 val record_violation : invariant:string -> detail:string -> unit
-val violations : unit -> violation list
-(** Most recent first; capped at an internal limit (the count is not). *)
 
 val violation_count : unit -> int
 val ok : unit -> bool
@@ -69,9 +54,6 @@ val note_dropped : reason:string -> unit
 
 val injected : unit -> int
 val delivered : unit -> int
-val dropped : unit -> int
-val dropped_by : reason:string -> int
-val drop_reasons : unit -> (string * int) list
 
 val check_packet_conservation : in_flight:int -> unit
 (** At simulation end: records a violation unless
@@ -104,7 +86,8 @@ val check_weight_sum : label:string -> float array -> unit
 (** {2 Determinism} *)
 
 val check_determinism : label:string -> run:(unit -> string) -> bool
-(** Runs [run] twice, with [begin_run] before each, and compares the
+(** Runs [run] twice, clearing the per-run state (but not the recorded
+    violations) before each, and compares the
     returned digests; records a violation and returns [false] on
     mismatch.  Runs regardless of the enabled flag (it is an explicit
     check, not a hook). *)

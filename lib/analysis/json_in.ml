@@ -188,4 +188,3 @@ let member key = function
 
 let to_list = function Json_out.List xs -> Some xs | _ -> None
 let to_string_opt = function Json_out.String s -> Some s | _ -> None
-let to_int_opt = function Json_out.Int n -> Some n | _ -> None

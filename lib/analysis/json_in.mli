@@ -2,7 +2,6 @@
     itself with {!Json_out} (committed analyzer baselines).  Strict:
     no comments, no trailing commas. *)
 
-val of_string : string -> (Json_out.t, string) result
 val of_file : string -> (Json_out.t, string) result
 
 val member : string -> Json_out.t -> Json_out.t option
@@ -10,4 +9,3 @@ val member : string -> Json_out.t -> Json_out.t option
 
 val to_list : Json_out.t -> Json_out.t list option
 val to_string_opt : Json_out.t -> string option
-val to_int_opt : Json_out.t -> int option

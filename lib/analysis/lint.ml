@@ -1,26 +1,5 @@
 type finding = { file : string; line : int; rule : string; message : string }
 
-let rules =
-  [
-    ("obj-magic", "Obj.magic outside the explicit allowlist is GC-unsafe");
-    ( "poly-compare",
-      "polymorphic compare; use a typed compare (Int.compare, \
-       Float.compare, Sim_time.compare, ...)" );
-    ( "bare-ignore",
-      "ignore (...) discards a result; bind it as let (_ : ty) = ... or \
-       annotate the intent" );
-    ( "hashtbl-find",
-      "Hashtbl.find raises Not_found; prefer find_opt or annotate the \
-       key-present invariant" );
-    ( "float-eq",
-      "exact float =/<> in a conditional; compare against a tolerance or \
-       restructure" );
-    ("missing-mli", "public library module without an .mli interface");
-    Findings.allow_empty_rule;
-  ]
-
-let obj_magic_allowlist : string list = []
-
 (* ------------------- comment / string masking --------------------- *)
 
 let mask_comments_and_strings src =
@@ -136,12 +115,10 @@ let ends_with_keyword line upto kw =
 
 (* each rule: file basename -> masked line -> (message) list *)
 
-let rule_obj_magic ~base line =
-  if List.mem base obj_magic_allowlist then []
-  else
-    List.map
-      (fun _ -> "Obj.magic sentinel; use an option slot or a real dummy value")
-      (occurrences "Obj.magic" line)
+let rule_obj_magic line =
+  List.map
+    (fun _ -> "Obj.magic sentinel; use an option slot or a real dummy value")
+    (occurrences "Obj.magic" line)
 
 let rule_poly_compare line =
   let flag_bare p =
@@ -271,7 +248,6 @@ let suppress ~file src findings =
       (Findings.allow_empty markers)
 
 let check_source ~file src =
-  let base = Filename.basename file in
   let masked_lines = Array.of_list (split_lines (mask_comments_and_strings src)) in
   let findings = ref [] in
   Array.iteri
@@ -282,7 +258,7 @@ let check_source ~file src =
           (fun message -> findings := { file; line; rule; message } :: !findings)
           msgs
       in
-      emit "obj-magic" (rule_obj_magic ~base masked);
+      emit "obj-magic" (rule_obj_magic masked);
       emit "poly-compare" (rule_poly_compare masked);
       emit "bare-ignore" (rule_bare_ignore masked);
       emit "hashtbl-find" (rule_hashtbl_find masked);

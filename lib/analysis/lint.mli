@@ -20,18 +20,6 @@
 
 type finding = { file : string; line : int; rule : string; message : string }
 
-val rules : (string * string) list
-(** [(rule_id, description)] for every implemented rule. *)
-
-val obj_magic_allowlist : string list
-(** Basenames of files where [Obj.magic] is tolerated without a per-line
-    annotation.  Empty: the simulator no longer needs unsafe sentinels. *)
-
-val mask_comments_and_strings : string -> string
-(** Replace comment bodies, string-literal contents and character
-    literals with spaces (newlines preserved), so rules never fire on
-    prose or quoted text. *)
-
 val suppress : file:string -> string -> finding list -> finding list
 (** Drop the findings that a justified marker in the source suppresses,
     and add one [allow-empty] finding per unjustified marker (the

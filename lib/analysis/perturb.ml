@@ -3,7 +3,6 @@ type tiebreak = Fifo | Lifo
 let tiebreak = ref Fifo
 let tbl_size_salt = ref 0
 
-let set_tiebreak tb = tiebreak := tb
 let set_tbl_size_salt s = tbl_size_salt := max 0 s
 
 let reset () =

@@ -23,12 +23,6 @@ val tiebreak : tiebreak ref
 (** Read by [Engine.Event_queue] on every comparison.  Do not write
     directly while a queue is non-empty; use {!with_settings}. *)
 
-val tbl_size_salt : int ref
-(** Read by [Engine.Det.create]: 0 means requested sizes are used
-    verbatim; any other value perturbs every initial bucket count (and
-    therefore [Hashtbl] iteration order) deterministically. *)
-
-val set_tiebreak : tiebreak -> unit
 val set_tbl_size_salt : int -> unit
 
 val reset : unit -> unit

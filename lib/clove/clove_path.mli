@@ -11,7 +11,6 @@ val signature : t -> int
     across topology-change rediscovery. *)
 
 val equal : t -> t -> bool
-val shared_hops : t -> t -> int
 val pp : Format.formatter -> t -> unit
 
 val select_disjoint : k:int -> (int * t) list -> (int * t) list

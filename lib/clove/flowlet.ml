@@ -43,7 +43,6 @@ let flowlets_started t = t.started
 let flows_tracked t = Int_table.length t.table
 let peak_flows_tracked t = t.peak
 let set_gap t gap = t.gap <- gap
-let gap t = t.gap
 
 let expire_older_than t age =
   let now = Scheduler.now t.sched in

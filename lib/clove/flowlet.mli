@@ -33,6 +33,5 @@ val peak_flows_tracked : 'd t -> int
     concurrency rather than whatever survived the last housekeeping. *)
 
 val set_gap : 'd t -> Sim_time.span -> unit
-val gap : 'd t -> Sim_time.span
 val expire_older_than : 'd t -> Sim_time.span -> unit
 (** Drop entries idle for longer than the given age (housekeeping). *)

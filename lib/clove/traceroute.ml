@@ -21,9 +21,6 @@ type t = {
   tx : Packet.t -> unit;
   on_paths : dst:Addr.t -> (int * Clove_path.t) list -> unit;
   dsts : (int, dst_state) Hashtbl.t;
-  mutable probes_sent : int;
-  mutable cycles : int;
-  mutable evictions : int;
   mutable stopped : bool;
 }
 
@@ -44,15 +41,9 @@ let create ~sched ~cfg ~rng ~host_addr ~tx ~on_paths =
     tx;
     on_paths;
     dsts = Det.create 16;
-    probes_sent = 0;
-    cycles = 0;
-    evictions = 0;
     stopped = false;
   }
 
-let probes_sent t = t.probes_sent
-let cycles_completed t = t.cycles
-let evictions t = t.evictions
 let stop t = t.stopped <- true
 let random_port (st : dst_state) = 49152 + Rng.int st.rng 16384
 
@@ -80,7 +71,6 @@ let send_probe t st ~key ~port ~ttl =
         feedback = None;
         cell = None;
       };
-  t.probes_sent <- t.probes_sent + 1;
   t.tx pkt
 
 let finalize_cycle t st =
@@ -105,7 +95,6 @@ let finalize_cycle t st =
       st.port_states []
   in
   let picked = Clove_path.select_disjoint ~k:t.cfg.Clove_config.k_paths (List.rev candidates) in
-  t.cycles <- t.cycles + 1;
   if picked <> [] then begin
     st.empty_cycles <- 0;
     st.installed_ports <- List.map fst picked;
@@ -124,7 +113,6 @@ let finalize_cycle t st =
       && st.empty_cycles >= t.cfg.Clove_config.evict_after_cycles
     then begin
       st.installed_ports <- [];
-      t.evictions <- t.evictions + 1;
       t.on_paths ~dst:st.dst []
     end
   end

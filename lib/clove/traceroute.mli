@@ -34,14 +34,4 @@ val answer_probe : host_addr:Addr.t -> remaining_ttl:int -> Packet.probe_info ->
 (** Build the destination-reached reply for a probe that arrived at this
     hypervisor. *)
 
-val probes_sent : t -> int
-val cycles_completed : t -> int
-
-val evictions : t -> int
-(** Times a destination's whole install was cleared because
-    [cfg.evict_after_cycles] consecutive cycles yielded zero usable
-    paths (probes stopped reaching the destination).  The daemon keeps
-    probing fresh random ports afterwards, so paths are rediscovered as
-    soon as reachability returns. *)
-
 val stop : t -> unit

@@ -626,19 +626,12 @@ let set_fault_profile t ~feedback_loss ~probe_loss =
   t.fb_loss <- feedback_loss;
   t.probe_loss <- probe_loss
 
-let clear_fault_profile t =
-  t.fb_loss <- 0.0;
-  t.probe_loss <- 0.0
-
 let set_presto_weight_fn t f = t.presto_weight_fn <- f
 
 let path_table t dst =
   let key = Addr.to_int dst in
   let tbl = Int_table.find_default t.tables key t.no_table in
   if tbl != t.no_table && Path_table.ready tbl then Some tbl else None
-
-let scheme t = t.scheme
-let host t = t.host
 
 let stats t =
   {
@@ -654,7 +647,6 @@ let stats t =
     probes_dropped = t.s_probes_dropped;
   }
 
-let flowlet_table_gap t = Flowlet.gap t.flowlets
 let peak_flows_tracked t = Flowlet.peak_flows_tracked t.flowlets
 
 let stop t =

@@ -84,13 +84,8 @@ val set_fault_profile : t -> feedback_loss:float -> probe_loss:float -> unit
     probability is non-zero, so fault-free runs are byte-identical to runs
     without this subsystem. *)
 
-val clear_fault_profile : t -> unit
-
 val path_table : t -> Addr.t -> Path_table.t option
-val scheme : t -> scheme
-val host : t -> Host.t
 val stats : t -> stats
-val flowlet_table_gap : t -> Sim_time.span
 
 val peak_flows_tracked : t -> int
 (** High-water mark over the run of the flows resident in the flowlet

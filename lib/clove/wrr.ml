@@ -23,7 +23,6 @@ let pick t =
 let set_weight t i w = t.weights.(i) <- Float.max 0.0 w
 let weight t i = t.weights.(i)
 let weights t = Array.copy t.weights
-let size t = Array.length t.weights
 
 let normalize t =
   let total = Array.fold_left ( +. ) 0.0 t.weights in

@@ -23,6 +23,5 @@ val weight : t -> int -> float
 val weights : t -> float array
 (** A copy of the current weights. *)
 
-val size : t -> int
 val normalize : t -> unit
 (** Scale weights to sum to 1 (no effect on pick proportions). *)

@@ -2,9 +2,6 @@ let create n = Hashtbl.create (Analysis.Perturb.perturbed_size n)
 
 (* [cmp] is the caller's typed key compare (the [~compare] label), not
    the polymorphic one clove-lint bans. *)
-let sorted_keys ~compare:cmp tbl =
-  Hashtbl.fold (fun k _ acc -> k :: acc) tbl [] |> List.sort cmp
-
 let sorted_bindings ~compare:cmp tbl =
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
   |> List.sort (fun (a, _) (b, _) -> cmp a b)

@@ -17,13 +17,8 @@
     pairs or strings; polymorphic compare is linted against). *)
 
 val create : int -> ('k, 'v) Hashtbl.t
-(** [Hashtbl.create] with the initial size perturbed per
-    [Analysis.Perturb.tbl_size_salt] (identity when the salt is 0). *)
-
-val sorted_keys : compare:('k -> 'k -> int) -> ('k, 'v) Hashtbl.t -> 'k list
-
-val sorted_bindings :
-  compare:('k -> 'k -> int) -> ('k, 'v) Hashtbl.t -> ('k * 'v) list
+(** [Hashtbl.create] with the initial size perturbed by the salt of
+    [Analysis.Perturb.set_tbl_size_salt] (identity when the salt is 0). *)
 
 val iter_sorted :
   compare:('k -> 'k -> int) -> ('k -> 'v -> unit) -> ('k, 'v) Hashtbl.t -> unit

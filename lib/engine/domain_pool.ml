@@ -36,22 +36,10 @@ type t = {
 
 let override = ref None
 
-let env_domains () =
-  match Sys.getenv_opt "CLOVE_DOMAINS" with
-  | None -> None
-  | Some s -> (
-    match int_of_string_opt (String.trim s) with
-    (* lint: allow alloc-option — pool-width lookup runs once at pool construction *)
-    | Some n when n >= 1 -> Some n
-    | Some _ | None -> None)
-
 let default_domains () =
   match !override with
   | Some n -> n
-  | None -> (
-    match env_domains () with
-    | Some n -> n
-    | None -> max 1 (Domain.recommended_domain_count () - 1))
+  | None -> max 1 (Domain.recommended_domain_count () - 1)
 
 let set_default_domains n = override := Some (max 1 n)
 
@@ -113,8 +101,6 @@ let create ?domains () =
   (* lint: allow alloc-array, alloc-closure — worker spawn happens once per pool, not per task *)
   t.workers <- Array.init (n - 1) (fun _ -> Domain.spawn (fun () -> worker t));
   t
-
-let size t = Array.length t.workers + 1
 
 let shutdown t =
   Mutex.lock t.m;

@@ -17,17 +17,13 @@ type t
 val set_default_domains : int -> unit
 (** Override the pool width used when [?domains] is omitted, for the
     process (the [--domains] CLI flag); clamped to at least 1.  Without
-    an override the width is the [CLOVE_DOMAINS] environment variable if
-    set to a positive integer, else [Domain.recommended_domain_count () -
-    1] (at least 1).  1 means fully serial — no domains are spawned. *)
+    an override the width is [Domain.recommended_domain_count () - 1]
+    (at least 1).  1 means fully serial — no domains are spawned. *)
 
 val create : ?domains:int -> unit -> t
 (** Spawn a pool of [domains - 1] workers (the submitting domain itself
     is the remaining member).  [domains] defaults to the default width
     (see {!set_default_domains}). *)
-
-val size : t -> int
-(** Total parallelism degree, workers + the submitting domain. *)
 
 val map : t -> ('a -> 'b) -> 'a array -> 'b array
 (** [map t f xs] runs [f xs.(i)] for every [i] across the pool and

@@ -18,9 +18,6 @@ let create ?(capacity = 16) ~dummy () =
   let capacity = max capacity 1 in
   { buf = Array.make capacity dummy; dummy; head = 0; len = 0 }
 
-let length t = t.len
-let is_empty t = t.len = 0
-
 let grow t =
   let cap = Array.length t.buf in
   let buf = Array.make (2 * cap) t.dummy in
@@ -42,15 +39,3 @@ let pop t =
   t.head <- (t.head + 1) mod Array.length t.buf;
   t.len <- t.len - 1;
   v
-
-let peek t =
-  if t.len = 0 then invalid_arg "Ring.peek: empty";
-  t.buf.(t.head)
-
-let clear t =
-  let cap = Array.length t.buf in
-  for i = 0 to t.len - 1 do
-    t.buf.((t.head + i) mod cap) <- t.dummy
-  done;
-  t.head <- 0;
-  t.len <- 0

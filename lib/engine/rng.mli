@@ -18,7 +18,6 @@ val split_named : t -> string -> t
     advancing [t]: components get stable streams regardless of the order in
     which they are created. *)
 
-val bits64 : t -> int64
 val int : t -> int -> int
 (** [int t bound] is uniform in \[0, bound); [bound] must be positive. *)
 

@@ -329,12 +329,9 @@ let rec run_until t ~until_ns =
 (* ---- accounting ---- *)
 
 let pending_events t = Event_queue.size t.queue + Timer_wheel.size t.wheel
-let live_events t = pending_events t - t.dead
 let dead_events t = t.dead
 let events_fired t = t.fired
 let wheel_scheduled t = t.wheel_scheduled
 let heap_scheduled t = t.heap_scheduled
-let wheel_occupancy t = Timer_wheel.size t.wheel
-let heap_occupancy t = Event_queue.size t.queue
 let compactions t = t.compactions
 let batched_events (_ : t) = 0

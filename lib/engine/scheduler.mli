@@ -109,7 +109,6 @@ val pending_events : t -> int
 (** Queued handles in wheel + heap, including cancelled ones awaiting
     purge. *)
 
-val live_events : t -> int
 val dead_events : t -> int
 
 val events_fired : t -> int
@@ -123,9 +122,6 @@ val wheel_scheduled : t -> int
 
 val heap_scheduled : t -> int
 (** Events that went straight to the overflow heap. *)
-
-val wheel_occupancy : t -> int
-val heap_occupancy : t -> int
 
 val compactions : t -> int
 (** Dead-handle sweeps performed. *)

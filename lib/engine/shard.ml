@@ -75,17 +75,10 @@ let create ~scheds ~global ~window_ns ~exchange () =
   t.run_to_barrier <- run_to_barrier_task t;
   t
 
-let width t = Array.length t.scheds
 let window_ns t = t.window_ns
 let windows t = t.windows
 let stalls t = t.stalls
 let boundary_events t = t.boundary_events
-
-let events_fired t =
-  Array.fold_left
-    (fun acc s -> acc + Scheduler.events_fired s)
-    (Scheduler.events_fired t.global)
-    t.scheds
 
 (* the auditor's tables are global and unsynchronized, so audited runs
    keep every window on the calling domain (same loop, same results) *)

@@ -35,7 +35,6 @@ val drive : t -> finished:(unit -> bool) -> unit
     Under the runtime invariant auditor (global tables), windows run
     serially on the calling domain; results are identical. *)
 
-val width : t -> int
 val window_ns : t -> int
 
 val windows : t -> int
@@ -47,9 +46,6 @@ val stalls : t -> int
 
 val boundary_events : t -> int
 (** Total boundary deliveries exchanged at barriers so far. *)
-
-val events_fired : t -> int
-(** Sum of {!Scheduler.events_fired} over shard + global schedulers. *)
 
 val shutdown : t -> unit
 (** Join the worker domains (idempotent; a pool is only spawned once

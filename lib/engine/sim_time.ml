@@ -14,11 +14,7 @@ let span_of_sec = sec
 let span_to_sec s = float_of_int s /. 1e9
 let add t s = t + s
 let diff a b = if a < b then invalid_arg "Sim_time.diff: negative" else a - b
-let ( + ) = add
-let ( - ) = diff
-let compare = Int.compare
 let ( < ) (a : int) b = Stdlib.( < ) a b
-let ( <= ) (a : int) b = Stdlib.( <= ) a b
 let ( > ) (a : int) b = Stdlib.( > ) a b
 let ( >= ) (a : int) b = Stdlib.( >= ) a b
 let min = Stdlib.min
@@ -39,8 +35,6 @@ let pp fmt t =
   if Stdlib.( >= ) t 1_000_000 then Format.fprintf fmt "%.3fms" (float_of_int t /. 1e6)
   else if Stdlib.( >= ) t 1_000 then Format.fprintf fmt "%.3fus" (float_of_int t /. 1e3)
   else Format.fprintf fmt "%dns" t
-
-let pp_span = pp
 
 let tx_time ~bytes_len ~rate_bps =
   if Stdlib.( <= ) rate_bps 0.0 then invalid_arg "Sim_time.tx_time: rate must be positive"

@@ -34,12 +34,7 @@ val add : t -> span -> t
 val diff : t -> t -> span
 (** [diff a b] is [a - b]; raises [Invalid_argument] if [a < b]. *)
 
-val ( + ) : t -> span -> t
-val ( - ) : t -> t -> span
-
-val compare : t -> t -> int
 val ( < ) : t -> t -> bool
-val ( <= ) : t -> t -> bool
 val ( > ) : t -> t -> bool
 val ( >= ) : t -> t -> bool
 val min : t -> t -> t
@@ -63,7 +58,6 @@ val to_sec : t -> float
 (** Seconds since the epoch, for reporting. *)
 
 val pp : Format.formatter -> t -> unit
-val pp_span : Format.formatter -> span -> unit
 
 (** Transmission-time helper: time to serialize [bytes] at [rate_bps]. *)
 val tx_time : bytes_len:int -> rate_bps:float -> span

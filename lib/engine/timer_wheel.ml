@@ -95,13 +95,10 @@ let[@inline] occ_clear t idx =
 
 let size t = t.count
 let is_empty t = t.count = 0
-let frontier_ns t = t.frontier
 let min_bound_ns t = if t.count = 0 then max_int else t.lb
 
 (* ns span of one level-k slot, as a shift *)
 let[@inline] shift t k = t.g_bits + (k * t.bits)
-
-let horizon_ns t = (1 lsl t.bits) lsl shift t (t.levels - 1)
 
 let slot_push t idx ~time_ns ~born_ns ~src ~seq v =
   let s = t.slots.(idx) in
@@ -336,13 +333,3 @@ let compact t =
   done;
   if t.count = 0 then t.lb <- max_int;
   !dropped
-
-let clear t =
-  Array.iteri
-    (fun idx s ->
-      Array.fill t.vals.(idx) 0 s.s_len t.dummy;
-      s.s_len <- 0)
-    t.slots;
-  Array.fill t.occ 0 (Array.length t.occ) 0;
-  t.count <- 0;
-  t.lb <- max_int

@@ -47,17 +47,9 @@ val min_bound_ns : 'a t -> int
     empty).  If [min_bound_ns t > heap_min] the heap top is the global
     minimum and the wheel need not be advanced. *)
 
-val frontier_ns : 'a t -> int
-(** All staged entries are at or after this time. *)
-
-val horizon_ns : 'a t -> int
-(** Width of the wheel's reach past the frontier. *)
-
 val size : 'a t -> int
 val is_empty : 'a t -> bool
 
 val compact : 'a t -> int
 (** Purge dead entries from every slot in place; returns count purged.
     Safe at any point: live entries keep their (time, seq). *)
-
-val clear : 'a t -> unit

@@ -138,7 +138,6 @@ let fabric t = t.fabric
 let leaf_spine t = t.ls
 let clients t = t.clients
 let servers t = t.servers
-let scheme t = t.scheme
 let params t = t.params
 let rng t = t.rng
 let size_dist t = t.dist

@@ -128,7 +128,6 @@ val build_topology : params -> Topology.leaf_spine * Topology.clos3 option
 
 val clients : t -> Host.t array
 val servers : t -> Host.t array
-val scheme : t -> scheme
 val params : t -> params
 val rng : t -> Rng.t
 val vswitch : t -> Host.t -> Clove.Vswitch.t

@@ -39,10 +39,6 @@ val install :
     that keeps an idle narrow path from always beating a busy wide
     one), 50 ms gray-port loss hold-down. *)
 
-val reweight : t -> unit
-(** Recompute downstream-capacity weights from the live topology.
-    Called automatically from the fabric's reconvergence hook. *)
-
 val flowlets_started : t -> int
 
 val decisions : t -> int

@@ -45,8 +45,3 @@ let install ?(flowlet_gap = Sim_time.us 500) ~rng fabric =
       Switch.set_picker sw (picker t))
     (Fabric.switches fabric);
   t
-
-let flowlets_started t =
-  Hashtbl.fold
-    (fun _ table acc -> acc + Clove.Flowlet.flowlets_started table)
-    t.tables 0

@@ -15,5 +15,3 @@ val install : ?flowlet_gap:Sim_time.span -> rng:Rng.t -> Fabric.t -> t
     id, so installation order never shifts another switch's picks.
     Default gap: 500 us, as in the LetFlow paper's switch
     implementation. *)
-
-val flowlets_started : t -> int

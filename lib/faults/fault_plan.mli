@@ -73,13 +73,9 @@ val parse : ?names:names -> string -> (t, string) result
 val span_of_string : string -> (Sim_time.span, string) result
 (** ["60ms"], ["10us"], ["2s"], ["500ns"], or bare seconds. *)
 
-val span_to_string : Sim_time.span -> string
-
 val to_string : t -> string
 (** Round-trips through {!parse} (modulo whitespace and item order of
     simultaneous events). *)
-
-val event_to_string : event -> string
 
 val disruption_window : t -> (Sim_time.span * Sim_time.span option) option
 (** [(first fault start, last known restoration)] — the restoration is

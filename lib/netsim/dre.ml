@@ -48,5 +48,3 @@ let utilization t =
   decay t;
   (* lint: allow alloc-boxed-float — unboxed float-array read, as in decay *)
   t.x.(0) /. t.capacity_bytes_per_tau
-
-let tau t = Sim_time.span_of_ns (int_of_float (t.tick_ns /. t.alpha))

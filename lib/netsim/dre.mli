@@ -21,5 +21,3 @@ val observe : t -> bytes_len:int -> unit
 
 val utilization : t -> float
 (** Current utilization estimate in [0, ~1.2]; decays to 0 when idle. *)
-
-val tau : t -> Sim_time.span

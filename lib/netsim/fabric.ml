@@ -18,7 +18,6 @@ let default_config =
   }
 
 type t = {
-  sched : Scheduler.t;
   topo : Topology.t;
   entities : entity array;  (* indexed by node id *)
   hosts : Host.t array;
@@ -28,7 +27,6 @@ type t = {
   mutable reconverge_hook : (unit -> unit) option;
 }
 
-let sched t = t.sched
 let topology t = t.topo
 let hosts t = t.hosts
 
@@ -38,9 +36,6 @@ let host_by_addr t addr =
   | E_switch _ -> invalid_arg "Fabric.host_by_addr: not a host"
 
 let switches t = t.switches
-
-let switch_by_node t id =
-  match t.entities.(id) with E_switch s -> s | E_host _ -> raise Not_found
 
 let links_of_edge t (e : Topology.edge) = t.edge_links.(e.Topology.edge_id)
 let all_links t =
@@ -129,7 +124,6 @@ let create ?sched_of_node ~sched ~config topo =
     edges;
   let t =
     {
-      sched;
       topo;
       entities;
       hosts = Array.of_list (List.rev !hosts);

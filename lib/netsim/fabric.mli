@@ -27,19 +27,15 @@ val create :
   t
 (** [sched_of_node] (PDES builds) assigns each node — and each link,
     keyed by its source node — to its shard's scheduler; [sched] remains
-    the control scheduler returned by {!sched} (fault plans,
-    reconvergence).  Omitted, everything runs on [sched]: the serial
+    the control scheduler (fault plans, reconvergence).  Omitted, everything runs on [sched]: the serial
     build. *)
 
-val sched : t -> Scheduler.t
 val topology : t -> Topology.t
 val hosts : t -> Host.t array
 (** In creation order; [Host.addr] equals the topology node id. *)
 
 val host_by_addr : t -> Addr.t -> Host.t
 val switches : t -> Switch.t array
-val switch_by_node : t -> int -> Switch.t
-(** Raises [Not_found] for a host node id. *)
 
 val links_of_edge : t -> Topology.edge -> Link.t * Link.t
 (** (a-to-b, b-to-a). *)

@@ -195,8 +195,6 @@ let inject t ~time_ns ~born_ns pkt =
        locally scheduled event resolves as the serial engine would *)
     Scheduler.inject_tag sched ~time_ns ~born_ns ~kind:t.k_inject ~arg:0
 
-let boundary t = t.boundary <> None
-
 let send t pkt =
   if t.is_up then begin
     if Pkt_queue.enqueue t.queue pkt then begin
@@ -242,12 +240,10 @@ let set_brownout t ~capacity_frac ~loss_prob ~rng =
   t.brownout <- Some { capacity_frac; loss_prob; rng }
 
 let clear_brownout t = t.brownout <- None
-let browned_out t = t.brownout <> None
 
 let utilization t = Dre.utilization t.dre
 let queue t = t.queue
 let rate_bps t = t.rate_bps
-let prop_delay t = t.prop_delay
 let label t = t.label
 let tx_bytes t = t.tx_bytes
 let tx_packets t = t.tx_packets

@@ -42,7 +42,6 @@ val set_brownout :
     in [0, 1). *)
 
 val clear_brownout : t -> unit
-val browned_out : t -> bool
 
 val set_boundary :
   t ->
@@ -69,15 +68,11 @@ val inject : t -> time_ns:int -> born_ns:int -> Packet.t -> unit
     Allocation-free (pushes the pooled packet onto the propagation ring
     and schedules a tagged event). *)
 
-val boundary : t -> bool
-(** Whether {!set_boundary} has been installed. *)
-
 val utilization : t -> float
 (** DRE-estimated utilization of this link's egress. *)
 
 val queue : t -> Pkt_queue.t
 val rate_bps : t -> float
-val prop_delay : t -> Sim_time.span
 val label : t -> string
 val tx_bytes : t -> int
 val tx_packets : t -> int

@@ -237,11 +237,6 @@ let tcp_flow_key_rev inner =
   k.fk_e <- s.subflow;
   Hashtbl.hash k
 
-let outer_tuple t =
-  match t.encap with
-  | None -> None
-  | Some e -> Some (Addr.to_int e.src_hv, Addr.to_int e.dst_hv, e.src_port, e.dst_port)
-
 let route_dst t =
   match (t.encap, t.payload) with
   | Some e, _ -> e.dst_hv
@@ -261,10 +256,3 @@ let pp fmt t =
   in
   Format.fprintf fmt "#%d %s %dB ttl=%d ecn=%a dst=%a" t.uid kind t.size t.ttl pp_ecn
     t.ecn Addr.pp (route_dst t)
-
-let reset_uid_counter_for_tests () =
-  Atomic.set uid_counter 0;
-  (* invalidate the calling domain's block so it re-draws from zero *)
-  let c = Domain.DLS.get uid_key in
-  c.next_uid <- 0;
-  c.uid_limit <- 0

@@ -16,8 +16,6 @@
 
 type ecn = Not_ect | Ect | Ce
 
-val pp_ecn : Format.formatter -> ecn -> unit
-
 (** Simplified TCP segment kinds: persistent connections are established out
     of band, so there is no handshake. *)
 type tcp_kind = Data | Ack
@@ -177,9 +175,6 @@ val tcp_flow_key_rev : inner -> int
     going the other way.  Lets a receiver of an ACK credit the forward
     flow that elicited it (black-hole liveness tracking). *)
 
-val outer_tuple : t -> (int * int * int * int) option
-(** (src_hv, dst_hv, src_port, dst_port) of the encapsulation header. *)
-
 val route_dst : t -> Addr.t
 (** The address fabric switches route on: the outer destination if
     encapsulated, the inner destination otherwise; probe replies are routed
@@ -187,4 +182,3 @@ val route_dst : t -> Addr.t
 
 val is_probe : t -> bool
 val pp : Format.formatter -> t -> unit
-val reset_uid_counter_for_tests : unit -> unit

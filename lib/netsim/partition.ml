@@ -37,9 +37,7 @@ type t = {
   mutable buffers : buffer array; (* fixed drain order, filled by [attach] *)
 }
 
-let nshards t = t.nshards
 let window_ns t = t.window_ns
-let cross_links t = 2 * List.length t.cross
 
 let shard_of_node t node =
   if node < 0 || node >= Array.length t.shard_of_node then

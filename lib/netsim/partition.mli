@@ -45,10 +45,7 @@ val exchange : t -> int
     injected.  Must only be called at a window barrier, when every shard
     scheduler is quiescent.  Allocation-free in steady state. *)
 
-val nshards : t -> int
 val window_ns : t -> int
 (** The lookahead window, in integer nanoseconds. *)
 
 val shard_of_node : t -> int -> int
-val cross_links : t -> int
-(** Number of unidirectional boundary links (twice the cut edges). *)

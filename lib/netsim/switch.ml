@@ -9,7 +9,7 @@ type t = {
   ecmp_seed : int;
   latency : Sim_time.span;
   index_preserving : bool;
-  mutable int_capable : bool;
+  int_capable : bool;
   mutable ports : port array;
   mutable nports : int;
   unwired : port;  (* placeholder for unpopulated port slots *)
@@ -50,10 +50,6 @@ let port_peer t p =
   check_port t p;
   t.ports.(p).peer
 
-let port_parallel_index t p =
-  check_port t p;
-  t.ports.(p).parallel_index
-
 let ports_to_peer t ~peer =
   let acc = ref [] in
   for p = t.nports - 1 downto 0 do
@@ -65,11 +61,8 @@ let set_routes t addr ports = Int_table.set t.routes (Addr.to_int addr) ports
 let routes t addr = Int_table.find_opt t.routes (Addr.to_int addr)
 let clear_routes t = Int_table.clear t.routes
 let set_picker t p = t.picker <- Some p
-let clear_picker t = t.picker <- None
 let set_rx_hook t h = t.rx_hook <- Some h
 let set_tx_hook t h = t.tx_hook <- Some h
-let set_int_capable t v = t.int_capable <- v
-let int_capable t = t.int_capable
 let rx_packets t = t.rx_packets
 let routing_drops t = t.routing_drops
 let ttl_drops t = t.ttl_drops

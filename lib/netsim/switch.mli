@@ -45,7 +45,6 @@ val add_port : t -> link:Link.t -> peer:int -> parallel_index:int -> int
 val port_count : t -> int
 val port_link : t -> int -> Link.t
 val port_peer : t -> int -> int
-val port_parallel_index : t -> int -> int
 val ports_to_peer : t -> peer:int -> int list
 
 val set_routes : t -> Addr.t -> int array -> unit
@@ -62,11 +61,8 @@ val receive : t -> in_port:int -> Packet.t -> unit
 type picker = t -> in_port:int -> Packet.t -> candidates:int array -> int
 
 val set_picker : t -> picker -> unit
-val clear_picker : t -> unit
 val set_rx_hook : t -> (t -> in_port:int -> Packet.t -> unit) -> unit
 val set_tx_hook : t -> (t -> port:int -> Packet.t -> unit) -> unit
-val set_int_capable : t -> bool -> unit
-val int_capable : t -> bool
 
 val rx_packets : t -> int
 val routing_drops : t -> int

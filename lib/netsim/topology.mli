@@ -24,8 +24,6 @@ type edge = {
 type t
 
 val create : unit -> t
-val add_host : t -> int
-(** Returns the new node id. *)
 
 val add_switch : t -> Switch.level -> int
 val connect :

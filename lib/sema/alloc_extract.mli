@@ -7,12 +7,6 @@
     [Race_extract.analyze] (see {!Race_extract.alloc_site}); this
     module decides which nodes are hot and which lines are cold. *)
 
-val named_roots : string list
-(** Per-event entry points of the packet path, by node id
-    (e.g. ["Tcp.on_ack"]); names absent from the analyzed graph are
-    ignored.  [Scheduler.register_kind] handler registrations are
-    discovered structurally and need no listing here. *)
-
 type hot = {
   h_roots : (string * string) list;  (** (node id, origin), sorted by id *)
   h_member : (string, unit) Hashtbl.t;
@@ -24,8 +18,8 @@ val member : hot -> string -> bool
 
 val hot_region : Race_extract.linked -> hot
 (** Deterministic BFS from the dispatch roots ([l_dispatch]) and the
-    {!named_roots} present in the graph: roots sorted by id, edges in
-    source order, parent pointers fixed at discovery. *)
+    named per-event entry points present in the graph: roots sorted by
+    id, edges in source order, parent pointers fixed at discovery. *)
 
 val witness_to :
   hot -> string -> (string * Race_extract.site option) list option

@@ -4,15 +4,22 @@
    -bin-annot explicitly so the guarantee does not rest on dune's
    default).  The analyzer scans a build root — [_build/default] when
    run from the repo root, [.] when run from inside a dune action —
-   for *.cmt files, reads each with [Cmt_format.read_cmt], and keeps
-   implementations whose recorded source path falls under one of the
-   requested source roots. *)
+   for *.cmt and *.cmti files, reads each with [Cmt_format.read_cmt],
+   and keeps implementations and interfaces whose recorded source path
+   falls under one of the requested source roots. *)
 
 type unit_info = {
   u_modname : string;  (** compilation unit, e.g. ["Engine__Scheduler"] *)
   u_short : string;  (** short module name, e.g. ["Scheduler"] *)
   u_source : string;  (** source path as compiled, e.g. ["lib/engine/scheduler.ml"] *)
   u_structure : Typedtree.structure;
+}
+
+type intf_info = {
+  i_modname : string;
+  i_short : string;
+  i_source : string;  (** e.g. ["lib/engine/scheduler.mli"] *)
+  i_signature : Typedtree.signature;
 }
 
 let short_of_modname modname =
@@ -43,51 +50,67 @@ let rec scan_dir path acc =
         if Sys.is_directory full then
           (* the install tree duplicates every .objs cmt *)
           if name = "install" || name = ".git" then acc else scan_dir full acc
-        else if Filename.check_suffix name ".cmt" then full :: acc
+        else if Filename.check_suffix name ".cmt" || Filename.check_suffix name ".cmti"
+        then full :: acc
         else acc)
       acc entries
 
-let scan_cmt_files root = List.rev (scan_dir root [])
+type loaded = Impl of unit_info | Intf of intf_info
 
 let load_file path =
   match Cmt_format.read_cmt path with
   | exception _ -> None
   | cmt -> (
+    let modname = cmt.Cmt_format.cmt_modname in
     match (cmt.Cmt_format.cmt_annots, cmt.Cmt_format.cmt_sourcefile) with
     | Cmt_format.Implementation str, Some source ->
-      let modname = cmt.Cmt_format.cmt_modname in
       Some
-        {
-          u_modname = modname;
-          u_short = short_of_modname modname;
-          u_source = source;
-          u_structure = str;
-        }
+        (Impl
+           {
+             u_modname = modname;
+             u_short = short_of_modname modname;
+             u_source = source;
+             u_structure = str;
+           })
+    | Cmt_format.Interface sg, Some source ->
+      Some
+        (Intf
+           {
+             i_modname = modname;
+             i_short = short_of_modname modname;
+             i_source = source;
+             i_signature = sg;
+           })
     | _ -> None)
 
+let in_scope prefixes source =
+  prefixes = [] || List.exists (fun p -> has_prefix p source) prefixes
+
+(* the same unit can be discovered through several build contexts (byte
+   and native objects, for one); keep one per (unit name, source path),
+   sorted by source path so the order is deterministic *)
+let dedup ~name ~source items =
+  let seen = Hashtbl.create 64 in
+  List.filter
+    (fun x ->
+      let key = (name x, source x) in
+      (not (Hashtbl.mem seen key)) && (Hashtbl.add seen key (); true))
+    items
+  |> List.stable_sort (fun a b -> String.compare (source a) (source b))
+
 let load ~root ~source_prefixes =
-  let keep u =
-    source_prefixes = [] || List.exists (fun p -> has_prefix p u.u_source) source_prefixes
-  in
-  let units =
+  let loaded = List.filter_map load_file (List.rev (scan_dir root [])) in
+  let impls =
     List.filter_map
-      (fun path ->
-        match load_file path with
-        | Some u when keep u -> Some u
-        | Some _ | None -> None)
-      (scan_cmt_files root)
+      (function Impl u when in_scope source_prefixes u.u_source -> Some u | _ -> None)
+      loaded
   in
-  (* the same unit can be discovered through several build contexts;
-     keep one per compilation-unit name, smallest source path first so
-     the choice is deterministic *)
-  let by_name = Hashtbl.create 64 in
-  List.iter
-    (fun u ->
-      match Hashtbl.find_opt by_name u.u_modname with
-      | Some prev when String.compare prev.u_source u.u_source <= 0 -> ()
-      | _ -> Hashtbl.replace by_name u.u_modname u)
-    units;
-  Hashtbl.fold (fun _ u acc -> u :: acc) by_name []
-  |> List.sort (fun a b -> String.compare a.u_source b.u_source)
+  let intfs =
+    List.filter_map
+      (function Intf i when in_scope source_prefixes i.i_source -> Some i | _ -> None)
+      loaded
+  in
+  ( dedup ~name:(fun u -> u.u_modname) ~source:(fun u -> u.u_source) impls,
+    dedup ~name:(fun i -> i.i_modname) ~source:(fun i -> i.i_source) intfs )
 
 let default_root () = if Sys.file_exists "_build/default" then "_build/default" else "."

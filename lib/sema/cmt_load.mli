@@ -1,4 +1,4 @@
-(** Discovery and loading of compiler-generated [.cmt] typedtrees.
+(** Discovery and loading of compiler-generated [.cmt]/[.cmti] typedtrees.
 
     clove-check (and the typed refinement of clove-sema) work on the
     typedtree rather than the parsetree: names are resolved, so
@@ -13,22 +13,26 @@ type unit_info = {
   u_structure : Typedtree.structure;
 }
 
+type intf_info = {
+  i_modname : string;
+  i_short : string;
+  i_source : string;  (** the [.mli] path, relative to the repo root *)
+  i_signature : Typedtree.signature;
+}
+
 val short_of_modname : string -> string
 (** ["Engine__Scheduler"] → ["Scheduler"]; names without a ["__"]
     separator are returned unchanged. *)
 
-val scan_cmt_files : string -> string list
-(** Every [*.cmt] under the given directory, in sorted traversal
-    order, skipping [install] trees (dune duplicates artifacts
-    there). *)
+val in_scope : string list -> string -> bool
+(** [in_scope prefixes source]: [source] starts with one of [prefixes]
+    (an empty list admits everything). *)
 
-val load_file : string -> unit_info option
-(** Read one [.cmt]; [None] for interfaces, partial implementations or
-    unreadable files. *)
-
-val load : root:string -> source_prefixes:string list -> unit_info list
-(** All implementation units under [root] whose recorded source path
-    starts with one of [source_prefixes] (empty list = keep all),
+val load :
+  root:string -> source_prefixes:string list -> unit_info list * intf_info list
+(** Every implementation ([.cmt]) and interface ([.cmti]) under [root],
+    skipping [install] trees (dune duplicates artifacts there), whose
+    recorded source path is {!in_scope} of [source_prefixes];
     deduplicated by unit name and sorted by source path. *)
 
 val default_root : unit -> string

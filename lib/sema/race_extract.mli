@@ -10,8 +10,6 @@
 
 type site = { s_file : string; s_line : int }
 
-val compare_site : site -> site -> int
-
 (** Allocation sites, recorded during the same walk and attributed to
     the node whose body performs them.  [K_partial] and [K_float] are
     deliberate over-approximations (a partial application always

@@ -23,27 +23,13 @@ let rank = function
   | Captured_mut -> 3
   | Shared_mut -> 4
 
-let cls_name = function
-  | Pure -> "pure"
-  | Local_mut -> "local-mut"
-  | Param_mut -> "param-mut"
-  | Captured_mut -> "captured-mut"
-  | Shared_mut -> "shared-mut"
-
 let join a b = if rank a >= rank b then a else b
-let leq a b = rank a <= rank b
 
 (* How a mutation is disciplined.  [Lock] is coarse: a function that
    takes a mutex anywhere has all its own mutations classified as
    lock-protected (see DESIGN.md §11 for why this is acceptable for
    this codebase's two lock sites). *)
 type protection = Unprotected | P_atomic | P_lock | P_dls
-
-let protection_name = function
-  | Unprotected -> "unprotected"
-  | P_atomic -> "atomic"
-  | P_lock -> "lock"
-  | P_dls -> "dls"
 
 (* Classification of the root of an expression: what does the mutated
    (or passed) value reach back to? *)
@@ -54,13 +40,6 @@ type arg_class =
       (** a parameter of the current function, by [Ident.unique_name];
           [""] when the identity is unknown *)
   | A_local  (** created inside the current function *)
-
-let arg_class_name = function
-  | A_global g -> "global:" ^ g
-  | A_captured v -> "captured:" ^ v
-  | A_param "" -> "param"
-  | A_param u -> "param:" ^ u
-  | A_local -> "local"
 
 (* Footprint contributed by one call site: the callee mutates
    [callee]-visible state; [arg] is the worst-rooted argument the
@@ -89,12 +68,6 @@ let translate ~callee (arg : arg_class) =
        through an A_global argument, breaking monotonicity *)
     join Captured_mut by_arg
   | Param_mut -> by_arg
-
-let cls_of_arg = function
-  | A_global _ -> Shared_mut
-  | A_captured _ -> Captured_mut
-  | A_param _ -> Param_mut
-  | A_local -> Local_mut
 
 (* ------------------------ abstract solver ------------------------- *)
 

@@ -20,13 +20,9 @@
 type cls = Pure | Local_mut | Param_mut | Captured_mut | Shared_mut
 
 val rank : cls -> int
-val cls_name : cls -> string
 val join : cls -> cls -> cls
-val leq : cls -> cls -> bool
 
 type protection = Unprotected | P_atomic | P_lock | P_dls
-
-val protection_name : protection -> string
 
 type arg_class =
   | A_global of string
@@ -34,16 +30,6 @@ type arg_class =
   | A_param of string
       (** the parameter's [Ident.unique_name]; [""] when unknown *)
   | A_local
-
-val arg_class_name : arg_class -> string
-
-val translate : callee:cls -> arg_class -> cls
-(** Footprint a call site contributes to the caller: the callee's
-    footprint re-rooted through the worst argument the caller passes.
-    Monotone in [callee] for every fixed argument class. *)
-
-val cls_of_arg : arg_class -> cls
-(** The footprint of mutating a value with the given root directly. *)
 
 val solve :
   nodes:int ->

@@ -386,124 +386,6 @@ let analyze_source ~file source =
            | 0 -> String.compare a.rule b.rule
            | c -> c)
 
-(* --------------------------- cross-module ------------------------- *)
-
-type module_info = { mi_file : string; mi_module : string; mi_deps : string list }
-
-let module_name_of_file file =
-  String.capitalize_ascii (Filename.remove_extension (Filename.basename file))
-
-(* Every qualified identifier mentioned anywhere in the AST: expression
-   heads, constructors, record fields, type constructors, module paths,
-   opens. *)
-let collect_longidents (str : Parsetree.structure) =
-  let open Parsetree in
-  let acc = ref [] in
-  let add { Location.txt; _ } = acc := lid_parts txt :: !acc in
-  let it =
-    {
-      Ast_iterator.default_iterator with
-      expr =
-        (fun self ex ->
-          (match ex.pexp_desc with
-          | Pexp_ident lid | Pexp_construct (lid, _) | Pexp_field (_, lid)
-          | Pexp_setfield (_, lid, _) | Pexp_new lid ->
-            add lid
-          | Pexp_record (fields, _) -> List.iter (fun (lid, _) -> add lid) fields
-          | _ -> ());
-          Ast_iterator.default_iterator.expr self ex);
-      pat =
-        (fun self p ->
-          (match p.ppat_desc with
-          | Ppat_construct (lid, _) -> add lid
-          | Ppat_record (fields, _) -> List.iter (fun (lid, _) -> add lid) fields
-          | _ -> ());
-          Ast_iterator.default_iterator.pat self p);
-      typ =
-        (fun self t ->
-          (match t.ptyp_desc with
-          | Ptyp_constr (lid, _) | Ptyp_class (lid, _) -> add lid
-          | _ -> ());
-          Ast_iterator.default_iterator.typ self t);
-      module_expr =
-        (fun self m ->
-          (match m.pmod_desc with Pmod_ident lid -> add lid | _ -> ());
-          Ast_iterator.default_iterator.module_expr self m);
-      open_description =
-        (fun self od ->
-          add od.popen_expr;
-          Ast_iterator.default_iterator.open_description self od);
-    }
-  in
-  it.Ast_iterator.structure it str;
-  !acc
-
-let parsed_sources sources =
-  List.filter_map
-    (fun (file, src) ->
-      match parse_with ~file Parse.implementation src with
-      | exception _ -> None
-      | str -> Some (file, str))
-    sources
-
-let module_graph sources =
-  let parsed = parsed_sources sources in
-  let scanned =
-    List.map (fun (file, _) -> module_name_of_file file) parsed
-  in
-  List.map
-    (fun (file, str) ->
-      let self = module_name_of_file file in
-      let deps =
-        collect_longidents str
-        |> List.concat_map (fun parts ->
-               match List.rev parts with
-               | [] -> []
-               | _value :: path -> List.rev path)
-        |> List.filter (fun m -> m <> self && List.mem m scanned)
-        |> List.sort_uniq String.compare
-      in
-      { mi_file = file; mi_module = self; mi_deps = deps })
-    parsed
-  |> List.sort (fun a b -> String.compare a.mi_file b.mi_file)
-
-let unused_exports ~ml_sources ~mli_sources =
-  let exports =
-    List.concat_map
-      (fun (file, src) ->
-        match parse_with ~file Parse.interface src with
-        | exception _ -> []
-        | sg ->
-          let m = module_name_of_file file in
-          List.filter_map
-            (fun (item : Parsetree.signature_item) ->
-              match item.psig_desc with
-              | Parsetree.Psig_value vd ->
-                Some (m, vd.Parsetree.pval_name.Location.txt, file)
-              | _ -> None)
-            sg)
-      mli_sources
-  in
-  let used = Hashtbl.create 256 in
-  List.iter
-    (fun (file, str) ->
-      let self = module_name_of_file file in
-      List.iter
-        (fun parts ->
-          match last_two parts with
-          | Some (m, v) when m <> self -> Hashtbl.replace used (m, v) ()
-          | _ -> ())
-        (collect_longidents str))
-    (parsed_sources ml_sources);
-  List.filter (fun (m, v, _) -> not (Hashtbl.mem used (m, v))) exports
-  |> List.sort (fun (m1, v1, f1) (m2, v2, f2) ->
-         match String.compare m1 m2 with
-         | 0 -> (
-           match String.compare v1 v2 with
-           | 0 -> String.compare f1 f2
-           | c -> c)
-         | c -> c)
-
 (* ------------------------------- report --------------------------- *)
 
 (* the parsetree rules carry no stable line-free identity, so the
@@ -521,7 +403,7 @@ let to_shared f =
     reason = None;
   }
 
-let report_json ~findings ~graph ~unused ~files_analyzed =
+let report_json ~findings ~files_analyzed =
   (* deterministic artifact ordering, independent of traversal order *)
   let findings =
     List.sort
@@ -533,18 +415,6 @@ let report_json ~findings ~graph ~unused ~files_analyzed =
           | c -> c)
         | c -> c)
       findings
-  in
-  let graph =
-    List.sort (fun a b -> String.compare a.mi_module b.mi_module) graph
-  in
-  let unused =
-    List.sort
-      (fun (m1, v1, f1) (m2, v2, f2) ->
-        match String.compare m1 m2 with
-        | 0 -> (
-          match String.compare v1 v2 with 0 -> String.compare f1 f2 | c -> c)
-        | c -> c)
-      unused
   in
   let open Analysis.Json_out in
   Obj
@@ -563,26 +433,4 @@ let report_json ~findings ~graph ~unused ~files_analyzed =
            baseline, so nothing is ever "new" *)
         Analysis.Findings.findings_json ~new_keys:(Hashtbl.create 1)
           (List.map to_shared findings) );
-      ( "call_graph",
-        List
-          (List.map
-             (fun mi ->
-               Obj
-                 [
-                   ("module", String mi.mi_module);
-                   ("file", String mi.mi_file);
-                   ("deps", List (List.map (fun d -> String d) mi.mi_deps));
-                 ])
-             graph) );
-      ( "unused_exports",
-        List
-          (List.map
-             (fun (m, v, file) ->
-               Obj
-                 [
-                   ("module", String m);
-                   ("value", String v);
-                   ("file", String file);
-                 ])
-             unused) );
     ]

@@ -11,11 +11,7 @@ type t = {
   r_other_par : (string * int, unit) Hashtbl.t;
 }
 
-val empty : unit -> t
 val of_units : Cmt_load.unit_info list -> t
-
-val drop_reason : t -> Rules.finding -> string option
-(** [Some reason] when the finding is a recognized false positive. *)
 
 val refine : t -> Rules.finding list -> Rules.finding list * Rules.finding list
 (** [(kept, dropped)]. *)

@@ -2,7 +2,7 @@
     universe [0, 2^u_bits).
 
     O(k) memory whatever the stream length, no randomness anywhere, and
-    {!merge_into} is nodewise integer addition — so per-shard sketches
+    {!merge} is nodewise integer addition — so per-shard sketches
     combine into exactly the sketch a serial run would hold, in any
     merge order.
 
@@ -39,10 +39,6 @@ val quantile : t -> float -> int
 (** [quantile t q] with [q] in [0, 1]: a value whose true rank is within
     [rank_error t * count t] of [q * count t].  Raises
     [Invalid_argument] on an empty sketch. *)
-
-val merge_into : t -> t -> unit
-(** [merge_into t other] folds [other]'s weight into [t]; both must
-    share [k] and [u_bits].  [other] is unchanged. *)
 
 val merge : t -> t -> t
 (** Fresh sketch holding both arguments' weight. *)

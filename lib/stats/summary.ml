@@ -34,7 +34,6 @@ let add t x =
   if x > t.max_v then t.max_v <- x
 
 let count t = t.size
-let is_empty t = t.size = 0
 let mean t = if t.size = 0 then nan else t.sum /. float_of_int t.size
 let total t = t.sum
 let min_value t = if t.size = 0 then nan else t.min_v

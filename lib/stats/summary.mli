@@ -8,7 +8,6 @@ type t
 val create : unit -> t
 val add : t -> float -> unit
 val count : t -> int
-val is_empty : t -> bool
 val mean : t -> float
 (** Mean of the samples; [nan] when empty. *)
 

@@ -208,11 +208,4 @@ let send t ~bytes ~on_complete =
       ];
   Array.iter Tcp.try_send t.senders
 
-let subflow_count t = Array.length t.senders
-
-let total_retransmits t =
-  Array.fold_left (fun acc s -> acc + Tcp.retransmits s) 0 t.senders
-
-let total_timeouts t = Array.fold_left (fun acc s -> acc + Tcp.timeouts s) 0 t.senders
-let subflow_cwnds t = Array.map Tcp.cwnd_pkts t.senders
 let reinjections t = t.reinjections

@@ -42,11 +42,6 @@ val send : t -> bytes:int -> on_complete:(unit -> unit) -> unit
 (** Enqueue a job; jobs are served FIFO over the subflow pool and complete
     when every byte has been acknowledged on its subflow. *)
 
-val subflow_count : t -> int
-val total_retransmits : t -> int
-val total_timeouts : t -> int
-val subflow_cwnds : t -> float array
-
 val reinjections : t -> int
 (** Grants reinjected onto healthy subflows after a subflow RTO
     (opportunistic retransmission). *)

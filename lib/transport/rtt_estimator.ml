@@ -55,4 +55,3 @@ let srtt_span t = Sim_time.span_of_ns (int_of_float t.e.srtt_ns)
 let srtt t = if t.have_sample then Some (srtt_span t) else None
 
 let backoff t = t.backoff_mult <- min (t.backoff_mult * 2) 64
-let reset_backoff t = t.backoff_mult <- 1

@@ -26,5 +26,3 @@ val srtt_span : t -> Sim_time.span
 
 val backoff : t -> unit
 (** Exponential backoff after a timeout (doubles RTO up to the max). *)
-
-val reset_backoff : t -> unit

@@ -64,8 +64,6 @@ let cwnd_pkts s = s.cc.cwnd
 let srtt s = Rtt_estimator.srtt s.rtt
 let flight_bytes s = s.snd_next - s.snd_una
 let snd_una s = s.snd_una
-let snd_next s = s.snd_next
-let stream_end s = s.stream_end
 let retransmits s = s.retransmits
 let timeouts s = s.timeouts
 let conn_id s = s.conn_id

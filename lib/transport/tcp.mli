@@ -61,8 +61,6 @@ val cwnd_pkts : sender -> float
 val srtt : sender -> Sim_time.span option
 val flight_bytes : sender -> int
 val snd_una : sender -> int
-val snd_next : sender -> int
-val stream_end : sender -> int
 val retransmits : sender -> int
 val timeouts : sender -> int
 val conn_id : sender -> int

@@ -8,8 +8,14 @@ type config = {
 
 type submit = bytes:int -> on_complete:(unit -> unit) -> unit
 
+let check_load load =
+  if load > 0.0 && load <= 2.0 then Ok ()
+  else Error (Printf.sprintf "load %g is outside (0, 2]" load)
+
 let arrival_rate_per_conn cfg ~conns =
-  if cfg.load <= 0.0 || cfg.load > 2.0 then invalid_arg "Websearch: load out of range";
+  (match check_load cfg.load with
+  | Ok () -> ()
+  | Error e -> invalid_arg ("Websearch: " ^ e));
   let mean_bits = Flow_size_dist.mean_bytes cfg.size_dist *. 8.0 in
   cfg.load *. cfg.bisection_bps /. float_of_int conns /. mean_bits
 

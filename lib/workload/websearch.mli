@@ -21,6 +21,11 @@ type config = {
 
 type submit = bytes:int -> on_complete:(unit -> unit) -> unit
 
+val check_load : float -> (unit, string) result
+(** [Ok ()] when the offered load is in the accepted range, (0, 2];
+    otherwise an error naming the value and the range.  {!arm} raises
+    [Invalid_argument] on a config that fails it. *)
+
 val arm :
   sched_of_conn:(int -> Scheduler.t) ->
   stats_of_conn:(int -> Fct_stats.t) ->

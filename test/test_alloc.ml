@@ -16,7 +16,7 @@ let contains s sub =
 (* tests run from _build/default/test, so the fixture library's build
    artifacts are under fixtures/ and the repo's build root is .. *)
 let load_fixture_units () =
-  Sema.Cmt_load.load ~root:"fixtures" ~source_prefixes:[ "test/fixtures/alloc/" ]
+  fst (Sema.Cmt_load.load ~root:"fixtures" ~source_prefixes:[ "test/fixtures/alloc/" ])
 
 (* the driver's path: one linked graph, then the shared suppressions *)
 let run_fixtures () =

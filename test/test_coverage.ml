@@ -67,10 +67,6 @@ let test_cdf_quantiles () =
   feq "mid" 50.0 (fst qs.(5));
   feq "last" 100.0 (fst qs.(10))
 
-let test_histogram_empty_fraction () =
-  let h = Stats.Histogram.create ~lo:0.0 ~hi:1.0 ~bins:4 in
-  feq "fraction of empty" 0.0 (Stats.Histogram.fraction_above h 0.5)
-
 let test_table_float_formatting () =
   let t = Stats.Table.create ~header:[ "x"; "v" ] in
   Stats.Table.add_float_row t ~label:"r" [ 2.0 ];
@@ -437,7 +433,6 @@ let () =
         [
           Alcotest.test_case "invalid percentile" `Quick test_summary_invalid_percentile;
           Alcotest.test_case "cdf quantiles" `Quick test_cdf_quantiles;
-          Alcotest.test_case "empty histogram" `Quick test_histogram_empty_fraction;
           Alcotest.test_case "table formatting" `Quick test_table_float_formatting;
         ] );
       ( "netsim",

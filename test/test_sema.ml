@@ -156,26 +156,24 @@ let test_fixture_flagged () =
       check_bool "finding carries a line" true (f.Sema.Rules.line > 0))
     fs
 
-let test_module_graph () =
-  let srcs =
-    [
-      ("lib/a/alpha.ml", "let go () = Beta.run (Beta.base + 1)\n");
-      ("lib/b/beta.ml", "let base = 2\nlet run x = x + base\nlet dead = 0\n");
-    ]
-  in
-  let infos = Sema.Rules.module_graph srcs in
-  check_int "two modules" 2 (List.length infos);
-  let alpha = List.find (fun i -> i.Sema.Rules.mi_module = "Alpha") infos in
-  let beta = List.find (fun i -> i.Sema.Rules.mi_module = "Beta") infos in
-  check_bool "alpha -> beta" true (alpha.Sema.Rules.mi_deps = [ "Beta" ]);
-  check_bool "beta has no deps" true (beta.Sema.Rules.mi_deps = []);
-  let unused =
-    Sema.Rules.unused_exports ~ml_sources:srcs
-      ~mli_sources:
-        [ ("lib/b/beta.mli", "val base : int\nval run : int -> int\nval dead : int\n") ]
-  in
-  check_bool "only the dead export is reported" true
-    (unused = [ ("Beta", "dead", "lib/b/beta.mli") ])
+(* clove-check's typed dead-export pass on test/fixtures/dead/ (tests
+   run from _build/default/test, so the fixture's .cmt/.cmti files are
+   under fixtures/): a local-open use, an aliased use of a value sharing
+   a used type's name and an [include] keep their values live, and only
+   the value nothing references is reported *)
+let test_dead_export () =
+  let scope = [ "test/fixtures/dead/" ] in
+  let units, intfs = Sema.Cmt_load.load ~root:"fixtures" ~source_prefixes:scope in
+  check_bool "fixture interface loaded" true (intfs <> []);
+  let fs = Sema.Dead_export.findings ~scope units intfs in
+  Alcotest.(check (list string))
+    "only the dead export" [ "Dead_lib.stale" ]
+    (List.map (fun (f : Analysis.Findings.t) -> f.target) fs);
+  List.iter
+    (fun (f : Analysis.Findings.t) ->
+      Alcotest.(check string) "rule" "dead-export" f.rule;
+      Alcotest.(check string) "file" "test/fixtures/dead/dead_lib.mli" f.file)
+    fs
 
 (* -------------------- dynamic sanitizer: basics -------------------- *)
 
@@ -355,8 +353,7 @@ let () =
           Alcotest.test_case "domain-parallel" `Quick test_domain_parallel;
           Alcotest.test_case "parse-error" `Quick test_parse_error;
           Alcotest.test_case "fixture flagged" `Quick test_fixture_flagged;
-          Alcotest.test_case "module graph + unused exports" `Quick
-            test_module_graph;
+          Alcotest.test_case "dead-export fixture" `Quick test_dead_export;
         ] );
       ( "sanitizer",
         [

@@ -127,31 +127,6 @@ let prop_cdf_inverse_in_support =
       let x = Cdf.inverse c p in
       x >= 1.0 && x <= 100.0)
 
-(* ------------------------------- Histogram ------------------------ *)
-
-let test_histogram_binning () =
-  let h = Histogram.create ~lo:0.0 ~hi:10.0 ~bins:10 in
-  Histogram.add h 0.5;
-  Histogram.add h 5.5;
-  Histogram.add h 9.9;
-  Histogram.add h 42.0 (* clamped to last bin *);
-  feq "bin0" 1.0 (Histogram.bin_value h 0);
-  feq "bin5" 1.0 (Histogram.bin_value h 5);
-  feq "bin9" 2.0 (Histogram.bin_value h 9);
-  feq "total" 4.0 (Histogram.count h);
-  feq_loose 1e-9 "fraction above 5" 0.75 (Histogram.fraction_above h 5.0)
-
-let test_histogram_weights () =
-  let h = Histogram.create ~lo:0.0 ~hi:1.0 ~bins:2 in
-  Histogram.add ~weight:3.0 h 0.1;
-  Histogram.add ~weight:1.0 h 0.9;
-  feq "weighted" 3.0 (Histogram.bin_value h 0);
-  feq_loose 1e-9 "fraction" 0.25 (Histogram.fraction_above h 0.5)
-
-let test_histogram_invalid () =
-  Alcotest.check_raises "hi<=lo" (Invalid_argument "Histogram.create: hi <= lo")
-    (fun () -> ignore (Histogram.create ~lo:1.0 ~hi:1.0 ~bins:4))
-
 (* --------------------------------- Table -------------------------- *)
 
 (* --------------------------- Quantile_sketch ---------------------- *)
@@ -294,12 +269,6 @@ let () =
           Alcotest.test_case "malformed" `Quick test_cdf_malformed;
           qc prop_cdf_eval_monotone;
           qc prop_cdf_inverse_in_support;
-        ] );
-      ( "histogram",
-        [
-          Alcotest.test_case "binning" `Quick test_histogram_binning;
-          Alcotest.test_case "weights" `Quick test_histogram_weights;
-          Alcotest.test_case "invalid" `Quick test_histogram_invalid;
         ] );
       ( "quantile_sketch",
         [
