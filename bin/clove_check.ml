@@ -3,7 +3,8 @@
    analysis (shared mutable state reached from the domain-parallel entry
    points) and the allocation analysis (allocation sites reached from the
    scheduler dispatch roots) over it, run the unused-export pass (in-scope
-   interface values that no other loaded unit uses), apply the source
+   interface values that no other loaded unit uses) and the determinism
+   and unit-safety rules (Sema.Det_rules), apply the source
    suppressions, and compare the merged findings against one committed
    baseline.
 
@@ -105,7 +106,8 @@ let () =
     Analysis.Findings.suppress ~source_root:!source_root
       ~files:l.Sema.Race_extract.l_files
       (race.Sema.Race_report.r_findings @ alloc.Sema.Alloc_report.a_findings
-      @ Sema.Dead_export.findings ~scope:scopes all_units intfs)
+      @ Sema.Dead_export.findings ~scope:scopes all_units intfs
+      @ Sema.Det_rules.findings units)
   in
   (* analyzer harness timing, not simulation time — lint: allow sema-wall-clock *)
   let wall_s = Unix.gettimeofday () -. t0 in
@@ -169,7 +171,7 @@ let () =
     Analysis.Json_out.to_file path
       (Analysis.Findings.sarif ~tool:"clove-check"
          ~rules:
-           (Sema.Race_report.rules @ Sema.Alloc_report.rules
+           (Sema.Race_report.rules @ Sema.Alloc_report.rules @ Sema.Det_rules.rules
            @ [ Sema.Dead_export.rule; Analysis.Findings.allow_empty_rule ])
          ~new_keys findings)
   | None -> ());

@@ -1,13 +1,11 @@
 (* Shared findings layer of the static analyzers.
 
-   clove-check (the typed race and allocation analyses) produces
-   findings with one lifecycle: deterministic sorted serialization, a
-   committed baseline keyed by (rule, file, target) — line numbers
-   deliberately excluded so unrelated edits do not churn it — a diff
-   that fails CI only on *new* keys, and SARIF 2.1.0 emission.
-   clove-sema reuses the serialization for its report.  The source
-   suppression grammar below is the one that clove-lint, clove-sema
-   and clove-check all parse. *)
+   clove-check (the typed analyses and rules) produces findings with one
+   lifecycle: deterministic sorted serialization, a committed baseline
+   keyed by (rule, file, target) — line numbers deliberately excluded so
+   unrelated edits do not churn it — a diff that fails CI only on *new*
+   keys, and SARIF 2.1.0 emission.  The source suppression grammar below
+   is the one that clove-lint and clove-check both parse. *)
 
 type t = {
   rule : string;

@@ -1,7 +1,7 @@
 (** Shared findings layer of the static analyzers: one finding record,
     sorted deterministic serialization, SARIF 2.1.0, committed-baseline
     load/diff for clove-check, and the one suppression grammar that
-    clove-lint, clove-sema and clove-check all parse. *)
+    clove-lint and clove-check both parse. *)
 
 type t = {
   rule : string;
@@ -27,8 +27,8 @@ val sort : t list -> t list
 
 (** {2 Suppressions}
 
-    The one suppression grammar of clove-lint, clove-sema and
-    clove-check, on the flagged line or the line above:
+    The one suppression grammar of clove-lint and clove-check, on the
+    flagged line or the line above:
 
     {[ (* why the finding is acceptable — lint: allow <rule-id> *) ]}
 

@@ -1,4 +1,4 @@
-(** Minimal JSON emission for CI artifacts (clove-sema reports, bench
+(** Minimal JSON emission for CI artifacts (analyzer reports, bench
     records).  Writing only — the repo has no JSON dependency, and the
     consumers are external tooling, so a small serializer suffices. *)
 

@@ -237,16 +237,6 @@ let rule_float_eq line =
 
 (* --------------------------- driver core -------------------------- *)
 
-let suppress ~file src findings =
-  let markers = Findings.markers src in
-  List.filter
-    (fun f -> Findings.allowed markers ~rule:f.rule ~line:f.line = None)
-    findings
-  @ List.map
-      (fun (line, message) ->
-        { file; line; rule = fst Findings.allow_empty_rule; message })
-      (Findings.allow_empty markers)
-
 let check_source ~file src =
   let masked_lines = Array.of_list (split_lines (mask_comments_and_strings src)) in
   let findings = ref [] in
@@ -264,7 +254,14 @@ let check_source ~file src =
       emit "hashtbl-find" (rule_hashtbl_find masked);
       emit "float-eq" (rule_float_eq masked))
     masked_lines;
-  suppress ~file src (List.rev !findings)
+  let markers = Findings.markers src in
+  List.filter
+    (fun f -> Findings.allowed markers ~rule:f.rule ~line:f.line = None)
+    (List.rev !findings)
+  @ List.map
+      (fun (line, message) ->
+        { file; line; rule = fst Findings.allow_empty_rule; message })
+      (Findings.allow_empty markers)
   |> List.stable_sort (fun a b -> Int.compare a.line b.line)
 
 let check_interface_presence ~ml_files ~mli_files =

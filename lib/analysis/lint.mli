@@ -20,11 +20,6 @@
 
 type finding = { file : string; line : int; rule : string; message : string }
 
-val suppress : file:string -> string -> finding list -> finding list
-(** Drop the findings that a justified marker in the source suppresses,
-    and add one [allow-empty] finding per unjustified marker (the
-    shared grammar of {!Findings}).  Used by clove-lint and clove-sema. *)
-
 val check_source : file:string -> string -> finding list
 (** Run every per-line rule over one [.ml] source, honouring
     suppressions; every unjustified marker is an [allow-empty] finding.

@@ -6,8 +6,8 @@
     iteration order (which shifts with bucket counts).  This module holds
     the two perturbation knobs the engine reads, and a driver that
     re-runs a seeded scenario under each perturbation and compares state
-    digests — the dynamic complement to [clove-sema]'s static passes:
-    whatever order-dependence slips past the AST analysis diverges a
+    digests — the dynamic complement to clove-check's static [sema-*]
+    rules: whatever order-dependence slips past them diverges a
     perturbed digest here.
 
     The knobs must only change between complete runs (the event queue's

@@ -6,7 +6,6 @@ type t = {
   min_weight : float;
   ecn_relay_interval : Sim_time.span;
   congested_window : Sim_time.span;
-  weight_aging : float;
   probe_interval : Sim_time.span;
   probe_ports : int;
   max_ttl : int;
@@ -38,7 +37,6 @@ let with_rtt rtt =
     min_weight = 0.02;
     ecn_relay_interval = Sim_time.mul_span rtt 0.5;
     congested_window = Sim_time.mul_span rtt 4.0;
-    weight_aging = 0.0;
     probe_interval = Sim_time.ms 500;
     probe_ports = 32;
     max_ttl = 8;

@@ -21,10 +21,6 @@ type t = {
   congested_window : Sim_time.span;
       (** how long a path is considered congested after feedback, for the
           "all paths congested" escalation to the guest *)
-  weight_aging : float;
-      (** per relay-interval drift of weights back toward uniform; 0
-          disables (kept as an ablation knob; the paper has no explicit
-          recovery) *)
   probe_interval : Sim_time.span;  (** traceroute refresh period *)
   probe_ports : int;  (** random source ports traced per refresh *)
   max_ttl : int;

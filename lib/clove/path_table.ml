@@ -275,22 +275,6 @@ let all_congested t =
   let rec go i = i >= n || (is_congested t i && go (i + 1)) in
   go 0
 
-let age_weights t =
-  let a = t.cfg.Clove_config.weight_aging in
-  if a > 0.0 then
-    match t.wrr with
-    | None -> ()
-    | Some w ->
-      let n = Array.length t.ports in
-      let uniform = 1.0 /. float_of_int n in
-      for i = 0 to n - 1 do
-        Wrr.set_weight w i (((1.0 -. a) *. Wrr.weight w i) +. (a *. uniform))
-      done;
-      Wrr.normalize w;
-      if !Analysis.Audit.on then
-        Analysis.Audit.check_weight_sum ~label:"Path_table.age_weights"
-          (Wrr.weights w)
-
 let maintain t =
   if t.cfg.Clove_config.failure_recovery && ready t then
     match t.wrr with

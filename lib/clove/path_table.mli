@@ -71,9 +71,6 @@ val latencies : t -> Sim_time.span array
 val all_congested : t -> bool
 (** Every path saw congestion feedback within the configured window. *)
 
-val age_weights : t -> unit
-(** Drift weights toward uniform by the configured aging factor. *)
-
 val note_tx : t -> port:int -> unit
 (** Record that a tenant packet was just sent via [port] — arms the
     black-hole detector for that path. *)

@@ -11,7 +11,8 @@
     - iterate with the [_sorted] helpers whenever the closure writes
       mutable state or its visit order is otherwise observable.  A plain
       [Hashtbl.fold] with a pure, commutative closure (counting, or
-      collect-then-sort) is fine and [clove-sema] accepts it.
+      collect-then-sort) is fine and clove-check's
+      [sema-hashtbl-order] rule accepts it.
 
     The helpers take an explicit typed [compare] (keys here are ints,
     pairs or strings; polymorphic compare is linted against). *)

@@ -11,7 +11,7 @@
    Tasks must not touch the simulator's serial-only global state (the
    invariant auditor, the perturbation knobs); each experiment point owns
    its private scenario, scheduler and RNG, which is what makes this
-   sound.  clove-sema's [sema-domain-parallel] rule keeps Domain/Mutex
+   sound.  clove-check's [sema-domain-parallel] rule keeps Domain/Mutex
    use fenced into this module. *)
 
 type batch = {

@@ -1,8 +1,7 @@
 (* Allocation extraction for clove-check: the hot region of the call graph and the
    cold-branch spans that gate allocation findings.
 
-   The hot region replaces sema-hotpath-alloc's hand-maintained module
-   whitelist: it is everything *reachable* in the whole-library call
+   The hot region is everything *reachable* in the whole-library call
    graph from the scheduler dispatch roots — the defunctionalized kind
    handlers registered with [Scheduler.register_kind] (collected per
    registration site by [Race_extract]) plus the named per-event entry

@@ -1,10 +1,9 @@
 (** Discovery and loading of compiler-generated [.cmt]/[.cmti] typedtrees.
 
-    clove-check (and the typed refinement of clove-sema) work on the
-    typedtree rather than the parsetree: names are resolved, so
-    [Hashtbl.replace] through an alias or an [open] is still seen, and
-    idents carry stamps that distinguish a module-level table from a
-    shadowing local. *)
+    clove-check works on the typedtree rather than the parsetree: names
+    are resolved, so [Hashtbl.replace] through an alias or an [open] is
+    still seen, and idents carry stamps that distinguish a module-level
+    table from a shadowing local. *)
 
 type unit_info = {
   u_modname : string;  (** compilation unit, e.g. ["Engine__Scheduler"] *)

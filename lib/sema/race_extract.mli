@@ -37,12 +37,15 @@ val alloc_kind_slug : alloc_kind -> string
 
 type alloc_site = { al_kind : alloc_kind; al_desc : string; al_site : site }
 
-val parts_of_path : Path.t -> string list
-(** Resolved path components, e.g. [["Stdlib"; "Hashtbl"; "replace"]]. *)
-
 val suffix2 : Path.t -> (string * string) option
 (** Last (module, value) pair with the module stripped of dune
     wrapping: [Engine__Int_table.set] → [("Int_table", "set")]. *)
+
+val classify_mutator :
+  string * string -> (string * Race_lattice.protection * int) option
+(** [Some (primitive, protection, target)] when the call {!suffix2} names
+    mutates its [target]-th positional argument: the one table of
+    mutating primitives, shared with {!Det_rules}. *)
 
 type effect_site = {
   ef_target : Race_lattice.arg_class;  (** root of the mutated value *)

@@ -203,7 +203,7 @@ let test_audit_weight_sum_via_path_table () =
       (50002, [ { Packet.hop_node = 3; hop_port = 0 } ]);
     ];
   Clove.Path_table.note_congested tbl ~port:50001;
-  Clove.Path_table.age_weights tbl;
+  Clove.Path_table.maintain tbl;
   check_bool "every update renormalizes" true (Audit.ok ());
   Audit.set_enabled false;
   Audit.reset ()

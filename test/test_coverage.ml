@@ -310,18 +310,6 @@ let test_wrr_normalize () =
   feq "sums to one" 1.0 (Array.fold_left ( +. ) 0.0 (Clove.Wrr.weights w));
   feq "ratio preserved" 0.25 (Clove.Wrr.weight w 0)
 
-let test_path_table_age_weights () =
-  let sched = Scheduler.create () in
-  let cfg = { Clove.Clove_config.default with Clove.Clove_config.weight_aging = 0.5 } in
-  let tbl = Clove.Path_table.create ~sched ~cfg in
-  let hop n = { Packet.hop_node = n; hop_port = 0 } in
-  Clove.Path_table.install tbl [ (1, [ hop 2 ]); (2, [ hop 3 ]) ];
-  Clove.Path_table.note_congested tbl ~port:1;
-  let before = (Clove.Path_table.weights tbl).(0) in
-  Clove.Path_table.age_weights tbl;
-  let after = (Clove.Path_table.weights tbl).(0) in
-  check_bool "aged toward uniform" true (after > before && after < 0.5)
-
 let test_path_table_pick_random_in_ports () =
   let sched = Scheduler.create () in
   let tbl = Clove.Path_table.create ~sched ~cfg:Clove.Clove_config.default in
@@ -460,7 +448,6 @@ let () =
       ( "clove",
         [
           Alcotest.test_case "wrr normalize" `Quick test_wrr_normalize;
-          Alcotest.test_case "path table aging" `Quick test_path_table_age_weights;
           Alcotest.test_case "pick random in ports" `Quick test_path_table_pick_random_in_ports;
           Alcotest.test_case "presto buffer limit" `Quick test_presto_rx_buffer_limit_flush;
           Alcotest.test_case "traceroute counters" `Quick test_traceroute_counters;

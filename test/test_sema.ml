@@ -1,7 +1,7 @@
-(* Tests for clove-sema (the AST-level determinism and unit-safety
-   analyzer) and for the schedule-perturbation sanitizer: the static and
-   dynamic halves of the same guarantee, that a run is a function of its
-   seed and nothing else. *)
+(* Tests for clove-check's determinism and unit-safety rules and for the
+   schedule-perturbation sanitizer: the static and dynamic halves of the
+   same guarantee, that a run is a function of its seed and nothing
+   else. *)
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -12,148 +12,146 @@ module Audit = Analysis.Audit
 
 open Experiments
 
-(* --------------------------- static passes ------------------------- *)
+(* --------------------------- static rules -------------------------- *)
 
-(* Findings are path-sensitive (the time-boundary whitelist), so pretend
-   the snippet lives in an ordinary component module. *)
-let analyze ?(file = "lib/clove/snippet.ml") src = Sema.Rules.analyze_source ~file src
+(* clove-check's sema-* rules over the compiled fixture library
+   test/fixtures/sema/.  Tests run from _build/default/test, so its .cmt
+   files are under fixtures/sema and its sources under ..; the targets
+   are the flagged top-level bindings. *)
+let fixture_units =
+  lazy
+    (fst
+       (Sema.Cmt_load.load ~root:"fixtures/sema"
+          ~source_prefixes:[ "test/fixtures/sema/" ]))
 
-let count_rule rule fs =
-  List.length (List.filter (fun f -> f.Sema.Rules.rule = rule) fs)
+let fixture_findings =
+  lazy
+    (Analysis.Findings.suppress ~source_root:".." ~files:[]
+       (Sema.Det_rules.findings (Lazy.force fixture_units))
+    |> List.filter Analysis.Findings.is_active)
 
-let one rule src = check_int rule 1 (count_rule rule (analyze src))
-let none src = check_int "clean" 0 (List.length (analyze src))
+let targets rule fs =
+  List.filter_map
+    (fun (f : Analysis.Findings.t) -> if f.rule = rule then Some f.target else None)
+    fs
+  |> List.sort String.compare
+
+let check_flagged rule expected =
+  Alcotest.(check (list string))
+    rule
+    (List.sort String.compare expected)
+    (targets rule (Lazy.force fixture_findings))
+
+(* the findings of [rule] on sema_paths.ml compiled as if it lived at
+   [source] *)
+let as_if source rule =
+  Lazy.force fixture_units
+  |> List.filter_map (fun (u : Sema.Cmt_load.unit_info) ->
+         if u.u_short = "Sema_paths" then Some { u with u_source = source } else None)
+  |> Sema.Det_rules.findings |> targets rule
 
 let test_hashtbl_order () =
-  one "sema-hashtbl-order"
-    "let dump tbl b =\n\
-    \  Hashtbl.iter (fun k v -> Buffer.add_string b (f k v)) tbl\n";
-  one "sema-hashtbl-order"
-    "let total tbl c = Hashtbl.fold (fun _ v () -> c := !c + v) tbl ()\n";
-  one "sema-hashtbl-order"
-    "let show tbl = Hashtbl.iter (fun k _ -> Printf.printf \"%d\" k) tbl\n";
-  none "let total tbl = Hashtbl.fold (fun _ v acc -> acc + v) tbl 0\n";
-  none "let dump tbl b =\n\
-       \  Det.iter_sorted ~compare:Int.compare\n\
-       \    (fun k v -> Buffer.add_string b (f k v)) tbl\n";
-  none
-    "(* log order is cosmetic -- lint: allow sema-hashtbl-order *)\n\
-     let dump tbl b = Hashtbl.iter (fun k v -> Buffer.add_string b (f k v)) tbl\n"
+  check_flagged "sema-hashtbl-order"
+    [
+      "Sema_bad.dump_weights";
+      "Sema_bad.total_into";
+      "Sema_bad.show";
+      "Sema_misread.qualified";
+      "Sema_misread.aliased";
+      "Sema_misread.mirrored";
+    ]
 
 let test_raw_random () =
-  one "sema-raw-random" "let pick xs = List.nth xs (Random.int (len xs))\n";
-  one "sema-raw-random" "let () = Random.self_init ()\n";
-  none "let pick rng xs = List.nth xs (Rng.int rng (len xs))\n"
+  check_flagged "sema-raw-random" [ "Sema_bad.pick_port"; "Sema_bad.reseed" ]
 
 let test_wall_clock () =
-  one "sema-wall-clock" "let t0 = Unix.gettimeofday ()\n";
-  one "sema-wall-clock" "let t0 = Sys.time ()\n";
-  none "let t0 = Scheduler.now sched\n";
-  none
-    "(* harness timing -- lint: allow sema-wall-clock *)\n\
-     let t0 = Sys.time ()\n"
+  check_flagged "sema-wall-clock"
+    [ "Sema_bad.stamp"; "Sema_bad.cpu"; "Sema_misread.opened_clock" ]
 
 let test_adhoc_seed () =
-  one "sema-adhoc-seed" "let rng = Rng.create 42\n";
-  none "let rng = Rng.create seed\n";
-  none "let rng = Rng.split_named parent \"letflow\"\n"
+  check_flagged "sema-adhoc-seed" [ "Sema_bad.local_rng"; "Sema_paths.literal_stream" ]
 
 let test_fault_rng () =
-  (* inside lib/faults/ any Rng.create is wrong, even a non-literal seed *)
-  let in_faults = analyze ~file:"lib/faults/fault_engine.ml" in
-  check_int "sema-fault-rng literal" 1
-    (count_rule "sema-fault-rng" (in_faults "let rng = Rng.create 42\n"));
-  check_int "sema-fault-rng variable" 1
-    (count_rule "sema-fault-rng" (in_faults "let rng = Rng.create seed\n"));
-  check_int "fault split_named clean" 0
-    (List.length (in_faults "let rng = Rng.split_named parent \"flap\"\n"));
-  (* the literal-seed case reports as fault-rng there, not adhoc-seed *)
-  check_int "no double report" 0
-    (count_rule "sema-adhoc-seed" (in_faults "let rng = Rng.create 42\n"));
-  (* outside lib/faults/ a non-literal seed stays clean *)
-  none "let rng = Rng.create seed\n"
+  check_flagged "sema-fault-rng" [ "Fault_stream.stream" ];
+  (* inside lib/faults/ any Rng.create is wrong, even a non-literal seed,
+     and the literal-seed case reports as fault-rng, not adhoc-seed *)
+  let in_faults = as_if "lib/faults/fault_engine.ml" in
+  Alcotest.(check (list string))
+    "fault-rng in lib/faults/"
+    [ "Sema_paths.literal_stream"; "Sema_paths.seeded_stream" ]
+    (in_faults "sema-fault-rng");
+  Alcotest.(check (list string)) "no double report" [] (in_faults "sema-adhoc-seed")
 
 let test_wildcard_variant () =
-  one "sema-wildcard-variant"
-    "let f p = match p with Packet.Probe _ -> true | _ -> false\n";
-  one "sema-wildcard-variant" "let f = function Packet.Fb_ecn _ -> 1 | _ -> 0\n";
-  (* exhaustive protocol matches and wildcards over other types are fine *)
-  none "let f e = match e with Packet.Not_ect -> 0 | Ect -> 1 | Ce -> 2\n";
-  none "let f o = match o with Some _ -> true | _ -> false\n"
+  check_flagged "sema-wildcard-variant" [ "Sema_bad.is_probe"; "Sema_bad.fb_port" ]
 
 let test_time_boundary () =
-  one "sema-time-boundary" "let g = Sim_time.span_ns (Sim_time.us 500)\n";
-  one "sema-time-boundary" "let t = Sim_time.of_ns 5\n";
-  (* the typed algebra is always fine *)
-  none "let g = Sim_time.mul_span rtt 0.5\n";
-  (* ... and raw conversions are fine inside the whitelist *)
-  check_int "whitelisted" 0
-    (List.length
-       (analyze ~file:"lib/engine/event_queue.ml" "let t = Sim_time.of_ns 5\n"))
-
-let test_unit_mix () =
-  one "sema-unit-mix" "let x = flow_bytes + gap_ns\n";
-  one "sema-unit-mix" "let x = deadline_us -. queue_pkts\n";
-  none "let x = flow_bytes + hdr_bytes\n";
-  none "let x = gap_ns + rtt_ns\n";
-  none "let x = a + b\n"
-
-let test_domain_parallel () =
-  one "sema-domain-parallel" "let d = Domain.spawn (fun () -> work ())\n";
-  one "sema-domain-parallel" "let m = Mutex.create ()\n";
-  one "sema-domain-parallel" "let c = Atomic.fetch_and_add counter 1\n";
-  one "sema-domain-parallel" "let () = Condition.broadcast cv\n";
-  (* the parallel runtime itself is whitelisted *)
-  check_int "domain_pool whitelisted" 0
-    (List.length
-       (analyze ~file:"lib/engine/domain_pool.ml"
-          "let d = Domain.spawn (fun () -> work ())\nlet m = Mutex.create ()\n"));
-  check_int "packet_pool whitelisted" 0
-    (List.length
-       (analyze ~file:"lib/netsim/packet_pool.ml"
-          "let key = Domain.DLS.new_key (fun () -> fresh ())\n"));
-  (* calls into the pool are not calls into Domain *)
-  none "let results = Domain_pool.run job points\n";
-  none
-    "(* harness counter -- lint: allow sema-domain-parallel *)\n\
-     let c = Atomic.fetch_and_add counter 1\n"
-
-let test_parse_error () =
-  let fs = analyze "let let let\n" in
-  check_int "one finding" 1 (List.length fs);
-  check_int "parse error" 1 (count_rule "sema-parse-error" fs)
-
-let test_fixture_flagged () =
-  (* cwd is test/ under [dune runtest] but the project root under
-     [dune exec] *)
-  let path =
-    if Sys.file_exists "fixtures/order_dependent.ml" then
-      "fixtures/order_dependent.ml"
-    else "test/fixtures/order_dependent.ml"
-  in
-  let ic = open_in_bin path in
-  let src =
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  let fs = Sema.Rules.analyze_source ~file:"test/fixtures/order_dependent.ml" src in
-  List.iter
-    (fun rule -> check_int rule 1 (count_rule rule fs))
+  check_flagged "sema-time-boundary"
     [
-      "sema-hashtbl-order";
-      "sema-raw-random";
-      "sema-wall-clock";
-      "sema-adhoc-seed";
-      "sema-wildcard-variant";
-      "sema-time-boundary";
-      "sema-unit-mix";
+      "Sema_bad.gap_ns";
+      "Sema_bad.instant";
+      "Sema_misread.opened_time";
+      "Sema_paths.raw_instant";
     ];
   List.iter
-    (fun f ->
-      check_bool "finding names the fixture" true
-        (f.Sema.Rules.file = "test/fixtures/order_dependent.ml");
-      check_bool "finding carries a line" true (f.Sema.Rules.line > 0))
+    (fun source ->
+      Alcotest.(check (list string)) source [] (as_if source "sema-time-boundary"))
+    [ "lib/engine/event_queue.ml"; "lib/transport/rtt_estimator.ml"; "lib/netsim/dre.ml" ];
+  Alcotest.(check (list string))
+    "outside the whitelist" [ "Sema_paths.raw_instant" ]
+    (as_if "lib/netsim/packet_pool.ml" "sema-time-boundary")
+
+let test_unit_mix () =
+  check_flagged "sema-unit-mix" [ "Sema_bad.nonsense"; "Sema_bad.deadline_minus" ]
+
+let test_domain_parallel () =
+  check_flagged "sema-domain-parallel"
+    [
+      "Sema_bad.spawn";
+      "Sema_bad.lock";
+      "Sema_bad.bump";
+      "Sema_bad.wake";
+      "Sema_paths.worker";
+      "Sema_paths.slot";
+    ];
+  (* the parallel runtime itself is whitelisted *)
+  List.iter
+    (fun source ->
+      Alcotest.(check (list string)) source [] (as_if source "sema-domain-parallel"))
+    [ "lib/engine/domain_pool.ml"; "lib/netsim/packet_pool.ml" ];
+  Alcotest.(check (list string))
+    "outside the whitelist" [ "Sema_paths.slot"; "Sema_paths.worker" ]
+    (as_if "lib/netsim/dre.ml" "sema-domain-parallel")
+
+(* sema_misread.ml: the five violations a spelling match misses are
+   flagged, and the wildcard over a local [Data] constructor is not *)
+let test_parent_misreads () =
+  Alcotest.(check (list (pair string string)))
+    "misreads classified"
+    [
+      ("Sema_misread.aliased", "sema-hashtbl-order");
+      ("Sema_misread.mirrored", "sema-hashtbl-order");
+      ("Sema_misread.opened_clock", "sema-wall-clock");
+      ("Sema_misread.opened_time", "sema-time-boundary");
+      ("Sema_misread.qualified", "sema-hashtbl-order");
+    ]
+    (Lazy.force fixture_findings
+    |> List.filter_map (fun (f : Analysis.Findings.t) ->
+           if f.file = "test/fixtures/sema/sema_misread.ml" then Some (f.target, f.rule)
+           else None)
+    |> List.sort compare)
+
+let test_fixture_flagged () =
+  let fs = Lazy.force fixture_findings in
+  List.iter
+    (fun (rule, _) ->
+      check_bool (rule ^ " flagged") true (targets rule fs <> []))
+    Sema.Det_rules.rules;
+  List.iter
+    (fun (f : Analysis.Findings.t) ->
+      check_bool "finding names a fixture" true
+        (String.starts_with ~prefix:"test/fixtures/sema/" f.file);
+      check_bool "finding carries a line" true (f.line > 0))
     fs
 
 (* clove-check's typed dead-export pass on test/fixtures/dead/ (tests
@@ -351,7 +349,7 @@ let () =
           Alcotest.test_case "time-boundary" `Quick test_time_boundary;
           Alcotest.test_case "unit-mix" `Quick test_unit_mix;
           Alcotest.test_case "domain-parallel" `Quick test_domain_parallel;
-          Alcotest.test_case "parse-error" `Quick test_parse_error;
+          Alcotest.test_case "parent misreads" `Quick test_parent_misreads;
           Alcotest.test_case "fixture flagged" `Quick test_fixture_flagged;
           Alcotest.test_case "dead-export fixture" `Quick test_dead_export;
         ] );
