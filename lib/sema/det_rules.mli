@@ -16,5 +16,5 @@ val rules : (string * string) list
 
 val findings : Cmt_load.unit_info list -> Analysis.Findings.t list
 (** Every finding of the rules, unit by unit in walk order, unsuppressed
-    (the driver applies {!Analysis.Findings.suppress}).  The target is
+    (the caller applies {!Analysis.Findings.suppress}).  The target is
     the enclosing top-level binding, e.g. ["Link.on_txdone"]. *)
