@@ -263,6 +263,7 @@ let chaos_cmd =
         pods;
         cores;
         core_rate_bps = core_rate *. 1e9;
+        failure_recovery = not no_recovery;
       }
     in
     let faults =
@@ -294,9 +295,7 @@ let chaos_cmd =
         schemes;
         load;
         jobs_per_conn = jobs;
-        seed;
         params;
-        recovery = not no_recovery;
       }
     in
     let rows = Chaos.run opts in

@@ -1,34 +1,37 @@
 (** Clove tunables (Sections 3–4 of the paper).
 
-    Defaults follow the paper's recommended/"Clove-best" settings: flowlet
-    gap of one network RTT, ECN marking threshold of 20 packets (configured
-    on the fabric, see {!Netsim.Fabric.config}), ECN relay frequency of half
-    an RTT, weight reduction by one third. *)
+    What stays configurable: the RTT estimate, the flowlet gap, the path
+    count, the weight cut, the traceroute period, the Presto reorder
+    buffer cap, the four Section 7 variants and the failure-recovery
+    switch.  Defaults follow the paper's recommended/"Clove-best"
+    settings: flowlet gap of one network RTT, weight reduction by one
+    third (the ECN marking threshold of 20 packets is configured on the
+    fabric, see {!Netsim.Fabric.config}).
+
+    Every other setting is a private constant of the one module that
+    reads it, the timers among them derived from [rtt_estimate] once at
+    construction:
+    - {!Path_table}: weight floor 0.02, congested window 4 RTT, sample
+      staleness 50 RTT, suspect timeout 20 RTT, suspect decay 0.5 per
+      tick, recovery after 16 quiet RTTs at rate 0.25 per tick;
+    - {!Vswitch}: ECN relay interval RTT/2 (the paper's), dedicated
+      feedback deadline 2 RTT, maintenance every 8 RTT, 64 KB Presto
+      flowcells;
+    - {!Presto_rx}: reorder timeout 10 RTT;
+    - {!Traceroute}: 32 fresh ports per cycle, TTL up to 8, 10 ms probe
+      timeout, eviction after 2 dry cycles. *)
 
 type t = {
   rtt_estimate : Sim_time.span;
       (** the operator's estimate of the unloaded network RTT, from which
-          the defaults below are derived *)
+          the flowlet gap and every RTT-scaled timer are derived *)
   flowlet_gap : Sim_time.span;
       (** idle gap that opens a new flowlet (paper: 1–2 RTT; best 1 RTT) *)
   k_paths : int;  (** target number of distinct paths to keep per destination *)
   weight_cut : float;
       (** fraction of a congested path's weight removed per ECN feedback
           (paper: "e.g., by a third") *)
-  min_weight : float;  (** weight floor so no path starves forever *)
-  ecn_relay_interval : Sim_time.span;
-      (** receiver-side per-path relay rate limit (paper: RTT/2) *)
-  congested_window : Sim_time.span;
-      (** how long a path is considered congested after feedback, for the
-          "all paths congested" escalation to the guest *)
   probe_interval : Sim_time.span;  (** traceroute refresh period *)
-  probe_ports : int;  (** random source ports traced per refresh *)
-  max_ttl : int;
-  probe_timeout : Sim_time.span;  (** per-probe loss deadline *)
-  feedback_deadline : Sim_time.span;
-      (** send a dedicated feedback packet if no reverse traffic shows up *)
-  presto_cell_bytes : int;  (** Presto flowcell size (64 KB) *)
-  presto_reorder_timeout : Sim_time.span;
   presto_buffer_limit : int;  (** max buffered out-of-order packets per flow *)
   rewrite_mode : bool;
       (** non-overlay environments (Section 7): instead of adding an
@@ -47,33 +50,10 @@ type t = {
           masking them — for DCTCP guest stacks (Section 7), which want the
           full stream of marks *)
   failure_recovery : bool;
-      (** master switch for the failure-recovery hardening below (sample
-          aging, black-hole weight decay, post-congestion recovery,
-          traceroute full-miss eviction).  Off restores the paper's literal
-          behavior: state only changes on explicit feedback. *)
-  path_staleness : Sim_time.span;
-      (** latency/utilization samples older than this are ignored by
-          [pick_min_latency]/[pick_least_utilized]; a port whose last
-          traceroute verification is also older counts as unusable instead
-          of as a zero-delay winner *)
-  path_suspect_timeout : Sim_time.span;
-      (** a path that carried transmissions for this long with no returning
-          evidence (feedback, ACK credit, probe verification) is suspect:
-          its weight decays toward zero — black-hole eviction, §3.1's
-          "adapt to changes and failures" *)
-  suspect_decay : float;
-      (** fraction of a suspect path's weight removed per maintenance tick *)
-  weight_recovery_quiet : Sim_time.span;
-      (** a path with no congestion feedback for this long regains weight
-          toward uniform, so a transient failure does not permanently
-          starve a healed path *)
-  weight_recovery_rate : float;
-      (** per-maintenance-tick drift of a quiet path's weight toward its
-          uniform share *)
-  maintain_interval : Sim_time.span;  (** path-table maintenance period *)
-  evict_after_cycles : int;
-      (** consecutive traceroute cycles with zero reaching ports before the
-          stale install is cleared (falling back to ECMP hashing) *)
+      (** master switch for the failure-recovery hardening (sample aging,
+          black-hole weight decay, post-congestion recovery, traceroute
+          full-miss eviction).  Off restores the paper's literal behavior:
+          state only changes on explicit feedback. *)
 }
 
 val default : t

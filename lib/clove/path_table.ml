@@ -1,6 +1,24 @@
+(* The weight floor and the recovery pass's per-tick rates; the timers are
+   multiples of the RTT estimate, derived once per table in [create]. *)
+let min_weight = 0.02 (* so no path starves forever *)
+let suspect_decay = 0.5 (* share of a suspect path's weight cut per tick *)
+let weight_recovery_rate = 0.25 (* per-tick drift of a quiet path to uniform *)
+
 type t = {
   sched : Scheduler.t;
   cfg : Clove_config.t;
+  (* how long a path counts as congested after feedback, for the "all
+     paths congested" escalation to the guest *)
+  congested_window : Sim_time.span;
+  (* samples older than this are stale (see [effective_sample]) *)
+  staleness : Sim_time.span;
+  (* transmissions with no returning evidence for this long make a path
+     suspect: black-hole eviction, §3.1's "adapt to changes and failures" *)
+  suspect_timeout : Sim_time.span;
+  (* a path with no congestion feedback for this long regains weight
+     toward uniform, so a transient failure does not permanently starve a
+     healed path *)
+  recovery_quiet : Sim_time.span;
   mutable ports : int array;
   mutable paths : Clove_path.t array;
   mutable wrr : Wrr.t option;
@@ -18,9 +36,20 @@ type t = {
 }
 
 let create ~sched ~cfg =
+  let rtt = cfg.Clove_config.rtt_estimate in
   {
     sched;
     cfg;
+    congested_window = Sim_time.mul_span rtt 4.0;
+    staleness = Sim_time.mul_span rtt 50.0;
+    suspect_timeout = Sim_time.mul_span rtt 20.0;
+    (* quiet window 4x the congestion-feedback cadence (congested_window
+       = 4 rtt): a path still receiving marks never drifts, while weights
+       skewed by a hotspot or fault that has cleared heal within a few
+       maintain cycles.  Chaos-calibrated: gentler rates leave stale skew
+       in place long enough to hurt the fault-free baseline more than the
+       drift ever hurts a faulted run. *)
+    recovery_quiet = Sim_time.mul_span rtt 16.0;
     ports = [||];
     paths = [||];
     wrr = None;
@@ -137,8 +166,7 @@ let is_suspect t i =
   &&
   let ar = alive_ref t i in
   Sim_time.(t.last_tx.(i) > ar)
-  && Sim_time.(
-       Scheduler.now t.sched >= add ar t.cfg.Clove_config.path_suspect_timeout)
+  && Sim_time.(Scheduler.now t.sched >= add ar t.suspect_timeout)
 
 let suspects t = Array.init (Array.length t.ports) (fun i -> is_suspect t i)
 
@@ -161,8 +189,7 @@ let pick_random t rng =
   require_ready t "Path_table.pick_random";
   t.ports.(Rng.int rng (Array.length t.ports))
 
-let fresh t at =
-  Sim_time.(Scheduler.now t.sched < add at t.cfg.Clove_config.path_staleness)
+let fresh t at = Sim_time.(Scheduler.now t.sched < add at t.staleness)
 
 (* staleness-aware view of a measurement: a fresh sample is taken at face
    value; an unmeasured or stale sample on a recently verified path reads
@@ -201,7 +228,7 @@ let pick_min_latency t =
 let is_congested t i =
   let now = Scheduler.now t.sched in
   t.ever_congested.(i)
-  && Sim_time.(now < add t.last_congested.(i) t.cfg.Clove_config.congested_window)
+  && Sim_time.(now < add t.last_congested.(i) t.congested_window)
 
 let note_congested t ~port =
   match Int_table.find_opt t.port_index port with
@@ -217,7 +244,7 @@ let note_congested t ~port =
       let n = Array.length t.ports in
       let wi = Wrr.weight w i in
       let cut = wi *. t.cfg.Clove_config.weight_cut in
-      let remaining = Float.max t.cfg.Clove_config.min_weight (wi -. cut) in
+      let remaining = Float.max min_weight (wi -. cut) in
       let cut = wi -. remaining in
       (* spread the removed weight equally across uncongested paths; if all
          others are congested too, spread over everyone else *)
@@ -302,7 +329,7 @@ let maintain t =
         (if !any_suspect then
            (* black-hole eviction: geometric decay drives a dead path's
               share of the (renormalized) weight sum to zero *)
-           let keep = 1.0 -. t.cfg.Clove_config.suspect_decay in
+           let keep = 1.0 -. suspect_decay in
            for i = 0 to n - 1 do
              if sus.(i) then Wrr.set_weight w i (Wrr.weight w i *. keep)
            done);
@@ -311,17 +338,14 @@ let maintain t =
            regains weight it lost during a past hotspot or fault *)
         let quiet i =
           (not t.ever_congested.(i))
-          || Sim_time.(
-               now
-               >= add t.last_congested.(i)
-                    t.cfg.Clove_config.weight_recovery_quiet)
+          || Sim_time.(now >= add t.last_congested.(i) t.recovery_quiet)
         in
         for i = 0 to n - 1 do
           if (not sus.(i)) && quiet i then begin
             let wi = Wrr.weight w i in
             if wi < uniform then
               Wrr.set_weight w i
-                (wi +. (t.cfg.Clove_config.weight_recovery_rate *. (uniform -. wi)))
+                (wi +. (weight_recovery_rate *. (uniform -. wi)))
           end
         done
       end;

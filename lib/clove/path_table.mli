@@ -51,14 +51,14 @@ val note_latency : t -> port:int -> delay:Sim_time.span -> unit
 
 val pick_min_latency : t -> int
 (** Port with the smallest staleness-aware one-way delay.  A fresh sample
-    (within [path_staleness]) is taken at face value; an unmeasured or
-    stale sample counts as zero {e only} while the path set was recently
-    verified by traceroute — so fresh paths still get probed by traffic —
-    and as infinity otherwise.  Suspect paths always read as infinity,
-    fixing the trap where a black-holed path's "no measurement = zero
-    delay" made it the permanent minimum.  Ties break to the lower index,
-    deterministically.  With [failure_recovery = false] this is the legacy
-    raw minimum. *)
+    (within the staleness window, 50x the RTT estimate) is taken at face
+    value; an unmeasured or stale sample counts as zero {e only} while the
+    path set was recently verified by traceroute — so fresh paths still
+    get probed by traffic — and as infinity otherwise.  Suspect paths
+    always read as infinity, fixing the trap where a black-holed path's
+    "no measurement = zero delay" made it the permanent minimum.  Ties
+    break to the lower index, deterministically.  With
+    [failure_recovery = false] this is the legacy raw minimum. *)
 
 val latency_spread : t -> Sim_time.span
 (** Max minus min reported delay across paths — drives the adaptive
@@ -69,7 +69,8 @@ val utilization : t -> float array
 val latencies : t -> Sim_time.span array
 
 val all_congested : t -> bool
-(** Every path saw congestion feedback within the configured window. *)
+(** Every path saw congestion feedback within the congested window (4x
+    the RTT estimate). *)
 
 val note_tx : t -> port:int -> unit
 (** Record that a tenant packet was just sent via [port] — arms the
@@ -82,8 +83,8 @@ val note_alive : t -> port:int -> unit
 
 val suspects : t -> bool array
 (** Per-path suspect flags: traffic was sent after the last liveness
-    evidence and no echo arrived within [path_suspect_timeout].  All
-    [false] when failure recovery is disabled. *)
+    evidence and no echo arrived within the suspect timeout (20x the RTT
+    estimate).  All [false] when failure recovery is disabled. *)
 
 val maintain : t -> unit
 (** Periodic recovery pass (driven by the vswitch maintenance timer):

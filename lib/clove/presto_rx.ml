@@ -7,6 +7,7 @@ type flow_state = {
 type t = {
   sched : Scheduler.t;
   cfg : Clove_config.t;
+  reorder_timeout : Sim_time.span; (* 10 RTTs: the wait for a hole to fill *)
   deliver : Packet.inner -> unit;
   flows : (int, flow_state) Hashtbl.t;
   mutable buffered : int;
@@ -15,7 +16,9 @@ type t = {
 }
 
 let create ~sched ~cfg ~deliver =
-  { sched; cfg; deliver; flows = Hashtbl.create 64; buffered = 0; flushes = 0; reordered = 0 }
+  let reorder_timeout = Sim_time.mul_span cfg.Clove_config.rtt_estimate 10.0 in
+  let flows = Hashtbl.create 64 in
+  { sched; cfg; reorder_timeout; deliver; flows; buffered = 0; flushes = 0; reordered = 0 }
 
 let buffered t = t.buffered
 let timeout_flushes t = t.flushes
@@ -71,7 +74,7 @@ let arm_timer t f =
   if f.timer = None then
     f.timer <-
       Some
-        (Scheduler.schedule t.sched ~after:t.cfg.Clove_config.presto_reorder_timeout
+        (Scheduler.schedule t.sched ~after:t.reorder_timeout
            (fun () ->
              f.timer <- None;
              if Hashtbl.length f.buffer > 0 then begin

@@ -32,6 +32,14 @@ type t = {
 let probe_id_bits = 20
 let probe_id_mask = (1 lsl probe_id_bits) - 1
 
+let probe_ports = 32 (* fresh random source ports traced per cycle *)
+let max_ttl = 8
+let probe_timeout = Sim_time.ms 10 (* per-cycle reply deadline *)
+
+(* consecutive cycles with zero reaching ports before the stale install
+   is cleared (falling back to ECMP hashing) *)
+let evict_after_cycles = 2
+
 let create ~sched ~cfg ~rng ~host_addr ~tx ~on_paths =
   {
     sched;
@@ -110,7 +118,7 @@ let finalize_cycle t st =
     if
       t.cfg.Clove_config.failure_recovery
       && st.installed_ports <> []
-      && st.empty_cycles >= t.cfg.Clove_config.evict_after_cycles
+      && st.empty_cycles >= evict_after_cycles
     then begin
       st.installed_ports <- [];
       t.on_paths ~dst:st.dst []
@@ -122,17 +130,17 @@ let rec run_cycle t ~key st =
     Hashtbl.reset st.pending;
     st.port_states <- Det.create 32;
     (* trace currently installed ports plus fresh random ones *)
-    let fresh = List.init t.cfg.Clove_config.probe_ports (fun _ -> random_port st) in
+    let fresh = List.init probe_ports (fun _ -> random_port st) in
     let ports = List.sort_uniq Int.compare (st.installed_ports @ fresh) in
     List.iter
       (fun port ->
         Hashtbl.replace st.port_states port { hops = Det.create 8; reached_ttl = -1 };
-        for ttl = 1 to t.cfg.Clove_config.max_ttl do
+        for ttl = 1 to max_ttl do
           send_probe t st ~key ~port ~ttl
         done)
       ports;
     let (_ : Scheduler.handle) =
-      Scheduler.schedule t.sched ~after:t.cfg.Clove_config.probe_timeout (fun () ->
+      Scheduler.schedule t.sched ~after:probe_timeout (fun () ->
           if not t.stopped then finalize_cycle t st)
     in
     let (_ : Scheduler.handle) =
@@ -162,9 +170,7 @@ let add_destination t dst =
        storms whose relative order a schedule perturbation could flip.
        Capped at half the probe timeout so discovery still completes
        within [probe_timeout * 3/2] of registration. *)
-    let jitter =
-      Sim_time.mul_span t.cfg.Clove_config.probe_timeout (Rng.float st.rng 0.5)
-    in
+    let jitter = Sim_time.mul_span probe_timeout (Rng.float st.rng 0.5) in
     let (_ : Scheduler.handle) =
       Scheduler.schedule t.sched ~after:jitter (fun () -> run_cycle t ~key st)
     in

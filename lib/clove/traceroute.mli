@@ -23,9 +23,10 @@ val create :
 
 val add_destination : t -> Addr.t -> unit
 (** Start probing a destination; idempotent.  The first cycle begins after
-    a deterministic per-destination jitter below [cfg.probe_timeout] (so
-    simultaneously-started daemons do not emit synchronized probe storms);
-    results arrive [cfg.probe_timeout] after the cycle starts. *)
+    a deterministic per-destination jitter below half the 10 ms probe
+    timeout (so simultaneously-started daemons do not emit synchronized
+    probe storms); results arrive one probe timeout after the cycle
+    starts. *)
 
 val on_reply : t -> Packet.probe_reply -> unit
 (** Feed a probe reply received by the virtual switch. *)

@@ -65,6 +65,10 @@ type t = {
   stack : Transport.Stack.t;
   scheme : scheme;
   cfg : Clove_config.t;
+  (* receiver-side per-path relay rate limit (the paper's RTT/2) *)
+  relay_interval : Sim_time.span;
+  (* send a dedicated feedback packet if no reverse traffic shows up *)
+  feedback_deadline : Sim_time.span;
   rng : Rng.t;
   (* per-packet state lives in flat {!Int_table}s; the [no_*] records are
      each table's dummy, doubling as the physical absence sentinel for
@@ -117,6 +121,8 @@ let needs_discovery = function
 (* non-overlay mode rewrites the 5-tuple and hides originals in TCP
    options: 12 bytes instead of a full outer header *)
 let rewrite_overhead_bytes = 12
+
+let presto_cell_bytes = 64 * 1024 (* Presto's flowcell size *)
 
 let table t dst =
   let key = Addr.to_int dst in
@@ -195,7 +201,7 @@ let rec arm_fb_timer t ~hv peer =
   if peer.fb_timer = None then
     peer.fb_timer <-
       Some
-        (Scheduler.schedule t.sched ~after:t.cfg.Clove_config.feedback_deadline (fun () ->
+        (Scheduler.schedule t.sched ~after:t.feedback_deadline (fun () ->
              peer.fb_timer <- None;
              match Queue.take_opt peer.fb_queue with
              | None -> ()
@@ -211,7 +217,7 @@ let enqueue_feedback t ~from_hv fb ~port =
        t = 0; this runs per marked packet, not per packet *)
     match Int_table.find_opt peer.last_relay port with
     | None -> true
-    | Some last -> Sim_time.(now >= add last t.cfg.Clove_config.ecn_relay_interval)
+    | Some last -> Sim_time.(now >= add last t.relay_interval)
   in
   if allowed then begin
     Int_table.set peer.last_relay port now;
@@ -331,8 +337,7 @@ let presto_pick t ~flow_key ~dst ~wire_size =
         pf
       end
     in
-    if pf.cell_id < 0 || pf.cell_bytes + wire_size > t.cfg.Clove_config.presto_cell_bytes
-    then begin
+    if pf.cell_id < 0 || pf.cell_bytes + wire_size > presto_cell_bytes then begin
       pf.cell_id <- pf.cell_id + 1;
       pf.cell_bytes <- 0;
       pf.cur_port <- pf.p_ports.(Wrr.pick pf.p_wrr)
@@ -532,6 +537,8 @@ let create ~host ~stack ~scheme ~cfg ~rng () =
         stack;
         scheme;
         cfg;
+        relay_interval = Sim_time.mul_span cfg.Clove_config.rtt_estimate 0.5;
+        feedback_deadline = Sim_time.mul_span cfg.Clove_config.rtt_estimate 2.0;
         rng;
         tables = Int_table.create ~capacity:16 ~dummy:no_table ();
         no_table;
@@ -591,6 +598,7 @@ let create ~host ~stack ~scheme ~cfg ~rng () =
     (* recovery maintenance: periodic suspect decay / weight recovery over
        every path table, self-rescheduling until [stop] like the daemon *)
     if cfg.Clove_config.failure_recovery then begin
+      let maintain_interval = Sim_time.mul_span cfg.Clove_config.rtt_estimate 8.0 in
       let rec tick () =
         if not t.stopped then begin
           Int_table.iter_sorted (fun _ tbl -> Path_table.maintain tbl) t.tables;
@@ -603,14 +611,13 @@ let create ~host ~stack ~scheme ~cfg ~rng () =
           Flowlet.expire_older_than t.flowlets
             (Sim_time.mul_span t.cfg.Clove_config.flowlet_gap 32.0);
           let (_ : Scheduler.handle) =
-            Scheduler.schedule t.sched
-              ~after:t.cfg.Clove_config.maintain_interval tick
+            Scheduler.schedule t.sched ~after:maintain_interval tick
           in
           ()
         end
       in
       let (_ : Scheduler.handle) =
-        Scheduler.schedule sched ~after:cfg.Clove_config.maintain_interval tick
+        Scheduler.schedule sched ~after:maintain_interval tick
       in
       ()
     end

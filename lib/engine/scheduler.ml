@@ -290,25 +290,21 @@ let step t =
   prepare t;
   step_prepared t
 
-let run ?until ?(max_events = max_int) t =
-  let fired = ref 0 in
+let run ?until t =
   let continue () =
-    !fired < max_events
-    && begin
-         prepare t;
-         let time_ns = Event_queue.min_time_ns t.queue in
-         if time_ns = max_int then false
-         else
-           match until with
-           | Some horizon when time_ns > Sim_time.to_ns horizon ->
-             t.clock <- horizon;
-             false
-           | _ -> true
-       end
+    prepare t;
+    let time_ns = Event_queue.min_time_ns t.queue in
+    if time_ns = max_int then false
+    else
+      match until with
+      | Some horizon when time_ns > Sim_time.to_ns horizon ->
+        t.clock <- horizon;
+        false
+      | _ -> true
   in
   while continue () do
     let (_ : bool) = step_prepared t in
-    incr fired
+    ()
   done
 
 (* allocation-free horizon drive for the PDES barrier loop: same

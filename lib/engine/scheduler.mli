@@ -91,9 +91,9 @@ val next_time_ns : t -> int
     barrier loop ({!Shard}) to compute the next safe window; flushes
     due wheel windows into the heap, exactly like {!step} would. *)
 
-val run : ?until:Sim_time.t -> ?max_events:int -> t -> unit
+val run : ?until:Sim_time.t -> t -> unit
 (** Drain the event queue.  [until] stops the clock at the given horizon
-    (events beyond it remain unfired); [max_events] is a safety valve. *)
+    (events beyond it remain unfired). *)
 
 val step : t -> bool
 (** Fire the single earliest event; [false] if the queue was empty. *)

@@ -2,8 +2,8 @@
    scheduler's binary heap.
 
    The wheel is a set of [levels] rings of [2^bits] slots each; a level-k
-   slot spans [2^(g_bits + k*bits)] ns, so with the defaults (3 levels of
-   256 slots at 64 ns granularity) the wheel covers ~1.07 s of simulated
+   slot spans [2^(g_bits + k*bits)] ns, so with 3 levels of 256 slots at
+   64 ns granularity the wheel covers ~1.07 s of simulated
    future — every link hop, TCP RTO/TLP and flowlet gap the simulator
    arms.  Events beyond the horizon (or behind the flushed frontier) are
    refused by [add]; the caller keeps them in the overflow heap.
@@ -33,12 +33,13 @@ type slot = {
   mutable s_len : int;
 }
 
+let bits = 8 (* log2 slots per level *)
+let g_bits = 6 (* log2 of level-0 slot span, ns *)
+let levels = 3
+
 type 'a t = {
   dummy : 'a;
   keep : 'a -> bool;
-  bits : int; (* log2 slots per level *)
-  g_bits : int; (* log2 of level-0 slot span, ns *)
-  levels : int;
   slots : slot array; (* levels * 2^bits, level-major *)
   vals : 'a array array; (* payload columns, parallel to [slots] *)
   (* per-level slot-occupancy bitmap, 32 bits per word: bit [i land 31]
@@ -47,7 +48,6 @@ type 'a t = {
      flushed window on the scheduler's hot path; scanning a handful of
      words beats reading up to [2^bits] slot lengths per level *)
   occ : int array;
-  occ_words : int; (* words per level; power of two *)
   mutable frontier : int; (* absolute ns, multiple of 2^g_bits *)
   mutable count : int;
   mutable lb : int; (* lower bound on min queued entry time, ns *)
@@ -55,16 +55,13 @@ type 'a t = {
 
 let empty_ints = [||]
 
-let create ?(bits = 8) ?(g_bits = 6) ?(levels = 3) ~dummy ~keep () =
-  if bits < 1 || g_bits < 0 || levels < 1 then invalid_arg "Timer_wheel.create";
+let occ_words = (1 lsl bits) lsr 5 (* words per level; power of two *)
+
+let create ~dummy ~keep () =
   let nslots = levels lsl bits in
-  let occ_words = max 1 ((1 lsl bits) lsr 5) in
   {
     dummy;
     keep;
-    bits;
-    g_bits;
-    levels;
     slots =
       Array.init nslots (fun _ ->
           {
@@ -76,7 +73,6 @@ let create ?(bits = 8) ?(g_bits = 6) ?(levels = 3) ~dummy ~keep () =
           });
     vals = Array.make nslots [||];
     occ = Array.make (levels * occ_words) 0;
-    occ_words;
     frontier = 0;
     count = 0;
     lb = max_int;
@@ -84,13 +80,13 @@ let create ?(bits = 8) ?(g_bits = 6) ?(levels = 3) ~dummy ~keep () =
 
 (* [idx] is the level-major slot index (level lsl bits) lor ring *)
 let[@inline] occ_set t idx =
-  let level = idx lsr t.bits and ring = idx land ((1 lsl t.bits) - 1) in
-  let wi = (level * t.occ_words) + (ring lsr 5) in
+  let level = idx lsr bits and ring = idx land ((1 lsl bits) - 1) in
+  let wi = (level * occ_words) + (ring lsr 5) in
   t.occ.(wi) <- t.occ.(wi) lor (1 lsl (ring land 31))
 
 let[@inline] occ_clear t idx =
-  let level = idx lsr t.bits and ring = idx land ((1 lsl t.bits) - 1) in
-  let wi = (level * t.occ_words) + (ring lsr 5) in
+  let level = idx lsr bits and ring = idx land ((1 lsl bits) - 1) in
+  let wi = (level * occ_words) + (ring lsr 5) in
   t.occ.(wi) <- t.occ.(wi) land lnot (1 lsl (ring land 31))
 
 let size t = t.count
@@ -98,7 +94,7 @@ let is_empty t = t.count = 0
 let min_bound_ns t = if t.count = 0 then max_int else t.lb
 
 (* ns span of one level-k slot, as a shift *)
-let[@inline] shift t k = t.g_bits + (k * t.bits)
+let[@inline] shift k = g_bits + (k * bits)
 
 let slot_push t idx ~time_ns ~born_ns ~src ~seq v =
   let s = t.slots.(idx) in
@@ -136,12 +132,12 @@ let slot_push t idx ~time_ns ~born_ns ~src ~seq v =
    so the slot the frontier sits in is empty at every level above 0,
    which is what lets [advance] jump the frontier across idle gaps. *)
 let rec place t ~time_ns ~born_ns ~src ~seq v k =
-  if k = t.levels then false
+  if k = levels then false
   else begin
-    let sh = shift t k in
-    let mask = (1 lsl t.bits) - 1 in
+    let sh = shift k in
+    let mask = (1 lsl bits) - 1 in
     if (time_ns lsr sh) - (t.frontier lsr sh) <= mask then begin
-      let idx = (k lsl t.bits) lor ((time_ns lsr sh) land mask) in
+      let idx = (k lsl bits) lor ((time_ns lsr sh) land mask) in
       slot_push t idx ~time_ns ~born_ns ~src ~seq v;
       true
     end
@@ -179,23 +175,23 @@ let rec scan_words occ ~base ~wi ~bit ~words ~start ~mask j =
    to the nearest occupied slot of [level]; [max_int] if the level is
    empty.  Reads occupancy words, not slot lengths. *)
 let first_occupied_distance t ~level ~start =
-  let words = t.occ_words in
+  let words = occ_words in
   let base = level * words in
   let wi = start lsr 5 and bit = start land 31 in
   let w0 = t.occ.(base + wi) lsr bit in
   if w0 <> 0 then ctz_from w0 0
   else
-    let mask = (1 lsl t.bits) - 1 in
+    let mask = (1 lsl bits) - 1 in
     scan_words t.occ ~base ~wi ~bit ~words ~start ~mask 1
 
 (* Earliest window start (granule-aligned) holding any entry, scanning
    each ring's live window from the frontier's slot forward; [max_int]
    when the wheel is empty.  A handful of occupancy-word reads per level. *)
 let next_occupied_window t =
-  let mask = (1 lsl t.bits) - 1 in
+  let mask = (1 lsl bits) - 1 in
   let best = ref max_int in
-  for k = 0 to t.levels - 1 do
-    let sh = shift t k in
+  for k = 0 to levels - 1 do
+    let sh = shift k in
     let fslot = t.frontier lsr sh in
     let d = first_occupied_distance t ~level:k ~start:(fslot land mask) in
     if d <> max_int then begin
@@ -243,18 +239,18 @@ let flush_slot t ~level idx ~into ~dropped =
 (* Cascade every level whose slot the frontier is entering (all lower
    index bits zero), then flush the level-0 slot and step one granule. *)
 let step_frontier t ~into ~dropped =
-  let mask = (1 lsl t.bits) - 1 in
-  for k = t.levels - 1 downto 1 do
-    let sh = shift t k in
+  let mask = (1 lsl bits) - 1 in
+  for k = levels - 1 downto 1 do
+    let sh = shift k in
     if t.frontier land ((1 lsl sh) - 1) = 0 then
       flush_slot t ~level:k
-        ((k lsl t.bits) lor ((t.frontier lsr sh) land mask))
+        ((k lsl bits) lor ((t.frontier lsr sh) land mask))
         ~into ~dropped
   done;
   flush_slot t ~level:0
-    ((t.frontier lsr t.g_bits) land mask)
+    ((t.frontier lsr g_bits) land mask)
     ~into ~dropped;
-  t.frontier <- t.frontier + (1 lsl t.g_bits)
+  t.frontier <- t.frontier + (1 lsl g_bits)
 
 (* Flush every window whose start is <= [upto_ns] into [into], jumping
    the frontier across empty stretches.  Afterwards every remaining
@@ -264,7 +260,7 @@ let step_frontier t ~into ~dropped =
 let advance t ~upto_ns ~into =
   let dropped = ref 0 in
   (* first granule boundary strictly past [upto_ns] *)
-  let target = ((upto_ns lsr t.g_bits) + 1) lsl t.g_bits in
+  let target = ((upto_ns lsr g_bits) + 1) lsl g_bits in
   let continue = ref true in
   while !continue do
     if t.count = 0 then begin

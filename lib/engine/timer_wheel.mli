@@ -6,23 +6,14 @@
     structure pops in exactly the order a pure binary heap would, under
     either FIFO or LIFO same-time tie-break.
 
-    Defaults: 3 levels of 256 slots at 64 ns granularity, covering
+    Fixed geometry: 3 levels of 256 slots at 64 ns granularity, covering
     ~1.07 s of simulated future.  [add] refuses times behind the flushed
     frontier or beyond the horizon; the caller falls back to the heap. *)
 
 type 'a t
 
-val create :
-  ?bits:int ->
-  ?g_bits:int ->
-  ?levels:int ->
-  dummy:'a ->
-  keep:('a -> bool) ->
-  unit ->
-  'a t
-(** [bits] = log2 slots per level (default 8), [g_bits] = log2 of the
-    level-0 slot span in ns (default 6 = 64 ns), [levels] (default 3).
-    [dummy] pads vacated payload slots; entries failing [keep] are purged
+val create : dummy:'a -> keep:('a -> bool) -> unit -> 'a t
+(** [dummy] pads vacated payload slots; entries failing [keep] are purged
     (and counted) whenever their slot is flushed or compacted. *)
 
 val add :

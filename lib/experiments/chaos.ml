@@ -6,9 +6,7 @@ type opts = {
   schemes : Scenario.scheme list;
   load : float;
   jobs_per_conn : int;
-  seed : int;
   params : Scenario.params;
-  recovery : bool;  (** Clove failure-recovery hardening on/off *)
 }
 
 let default_plan_spec = "flap s2-l2b period=20ms duty=0.5 until=120ms @60ms"
@@ -72,15 +70,14 @@ let default_opts =
        connection carries the run well past the restoration *)
     load = 0.25;
     jobs_per_conn = 750;
-    seed = 1;
     params =
       {
         Scenario.default_params with
         (* frequent probing so rediscovery lands within the run, exactly
            like the ext-failure timeline experiment *)
         Scenario.probe_interval = Some (Sim_time.ms 20);
+        failure_recovery = true;
       };
-    recovery = true;
   }
 
 type row = {
@@ -104,6 +101,18 @@ let recovery_slack = 1.10 (* "within 10% of the fault-free baseline" *)
 let ttr_bucket_sec = 10e-3
 let min_tail_flows = 30
 
+let arm_faults scn plan =
+  let fabric = Scenario.fabric scn in
+  let engine =
+    Faults.Fault_engine.create ~sched:(Scenario.sched scn) ~fabric
+      ~vswitches:(Array.map (Scenario.vswitch scn) (Fabric.hosts fabric))
+      ~naming:(Scenario.fault_naming scn)
+      ~rng:(Rng.split_named (Scenario.rng scn) "faults")
+  in
+  match Faults.Fault_engine.arm engine plan with
+  | Ok () -> engine
+  | Error e -> invalid_arg ("Chaos.arm_faults: " ^ e)
+
 (* One seeded scenario run; [plan = []] is the fault-free baseline.  The
    baseline is byte-identical to the faulted run up to the first fault
    event (same seed, and Rng.split_named derives the engine's streams
@@ -111,15 +120,7 @@ let min_tail_flows = 30
    comparisons isolate the fault's cost from workload-sampling noise and
    secular backlog drift. *)
 let simulate opts scheme plan =
-  let params =
-    {
-      opts.params with
-      Scenario.seed = opts.seed;
-      failure_recovery = opts.recovery;
-    }
-  in
-  let scn = Scenario.build ~scheme params in
-  let sched = Scenario.sched scn in
+  let scn = Scenario.build ~scheme opts.params in
   let servers = Scenario.servers scn in
   (* one-to-one pairing isolates the fabric fault from server-access-link
      collisions (same setup as the ext-failure timeline) *)
@@ -128,17 +129,7 @@ let simulate opts scheme plan =
       (fun i client -> Scenario.connect scn ~src:client ~dst:servers.(i))
       (Scenario.clients scn)
   in
-  let vswitches =
-    Array.map (fun h -> Scenario.vswitch scn h) (Fabric.hosts (Scenario.fabric scn))
-  in
-  let engine =
-    Faults.Fault_engine.create ~sched ~fabric:(Scenario.fabric scn) ~vswitches
-      ~naming:(Scenario.fault_naming scn)
-      ~rng:(Rng.split_named (Scenario.rng scn) "faults")
-  in
-  (match Faults.Fault_engine.arm engine plan with
-  | Ok () -> ()
-  | Error e -> invalid_arg ("Chaos.run_scheme: " ^ e));
+  let engine = arm_faults scn plan in
   let cfg =
     {
       Workload.Websearch.load = opts.load;

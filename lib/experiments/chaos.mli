@@ -34,11 +34,10 @@ type opts = {
   schemes : Scenario.scheme list;
   load : float;
   jobs_per_conn : int;
-  seed : int;
   params : Scenario.params;
-  recovery : bool;
-      (** run with the Clove failure-recovery hardening; [false] is the
-          deliberate black-hole negative control *)
+      (** the scenario every run builds, seed included; its
+          [failure_recovery = false] is the deliberate black-hole
+          negative control *)
 }
 
 val default_opts : opts
@@ -73,6 +72,12 @@ type row = {
   r_base : Workload.Fct_stats.t;
       (** the paired fault-free baseline's FCT record *)
 }
+
+val arm_faults : Scenario.t -> Faults.Fault_plan.t -> Faults.Fault_engine.t
+(** Arm a parsed plan on a built scenario's control scheduler, with the
+    scenario's fault naming and its ["faults"] random substream; raises
+    [Invalid_argument] when the plan does not fit the topology.
+    {!Faults.Fault_engine.stop} the result after the run. *)
 
 val run : ?domains:int -> opts -> row array
 (** All schemes across the domain pool — each a faulted run plus its

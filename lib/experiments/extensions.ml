@@ -155,16 +155,28 @@ let fat_tree opts =
    failure and the recovery both land mid-run *)
 let failure_timeline opts =
   let jobs = 25 * opts.Sweep.jobs_per_conn in
-  let seed = 3 in
+  let params =
+    {
+      Scenario.default_params with
+      Scenario.seed = 3;
+      (* frequent probing so rediscovery is visible within the run *)
+      probe_interval = Some (Sim_time.ms 20);
+    }
+  in
+  (* fail one S2-L2 link at t = 60 ms, while traffic is flowing; load
+     0.4 keeps the pre-failure fabric clearly stable so the degradation
+     and recovery stand out.  Parsed against this topology's names, so a
+     renumbering fails here instead of silently running without the
+     failure. *)
+  let plan =
+    match
+      Faults.Fault_plan.parse ~names:(Scenario.fault_names params)
+        "down s2-l2b @60ms"
+    with
+    | Ok plan -> plan
+    | Error e -> invalid_arg ("Extensions.failure_timeline: " ^ e)
+  in
   let run scheme =
-    let params =
-      {
-        Scenario.default_params with
-        Scenario.seed;
-        (* frequent probing so rediscovery is visible within the run *)
-        probe_interval = Some (Sim_time.ms 20);
-      }
-    in
     let scn = Scenario.build ~scheme params in
     let sched = Scenario.sched scn in
     let rng = Scenario.rng scn in
@@ -176,18 +188,7 @@ let failure_timeline opts =
         (fun i client -> Scenario.connect scn ~src:client ~dst:servers.(i))
         (Scenario.clients scn)
     in
-    (* fail one S2-L2 link at t = 60 ms, while traffic is flowing; load
-       0.4 keeps the pre-failure fabric clearly stable so the degradation
-       and recovery stand out *)
-    let topo = Fabric.topology (Scenario.fabric scn) in
-    let (_ : Scheduler.handle) =
-      Scheduler.schedule_at sched ~time:(Sim_time.of_span (Sim_time.ms 60))
-        (fun () ->
-          let l2 = 1 and s2 = 3 in
-          match Topology.find_edge topo ~a:l2 ~b:s2 ~bundle_index:1 with
-          | Some e -> Fabric.fail_edge (Scenario.fabric scn) e
-          | None -> ())
-    in
+    let engine = Chaos.arm_faults scn plan in
     let cfg =
       {
         Workload.Websearch.load = 0.4;
@@ -198,6 +199,7 @@ let failure_timeline opts =
       }
     in
     let fct = Workload.Websearch.run ~sched ~rng ~conns cfg in
+    Faults.Fault_engine.stop engine;
     Scenario.quiesce scn;
     Workload.Fct_stats.timeline fct ~bucket_sec:0.01
   in

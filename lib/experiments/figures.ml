@@ -295,12 +295,15 @@ let clove_ecn_sweep ~id ~title ~paper_claim ~variants ~apply ~opts ~params =
 
 let ablation_relay opts =
   let params = { Scenario.default_params with Scenario.asymmetric = true } in
-  (* the relay interval is derived from the RTT estimate inside the Clove
-     config; emulate different relay rates by scaling the estimate used
-     for feedback pacing via the flowlet gap kept fixed *)
+  (* scales the RTT estimate, flowlet gap pinned at the unscaled RTT: this
+     moves the relay interval (RTT/2) together with every other
+     RTT-derived Clove timer — congested window, feedback deadline, Presto
+     reorder timeout, and the recovery timers, idle here (recovery off) *)
   let rtt = params.Scenario.rtt_estimate in
   clove_ecn_sweep ~id:"ablation-relay"
-    ~title:"Clove-ECN sensitivity to ECN relay interval (asymmetric)"
+    ~title:
+      "Clove-ECN sensitivity to the RTT estimate behind the ECN relay \
+       interval and the other RTT-derived timers (asymmetric)"
     ~paper_claim:
       "low relay rates act on stale state; very high rates over-react (and \
        cost dataplane cycles); 0.5-2 RTT is robust"
@@ -317,9 +320,8 @@ let ablation_paths opts =
   let params = { Scenario.default_params with Scenario.asymmetric = true } in
   (* k is clamped by the topology's 4 distinct paths; k=1 and k=2 restrict
      Clove to a subset, showing the value of full path diversity.  The
-     config knob lives in Clove_config; we reach it through the flowlet_gap
-     override mechanism is not applicable, so this ablation uses a params
-     hook added for it. *)
+     knob is Clove_config.k_paths, reached through the scenario's
+     [k_paths_override]. *)
   clove_ecn_sweep ~id:"ablation-paths"
     ~title:"Clove-ECN sensitivity to number of discovered paths k (asymmetric)"
     ~paper_claim:"(design ablation; no paper figure) fewer paths => fewer escape routes"

@@ -42,7 +42,6 @@ type params = {
   pods : int;
   cores : int;
   hosts_per_leaf : int;
-  host_rate_bps : float;
   fabric_rate_bps : float;
   core_rate_bps : float;
   asymmetric : bool;
@@ -53,7 +52,6 @@ type params = {
   weight_cut_override : float option;
   rtt_estimate : Sim_time.span;
   conns_per_client : int;
-  mptcp_subflows : int;
   size_scale : float;
   guest_dctcp : bool;
   rewrite_mode : bool;
@@ -72,7 +70,6 @@ let default_params =
     pods = 1;
     cores = 0;
     hosts_per_leaf = 8;
-    host_rate_bps = 10e9;
     fabric_rate_bps = 20e9;
     core_rate_bps = 0.0;
     asymmetric = false;
@@ -83,7 +80,6 @@ let default_params =
     weight_cut_override = None;
     rtt_estimate = Sim_time.us 40;
     conns_per_client = 1;
-    mptcp_subflows = 4;
     size_scale = 0.25;
     guest_dctcp = false;
     rewrite_mode = false;
@@ -96,6 +92,9 @@ let default_params =
     data_mining = false;
     seed = 1;
   }
+
+let host_rate_bps = 10e9 (* every host NIC *)
+let mptcp_subflows = 4
 
 type pdes = {
   shard : Shard.t;
@@ -173,7 +172,7 @@ let build_topology params =
   if params.pods = 1 then
     ( Topology.leaf_spine ~leaves:params.leaves ~spines:params.spines
         ~hosts_per_leaf:params.hosts_per_leaf ~parallel:2
-        ~host_rate_bps:params.host_rate_bps
+        ~host_rate_bps
         ~fabric_rate_bps:params.fabric_rate_bps ~host_delay:(Sim_time.us 2)
         ~fabric_delay:(Sim_time.us 2),
       None )
@@ -182,7 +181,7 @@ let build_topology params =
       Topology.clos3 ~pods:params.pods ~leaves_per_pod:params.leaves
         ~spines_per_pod:params.spines ~cores:(effective_cores params)
         ~hosts_per_leaf:params.hosts_per_leaf ~parallel:2
-        ~host_rate_bps:params.host_rate_bps
+        ~host_rate_bps
         ~fabric_rate_bps:params.fabric_rate_bps
         ~core_rate_bps:(effective_core_rate params)
         ~host_delay:(Sim_time.us 2) ~fabric_delay:(Sim_time.us 2)
@@ -203,7 +202,7 @@ let bisection_bps t =
   (* aggregate client-side NIC rate: leaves/2 client leaves worth of
      hosts (the historical [hosts_per_leaf * host_rate] at 2 leaves) *)
   float_of_int (t.params.hosts_per_leaf * client_leaves t.params)
-  *. t.params.host_rate_bps
+  *. host_rate_bps
 
 let warmup _t = Sim_time.ms 20
 
@@ -237,7 +236,6 @@ let build ?shards ~scheme params =
     {
       Fabric.queue_capacity_pkts = params.queue_capacity_pkts;
       ecn_threshold_pkts = params.ecn_threshold_pkts;
-      index_preserving = true;
       int_capable = (scheme = S_clove_int);
       seed = params.seed;
     }
@@ -450,7 +448,7 @@ let connect t ~src ~dst =
     (* one scheduler spans both endpoints; [build] rejects this sharded *)
     let conn =
       Transport.Mptcp.create ~sched:t.sched ~cfg:tcp_cfg ~conn_id
-        ~subflows:t.params.mptcp_subflows ~src:(Host.addr src) ~dst:(Host.addr dst)
+        ~subflows:mptcp_subflows ~src:(Host.addr src) ~dst:(Host.addr dst)
         ~base_port ~dst_port:80 ~tx_src ~tx_dst ~src_stack:(stack t src)
         ~dst_stack:(stack t dst) ()
     in

@@ -37,11 +37,10 @@ type params = {
   cores : int;
       (** core-switch count for [pods >= 2]; 0 (default) means
           [2 * spines] — two core uplinks per spine *)
-  hosts_per_leaf : int;
-  host_rate_bps : float;
+  hosts_per_leaf : int;  (** hosts per leaf, each with a 10G NIC *)
   fabric_rate_bps : float;
       (** per fabric link; 4 such links per leaf — keep
-          [4 * fabric_rate = hosts_per_leaf * host_rate] for a
+          [4 * fabric_rate = hosts_per_leaf * 10G] for a
           non-oversubscribed fabric like the paper's *)
   core_rate_bps : float;
       (** per spine-core link for [pods >= 2]; 0 (default) means
@@ -55,7 +54,6 @@ type params = {
   weight_cut_override : float option;  (** Clove-ECN weight reduction *)
   rtt_estimate : Sim_time.span;
   conns_per_client : int;
-  mptcp_subflows : int;
   size_scale : float;  (** flow-size scale-down factor for fast runs *)
   guest_dctcp : bool;  (** run DCTCP guest stacks and expose fabric marks *)
   rewrite_mode : bool;  (** non-overlay 5-tuple rewriting (Section 7) *)

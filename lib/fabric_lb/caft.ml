@@ -36,10 +36,13 @@ type state = {
   mutable decisions : int;
 }
 
+(* the congestion floor that keeps an idle narrow path from always
+   beating a busy wide one *)
+let eps = 0.05
+let holddown = Sim_time.ms 50
+
 type t = {
   fabric : Fabric.t;
-  eps : float;
-  holddown : Sim_time.span;
   states : (int, state) Hashtbl.t; (* switch node id *)
   leaf_of_host : (int, int) Hashtbl.t; (* host node id -> leaf node id *)
   cap : (int * int, float) Hashtbl.t; (* (node, dst_leaf) -> bps *)
@@ -111,7 +114,7 @@ let congestion sw port =
 (* true while the port is inside its loss hold-down window; observing
    the counters is part of the check, so every scoring pass refreshes
    the window if the port lost more packets since the last look *)
-let port_gray t st port =
+let port_gray st port =
   let link = Switch.port_link st.sw port in
   let drops = Link.down_drops link + Link.brownout_drops link in
   match Hashtbl.find_opt st.health port with
@@ -123,7 +126,7 @@ let port_gray t st port =
     let now = Scheduler.now (Switch.sched st.sw) in
     if drops > h.seen_drops then begin
       h.seen_drops <- drops;
-      h.bad_until <- Sim_time.add now t.holddown
+      h.bad_until <- Sim_time.add now holddown
     end;
     Sim_time.( < ) now h.bad_until
 
@@ -140,9 +143,9 @@ let choose t st ~dst_leaf ~candidates =
       in
       if w > 0.0 then begin
         let cong =
-          if port_gray t st port then 1.0 else congestion st.sw port
+          if port_gray st port then 1.0 else congestion st.sw port
         in
-        let cost = (t.eps +. cong) /. w in
+        let cost = (eps +. cong) /. w in
         (* strict [<]: equal costs keep the earlier (lowest) port *)
         if cost < !best_cost then begin
           best_cost := cost;
@@ -175,14 +178,11 @@ let picker t st _sw ~in_port pkt ~candidates =
 
 (* ----------------------------- install ----------------------------- *)
 
-let install ?(flowlet_gap = Sim_time.us 500) ?(eps = 0.05)
-    ?(holddown = Sim_time.ms 50) fabric =
+let install ?(flowlet_gap = Sim_time.us 500) fabric =
   let topo = Fabric.topology fabric in
   let t =
     {
       fabric;
-      eps;
-      holddown;
       states = Det.create 16;
       leaf_of_host = Det.create 64;
       cap = Det.create 256;

@@ -12,19 +12,22 @@ type leaf_state = {
   mutable decisions : int;
 }
 
+(* a congestion metric not refreshed for this long reads as zero, so
+   stale congestion does not pin decisions *)
+let metric_age = Sim_time.ms 10
+
 type t = {
-  metric_age : Sim_time.span;
   leaves : (int, leaf_state) Hashtbl.t; (* leaf node id *)
   leaf_of_host : (int, int) Hashtbl.t; (* host node id -> leaf node id *)
 }
 
 (* metric stamps read and write the owning leaf's clock, so all state a
    leaf touches stays on its shard *)
-let read_metric t ls tbl key =
+let read_metric ls tbl key =
   match Hashtbl.find_opt tbl key with
   | None -> 0.0
   | Some m ->
-    if Sim_time.(Scheduler.now ls.lsched >= add m.stamp t.metric_age) then 0.0
+    if Sim_time.(Scheduler.now ls.lsched >= add m.stamp metric_age) then 0.0
     else m.value
 
 let write_metric ls tbl key v =
@@ -51,17 +54,17 @@ let absorb ls pkt =
         write_metric ls ls.cong_to (md.Packet.src_leaf, md.Packet.fb_lbtag) md.Packet.fb_ce
     end
 
-let pick_feedback t ls ~dst_leaf =
+let pick_feedback ls ~dst_leaf =
   (* round-robin one CongFromLeaf[dst_leaf] entry onto the packet *)
   let n = Array.length ls.uplinks in
   if n = 0 then (-1, 0.0)
   else begin
     let ptr = match Hashtbl.find_opt ls.fb_ptr dst_leaf with Some p -> p | None -> 0 in
     Hashtbl.replace ls.fb_ptr dst_leaf ((ptr + 1) mod n);
-    (ptr, read_metric t ls ls.cong_from (dst_leaf, ptr))
+    (ptr, read_metric ls ls.cong_from (dst_leaf, ptr))
   end
 
-let choose_uplink t ls ~dst_leaf ~candidates =
+let choose_uplink ls ~dst_leaf ~candidates =
   (* among live candidate ports, minimize max(local DRE, CongToLeaf) *)
   let best_port = ref candidates.(0) and best_cost = ref infinity in
   Array.iter
@@ -70,7 +73,7 @@ let choose_uplink t ls ~dst_leaf ~candidates =
       | None -> ()
       | Some tag ->
         let local = Link.utilization (Switch.port_link ls.sw port) in
-        let remote = read_metric t ls ls.cong_to (dst_leaf, tag) in
+        let remote = read_metric ls ls.cong_to (dst_leaf, tag) in
         let cost = Float.max local remote in
         if cost < !best_cost then begin
           best_cost := cost;
@@ -90,14 +93,14 @@ let leaf_picker t ls _sw ~in_port pkt ~candidates =
       Clove.Flowlet.touch ls.flowlets ~key ~pick:(fun ~flowlet_id ->
           ignore flowlet_id;
           ls.decisions <- ls.decisions + 1;
-          choose_uplink t ls ~dst_leaf ~candidates)
+          choose_uplink ls ~dst_leaf ~candidates)
     in
     (* the flowlet's cached port may have failed since; re-pick if so *)
     let port = if Array.exists (fun c -> c = port) candidates then port else
-        choose_uplink t ls ~dst_leaf ~candidates
+        choose_uplink ls ~dst_leaf ~candidates
     in
     let lbtag = match Hashtbl.find_opt ls.lbtag_of_port port with Some i -> i | None -> 0 in
-    let fb_lbtag, fb_ce = pick_feedback t ls ~dst_leaf in
+    let fb_lbtag, fb_ce = pick_feedback ls ~dst_leaf in
     pkt.Packet.conga <-
       Some
         {
@@ -115,11 +118,9 @@ let leaf_picker t ls _sw ~in_port pkt ~candidates =
     else candidates.(Ecmp_hash.select ~seed:(Switch.id ls.sw) pkt ~n:(Array.length candidates))
 
 
-let install ?(flowlet_gap = Sim_time.us 500) ?(metric_age = Sim_time.ms 10) fabric =
+let install ?(flowlet_gap = Sim_time.us 500) fabric =
   let topo = Fabric.topology fabric in
-  let t =
-    { metric_age; leaves = Hashtbl.create 8; leaf_of_host = Hashtbl.create 64 }
-  in
+  let t = { leaves = Hashtbl.create 8; leaf_of_host = Hashtbl.create 64 } in
   (* map hosts to their leaf *)
   Array.iter
     (fun h ->
@@ -179,5 +180,5 @@ let cong_to_leaf t ~leaf ~dst_leaf =
   match Hashtbl.find_opt t.leaves leaf with
   | None -> [||]
   | Some ls ->
-    Array.mapi (fun tag _ -> read_metric t ls ls.cong_to (dst_leaf, tag)) ls.uplinks
+    Array.mapi (fun tag _ -> read_metric ls ls.cong_to (dst_leaf, tag)) ls.uplinks
 

@@ -20,13 +20,9 @@
 
 type t
 
-val install :
-  ?flowlet_gap:Sim_time.span ->
-  ?metric_age:Sim_time.span ->
-  Fabric.t ->
-  t
+val install : ?flowlet_gap:Sim_time.span -> Fabric.t -> t
 (** Installs pickers on the leaves and CE-stamping hooks on every switch.
-    Defaults: 500 us flowlet gap, 10 ms metric age. *)
+    Default flowlet gap 500 us; metrics age out after a fixed 10 ms. *)
 
 val flowlets_started : t -> int
 val decisions : t -> int

@@ -32,7 +32,10 @@ let picker t sw ~in_port pkt ~candidates =
     else candidates.(Rng.int rng n)
   end
 
-let install ?(flowlet_gap = Sim_time.us 500) ~rng fabric =
+(* the LetFlow paper's switch implementation *)
+let flowlet_gap = Sim_time.us 500
+
+let install ~rng fabric =
   let t = { tables = Det.create 8; rngs = Det.create 8 } in
   Array.iter
     (fun sw ->

@@ -9,9 +9,9 @@
 
 type t
 
-val install : ?flowlet_gap:Sim_time.span -> rng:Rng.t -> Fabric.t -> t
+val install : rng:Rng.t -> Fabric.t -> t
 (** Install flowlet pickers on every switch with multiple candidate next
     hops; each switch draws from a named substream of [rng] keyed on its
     id, so installation order never shifts another switch's picks.
-    Default gap: 500 us, as in the LetFlow paper's switch
+    Flowlet gap: a fixed 500 us, as in the LetFlow paper's switch
     implementation. *)

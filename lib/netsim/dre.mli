@@ -12,9 +12,8 @@
 
 type t
 
-val create :
-  ?alpha:float -> ?tick:Sim_time.span -> rate_bps:float -> Scheduler.t -> t
-(** Defaults: [alpha] = 0.1, [tick] = 10us (tau = 100us). *)
+val create : rate_bps:float -> Scheduler.t -> t
+(** Fixed [alpha] = 0.1 and [tick] = 10us (tau = 100us). *)
 
 val observe : t -> bytes_len:int -> unit
 (** Record a transmission happening now. *)

@@ -3,7 +3,6 @@ type entity = E_host of Host.t | E_switch of Switch.t
 type config = {
   queue_capacity_pkts : int;
   ecn_threshold_pkts : int;
-  index_preserving : bool;
   int_capable : bool;
   seed : int;
 }
@@ -12,7 +11,6 @@ let default_config =
   {
     queue_capacity_pkts = 256;
     ecn_threshold_pkts = 20;
-    index_preserving = true;
     int_capable = false;
     seed = 42;
   }
@@ -64,7 +62,7 @@ let create ?sched_of_node ~sched ~config topo =
         let s =
           Switch.create ~sched:(sofn id) ~id ~level
             ~ecmp_seed:(Ecmp_hash.hash_tuple ~seed:config.seed (id, 7, 7, 7))
-            ~index_preserving:config.index_preserving ~int_capable:config.int_capable ()
+            ~int_capable:config.int_capable ()
         in
         entities.(id) <- E_switch s;
         switches := s :: !switches)

@@ -11,8 +11,6 @@ type t
 type config = {
   queue_capacity_pkts : int;
   ecn_threshold_pkts : int;  (** <= 0 disables marking *)
-  index_preserving : bool;
-      (** spines keep the ingress parallel-link index (testbed wiring) *)
   int_capable : bool;  (** switches stamp INT utilization *)
   seed : int;  (** seeds the per-switch ECMP hash functions *)
 }

@@ -8,7 +8,6 @@ type t = {
   level : level;
   ecmp_seed : int;
   latency : Sim_time.span;
-  index_preserving : bool;
   int_capable : bool;
   mutable ports : port array;
   mutable nports : int;
@@ -77,8 +76,7 @@ let default_pick t ~in_port pkt ~candidates =
   let n = Array.length candidates in
   if n = 1 then candidates.(0)
   else if
-    t.index_preserving && in_port >= 0 && t.level = Spine
-    && all_same_peer t candidates
+    in_port >= 0 && t.level = Spine && all_same_peer t candidates
   then
     (* the testbed's deterministic spine wiring: traffic received on the
        i-th parallel link from a leaf leaves on the i-th parallel link of
@@ -178,7 +176,7 @@ let add_port t ~link ~peer ~parallel_index =
   p
 
 let create ~sched ~id ~level ~ecmp_seed ?(latency = Sim_time.ns 250)
-    ?(index_preserving = false) ?(int_capable = false) () =
+    ?(int_capable = false) () =
   (* a real (never-transmitting) port fills empty slots of the port
      array, replacing the seed's GC-unsafe [Obj.magic 0] sentinel *)
   let unwired =
@@ -197,7 +195,6 @@ let create ~sched ~id ~level ~ecmp_seed ?(latency = Sim_time.ns 250)
       level;
       ecmp_seed;
       latency;
-      index_preserving;
       int_capable;
       unwired;
       ports = Array.make 8 unwired;

@@ -4,9 +4,10 @@
     reply identifying the ingress interface, like ICMP time-exceeded),
     look up the candidate egress ports for the packet's routed destination,
     and pick one — by default with seeded ECMP hashing of the outer 5-tuple,
-    optionally preserving the parallel-link index of the ingress port (the
-    deterministic spine wiring used in the paper's testbed, which makes the
-    four leaf-to-leaf paths disjoint).
+    except that a spine choosing within one parallel bundle keeps the
+    parallel-link index of the ingress port (the deterministic spine wiring
+    used in the paper's testbed, which makes the four leaf-to-leaf paths
+    disjoint).
 
     Pluggable hooks let higher layers implement in-fabric schemes (CONGA)
     without the switch depending on them:
@@ -29,7 +30,6 @@ val create :
   level:level ->
   ecmp_seed:int ->
   ?latency:Sim_time.span ->
-  ?index_preserving:bool ->
   ?int_capable:bool ->
   unit ->
   t

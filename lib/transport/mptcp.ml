@@ -13,8 +13,6 @@ type t = {
   senders : Tcp.sender array;
   mutable jobs : job list;  (* FIFO; oldest first *)
   grants : grant Queue.t array;  (* per-subflow FIFO of outstanding grants *)
-  chunk_bytes : int;
-  stripe_threshold : int;
   mss : int;
   mutable reinjections : int;
 }
@@ -41,6 +39,11 @@ let lia_increase t k () =
     let wk = Float.max (Tcp.cwnd_pkts t.senders.(k)) 1e-9 in
     Float.min (alpha /. !w_total) (1.0 /. wk)
   end
+
+let chunk_bytes = 4 * 1400 (* the granule a subflow pulls: 4 MSS *)
+
+(* jobs of at most this many bytes ride one subflow instead of striping *)
+let stripe_threshold = 64 * 1024
 
 let oldest_incomplete t =
   let rec go = function
@@ -85,7 +88,7 @@ let pull t k () =
   match oldest_incomplete t with
   | None -> 0
   | Some job ->
-    (if job.size <= t.stripe_threshold && job.pinned = None then begin
+    (if job.size <= stripe_threshold && job.pinned = None then begin
        let j = match best_subflow t with Some b -> b | None -> k in
        job.pinned <- Some j;
        (* the chosen subflow may be idle (no pending ACKs to wake it), so
@@ -97,7 +100,7 @@ let pull t k () =
     | _ ->
       let avail = window_avail t k in
       let window_cap = if avail <= t.mss then t.mss else avail - (avail mod t.mss) in
-      let grant = min (min t.chunk_bytes window_cap) job.to_grant in
+      let grant = min (min chunk_bytes window_cap) job.to_grant in
       if grant <= 0 then 0
       else begin
         job.to_grant <- job.to_grant - grant;
@@ -158,8 +161,7 @@ let reinject t k =
     Array.iteri (fun i s -> if i <> k then Tcp.try_send s) t.senders
 
 let create ~sched ~cfg ~conn_id ~subflows ~src ~dst ~base_port ~dst_port ~tx_src ~tx_dst
-    ~src_stack ~dst_stack ?(chunk_bytes = 4 * 1400) ?(stripe_threshold = 64 * 1024)
-    ?(coupled = true) () =
+    ~src_stack ~dst_stack () =
   if subflows < 1 then invalid_arg "Mptcp.create: need at least one subflow";
   let senders =
     Array.init subflows (fun k ->
@@ -171,8 +173,6 @@ let create ~sched ~cfg ~conn_id ~subflows ~src ~dst ~base_port ~dst_port ~tx_src
       senders;
       jobs = [];
       grants = Array.init subflows (fun _ -> Queue.create ());
-      chunk_bytes;
-      stripe_threshold;
       mss = cfg.Tcp_config.mss;
       reinjections = 0;
     }
@@ -183,7 +183,7 @@ let create ~sched ~cfg ~conn_id ~subflows ~src ~dst ~base_port ~dst_port ~tx_src
       Tcp.set_pull s (pull t k);
       Tcp.set_on_acked s (on_acked t k);
       Tcp.set_on_timeout s (fun () -> reinject t k);
-      if coupled then Tcp.set_ca_increase s (lia_increase t k);
+      Tcp.set_ca_increase s (lia_increase t k);
       let r =
         Tcp.create_receiver ~sched ~cfg ~conn_id ~subflow:k ~addr:dst ~peer:src
           ~src_port:dst_port ~dst_port:(base_port + k) ~tx:tx_dst ()

@@ -27,16 +27,11 @@ val create :
   tx_dst:(Packet.t -> unit) ->
   src_stack:Stack.t ->
   dst_stack:Stack.t ->
-  ?chunk_bytes:int ->
-  ?stripe_threshold:int ->
-  ?coupled:bool ->
   unit ->
   t
-(** Creates and registers all subflow endpoints on the two stacks.
-    [chunk_bytes] (default 4 MSS) is the granule the scheduler hands to a
-    subflow; jobs of at most [stripe_threshold] bytes (default 64 KB) are
-    pinned to the lowest-RTT subflow instead of being striped; [coupled]
-    (default true) enables LIA. *)
+(** Creates and registers all subflow endpoints on the two stacks.  The
+    scheduler hands a subflow 4 MSS at a time; jobs of at most 64 KB are
+    pinned to the lowest-RTT subflow instead of being striped. *)
 
 val send : t -> bytes:int -> on_complete:(unit -> unit) -> unit
 (** Enqueue a job; jobs are served FIFO over the subflow pool and complete

@@ -1,5 +1,8 @@
 type job = { end_seq : int; on_complete : unit -> unit }
 
+let init_cwnd_pkts = 10.0
+let dupack_threshold = 3
+
 (* Congestion-control floats live in their own all-float record: OCaml
    stores such a record as a flat float block, so the per-ACK writes
    ([cwnd] grows on every ACK) store unboxed doubles in place.  The same
@@ -183,7 +186,7 @@ let create_sender ~sched ~cfg ~conn_id ?(subflow = 0) ~src ~dst ~src_port ~dst_p
       stream_end = 0;
       cc =
         {
-          cwnd = cfg.Tcp_config.init_cwnd_pkts;
+          cwnd = init_cwnd_pkts;
           ssthresh = 1e9;
           dctcp_alpha = 1.0;
           min_rtt_ns = infinity;
@@ -266,7 +269,7 @@ let complete_jobs s =
   in
   loop ()
 
-let window_cut s =
+let ecn_signal s =
   (* at most one multiplicative decrease per RTT, RFC 3168 style; DCTCP
      scales the decrease by the marked fraction instead of halving *)
   let now = Scheduler.now s.sched in
@@ -297,8 +300,6 @@ let dctcp_account s ~acked_bytes ~ece =
       s.dctcp_window_end <- s.snd_next
     end
   end
-
-let ecn_signal s = if s.cfg.Tcp_config.respond_to_ecn then window_cut s
 
 let grow_window s ~acked_bytes =
   let acked_pkts = float_of_int acked_bytes /. float_of_int (mss s) in
@@ -361,7 +362,7 @@ let on_ack s (seg : Packet.tcp_seg) =
          enough duplicate ACKs, so lower the threshold to flight-1 *)
       let flight_pkts = (flight_bytes s + mss s - 1) / mss s in
       let threshold =
-        min s.cfg.Tcp_config.dupack_threshold (max 1 (flight_pkts - 1))
+        min dupack_threshold (max 1 (flight_pkts - 1))
       in
       if s.dup_acks >= threshold && not s.in_recovery then begin
         let flight_pkts = float_of_int (flight_bytes s) /. float_of_int (mss s) in

@@ -1,10 +1,7 @@
 type t = {
   mss : int;
-  init_cwnd_pkts : float;
-  dupack_threshold : int;
   min_rto : Sim_time.span;
   max_rto : Sim_time.span;
-  respond_to_ecn : bool;
   dctcp : bool;
   dctcp_g : float;
 }
@@ -12,11 +9,8 @@ type t = {
 let default =
   {
     mss = 1400;
-    init_cwnd_pkts = 10.0;
-    dupack_threshold = 3;
     min_rto = Sim_time.ms 10;
     max_rto = Sim_time.sec 2.0;
-    respond_to_ecn = true;
     dctcp = false;
     dctcp_g = 1.0 /. 16.0;
   }

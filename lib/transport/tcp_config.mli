@@ -2,14 +2,8 @@
 
 type t = {
   mss : int;  (** payload bytes per segment *)
-  init_cwnd_pkts : float;
-  dupack_threshold : int;
   min_rto : Sim_time.span;
   max_rto : Sim_time.span;
-  respond_to_ecn : bool;
-      (** whether the guest reacts to congestion signals relayed by the
-          hypervisor (Clove masks fabric ECN unless all paths are
-          congested) *)
   dctcp : bool;
       (** DCTCP guest stack (Section 7): reduce the window in proportion to
           the fraction of marked bytes instead of halving *)
@@ -17,8 +11,9 @@ type t = {
 }
 
 val default : t
-(** mss 1400, initial window 10, dupack threshold 3, min RTO 10 ms,
-    max RTO 2 s, ECN response on, DCTCP off. *)
+(** mss 1400, min RTO 10 ms, max RTO 2 s, DCTCP off.  The initial
+    window (10 packets) and the dupack threshold (3) are constants of
+    {!Tcp}, and the guest always reacts to ECN. *)
 
 val dctcp : t
 (** [default] with the DCTCP congestion response enabled. *)

@@ -112,12 +112,6 @@ let test_ecmp_select_single () =
   let pkt = Packet.make_tenant ~src:(Addr.of_int 0) ~dst:(Addr.of_int 1) ~seg:(mk_seg ()) in
   check_int "n=1 always 0" 0 (Ecmp_hash.select ~seed:5 pkt ~n:1)
 
-let test_dre_invalid_alpha () =
-  let sched = Scheduler.create () in
-  Alcotest.check_raises "alpha out of range"
-    (Invalid_argument "Dre.create: alpha must be in (0,1)") (fun () ->
-      ignore (Dre.create ~alpha:1.5 ~rate_bps:1e9 sched))
-
 let test_queue_disable_marking () =
   let q = Pkt_queue.create ~capacity_pkts:10 ~ecn_threshold_pkts:0 () in
   for _ = 1 to 8 do
@@ -428,7 +422,6 @@ let () =
           Alcotest.test_case "addr" `Quick test_addr_basics;
           Alcotest.test_case "packet pp" `Quick test_packet_pp_and_probe;
           Alcotest.test_case "select n=1" `Quick test_ecmp_select_single;
-          Alcotest.test_case "dre invalid alpha" `Quick test_dre_invalid_alpha;
           Alcotest.test_case "queue marking disabled" `Quick test_queue_disable_marking;
           Alcotest.test_case "link counters" `Quick test_link_counters;
           Alcotest.test_case "switch hooks and drops" `Quick test_switch_hooks_and_drops;

@@ -27,6 +27,80 @@ let test_seeds_differ () =
   check_bool "different seeds differ" true
     (Workload.Fct_stats.avg a <> Workload.Fct_stats.avg b)
 
+(* ---------------------------- golden digests ----------------------- *)
+
+(* Pinned [canonical_dump] MD5s of small runs: every scheme on the
+   asymmetric testbed with failure recovery on, CAFT on a 3-tier fabric,
+   and the four Section 7 variants.  Together they reach every default
+   the simulator runs with (timers, weights, TCP and MPTCP constants,
+   fabric load balancers), so a changed constant moves a digest here.
+   The variants run with recovery off, the paper's setting: with it on,
+   the reorder and adaptive-gap runs reproduce their base scheme's
+   digest at this scale, and would pin nothing of their own. *)
+let golden_digests =
+  [
+    ("ECMP", "0ae3149a9d2ad8bc25fe3f8afe565978");
+    ("Edge-Flowlet", "587521c93693815a5d2b9f57bed40b7e");
+    ("Clove-ECN", "2d9d05a1bde6eb7b865f0552c0da12ef");
+    ("Clove-INT", "a5c92f9a9ef9c84289e45d403d932183");
+    ("Clove-Latency", "a5c92f9a9ef9c84289e45d403d932183");
+    ("Presto", "6988a7247ea1d177b18f8dac4f5ba6ad");
+    ("MPTCP", "aab430aed7e5957519a8805bc722f009");
+    ("CONGA", "b24e108b29aadf7c25c2cbf04abf0dea");
+    ("LetFlow", "bfae8d23d5cd2247287869f4598df029");
+    ("CAFT", "37243f2bc1a77f391c07b8c3c4d2a94d");
+    ("CAFT pods=2", "69a6cabb6de0faa057b19e4b2f381857");
+    ("Clove-ECN rewrite", "cb642b039b3cd4be9e2434572f890e7e");
+    ("Clove-ECN reorder", "95941ad9a13064572cddc4ca818d28b8");
+    ("Clove-Latency adaptive gap", "9bd249000c520fec7636f11f8606f346");
+    ("Clove-ECN DCTCP guests", "6a3433b035982258cf4af57dd55398b3");
+  ]
+
+let test_golden_digests () =
+  let asym =
+    {
+      Scenario.default_params with
+      Scenario.asymmetric = true;
+      failure_recovery = true;
+      seed = 1;
+    }
+  in
+  let paper = { asym with Scenario.failure_recovery = false } in
+  let runs =
+    List.map
+      (fun scheme -> (Scenario.scheme_name scheme, scheme, asym))
+      Scenario.
+        [
+          S_ecmp;
+          S_edge_flowlet;
+          S_clove_ecn;
+          S_clove_int;
+          S_clove_latency;
+          S_presto;
+          S_mptcp;
+          S_conga;
+          S_letflow;
+          S_caft;
+        ]
+    @ [
+        ( "CAFT pods=2",
+          Scenario.S_caft,
+          { asym with Scenario.pods = 2; asymmetric = false } );
+        ("Clove-ECN rewrite", Scenario.S_clove_ecn, { paper with rewrite_mode = true });
+        ("Clove-ECN reorder", Scenario.S_clove_ecn, { paper with clove_reorder = true });
+        ( "Clove-Latency adaptive gap",
+          Scenario.S_clove_latency,
+          { paper with adaptive_gap = true } );
+        ("Clove-ECN DCTCP guests", Scenario.S_clove_ecn, { paper with guest_dctcp = true });
+      ]
+  in
+  let digest (label, scheme, params) =
+    let fct = Sweep.websearch_run ~scheme ~params ~load:0.5 ~jobs_per_conn:8 in
+    (label, Digest.to_hex (Digest.string (Workload.Fct_stats.canonical_dump fct)))
+  in
+  Alcotest.(check (list (pair string string)))
+    "FCT digests" golden_digests (List.map digest runs)
+
 (* -------------------------- byte conservation --------------------- *)
 
 let test_byte_conservation () =
@@ -184,6 +258,8 @@ let () =
           Alcotest.test_case "same seed same result" `Quick test_runs_are_deterministic;
           Alcotest.test_case "different seeds differ" `Quick test_seeds_differ;
         ] );
+      ( "golden",
+        [ Alcotest.test_case "pinned digests" `Quick test_golden_digests ] );
       ( "conservation",
         [ Alcotest.test_case "bytes acked exactly once" `Quick test_byte_conservation ] );
       ( "paper-claims",
