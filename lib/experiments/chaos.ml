@@ -268,13 +268,10 @@ let run_scheme opts scheme =
 let run ?domains opts =
   (* one fully private scenario per scheme: embarrassingly parallel, and
      results return by scheme index so the scorecard (and its digests)
-     are identical at any domain count.  Audited runs stay serial — the
-     auditor's tables are global. *)
+     are identical at any domain count; serial under Sweep's fan-out
+     rule *)
   let schemes = Array.of_list opts.schemes in
-  if !Analysis.Audit.on || !Scenario.default_shards >= 2 then
-    (* sharded runs parallelize inside each scheme's scenario — fanning
-       schemes out on top of that would nest domain pools *)
-    Array.map (run_scheme opts) schemes
+  if Sweep.run_serially () then Array.map (run_scheme opts) schemes
   else Domain_pool.run ?domains (run_scheme opts) schemes
 
 let ms v = if Float.is_nan v then nan else 1e3 *. v

@@ -25,7 +25,8 @@
 
     Schemes run as fully private scenarios fanned across a domain pool and
     merged by index, so scorecards — and the FCT digests derived from them
-    — are identical at any domain count. *)
+    — are identical at any domain count.  One faulted run, {!simulate},
+    is also the whole of the ext-failure timeline experiment. *)
 
 type opts = {
   plan : Faults.Fault_plan.t;
@@ -73,16 +74,19 @@ type row = {
       (** the paired fault-free baseline's FCT record *)
 }
 
-val arm_faults : Scenario.t -> Faults.Fault_plan.t -> Faults.Fault_engine.t
-(** Arm a parsed plan on a built scenario's control scheduler, with the
-    scenario's fault naming and its ["faults"] random substream; raises
-    [Invalid_argument] when the plan does not fit the topology.
-    {!Faults.Fault_engine.stop} the result after the run. *)
+val simulate : opts -> Scenario.scheme -> Faults.Fault_plan.t -> Workload.Fct_stats.t
+(** One seeded run of [opts.params] at [opts.load] for [opts.jobs_per_conn]
+    jobs per connection, client [i] paired with server [i], with the given
+    plan armed on the scenario's control scheduler ([[]] = the fault-free
+    baseline; [opts.plan] and [opts.schemes] are not read).  Runs at the
+    scenario's shard width through {!Scenario.run_websearch}; raises
+    [Invalid_argument] when the plan does not fit the topology.  The
+    ext-failure timeline is two such runs. *)
 
 val run : ?domains:int -> opts -> row array
 (** All schemes across the domain pool — each a faulted run plus its
-    fault-free baseline — results by scheme index; serial while the
-    invariant auditor is on. *)
+    fault-free baseline — results by scheme index; serial under
+    {!Sweep.run_serially}. *)
 
 val scorecard : plan:Faults.Fault_plan.t -> row array -> Figures.report
 (** Format already-computed rows as a figure-style report. *)

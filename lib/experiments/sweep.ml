@@ -71,30 +71,33 @@ let run_point p =
   websearch_run ~scheme:p.pt_scheme ~params:p.pt_params ~load:p.pt_load
     ~jobs_per_conn:p.pt_jobs_per_conn
 
+(* Every fan-out of independent runs (sweep points, incast seeds, chaos
+   schemes) stays serial while the invariant auditor is on — its tables
+   are global and unsynchronized — and under --shards >= 2, where each
+   run already parallelizes inside its scenario and running several at
+   once would nest domain pools. *)
+let run_serially () = !Analysis.Audit.on || !Scenario.default_shards >= 2
+
 let run_points_parallel ?domains points =
   (* every point owns a private scenario, scheduler and RNG, so points
      are embarrassingly parallel; results come back indexed by point, so
      the caller's aggregation order — and therefore every figure — is
-     identical for 1 and N domains.  The invariant auditor's tables are
-     global and unsynchronized: audited runs stay serial. *)
-  if !Analysis.Audit.on || !Scenario.default_shards >= 2 then
-    (* sharded runs parallelize inside each point — running points
-       concurrently on top of that would nest domain pools *)
-    Array.map run_point points
+     identical for 1 and N domains *)
+  if run_serially () then Array.map run_point points
   else Domain_pool.run ?domains run_point points
 
-let memo_key_of (scheme, params, load, opts) =
-  (scheme, params, load, opts.jobs_per_conn, opts.seeds, !Scenario.default_shards)
-
-let prefetch_points ?domains specs =
+let websearch_points ?domains ~opts specs =
   (* expand each not-yet-memoized spec into one task per seed, fan the
      tasks across domains, then merge per spec in seed order — exactly
      the serial fold — and fill the memo from this (single) domain *)
+  let key_of (scheme, params, load) =
+    (scheme, params, load, opts.jobs_per_conn, opts.seeds, !Scenario.default_shards)
+  in
   let seen = Hashtbl.create 16 in
   let pending =
     List.filter
       (fun spec ->
-        let key = memo_key_of spec in
+        let key = key_of spec in
         if Hashtbl.mem memo key || Hashtbl.mem seen key then false
         else begin
           Hashtbl.replace seen key ();
@@ -105,7 +108,7 @@ let prefetch_points ?domains specs =
   let tasks =
     Array.of_list
       (List.concat_map
-         (fun (scheme, params, load, opts) ->
+         (fun (scheme, params, load) ->
            List.map
              (fun seed ->
                {
@@ -120,7 +123,7 @@ let prefetch_points ?domains specs =
   let results = run_points_parallel ?domains tasks in
   let idx = ref 0 in
   List.iter
-    (fun ((_, _, _, opts) as spec) ->
+    (fun spec ->
       let fct =
         List.fold_left
           (fun acc _seed ->
@@ -130,18 +133,14 @@ let prefetch_points ?domains specs =
           (Workload.Fct_stats.create ())
           opts.seeds
       in
-      Hashtbl.replace memo (memo_key_of spec) fct)
-    pending
-
-let websearch_point ~scheme ~params ~load ~opts =
-  let key = memo_key_of (scheme, params, load, opts) in
-  match Hashtbl.find_opt memo key with
-  | Some fct -> fct
-  | None -> (
-    prefetch_points [ (scheme, params, load, opts) ];
-    match Hashtbl.find_opt memo key with
-    | Some fct -> fct
-    | None -> assert false)
+      Hashtbl.replace memo (key_of spec) fct)
+    pending;
+  List.map
+    (fun spec ->
+      match Hashtbl.find_opt memo (key_of spec) with
+      | Some fct -> fct
+      | None -> assert false (* every spec was memoized above *))
+    specs
 
 let incast_run ~scheme ~params ~fanout ~total_bytes ~requests =
   (* the incast driver steps the scenario scheduler directly, so it
@@ -169,7 +168,7 @@ let incast_point ~scheme ~params ~fanout ~total_bytes ~requests ~seeds =
   let goodputs =
     (* per-seed incast runs are independent too; the left-to-right sum
        below keeps float association in seed order on any domain count *)
-    if !Analysis.Audit.on then Array.map run (Array.of_list seeds)
+    if run_serially () then Array.map run (Array.of_list seeds)
     else Domain_pool.run run (Array.of_list seeds)
   in
   Array.fold_left ( +. ) 0.0 goodputs /. float_of_int (List.length seeds)

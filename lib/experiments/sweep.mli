@@ -1,6 +1,9 @@
-(** Load sweeps: run one workload point per (scheme, load, seed) and
-    aggregate — each point gets a fresh scenario (fabric, stacks, daemons),
-    exactly like a testbed run. *)
+(** Load sweeps: run one workload point per (scheme, params, load, seed)
+    and aggregate — each point gets a fresh scenario (fabric, stacks,
+    daemons), exactly like a testbed run.  Every websearch figure,
+    ablation and extension grid fetches its points through one call,
+    {!websearch_points}, which memoizes them and fans them across
+    domains. *)
 
 type run_opts = {
   jobs_per_conn : int;
@@ -32,34 +35,36 @@ type point = {
   pt_jobs_per_conn : int;
 }
 
+val run_serially : unit -> bool
+(** The one fan-out rule: true while the invariant auditor is on (its
+    tables are global) or [Scenario.default_shards >= 2] (each run then
+    parallelizes inside its own scenario, and fanning runs out on top
+    would nest domain pools).  Every fan-out of independent runs — sweep
+    points, incast seeds, {!Chaos.run}'s schemes — maps serially while
+    it holds, and across a domain pool otherwise. *)
+
 val run_points_parallel :
   ?domains:int -> point array -> Workload.Fct_stats.t array
 (** Run every point (each with a private scenario, scheduler and RNG)
     across a domain pool and return the results {e by point index}, so
     aggregation order — and every figure derived from it — is identical
     for 1 and N domains.  [domains] defaults to the pool's default width
-    (see {!Domain_pool.set_default_domains}).  Falls back to a serial map while
-    the invariant auditor is on (its tables are global). *)
+    (see {!Domain_pool.set_default_domains}); serial under
+    {!run_serially}. *)
 
-val prefetch_points :
+val websearch_points :
   ?domains:int ->
-  (Scenario.scheme * Scenario.params * float * run_opts) list ->
-  unit
-(** Compute any not-yet-memoized specs in parallel — one task per
-    (spec, seed) — and fill the memo table with the per-spec seed-order
-    merges.  The memo is only ever touched from the calling domain;
-    workers run memo-free single-seed scenarios.  Subsequent
-    {!websearch_point} calls for these specs are lookups. *)
-
-val websearch_point :
-  scheme:Scenario.scheme ->
-  params:Scenario.params ->
-  load:float ->
   opts:run_opts ->
-  Workload.Fct_stats.t
-(** Merged FCTs over all seeds in [opts].  Points are memoized on their
-    full configuration tuple: figures that slice the same sweep
-    differently (fig4c and fig5a/b/c) reuse the same runs. *)
+  (Scenario.scheme * Scenario.params * float) list ->
+  Workload.Fct_stats.t list
+(** The sweep entry point: the merged FCTs over every seed in [opts] of
+    each (scheme, params, load) spec, in input order.  Specs are
+    memoized on their full configuration tuple (plus the shard width),
+    so figures that slice the same sweep differently (fig4c and
+    fig5a/b/c) reuse the same runs.  Specs not yet in the memo run as
+    one task per (spec, seed) across the domain pool and are merged in
+    seed order; the memo is only ever touched from the calling domain,
+    so the result is identical at any domain count. *)
 
 val clear_memo : unit -> unit
 
@@ -71,4 +76,5 @@ val incast_point :
   requests:int ->
   seeds:int list ->
   float
-(** Mean client goodput (bps) over the seeds. *)
+(** Mean client goodput (bps) over the seeds, which fan out like
+    {!run_points_parallel}'s points. *)

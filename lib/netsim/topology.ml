@@ -87,14 +87,6 @@ let find_edge t ~a ~b ~bundle_index =
       ((e.a = a && e.b = b) || (e.a = b && e.b = a)) && e.bundle_index = bundle_index)
     (edges_of t a)
 
-type fat_tree = {
-  ft_topo : t;
-  ft_hosts : int array array;
-  ft_edges : int array array;
-  ft_aggs : int array array;
-  ft_cores : int array;
-}
-
 type leaf_spine = {
   topo : t;
   host_ids : int array array;
@@ -209,47 +201,3 @@ let clos3 ~pods ~leaves_per_pod ~spines_per_pod ~cores ~hosts_per_leaf ~parallel
     c3_spines_per_pod = spines_per_pod;
     c3_core_ids = core_ids;
   }
-
-let fat_tree ~k ~host_rate_bps ~fabric_rate_bps ~host_delay ~fabric_delay =
-  if k < 2 || k mod 2 <> 0 then invalid_arg "Topology.fat_tree: k must be even, >= 2";
-  let topo = create () in
-  let half = k / 2 in
-  let cores = Array.init (half * half) (fun _ -> add_switch topo Switch.Core_sw) in
-  let edges = Array.init k (fun _ -> Array.init half (fun _ -> add_switch topo Switch.Leaf)) in
-  let aggs = Array.init k (fun _ -> Array.init half (fun _ -> add_switch topo Switch.Spine)) in
-  let hosts =
-    Array.init k (fun pod ->
-        Array.concat
-          (List.init half (fun e ->
-               Array.init half (fun _ ->
-                   let h = add_host topo in
-                   let (_ : edge) =
-                     connect topo h edges.(pod).(e) ~rate_bps:host_rate_bps
-                       ~delay:host_delay ()
-                   in
-                   h))))
-  in
-  for pod = 0 to k - 1 do
-    (* full bipartite edge <-> agg inside the pod *)
-    Array.iter
-      (fun e ->
-        Array.iter
-          (fun a ->
-            let (_ : edge) =
-              connect topo e a ~rate_bps:fabric_rate_bps ~delay:fabric_delay ()
-            in
-            ())
-          aggs.(pod))
-      edges.(pod);
-    (* agg j connects to cores [j*half .. j*half + half - 1] *)
-    Array.iteri
-      (fun j a ->
-        for c = j * half to (j * half) + half - 1 do
-          let (_ : edge) =
-            connect topo a cores.(c) ~rate_bps:fabric_rate_bps ~delay:fabric_delay ()
-          in
-          ()
-        done)
-      aggs.(pod)
-  done;
-  { ft_topo = topo; ft_hosts = hosts; ft_edges = edges; ft_aggs = aggs; ft_cores = cores }

@@ -6,7 +6,9 @@
     edges between the same pair of switches model link bundles (the
     testbed's two 40G links per leaf-spine pair) and carry a bundle index.
 
-    The leaf-spine builder reproduces the paper's evaluation topology. *)
+    The leaf-spine builder reproduces the paper's evaluation topology;
+    the three-tier Clos builder adds pods and a core tier (with one link
+    per stage it is, for instance, the k = 4 fat-tree). *)
 
 type node = Host_node of int | Switch_node of Switch.level * int
 (** Node identity: payload is a dense node id shared across both kinds. *)
@@ -107,27 +109,3 @@ val clos3 :
 (** [cores] must be a positive multiple of [spines_per_pod]; with
     [cores = 2 * spines_per_pod] every spine owns two core uplinks, giving
     hop-by-hop schemes a local alternative when one core degrades. *)
-
-(** {2 Fat-tree builder}
-
-    A 3-tier k-ary fat-tree, for demonstrating the paper's claim that Clove
-    "works on any topology": k pods of k/2 edge and k/2 aggregation
-    switches, (k/2)^2 cores, k/2 hosts per edge switch. *)
-
-type fat_tree = {
-  ft_topo : t;
-  ft_hosts : int array array;  (** [ft_hosts.(pod)] — host node ids *)
-  ft_edges : int array array;  (** edge-switch node ids per pod *)
-  ft_aggs : int array array;  (** aggregation-switch node ids per pod *)
-  ft_cores : int array;
-}
-
-val fat_tree :
-  k:int ->
-  host_rate_bps:float ->
-  fabric_rate_bps:float ->
-  host_delay:Sim_time.span ->
-  fabric_delay:Sim_time.span ->
-  fat_tree
-(** [k] must be even and at least 2.  Edge and aggregation switches are
-    created at levels [Leaf] and [Spine]; cores at [Core_sw]. *)

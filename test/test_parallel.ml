@@ -1,6 +1,7 @@
 (* Determinism of the parallel sweep engine: fanning experiment points
    across domains must produce byte-identical results to a serial run —
-   per point, and through the memoized figure path.  These tests spawn
+   per point, through the memoized sweep path, and into the right cells
+   of a figure's (case x load) grid.  These tests spawn
    real domains (explicit ~domains:2) even on a single-core host. *)
 
 open Experiments
@@ -67,31 +68,59 @@ let test_results_indexed_not_completion_ordered () =
 
 let opts = { Sweep.jobs_per_conn = 4; seeds = [ 1; 2 ] }
 
-let memo_spec scheme = (scheme, small_params 1, 0.5, opts)
+let memo_specs =
+  [ (Scenario.S_ecmp, small_params 1, 0.5); (Scenario.S_clove_ecn, small_params 1, 0.5) ]
 
 let test_prefetch_matches_serial_point () =
   (* the merged, memoized answer must not depend on how it was computed:
-     serial on-demand vs parallel prefetch across 2 domains *)
-  Sweep.clear_memo ();
-  let serial_dump scheme =
-    let (sch, params, load, opts) = memo_spec scheme in
-    Workload.Fct_stats.canonical_dump
-      (Sweep.websearch_point ~scheme:sch ~params ~load ~opts)
+     every (spec, seed) task on 1 domain vs fanned across 2 *)
+  let fetch domains =
+    Sweep.clear_memo ();
+    List.map Workload.Fct_stats.canonical_dump
+      (Sweep.websearch_points ~domains ~opts memo_specs)
   in
-  let expected_ecmp = serial_dump Scenario.S_ecmp in
-  let expected_clove = serial_dump Scenario.S_clove_ecn in
+  let serial = fetch 1 in
+  let par = fetch 2 in
+  List.iter2
+    (fun name (s, p) -> check_string (name ^ ": 2-domain merge identical") s p)
+    [ "ecmp"; "clove-ecn" ]
+    (List.combine serial par);
+  Sweep.clear_memo ()
+
+let test_load_sweep_cell_placement () =
+  (* every cell of a (case x load) grid is the metric of its own point:
+     row = load, column = case, never transposed or shifted *)
   Sweep.clear_memo ();
-  Sweep.prefetch_points ~domains:2
-    [ memo_spec Scenario.S_ecmp; memo_spec Scenario.S_clove_ecn ];
-  let fetched scheme =
-    let (sch, params, load, opts) = memo_spec scheme in
-    Workload.Fct_stats.canonical_dump
-      (Sweep.websearch_point ~scheme:sch ~params ~load ~opts)
+  let opts = { Sweep.jobs_per_conn = 4; seeds = [ 1 ] } in
+  let cases =
+    [
+      ("A-ecmp", Scenario.S_ecmp, small_params 1);
+      ("B-clove", Scenario.S_clove_ecn, small_params 1);
+    ]
   in
-  check_string "ecmp: prefetched merge identical" expected_ecmp
-    (fetched Scenario.S_ecmp);
-  check_string "clove-ecn: prefetched merge identical" expected_clove
-    (fetched Scenario.S_clove_ecn);
+  let loads = [ 0.3; 0.6 ] in
+  let metric fct = Workload.Fct_stats.avg fct in
+  let report =
+    Figures.load_sweep ~id:"grid" ~title:"grid" ~paper_claim:"-" ~cases ~loads
+      ~metric ~metric_name:"avg" ~opts
+  in
+  let csv = Stats.Table.csv report.Figures.table in
+  let lines = String.split_on_char '\n' (String.trim csv) in
+  check_string "header" "load%/avg,A-ecmp,B-clove" (List.hd lines);
+  check_string "row labels" "30;60"
+    (String.concat ";"
+       (List.map (fun l -> List.hd (String.split_on_char ',' l)) (List.tl lines)));
+  (* the same grid rebuilt point by point: row = load, column = case *)
+  let expected = Stats.Table.create ~header:[ "load%/avg"; "A-ecmp"; "B-clove" ] in
+  List.iter
+    (fun load ->
+      Stats.Table.add_float_row expected
+        ~label:(Printf.sprintf "%.0f" (100.0 *. load))
+        (List.map metric
+           (Sweep.websearch_points ~opts
+              (List.map (fun (_, scheme, params) -> (scheme, params, load)) cases))))
+    loads;
+  check_string "every cell is its own point's metric" (Stats.Table.csv expected) csv;
   Sweep.clear_memo ()
 
 let test_repeated_parallel_runs_stable () =
@@ -117,5 +146,10 @@ let () =
             test_prefetch_matches_serial_point;
           Alcotest.test_case "run-to-run stable" `Quick
             test_repeated_parallel_runs_stable;
+        ] );
+      ( "figures",
+        [
+          Alcotest.test_case "load_sweep cell placement" `Quick
+            test_load_sweep_cell_placement;
         ] );
     ]
