@@ -5,8 +5,8 @@
      exp         — regenerate paper figures by id (fig4b ... fig9, ablations,
                    extensions) into results/<id>.csv
      list        — list available experiments
-     determinism — schedule-perturbation sanitizer: same-seed digests must
-                   survive perturbed tie-breaking and Hashtbl sizing
+     determinism — every experiment and chaos row must print the same
+                   digest in every execution mode
      chaos       — execute a deterministic fault plan against each scheme and
                    print the per-scheme resilience scorecard + FCT digests *)
 
@@ -149,23 +149,23 @@ let opts_of ~quick ~full =
 
 let experiments = Figures.all @ Extensions.all
 
+(* the entries named by [ids], all by default; an unknown id exits 2 *)
+let select ~what entries ids =
+  match List.filter (fun id -> not (List.mem_assoc id entries)) ids with
+  | [] when ids = [] -> entries
+  | [] -> List.map (fun id -> (id, List.assoc id entries)) ids
+  | unknown ->
+    List.iter (fun id -> Format.eprintf "unknown %s %S@." what id) unknown;
+    exit 2
+
+let ids_arg ~docv = Arg.(value & pos_all string [] & info [] ~docv)
+
 let exp_cmd =
   let run ids quick full domains shards =
     apply_domains domains;
     apply_shards shards;
     let opts = opts_of ~quick ~full in
-    (match List.filter (fun id -> not (List.mem_assoc id experiments)) ids with
-    | [] -> ()
-    | unknown ->
-      List.iter
-        (fun id -> Format.eprintf "unknown experiment %S (try: clove-sim list)@." id)
-        unknown;
-      exit 2);
-    let selected =
-      match ids with
-      | [] -> experiments
-      | ids -> List.map (fun id -> (id, List.assoc id experiments)) ids
-    in
+    let selected = select ~what:"experiment" experiments ids in
     (try Sys.mkdir "results" 0o755 with Sys_error _ -> ());
     List.iter
       (fun (id, runner) ->
@@ -177,11 +177,10 @@ let exp_cmd =
         close_out oc)
       selected
   in
-  let ids =
-    Arg.(value & pos_all string [] & info [] ~docv:"EXPERIMENT" ~doc:"Experiment ids.")
-  in
   let term =
-    Term.(const run $ ids $ quick_arg $ full_arg $ domains_arg $ shards_arg)
+    Term.(
+      const run $ ids_arg ~docv:"EXPERIMENT" $ quick_arg $ full_arg $ domains_arg
+      $ shards_arg)
   in
   Cmd.v
     (Cmd.info "exp"
@@ -192,60 +191,32 @@ let exp_cmd =
     term
 
 let determinism_cmd =
-  let run scheme load jobs seed asym hosts recovery probe_ms =
-    check_workload ~load ~jobs ~hosts;
-    let params =
-      {
-        Scenario.default_params with
-        Scenario.asymmetric = asym;
-        seed;
-        hosts_per_leaf = hosts;
-        fabric_rate_bps = float_of_int hosts *. 10e9 /. 4.0;
-        failure_recovery = recovery;
-        probe_interval =
-          (match probe_ms with
-          | Some ms -> Some (Sim_time.ms ms)
-          | None -> None);
-      }
+  let run ids =
+    let diverged =
+      List.concat_map
+        (fun (id, digest) ->
+          let result = Sweep.check_stability ~label:id digest in
+          Format.printf "%a%!" (Analysis.Perturb.pp_outcomes ~label:id) result;
+          List.filter_map
+            (fun o -> if o.Analysis.Perturb.matches then None else Some (id, o.mode))
+            (snd result))
+        (select ~what:"row" Extensions.determinism_rows ids)
     in
-    let digest () =
-      let fct = Sweep.websearch_run ~scheme ~params ~load ~jobs_per_conn:jobs in
-      Digest.to_hex (Digest.string (Workload.Fct_stats.canonical_dump fct))
-    in
-    let label =
-      Printf.sprintf "%s seed=%d load=%.2f" (Scenario.scheme_name scheme) seed
-        load
-    in
-    let result = Analysis.Perturb.check_schedule_stability ~label ~run:digest () in
-    Format.printf "%a@." Analysis.Perturb.pp_outcomes result;
-    if not (Analysis.Perturb.stable (snd result)) then exit 1
-  in
-  let recovery_arg =
-    let doc =
-      "Enable failure recovery (probe-driven path maintenance) for the \
-       checked workload, exercising its timer ties."
-    in
-    Arg.(value & flag & info [ "recovery" ] ~doc)
-  in
-  let probe_ms_arg =
-    let doc =
-      "Override the source-probing interval (milliseconds); short intervals \
-       densify probe/data event ties."
-    in
-    Arg.(value & opt (some int) None & info [ "probe-ms" ] ~docv:"MS" ~doc)
-  in
-  let term =
-    Term.(
-      const run $ scheme_arg $ load_arg $ jobs_arg $ seed_arg $ asym_arg
-      $ hosts_arg $ recovery_arg $ probe_ms_arg)
+    match diverged with
+    | [] -> ()
+    | (id, mode) :: _ ->
+      Format.eprintf "clove-sim determinism: %s diverged under %s@." id mode;
+      exit 1
   in
   Cmd.v
     (Cmd.info "determinism"
        ~doc:
-         "Re-run one seeded workload point under perturbed event-queue \
-          tie-breaking and hashtable sizing and compare FCT digests; exits 1 \
-          on any mismatch.")
-    term
+         "Run matrix rows (all by default: every experiment id at -q, the \
+          default chaos run, each 3-tier chaos preset) serially, then at \
+          --domains 2, at --shards 2 and under reversed tie-breaking, \
+          printing one digest line per (row, mode); exits 1 naming the \
+          first differing (row, mode), and 2 on an unknown row.")
+    Term.(const run $ ids_arg ~docv:"ROW")
 
 let chaos_cmd =
   let run faults preset schemes load jobs seed hosts pods cores core_rate
@@ -289,26 +260,9 @@ let chaos_cmd =
     let schemes =
       if schemes = [] then Chaos.default_opts.Chaos.schemes else schemes
     in
-    let opts =
-      {
-        Chaos.plan;
-        schemes;
-        load;
-        jobs_per_conn = jobs;
-        params;
-      }
-    in
+    let opts = { Chaos.plan; schemes; load; jobs_per_conn = jobs; params } in
     let rows = Chaos.run opts in
-    Format.printf "%a@." Figures.pp_report (Chaos.scorecard ~plan rows);
-    Format.printf "%a@." Figures.pp_report
-      (Chaos.tier_scorecard ~plan ~params rows);
-    Array.iter
-      (fun r ->
-        Format.printf "digest %-14s %s@."
-          (Scenario.scheme_name r.Chaos.r_scheme)
-          (Digest.to_hex
-             (Digest.string (Workload.Fct_stats.canonical_dump r.Chaos.r_fct))))
-      rows;
+    Format.printf "%a" (Chaos.pp_rows opts) rows;
     if audit then begin
       print_string (Analysis.Audit.report ());
       if not (Analysis.Audit.ok ()) then exit 1
@@ -329,14 +283,7 @@ let chaos_cmd =
       | adaptive_rows ->
         List.iter
           (fun r ->
-            if not r.Chaos.r_recovered then begin
-              Analysis.Audit.record_violation ~invariant:"chaos-recovery"
-                ~detail:
-                  (Printf.sprintf
-                     "%s post-fault avg FCT %.4fs not within 10%% of pre-fault \
-                      %.4fs"
-                     (Scenario.scheme_name r.Chaos.r_scheme)
-                     r.Chaos.r_post_avg r.Chaos.r_pre_avg);
+            if r.Chaos.r_score.Chaos.sc_ttr = None then begin
               Format.eprintf "chaos: %s did not recover@."
                 (Scenario.scheme_name r.Chaos.r_scheme);
               exit 1
@@ -350,7 +297,7 @@ let chaos_cmd =
       match (find Scenario.S_caft, find Scenario.S_ecmp) with
       | Some caft_row, Some ecmp_row ->
         let ttr r =
-          match r.Chaos.r_time_to_recover with Some t -> t | None -> infinity
+          match r.Chaos.r_score.sc_ttr with Some t -> t | None -> infinity
         in
         if not (ttr caft_row < ttr ecmp_row) then begin
           Format.eprintf
@@ -371,7 +318,7 @@ let chaos_cmd =
     in
     Arg.(
       value
-      & opt string "down s2-l2b@60ms; up s2-l2b@120ms"
+      & opt string Chaos.link_down_spec
       & info [ "faults"; "f" ] ~doc ~docv:"PLAN")
   in
   let preset_arg =

@@ -129,21 +129,6 @@ let reset () =
   viols := [];
   n_viols := 0
 
-(* ----------------------------- determinism ------------------------ *)
-
-let check_determinism ~label ~run =
-  begin_run ();
-  let a = run () in
-  begin_run ();
-  let b = run () in
-  let same = String.equal a b in
-  if not same then
-    record_violation ~invariant:"determinism"
-      ~detail:
-        (Printf.sprintf "%s: two seeded runs diverged\n  run1: %s\n  run2: %s"
-           label a b);
-  same
-
 (* ------------------------------- report --------------------------- *)
 
 let report () =

@@ -11,9 +11,7 @@
     - per-(flow, outer-port) FIFO ordering, i.e. a flowlet that sticks to
       one path is never reordered by the fabric;
     - Clove path-weight normalization: WRR weights sum to 1 after every
-      update;
-    - determinism: the same seeded scenario run twice produces the same
-      observable digest.
+      update.
 
     Violations are recorded; [violation_count], [ok] and [report] expose
     them to tests and CLIs.
@@ -32,6 +30,9 @@ val set_enabled : bool -> unit
 val reset : unit -> unit
 (** Clear per-run state (counters, clock watermarks, FIFO streams) and
     all recorded violations. *)
+
+val begin_run : unit -> unit
+(** Clear the per-run state only, keeping recorded violations. *)
 
 (** {2 Violations} *)
 
@@ -82,12 +83,3 @@ val fifo_rx : stream:int -> port:int -> seq:int -> unit
 val check_weight_sum : label:string -> float array -> unit
 (** Records a violation unless the weights sum to 1 (±1e-6).  Empty
     arrays are ignored (an uninstalled path table has no weights). *)
-
-(** {2 Determinism} *)
-
-val check_determinism : label:string -> run:(unit -> string) -> bool
-(** Runs [run] twice, clearing the per-run state (but not the recorded
-    violations) before each, and compares the
-    returned digests; records a violation and returns [false] on
-    mismatch.  Runs regardless of the enabled flag (it is an explicit
-    check, not a hook). *)

@@ -3,12 +3,6 @@ type tiebreak = Fifo | Lifo
 let tiebreak = ref Fifo
 let tbl_size_salt = ref 0
 
-let set_tbl_size_salt s = tbl_size_salt := max 0 s
-
-let reset () =
-  tiebreak := Fifo;
-  tbl_size_salt := 0
-
 let perturbed_size n =
   let salt = !tbl_size_salt in
   if salt = 0 then n
@@ -21,8 +15,6 @@ let perturbed_size n =
     max 1 (n + 1 + (h mod 61))
   end
 
-type outcome = { perturbation : string; digest : string; matches : bool }
-
 let with_settings ~tb ~salt f =
   let saved_tb = !tiebreak and saved_salt = !tbl_size_salt in
   tiebreak := tb;
@@ -33,33 +25,48 @@ let with_settings ~tb ~salt f =
       tbl_size_salt := saved_salt)
     f
 
-let standard_perturbations = [ ("tiebreak-lifo", Lifo, 0); ("tbl-salt-3", Fifo, 3); ("tbl-salt-11", Fifo, 11) ]
+type mode = string * ((unit -> string) -> string)
+type outcome = { mode : string; digest : string; matches : bool }
 
-let check_schedule_stability ?(perturbations = standard_perturbations) ~label ~run () =
+let rerun = ("rerun", fun run -> run ())
+
+let standard_modes =
+  [
+    rerun;
+    ("tiebreak-lifo", with_settings ~tb:Lifo ~salt:0);
+    ("tbl-salt-3", with_settings ~tb:Fifo ~salt:3);
+    ("tbl-salt-11", with_settings ~tb:Fifo ~salt:11);
+  ]
+
+let check_schedule_stability ?(modes = standard_modes) ~label ~run () =
+  let run () =
+    Audit.begin_run ();
+    run ()
+  in
   let baseline = with_settings ~tb:Fifo ~salt:0 run in
   let outcomes =
     List.map
-      (fun (name, tb, salt) ->
-        let digest = with_settings ~tb ~salt run in
+      (fun (mode, under) ->
+        let digest = under run in
         let matches = String.equal digest baseline in
         if not matches then
           Audit.record_violation ~invariant:"schedule-stability"
             ~detail:
               (Printf.sprintf
                  "%s: digest diverged under %s\n  baseline:  %s\n  perturbed: %s"
-                 label name baseline digest);
-        { perturbation = name; digest; matches })
-      perturbations
+                 label mode baseline digest);
+        { mode; digest; matches })
+      modes
   in
   (baseline, outcomes)
 
 let stable outcomes = List.for_all (fun o -> o.matches) outcomes
 
-let pp_outcomes fmt (baseline, outcomes) =
-  Format.fprintf fmt "baseline digest: %s@." baseline;
+let pp_outcomes ~label fmt (baseline, outcomes) =
+  Format.fprintf fmt "%-22s %-14s %-8s %s@." label "baseline" "" baseline;
   List.iter
     (fun o ->
-      Format.fprintf fmt "  %-16s %s  %s@." o.perturbation
+      Format.fprintf fmt "%-22s %-14s %-8s %s@." label o.mode
         (if o.matches then "ok" else "DIVERGED")
         o.digest)
     outcomes

@@ -20,6 +20,9 @@ val set_default_domains : int -> unit
     an override the width is [Domain.recommended_domain_count () - 1]
     (at least 1).  1 means fully serial — no domains are spawned. *)
 
+val default_domains : unit -> int
+(** The width used when [?domains] is omitted. *)
+
 val create : ?domains:int -> unit -> t
 (** Spawn a pool of [domains - 1] workers (the submitting domain itself
     is the remaining member).  [domains] defaults to the default width

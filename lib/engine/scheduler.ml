@@ -175,6 +175,14 @@ let schedule_at t ~time f =
 
 let schedule t ~after f = schedule_at t ~time:(Sim_time.add t.clock after) f
 
+(* the swap keeps [schedule_at] the one closure-handle allocation site *)
+let schedule_as t ~src ~after f =
+  let cur = t.cur_src in
+  t.cur_src <- src;
+  let h = schedule t ~after f in
+  t.cur_src <- cur;
+  h
+
 let schedule_tag t ~after ~kind ~arg =
   let time_ns = Sim_time.to_ns t.clock + Sim_time.span_ns after in
   if time_ns < Sim_time.to_ns t.clock then

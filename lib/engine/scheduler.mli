@@ -35,6 +35,10 @@ val schedule_at : t -> time:Sim_time.t -> (unit -> unit) -> handle
 (** [schedule_at t ~time f] runs [f] at [time]; raises [Invalid_argument]
     if [time] is in the past. *)
 
+val schedule_as : t -> src:int -> after:Sim_time.span -> (unit -> unit) -> handle
+(** {!schedule}, but ranked under component [src] (a {!fresh_src}) rather
+    than the one whose handler is executing. *)
+
 val fresh_src : unit -> int
 (** Allocate a component id for the (time, born, src, seq) event order.
     Ids follow construction order on the calling domain, so they are

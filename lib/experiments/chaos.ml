@@ -11,10 +11,9 @@ type opts = {
 
 let default_plan_spec = "flap s2-l2b period=20ms duty=0.5 until=120ms @60ms"
 
-let default_plan () =
-  match Faults.Fault_plan.parse default_plan_spec with
-  | Ok p -> p
-  | Error e -> invalid_arg ("Chaos.default_plan: " ^ e)
+let link_down_spec = "down s2-l2b@60ms; up s2-l2b@120ms"
+
+let default_plan () = Result.get_ok (Faults.Fault_plan.parse default_plan_spec)
 
 (* ------------------------ gray-failure presets --------------------- *)
 
@@ -79,23 +78,6 @@ let default_opts =
         failure_recovery = true;
       };
   }
-
-type row = {
-  r_scheme : Scenario.scheme;
-  r_pre_avg : float;  (** avg mice FCT (s), flows arriving before the fault *)
-  r_fault_avg : float;  (** avg mice FCT (s), flows arriving in the window *)
-  r_post_avg : float;  (** avg mice FCT (s), flows arriving after restore *)
-  r_post_base_avg : float;  (** same post window in the fault-free baseline *)
-  r_post_p99 : float;
-  r_goodput_lost : float;  (** bytes the fault window failed to deliver *)
-  r_time_to_recover : float option;
-      (** seconds after the disruption settles until the scheme's mice
-          FCT is sustainably (to end of run) within 10% of the fault-free
-          baseline; [None] = never within this run *)
-  r_recovered : bool;  (** [r_time_to_recover <> None] *)
-  r_fct : Workload.Fct_stats.t;
-  r_base : Workload.Fct_stats.t;  (** the paired fault-free baseline *)
-}
 
 let recovery_slack = 1.10 (* "within 10% of the fault-free baseline" *)
 let ttr_bucket_sec = 10e-3
@@ -174,13 +156,23 @@ let windows_of plan =
     | None -> (Sim_time.span_to_sec start, last_event))
 
 type score = {
-  sc_pre_avg : float;
-  sc_fault_avg : float;
-  sc_post_avg : float;
-  sc_post_base_avg : float;
+  sc_pre_avg : float;  (* avg mice FCT (s), flows arriving before the fault *)
+  sc_fault_avg : float;  (* avg mice FCT (s), flows arriving in the window *)
+  sc_post_avg : float;  (* avg mice FCT (s), flows arriving after restore *)
+  sc_post_base_avg : float;  (* same post window in the fault-free baseline *)
   sc_post_p99 : float;
-  sc_goodput_lost : float;
+  sc_goodput_lost : float;  (* bytes the fault window failed to deliver *)
   sc_ttr : float option;
+      (* seconds after the disruption settles until the scheme's mice FCT
+         is sustainably (to end of run) within 10% of the fault-free
+         baseline; [None] = never within this run *)
+}
+
+type row = {
+  r_scheme : Scenario.scheme;
+  r_score : score;
+  r_fct : Workload.Fct_stats.t;
+  r_base : Workload.Fct_stats.t;  (* the paired fault-free baseline *)
 }
 
 (* Score one (sub-)plan's disruption window against a faulted run and
@@ -250,29 +242,16 @@ let run_scheme opts scheme =
   let plan = if opts.plan = [] then default_plan () else opts.plan in
   let fct = simulate opts scheme plan in
   let base = simulate opts scheme [] in
-  let s = score ~plan ~fct ~base in
-  {
-    r_scheme = scheme;
-    r_pre_avg = s.sc_pre_avg;
-    r_fault_avg = s.sc_fault_avg;
-    r_post_avg = s.sc_post_avg;
-    r_post_base_avg = s.sc_post_base_avg;
-    r_post_p99 = s.sc_post_p99;
-    r_goodput_lost = s.sc_goodput_lost;
-    r_time_to_recover = s.sc_ttr;
-    r_recovered = s.sc_ttr <> None;
-    r_fct = fct;
-    r_base = base;
-  }
+  { r_scheme = scheme; r_score = score ~plan ~fct ~base; r_fct = fct; r_base = base }
 
-let run ?domains opts =
+let run opts =
   (* one fully private scenario per scheme: embarrassingly parallel, and
      results return by scheme index so the scorecard (and its digests)
      are identical at any domain count; serial under Sweep's fan-out
      rule *)
   let schemes = Array.of_list opts.schemes in
   if Sweep.run_serially () then Array.map (run_scheme opts) schemes
-  else Domain_pool.run ?domains (run_scheme opts) schemes
+  else Domain_pool.run (run_scheme opts) schemes
 
 let ms v = if Float.is_nan v then nan else 1e3 *. v
 
@@ -293,18 +272,18 @@ let scorecard ~plan rows =
         ]
   in
   Array.iter
-    (fun r ->
+    (fun { r_scheme; r_score = s; _ } ->
       Stats.Table.add_float_row table
-        ~label:(Scenario.scheme_name r.r_scheme)
+        ~label:(Scenario.scheme_name r_scheme)
         [
-          ms r.r_pre_avg;
-          ms r.r_fault_avg;
-          ms r.r_post_avg;
-          ms r.r_post_base_avg;
-          ms r.r_post_p99;
-          r.r_goodput_lost /. 1e6;
-          (match r.r_time_to_recover with None -> nan | Some t -> ms t);
-          (if r.r_recovered then 1.0 else 0.0);
+          ms s.sc_pre_avg;
+          ms s.sc_fault_avg;
+          ms s.sc_post_avg;
+          ms s.sc_post_base_avg;
+          ms s.sc_post_p99;
+          s.sc_goodput_lost /. 1e6;
+          (match s.sc_ttr with None -> nan | Some t -> ms t);
+          (if s.sc_ttr <> None then 1.0 else 0.0);
         ])
     rows;
   {
@@ -381,7 +360,19 @@ let tier_scorecard ~plan ~(params : Scenario.params) rows =
     table;
   }
 
-let report ?domains ?(opts = default_opts) () =
+let pp_rows opts fmt rows =
+  let plan = opts.plan in
+  Format.fprintf fmt "%a@." Figures.pp_report (scorecard ~plan rows);
+  Format.fprintf fmt "%a@." Figures.pp_report
+    (tier_scorecard ~plan ~params:opts.params rows);
+  Array.iter
+    (fun r ->
+      Format.fprintf fmt "digest %-14s %s@."
+        (Scenario.scheme_name r.r_scheme)
+        (Digest.to_hex (Digest.string (Workload.Fct_stats.canonical_dump r.r_fct))))
+    rows
+
+let report ?(opts = default_opts) () =
   let plan = if opts.plan = [] then default_plan () else opts.plan in
-  let rows = run ?domains { opts with plan } in
+  let rows = run { opts with plan } in
   scorecard ~plan rows

@@ -45,6 +45,9 @@ val default_opts : opts
 (** Clove-ECN vs ECMP at load 0.25, seed 1,
     750 jobs/conn, 20 ms probe interval, recovery on. *)
 
+val link_down_spec : string
+(** [clove-sim chaos]'s default plan: an S2-L2 link is down 60-120 ms. *)
+
 val preset_names : string list
 (** Pod-level gray-failure presets for 3-tier topologies:
     ["core-brownout"] (the flagship: core0 grays out to 10% capacity
@@ -57,21 +60,23 @@ val preset_spec : Scenario.params -> string -> (string, string) result
 (** Expand a preset name into a fault-plan spec against the actual pod
     count; errors for unknown names or 2-tier [params]. *)
 
+(** One scheme's scorecard line (FCTs in seconds, mice only). *)
+type score = {
+  sc_pre_avg : float;
+  sc_fault_avg : float;
+  sc_post_avg : float;
+  sc_post_base_avg : float;
+      (** the same post-restoration window in the fault-free baseline *)
+  sc_post_p99 : float;
+  sc_goodput_lost : float;
+  sc_ttr : float option;  (** time to recover; [None]: never recovered *)
+}
+
 type row = {
   r_scheme : Scenario.scheme;
-  r_pre_avg : float;
-  r_fault_avg : float;
-  r_post_avg : float;
-  r_post_base_avg : float;
-      (** the same post-restoration window in the fault-free baseline *)
-  r_post_p99 : float;
-  r_goodput_lost : float;
-  r_time_to_recover : float option;
-  r_recovered : bool;
-  r_fct : Workload.Fct_stats.t;
-      (** the faulted run's full FCT record, for determinism digests *)
-  r_base : Workload.Fct_stats.t;
-      (** the paired fault-free baseline's FCT record *)
+  r_score : score;
+  r_fct : Workload.Fct_stats.t;  (** the faulted run's full FCT record *)
+  r_base : Workload.Fct_stats.t;  (** the paired fault-free baseline's *)
 }
 
 val simulate : opts -> Scenario.scheme -> Faults.Fault_plan.t -> Workload.Fct_stats.t
@@ -83,24 +88,16 @@ val simulate : opts -> Scenario.scheme -> Faults.Fault_plan.t -> Workload.Fct_st
     [Invalid_argument] when the plan does not fit the topology.  The
     ext-failure timeline is two such runs. *)
 
-val run : ?domains:int -> opts -> row array
+val run : opts -> row array
 (** All schemes across the domain pool — each a faulted run plus its
     fault-free baseline — results by scheme index; serial under
     {!Sweep.run_serially}. *)
 
-val scorecard : plan:Faults.Fault_plan.t -> row array -> Figures.report
-(** Format already-computed rows as a figure-style report. *)
+val pp_rows : opts -> Format.formatter -> row array -> unit
+(** What [clove-sim chaos] prints: the resilience scorecard, its per-tier
+    breakdown (each tier's own disruption window, per
+    {!Faults.Fault_engine.tier_of_event}) and a
+    [digest <scheme> <md5 of canonical_dump>] line per scheme. *)
 
-val tier_scorecard :
-  plan:Faults.Fault_plan.t ->
-  params:Scenario.params ->
-  row array ->
-  Figures.report
-(** Per-tier breakdown of the same rows: the plan is split by the tier
-    each event disturbs (core / pod / host / vedge, per
-    {!Faults.Fault_engine.tier_of_event}) and every tier's own
-    disruption window is scored separately — time-to-recover and
-    goodput lost per tier, no extra simulation. *)
-
-val report : ?domains:int -> ?opts:opts -> unit -> Figures.report
-(** {!run} + {!scorecard} (the ext-chaos extension). *)
+val report : ?opts:opts -> unit -> Figures.report
+(** {!run}'s resilience scorecard (the ext-chaos extension). *)

@@ -185,3 +185,31 @@ let all =
           ~opts:{ Chaos.default_opts with jobs_per_conn = opts.Sweep.jobs_per_conn }
           () );
   ]
+
+(* ------------------------ determinism matrix ----------------------- *)
+
+let md5 s = Digest.to_hex (Digest.string s)
+let plan_of spec = Result.get_ok (Faults.Fault_plan.parse spec)
+
+(* a chaos row digests exactly what [clove-sim chaos] prints *)
+let chaos_row name opts =
+  (name, fun () -> md5 (Format.asprintf "%a" (Chaos.pp_rows opts) (Chaos.run opts)))
+
+let chaos3_row preset =
+  let params = { Chaos.default_opts.Chaos.params with Scenario.pods = 2 } in
+  chaos_row ("chaos3-" ^ preset)
+    {
+      Chaos.plan = plan_of (Result.get_ok (Chaos.preset_spec params preset));
+      schemes = [ Scenario.S_caft; Scenario.S_ecmp; Scenario.S_clove_ecn ];
+      load = 0.15;
+      jobs_per_conn = 120;
+      params;
+    }
+
+let determinism_rows =
+  List.map
+    (fun (id, runner) ->
+      (id, fun () -> md5 (Format.asprintf "%a@." Figures.pp_report (runner Sweep.quick_opts))))
+    (Figures.all @ all)
+  @ chaos_row "chaos" { Chaos.default_opts with Chaos.plan = plan_of Chaos.link_down_spec }
+    :: List.map chaos3_row Chaos.preset_names

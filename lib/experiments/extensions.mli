@@ -19,3 +19,10 @@ val all : (string * (Sweep.run_opts -> Figures.report)) list
     ([ext-fattree], [ext-dctcp], [ext-variants], [ext-datamining]) are
     {!Figures.load_sweep} calls; [ext-failure] runs one seed at 25x the
     options' jobs per connection. *)
+
+val determinism_rows : (string * (unit -> string)) list
+(** The [clove-sim determinism] matrix's rows, named digest thunks:
+    every experiment id, the MD5 of its report as [exp -q] prints it;
+    [chaos], [clove-sim chaos]'s default run; and [chaos3-<preset>] per
+    {!Chaos.preset_names} (pods 2, load 0.15, 120 jobs, CAFT, ECMP and
+    Clove-ECN).  A chaos row is the MD5 of {!Chaos.pp_rows}. *)

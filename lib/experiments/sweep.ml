@@ -48,11 +48,7 @@ let websearch_run ~scheme ~params ~load ~jobs_per_conn =
    disambiguates hash-bucket collisions; an earlier version keyed on the
    output of [Hashtbl.hash_param], which silently aliased any two
    configurations that happened to share a hash. *)
-type memo_key =
-  Scenario.scheme * Scenario.params * float * int * int list * int
-(* the trailing int is the shard width, so a run at one width is never
-   answered from another width's memo — shard cross-checks compare
-   them *)
+type memo_key = Scenario.scheme * Scenario.params * float * int * int list
 
 let memo : (memo_key, Workload.Fct_stats.t) Hashtbl.t = Hashtbl.create 64
 
@@ -91,7 +87,7 @@ let websearch_points ?domains ~opts specs =
      tasks across domains, then merge per spec in seed order — exactly
      the serial fold — and fill the memo from this (single) domain *)
   let key_of (scheme, params, load) =
-    (scheme, params, load, opts.jobs_per_conn, opts.seeds, !Scenario.default_shards)
+    (scheme, params, load, opts.jobs_per_conn, opts.seeds)
   in
   let seen = Hashtbl.create 16 in
   let pending =
@@ -172,3 +168,27 @@ let incast_point ~scheme ~params ~fanout ~total_bytes ~requests ~seeds =
     else Domain_pool.run run (Array.of_list seeds)
   in
   Array.fold_left ( +. ) 0.0 goodputs /. float_of_int (List.length seeds)
+
+(* ----------------------- determinism matrix ------------------------ *)
+
+(* run [f] with a setting changed, restoring it afterwards *)
+let setting get set v f =
+  let saved = get () in
+  set v;
+  Fun.protect ~finally:(fun () -> set saved) f
+
+let domains n f = setting Domain_pool.default_domains Domain_pool.set_default_domains n f
+let shards n f = setting (fun () -> !Scenario.default_shards) (( := ) Scenario.default_shards) n f
+
+let check_stability ~label run =
+  (* the memo key ignores the execution mode: a cell answered from an
+     earlier cell's memo would compare nothing, so every cell starts cold *)
+  let cell () =
+    clear_memo ();
+    run ()
+  in
+  let lifo = Analysis.Perturb.with_settings ~tb:Analysis.Perturb.Lifo ~salt:0 in
+  let modes = [ ("domains-2", domains 2); ("shards-2", shards 2); ("tiebreak-lifo", lifo) ] in
+  Fun.protect ~finally:clear_memo (fun () ->
+      domains 1 (fun () ->
+          shards 1 (fun () -> Analysis.Perturb.check_schedule_stability ~modes ~label ~run:cell ())))

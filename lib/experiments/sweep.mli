@@ -3,7 +3,9 @@
     daemons), exactly like a testbed run.  Every websearch figure,
     ablation and extension grid fetches its points through one call,
     {!websearch_points}, which memoizes them and fans them across
-    domains. *)
+    domains.  {!check_stability} runs a digest under each execution mode
+    the figures must be invariant under: the columns of the
+    [clove-sim determinism] matrix. *)
 
 type run_opts = {
   jobs_per_conn : int;
@@ -59,8 +61,8 @@ val websearch_points :
   Workload.Fct_stats.t list
 (** The sweep entry point: the merged FCTs over every seed in [opts] of
     each (scheme, params, load) spec, in input order.  Specs are
-    memoized on their full configuration tuple (plus the shard width),
-    so figures that slice the same sweep differently (fig4c and
+    memoized on their full configuration tuple, not on the execution
+    mode, so figures that slice the same sweep differently (fig4c and
     fig5a/b/c) reuse the same runs.  Specs not yet in the memo run as
     one task per (spec, seed) across the domain pool and are merged in
     seed order; the memo is only ever touched from the calling domain,
@@ -78,3 +80,10 @@ val incast_point :
   float
 (** Mean client goodput (bps) over the seeds, which fan out like
     {!run_points_parallel}'s points. *)
+
+val check_stability :
+  label:string -> (unit -> string) -> string * Analysis.Perturb.outcome list
+(** {!Analysis.Perturb.check_schedule_stability} under [domains-2],
+    [shards-2] and [tiebreak-lifo], each set on a serial baseline (domains
+    1, shards 1) and restored afterwards.  Every run starts from a cleared
+    memo (its key ignores the mode), and the memo is cleared at the end. *)

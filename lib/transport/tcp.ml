@@ -55,10 +55,10 @@ type sender = {
   mutable stopped : bool;
   mutable on_acked : (int -> unit) option;
   mutable on_timeout : (unit -> unit) option;
-  (* timer bodies, built once per sender: [arm_rto] runs on every ACK and
+  (* timer arming, built once per sender: [arm_rto] runs on every ACK and
      would otherwise allocate a fresh closure each time *)
-  mutable rto_fn : unit -> unit;
-  mutable tlp_fn : unit -> unit;
+  start_rto : Sim_time.span -> Scheduler.handle;
+  start_tlp : Sim_time.span -> Scheduler.handle;
 }
 
 let set_pull s f = s.pull <- Some f
@@ -106,8 +106,7 @@ let emit_data s ~seq ~payload =
 let rec arm_rto s =
   cancel_rto s;
   if flight_bytes s > 0 && not s.stopped then begin
-    s.rto_handle <-
-      Some (Scheduler.schedule s.sched ~after:(Rtt_estimator.rto s.rtt) s.rto_fn);
+    s.rto_handle <- Some (s.start_rto (Rtt_estimator.rto s.rtt));
     arm_tlp s
   end
 
@@ -125,7 +124,7 @@ and arm_tlp s =
           (Sim_time.us 100)
       else Sim_time.ms 1
     in
-    s.tlp_handle <- Some (Scheduler.schedule s.sched ~after:pto s.tlp_fn)
+    s.tlp_handle <- Some (s.start_tlp pto)
   end
 
 and on_tlp s =
@@ -168,7 +167,10 @@ and on_rto s =
 
 let create_sender ~sched ~cfg ~conn_id ?(subflow = 0) ~src ~dst ~src_port ~dst_port ~tx
     () =
-  let s =
+  (* the timers rank under the sender's own component id: MPTCP arms all
+     its subflows' timers from one handler in one instant *)
+  let timer_src = Scheduler.fresh_src () in
+  let rec s =
     {
       sched;
       cfg;
@@ -211,14 +213,11 @@ let create_sender ~sched ~cfg ~conn_id ?(subflow = 0) ~src ~dst ~src_port ~dst_p
       stopped = false;
       on_acked = None;
       on_timeout = None;
-      rto_fn = ignore;
-      tlp_fn = ignore;
+      start_rto = (fun after -> Scheduler.schedule_as sched ~src:timer_src ~after rto_fn);
+      start_tlp = (fun after -> Scheduler.schedule_as sched ~src:timer_src ~after tlp_fn);
     }
-  in
-  (* tie the timer-body knot: the closures capture [s], so they cannot be
-     record-literal fields *)
-  s.rto_fn <- (fun () -> on_rto s);
-  s.tlp_fn <- (fun () -> on_tlp s);
+  and rto_fn () = on_rto s
+  and tlp_fn () = on_tlp s in
   s
 
 let retransmit_hole s =

@@ -7,6 +7,7 @@ let check_bool = Alcotest.(check bool)
 
 module Audit = Analysis.Audit
 module Lint = Analysis.Lint
+module Perturb = Analysis.Perturb
 
 open Experiments
 
@@ -294,11 +295,16 @@ let websearch_digest () =
     (Workload.Fct_stats.percentile fct 99.0)
     (Workload.Fct_stats.count fct)
 
+(* run-to-run determinism is the stability driver's [rerun] mode *)
+let rerun ~label ~run =
+  Perturb.stable
+    (snd (Perturb.check_schedule_stability ~modes:[ Perturb.rerun ] ~label ~run ()))
+
 let test_determinism_websearch () =
   Audit.reset ();
   Audit.set_enabled true;
   check_bool "same seed, same digest" true
-    (Audit.check_determinism ~label:"websearch/clove-ecn" ~run:websearch_digest);
+    (rerun ~label:"websearch/clove-ecn" ~run:websearch_digest);
   check_bool "no violations" true (Audit.ok ());
   Audit.set_enabled false;
   Audit.reset ()
@@ -310,8 +316,7 @@ let test_determinism_counterexample () =
     incr calls;
     string_of_int !calls
   in
-  check_bool "impure run caught" false
-    (Audit.check_determinism ~label:"counter" ~run);
+  check_bool "impure run caught" false (rerun ~label:"counter" ~run);
   check_int "mismatch recorded" 1 (Audit.violation_count ());
   Audit.reset ()
 

@@ -1,7 +1,8 @@
 (* Determinism of the parallel sweep engine: fanning experiment points
    across domains must produce byte-identical results to a serial run —
-   per point, through the memoized sweep path, and into the right cells
-   of a figure's (case x load) grid.  These tests spawn
+   per point, through the memoized sweep path, into the right cells of a
+   figure's (case x load) grid, and for two rows of the determinism
+   matrix under every mode.  These tests spawn
    real domains (explicit ~domains:2) even on a single-core host. *)
 
 open Experiments
@@ -133,6 +134,23 @@ let test_repeated_parallel_runs_stable () =
     (fun i s -> check_string (Printf.sprintf "run-to-run point %d" i) s b.(i))
     a
 
+let test_matrix_slice () =
+  (* a runtest slice of [clove-sim determinism]: fig9 reads the sweep
+     memo (which every cell must clear, or a perturbed cell would be
+     answered from the baseline's runs) and ext-chaos fans Chaos.run's
+     schemes across the pool *)
+  List.iter
+    (fun id ->
+      let baseline, outcomes =
+        Sweep.check_stability ~label:id (List.assoc id Extensions.determinism_rows)
+      in
+      check_string (id ^ ": modes") "domains-2 shards-2 tiebreak-lifo"
+        (String.concat " " (List.map (fun o -> o.Analysis.Perturb.mode) outcomes));
+      List.iter
+        (fun o -> check_string (id ^ " under " ^ o.Analysis.Perturb.mode) baseline o.digest)
+        outcomes)
+    [ "fig9"; "ext-chaos" ]
+
 let () =
   Alcotest.run "parallel"
     [
@@ -151,5 +169,6 @@ let () =
         [
           Alcotest.test_case "load_sweep cell placement" `Quick
             test_load_sweep_cell_placement;
+          Alcotest.test_case "determinism matrix slice" `Quick test_matrix_slice;
         ] );
     ]

@@ -176,14 +176,12 @@ let test_dead_export () =
 (* -------------------- dynamic sanitizer: basics -------------------- *)
 
 let test_perturbed_size () =
-  Perturb.reset ();
   check_int "identity at salt 0" 16 (Perturb.perturbed_size 16);
-  Perturb.set_tbl_size_salt 3;
-  check_bool "salt enlarges" true (Perturb.perturbed_size 16 > 16);
-  check_bool "deterministic" true
-    (Perturb.perturbed_size 16 = Perturb.perturbed_size 16);
-  Perturb.reset ();
-  check_int "reset restores" 16 (Perturb.perturbed_size 16)
+  Perturb.with_settings ~tb:Perturb.Fifo ~salt:3 (fun () ->
+      check_bool "salt enlarges" true (Perturb.perturbed_size 16 > 16);
+      check_bool "deterministic" true
+        (Perturb.perturbed_size 16 = Perturb.perturbed_size 16));
+  check_int "settings restored" 16 (Perturb.perturbed_size 16)
 
 (* A correct run: observable order fixed by Det.iter_sorted, so the
    digest survives every perturbation. *)
@@ -231,7 +229,7 @@ let test_sanitizer_accepts_sorted () =
     Perturb.check_schedule_stability ~label:"sorted" ~run:sorted_run ()
   in
   check_bool "digest non-empty" true (String.length baseline > 0);
-  check_int "all perturbations run" 3 (List.length outcomes);
+  check_int "every standard mode runs" 4 (List.length outcomes);
   check_bool "stable" true (Perturb.stable outcomes);
   check_bool "no violations" true (Audit.ok ());
   Audit.set_enabled false;
@@ -248,7 +246,7 @@ let test_sanitizer_catches_bucket_order () =
   let salted =
     List.filter
       (fun o -> not o.Perturb.matches)
-      (List.filter (fun o -> o.Perturb.perturbation <> "tiebreak-lifo") outcomes)
+      (List.filter (fun o -> o.Perturb.mode <> "tiebreak-lifo") outcomes)
   in
   check_bool "a sizing salt exposed it" true (salted <> []);
   check_bool "violations recorded" true (Audit.violation_count () > 0);
@@ -263,7 +261,7 @@ let test_sanitizer_catches_tie_order () =
   in
   check_bool "unstable" false (Perturb.stable outcomes);
   let lifo =
-    List.find (fun o -> o.Perturb.perturbation = "tiebreak-lifo") outcomes
+    List.find (fun o -> o.Perturb.mode = "tiebreak-lifo") outcomes
   in
   check_bool "lifo flipped the digest" false lifo.Perturb.matches;
   Audit.set_enabled false;
@@ -304,36 +302,67 @@ let prop_insertion_order =
       let baseline = digest_of bindings in
       let shuffled = shuffle (Rng.create (mix + 1)) bindings in
       List.for_all
-        (fun (_, tb, salt) ->
-          Perturb.with_settings ~tb ~salt (fun () ->
-              String.equal (digest_of shuffled) baseline))
-        (("unperturbed", Perturb.Fifo, 0) :: Perturb.standard_perturbations))
+        (fun (_, under) ->
+          String.equal (under (fun () -> digest_of shuffled)) baseline)
+        Perturb.standard_modes)
 
 (* ------------- end-to-end: a full scenario run is stable ----------- *)
 
-let scenario_digest () =
-  let params = { Scenario.default_params with Scenario.seed = 11 } in
+let scenario_digest ~params ~jobs () =
   let fct =
     Sweep.websearch_run ~scheme:Scenario.S_clove_ecn ~params ~load:0.4
-      ~jobs_per_conn:8
+      ~jobs_per_conn:jobs
   in
   Digest.to_hex (Digest.string (Workload.Fct_stats.canonical_dump fct))
+
+(* the paper-claim configuration, the asymmetric testbed, and the
+   hardened recovery path (maintain tick, probe refresh) with 20 ms
+   probes densifying probe/data timer ties *)
+let asym = { Scenario.default_params with Scenario.asymmetric = true; seed = 1 }
+
+let scenario_inputs =
+  [
+    ("websearch/clove-ecn", { Scenario.default_params with Scenario.seed = 11 }, 8);
+    ("asymmetric", asym, 10);
+    ( "asymmetric+recovery",
+      { asym with Scenario.failure_recovery = true; probe_interval = Some (Sim_time.ms 20) },
+      10 );
+  ]
 
 let test_scenario_stable_under_perturbation () =
   Audit.reset ();
   Audit.set_enabled true;
-  let baseline, outcomes =
-    Perturb.check_schedule_stability ~label:"websearch/clove-ecn"
-      ~run:scenario_digest ()
-  in
-  check_bool
-    (Format.asprintf "identical digests: %a" Perturb.pp_outcomes
-       (baseline, outcomes))
-    true
-    (Perturb.stable outcomes);
+  List.iter
+    (fun (label, params, jobs) ->
+      let baseline, outcomes =
+        Perturb.check_schedule_stability ~label ~run:(scenario_digest ~params ~jobs) ()
+      in
+      check_bool
+        (Format.asprintf "identical digests:@.%a" (Perturb.pp_outcomes ~label)
+           (baseline, outcomes))
+        true
+        (Perturb.stable outcomes))
+    scenario_inputs;
   check_bool "no violations" true (Audit.ok ());
   Audit.set_enabled false;
   Audit.reset ()
+
+(* MPTCP arms every subflow's RTO and TLP from one handler in one
+   instant; those timers used to rank under the arming handler and fall
+   back to insertion order, which LIFO reversed (fig7's MPTCP column
+   moved at fan-in 7 and up).  They rank under each sender's own
+   component id now, so the goodput is tie-order independent. *)
+let test_mptcp_incast_tie_order () =
+  let goodput tb =
+    Perturb.with_settings ~tb ~salt:0 (fun () ->
+        Sweep.incast_point ~scheme:Scenario.S_mptcp
+          ~params:
+            { Scenario.default_params with Scenario.hosts_per_leaf = 16; fabric_rate_bps = 40e9 }
+          ~fanout:7 ~total_bytes:2_500_000 ~requests:3 ~seeds:[ 1 ])
+  in
+  Alcotest.(check string)
+    "FIFO and LIFO goodput" (Printf.sprintf "%h" (goodput Perturb.Fifo))
+    (Printf.sprintf "%h" (goodput Perturb.Lifo))
 
 let () =
   Alcotest.run "sema"
@@ -368,5 +397,7 @@ let () =
         [
           Alcotest.test_case "scenario digest survives perturbation" `Quick
             test_scenario_stable_under_perturbation;
+          Alcotest.test_case "mptcp incast tie-order independent" `Quick
+            test_mptcp_incast_tie_order;
         ] );
     ]
