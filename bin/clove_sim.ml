@@ -218,10 +218,23 @@ let determinism_cmd =
           first differing (row, mode), and 2 on an unknown row.")
     Term.(const run $ ids_arg ~docv:"ROW")
 
+(* chaos's topology options; 0 cores or 0 Gbit/s mean the default *)
+let check_topology ~pods ~cores ~core_rate ~spines =
+  at_least_1 "--pods" pods;
+  if cores < 0 || cores mod spines <> 0 then
+    reject
+      "--cores must be 0 or a positive multiple of the %d spines per pod \
+       (got %d)"
+      spines cores;
+  if not (core_rate >= 0.0) then
+    reject "--core-rate-gbps must be >= 0 (got %g)" core_rate
+
 let chaos_cmd =
   let run faults preset schemes load jobs seed hosts pods cores core_rate
       domains shards audit no_recovery assert_recovery =
     check_workload ~load ~jobs ~hosts;
+    check_topology ~pods ~cores ~core_rate
+      ~spines:Chaos.default_opts.Chaos.params.Scenario.spines;
     apply_domains domains;
     apply_shards shards;
     if audit then Analysis.Audit.set_enabled true;

@@ -7,28 +7,6 @@ type scheme =
   | Presto
   | Direct
 
-let scheme_name = function
-  | Ecmp -> "ecmp"
-  | Edge_flowlet -> "edge-flowlet"
-  | Clove_ecn -> "clove-ecn"
-  | Clove_int -> "clove-int"
-  | Clove_latency -> "clove-latency"
-  | Presto -> "presto"
-  | Direct -> "direct"
-
-let scheme_of_string = function
-  | "ecmp" -> Some Ecmp
-  | "edge-flowlet" -> Some Edge_flowlet
-  | "clove-ecn" -> Some Clove_ecn
-  | "clove-int" -> Some Clove_int
-  | "clove-latency" -> Some Clove_latency
-  | "presto" -> Some Presto
-  | "direct" -> Some Direct
-  | _ -> None
-
-let all_schemes =
-  [ Ecmp; Edge_flowlet; Clove_ecn; Clove_int; Clove_latency; Presto; Direct ]
-
 type stats = {
   tx_tenant : int;
   rx_tenant : int;

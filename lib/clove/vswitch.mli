@@ -35,10 +35,6 @@ type scheme =
   | Presto
   | Direct
 
-val scheme_name : scheme -> string
-val scheme_of_string : string -> scheme option
-val all_schemes : scheme list
-
 type t
 
 type stats = {

@@ -21,7 +21,7 @@ let preset_names = [ "core-brownout"; "interpod-flap"; "dual-link-loss" ]
 
 (* Pod-level gray-failure scenarios for 3-tier topologies, expanded
    against the actual pod count.  The names follow
-   {!Faults.Fault_engine.clos3_naming}: core [k] homes on spine
+   {!Faults.Fault_engine.clos_naming}: core [k] homes on spine
    [k mod spines] of every pod, so ["s<p>.1-core0"] exists for each pod
    [p]. *)
 let preset_spec (params : Scenario.params) name =
@@ -308,14 +308,12 @@ let scorecard ~plan rows =
    brownout with instant pod-tier recovery but long core-tier TTR is a
    scheme failing to reroute around the gray core. *)
 let tier_scorecard ~plan ~(params : Scenario.params) rows =
-  let ls, clos = Scenario.build_topology params in
-  let naming =
-    match clos with
-    | Some c3 -> Faults.Fault_engine.clos3_naming c3
-    | None -> Faults.Fault_engine.leaf_spine_naming ls
+  let topology = Scenario.build_topology params in
+  let tier_of =
+    Faults.Fault_engine.tier_of_event
+      (Faults.Fault_engine.clos_naming topology)
+      topology.Topology.topo
   in
-  let topo = ls.Topology.topo in
-  let tier_of = Faults.Fault_engine.tier_of_event naming topo in
   let tiers = List.sort_uniq String.compare (List.map tier_of plan) in
   let table =
     Stats.Table.create

@@ -105,8 +105,7 @@ type pdes = {
 type t = {
   sched : Scheduler.t;
   fabric : Fabric.t;
-  ls : Topology.leaf_spine;
-  clos : Topology.clos3 option;
+  topology : Topology.clos;
   clients : Host.t array;
   servers : Host.t array;
   scheme : scheme;
@@ -115,9 +114,7 @@ type t = {
   stacks : (int, Transport.Stack.t) Hashtbl.t;
   vswitches : (int, Clove.Vswitch.t) Hashtbl.t;
   conga : Fabric_lb.Conga.t option;
-  letflow : Fabric_lb.Letflow.t option;
   caft : Fabric_lb.Caft.t option;
-  clove_cfg : Clove.Clove_config.t;
   dist : Stats.Cdf.t;
   shards : int; (* 1 = serial; >= 2 sharded *)
   pdes : pdes option; (* Some iff shards >= 2 *)
@@ -134,7 +131,7 @@ let default_shards = ref 1
 
 let sched t = t.sched
 let fabric t = t.fabric
-let leaf_spine t = t.ls
+let topology t = t.topology
 let clients t = t.clients
 let servers t = t.servers
 let params t = t.params
@@ -154,49 +151,29 @@ let stack t host =
 let total_leaves params = max 1 params.pods * params.leaves
 let client_leaves params = max 1 (total_leaves params / 2)
 
-(* 3-tier defaults: 2 core uplinks per spine (local path diversity for
-   hop-by-hop schemes under core degradation) at the fabric rate *)
-let effective_cores params =
-  if params.cores > 0 then params.cores else 2 * params.spines
-
-let effective_core_rate params =
-  if params.core_rate_bps > 0.0 then params.core_rate_bps
-  else params.fabric_rate_bps
-
 (* the topology is a pure description — cheap enough to build standalone
-   for parse-time fault-name validation *)
+   for parse-time fault-name validation.  One pod has no core tier (and
+   ignores [cores]); more pods default to 2 core uplinks per spine (local
+   path diversity for hop-by-hop schemes under core degradation) at the
+   fabric rate *)
 let build_topology params =
-  if params.pods < 1 then invalid_arg "Scenario: pods must be >= 1";
   if total_leaves params < 2 || params.spines < 1 then
     invalid_arg "Scenario: need at least 2 leaves total and 1 spine";
-  if params.pods = 1 then
-    ( Topology.leaf_spine ~leaves:params.leaves ~spines:params.spines
-        ~hosts_per_leaf:params.hosts_per_leaf ~parallel:2
-        ~host_rate_bps
-        ~fabric_rate_bps:params.fabric_rate_bps ~host_delay:(Sim_time.us 2)
-        ~fabric_delay:(Sim_time.us 2),
-      None )
-  else
-    let c3 =
-      Topology.clos3 ~pods:params.pods ~leaves_per_pod:params.leaves
-        ~spines_per_pod:params.spines ~cores:(effective_cores params)
-        ~hosts_per_leaf:params.hosts_per_leaf ~parallel:2
-        ~host_rate_bps
-        ~fabric_rate_bps:params.fabric_rate_bps
-        ~core_rate_bps:(effective_core_rate params)
-        ~host_delay:(Sim_time.us 2) ~fabric_delay:(Sim_time.us 2)
-        ~core_delay:(Sim_time.us 2)
-    in
-    (c3.Topology.c3_ls, Some c3)
-
-let naming_of ~ls ~clos =
-  match clos with
-  | Some c3 -> Faults.Fault_engine.clos3_naming c3
-  | None -> Faults.Fault_engine.leaf_spine_naming ls
+  let cores =
+    if params.pods = 1 then 0
+    else if params.cores > 0 then params.cores
+    else 2 * params.spines
+  in
+  Topology.clos ~pods:params.pods ~leaves_per_pod:params.leaves
+    ~spines_per_pod:params.spines ~cores ~hosts_per_leaf:params.hosts_per_leaf
+    ~parallel:2 ~host_rate_bps ~fabric_rate_bps:params.fabric_rate_bps
+    ~core_rate_bps:
+      (if params.core_rate_bps > 0.0 then params.core_rate_bps
+       else params.fabric_rate_bps)
+    ~delay:(Sim_time.us 2)
 
 let fault_names params =
-  let ls, clos = build_topology params in
-  Faults.Fault_engine.names (naming_of ~ls ~clos)
+  Faults.Fault_engine.names (Faults.Fault_engine.clos_naming (build_topology params))
 
 let bisection_bps t =
   (* aggregate client-side NIC rate: leaves/2 client leaves worth of
@@ -231,7 +208,9 @@ let build ?shards ~scheme params =
   in
   let sched = Scheduler.create () in
   let rng = Rng.create params.seed in
-  let ls, clos = build_topology params in
+  let ({ Topology.topo; host_ids; leaf_ids; spine_ids; core_ids; _ } as topology) =
+    build_topology params
+  in
   let config =
     {
       Fabric.queue_capacity_pkts = params.queue_capacity_pkts;
@@ -240,31 +219,24 @@ let build ?shards ~scheme params =
       seed = params.seed;
     }
   in
-  (* Sharded layout: each leaf and its hosts form a shard (spines round-
-     robin), so host links never cross a boundary and every cut edge is a
-     leaf-spine link — the lookahead window is the fabric hop delay. *)
+  (* Sharded layout: each leaf and its hosts form a shard (spines and
+     cores round-robin), so host links never cross a boundary and every
+     cut edge is a fabric link — the lookahead window is the hop delay. *)
   let pdes_plan =
     if shards < 2 then None
     else begin
       let width = shards in
-      let n = Topology.node_count ls.Topology.topo in
-      let node_shard = Array.make n 0 in
+      let node_shard = Array.make (Topology.node_count topo) 0 in
       Array.iteri
         (fun leaf hosts ->
-          node_shard.(ls.Topology.leaf_ids.(leaf)) <- leaf mod width;
+          node_shard.(leaf_ids.(leaf)) <- leaf mod width;
           Array.iter (fun h -> node_shard.(h) <- leaf mod width) hosts)
-        ls.Topology.host_ids;
-      Array.iteri
-        (fun j spine -> node_shard.(spine) <- j mod width)
-        ls.Topology.spine_ids;
-      (match clos with
-      | Some c3 ->
-        Array.iteri
-          (fun j core -> node_shard.(core) <- j mod width)
-          c3.Topology.c3_core_ids
-      | None -> ());
+        host_ids;
+      let round_robin = Array.iteri (fun j id -> node_shard.(id) <- j mod width) in
+      round_robin spine_ids;
+      round_robin core_ids;
       let partition =
-        Partition.plan ~topo:ls.Topology.topo ~nshards:width
+        Partition.plan ~topo ~nshards:width
           ~shard_of_node:(fun id -> node_shard.(id))
           ()
       in
@@ -274,11 +246,11 @@ let build ?shards ~scheme params =
   in
   let fabric =
     match pdes_plan with
-    | None -> Fabric.create ~sched ~config ls.Topology.topo
+    | None -> Fabric.create ~sched ~config topo
     | Some (partition, scheds) ->
       Fabric.create
         ~sched_of_node:(fun id -> scheds.(Partition.shard_of_node partition id))
-        ~sched ~config ls.Topology.topo
+        ~sched ~config topo
   in
   let pdes =
     match pdes_plan with
@@ -297,8 +269,8 @@ let build ?shards ~scheme params =
   (* the paper's failure: one of the two 40G links between spine S2 and
      leaf L2 *)
   if params.asymmetric then begin
-    let l2 = ls.Topology.leaf_ids.(1) and s2 = ls.Topology.spine_ids.(1) in
-    match Topology.find_edge ls.Topology.topo ~a:l2 ~b:s2 ~bundle_index:1 with
+    let l2 = leaf_ids.(1) and s2 = spine_ids.(1) in
+    match Topology.find_edge topo ~a:l2 ~b:s2 ~bundle_index:1 with
     | Some e -> Fabric.fail_edge fabric e
     | None -> invalid_arg "Scenario.build: expected parallel link missing"
   end;
@@ -334,7 +306,7 @@ let build ?shards ~scheme params =
     | Some every -> { cfg with Clove.Clove_config.probe_interval = every }
   in
   let stacks = Det.create 64 and vswitches = Det.create 64 in
-  let degraded_spine = ls.Topology.spine_ids.(1) in
+  let degraded_spine = spine_ids.(1) in
   Array.iter
     (fun host ->
       let st = Transport.Stack.create () in
@@ -361,15 +333,16 @@ let build ?shards ~scheme params =
   let ncl = client_leaves params in
   let leaf_hosts lo hi =
     Array.map host_of_node
-      (Array.concat (List.init (hi - lo) (fun i -> ls.Topology.host_ids.(lo + i))))
+      (Array.concat (List.init (hi - lo) (fun i -> host_ids.(lo + i))))
   in
   let clients = leaf_hosts 0 ncl in
   let servers = leaf_hosts ncl (total_leaves params) in
-  let letflow =
-    if scheme = S_letflow then
-      Some (Fabric_lb.Letflow.install ~rng:(Rng.split_named rng "letflow") fabric)
-    else None
-  in
+  if scheme = S_letflow then begin
+    let (_ : Fabric_lb.Letflow.t) =
+      Fabric_lb.Letflow.install ~rng:(Rng.split_named rng "letflow") fabric
+    in
+    ()
+  end;
   let conga =
     if scheme = S_conga then
       (* CONGA's 500 us flowlet gap is ~5x its testbed RTT; scale the same
@@ -393,8 +366,7 @@ let build ?shards ~scheme params =
   {
     sched;
     fabric;
-    ls;
-    clos;
+    topology;
     clients;
     servers;
     scheme;
@@ -403,9 +375,7 @@ let build ?shards ~scheme params =
     stacks;
     vswitches;
     conga;
-    letflow;
     caft;
-    clove_cfg;
     dist =
       Workload.Flow_size_dist.scale
         (if params.data_mining then Workload.Flow_size_dist.data_mining
@@ -472,8 +442,7 @@ let connect t ~src ~dst =
 
 let conga t = t.conga
 let caft t = t.caft
-let clos t = t.clos
-let fault_naming t = naming_of ~ls:t.ls ~clos:t.clos
+let fault_naming t = Faults.Fault_engine.clos_naming t.topology
 let total_drops t = Fabric.total_drops t.fabric
 let total_marks t = Fabric.total_marks t.fabric
 let shards t = t.shards
@@ -522,9 +491,4 @@ let run_websearch t ~rng ~conns cfg =
 let quiesce t =
   Det.iter_sorted ~compare:Int.compare (fun _ v -> Clove.Vswitch.stop v) t.vswitches;
   Det.iter_sorted ~compare:Int.compare (fun _ s -> Transport.Stack.stop_all s) t.stacks;
-  (match t.pdes with Some p -> Shard.shutdown p.shard | None -> ());
-  ignore t.conga;
-  ignore t.letflow;
-  ignore t.caft;
-  ignore t.clove_cfg;
-  ignore t.ls
+  match t.pdes with Some p -> Shard.shutdown p.shard | None -> ()

@@ -1,11 +1,13 @@
 (** Experiment scenario: the paper's testbed, in simulation.
 
-    Builds the 2-leaf/2-spine fabric (two parallel fabric links per
-    leaf-spine pair — four disjoint leaf-to-leaf paths), places clients on
-    leaf 0 and servers on leaf 1, instantiates per-host transport stacks and
-    hypervisor virtual switches for the requested load-balancing scheme,
-    optionally fails one spine-leaf link (the paper's asymmetry), and hands
-    out persistent connections for the workload drivers. *)
+    Builds the fabric with {!Topology.clos} — by default one pod of 2
+    leaves and 2 spines with two parallel fabric links per leaf-spine
+    pair (four disjoint leaf-to-leaf paths), the paper's testbed — places
+    clients on the first half of the leaves and servers on the rest,
+    instantiates per-host transport stacks and hypervisor virtual
+    switches for the requested load-balancing scheme, optionally fails
+    one spine-leaf link (the paper's asymmetry), and hands out persistent
+    connections for the workload drivers. *)
 
 type scheme =
   | S_ecmp
@@ -26,14 +28,14 @@ val scheme_of_string : string -> scheme option
 
 type params = {
   leaves : int;
-      (** leaf count (per pod when [pods >= 2]); the first half of all
-          leaves hold clients, the rest servers *)
-  spines : int;  (** spine count (per pod when [pods >= 2]) *)
+      (** leaves per pod; the first half of all leaves hold clients, the
+          rest servers *)
+  spines : int;  (** spines per pod *)
   pods : int;
-      (** 1 (default) builds the paper's 2-tier leaf-spine; [>= 2] builds
-          a 3-tier Clos of [pods] pods plus a core tier, [leaves] and
-          [spines] counted per pod.  Clients land on the first half of
-          the pods, so the workload crosses the core. *)
+      (** 1 (default) builds the paper's 2-tier leaf-spine, with no core
+          tier; [>= 2] builds a 3-tier Clos of [pods] pods plus a core
+          tier.  Clients land on the first half of the pods, so the
+          workload crosses the core. *)
   cores : int;
       (** core-switch count for [pods >= 2]; 0 (default) means
           [2 * spines] — two core uplinks per spine *)
@@ -102,27 +104,21 @@ val shard : t -> Shard.t option
 
 val fabric : t -> Fabric.t
 
-val leaf_spine : t -> Topology.leaf_spine
-(** The underlying 2-tier topology handle (switch/edge naming for fault
-    plans); for 3-tier builds this is the flattened [c3_ls] view. *)
-
-val clos : t -> Topology.clos3 option
-(** The 3-tier handle when [params.pods >= 2]. *)
+val topology : t -> Topology.clos
+(** The topology description the fabric was instantiated from. *)
 
 val fault_naming : t -> Faults.Fault_engine.naming
-(** The symbolic fault naming matching this scenario's topology:
-    {!Faults.Fault_engine.clos3_naming} for 3-tier builds,
-    {!Faults.Fault_engine.leaf_spine_naming} otherwise. *)
+(** {!Faults.Fault_engine.clos_naming} of this scenario's topology. *)
 
 val fault_names : params -> Faults.Fault_plan.names
 (** Parse-time name-validation predicates for the topology [params]
     describes, without building a scenario (the topology description is
     cheap; no fabric is instantiated). *)
 
-val build_topology : params -> Topology.leaf_spine * Topology.clos3 option
-(** The pure topology description [params] denotes (3-tier iff
-    [pods >= 2]) — for name resolution and tier classification without
-    instantiating a fabric. *)
+val build_topology : params -> Topology.clos
+(** The pure topology description [params] denotes — for name
+    resolution and tier classification without instantiating a fabric.
+    One pod has no core tier, whatever [cores] says. *)
 
 val clients : t -> Host.t array
 val servers : t -> Host.t array

@@ -26,52 +26,36 @@ let edge_naming ~topo resolve_switch =
   in
   { resolve_edge; resolve_switch }
 
-let leaf_spine_resolve_switch (ls : Topology.leaf_spine) name =
-  let n = String.length name in
-  if n < 2 then None
-  else
-    match (name.[0], int_of_string_opt (String.sub name 1 (n - 1))) with
-    | 'l', Some i when i >= 1 && i <= Array.length ls.Topology.leaf_ids ->
-      Some ls.Topology.leaf_ids.(i - 1)
-    | 's', Some i when i >= 1 && i <= Array.length ls.Topology.spine_ids ->
-      Some ls.Topology.spine_ids.(i - 1)
-    | _ -> None
-
-let leaf_spine_naming (ls : Topology.leaf_spine) =
-  edge_naming ~topo:ls.Topology.topo (leaf_spine_resolve_switch ls)
-
-let clos3_naming (c3 : Topology.clos3) =
-  let ls = c3.Topology.c3_ls in
-  (* "<p>.<i>", both 1-based, into a pod-major id array *)
-  let pod_scoped ids per_pod rest =
-    match String.split_on_char '.' rest with
-    | [ p; i ] -> (
-      match (int_of_string_opt p, int_of_string_opt i) with
-      | Some p, Some i
-        when p >= 1 && p <= c3.Topology.c3_pods && i >= 1 && i <= per_pod ->
-        Some ids.(((p - 1) * per_pod) + (i - 1))
-      | _ -> None)
+let clos_naming (c : Topology.clos) =
+  (* "<i>" counts across the whole pod-major id array, "<p>.<i>" within
+     pod p; both 1-based *)
+  let pick ids per_pod rest =
+    let nth i =
+      if i >= 1 && i <= Array.length ids then Some ids.(i - 1) else None
+    in
+    match List.map int_of_string_opt (String.split_on_char '.' rest) with
+    | [ Some i ] -> nth i
+    | [ Some p; Some i ]
+      when p >= 1 && p <= c.Topology.pods && i >= 1 && i <= per_pod ->
+      nth (((p - 1) * per_pod) + i)
     | _ -> None
   in
   let resolve_switch name =
     let n = String.length name in
     if n > 4 && String.sub name 0 4 = "core" then
       match int_of_string_opt (String.sub name 4 (n - 4)) with
-      | Some k when k >= 0 && k < Array.length c3.Topology.c3_core_ids ->
-        Some c3.Topology.c3_core_ids.(k)
+      | Some k when k >= 0 && k < Array.length c.Topology.core_ids ->
+        Some c.Topology.core_ids.(k)
       | _ -> None
-    else if n >= 2 && String.contains name '.' then
+    else if n < 2 then None
+    else
       let rest = String.sub name 1 (n - 1) in
       match name.[0] with
-      | 'l' -> pod_scoped ls.Topology.leaf_ids c3.Topology.c3_leaves_per_pod rest
-      | 's' -> pod_scoped ls.Topology.spine_ids c3.Topology.c3_spines_per_pod rest
+      | 'l' -> pick c.Topology.leaf_ids c.Topology.leaves_per_pod rest
+      | 's' -> pick c.Topology.spine_ids c.Topology.spines_per_pod rest
       | _ -> None
-    else
-      (* flattened global names keep working: "l3" is the third leaf
-         pod-major, exactly the two-tier convention on [c3_ls] *)
-      leaf_spine_resolve_switch ls name
   in
-  edge_naming ~topo:ls.Topology.topo resolve_switch
+  edge_naming ~topo:c.Topology.topo resolve_switch
 
 (* which tier a plan event disturbs, for per-tier scorecard breakdowns:
    any edge or switch touching a core is "core"; host access links are

@@ -1,7 +1,7 @@
 (** Deterministic execution of a {!Fault_plan} against a live fabric.
 
-    The engine resolves the plan's symbolic names through a pluggable
-    {!naming}, schedules one scheduler event per plan entry, and drives
+    The engine resolves the plan's symbolic names through a {!naming}
+    ({!clos_naming} names every fabric the simulator builds), schedules one scheduler event per plan entry, and drives
     the injection hooks: {!Fabric.fail_edge} / {!Fabric.restore_edge} /
     {!Fabric.set_edge_brownout} / {!Fabric.fail_switch} on the fabric
     side, {!Clove.Vswitch.set_fault_profile} on the virtual edge.
@@ -17,20 +17,14 @@ type naming = {
   resolve_switch : string -> int option;
 }
 
-val leaf_spine_naming : Topology.leaf_spine -> naming
-(** The paper testbed's naming: switches are ["l1"].. / ["s1"]..
-    (1-based leaves and spines), an edge is ["s2-l2"] with an optional
+val clos_naming : Topology.clos -> naming
+(** Switches are ["l3"] / ["s2"] (1-based, pod-major across the whole
+    fabric), ["l<pod>.<i>"] / ["s<pod>.<i>"] (both 1-based, e.g.
+    ["s2.1"] is pod 2's first spine; on one pod ["l1.2"] is ["l2"]) and
+    ["core0"].. (0-based).  An edge joins any two switch names, in either
+    order (["s2-l2"], ["l2.1-s2.2"], ["s1.2-core1"]), with an optional
     trailing bundle letter selecting the parallel link (["s2-l2b"] is
-    bundle index 1; no letter means bundle 0).  Either endpoint order
-    works. *)
-
-val clos3_naming : Topology.clos3 -> naming
-(** Three-tier naming.  Cores are ["core0"].. (0-based); pod-scoped
-    switches are ["l<pod>.<i>"] / ["s<pod>.<i>"] (both 1-based, e.g.
-    ["s2.1"] is pod 2's first spine); flattened pod-major names
-    (["l3"], ["s4"]) keep working as on the two-tier view.  Edges
-    combine any two switch names (["l2.1-s2.2"], ["s1.2-core1"]) with
-    the same bundle-letter suffix as {!leaf_spine_naming}. *)
+    bundle index 1; no letter means bundle 0). *)
 
 val names : naming -> Fault_plan.names
 (** Membership predicates for {!Fault_plan.parse}'s parse-time name

@@ -23,11 +23,11 @@
     - [switch-down <switch>] / [switch-up <switch>] — fail / restore
       every edge incident to a switch.
 
-    Edge names follow the topology naming convention of the executing
-    engine (for the paper's leaf–spine: ["s2-l2b"] is the second
-    parallel link between spine 2 and leaf 2; see
-    {!Fault_engine.leaf_spine_naming}; for 3-tier Clos, ["core0"] /
-    ["s1.2"] / ["l2.1-s2.2"] — see {!Fault_engine.clos3_naming}).
+    Switch and edge names follow {!Fault_engine.clos_naming}: on the
+    paper's leaf–spine, ["s2-l2b"] is the second parallel link between
+    spine 2 and leaf 2; with pods and cores, ["core0"], ["s1.2"] and
+    ["l2.1-s2.2"] name a core, pod 1's second spine and an edge in
+    pod 2.
     Parsing is pure; pass [?names] membership predicates (from
     {!Fault_engine.names}) to reject unknown switch/edge names at parse
     time instead of arm time. *)

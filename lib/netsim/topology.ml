@@ -87,67 +87,29 @@ let find_edge t ~a ~b ~bundle_index =
       ((e.a = a && e.b = b) || (e.a = b && e.b = a)) && e.bundle_index = bundle_index)
     (edges_of t a)
 
-type leaf_spine = {
+type clos = {
   topo : t;
   host_ids : int array array;
   leaf_ids : int array;
   spine_ids : int array;
+  core_ids : int array;
+  pods : int;
+  leaves_per_pod : int;
+  spines_per_pod : int;
 }
 
-let leaf_spine ~leaves ~spines ~hosts_per_leaf ~parallel ~host_rate_bps ~fabric_rate_bps
-    ~host_delay ~fabric_delay =
-  if leaves < 1 || spines < 1 || hosts_per_leaf < 1 || parallel < 1 then
-    invalid_arg "Topology.leaf_spine: all counts must be positive";
-  let topo = create () in
-  let leaf_ids = Array.init leaves (fun _ -> add_switch topo Switch.Leaf) in
-  let spine_ids = Array.init spines (fun _ -> add_switch topo Switch.Spine) in
-  let host_ids =
-    Array.init leaves (fun leaf ->
-        Array.init hosts_per_leaf (fun _ ->
-            let h = add_host topo in
-            let (_ : edge) =
-              connect topo h leaf_ids.(leaf) ~rate_bps:host_rate_bps ~delay:host_delay ()
-            in
-            h))
-  in
-  Array.iter
-    (fun leaf ->
-      Array.iter
-        (fun spine ->
-          for k = 0 to parallel - 1 do
-            let (_ : edge) =
-              connect topo leaf spine ~rate_bps:fabric_rate_bps ~delay:fabric_delay
-                ~bundle_index:k ()
-            in
-            ()
-          done)
-        spine_ids)
-    leaf_ids;
-  { topo; host_ids; leaf_ids; spine_ids }
-
-type clos3 = {
-  c3_ls : leaf_spine;
-  c3_pods : int;
-  c3_leaves_per_pod : int;
-  c3_spines_per_pod : int;
-  c3_core_ids : int array;
-}
-
-let clos3 ~pods ~leaves_per_pod ~spines_per_pod ~cores ~hosts_per_leaf ~parallel
-    ~host_rate_bps ~fabric_rate_bps ~core_rate_bps ~host_delay ~fabric_delay
-    ~core_delay =
-  if pods < 1 || leaves_per_pod < 1 || spines_per_pod < 1 || cores < 1
+let clos ~pods ~leaves_per_pod ~spines_per_pod ~cores ~hosts_per_leaf ~parallel
+    ~host_rate_bps ~fabric_rate_bps ~core_rate_bps ~delay =
+  if pods < 1 || leaves_per_pod < 1 || spines_per_pod < 1 || cores < 0
      || hosts_per_leaf < 1 || parallel < 1
-  then invalid_arg "Topology.clos3: all counts must be positive";
+  then invalid_arg "Topology.clos: counts must be positive (cores >= 0)";
+  if cores = 0 && pods > 1 then
+    invalid_arg "Topology.clos: pods > 1 need a core tier";
   if cores mod spines_per_pod <> 0 then
     invalid_arg
-      "Topology.clos3: cores must be a multiple of spines_per_pod (core k \
+      "Topology.clos: cores must be a multiple of spines_per_pod (core k \
        homes on spine k mod spines_per_pod of every pod)";
   let topo = create () in
-  (* node order mirrors [leaf_spine]: every leaf, then every spine (both
-     pod-major), then the cores, then hosts leaf by leaf — so the
-     flattened [c3_ls] view looks exactly like a wide leaf-spine to code
-     that only understands two tiers *)
   let leaf_ids =
     Array.init (pods * leaves_per_pod) (fun _ -> add_switch topo Switch.Leaf)
   in
@@ -160,8 +122,7 @@ let clos3 ~pods ~leaves_per_pod ~spines_per_pod ~cores ~hosts_per_leaf ~parallel
         Array.init hosts_per_leaf (fun _ ->
             let h = add_host topo in
             let (_ : edge) =
-              connect topo h leaf_ids.(leaf) ~rate_bps:host_rate_bps
-                ~delay:host_delay ()
+              connect topo h leaf_ids.(leaf) ~rate_bps:host_rate_bps ~delay ()
             in
             h))
   in
@@ -174,7 +135,7 @@ let clos3 ~pods ~leaves_per_pod ~spines_per_pod ~cores ~hosts_per_leaf ~parallel
             connect topo
               leaf_ids.((pod * leaves_per_pod) + l)
               spine_ids.((pod * spines_per_pod) + s)
-              ~rate_bps:fabric_rate_bps ~delay:fabric_delay ~bundle_index:k ()
+              ~rate_bps:fabric_rate_bps ~delay ~bundle_index:k ()
           in
           ()
         done
@@ -188,16 +149,8 @@ let clos3 ~pods ~leaves_per_pod ~spines_per_pod ~cores ~hosts_per_leaf ~parallel
     (fun k core ->
       for pod = 0 to pods - 1 do
         let spine = spine_ids.((pod * spines_per_pod) + (k mod spines_per_pod)) in
-        let (_ : edge) =
-          connect topo spine core ~rate_bps:core_rate_bps ~delay:core_delay ()
-        in
+        let (_ : edge) = connect topo spine core ~rate_bps:core_rate_bps ~delay () in
         ()
       done)
     core_ids;
-  {
-    c3_ls = { topo; host_ids; leaf_ids; spine_ids };
-    c3_pods = pods;
-    c3_leaves_per_pod = leaves_per_pod;
-    c3_spines_per_pod = spines_per_pod;
-    c3_core_ids = core_ids;
-  }
+  { topo; host_ids; leaf_ids; spine_ids; core_ids; pods; leaves_per_pod; spines_per_pod }

@@ -6,9 +6,10 @@
     edges between the same pair of switches model link bundles (the
     testbed's two 40G links per leaf-spine pair) and carry a bundle index.
 
-    The leaf-spine builder reproduces the paper's evaluation topology;
-    the three-tier Clos builder adds pods and a core tier (with one link
-    per stage it is, for instance, the k = 4 fat-tree). *)
+    The one builder, {!clos}, makes pods of leaves and spines under a
+    core tier.  Its one-pod, no-core case is the paper's evaluation
+    topology; with one link per stage it is, for instance, the k = 4
+    fat-tree. *)
 
 type node = Host_node of int | Switch_node of Switch.level * int
 (** Node identity: payload is a dense node id shared across both kinds. *)
@@ -48,51 +49,32 @@ val is_host : t -> int -> bool
 
 val find_edge : t -> a:int -> b:int -> bundle_index:int -> edge option
 
-(** {2 Leaf-spine builder} *)
+(** {2 Clos builder}
 
-type leaf_spine = {
+    Pods of a full-bipartite leaf/spine stage with [parallel] links per
+    leaf-spine pair, plus a core tier (level [Core_sw]).  Core [k]
+    connects to spine [k mod spines_per_pod] of every pod, so inter-pod
+    traffic climbs leaf -> spine -> core -> spine -> leaf.
+    Oversubscription is configured by the core count and
+    [core_rate_bps].
+
+    One pod with no cores is the paper's two-tier leaf-spine testbed:
+    with 2 leaves, 2 spines and [parallel = 2] it has exactly four
+    disjoint leaf-to-leaf paths. *)
+
+type clos = {
   topo : t;
-  host_ids : int array array;  (** [host_ids.(leaf).(i)] is a node id *)
-  leaf_ids : int array;
-  spine_ids : int array;
+  host_ids : int array array;
+      (** [host_ids.(leaf).(i)] is a node id, [leaf] a global index *)
+  leaf_ids : int array;  (** pod-major *)
+  spine_ids : int array;  (** pod-major *)
+  core_ids : int array;
+  pods : int;
+  leaves_per_pod : int;
+  spines_per_pod : int;
 }
 
-val leaf_spine :
-  leaves:int ->
-  spines:int ->
-  hosts_per_leaf:int ->
-  parallel:int ->
-  host_rate_bps:float ->
-  fabric_rate_bps:float ->
-  host_delay:Sim_time.span ->
-  fabric_delay:Sim_time.span ->
-  leaf_spine
-(** Every leaf connects to every spine with [parallel] parallel links.  With
-    [leaves = 2], [spines = 2], [parallel = 2] this is exactly the paper's
-    testbed: four disjoint leaf-to-leaf paths. *)
-
-(** {2 Three-tier Clos builder}
-
-    Pods of a full-bipartite leaf/spine stage plus a core tier (level
-    [Core_sw]).  Core [k] connects to spine [k mod spines_per_pod] of
-    every pod, so inter-pod traffic climbs leaf -> spine -> core -> spine
-    -> leaf.  Oversubscription is configured by the core count and
-    [core_rate_bps] (heterogeneous rates are first-class: host, fabric
-    and core stages each take their own rate/delay). *)
-
-type clos3 = {
-  c3_ls : leaf_spine;
-      (** Flattened two-tier view: [c3_ls.leaf_ids] and [c3_ls.spine_ids]
-          are pod-major, [c3_ls.host_ids] is indexed by global leaf index.
-          Code that only understands leaf-spine (edge schemes, sharding,
-          traffic) operates on this view unchanged. *)
-  c3_pods : int;
-  c3_leaves_per_pod : int;
-  c3_spines_per_pod : int;
-  c3_core_ids : int array;
-}
-
-val clos3 :
+val clos :
   pods:int ->
   leaves_per_pod:int ->
   spines_per_pod:int ->
@@ -102,10 +84,11 @@ val clos3 :
   host_rate_bps:float ->
   fabric_rate_bps:float ->
   core_rate_bps:float ->
-  host_delay:Sim_time.span ->
-  fabric_delay:Sim_time.span ->
-  core_delay:Sim_time.span ->
-  clos3
-(** [cores] must be a positive multiple of [spines_per_pod]; with
-    [cores = 2 * spines_per_pod] every spine owns two core uplinks, giving
-    hop-by-hop schemes a local alternative when one core degrades. *)
+  delay:Sim_time.span ->
+  clos
+(** Nodes are numbered every leaf, then every spine (both pod-major),
+    then the cores, then the hosts leaf by leaf; every link has [delay].
+    [cores] must be a multiple of [spines_per_pod], and may be 0 only
+    when [pods = 1]; with [cores = 2 * spines_per_pod] every spine owns
+    two core uplinks, giving hop-by-hop schemes a local alternative when
+    one core degrades.  Raises [Invalid_argument] otherwise. *)

@@ -12,87 +12,83 @@ let us = Sim_time.us
 (* 2 pods x (2 leaves, 2 spines), 4 cores, 2 hosts/leaf, 2 parallel
    intra-pod links; heterogeneous rates per stage *)
 let mk_clos3 () =
-  Topology.clos3 ~pods:2 ~leaves_per_pod:2 ~spines_per_pod:2 ~cores:4
+  Topology.clos ~pods:2 ~leaves_per_pod:2 ~spines_per_pod:2 ~cores:4
     ~hosts_per_leaf:2 ~parallel:2 ~host_rate_bps:10e9 ~fabric_rate_bps:20e9
-    ~core_rate_bps:40e9 ~host_delay:(us 2) ~fabric_delay:(us 2)
-    ~core_delay:(us 2)
+    ~core_rate_bps:40e9 ~delay:(us 2)
 
 (* ------------------------------- shape ----------------------------- *)
 
 let test_shape () =
   let c3 = mk_clos3 () in
-  let ls = c3.Topology.c3_ls in
-  let topo = ls.Topology.topo in
-  check_int "pods" 2 c3.Topology.c3_pods;
-  check_int "flattened leaves" 4 (Array.length ls.Topology.leaf_ids);
-  check_int "flattened spines" 4 (Array.length ls.Topology.spine_ids);
-  check_int "cores" 4 (Array.length c3.Topology.c3_core_ids);
+  let topo = c3.Topology.topo in
+  check_int "pods" 2 c3.Topology.pods;
+  check_int "leaves" 4 (Array.length c3.Topology.leaf_ids);
+  check_int "spines" 4 (Array.length c3.Topology.spine_ids);
+  check_int "cores" 4 (Array.length c3.Topology.core_ids);
   (* 4 leaves + 4 spines + 4 cores + 8 hosts *)
   check_int "nodes" 20 (Topology.node_count topo);
   Array.iter
     (fun hs -> check_int "hosts per leaf" 2 (Array.length hs))
-    ls.Topology.host_ids;
+    c3.Topology.host_ids;
   (* core k homes on spine (k mod spines_per_pod) of every pod, at the
      core stage's own rate *)
   Array.iteri
     (fun k core ->
-      for pod = 0 to c3.Topology.c3_pods - 1 do
+      for pod = 0 to c3.Topology.pods - 1 do
         let spine =
-          ls.Topology.spine_ids.((pod * c3.Topology.c3_spines_per_pod)
-                                 + (k mod c3.Topology.c3_spines_per_pod))
+          c3.Topology.spine_ids.((pod * c3.Topology.spines_per_pod)
+                                 + (k mod c3.Topology.spines_per_pod))
         in
         match Topology.find_edge topo ~a:spine ~b:core ~bundle_index:0 with
         | Some e ->
           check_bool "core edge rate" true (e.Topology.rate_bps = 40e9)
         | None -> Alcotest.failf "core %d not wired to pod %d" k pod
       done)
-    c3.Topology.c3_core_ids;
+    c3.Topology.core_ids;
   (* intra-pod stage: every leaf reaches every spine of its own pod with
      both parallel bundles, and no spine of the other pod *)
-  let leaf0 = ls.Topology.leaf_ids.(0) in
-  let own_spine = ls.Topology.spine_ids.(0) in
-  let foreign_spine = ls.Topology.spine_ids.(2) in
+  let leaf0 = c3.Topology.leaf_ids.(0) in
+  let own_spine = c3.Topology.spine_ids.(0) in
+  let foreign_spine = c3.Topology.spine_ids.(2) in
   check_bool "parallel bundle b" true
     (Topology.find_edge topo ~a:leaf0 ~b:own_spine ~bundle_index:1 <> None);
   check_bool "no cross-pod leaf-spine edge" true
     (Topology.find_edge topo ~a:leaf0 ~b:foreign_spine ~bundle_index:0 = None)
 
-let test_clos3_validation () =
-  let bad f =
-    match f () with
+let test_clos_validation () =
+  let bad ~pods ~cores =
+    match
+      Topology.clos ~pods ~leaves_per_pod:2 ~spines_per_pod:2 ~cores
+        ~hosts_per_leaf:1 ~parallel:1 ~host_rate_bps:1e9 ~fabric_rate_bps:1e9
+        ~core_rate_bps:1e9 ~delay:(us 1)
+    with
     | exception Invalid_argument _ -> ()
-    | _ -> Alcotest.fail "expected Invalid_argument"
+    | _ -> Alcotest.failf "pods=%d cores=%d: expected Invalid_argument" pods cores
   in
-  bad (fun () ->
-      Topology.clos3 ~pods:0 ~leaves_per_pod:2 ~spines_per_pod:2 ~cores:2
-        ~hosts_per_leaf:1 ~parallel:1 ~host_rate_bps:1e9 ~fabric_rate_bps:1e9
-        ~core_rate_bps:1e9 ~host_delay:(us 1) ~fabric_delay:(us 1)
-        ~core_delay:(us 1));
-  (* cores must be a positive multiple of spines_per_pod *)
-  bad (fun () ->
-      Topology.clos3 ~pods:2 ~leaves_per_pod:2 ~spines_per_pod:2 ~cores:3
-        ~hosts_per_leaf:1 ~parallel:1 ~host_rate_bps:1e9 ~fabric_rate_bps:1e9
-        ~core_rate_bps:1e9 ~host_delay:(us 1) ~fabric_delay:(us 1)
-        ~core_delay:(us 1))
+  bad ~pods:0 ~cores:2;
+  (* cores must be a multiple of spines_per_pod *)
+  bad ~pods:2 ~cores:3;
+  (* only one pod may go without a core tier *)
+  bad ~pods:2 ~cores:0;
+  bad ~pods:1 ~cores:(-2)
 
 (* ------------------------------ naming ----------------------------- *)
 
 let test_naming_round_trip () =
   let c3 = mk_clos3 () in
-  let ls = c3.Topology.c3_ls in
-  let naming = Faults.Fault_engine.clos3_naming c3 in
+  let naming = Faults.Fault_engine.clos_naming c3 in
   let sw name =
     match naming.Faults.Fault_engine.resolve_switch name with
     | Some id -> id
     | None -> Alcotest.failf "switch %S did not resolve" name
   in
   (* cores are 0-based *)
-  check_int "core0" c3.Topology.c3_core_ids.(0) (sw "core0");
-  check_int "core3" c3.Topology.c3_core_ids.(3) (sw "core3");
-  (* pod-scoped names are 1-based; flattened pod-major names still work *)
-  check_int "s1.1" ls.Topology.spine_ids.(0) (sw "s1.1");
-  check_int "s2.2" ls.Topology.spine_ids.(3) (sw "s2.2");
-  check_int "l2.1" ls.Topology.leaf_ids.(2) (sw "l2.1");
+  check_int "core0" c3.Topology.core_ids.(0) (sw "core0");
+  check_int "core3" c3.Topology.core_ids.(3) (sw "core3");
+  (* pod-scoped names are 1-based; flat pod-major names resolve too *)
+  check_int "s1.1" c3.Topology.spine_ids.(0) (sw "s1.1");
+  check_int "s2.2" c3.Topology.spine_ids.(3) (sw "s2.2");
+  check_int "l2.1" c3.Topology.leaf_ids.(2) (sw "l2.1");
   check_int "s3 = s2.1" (sw "s2.1") (sw "s3");
   check_int "l4 = l2.2" (sw "l2.2") (sw "l4");
   let edge name =
@@ -118,6 +114,28 @@ let test_naming_round_trip () =
   check_bool "l1.3 unknown" true (no_sw "l1.3");
   check_bool "leaf-core edge unknown" true (no_edge "l1.1-core0");
   check_bool "cross-pod edge unknown" true (no_edge "l1.1-s2.1")
+
+(* on one pod the pod-scoped names are aliases of the flat ones *)
+let test_one_pod_naming () =
+  let naming =
+    Faults.Fault_engine.clos_naming
+      (Scenario.build_topology Scenario.default_params)
+  in
+  let sw name =
+    match naming.Faults.Fault_engine.resolve_switch name with
+    | Some id -> id
+    | None -> Alcotest.failf "switch %S did not resolve" name
+  in
+  let edge name =
+    match naming.Faults.Fault_engine.resolve_edge name with
+    | Some e -> e.Topology.edge_id
+    | None -> Alcotest.failf "edge %S did not resolve" name
+  in
+  check_int "l1.2 = l2" (sw "l2") (sw "l1.2");
+  check_int "s1.1 = s1" (sw "s1") (sw "s1.1");
+  check_int "s1.2-l1.2b = s2-l2b" (edge "s2-l2b") (edge "s1.2-l1.2b");
+  check_bool "no pod 2" true (naming.Faults.Fault_engine.resolve_switch "l2.1" = None);
+  check_bool "no cores" true (naming.Faults.Fault_engine.resolve_switch "core0" = None)
 
 let test_parse_time_validation () =
   (* Fault_plan.parse ~names rejects unknown names at parse time with an
@@ -159,8 +177,8 @@ let test_parse_time_validation () =
 
 let test_tier_classification () =
   let c3 = mk_clos3 () in
-  let topo = c3.Topology.c3_ls.Topology.topo in
-  let naming = Faults.Fault_engine.clos3_naming c3 in
+  let topo = c3.Topology.topo in
+  let naming = Faults.Fault_engine.clos_naming c3 in
   let tier spec =
     match Faults.Fault_plan.parse spec with
     | Ok [ ev ] -> Faults.Fault_engine.tier_of_event naming topo ev
@@ -197,11 +215,11 @@ let test_core_switch_down_accounting () =
      lost bytes land in the queue statistics (both the drain and any
      late send), so packet-conservation audits balance at the core tier *)
   let c3 = mk_clos3 () in
-  let topo = c3.Topology.c3_ls.Topology.topo in
+  let topo = c3.Topology.topo in
   let sched = Scheduler.create () in
   let fabric = Fabric.create ~sched ~config:Fabric.default_config topo in
-  let core0 = c3.Topology.c3_core_ids.(0) in
-  let spine0 = c3.Topology.c3_ls.Topology.spine_ids.(0) in
+  let core0 = c3.Topology.core_ids.(0) in
+  let spine0 = c3.Topology.spine_ids.(0) in
   let edge =
     match Topology.find_edge topo ~a:spine0 ~b:core0 ~bundle_index:0 with
     | Some e -> e
@@ -219,7 +237,7 @@ let test_core_switch_down_accounting () =
   (* one packet serializing, four queued *)
   let failed = Fabric.fail_switch fabric core0 in
   (* core0 has one uplink per pod *)
-  check_int "incident edges failed" c3.Topology.c3_pods (List.length failed);
+  check_int "incident edges failed" c3.Topology.pods (List.length failed);
   check_bool "our edge among them" true
     (List.exists
        (fun (e : Topology.edge) ->
@@ -244,21 +262,20 @@ let test_core_switch_down_accounting () =
 
 let test_caft_capacity_tracks_failures () =
   let c3 = mk_clos3 () in
-  let ls = c3.Topology.c3_ls in
-  let topo = ls.Topology.topo in
+  let topo = c3.Topology.topo in
   let sched = Scheduler.create () in
   let fabric = Fabric.create ~sched ~config:Fabric.default_config topo in
   let caft = Fabric_lb.Caft.install fabric in
   check_int "one reweight at install" 1 (Fabric_lb.Caft.reweights caft);
-  let spine0 = ls.Topology.spine_ids.(0) in
-  let remote_leaf = ls.Topology.leaf_ids.(2) in
+  let spine0 = c3.Topology.spine_ids.(0) in
+  let remote_leaf = c3.Topology.leaf_ids.(2) in
   (* spine0 owns cores 0 and 2: two 40G uplinks, each behind a core that
      reaches the remote pod *)
   let before =
     Fabric_lb.Caft.capacity_to caft ~node:spine0 ~dst_leaf:remote_leaf
   in
   check_bool "spine has inter-pod capacity" true (before > 0.0);
-  let core0 = c3.Topology.c3_core_ids.(0) in
+  let core0 = c3.Topology.core_ids.(0) in
   let edge =
     match Topology.find_edge topo ~a:spine0 ~b:core0 ~bundle_index:0 with
     | Some e -> e
@@ -293,8 +310,7 @@ let prop_no_black_holes =
     QCheck.(list_of_size Gen.(int_range 1 25) (int_bound 1000))
     (fun ops ->
       let c3 = mk_clos3 () in
-      let ls = c3.Topology.c3_ls in
-      let topo = ls.Topology.topo in
+          let topo = c3.Topology.topo in
       let sched = Scheduler.create () in
       let fabric = Fabric.create ~sched ~config:Fabric.default_config topo in
       let fabric_edges =
@@ -346,11 +362,12 @@ let () =
       ( "topology",
         [
           Alcotest.test_case "shape" `Quick test_shape;
-          Alcotest.test_case "builder validation" `Quick test_clos3_validation;
+          Alcotest.test_case "builder validation" `Quick test_clos_validation;
         ] );
       ( "naming",
         [
           Alcotest.test_case "round-trip" `Quick test_naming_round_trip;
+          Alcotest.test_case "one-pod aliases" `Quick test_one_pod_naming;
           Alcotest.test_case "parse-time validation" `Quick
             test_parse_time_validation;
           Alcotest.test_case "tier classification" `Quick

@@ -366,14 +366,6 @@ let test_presto_rx_flows_isolated () =
 
 (* -------------------------------- Vswitch ------------------------- *)
 
-let test_vswitch_schemes_roundtrip () =
-  List.iter
-    (fun s ->
-      match Clove.Vswitch.scheme_of_string (Clove.Vswitch.scheme_name s) with
-      | Some s' -> check_bool "roundtrip" true (s = s')
-      | None -> Alcotest.fail "scheme name roundtrip failed")
-    Clove.Vswitch.all_schemes
-
 let test_vswitch_end_to_end_per_scheme () =
   (* every dataplane must deliver a transfer end to end *)
   List.iter
@@ -523,7 +515,6 @@ let () =
         ] );
       ( "vswitch",
         [
-          Alcotest.test_case "scheme names roundtrip" `Quick test_vswitch_schemes_roundtrip;
           Alcotest.test_case "every scheme end to end" `Slow test_vswitch_end_to_end_per_scheme;
           Alcotest.test_case "ecn feedback loop" `Slow test_vswitch_ecn_feedback_loop;
           Alcotest.test_case "feedback carrier" `Quick

@@ -199,9 +199,9 @@ let test_topology_edge_ops () =
 
 let test_routing_distances () =
   let ls =
-    Topology.leaf_spine ~leaves:2 ~spines:1 ~hosts_per_leaf:1 ~parallel:1
-      ~host_rate_bps:1e9 ~fabric_rate_bps:1e9 ~host_delay:Sim_time.zero_span
-      ~fabric_delay:Sim_time.zero_span
+    Topology.clos ~pods:1 ~leaves_per_pod:2 ~spines_per_pod:1 ~cores:0
+      ~hosts_per_leaf:1 ~parallel:1 ~host_rate_bps:1e9 ~fabric_rate_bps:1e9
+      ~core_rate_bps:1e9 ~delay:Sim_time.zero_span
   in
   let dst = ls.Topology.host_ids.(1).(0) in
   let dist = Routing.distances ls.Topology.topo ~dst in

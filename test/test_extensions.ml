@@ -200,52 +200,46 @@ let test_letflow_uses_multiple_paths () =
 
 (* ------------------------------ fat-tree --------------------------- *)
 
-(* the k = 4 fat-tree graph as Scenario's 3-tier builder lays it out: 4
+(* the k = 4 fat-tree graph as the Clos builder lays it out: 4
    pods of 2 leaves (edge switches) and 2 spines (aggregation switches),
    4 cores, 2 hosts per leaf, one link per hop; core k homes on spine
    (k mod 2) of every pod *)
 let fat_tree () =
-  Topology.clos3 ~pods:4 ~leaves_per_pod:2 ~spines_per_pod:2 ~cores:4
+  Topology.clos ~pods:4 ~leaves_per_pod:2 ~spines_per_pod:2 ~cores:4
     ~hosts_per_leaf:2 ~parallel:1 ~host_rate_bps:10e9 ~fabric_rate_bps:10e9
-    ~core_rate_bps:10e9 ~host_delay:(Sim_time.us 2)
-    ~fabric_delay:(Sim_time.us 2) ~core_delay:(Sim_time.us 2)
+    ~core_rate_bps:10e9 ~delay:(Sim_time.us 2)
 
 (* host node ids of pod [pod]: its two leaves' hosts *)
-let pod_hosts c3 pod =
-  Array.append
-    c3.Topology.c3_ls.Topology.host_ids.(2 * pod)
-    c3.Topology.c3_ls.Topology.host_ids.((2 * pod) + 1)
+let pod_hosts c pod =
+  Array.append c.Topology.host_ids.(2 * pod) c.Topology.host_ids.((2 * pod) + 1)
 
 let test_fat_tree_shape () =
-  let c3 = fat_tree () in
-  let topo = c3.Topology.c3_ls.Topology.topo in
+  let c = fat_tree () in
+  let topo = c.Topology.topo in
   (* k=4: 16 hosts, 8 edge, 8 agg, 4 core = 36 nodes *)
   check_int "node count" 36 (Topology.node_count topo);
-  check_int "hosts per pod" 4 (Array.length (pod_hosts c3 0));
-  check_int "cores" 4 (Array.length c3.Topology.c3_core_ids);
+  check_int "hosts per pod" 4 (Array.length (pod_hosts c 0));
+  check_int "cores" 4 (Array.length c.Topology.core_ids);
   (* edges: 16 host links + 4 pods x 4 edge-agg + 4 pods x 4 agg-core *)
   check_int "edge count" (16 + 16 + 16) (List.length (Topology.edges topo))
 
 let test_fat_tree_routing_multipath () =
-  let c3 = fat_tree () in
-  let ls = c3.Topology.c3_ls in
-  let dst = (pod_hosts c3 3).(0) in
-  let nh = Routing.next_hops ls.Topology.topo ~dst in
+  let c = fat_tree () in
+  let dst = (pod_hosts c 3).(0) in
+  let nh = Routing.next_hops c.Topology.topo ~dst in
   (* an edge switch in pod 0 has both aggs as next hops toward pod 3 *)
-  let hops = Hashtbl.find nh ls.Topology.leaf_ids.(0) in
+  let hops = Hashtbl.find nh c.Topology.leaf_ids.(0) in
   check_int "two agg next-hops" 2 (List.length hops);
   (* an agg in pod 0 has both its cores as next hops *)
-  let hops = Hashtbl.find nh ls.Topology.spine_ids.(0) in
+  let hops = Hashtbl.find nh c.Topology.spine_ids.(0) in
   check_int "two core next-hops" 2 (List.length hops)
 
 let test_fat_tree_end_to_end_clove () =
   (* cross-pod transfer under Clove-ECN on the 3-tier topology, with path
      discovery finding 5-hop paths *)
   let sched = Scheduler.create () in
-  let c3 = fat_tree () in
-  let fabric =
-    Fabric.create ~sched ~config:Fabric.default_config c3.Topology.c3_ls.Topology.topo
-  in
+  let c = fat_tree () in
+  let fabric = Fabric.create ~sched ~config:Fabric.default_config c.Topology.topo in
   Fabric.program_routes fabric;
   let cfg = Clove.Clove_config.with_rtt (Sim_time.us 60) in
   let rng = Rng.create 3 in
@@ -260,8 +254,8 @@ let test_fat_tree_end_to_end_clove () =
     in
     (host, st, v)
   in
-  let src, src_stack, v_src = mk_host (pod_hosts c3 0).(0) in
-  let dst, dst_stack, v_dst = mk_host (pod_hosts c3 3).(0) in
+  let src, src_stack, v_src = mk_host (pod_hosts c 0).(0) in
+  let dst, dst_stack, v_dst = mk_host (pod_hosts c 3).(0) in
   let tcfg = Transport.Tcp_config.default in
   let sender =
     Transport.Tcp.create_sender ~sched ~cfg:tcfg ~conn_id:1 ~src:(Host.addr src)

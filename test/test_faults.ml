@@ -281,7 +281,7 @@ let engine_for scn =
       (Array.map
          (fun h -> Scenario.vswitch scn h)
          (Fabric.hosts (Scenario.fabric scn)))
-    ~naming:(Faults.Fault_engine.leaf_spine_naming (Scenario.leaf_spine scn))
+    ~naming:(Scenario.fault_naming scn)
     ~rng:(Rng.split_named (Scenario.rng scn) "faults")
 
 let arm_exn engine plan =
@@ -306,10 +306,7 @@ let test_flap_execution () =
   let engine = engine_for scn in
   arm_exn engine (plan_of "flap s2-l2b period=10ms duty=0.5 until=100ms @20ms");
   let edge =
-    match
-      (Faults.Fault_engine.leaf_spine_naming (Scenario.leaf_spine scn))
-        .resolve_edge "s2-l2b"
-    with
+    match (Scenario.fault_naming scn).resolve_edge "s2-l2b" with
     | Some e -> e
     | None -> Alcotest.fail "s2-l2b should resolve"
   in

@@ -381,10 +381,12 @@ let test_link_down_drops () =
 
 (* ------------------------- Topology and routing ------------------- *)
 
+(* one pod, no cores: the paper's 2-leaf, 2-spine testbed with 2
+   parallel links per leaf-spine pair (2 hosts per leaf) *)
 let small_leaf_spine () =
-  Topology.leaf_spine ~leaves:2 ~spines:2 ~hosts_per_leaf:2 ~parallel:2
-    ~host_rate_bps:10e9 ~fabric_rate_bps:20e9 ~host_delay:(Sim_time.us 2)
-    ~fabric_delay:(Sim_time.us 2)
+  Topology.clos ~pods:1 ~leaves_per_pod:2 ~spines_per_pod:2 ~cores:0
+    ~hosts_per_leaf:2 ~parallel:2 ~host_rate_bps:10e9 ~fabric_rate_bps:20e9
+    ~core_rate_bps:20e9 ~delay:(Sim_time.us 2)
 
 let test_leaf_spine_shape () =
   let ls = small_leaf_spine () in
@@ -395,6 +397,28 @@ let test_leaf_spine_shape () =
   let leaf = ls.Topology.leaf_ids.(0) in
   check_int "leaf neighbors: 2 hosts + 2 spines" 4
     (List.length (Topology.live_neighbors topo leaf))
+
+(* Node and edge ids seed every link, switch port and hash, so this
+   order is what every 2-tier digest rests on: leaves 0-1, spines 2-3,
+   hosts 4-7; host links leaf by leaf, then each leaf's bundles spine by
+   spine. *)
+let test_leaf_spine_edge_order () =
+  let ls = small_leaf_spine () in
+  Alcotest.(check (array int)) "leaves" [| 0; 1 |] ls.Topology.leaf_ids;
+  Alcotest.(check (array int)) "spines" [| 2; 3 |] ls.Topology.spine_ids;
+  check_int "no cores" 0 (Array.length ls.Topology.core_ids);
+  Alcotest.(check (list (list int)))
+    "(a, b, bundle_index) in edge_id order"
+    [
+      [ 4; 0; 0 ]; [ 5; 0; 0 ]; [ 6; 1; 0 ]; [ 7; 1; 0 ];
+      [ 0; 2; 0 ]; [ 0; 2; 1 ]; [ 0; 3; 0 ]; [ 0; 3; 1 ];
+      [ 1; 2; 0 ]; [ 1; 2; 1 ]; [ 1; 3; 0 ]; [ 1; 3; 1 ];
+    ]
+    (List.mapi
+       (fun i (e : Topology.edge) ->
+         check_int "edge_id" i e.Topology.edge_id;
+         [ e.Topology.a; e.Topology.b; e.Topology.bundle_index ])
+       (Topology.edges ls.Topology.topo))
 
 let test_routing_host_to_host () =
   let ls = small_leaf_spine () in
@@ -605,6 +629,7 @@ let () =
       ( "topology+routing",
         [
           Alcotest.test_case "leaf-spine shape" `Quick test_leaf_spine_shape;
+          Alcotest.test_case "leaf-spine edge order" `Quick test_leaf_spine_edge_order;
           Alcotest.test_case "host-to-host next hops" `Quick test_routing_host_to_host;
           Alcotest.test_case "avoids failed links" `Quick test_routing_avoids_failed;
           Alcotest.test_case "never via hosts" `Quick test_no_routing_through_hosts;

@@ -98,9 +98,9 @@ let test_clos3_caft_sharded_digest () =
 
 let test_window_rejects_short_cross_link () =
   let ls =
-    Topology.leaf_spine ~leaves:2 ~spines:2 ~hosts_per_leaf:2 ~parallel:1
-      ~host_rate_bps:10e9 ~fabric_rate_bps:20e9 ~host_delay:(Sim_time.us 2)
-      ~fabric_delay:(Sim_time.us 2)
+    Topology.clos ~pods:1 ~leaves_per_pod:2 ~spines_per_pod:2 ~cores:0
+      ~hosts_per_leaf:2 ~parallel:1 ~host_rate_bps:10e9 ~fabric_rate_bps:20e9
+      ~core_rate_bps:20e9 ~delay:(Sim_time.us 2)
   in
   (* hosts follow their leaf; leaf 1 and spine 1 on shard 1: every
      leaf-spine edge between distinct shards crosses *)
