@@ -60,18 +60,15 @@ type t = {
   mutable presto_weight_fn : Clove_path.t -> float;
   presto_rx : Presto_rx.t;
   reorder_seq : int Int_table.t; (* clove_reorder per-flow next seq *)
-  (* pre-allocated flowlet pickers: [Flowlet.touch] takes the picker as a
-     closure, and building one per packet (capturing the path table or
-     flow key) was a per-tx allocation.  Instead the operands live in the
-     two [cur_*] slots below and the closures — built once in [create] —
-     read them; [pick_port] writes the slots immediately before the
-     [touch] call, which consumes them synchronously *)
+  (* the pre-allocated flowlet picker: [Flowlet.touch] takes the picker
+     as a closure, and building one per packet (capturing the path table
+     or flow key) was a per-tx allocation.  Instead the operands live in
+     the two [cur_*] slots below and the scheme's closure — built once in
+     [create] — reads them; [pick_port] writes the slots immediately
+     before the [touch] call, which consumes them synchronously *)
   mutable cur_tbl : Path_table.t;
   mutable cur_key : int;
-  mutable pick_edge_fn : flowlet_id:int -> int;
-  mutable pick_wrr_fn : flowlet_id:int -> int;
-  mutable pick_util_fn : flowlet_id:int -> int;
-  mutable pick_lat_fn : flowlet_id:int -> int;
+  mutable pick_fn : flowlet_id:int -> int;
   peers : peer_rx_state Int_table.t;
   no_peer : peer_rx_state;
   mutable daemon : Traceroute.t option;
@@ -260,28 +257,13 @@ let pick_port t ~flow_key ~dst =
   | Direct -> assert false
   | Ecmp -> hashed_port flow_key
   | Edge_flowlet ->
-    (* a fresh random source port per flowlet: hash of 5-tuple + flowlet id *)
     t.cur_key <- flow_key;
-    Flowlet.touch t.flowlets ~key:flow_key ~pick:t.pick_edge_fn
-  | Clove_ecn ->
+    Flowlet.touch t.flowlets ~key:flow_key ~pick:t.pick_fn
+  | Clove_ecn | Clove_int | Clove_latency ->
     let tbl = table t dst in
     if Path_table.ready tbl then begin
       t.cur_tbl <- tbl;
-      Flowlet.touch t.flowlets ~key:flow_key ~pick:t.pick_wrr_fn
-    end
-    else hashed_port flow_key
-  | Clove_int ->
-    let tbl = table t dst in
-    if Path_table.ready tbl then begin
-      t.cur_tbl <- tbl;
-      Flowlet.touch t.flowlets ~key:flow_key ~pick:t.pick_util_fn
-    end
-    else hashed_port flow_key
-  | Clove_latency ->
-    let tbl = table t dst in
-    if Path_table.ready tbl then begin
-      t.cur_tbl <- tbl;
-      Flowlet.touch t.flowlets ~key:flow_key ~pick:t.pick_lat_fn
+      Flowlet.touch t.flowlets ~key:flow_key ~pick:t.pick_fn
     end
     else hashed_port flow_key
   | Presto -> assert false (* handled separately *)
@@ -531,10 +513,7 @@ let create ~host ~stack ~scheme ~cfg ~rng () =
         reorder_seq = Int_table.create ~capacity:64 ~dummy:0 ();
         cur_tbl = no_table;
         cur_key = 0;
-        pick_edge_fn = (fun ~flowlet_id -> ignore flowlet_id; 0);
-        pick_wrr_fn = (fun ~flowlet_id -> ignore flowlet_id; 0);
-        pick_util_fn = (fun ~flowlet_id -> ignore flowlet_id; 0);
-        pick_lat_fn = (fun ~flowlet_id -> ignore flowlet_id; 0);
+        pick_fn = (fun ~flowlet_id -> ignore flowlet_id; 0);
         peers = Int_table.create ~capacity:16 ~dummy:no_peer ();
         no_peer;
         daemon = None;
@@ -553,18 +532,24 @@ let create ~host ~stack ~scheme ~cfg ~rng () =
         s_probes_dropped = 0;
       }
   in
-  (* the real pickers close over [t] (hence the post-construction knot):
-     each reads its operands from the [cur_*] slots written by
+  (* the scheme's picker closes over [t] (hence the post-construction
+     knot): it reads its operands from the [cur_*] slots written by
      [pick_port] just before the [Flowlet.touch] that consumes them *)
-  t.pick_edge_fn <-
-    (fun ~flowlet_id ->
-      49152 + (Ecmp_hash.hash4 ~seed:0x1eaf t.cur_key flowlet_id 0 0 mod 16384));
-  t.pick_wrr_fn <-
-    (fun ~flowlet_id -> ignore flowlet_id; Path_table.pick_wrr t.cur_tbl);
-  t.pick_util_fn <-
-    (fun ~flowlet_id -> ignore flowlet_id; Path_table.pick_least_utilized t.cur_tbl);
-  t.pick_lat_fn <-
-    (fun ~flowlet_id -> ignore flowlet_id; Path_table.pick_min_latency t.cur_tbl);
+  (match scheme with
+  | Edge_flowlet ->
+    (* a fresh random source port per flowlet: hash of 5-tuple + flowlet id *)
+    t.pick_fn <-
+      (fun ~flowlet_id ->
+        49152 + (Ecmp_hash.hash4 ~seed:0x1eaf t.cur_key flowlet_id 0 0 mod 16384))
+  | Clove_ecn ->
+    t.pick_fn <- (fun ~flowlet_id -> ignore flowlet_id; Path_table.pick_wrr t.cur_tbl)
+  | Clove_int ->
+    t.pick_fn <-
+      (fun ~flowlet_id -> ignore flowlet_id; Path_table.pick_least_utilized t.cur_tbl)
+  | Clove_latency ->
+    t.pick_fn <-
+      (fun ~flowlet_id -> ignore flowlet_id; Path_table.pick_min_latency t.cur_tbl)
+  | Ecmp | Presto | Direct -> ());
   if needs_discovery scheme then begin
     t.daemon <-
       Some

@@ -228,17 +228,6 @@ let cancel t h =
     maybe_compact t
   end
 
-let schedule_periodic t ~every f =
-  if Sim_time.compare_span every Sim_time.zero_span <= 0 then
-    invalid_arg "Scheduler.schedule_periodic: period must be positive";
-  let rec tick () =
-    if f () then
-      let (_ : handle) = schedule t ~after:every tick in
-      ()
-  in
-  let (_ : handle) = schedule t ~after:every tick in
-  ()
-
 (* ---- dequeue ---- *)
 
 (* Make the heap top the global minimum: if the wheel might hold an

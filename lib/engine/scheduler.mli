@@ -85,10 +85,6 @@ val cancel : t -> handle -> unit
 
 val is_pending : handle -> bool
 
-val schedule_periodic : t -> every:Sim_time.span -> (unit -> bool) -> unit
-(** [schedule_periodic t ~every f] calls [f] every [every]; the series stops
-    when [f] returns [false]. The first call happens after [every]. *)
-
 val next_time_ns : t -> int
 (** Timestamp (ns) of the earliest pending live-or-dead event, or
     [max_int] when the queue is empty.  Used by the conservative PDES

@@ -46,7 +46,6 @@ type params = {
   core_rate_bps : float;
   asymmetric : bool;
   ecn_threshold_pkts : int;
-  queue_capacity_pkts : int;
   flowlet_gap : Sim_time.span option;
   k_paths_override : int option;
   weight_cut_override : float option;
@@ -74,7 +73,6 @@ let default_params =
     core_rate_bps = 0.0;
     asymmetric = false;
     ecn_threshold_pkts = 20;
-    queue_capacity_pkts = 256;
     flowlet_gap = None;
     k_paths_override = None;
     weight_cut_override = None;
@@ -212,12 +210,7 @@ let build ?shards ~scheme params =
     build_topology params
   in
   let config =
-    {
-      Fabric.queue_capacity_pkts = params.queue_capacity_pkts;
-      ecn_threshold_pkts = params.ecn_threshold_pkts;
-      int_capable = (scheme = S_clove_int);
-      seed = params.seed;
-    }
+    { Fabric.ecn_threshold_pkts = params.ecn_threshold_pkts; seed = params.seed }
   in
   (* Sharded layout: each leaf and its hosts form a shard (spines and
      cores round-robin), so host links never cross a boundary and every

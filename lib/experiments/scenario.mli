@@ -50,7 +50,6 @@ type params = {
           the core tier. *)
   asymmetric : bool;  (** fail one of the two S2-L2 links (-25% bisection) *)
   ecn_threshold_pkts : int;
-  queue_capacity_pkts : int;
   flowlet_gap : Sim_time.span option;  (** override Clove's flowlet gap *)
   k_paths_override : int option;  (** cap the number of discovered paths *)
   weight_cut_override : float option;  (** Clove-ECN weight reduction *)

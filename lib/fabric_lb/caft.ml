@@ -50,12 +50,6 @@ type t = {
   mutable reweights : int;
 }
 
-let flow_key_of_packet pkt =
-  match pkt.Packet.payload with
-  | Packet.Tenant inner -> Packet.tcp_flow_key inner
-  | Packet.Probe p -> Hashtbl.hash (p.Packet.probe_id, p.Packet.probe_port)
-  | Packet.Probe_reply r -> Hashtbl.hash r.Packet.reply_probe_id
-
 (* ---------------------------- reweighting -------------------------- *)
 
 (* effective capacity of [node]'s live subtree toward [dst_leaf]:
@@ -163,40 +157,24 @@ let picker t st _sw ~in_port pkt ~candidates =
     let dst = Packet.route_dst pkt in
     match Hashtbl.find_opt t.leaf_of_host (Addr.to_int dst) with
     | Some dst_leaf ->
-      let key = flow_key_of_packet pkt in
-      let port =
-        Clove.Flowlet.touch st.flowlets ~key ~pick:(fun ~flowlet_id ->
-            ignore flowlet_id;
-            choose t st ~dst_leaf ~candidates)
-      in
-      (* the flowlet's cached port may have failed (or lost all downstream
-         capacity) since the decision: re-pick if pruned *)
-      if Array.exists (fun c -> c = port) candidates then port
-      else choose t st ~dst_leaf ~candidates
+      Flowlet_route.route st.flowlets pkt ~candidates ~choose:(fun () ->
+          choose t st ~dst_leaf ~candidates)
     | None ->
       candidates.(Ecmp_hash.select ~seed:(Switch.id st.sw) pkt ~n)
 
 (* ----------------------------- install ----------------------------- *)
 
 let install ?(flowlet_gap = Sim_time.us 500) fabric =
-  let topo = Fabric.topology fabric in
   let t =
     {
       fabric;
       states = Det.create 16;
-      leaf_of_host = Det.create 64;
+      leaf_of_host = Flowlet_route.leaf_of_host fabric;
       cap = Det.create 256;
       leaf_ids = [];
       reweights = 0;
     }
   in
-  Array.iter
-    (fun h ->
-      let hid = Host.id h in
-      match Topology.live_neighbors topo hid with
-      | leaf :: _ -> Hashtbl.replace t.leaf_of_host hid leaf
-      | [] -> ())
-    (Fabric.hosts fabric);
   (* destination set: exactly the leaves that terminate hosts *)
   let leaves = Hashtbl.create 16 in
   Det.iter_sorted ~compare:Int.compare
@@ -209,9 +187,7 @@ let install ?(flowlet_gap = Sim_time.us 500) fabric =
       let st =
         {
           sw;
-          flowlets =
-            Clove.Flowlet.create ~sched:(Switch.sched sw) ~gap:flowlet_gap
-              ~dummy:0;
+          flowlets = Flowlet_route.table sw ~gap:flowlet_gap;
           health = Det.create 8;
           decisions = 0;
         }

@@ -8,7 +8,7 @@ type leaf_state = {
   cong_to : (int * int, metric) Hashtbl.t; (* (dst_leaf, lbtag) *)
   cong_from : (int * int, metric) Hashtbl.t; (* (src_leaf, lbtag) *)
   fb_ptr : (int, int) Hashtbl.t; (* dst_leaf -> next lbtag to piggyback *)
-  flowlets : int Clove.Flowlet.t; (* decision = lbtag *)
+  flowlets : int Clove.Flowlet.t; (* decision = port id *)
   mutable decisions : int;
 }
 
@@ -37,19 +37,14 @@ let write_metric ls tbl key v =
     m.stamp <- Scheduler.now ls.lsched
   | None -> Hashtbl.replace tbl key { value = v; stamp = Scheduler.now ls.lsched }
 
-let flow_key_of_packet pkt =
-  match pkt.Packet.payload with
-  | Packet.Tenant inner -> Packet.tcp_flow_key inner
-  | Packet.Probe p -> Hashtbl.hash (p.Packet.probe_id, p.Packet.probe_port)
-  | Packet.Probe_reply r -> Hashtbl.hash r.Packet.reply_probe_id
-
 (* destination-leaf processing: learn from arriving metadata *)
 let absorb ls pkt =
   match pkt.Packet.conga with
   | None -> ()
   | Some md ->
     if md.Packet.dst_leaf = Switch.id ls.sw then begin
-      write_metric ls ls.cong_from (md.Packet.src_leaf, md.Packet.lbtag) md.Packet.ce;
+      write_metric ls ls.cong_from (md.Packet.src_leaf, md.Packet.lbtag)
+        pkt.Packet.int_util;
       if md.Packet.fb_lbtag >= 0 then
         write_metric ls ls.cong_to (md.Packet.src_leaf, md.Packet.fb_lbtag) md.Packet.fb_ce
     end
@@ -65,6 +60,7 @@ let pick_feedback ls ~dst_leaf =
   end
 
 let choose_uplink ls ~dst_leaf ~candidates =
+  ls.decisions <- ls.decisions + 1;
   (* among live candidate ports, minimize max(local DRE, CongToLeaf) *)
   let best_port = ref candidates.(0) and best_cost = ref infinity in
   Array.iter
@@ -88,16 +84,9 @@ let leaf_picker t ls _sw ~in_port pkt ~candidates =
   let dst = Packet.route_dst pkt in
   match Hashtbl.find_opt t.leaf_of_host (Addr.to_int dst) with
   | Some dst_leaf when dst_leaf <> Switch.id ls.sw && Array.length candidates > 0 ->
-    let key = flow_key_of_packet pkt in
     let port =
-      Clove.Flowlet.touch ls.flowlets ~key ~pick:(fun ~flowlet_id ->
-          ignore flowlet_id;
-          ls.decisions <- ls.decisions + 1;
+      Flowlet_route.route ls.flowlets pkt ~candidates ~choose:(fun () ->
           choose_uplink ls ~dst_leaf ~candidates)
-    in
-    (* the flowlet's cached port may have failed since; re-pick if so *)
-    let port = if Array.exists (fun c -> c = port) candidates then port else
-        choose_uplink ls ~dst_leaf ~candidates
     in
     let lbtag = match Hashtbl.find_opt ls.lbtag_of_port port with Some i -> i | None -> 0 in
     let fb_lbtag, fb_ce = pick_feedback ls ~dst_leaf in
@@ -107,38 +96,28 @@ let leaf_picker t ls _sw ~in_port pkt ~candidates =
           Packet.src_leaf = Switch.id ls.sw;
           dst_leaf;
           lbtag;
-          ce = 0.0;
           fb_lbtag;
           fb_ce;
         };
+    (* CE starts here: every switch from this egress on maxes its link
+       utilization into the INT stamp *)
+    pkt.Packet.int_enabled <- true;
+    pkt.Packet.int_util <- 0.0;
     port
   | _ ->
     (* local delivery (or unknown): default single-path/ECMP behaviour *)
     if Array.length candidates = 1 then candidates.(0)
     else candidates.(Ecmp_hash.select ~seed:(Switch.id ls.sw) pkt ~n:(Array.length candidates))
 
-
 let install ?(flowlet_gap = Sim_time.us 500) fabric =
   let topo = Fabric.topology fabric in
-  let t = { leaves = Hashtbl.create 8; leaf_of_host = Hashtbl.create 64 } in
-  (* map hosts to their leaf *)
-  Array.iter
-    (fun h ->
-      let hid = Host.id h in
-      match Topology.live_neighbors topo hid with
-      | leaf :: _ -> Hashtbl.replace t.leaf_of_host hid leaf
-      | [] -> ())
-    (Fabric.hosts fabric);
-  (* CE stamping on every switch egress *)
-  let stamp sw ~port pkt =
-    match pkt.Packet.conga with
-    | Some md ->
-      md.Packet.ce <- Float.max md.Packet.ce (Link.utilization (Switch.port_link sw port))
-    | None -> ()
+  let t =
+    { leaves = Hashtbl.create 8; leaf_of_host = Flowlet_route.leaf_of_host fabric }
   in
   Array.iter
     (fun sw ->
       match Switch.level sw with
+      | Switch.Spine | Switch.Core_sw -> ()
       | Switch.Leaf ->
         let uplinks =
           List.filter
@@ -157,16 +136,12 @@ let install ?(flowlet_gap = Sim_time.us 500) fabric =
             cong_to = Hashtbl.create 32;
             cong_from = Hashtbl.create 32;
             fb_ptr = Hashtbl.create 8;
-            flowlets =
-              Clove.Flowlet.create ~sched:(Switch.sched sw) ~gap:flowlet_gap
-                ~dummy:0;
+            flowlets = Flowlet_route.table sw ~gap:flowlet_gap;
             decisions = 0;
           }
         in
         Hashtbl.replace t.leaves (Switch.id sw) ls;
-        Switch.set_picker sw (leaf_picker t ls);
-        Switch.set_tx_hook sw stamp
-      | Switch.Spine | Switch.Core_sw -> Switch.set_tx_hook sw stamp)
+        Switch.set_picker sw (leaf_picker t ls))
     (Fabric.switches fabric);
   t
 

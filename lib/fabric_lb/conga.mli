@@ -1,14 +1,16 @@
 (** CONGA (Alizadeh et al., SIGCOMM '14) — the in-network, utilization-aware
     baseline the paper compares against in its NS2 simulations.
 
-    Implemented for 2-tier leaf-spine fabrics (CONGA's own design limit) on
-    top of the generic {!Netsim.Switch} hook points:
+    Implemented for 2-tier leaf-spine fabrics (CONGA's own design limit)
+    as an egress picker on every leaf ({!Netsim.Switch.set_picker}):
 
     - every leaf tracks, per destination leaf and per uplink (LBTag), the
       path congestion metric learned from feedback ([CongToLeaf]) and the
       metric measured on arriving packets ([CongFromLeaf]);
-    - packets crossing the fabric carry (LBTag, CE); every hop maxes its
-      egress-link DRE utilization into CE; the destination leaf stores it;
+    - packets crossing the fabric carry (LBTag, CE).  CE is the packet's
+      INT stamp: the source leaf enables INT, every switch maxes its
+      egress-link DRE utilization into it (as for Clove-INT), and the
+      destination leaf stores it;
     - reverse traffic piggybacks one (FB_LBTag, FB_metric) pair per packet,
       round-robining over LBTags;
     - leaves route each new flowlet (500 us gap by default) on the uplink
@@ -21,12 +23,14 @@
 type t
 
 val install : ?flowlet_gap:Sim_time.span -> Fabric.t -> t
-(** Installs pickers on the leaves and CE-stamping hooks on every switch.
-    Default flowlet gap 500 us; metrics age out after a fixed 10 ms. *)
+(** Installs pickers on the leaves; spines and cores keep the default
+    picker.  Default flowlet gap 500 us; metrics age out after a fixed
+    10 ms. *)
 
 val flowlets_started : t -> int
 val decisions : t -> int
-(** Cross-fabric path choices made. *)
+(** Cross-fabric path choices made (first decisions plus failure
+    re-picks). *)
 
 val cong_to_leaf : t -> leaf:int -> dst_leaf:int -> float array
 (** Current (aged) CongToLeaf metrics of [leaf] toward [dst_leaf], one per

@@ -1,19 +1,8 @@
 type entity = E_host of Host.t | E_switch of Switch.t
 
-type config = {
-  queue_capacity_pkts : int;
-  ecn_threshold_pkts : int;
-  int_capable : bool;
-  seed : int;
-}
+type config = { ecn_threshold_pkts : int; seed : int }
 
-let default_config =
-  {
-    queue_capacity_pkts = 256;
-    ecn_threshold_pkts = 20;
-    int_capable = false;
-    seed = 42;
-  }
+let default_config = { ecn_threshold_pkts = 20; seed = 42 }
 
 type t = {
   topo : Topology.t;
@@ -39,8 +28,8 @@ let links_of_edge t (e : Topology.edge) = t.edge_links.(e.Topology.edge_id)
 let all_links t =
   Array.to_list t.edge_links |> List.concat_map (fun (a, b) -> [ a; b ])
 
-let make_queue config = Pkt_queue.create ~capacity_pkts:config.queue_capacity_pkts
-    ~ecn_threshold_pkts:config.ecn_threshold_pkts ()
+let make_queue config =
+  Pkt_queue.create ~ecn_threshold_pkts:config.ecn_threshold_pkts ()
 
 let create ?sched_of_node ~sched ~config topo =
   (* [sched_of_node] shards the fabric for PDES: each entity (and each
@@ -62,7 +51,7 @@ let create ?sched_of_node ~sched ~config topo =
         let s =
           Switch.create ~sched:(sofn id) ~id ~level
             ~ecmp_seed:(Ecmp_hash.hash_tuple ~seed:config.seed (id, 7, 7, 7))
-            ~int_capable:config.int_capable ()
+            ()
         in
         entities.(id) <- E_switch s;
         switches := s :: !switches)
@@ -228,8 +217,3 @@ let total_drops t =
 
 let total_marks t =
   fold_queues t (fun acc q -> acc + (Pkt_queue.stats q).Pkt_queue.marked) 0
-
-let set_ecn_threshold t thr =
-  fold_queues t
-    (fun () q -> Pkt_queue.set_ecn_threshold q thr)
-    ()

@@ -8,10 +8,10 @@
 
 type t
 
+(** Every link queue has {!Pkt_queue.create}'s default capacity, 256
+    packets. *)
 type config = {
-  queue_capacity_pkts : int;
   ecn_threshold_pkts : int;  (** <= 0 disables marking *)
-  int_capable : bool;  (** switches stamp INT utilization *)
   seed : int;  (** seeds the per-switch ECMP hash functions *)
 }
 
@@ -76,6 +76,3 @@ val total_drops : t -> int
 (** Sum of queue drops across all links. *)
 
 val total_marks : t -> int
-val set_ecn_threshold : t -> int -> unit
-(** Update the marking threshold on every link queue (used by the Fig. 6
-    parameter sweep). *)

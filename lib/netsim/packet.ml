@@ -37,7 +37,6 @@ type conga_md = {
   src_leaf : int;
   dst_leaf : int;
   mutable lbtag : int;
-  mutable ce : float;
   mutable fb_lbtag : int;
   mutable fb_ce : float;
 }

@@ -8,8 +8,9 @@
     - Clove feedback carried in "reserved context bits" of the
       encapsulation header (source port + congestion bit, or utilization);
     - a Presto flowcell tag (flow key, cell id, per-flow packet sequence);
-    - CONGA metadata (lbtag, CE metric, piggybacked feedback);
-    - an INT max-utilization field stamped by INT-capable switches.
+    - CONGA metadata (lbtag, piggybacked feedback);
+    - an INT max-utilization field stamped by every switch on INT-enabled
+      packets: Clove-INT's path utilization, and also CONGA's CE metric.
 
     Traceroute probes and their replies (ICMP time-exceeded, or the
     destination hypervisor's echo) are separate payload constructors. *)
@@ -60,12 +61,13 @@ type flowcell = {
   cell_seq : int;  (** packet index within the flow, for reassembly order *)
 }
 
-(** CONGA metadata as carried in its VXLAN-style overlay. *)
+(** CONGA metadata as carried in its VXLAN-style overlay.  The CE metric
+    (max utilization along the path) is the packet's INT stamp,
+    [int_util]. *)
 type conga_md = {
   src_leaf : int;
   dst_leaf : int;
   mutable lbtag : int;  (** uplink chosen by the source leaf *)
-  mutable ce : float;  (** max utilization seen along the path *)
   mutable fb_lbtag : int;  (** feedback: which uplink the metric is for; -1 = none *)
   mutable fb_ce : float;
 }

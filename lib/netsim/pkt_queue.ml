@@ -12,7 +12,7 @@ type t = {
      last per-packet allocations on the forwarding path *)
   q : Packet.t Ring.t;
   capacity : int;
-  mutable ecn_threshold : int;
+  ecn_threshold : int;
   (* cached [Queue.length t.q]: the enqueue fast path is hot enough that
      three O(1)-but-not-free length reads per packet showed up in
      profiles *)
@@ -95,5 +95,4 @@ let stats t =
     max_occupancy = t.max_occupancy;
   }
 
-let set_ecn_threshold t thr = t.ecn_threshold <- thr
 let capacity t = t.capacity

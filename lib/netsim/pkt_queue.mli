@@ -40,5 +40,4 @@ val length : t -> int
 val byte_length : t -> int
 val is_empty : t -> bool
 val stats : t -> stats
-val set_ecn_threshold : t -> int -> unit
 val capacity : t -> int

@@ -8,7 +8,6 @@ type t = {
   level : level;
   ecmp_seed : int;
   latency : Sim_time.span;
-  int_capable : bool;
   mutable ports : port array;
   mutable nports : int;
   unwired : port;  (* placeholder for unpopulated port slots *)
@@ -23,8 +22,6 @@ type t = {
   mutable k_forwards : int array;
   mutable pipes : Packet.t Ring.t array;
   mutable picker : picker option;
-  mutable rx_hook : (t -> in_port:int -> Packet.t -> unit) option;
-  mutable tx_hook : (t -> port:int -> Packet.t -> unit) option;
   mutable rx_packets : int;
   mutable routing_drops : int;
   mutable ttl_drops : int;
@@ -60,8 +57,6 @@ let set_routes t addr ports = Int_table.set t.routes (Addr.to_int addr) ports
 let routes t addr = Int_table.find_opt t.routes (Addr.to_int addr)
 let clear_routes t = Int_table.clear t.routes
 let set_picker t p = t.picker <- Some p
-let set_rx_hook t h = t.rx_hook <- Some h
-let set_tx_hook t h = t.tx_hook <- Some h
 let rx_packets t = t.rx_packets
 let routing_drops t = t.routing_drops
 let ttl_drops t = t.ttl_drops
@@ -117,15 +112,13 @@ let forward t ~in_port pkt =
       | Some pick -> pick t ~in_port pkt ~candidates
       | None -> default_pick t ~in_port pkt ~candidates
     in
-    (match t.tx_hook with Some h -> h t ~port pkt | None -> ());
     let link = t.ports.(port).link in
-    if t.int_capable && pkt.Packet.int_enabled then
+    if pkt.Packet.int_enabled then
       pkt.Packet.int_util <- Float.max pkt.Packet.int_util (Link.utilization link);
     Link.send link pkt
 
 let receive t ~in_port pkt =
   t.rx_packets <- t.rx_packets + 1;
-  (match t.rx_hook with Some h -> h t ~in_port pkt | None -> ());
   pkt.Packet.ttl <- pkt.Packet.ttl - 1;
   if pkt.Packet.ttl <= 0 then begin
     t.ttl_drops <- t.ttl_drops + 1;
@@ -175,8 +168,7 @@ let add_port t ~link ~peer ~parallel_index =
   t.nports <- p + 1;
   p
 
-let create ~sched ~id ~level ~ecmp_seed ?(latency = Sim_time.ns 250)
-    ?(int_capable = false) () =
+let create ~sched ~id ~level ~ecmp_seed ?(latency = Sim_time.ns 250) () =
   (* a real (never-transmitting) port fills empty slots of the port
      array, replacing the seed's GC-unsafe [Obj.magic 0] sentinel *)
   let unwired =
@@ -195,14 +187,11 @@ let create ~sched ~id ~level ~ecmp_seed ?(latency = Sim_time.ns 250)
       level;
       ecmp_seed;
       latency;
-      int_capable;
       unwired;
       ports = Array.make 8 unwired;
       nports = 0;
       routes = Int_table.create ~capacity:64 ~dummy:[||] ();
       picker = None;
-      rx_hook = None;
-      tx_hook = None;
       rx_packets = 0;
       routing_drops = 0;
       ttl_drops = 0;

@@ -9,14 +9,13 @@
     used in the paper's testbed, which makes the four leaf-to-leaf paths
     disjoint).
 
-    Pluggable hooks let higher layers implement in-fabric schemes (CONGA)
-    without the switch depending on them:
-    - [rx hook]: observe/modify a packet on ingress (before routing);
-    - [picker]: override the egress choice among candidates;
-    - [tx hook]: observe/modify a packet after the choice, before enqueue.
+    The egress picker ({!set_picker}) is the one extension point: the
+    in-fabric schemes (LetFlow, CONGA, CAFT) override the choice among
+    candidates with it, without the switch depending on them.
 
-    INT support is built in: when [int_capable] is set, the switch stamps
-    the maximum egress-link utilization into INT-enabled packets. *)
+    INT is built in: every switch maxes its egress link's DRE utilization
+    into [int_util] of each INT-enabled packet, after the picker chose the
+    port.  Clove-INT's vswitch and CONGA's source leaf enable it. *)
 
 type t
 
@@ -30,7 +29,6 @@ val create :
   level:level ->
   ecmp_seed:int ->
   ?latency:Sim_time.span ->
-  ?int_capable:bool ->
   unit ->
   t
 
@@ -61,8 +59,6 @@ val receive : t -> in_port:int -> Packet.t -> unit
 type picker = t -> in_port:int -> Packet.t -> candidates:int array -> int
 
 val set_picker : t -> picker -> unit
-val set_rx_hook : t -> (t -> in_port:int -> Packet.t -> unit) -> unit
-val set_tx_hook : t -> (t -> port:int -> Packet.t -> unit) -> unit
 
 val rx_packets : t -> int
 val routing_drops : t -> int

@@ -150,27 +150,48 @@ let mk_switch () =
   let p0 = mk_port 100 and p1 = mk_port 101 in
   (sched, sw, sink, p0, p1)
 
-let test_switch_hooks_and_drops () =
+let test_switch_int_stamp_and_drops () =
   let sched, sw, sink, p0, p1 = mk_switch () in
   Switch.set_routes sw (Addr.of_int 9) [| p0; p1 |];
-  let rx_seen = ref 0 and tx_seen = ref 0 in
-  Switch.set_rx_hook sw (fun _ ~in_port:_ _ -> incr rx_seen);
-  Switch.set_tx_hook sw (fun _ ~port:_ _ -> incr tx_seen);
-  Switch.set_picker sw (fun _ ~in_port:_ _ ~candidates -> candidates.(1));
-  let pkt = Packet.make_tenant ~src:(Addr.of_int 0) ~dst:(Addr.of_int 9) ~seg:(mk_seg ()) in
-  Switch.receive sw ~in_port:0 pkt;
+  (* the picker chooses port 1 and records the egress utilization the
+     INT stamp must see: the stamp follows the pick at the same instant *)
+  let util_at_pick = ref [] in
+  Switch.set_picker sw (fun sw ~in_port:_ pkt ~candidates ->
+      let port = candidates.(1) in
+      util_at_pick :=
+        (pkt.Packet.uid, Link.utilization (Switch.port_link sw port)) :: !util_at_pick;
+      port);
+  let mk ~int_enabled ~int_util =
+    let pkt =
+      Packet.make_tenant ~src:(Addr.of_int 0) ~dst:(Addr.of_int 9) ~seg:(mk_seg ())
+    in
+    pkt.Packet.int_enabled <- int_enabled;
+    pkt.Packet.int_util <- int_util;
+    pkt
+  in
+  (* one burst: every packet after the first finds the egress link busy *)
+  let int_pkts = List.init 4 (fun _ -> mk ~int_enabled:true ~int_util:0.0) in
+  let upstream = mk ~int_enabled:true ~int_util:5.0 in
+  let plain = mk ~int_enabled:false ~int_util:0.0 in
+  List.iter (fun p -> Switch.receive sw ~in_port:0 p) (int_pkts @ [ upstream; plain ]);
   Scheduler.run sched;
-  check_int "rx hook" 1 !rx_seen;
-  check_int "tx hook" 1 !tx_seen;
-  (match !sink with
-  | [ (peer, _) ] -> check_int "picker chose port 1" 101 peer
-  | _ -> Alcotest.fail "expected one delivery");
+  check_int "all delivered" 6 (List.length !sink);
+  List.iter (fun (peer, _) -> check_int "picker chose port 1" 101 peer) !sink;
+  let util p = List.assoc p.Packet.uid !util_at_pick in
+  List.iter
+    (fun p -> feq "stamp = max(0, egress utilization)" (util p) p.Packet.int_util)
+    int_pkts;
+  check_bool "egress was busy" true (List.exists (fun p -> util p > 0.0) int_pkts);
+  check_bool "upstream value is larger" true (util upstream < 5.0);
+  feq "stamp keeps a larger upstream value" 5.0 upstream.Packet.int_util;
+  check_bool "plain packet crossed a busy link" true (util plain > 0.0);
+  feq "non-INT packet unstamped" 0.0 plain.Packet.int_util;
   (* unknown destination counts a routing drop *)
   let lost = Packet.make_tenant ~src:(Addr.of_int 0) ~dst:(Addr.of_int 55) ~seg:(mk_seg ()) in
   Switch.receive sw ~in_port:0 lost;
   Scheduler.run sched;
   check_int "routing drop" 1 (Switch.routing_drops sw);
-  check_int "rx counted" 2 (Switch.rx_packets sw)
+  check_int "rx counted" 7 (Switch.rx_packets sw)
 
 let test_switch_ttl_tenant_dropped_silently () =
   let sched, sw, sink, p0, _ = mk_switch () in
@@ -424,7 +445,8 @@ let () =
           Alcotest.test_case "select n=1" `Quick test_ecmp_select_single;
           Alcotest.test_case "queue marking disabled" `Quick test_queue_disable_marking;
           Alcotest.test_case "link counters" `Quick test_link_counters;
-          Alcotest.test_case "switch hooks and drops" `Quick test_switch_hooks_and_drops;
+          Alcotest.test_case "switch int stamp and drops" `Quick
+            test_switch_int_stamp_and_drops;
           Alcotest.test_case "ttl drop silent for data" `Quick
             test_switch_ttl_tenant_dropped_silently;
           Alcotest.test_case "topology edge ops" `Quick test_topology_edge_ops;

@@ -254,15 +254,6 @@ let test_sched_until () =
   Scheduler.run s;
   check_int "rest fired" 10 !fired
 
-let test_sched_periodic () =
-  let s = Scheduler.create () in
-  let n = ref 0 in
-  Scheduler.schedule_periodic s ~every:(Sim_time.us 1) (fun () ->
-      incr n;
-      !n < 5);
-  Scheduler.run s;
-  check_int "five ticks" 5 !n
-
 let test_sched_past_raises () =
   let s = Scheduler.create () in
   ignore (Scheduler.schedule s ~after:(Sim_time.us 5) (fun () -> ()));
@@ -471,7 +462,6 @@ let () =
           Alcotest.test_case "cancel" `Quick test_sched_cancel;
           Alcotest.test_case "nested scheduling" `Quick test_sched_nested_schedule;
           Alcotest.test_case "run until" `Quick test_sched_until;
-          Alcotest.test_case "periodic" `Quick test_sched_periodic;
           Alcotest.test_case "past raises" `Quick test_sched_past_raises;
           qc prop_scheduler_fires_all;
           Alcotest.test_case "RTO churn keeps dead fraction bounded" `Quick

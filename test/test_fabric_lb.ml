@@ -1,5 +1,5 @@
-(* Tests for the in-fabric load balancers: CONGA and the 3-tier CAFT
-   baseline. *)
+(* Tests for the in-fabric load balancers: CONGA, their shared flowlet
+   route and the 3-tier CAFT baseline. *)
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -109,6 +109,43 @@ let test_conga_asymmetric_beats_ecmp () =
     (Printf.sprintf "conga (%.4fs) beats ecmp (%.4fs)" conga ecmp)
     true (conga < ecmp)
 
+(* -------------------------- flowlet route -------------------------- *)
+
+let test_flowlet_route_repick () =
+  (* the chooser runs for a new flowlet, is skipped while the cached port
+     is a candidate, and runs once more after that port is pruned *)
+  let sched = Scheduler.create () in
+  let sw = Switch.create ~sched ~id:1 ~level:Switch.Leaf ~ecmp_seed:0 () in
+  let tbl = Fabric_lb.Flowlet_route.table sw ~gap:(Sim_time.us 500) in
+  let seg =
+    {
+      Packet.conn_id = 1;
+      subflow = 0;
+      src_port = 1;
+      dst_port = 2;
+      seq = 0;
+      ack = 0;
+      kind = Packet.Data;
+      payload = 1000;
+      ece = false;
+    }
+  in
+  let pkt = Packet.make_tenant ~src:(Addr.of_int 0) ~dst:(Addr.of_int 9) ~seg in
+  let calls = ref 0 and next = ref 3 in
+  let route candidates =
+    Fabric_lb.Flowlet_route.route tbl pkt ~candidates ~choose:(fun () ->
+        incr calls;
+        !next)
+  in
+  check_int "new flowlet: chosen port" 3 (route [| 2; 3 |]);
+  check_int "chooser ran once" 1 !calls;
+  next := 2;
+  check_int "cached port while a candidate" 3 (route [| 2; 3 |]);
+  check_int "chooser not called" 1 !calls;
+  check_int "pruned port: re-picked" 2 (route [| 2 |]);
+  check_int "chooser ran once more" 2 !calls;
+  check_int "one flowlet" 1 (Clove.Flowlet.flowlets_started tbl)
+
 (* ------------------------------- CAFT ------------------------------ *)
 
 let build_caft () =
@@ -188,6 +225,8 @@ let () =
           Alcotest.test_case "avoids degraded spine" `Slow test_conga_avoids_degraded_spine;
           Alcotest.test_case "beats ecmp under asymmetry" `Slow test_conga_asymmetric_beats_ecmp;
         ] );
+      ( "flowlet-route",
+        [ Alcotest.test_case "re-picks a pruned port" `Quick test_flowlet_route_repick ] );
       ( "caft",
         [
           Alcotest.test_case "delivers across the core" `Quick

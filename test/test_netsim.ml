@@ -565,23 +565,6 @@ let test_switch_ttl_expiry_answers_probe () =
   (* ttl 1 dies at the source leaf, 2 at a spine, 3 at the remote leaf *)
   check_int "three distinct hops" 3 (List.length hops)
 
-let test_fabric_ecn_threshold_update () =
-  let _, _, fabric = build_fabric () in
-  Fabric.set_ecn_threshold fabric 5;
-  List.iter
-    (fun link ->
-      ignore link)
-    (Fabric.all_links fabric);
-  (* behavioural check: a queue marks above the new threshold *)
-  let link = List.hd (Fabric.all_links fabric) in
-  let q = Link.queue link in
-  for _ = 1 to 10 do
-    let p = mk_data () in
-    p.Packet.ecn <- Packet.Ect;
-    ignore (Pkt_queue.enqueue q p)
-  done;
-  check_bool "marks with new threshold" true ((Pkt_queue.stats q).Pkt_queue.marked >= 4)
-
 let () =
   let qc = QCheck_alcotest.to_alcotest in
   Alcotest.run "netsim"
@@ -640,6 +623,5 @@ let () =
           Alcotest.test_case "ecmp spreads ports" `Quick test_fabric_ecmp_spreads_encap_ports;
           Alcotest.test_case "failure reconvergence" `Quick test_fabric_failure_reconvergence;
           Alcotest.test_case "ttl expiry probes" `Quick test_switch_ttl_expiry_answers_probe;
-          Alcotest.test_case "ecn threshold update" `Quick test_fabric_ecn_threshold_update;
         ] );
     ]
