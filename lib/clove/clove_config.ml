@@ -4,7 +4,6 @@ type t = {
   k_paths : int;
   weight_cut : float;
   probe_interval : Sim_time.span;
-  presto_buffer_limit : int;
   rewrite_mode : bool;
   clove_reorder : bool;
   adaptive_flowlet_gap : bool;
@@ -19,7 +18,6 @@ let with_rtt rtt =
     k_paths = 8;
     weight_cut = 1.0 /. 3.0;
     probe_interval = Sim_time.ms 500;
-    presto_buffer_limit = 512;
     rewrite_mode = false;
     clove_reorder = false;
     adaptive_flowlet_gap = false;

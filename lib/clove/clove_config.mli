@@ -1,9 +1,8 @@
 (** Clove tunables (Sections 3–4 of the paper).
 
     What stays configurable: the RTT estimate, the flowlet gap, the path
-    count, the weight cut, the traceroute period, the Presto reorder
-    buffer cap, the four Section 7 variants and the failure-recovery
-    switch.  Defaults follow the paper's recommended/"Clove-best"
+    count, the weight cut, the traceroute period, the four Section 7
+    variants and the failure-recovery switch.  Defaults follow the paper's recommended/"Clove-best"
     settings: flowlet gap of one network RTT, weight reduction by one
     third (the ECN marking threshold of 20 packets is configured on the
     fabric, see {!Netsim.Fabric.config}).
@@ -12,12 +11,14 @@
     reads it, the timers among them derived from [rtt_estimate] once at
     construction:
     - {!Path_table}: weight floor 0.02, congested window 4 RTT, sample
-      staleness 50 RTT, suspect timeout 20 RTT, suspect decay 0.5 per
-      tick, recovery after 16 quiet RTTs at rate 0.25 per tick;
+      staleness 50 RTT, path verification 2 probe intervals, suspect
+      timeout 20 RTT, suspect decay 0.5 per tick, recovery after 16 quiet
+      RTTs at rate 0.25 per tick;
     - {!Vswitch}: ECN relay interval RTT/2 (the paper's), dedicated
       feedback deadline 2 RTT, maintenance every 8 RTT, 64 KB Presto
       flowcells;
-    - {!Presto_rx}: reorder timeout 10 RTT;
+    - {!Presto_rx}: reorder timeout 10 RTT, at most 512 buffered
+      out-of-order packets per flow;
     - {!Traceroute}: 32 fresh ports per cycle, TTL up to 8, 10 ms probe
       timeout, eviction after 2 dry cycles. *)
 
@@ -32,7 +33,6 @@ type t = {
       (** fraction of a congested path's weight removed per ECN feedback
           (paper: "e.g., by a third") *)
   probe_interval : Sim_time.span;  (** traceroute refresh period *)
-  presto_buffer_limit : int;  (** max buffered out-of-order packets per flow *)
   rewrite_mode : bool;
       (** non-overlay environments (Section 7): instead of adding an
           encapsulation header, the virtual switch rewrites the 5-tuple and

@@ -12,6 +12,9 @@ type t = {
   congested_window : Sim_time.span;
   (* samples older than this are stale (see [effective_sample]) *)
   staleness : Sim_time.span;
+  (* an install vouches for its paths this long: a whole probe cycle
+     (installs land one probe interval apart, plus the probe timeout) *)
+  verification : Sim_time.span;
   (* transmissions with no returning evidence for this long make a path
      suspect: black-hole eviction, §3.1's "adapt to changes and failures" *)
   suspect_timeout : Sim_time.span;
@@ -22,11 +25,11 @@ type t = {
   mutable ports : int array;
   mutable paths : Clove_path.t array;
   mutable wrr : Wrr.t option;
-  mutable utils : float array;
-  mutable delays : float array; (* one-way delay, seconds; 0 = unmeasured *)
+  (* the per-path cost Clove-INT and Clove-Latency minimize: INT's
+     path-max utilization, or the one-way delay in seconds; 0 = unmeasured *)
+  mutable samples : float array;
   (* [None] = never measured — distinct from a sample landing at t = 0 *)
-  mutable util_at : Sim_time.t option array;
-  mutable delay_at : Sim_time.t option array;
+  mutable sample_at : Sim_time.t option array;
   mutable last_congested : Sim_time.t array;
   mutable ever_congested : bool array;
   mutable last_tx : Sim_time.t array; (* last tenant packet sent via port *)
@@ -42,6 +45,7 @@ let create ~sched ~cfg =
     cfg;
     congested_window = Sim_time.mul_span rtt 4.0;
     staleness = Sim_time.mul_span rtt 50.0;
+    verification = Sim_time.mul_span cfg.Clove_config.probe_interval 2.0;
     suspect_timeout = Sim_time.mul_span rtt 20.0;
     (* quiet window 4x the congestion-feedback cadence (congested_window
        = 4 rtt): a path still receiving marks never drifts, while weights
@@ -53,10 +57,8 @@ let create ~sched ~cfg =
     ports = [||];
     paths = [||];
     wrr = None;
-    utils = [||];
-    delays = [||];
-    util_at = [||];
-    delay_at = [||];
+    samples = [||];
+    sample_at = [||];
     last_congested = [||];
     ever_congested = [||];
     last_tx = [||];
@@ -69,10 +71,8 @@ let clear t =
   t.ports <- [||];
   t.paths <- [||];
   t.wrr <- None;
-  t.utils <- [||];
-  t.delays <- [||];
-  t.util_at <- [||];
-  t.delay_at <- [||];
+  t.samples <- [||];
+  t.sample_at <- [||];
   t.last_congested <- [||];
   t.ever_congested <- [||];
   t.last_tx <- [||];
@@ -82,62 +82,44 @@ let clear t =
 let install t pairs =
   if pairs = [] then clear t
   else begin
-    (* remember state of known paths by signature *)
-    let old_state = Hashtbl.create 8 in
+    (* a known path keeps its state, found by signature even when the port
+       that maps to it changed; [-1] marks a newly discovered path *)
+    let old_index = Hashtbl.create 8 in
     Array.iteri
-      (fun i path ->
-        let w = match t.wrr with Some w -> Wrr.weight w i | None -> 1.0 in
-        Hashtbl.replace old_state (Clove_path.signature path)
-          ( (w, t.utils.(i), t.delays.(i), t.last_congested.(i), t.ever_congested.(i)),
-            (t.util_at.(i), t.delay_at.(i), t.last_tx.(i), t.last_alive.(i)) ))
+      (fun i path -> Hashtbl.replace old_index (Clove_path.signature path) i)
       t.paths;
-    let n = List.length pairs in
-    let ports = Array.make n 0
-    and paths = Array.make n []
-    and weights = Array.make n 1.0
-    and utils = Array.make n 0.0
-    and delays = Array.make n 0.0
-    and util_at = Array.make n None
-    and delay_at = Array.make n None
-    and congested = Array.make n Sim_time.zero
-    and ever = Array.make n false
-    and last_tx = Array.make n Sim_time.zero
-    and last_alive = Array.make n Sim_time.zero in
-    List.iteri
-      (fun i (port, path) ->
-        ports.(i) <- port;
-        paths.(i) <- path;
-        match Hashtbl.find_opt old_state (Clove_path.signature path) with
-        | Some ((w, u, d, c, e), (ua, da, tx, al)) ->
-          weights.(i) <- w;
-          utils.(i) <- u;
-          delays.(i) <- d;
-          util_at.(i) <- ua;
-          delay_at.(i) <- da;
-          congested.(i) <- c;
-          ever.(i) <- e;
-          last_tx.(i) <- tx;
-          last_alive.(i) <- al
-        | None -> ())
-      pairs;
+    let ports = Array.of_list (List.map fst pairs) in
+    let paths = Array.of_list (List.map snd pairs) in
+    let n = Array.length ports in
+    let old =
+      Array.map
+        (fun path ->
+          Option.value ~default:(-1)
+            (Hashtbl.find_opt old_index (Clove_path.signature path)))
+        paths
+    in
+    let carry ~default prev =
+      Array.map (fun j -> if j >= 0 then prev.(j) else default) old
+    in
+    let weights =
+      carry ~default:1.0 (match t.wrr with Some w -> Wrr.weights w | None -> [||])
+    in
     (* normalize weights to sum 1; if the carried weights had all decayed
        to ~0 (every path was suspect) fall back to uniform *)
     let total = Array.fold_left ( +. ) 0.0 weights in
     if total > 1e-9 then Array.iteri (fun i w -> weights.(i) <- w /. total) weights
     else Array.fill weights 0 n (1.0 /. float_of_int n);
-    t.ports <- ports;
-    t.paths <- paths;
     t.wrr <- Some (Wrr.create ~weights);
     if !Analysis.Audit.on then
       Analysis.Audit.check_weight_sum ~label:"Path_table.install" weights;
-    t.utils <- utils;
-    t.delays <- delays;
-    t.util_at <- util_at;
-    t.delay_at <- delay_at;
-    t.last_congested <- congested;
-    t.ever_congested <- ever;
-    t.last_tx <- last_tx;
-    t.last_alive <- last_alive;
+    t.samples <- carry ~default:0.0 t.samples;
+    t.sample_at <- carry ~default:None t.sample_at;
+    t.last_congested <- carry ~default:Sim_time.zero t.last_congested;
+    t.ever_congested <- carry ~default:false t.ever_congested;
+    t.last_tx <- carry ~default:Sim_time.zero t.last_tx;
+    t.last_alive <- carry ~default:Sim_time.zero t.last_alive;
+    t.ports <- ports;
+    t.paths <- paths;
     (* an install only happens when probes completed the round trip, so it
        vouches for every path in the new set *)
     t.verified_at <- Scheduler.now t.sched;
@@ -185,45 +167,35 @@ let pick_wrr t =
   | Some w -> t.ports.(Wrr.pick w)
   | None -> assert false
 
-let pick_random t rng =
-  require_ready t "Path_table.pick_random";
-  t.ports.(Rng.int rng (Array.length t.ports))
+let within t at span = Sim_time.(Scheduler.now t.sched < add at span)
 
-let fresh t at = Sim_time.(Scheduler.now t.sched < add at t.staleness)
-
-(* staleness-aware view of a measurement: a fresh sample is taken at face
-   value; an unmeasured or stale sample on a recently verified path reads
-   as zero so traffic keeps probing it (the original Clove behavior); a
-   stale sample on an unverified or suspect path reads as infinity so a
-   black hole can never win a minimum *)
-let effective_sample t ~value ~at i =
-  if not t.cfg.Clove_config.failure_recovery then value
+(* staleness-aware view of path [i]'s sample: a fresh sample (within the
+   staleness window) is taken at face value; an unmeasured or stale sample
+   on a path verified within the last probe cycle reads as zero so traffic
+   keeps probing it (the original Clove behavior); on an unverified or
+   suspect path it reads as infinity so a black hole can never win a
+   minimum *)
+let effective_sample t i =
+  if not t.cfg.Clove_config.failure_recovery then t.samples.(i)
   else if is_suspect t i then infinity
   else
-    match at with
-    | Some ts when fresh t ts -> value
-    | Some _ | None -> if fresh t t.verified_at then 0.0 else infinity
+    match t.sample_at.(i) with
+    | Some ts when within t ts t.staleness -> t.samples.(i)
+    | Some _ | None -> if within t t.verified_at t.verification then 0.0 else infinity
 
-let pick_effective_min t values ats =
+let pick_min_sample t =
+  require_ready t "Path_table.pick_min_sample";
   let best = ref 0 in
-  let best_v = ref (effective_sample t ~value:values.(0) ~at:ats.(0) 0) in
-  for i = 1 to Array.length values - 1 do
-    let v = effective_sample t ~value:values.(i) ~at:ats.(i) i in
+  let best_v = ref (effective_sample t 0) in
+  for i = 1 to Array.length t.ports - 1 do
+    let v = effective_sample t i in
     (* strict [<] breaks ties toward the lowest index, deterministically *)
     if v < !best_v then begin
       best := i;
       best_v := v
     end
   done;
-  !best
-
-let pick_least_utilized t =
-  require_ready t "Path_table.pick_least_utilized";
-  t.ports.(pick_effective_min t t.utils t.util_at)
-
-let pick_min_latency t =
-  require_ready t "Path_table.pick_min_latency";
-  t.ports.(pick_effective_min t t.delays t.delay_at)
+  t.ports.(!best)
 
 let is_congested t i =
   let now = Scheduler.now t.sched in
@@ -267,33 +239,24 @@ let note_congested t ~port =
         Analysis.Audit.check_weight_sum ~label:"Path_table.note_congested"
           (Wrr.weights w))
 
-let note_util t ~port ~util =
+let note_sample t ~port ~value =
   let i = Int_table.find_default t.port_index port (-1) in
   if i >= 0 then begin
-    t.utils.(i) <- util;
-    t.util_at.(i) <- Some (Scheduler.now t.sched);
-    t.last_alive.(i) <- Scheduler.now t.sched
-  end
-
-let note_latency t ~port ~delay =
-  let i = Int_table.find_default t.port_index port (-1) in
-  if i >= 0 then begin
-    t.delays.(i) <- Sim_time.span_to_sec delay;
-    t.delay_at.(i) <- Some (Scheduler.now t.sched);
+    t.samples.(i) <- value;
+    t.sample_at.(i) <- Some (Scheduler.now t.sched);
     t.last_alive.(i) <- Scheduler.now t.sched
   end
 
 let latency_spread t =
   if not (ready t) then Sim_time.zero_span
   else begin
-    let lo = Array.fold_left Float.min infinity t.delays in
-    let hi = Array.fold_left Float.max 0.0 t.delays in
+    let lo = Array.fold_left Float.min infinity t.samples in
+    let hi = Array.fold_left Float.max 0.0 t.samples in
     Sim_time.span_of_sec (Float.max 0.0 (hi -. lo))
   end
 
 let weights t = match t.wrr with Some w -> Wrr.weights w | None -> [||]
-let utilization t = Array.copy t.utils
-let latencies t = Array.map Sim_time.span_of_sec t.delays
+let samples t = Array.copy t.samples
 
 let all_congested t =
   ready t

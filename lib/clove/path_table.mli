@@ -2,8 +2,9 @@
 
     Holds the source ports that map to distinct paths toward one remote
     hypervisor, the WRR weights adapted from ECN feedback (Clove-ECN), the
-    last reported utilization per path (Clove-INT), and the recent-
-    congestion timestamps used for the "all paths congested" escalation.
+    last cost sample relayed per path (Clove-INT's path utilization or
+    Clove-Latency's one-way delay), and the recent-congestion timestamps
+    used for the "all paths congested" escalation.
 
     Path state survives topology-driven rediscovery: on [install], state is
     carried over by path signature even when the port that maps to a path
@@ -15,7 +16,7 @@ val create : sched:Scheduler.t -> cfg:Clove_config.t -> t
 
 val install : t -> (int * Clove_path.t) list -> unit
 (** Replace the port set with freshly discovered (port, path) pairs,
-    preserving weights/utilization of paths already known.  An install
+    preserving the weights and samples of paths already known.  An install
     also counts as a liveness verification for every path in the new set
     (probes completed the round trip to discover them).  An empty list
     clears the table entirely — used by traceroute when probes stop
@@ -31,42 +32,33 @@ val port_count : t -> int
 val pick_wrr : t -> int
 (** Next source port by weighted round-robin (Clove-ECN). *)
 
-val pick_random : t -> Rng.t -> int
-(** Uniform port choice (Edge-Flowlet when restricted to known ports). *)
-
-val pick_least_utilized : t -> int
-(** Port with the smallest reported utilization (Clove-INT); ties break to
-    the lower index.  When failure recovery is enabled, samples older than
-    the staleness window are discounted (see {!pick_min_latency}). *)
-
 val note_congested : t -> port:int -> unit
 (** ECN feedback for [port]: cut its weight by the configured fraction and
     spread the remainder over paths not currently congested; ports not in
     the table are ignored (stale feedback after rediscovery). *)
 
-val note_util : t -> port:int -> util:float -> unit
+val note_sample : t -> port:int -> value:float -> unit
+(** Cost sample for [port] (Clove-INT's path-max utilization, or
+    Clove-Latency's one-way delay in seconds); ports not in the table are
+    ignored. *)
 
-val note_latency : t -> port:int -> delay:Sim_time.span -> unit
-(** One-way delay feedback (Clove-Latency, Section 7). *)
-
-val pick_min_latency : t -> int
-(** Port with the smallest staleness-aware one-way delay.  A fresh sample
-    (within the staleness window, 50x the RTT estimate) is taken at face
-    value; an unmeasured or stale sample counts as zero {e only} while the
-    path set was recently verified by traceroute — so fresh paths still
-    get probed by traffic — and as infinity otherwise.  Suspect paths
-    always read as infinity, fixing the trap where a black-holed path's
-    "no measurement = zero delay" made it the permanent minimum.  Ties
-    break to the lower index, deterministically.  With
-    [failure_recovery = false] this is the legacy raw minimum. *)
+val pick_min_sample : t -> int
+(** Port with the smallest staleness-aware sample (Clove-INT and
+    Clove-Latency).  A fresh sample (within the staleness window, 50x the
+    RTT estimate) is taken at face value; an unmeasured or stale sample
+    counts as zero {e only} while the path set was recently verified by
+    traceroute — so fresh paths still get probed by traffic — and as
+    infinity otherwise.  Suspect paths always read as infinity, fixing the
+    trap where a black-holed path's "no measurement = zero" made it the
+    permanent minimum.  Ties break to the lower index, deterministically.
+    With [failure_recovery = false] this is the raw minimum. *)
 
 val latency_spread : t -> Sim_time.span
-(** Max minus min reported delay across paths — drives the adaptive
-    flowlet gap. *)
+(** Max minus min sample, read as seconds: Clove-Latency's inter-path
+    delay spread, which drives the adaptive flowlet gap. *)
 
 val weights : t -> float array
-val utilization : t -> float array
-val latencies : t -> Sim_time.span array
+val samples : t -> float array
 
 val all_congested : t -> bool
 (** Every path saw congestion feedback within the congested window (4x
@@ -79,7 +71,7 @@ val note_tx : t -> port:int -> unit
 val note_alive : t -> port:int -> unit
 (** Record external liveness evidence for [port] (e.g. an ACK arriving
     for a flow currently pinned to it).  Feedback via [note_congested] /
-    [note_util] / [note_latency] counts automatically. *)
+    [note_sample] counts automatically. *)
 
 val suspects : t -> bool array
 (** Per-path suspect flags: traffic was sent after the last liveness

@@ -4,9 +4,10 @@ type flow_state = {
   mutable timer : Scheduler.handle option;
 }
 
+let buffer_limit = 512 (* max buffered out-of-order packets per flow *)
+
 type t = {
   sched : Scheduler.t;
-  cfg : Clove_config.t;
   reorder_timeout : Sim_time.span; (* 10 RTTs: the wait for a hole to fill *)
   deliver : Packet.inner -> unit;
   flows : (int, flow_state) Hashtbl.t;
@@ -18,7 +19,7 @@ type t = {
 let create ~sched ~cfg ~deliver =
   let reorder_timeout = Sim_time.mul_span cfg.Clove_config.rtt_estimate 10.0 in
   let flows = Hashtbl.create 64 in
-  { sched; cfg; reorder_timeout; deliver; flows; buffered = 0; flushes = 0; reordered = 0 }
+  { sched; reorder_timeout; deliver; flows; buffered = 0; flushes = 0; reordered = 0 }
 
 let buffered t = t.buffered
 let timeout_flushes t = t.flushes
@@ -98,7 +99,7 @@ let on_packet t inner ~cell =
       Hashtbl.replace f.buffer seq inner;
       t.buffered <- t.buffered + 1
     end;
-    if Hashtbl.length f.buffer > t.cfg.Clove_config.presto_buffer_limit then begin
+    if Hashtbl.length f.buffer > buffer_limit then begin
       t.flushes <- t.flushes + 1;
       flush_all t f
     end

@@ -194,7 +194,7 @@ let on_reply t (reply : Packet.probe_reply) =
         | None ->
           if ps.reached_ttl < 0 || ttl < ps.reached_ttl then ps.reached_ttl <- ttl)))
 
-let answer_probe ~host_addr ~remaining_ttl (p : Packet.probe_info) =
+let answer_probe ~remaining_ttl (p : Packet.probe_info) =
   Packet.make ~size:64
     (Packet.Probe_reply
        {
@@ -204,6 +204,3 @@ let answer_probe ~host_addr ~remaining_ttl (p : Packet.probe_info) =
          reply_ttl = remaining_ttl;
          reply_hop = None;
        })
-  |> fun pkt ->
-  ignore host_addr;
-  pkt

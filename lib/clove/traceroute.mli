@@ -31,7 +31,7 @@ val add_destination : t -> Addr.t -> unit
 val on_reply : t -> Packet.probe_reply -> unit
 (** Feed a probe reply received by the virtual switch. *)
 
-val answer_probe : host_addr:Addr.t -> remaining_ttl:int -> Packet.probe_info -> Packet.t
+val answer_probe : remaining_ttl:int -> Packet.probe_info -> Packet.t
 (** Build the destination-reached reply for a probe that arrived at this
     hypervisor. *)
 

@@ -184,7 +184,8 @@ let rec arm_fb_timer t ~hv peer =
                send_feedback_carrier t ~to_hv:hv fb;
                if not (Queue.is_empty peer.fb_queue) then arm_fb_timer t ~hv peer))
 
-let enqueue_feedback t ~from_hv fb ~port =
+let enqueue_feedback t ~from_hv fb =
+  let port = match fb with Packet.Fb_ecn { port } | Packet.Fb_sample { port; _ } -> port in
   let peer = peer_state t from_hv in
   let now = Scheduler.now t.sched in
   let allowed =
@@ -224,12 +225,11 @@ let apply_feedback_live t ~peer_hv fb =
   t.s_fb_seen <- t.s_fb_seen + 1;
   let tbl = table t peer_hv in
   (match fb with
-  | Packet.Fb_ecn { port; congested } ->
-    if congested then Path_table.note_congested tbl ~port
-  | Packet.Fb_util { port; util } -> Path_table.note_util tbl ~port ~util
-  | Packet.Fb_latency { port; delay } ->
-    Path_table.note_latency tbl ~port ~delay;
-    if t.cfg.Clove_config.adaptive_flowlet_gap then begin
+  | Packet.Fb_ecn { port } -> Path_table.note_congested tbl ~port
+  | Packet.Fb_sample { port; value } ->
+    Path_table.note_sample tbl ~port ~value;
+    (match t.scheme with
+    | Clove_latency when t.cfg.Clove_config.adaptive_flowlet_gap ->
       (* Section 7: widen the flowlet gap to cover the measured inter-path
          delay spread so flowlets stay in order across path switches *)
       let spread = Path_table.latency_spread tbl in
@@ -238,7 +238,7 @@ let apply_feedback_live t ~peer_hv fb =
           (Sim_time.mul_span spread 2.0)
       in
       Flowlet.set_gap t.flowlets gap
-    end);
+    | _ -> ()));
   if Path_table.all_congested tbl then begin
     t.s_escalations <- t.s_escalations + 1;
     Transport.Stack.ecn_signal_all t.stack ~dst:peer_hv
@@ -409,20 +409,18 @@ let rx_tenant t pkt (inner : Packet.inner) =
     | Clove_ecn ->
       if pkt.Packet.ecn = Packet.Ce then
         enqueue_feedback t ~from_hv:e.Packet.src_hv
-          (Packet.Fb_ecn { port = e.Packet.src_port; congested = true })
-          ~port:e.Packet.src_port
+          (Packet.Fb_ecn { port = e.Packet.src_port })
     | Clove_int ->
       if pkt.Packet.int_enabled then
         enqueue_feedback t ~from_hv:e.Packet.src_hv
-          (Packet.Fb_util { port = e.Packet.src_port; util = pkt.Packet.int_util })
-          ~port:e.Packet.src_port
+          (Packet.Fb_sample { port = e.Packet.src_port; value = pkt.Packet.int_util })
     | Clove_latency ->
       (* NIC timestamping + synchronized clocks: one-way delay is simply
          receive time minus the sender's transmit stamp *)
       let delay = Sim_time.diff (Scheduler.now t.sched) pkt.Packet.sent_at in
       enqueue_feedback t ~from_hv:e.Packet.src_hv
-        (Packet.Fb_latency { port = e.Packet.src_port; delay })
-        ~port:e.Packet.src_port
+        (Packet.Fb_sample
+           { port = e.Packet.src_port; value = Sim_time.span_to_sec delay })
     | Ecmp | Edge_flowlet | Presto | Direct -> ());
     (* decapsulate; the guest never sees outer ECN marks unless the
        operator runs DCTCP guests and asked for them *)
@@ -454,8 +452,7 @@ let rx t pkt =
       else begin
         t.s_probes_answered <- t.s_probes_answered + 1;
         let reply =
-          Traceroute.answer_probe ~host_addr:(Host.addr t.host)
-            ~remaining_ttl:pkt.Packet.ttl p
+          Traceroute.answer_probe ~remaining_ttl:pkt.Packet.ttl p
         in
         Host.send t.host reply
       end
@@ -543,12 +540,9 @@ let create ~host ~stack ~scheme ~cfg ~rng () =
         49152 + (Ecmp_hash.hash4 ~seed:0x1eaf t.cur_key flowlet_id 0 0 mod 16384))
   | Clove_ecn ->
     t.pick_fn <- (fun ~flowlet_id -> ignore flowlet_id; Path_table.pick_wrr t.cur_tbl)
-  | Clove_int ->
+  | Clove_int | Clove_latency ->
     t.pick_fn <-
-      (fun ~flowlet_id -> ignore flowlet_id; Path_table.pick_least_utilized t.cur_tbl)
-  | Clove_latency ->
-    t.pick_fn <-
-      (fun ~flowlet_id -> ignore flowlet_id; Path_table.pick_min_latency t.cur_tbl)
+      (fun ~flowlet_id -> ignore flowlet_id; Path_table.pick_min_sample t.cur_tbl)
   | Ecmp | Presto | Direct -> ());
   if needs_discovery scheme then begin
     t.daemon <-

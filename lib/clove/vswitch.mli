@@ -11,15 +11,16 @@
     - {b Clove_ecn}: weighted round-robin over traceroute-discovered
       disjoint paths, weights adapted from relayed ECN feedback;
     - {b Clove_int}: new flowlets go to the least-utilized discovered path,
-      from relayed INT telemetry;
+      from relayed INT telemetry (the same minimum picker as
+      [Clove_latency], over a different sample);
     - {b Presto}: 64 KB flowcells sprayed over discovered paths with static
       weights, reassembled in order at the receiver;
     - {b Direct}: no encapsulation — used when the fabric itself load
       balances (CONGA).
 
     On the receive side it decapsulates, answers traceroute probes,
-    intercepts fabric ECN marks or INT utilization (masking them from the
-    guest), relays them back to the sender's hypervisor in encapsulation
+    intercepts fabric ECN marks, INT utilization or one-way delay (masking
+    them from the guest), relays them back to the sender's hypervisor in encapsulation
     context bits — piggybacked on reverse traffic when available, else in a
     dedicated carrier packet — and escalates to the local guest TCP only
     when every path to a destination is congested. *)

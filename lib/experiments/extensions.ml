@@ -212,4 +212,13 @@ let determinism_rows =
       (id, fun () -> md5 (Format.asprintf "%a@." Figures.pp_report (runner Sweep.quick_opts))))
     (Figures.all @ all)
   @ chaos_row "chaos" { Chaos.default_opts with Chaos.plan = plan_of Chaos.link_down_spec }
+    (* the sample picker with failure recovery on, which the figures
+       (recovery off) never run *)
+    :: chaos_row "chaos-int-latency"
+         {
+           Chaos.default_opts with
+           Chaos.plan = plan_of Chaos.link_down_spec;
+           schemes = [ Scenario.S_clove_int; Scenario.S_clove_latency ];
+           jobs_per_conn = 120;
+         }
     :: List.map chaos3_row Chaos.preset_names

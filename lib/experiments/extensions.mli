@@ -23,6 +23,8 @@ val all : (string * (Sweep.run_opts -> Figures.report)) list
 val determinism_rows : (string * (unit -> string)) list
 (** The [clove-sim determinism] matrix's rows, named digest thunks:
     every experiment id, the MD5 of its report as [exp -q] prints it;
-    [chaos], [clove-sim chaos]'s default run; and [chaos3-<preset>] per
+    [chaos], [clove-sim chaos]'s default run; [chaos-int-latency], the
+    same run of Clove-INT and Clove-Latency at 120 jobs (the sample picker
+    with failure recovery on); and [chaos3-<preset>] per
     {!Chaos.preset_names} (pods 2, load 0.15, 120 jobs, CAFT, ECMP and
     Clove-ECN).  A chaos row is the MD5 of {!Chaos.pp_rows}. *)

@@ -27,9 +27,8 @@ type inner = {
 }
 
 type clove_feedback =
-  | Fb_ecn of { port : int; congested : bool }
-  | Fb_util of { port : int; util : float }
-  | Fb_latency of { port : int; delay : Sim_time.span }
+  | Fb_ecn of { port : int }
+  | Fb_sample of { port : int; value : float }
 
 type flowcell = { flow_key : int; cell_id : int; cell_seq : int }
 

@@ -6,7 +6,8 @@
 
     - the outer IP ECN codepoint marked by fabric switches;
     - Clove feedback carried in "reserved context bits" of the
-      encapsulation header (source port + congestion bit, or utilization);
+      encapsulation header (source port + congestion bit, or a path cost
+      sample: utilization or one-way delay);
     - a Presto flowcell tag (flow key, cell id, per-flow packet sequence);
     - CONGA metadata (lbtag, piggybacked feedback);
     - an INT max-utilization field stamped by every switch on INT-enabled
@@ -45,15 +46,16 @@ type inner = {
 }
 
 (** Clove feedback relayed in encapsulation context bits (Section 4 of the
-    paper): which outer source port the destination saw, and either a binary
-    congestion flag (Clove-ECN) or the maximum path utilization
-    (Clove-INT). *)
+    paper): which outer source port the destination saw, and what it saw
+    on that path. *)
 type clove_feedback =
-  | Fb_ecn of { port : int; congested : bool }
-  | Fb_util of { port : int; util : float }
-  | Fb_latency of { port : int; delay : Sim_time.span }
-      (** one-way path delay measured with NIC timestamping and synchronized
-          hypervisor clocks (Section 7, "Use of path latency") *)
+  | Fb_ecn of { port : int }
+      (** the path's packets arrived CE-marked (Clove-ECN) *)
+  | Fb_sample of { port : int; value : float }
+      (** a per-path cost sample the source minimizes: the maximum path
+          utilization stamped by INT (Clove-INT), or the one-way delay in
+          seconds measured with NIC timestamping and synchronized
+          hypervisor clocks (Clove-Latency, Section 7) *)
 
 type flowcell = {
   flow_key : int;  (** hash of the inner 5-tuple *)

@@ -190,11 +190,11 @@ let test_path_table_unknown_port_ignored () =
 
 let test_path_table_least_utilized () =
   let _, t = mk_table () in
-  Clove.Path_table.note_util t ~port:50001 ~util:0.9;
-  Clove.Path_table.note_util t ~port:50002 ~util:0.4;
-  Clove.Path_table.note_util t ~port:50003 ~util:0.1;
-  Clove.Path_table.note_util t ~port:50004 ~util:0.7;
-  check_int "least utilized" 50003 (Clove.Path_table.pick_least_utilized t)
+  Clove.Path_table.note_sample t ~port:50001 ~value:0.9;
+  Clove.Path_table.note_sample t ~port:50002 ~value:0.4;
+  Clove.Path_table.note_sample t ~port:50003 ~value:0.1;
+  Clove.Path_table.note_sample t ~port:50004 ~value:0.7;
+  check_int "least utilized" 50003 (Clove.Path_table.pick_min_sample t)
 
 let test_path_table_all_congested () =
   let _, t = mk_table () in
@@ -206,10 +206,10 @@ let test_path_table_all_congested () =
 
 let test_path_table_state_survives_remap () =
   let _, t = mk_table () in
-  Clove.Path_table.note_util t ~port:50001 ~util:0.9;
+  Clove.Path_table.note_sample t ~port:50001 ~value:0.9;
   (* rediscovery: the same physical path now maps to a different port *)
   Clove.Path_table.install t [ (51111, [ hop 2 0 ]); (50003, [ hop 3 0 ]) ];
-  let utils = Clove.Path_table.utilization t in
+  let utils = Clove.Path_table.samples t in
   let ports = Clove.Path_table.ports t in
   let idx = ref (-1) in
   Array.iteri (fun i p -> if p = 51111 then idx := i) ports;

@@ -325,22 +325,14 @@ let test_wrr_normalize () =
   feq "sums to one" 1.0 (Array.fold_left ( +. ) 0.0 (Clove.Wrr.weights w));
   feq "ratio preserved" 0.25 (Clove.Wrr.weight w 0)
 
-let test_path_table_pick_random_in_ports () =
-  let sched = Scheduler.create () in
-  let tbl = Clove.Path_table.create ~sched ~cfg:Clove.Clove_config.default in
-  let hop n = { Packet.hop_node = n; hop_port = 0 } in
-  Clove.Path_table.install tbl [ (11, [ hop 2 ]); (22, [ hop 3 ]) ];
-  let rng = Rng.create 4 in
-  for _ = 1 to 50 do
-    let p = Clove.Path_table.pick_random tbl rng in
-    check_bool "known port" true (p = 11 || p = 22)
-  done
-
 let test_presto_rx_buffer_limit_flush () =
   let sched = Scheduler.create () in
-  let cfg = { Clove.Clove_config.default with Clove.Clove_config.presto_buffer_limit = 3 } in
+  let limit = 512 (* Presto_rx's per-flow buffer limit *) in
   let out = ref 0 in
-  let rx = Clove.Presto_rx.create ~sched ~cfg ~deliver:(fun _ -> incr out) in
+  let rx =
+    Clove.Presto_rx.create ~sched ~cfg:Clove.Clove_config.default ~deliver:(fun _ ->
+        incr out)
+  in
   let inner seq =
     {
       Packet.src = Addr.of_int 0;
@@ -350,11 +342,11 @@ let test_presto_rx_buffer_limit_flush () =
     }
   in
   (* fill the buffer past the limit without ever delivering cell_seq 0 *)
-  for i = 1 to 4 do
+  for i = 1 to limit + 1 do
     Clove.Presto_rx.on_packet rx (inner i)
       ~cell:{ Packet.flow_key = 1; cell_id = 0; cell_seq = i }
   done;
-  check_bool "flushed on overflow" true (!out >= 4);
+  check_bool "flushed on overflow" true (!out >= limit + 1);
   check_int "flush counted" 1 (Clove.Presto_rx.timeout_flushes rx)
 
 let test_traceroute_counters () =
@@ -463,7 +455,6 @@ let () =
       ( "clove",
         [
           Alcotest.test_case "wrr normalize" `Quick test_wrr_normalize;
-          Alcotest.test_case "pick random in ports" `Quick test_path_table_pick_random_in_ports;
           Alcotest.test_case "presto buffer limit" `Quick test_presto_rx_buffer_limit_flush;
           Alcotest.test_case "traceroute counters" `Quick test_traceroute_counters;
         ] );

@@ -94,7 +94,7 @@ let test_escalation_cuts_guest_window () =
      as the server's hypervisor would piggyback it *)
   Array.iter
     (fun port ->
-      let fb = Packet.Fb_ecn { port; congested = true } in
+      let fb = Packet.Fb_ecn { port } in
       let pkt = encapped ~feedback:fb ~src:server ~dst:client ~port:40000 () in
       Host.deliver client pkt)
     ports;
@@ -115,7 +115,7 @@ let test_partial_congestion_no_escalation () =
   | Some tbl ->
     (* only one of four paths congested: mask, do not escalate *)
     let port = (Clove.Path_table.ports tbl).(0) in
-    let fb = Packet.Fb_ecn { port; congested = true } in
+    let fb = Packet.Fb_ecn { port } in
     Host.deliver client (encapped ~feedback:fb ~src:server ~dst:client ~port:40000 ());
     let stats = Clove.Vswitch.stats v in
     check_int "no escalation" 0 stats.Clove.Vswitch.escalations

@@ -351,11 +351,11 @@ let test_pick_min_latency_suspect_trap () =
     advance_to sched (Sim_time.us 100);
     (* port 2 is measured and alive; port 1 carries traffic but no echo
        ever returns *)
-    Clove.Path_table.note_latency tbl ~port:2 ~delay:(Sim_time.us 30);
+    Clove.Path_table.note_sample tbl ~port:2 ~value:30e-6;
     Clove.Path_table.note_tx tbl ~port:1;
     (* past the suspect timeout (20 rtt = 1.2 ms) but inside staleness *)
     advance_to sched (Sim_time.ms 2);
-    Clove.Path_table.pick_min_latency tbl
+    Clove.Path_table.pick_min_sample tbl
   in
   check_int "legacy behavior keeps picking the black hole" 1 (run_with false);
   check_int "hardened pick avoids the suspect path" 2 (run_with true)
@@ -369,13 +369,29 @@ let test_stale_sample_discounted () =
   in
   Clove.Path_table.install tbl [ (1, [ hop 2 0 ]); (2, [ hop 2 1 ]) ];
   advance_to sched (Sim_time.us 100);
-  Clove.Path_table.note_latency tbl ~port:1 ~delay:(Sim_time.us 30);
-  (* both the sample on port 1 and the install verification age out
-     (staleness 50 rtt = 3 ms); port 2 gets a fresh larger sample *)
-  advance_to sched (Sim_time.ms 4);
-  Clove.Path_table.note_latency tbl ~port:2 ~delay:(Sim_time.us 90);
+  Clove.Path_table.note_sample tbl ~port:1 ~value:30e-6;
+  (* both the sample on port 1 (staleness 50 rtt = 3 ms) and the install
+     verification (2 probe intervals = 1 s) age out; port 2 gets a fresh
+     larger sample *)
+  advance_to sched (Sim_time.ms 1100);
+  Clove.Path_table.note_sample tbl ~port:2 ~value:90e-6;
   check_int "fresh 90us beats stale 30us" 2
-    (Clove.Path_table.pick_min_latency tbl)
+    (Clove.Path_table.pick_min_sample tbl)
+
+let test_unmeasured_verified_paths_explored () =
+  (* traffic starting after the first samples' staleness window must not
+     pin every flowlet to the one measured path: the paths measured by
+     nobody yet are verified by the install and read as zero *)
+  let sched = Scheduler.create () in
+  let tbl =
+    Clove.Path_table.create ~sched ~cfg:Clove.Clove_config.default
+  in
+  Clove.Path_table.install tbl
+    [ (1, [ hop 2 0 ]); (2, [ hop 2 1 ]); (3, [ hop 3 0 ]) ];
+  advance_to sched (Sim_time.ms 10);
+  Clove.Path_table.note_sample tbl ~port:1 ~value:30e-6;
+  check_bool "an unmeasured verified path wins" true
+    (Clove.Path_table.pick_min_sample tbl <> 1)
 
 let test_deterministic_ties () =
   let sched = Scheduler.create () in
@@ -387,8 +403,7 @@ let test_deterministic_ties () =
   (* freshly verified, nothing measured: every path reads zero and the
      strict < comparison must break the tie to the lowest index *)
   check_int "tie breaks to first installed port" 7
-    (Clove.Path_table.pick_min_latency tbl);
-  check_int "util tie identical" 7 (Clove.Path_table.pick_least_utilized tbl)
+    (Clove.Path_table.pick_min_sample tbl)
 
 let test_maintain_evicts_suspect () =
   let sched = Scheduler.create () in
@@ -615,6 +630,8 @@ let () =
             test_pick_min_latency_suspect_trap;
           Alcotest.test_case "stale sample discounted" `Quick
             test_stale_sample_discounted;
+          Alcotest.test_case "unmeasured verified paths explored" `Quick
+            test_unmeasured_verified_paths_explored;
           Alcotest.test_case "deterministic ties" `Quick test_deterministic_ties;
           Alcotest.test_case "maintain evicts suspect" `Quick
             test_maintain_evicts_suspect;

@@ -35,15 +35,15 @@ let test_seeds_differ () =
    the simulator runs with (timers, weights, TCP and MPTCP constants,
    fabric load balancers), so a changed constant moves a digest here.
    The variants run with recovery off, the paper's setting: with it on,
-   the reorder and adaptive-gap runs reproduce their base scheme's
-   digest at this scale, and would pin nothing of their own. *)
+   the reorder run reproduces Clove-ECN's digest at this scale, and
+   would pin nothing of its own. *)
 let golden_digests =
   [
     ("ECMP", "0ae3149a9d2ad8bc25fe3f8afe565978");
     ("Edge-Flowlet", "587521c93693815a5d2b9f57bed40b7e");
     ("Clove-ECN", "2d9d05a1bde6eb7b865f0552c0da12ef");
-    ("Clove-INT", "a5c92f9a9ef9c84289e45d403d932183");
-    ("Clove-Latency", "a5c92f9a9ef9c84289e45d403d932183");
+    ("Clove-INT", "1c82c8ef191367cc462dfbf45b27fa84");
+    ("Clove-Latency", "920b7ca79fa0b6dbf6b17ab216c784aa");
     ("Presto", "6988a7247ea1d177b18f8dac4f5ba6ad");
     ("MPTCP", "aab430aed7e5957519a8805bc722f009");
     ("CONGA", "b24e108b29aadf7c25c2cbf04abf0dea");

@@ -15,16 +15,11 @@ let prop_presto_reassembly_sorts =
       let order = Array.init n (fun i -> i) in
       Rng.shuffle rng order;
       let sched = Scheduler.create () in
-      (* generous limits so nothing flushes early *)
-      let cfg =
-        {
-          Clove.Clove_config.default with
-          Clove.Clove_config.presto_buffer_limit = 10_000;
-        }
-      in
+      (* at most 40 packets buffered: below the buffer limit, so nothing
+         flushes early *)
       let out = ref [] in
       let rx =
-        Clove.Presto_rx.create ~sched ~cfg ~deliver:(fun i ->
+        Clove.Presto_rx.create ~sched ~cfg:Clove.Clove_config.default ~deliver:(fun i ->
             out := i.Packet.seg.Packet.seq :: !out)
       in
       Array.iter
