@@ -20,7 +20,6 @@
                  [--write-baseline FILE] regenerate the baseline and exit
                  [-o FILE]               JSON report (default
                                          clove_check_report.json)
-                 [--sarif FILE]          also write a SARIF 2.1.0 artifact
                  [--bench-out FILE]      wall-time/count record
 
    Exit status: 0 clean (or only baselined/suppressed/cold findings),
@@ -43,13 +42,11 @@ let () =
   let baseline = ref None in
   let write_baseline = ref None in
   let report_path = ref "clove_check_report.json" in
-  let sarif_path = ref None in
   let bench_path = ref None in
   let usage () =
     prerr_endline
       "usage: clove_check [--cmt-root DIR] [--source-root DIR] [--scope PREFIX]* \
-       [--baseline FILE] [--write-baseline FILE] [-o FILE] [--sarif FILE] \
-       [--bench-out FILE]";
+       [--baseline FILE] [--write-baseline FILE] [-o FILE] [--bench-out FILE]";
     exit 2
   in
   let rec parse_args = function
@@ -71,9 +68,6 @@ let () =
       parse_args rest
     | "-o" :: path :: rest ->
       report_path := path;
-      parse_args rest
-    | "--sarif" :: path :: rest ->
-      sarif_path := Some path;
       parse_args rest
     | "--bench-out" :: path :: rest ->
       bench_path := Some path;
@@ -166,15 +160,6 @@ let () =
                Obj (count_by (fun (f : Analysis.Findings.t) -> f.file) active) );
              ("findings", Analysis.Findings.findings_json ~new_keys findings);
            ])));
-  (match !sarif_path with
-  | Some path ->
-    Analysis.Json_out.to_file path
-      (Analysis.Findings.sarif ~tool:"clove-check"
-         ~rules:
-           (Sema.Race_report.rules @ Sema.Alloc_report.rules @ Sema.Det_rules.rules
-           @ [ Sema.Dead_export.rule; Analysis.Findings.allow_empty_rule ])
-         ~new_keys findings)
-  | None -> ());
   (match !bench_path with
   | Some path ->
     Analysis.Json_out.(

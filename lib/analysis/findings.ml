@@ -3,9 +3,9 @@
    clove-check (the typed analyses and rules) produces findings with one
    lifecycle: deterministic sorted serialization, a committed baseline
    keyed by (rule, file, target) — line numbers deliberately excluded so
-   unrelated edits do not churn it — a diff that fails CI only on *new*
-   keys, and SARIF 2.1.0 emission.  The source suppression grammar below
-   is the one that clove-lint and clove-check both parse. *)
+   unrelated edits do not churn it — and a diff that fails CI only on
+   *new* keys.  The source suppression grammar below is the one that
+   clove-lint and clove-check both parse. *)
 
 type t = {
   rule : string;
@@ -139,8 +139,7 @@ let allowed ms ~rule ~line =
       else None)
     ms
 
-let allow_empty_rule =
-  ("allow-empty", "a suppression marker has no justification text on its line")
+let allow_empty_rule = "allow-empty"
 
 let allow_empty ms =
   List.filter_map
@@ -189,7 +188,7 @@ let suppress ~source_root ~files fs =
         List.map
           (fun (line, message) ->
             {
-              rule = fst allow_empty_rule;
+              rule = allow_empty_rule;
               file;
               line;
               target = message;
@@ -277,81 +276,3 @@ let finding_json ~new_keys f =
 
 let findings_json ~new_keys fs =
   Json_out.List (List.map (finding_json ~new_keys) (sort fs))
-
-let sarif ~tool ~rules ~new_keys fs =
-  Json_out.(
-    let results =
-      List.filter_map
-        (fun f ->
-          if is_active f then
-            Some
-              (Obj
-                 [
-                   ("ruleId", String f.rule);
-                   ( "level",
-                     String
-                       (if Hashtbl.mem new_keys (key f) then "error" else "warning")
-                   );
-                   ( "message",
-                     Obj
-                       [
-                         ( "text",
-                           String
-                             (if f.witness = [] then f.message
-                              else
-                                Printf.sprintf "%s; witness: %s" f.message
-                                  (String.concat " ; " f.witness)) );
-                       ] );
-                   ( "locations",
-                     List
-                       [
-                         Obj
-                           [
-                             ( "physicalLocation",
-                               Obj
-                                 [
-                                   ( "artifactLocation",
-                                     Obj [ ("uri", String f.file) ] );
-                                   ( "region",
-                                     Obj [ ("startLine", Int f.line) ] );
-                                 ] );
-                           ];
-                       ] );
-                 ])
-          else None)
-        (sort fs)
-    in
-    Obj
-      [
-        ("version", String "2.1.0");
-        ("$schema", String "https://json.schemastore.org/sarif-2.1.0.json");
-        ( "runs",
-          List
-            [
-              Obj
-                [
-                  ( "tool",
-                    Obj
-                      [
-                        ( "driver",
-                          Obj
-                            [
-                              ("name", String tool);
-                              ("version", String "1.0.0");
-                              ( "rules",
-                                List
-                                  (List.map
-                                     (fun (id, desc) ->
-                                       Obj
-                                         [
-                                           ("id", String id);
-                                           ( "shortDescription",
-                                             Obj [ ("text", String desc) ] );
-                                         ])
-                                     rules) );
-                            ] );
-                      ] );
-                  ("results", List results);
-                ];
-            ] );
-      ])

@@ -1,5 +1,5 @@
 (** Shared findings layer of the static analyzers: one finding record,
-    sorted deterministic serialization, SARIF 2.1.0, committed-baseline
+    sorted deterministic serialization, committed-baseline
     load/diff for clove-check, and the one suppression grammar that
     clove-lint and clove-check both parse. *)
 
@@ -52,8 +52,9 @@ val allowed : marker list -> rule:string -> line:int -> string option
     [rule] at [line]; [None] when the finding stands.  An unjustified
     marker suppresses nothing. *)
 
-val allow_empty_rule : string * string
-(** [("allow-empty", description)]. *)
+val allow_empty_rule : string
+(** ["allow-empty"]: a suppression marker with no justification text on
+    its line. *)
 
 val allow_empty : marker list -> (int * string) list
 (** [(line, message)] for every unjustified marker: each is one
@@ -81,12 +82,3 @@ val key_table : t list -> (string, unit) Hashtbl.t
 (** {2 Output} *)
 
 val findings_json : new_keys:(string, unit) Hashtbl.t -> t list -> Json_out.t
-
-val sarif :
-  tool:string ->
-  rules:(string * string) list ->
-  new_keys:(string, unit) Hashtbl.t ->
-  t list ->
-  Json_out.t
-(** SARIF 2.1.0: active findings only, level ["error"] for new keys,
-    ["warning"] otherwise. *)

@@ -57,7 +57,11 @@ type t = {
 }
 
 val default : t
-(** Derived from a 60 us RTT estimate, matching the simulated testbed. *)
+(** Derived from a 60 us RTT estimate: the configuration of components
+    built without a scenario (unit tests, the benchmark's per-call
+    probes).  A scenario derives its own with {!with_rtt} from
+    [Scenario.params.rtt_estimate], 40 us by default on the simulated
+    2-tier testbed. *)
 
 val with_rtt : Sim_time.span -> t
 (** [default] re-derived from a different RTT estimate. *)

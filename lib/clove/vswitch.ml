@@ -20,8 +20,14 @@ type stats = {
   probes_dropped : int;
 }
 
-(* receiver-side relay state about one remote (sending) hypervisor *)
-type peer_rx_state = {
+(* everything this vswitch knows about one remote hypervisor: as a
+   source, the paths toward it; as a receiver, the feedback it owes it *)
+type remote = {
+  paths : Path_table.t;
+  mutable weights : float array; (* Presto, aligned to [paths]' ports *)
+  (* traceroute was asked for this destination (a record created on the
+     receive side has not) *)
+  mutable discovering : bool;
   fb_queue : Packet.clove_feedback Queue.t;
   last_relay : Sim_time.t Int_table.t; (* port -> last relay time *)
   mutable fb_timer : Scheduler.handle option;
@@ -51,12 +57,13 @@ type t = {
   (* per-packet state lives in flat {!Int_table}s; the [no_*] records are
      each table's dummy, doubling as the physical absence sentinel for
      allocation-free lookups *)
-  tables : Path_table.t Int_table.t; (* dst hv -> paths *)
-  no_table : Path_table.t;
+  remotes : remote Int_table.t; (* remote hv -> its record *)
+  (* also the one record of every scheme without discovered paths: its
+     table stays empty and its queue stays empty *)
+  no_remote : remote;
   flowlets : int Flowlet.t; (* decision = outer source port *)
   presto_flows : presto_flow Int_table.t;
   no_presto_flow : presto_flow;
-  presto_weights : float array Int_table.t; (* dst hv -> weights (aligned to table ports) *)
   mutable presto_weight_fn : Clove_path.t -> float;
   presto_rx : Presto_rx.t;
   reorder_seq : int Int_table.t; (* clove_reorder per-flow next seq *)
@@ -69,8 +76,6 @@ type t = {
   mutable cur_tbl : Path_table.t;
   mutable cur_key : int;
   mutable pick_fn : flowlet_id:int -> int;
-  peers : peer_rx_state Int_table.t;
-  no_peer : peer_rx_state;
   mutable daemon : Traceroute.t option;
   (* fault-injection drop points, driven by the chaos layer; the rng is a
      dedicated substream consumed only while a loss probability is set *)
@@ -99,47 +104,49 @@ let rewrite_overhead_bytes = 12
 
 let presto_cell_bytes = 64 * 1024 (* Presto's flowcell size *)
 
-let table t dst =
-  let key = Addr.to_int dst in
-  let tbl = Int_table.find_default t.tables key t.no_table in
-  if tbl != t.no_table then tbl
+let make_remote ~sched ~cfg =
+  {
+    paths = Path_table.create ~sched ~cfg;
+    weights = [||];
+    discovering = false;
+    fb_queue = Queue.create ();
+    last_relay = Int_table.create ~capacity:8 ~dummy:Sim_time.zero ();
+    fb_timer = None;
+  }
+
+(* the record of remote hypervisor [hv], created on first use; creating
+   one is a pure allocation (no RNG draw, nothing scheduled) *)
+let remote t hv =
+  if not (needs_discovery t.scheme) then t.no_remote
   else begin
-    let tbl = Path_table.create ~sched:t.sched ~cfg:t.cfg in
-    Int_table.set t.tables key tbl;
-    tbl
+    let key = Addr.to_int hv in
+    let r = Int_table.find_default t.remotes key t.no_remote in
+    if r != t.no_remote then r
+    else begin
+      let r = make_remote ~sched:t.sched ~cfg:t.cfg in
+      Int_table.set t.remotes key r;
+      r
+    end
   end
 
 let on_paths t ~dst pairs =
-  let tbl = table t dst in
-  Path_table.install tbl pairs;
-  if t.scheme = Presto then begin
-    let ws = Array.of_list (List.map (fun (_, path) -> t.presto_weight_fn path) pairs) in
-    Int_table.set t.presto_weights (Addr.to_int dst) ws
-  end
+  let r = remote t dst in
+  Path_table.install r.paths pairs;
+  if t.scheme = Presto then
+    r.weights <- Array.of_list (List.map (fun (_, path) -> t.presto_weight_fn path) pairs)
 
-let add_destination t dst =
-  if needs_discovery t.scheme && not (Addr.equal dst (Host.addr t.host)) then begin
-    let (_ : Path_table.t) = table t dst in
+(* ask traceroute for [dst] once, on the explicit [add_destination] or the
+   first transmission, whichever comes first *)
+let start_discovery t dst r =
+  if not r.discovering then begin
+    r.discovering <- true;
     match t.daemon with
-    | Some d -> Traceroute.add_destination d dst
-    | None -> ()
+    | Some d when not (Addr.equal dst (Host.addr t.host)) ->
+      Traceroute.add_destination d dst
+    | Some _ | None -> ()
   end
 
-let peer_state t hv =
-  let key = Addr.to_int hv in
-  let p = Int_table.find_default t.peers key t.no_peer in
-  if p != t.no_peer then p
-  else begin
-    let p =
-      {
-        fb_queue = Queue.create ();
-        last_relay = Int_table.create ~capacity:8 ~dummy:Sim_time.zero ();
-        fb_timer = None;
-      }
-    in
-    Int_table.set t.peers key p;
-    p
-  end
+let add_destination t dst = start_discovery t dst (remote t dst)
 
 let hashed_port key = 49152 + (Ecmp_hash.hash4 ~seed:0x5107 key 0 0 0 mod 16384)
 let random_port t = 49152 + Rng.int t.rng 16384
@@ -172,58 +179,54 @@ let send_feedback_carrier t ~to_hv fb =
   t.s_carrier <- t.s_carrier + 1;
   Host.send t.host pkt
 
-let rec arm_fb_timer t ~hv peer =
-  if peer.fb_timer = None then
-    peer.fb_timer <-
+let rec arm_fb_timer t ~hv r =
+  if r.fb_timer = None then
+    r.fb_timer <-
       Some
         (Scheduler.schedule t.sched ~after:t.feedback_deadline (fun () ->
-             peer.fb_timer <- None;
-             match Queue.take_opt peer.fb_queue with
+             r.fb_timer <- None;
+             match Queue.take_opt r.fb_queue with
              | None -> ()
              | Some fb ->
                send_feedback_carrier t ~to_hv:hv fb;
-               if not (Queue.is_empty peer.fb_queue) then arm_fb_timer t ~hv peer))
+               if not (Queue.is_empty r.fb_queue) then arm_fb_timer t ~hv r))
 
-let enqueue_feedback t ~from_hv fb =
+let enqueue_feedback t ~from_hv r fb =
   let port = match fb with Packet.Fb_ecn { port } | Packet.Fb_sample { port; _ } -> port in
-  let peer = peer_state t from_hv in
   let now = Scheduler.now t.sched in
   let allowed =
     (* [find_opt] keeps the "never relayed" case distinct from a relay at
        t = 0; this runs per marked packet, not per packet *)
-    match Int_table.find_opt peer.last_relay port with
+    match Int_table.find_opt r.last_relay port with
     | None -> true
     | Some last -> Sim_time.(now >= add last t.relay_interval)
   in
   if allowed then begin
-    Int_table.set peer.last_relay port now;
-    Queue.add fb peer.fb_queue;
-    arm_fb_timer t ~hv:from_hv peer
+    Int_table.set r.last_relay port now;
+    Queue.add fb r.fb_queue;
+    arm_fb_timer t ~hv:from_hv r
   end
 
-let pop_feedback t ~to_hv =
-  let peer = Int_table.find_default t.peers (Addr.to_int to_hv) t.no_peer in
-  if peer == t.no_peer then None
-  else (
-    match Queue.take_opt peer.fb_queue with
-    | Some fb ->
-      if Queue.is_empty peer.fb_queue then (
-        match peer.fb_timer with
-        | Some h ->
-          Scheduler.cancel t.sched h;
-          peer.fb_timer <- None
-        | None -> ());
-      Some fb
-    | None -> None)
+let pop_feedback t r =
+  match Queue.take_opt r.fb_queue with
+  | Some _ as fb ->
+    if Queue.is_empty r.fb_queue then (
+      match r.fb_timer with
+      | Some h ->
+        Scheduler.cancel t.sched h;
+        r.fb_timer <- None
+      | None -> ());
+    fb
+  | None -> None
 
 (* --------------- feedback application (source side) --------------- *)
 
 let feedback_lost t = t.fb_loss > 0.0 && Rng.float t.faults_rng 1.0 < t.fb_loss
 let probe_lost t = t.probe_loss > 0.0 && Rng.float t.faults_rng 1.0 < t.probe_loss
 
-let apply_feedback_live t ~peer_hv fb =
+let apply_feedback_live t ~peer_hv r fb =
   t.s_fb_seen <- t.s_fb_seen + 1;
-  let tbl = table t peer_hv in
+  let tbl = r.paths in
   (match fb with
   | Packet.Fb_ecn { port } -> Path_table.note_congested tbl ~port
   | Packet.Fb_sample { port; value } ->
@@ -246,13 +249,13 @@ let apply_feedback_live t ~peer_hv fb =
 
 (* the Feedback_loss fault: congestion feedback evaporates at the vswitch
    before the path table learns anything from it *)
-let apply_feedback t ~peer_hv fb =
+let apply_feedback t ~peer_hv r fb =
   if feedback_lost t then t.s_fb_dropped <- t.s_fb_dropped + 1
-  else apply_feedback_live t ~peer_hv fb
+  else apply_feedback_live t ~peer_hv r fb
 
 (* ----------------------- outbound dataplane ----------------------- *)
 
-let pick_port t ~flow_key ~dst =
+let pick_port t ~flow_key r =
   match t.scheme with
   | Direct -> assert false
   | Ecmp -> hashed_port flow_key
@@ -260,37 +263,28 @@ let pick_port t ~flow_key ~dst =
     t.cur_key <- flow_key;
     Flowlet.touch t.flowlets ~key:flow_key ~pick:t.pick_fn
   | Clove_ecn | Clove_int | Clove_latency ->
-    let tbl = table t dst in
-    if Path_table.ready tbl then begin
-      t.cur_tbl <- tbl;
+    if Path_table.ready r.paths then begin
+      t.cur_tbl <- r.paths;
       Flowlet.touch t.flowlets ~key:flow_key ~pick:t.pick_fn
     end
     else hashed_port flow_key
   | Presto -> assert false (* handled separately *)
 
-let presto_pick t ~flow_key ~dst ~wire_size =
-  let tbl = table t dst in
-  if not (Path_table.ready tbl) then (hashed_port flow_key, None)
+let presto_pick t ~flow_key r ~wire_size =
+  if not (Path_table.ready r.paths) then (hashed_port flow_key, None)
   else begin
     let pf =
       let pf = Int_table.find_default t.presto_flows flow_key t.no_presto_flow in
       if pf != t.no_presto_flow then pf
       else begin
-        let ports = Path_table.ports tbl in
-        let ws = Int_table.find_default t.presto_weights (Addr.to_int dst) [||] in
-        let weights =
-          if Array.length ws = Array.length ports then ws
-          else Array.make (Array.length ports) 1.0
-        in
-        let p_wrr = Wrr.create ~weights in
         let pf =
           {
             cell_bytes = 0;
             cell_id = -1;
             pkt_seq = 0;
             cur_port = 0;
-            p_wrr;
-            p_ports = ports;
+            p_wrr = Wrr.create ~weights:r.weights;
+            p_ports = Path_table.ports r.paths;
           }
         in
         Int_table.set t.presto_flows flow_key pf;
@@ -322,7 +316,9 @@ let tx t pkt =
     | _ ->
       let dst = inner.Packet.dst in
       let flow_key = Packet.tcp_flow_key inner in
-      add_destination t dst;
+      (* the one lookup of this packet's remote record *)
+      let r = remote t dst in
+      start_discovery t dst r;
       let overhead =
         if t.cfg.Clove_config.rewrite_mode then rewrite_overhead_bytes
         else Packet.encap_header_bytes
@@ -330,8 +326,8 @@ let tx t pkt =
       let wire_size = pkt.Packet.size + overhead in
       let port, cell =
         match t.scheme with
-        | Presto -> presto_pick t ~flow_key ~dst ~wire_size
-        | _ -> (pick_port t ~flow_key ~dst, None)
+        | Presto -> presto_pick t ~flow_key r ~wire_size
+        | _ -> (pick_port t ~flow_key r, None)
       in
       let cell =
         (* Section 7 flowlet optimization: carry per-flow sequence numbers
@@ -346,7 +342,7 @@ let tx t pkt =
           Some { Packet.flow_key; cell_id = 0; cell_seq = seq }
         | None -> None
       in
-      let fb = pop_feedback t ~to_hv:dst in
+      let fb = pop_feedback t r in
       if fb <> None then t.s_piggy <- t.s_piggy + 1;
       (* rewrite the packet's pre-boxed header in place: the steady-state
          encapsulation allocates nothing *)
@@ -354,11 +350,9 @@ let tx t pkt =
         ~src_port:port ~feedback:fb ~cell;
       pkt.Packet.size <- wire_size;
       (* arm the black-hole detector: the path carrying this packet owes
-         us liveness evidence (feedback or an ACK) within the timeout *)
-      (match t.scheme with
-      | Clove_ecn | Clove_int | Clove_latency | Presto ->
-        Path_table.note_tx (table t dst) ~port
-      | Ecmp | Edge_flowlet | Direct -> ());
+         us liveness evidence (feedback or an ACK) within the timeout
+         ([no_remote]'s empty table ignores it) *)
+      Path_table.note_tx r.paths ~port;
       if !Analysis.Audit.on then
         pkt.Packet.audit_seq <- Analysis.Audit.fifo_tx ~stream:flow_key ~port;
       (match t.scheme with
@@ -382,43 +376,40 @@ let rx_tenant t pkt (inner : Packet.inner) =
     if !Analysis.Audit.on && pkt.Packet.audit_seq >= 0 then
       Analysis.Audit.fifo_rx ~stream:(Packet.tcp_flow_key inner)
         ~port:e.Packet.src_port ~seq:pkt.Packet.audit_seq;
+    let peer_hv = e.Packet.src_hv in
+    (* the one lookup of the sender's record *)
+    let r = remote t peer_hv in
     (* an inbound ACK proves the forward path of that flow delivered data
        recently: credit liveness to the port the flow is pinned to, so a
        healthy-but-feedback-quiet path is never decayed as a black hole *)
     (if inner.Packet.seg.Packet.kind = Packet.Ack then
        match t.scheme with
-       | Clove_ecn | Clove_int | Clove_latency ->
-         let tbl =
-           Int_table.find_default t.tables (Addr.to_int inner.Packet.src)
-             t.no_table
-         in
-         if tbl != t.no_table then (
-           match
-             Flowlet.active_flowlet t.flowlets
-               ~key:(Packet.tcp_flow_key_rev inner)
-           with
-           | Some port -> Path_table.note_alive tbl ~port
-           | None -> ())
+       | Clove_ecn | Clove_int | Clove_latency -> (
+         match
+           Flowlet.active_flowlet t.flowlets ~key:(Packet.tcp_flow_key_rev inner)
+         with
+         | Some port -> Path_table.note_alive r.paths ~port
+         | None -> ())
        | Ecmp | Edge_flowlet | Presto | Direct -> ());
     (* source-side: apply feedback the peer piggybacked for us *)
     (match e.Packet.feedback with
-    | Some fb -> apply_feedback t ~peer_hv:e.Packet.src_hv fb
+    | Some fb -> apply_feedback t ~peer_hv r fb
     | None -> ());
     (* receiver-side: observe fabric congestion state for the sender *)
     (match t.scheme with
     | Clove_ecn ->
       if pkt.Packet.ecn = Packet.Ce then
-        enqueue_feedback t ~from_hv:e.Packet.src_hv
+        enqueue_feedback t ~from_hv:peer_hv r
           (Packet.Fb_ecn { port = e.Packet.src_port })
     | Clove_int ->
       if pkt.Packet.int_enabled then
-        enqueue_feedback t ~from_hv:e.Packet.src_hv
+        enqueue_feedback t ~from_hv:peer_hv r
           (Packet.Fb_sample { port = e.Packet.src_port; value = pkt.Packet.int_util })
     | Clove_latency ->
       (* NIC timestamping + synchronized clocks: one-way delay is simply
          receive time minus the sender's transmit stamp *)
       let delay = Sim_time.diff (Scheduler.now t.sched) pkt.Packet.sent_at in
-      enqueue_feedback t ~from_hv:e.Packet.src_hv
+      enqueue_feedback t ~from_hv:peer_hv r
         (Packet.Fb_sample
            { port = e.Packet.src_port; value = Sim_time.span_to_sec delay })
     | Ecmp | Edge_flowlet | Presto | Direct -> ());
@@ -443,7 +434,9 @@ let rx t pkt =
     (match pkt.Packet.encap with
     | Some e -> (
       match e.Packet.feedback with
-      | Some fb -> apply_feedback t ~peer_hv:e.Packet.src_hv fb
+      | Some fb ->
+        let peer_hv = e.Packet.src_hv in
+        apply_feedback t ~peer_hv (remote t peer_hv) fb
       | None -> ())
     | None -> ());
     if p.Packet.probe_id >= 0 then begin
@@ -469,14 +462,9 @@ let create ~host ~stack ~scheme ~cfg ~rng () =
   let sched = Host.sched host in
   (* dummies are pure allocations: building them consumes no RNG and
      schedules nothing, so they cannot perturb determinism *)
-  let no_table = Path_table.create ~sched ~cfg in
-  let no_peer =
-    {
-      fb_queue = Queue.create ();
-      last_relay = Int_table.create ~capacity:2 ~dummy:Sim_time.zero ();
-      fb_timer = None;
-    }
-  in
+  let no_remote = make_remote ~sched ~cfg in
+  (* marked as discovering so that [start_discovery] skips it *)
+  no_remote.discovering <- true;
   let no_presto_flow =
     {
       cell_bytes = 0;
@@ -497,22 +485,19 @@ let create ~host ~stack ~scheme ~cfg ~rng () =
         relay_interval = Sim_time.mul_span cfg.Clove_config.rtt_estimate 0.5;
         feedback_deadline = Sim_time.mul_span cfg.Clove_config.rtt_estimate 2.0;
         rng;
-        tables = Int_table.create ~capacity:16 ~dummy:no_table ();
-        no_table;
+        remotes = Int_table.create ~capacity:16 ~dummy:no_remote ();
+        no_remote;
         flowlets = Flowlet.create ~sched ~gap:cfg.Clove_config.flowlet_gap ~dummy:0;
         presto_flows = Int_table.create ~capacity:64 ~dummy:no_presto_flow ();
         no_presto_flow;
-        presto_weights = Int_table.create ~capacity:16 ~dummy:[||] ();
         presto_weight_fn = (fun _ -> 1.0);
         presto_rx =
           Presto_rx.create ~sched ~cfg ~deliver:(fun inner ->
               Transport.Stack.deliver stack inner);
         reorder_seq = Int_table.create ~capacity:64 ~dummy:0 ();
-        cur_tbl = no_table;
+        cur_tbl = no_remote.paths;
         cur_key = 0;
         pick_fn = (fun ~flowlet_id -> ignore flowlet_id; 0);
-        peers = Int_table.create ~capacity:16 ~dummy:no_peer ();
-        no_peer;
         daemon = None;
         faults_rng = Rng.split_named rng "fault-drops";
         fb_loss = 0.0;
@@ -558,7 +543,7 @@ let create ~host ~stack ~scheme ~cfg ~rng () =
       let maintain_interval = Sim_time.mul_span cfg.Clove_config.rtt_estimate 8.0 in
       let rec tick () =
         if not t.stopped then begin
-          Int_table.iter_sorted (fun _ tbl -> Path_table.maintain tbl) t.tables;
+          Int_table.iter_sorted (fun _ r -> Path_table.maintain r.paths) t.remotes;
           (* evict flows idle for far longer than the flowlet gap.  The
              32x margin keeps eviction observably invisible: the next
              packet of an evicted flow would have started a new flowlet
@@ -594,8 +579,8 @@ let set_presto_weight_fn t f = t.presto_weight_fn <- f
 
 let path_table t dst =
   let key = Addr.to_int dst in
-  let tbl = Int_table.find_default t.tables key t.no_table in
-  if tbl != t.no_table && Path_table.ready tbl then Some tbl else None
+  let r = Int_table.find_default t.remotes key t.no_remote in
+  if Path_table.ready r.paths then Some r.paths else None
 
 let stats t =
   {

@@ -23,7 +23,15 @@
     them from the guest), relays them back to the sender's hypervisor in encapsulation
     context bits — piggybacked on reverse traffic when available, else in a
     dedicated carrier packet — and escalates to the local guest TCP only
-    when every path to a destination is congested. *)
+    when every path to a destination is congested.
+
+    What it knows about one remote hypervisor lives in one record, found
+    with one lookup per packet: as a source, the path table toward it and
+    its Presto weights; as a receiver, the feedback queued for it, the
+    per-port relay rate limiter and the carrier timer.  Path discovery
+    toward a remote starts once, on {!add_destination} or the first
+    transmission to it; ECMP, Edge-Flowlet and Direct keep no per-remote
+    state. *)
 
 type scheme =
   | Ecmp

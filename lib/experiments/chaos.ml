@@ -51,12 +51,9 @@ let preset_spec (params : Scenario.params) name =
     | "dual-link-loss" ->
       (* correlated failure: pod 1 loses one core uplink on each of two
          spines at the same instant, then both restore together *)
-      if params.Scenario.spines < 2 then
-        Error "chaos preset \"dual-link-loss\" needs --spines >= 2"
-      else
-        Ok
-          "down s1.1-core0 @60ms; down s1.2-core1 @60ms; up s1.1-core0 \
-           @120ms; up s1.2-core1 @120ms"
+      Ok
+        "down s1.1-core0 @60ms; down s1.2-core1 @60ms; up s1.1-core0 \
+         @120ms; up s1.2-core1 @120ms"
     | n -> Error (Printf.sprintf "unknown chaos preset %S" n)
 
 let default_opts =

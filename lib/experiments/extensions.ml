@@ -15,7 +15,6 @@ let fat_tree opts =
       Scenario.default_params with
       Scenario.pods = 4;
       leaves = 2;
-      spines = 2;
       cores = 4;
       hosts_per_leaf = 2;
       fabric_rate_bps = 5e9;

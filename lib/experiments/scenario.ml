@@ -38,7 +38,6 @@ let scheme_of_string s =
 
 type params = {
   leaves : int;
-  spines : int;
   pods : int;
   cores : int;
   hosts_per_leaf : int;
@@ -65,7 +64,6 @@ type params = {
 let default_params =
   {
     leaves = 2;
-    spines = 2;
     pods = 1;
     cores = 0;
     hosts_per_leaf = 8;
@@ -92,6 +90,7 @@ let default_params =
   }
 
 let host_rate_bps = 10e9 (* every host NIC *)
+let spines = 2 (* per pod *)
 let mptcp_subflows = 4
 
 type pdes = {
@@ -155,15 +154,15 @@ let client_leaves params = max 1 (total_leaves params / 2)
    path diversity for hop-by-hop schemes under core degradation) at the
    fabric rate *)
 let build_topology params =
-  if total_leaves params < 2 || params.spines < 1 then
-    invalid_arg "Scenario: need at least 2 leaves total and 1 spine";
+  if total_leaves params < 2 then
+    invalid_arg "Scenario: need at least 2 leaves total";
   let cores =
     if params.pods = 1 then 0
     else if params.cores > 0 then params.cores
-    else 2 * params.spines
+    else 2 * spines
   in
   Topology.clos ~pods:params.pods ~leaves_per_pod:params.leaves
-    ~spines_per_pod:params.spines ~cores ~hosts_per_leaf:params.hosts_per_leaf
+    ~spines_per_pod:spines ~cores ~hosts_per_leaf:params.hosts_per_leaf
     ~parallel:2 ~host_rate_bps ~fabric_rate_bps:params.fabric_rate_bps
     ~core_rate_bps:
       (if params.core_rate_bps > 0.0 then params.core_rate_bps
@@ -426,9 +425,8 @@ let connect t ~src ~dst =
     in
     Transport.Stack.register_sender (stack t src) sender;
     let receiver =
-      Transport.Tcp.create_receiver ~sched:(Host.sched dst) ~cfg:tcp_cfg ~conn_id
-        ~addr:(Host.addr dst) ~peer:(Host.addr src) ~src_port:80 ~dst_port:base_port
-        ~tx:tx_dst ()
+      Transport.Tcp.create_receiver ~conn_id ~addr:(Host.addr dst)
+        ~peer:(Host.addr src) ~src_port:80 ~dst_port:base_port ~tx:tx_dst ()
     in
     Transport.Stack.register_receiver (stack t dst) receiver;
     fun ~bytes ~on_complete -> Transport.Tcp.send sender ~bytes ~on_complete

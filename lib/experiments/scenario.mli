@@ -29,16 +29,15 @@ val scheme_of_string : string -> scheme option
 type params = {
   leaves : int;
       (** leaves per pod; the first half of all leaves hold clients, the
-          rest servers *)
-  spines : int;  (** spines per pod *)
+          rest servers; every pod has 2 spines *)
   pods : int;
       (** 1 (default) builds the paper's 2-tier leaf-spine, with no core
           tier; [>= 2] builds a 3-tier Clos of [pods] pods plus a core
           tier.  Clients land on the first half of the pods, so the
           workload crosses the core. *)
   cores : int;
-      (** core-switch count for [pods >= 2]; 0 (default) means
-          [2 * spines] — two core uplinks per spine *)
+      (** core-switch count for [pods >= 2], a multiple of the 2 spines
+          per pod; 0 (default) means 4 — two core uplinks per spine *)
   hosts_per_leaf : int;  (** hosts per leaf, each with a 10G NIC *)
   fabric_rate_bps : float;
       (** per fabric link; 4 such links per leaf — keep
@@ -54,6 +53,8 @@ type params = {
   k_paths_override : int option;  (** cap the number of discovered paths *)
   weight_cut_override : float option;  (** Clove-ECN weight reduction *)
   rtt_estimate : Sim_time.span;
+      (** the RTT estimate Clove's config and timers derive from; 40 us
+          (default) on the 2-tier testbed *)
   conns_per_client : int;
   size_scale : float;  (** flow-size scale-down factor for fast runs *)
   guest_dctcp : bool;  (** run DCTCP guest stacks and expose fabric marks *)

@@ -1,6 +1,6 @@
 (* The allocation analysis of clove-check: hot-region allocation
    findings with a call-chain witness from a dispatch root, and
-   cold-branch demotion.  Suppressions, the baseline and the JSON/SARIF
+   cold-branch demotion.  Suppressions, the baseline and the JSON
    output are [Analysis.Findings]'s, applied by the driver.
 
    Each finding's identity is ("alloc-<kind>", file, "node: desc") —
@@ -142,27 +142,3 @@ let summary_json r =
         ("sites_total", Int r.a_sites_total);
         ("sites_cold", Int r.a_sites_cold);
       ])
-
-let rules =
-  [
-    ("alloc-closure", "a closure is allocated on the hot path");
-    ( "alloc-partial-app",
-      "a partial application allocates a closure on the hot path" );
-    ("alloc-tuple", "a tuple is allocated on the hot path");
-    ("alloc-record", "a record is allocated on the hot path");
-    ( "alloc-variant",
-      "a variant constructor with arguments is allocated on the hot path" );
-    ("alloc-option", "an option cell is allocated on the hot path");
-    ("alloc-cons", "a list cell is allocated on the hot path");
-    ( "alloc-boxed-float",
-      "a float result is boxed on the hot path (unless locally unboxed)" );
-    ("alloc-array", "an array is allocated on the hot path");
-    ("alloc-string", "a string or bytes value is built on the hot path");
-    ( "alloc-poly-compare",
-      "polymorphic compare/hash on a non-immediate value on the hot path" );
-    ("alloc-format", "a format string is interpreted on the hot path");
-    ("alloc-ref", "a ref or atomic cell is allocated on the hot path");
-    ( "alloc-cold",
-      "an allocation site dominated by a cold (audit or raising) branch — \
-       informational, outside the budget" );
-  ]

@@ -24,5 +24,3 @@ val run : cold:Alloc_extract.span list -> Race_extract.linked -> t
 val summary_json : t -> Analysis.Json_out.t
 (** Roots, hot-region size and site counts for the report. *)
 
-val rules : (string * string) list
-(** [(rule_id, description)] for the SARIF rule table. *)

@@ -5,11 +5,7 @@
 
 open Typedtree
 
-let rule =
-  ( "dead-export",
-    "val exported by a library interface that no other compilation unit \
-     references: delete it, or drop it from the .mli if its module still \
-     uses it" )
+let rule = "dead-export"
 
 let fixtures = "test/fixtures/"
 
@@ -122,7 +118,7 @@ let findings ~scope units intfs =
               let target = m ^ "." ^ vd.val_name.txt in
               Some
                 {
-                  Analysis.Findings.rule = fst rule;
+                  Analysis.Findings.rule;
                   file = i.Cmt_load.i_source;
                   line = vd.val_loc.Location.loc_start.Lexing.pos_lnum;
                   target;

@@ -15,9 +15,6 @@
     are themselves in scope, so a seeded fixture never keeps a library
     export alive. *)
 
-val rule : string * string
-(** [("dead-export", description)]. *)
-
 val findings :
   scope:string list ->
   Cmt_load.unit_info list ->

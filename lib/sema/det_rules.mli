@@ -11,8 +11,7 @@
     same rule.  DESIGN.md §11 tabulates the rules. *)
 
 val rules : (string * string) list
-(** [(rule_id, description)]: the nine rules, for the SARIF rule table
-    and the finding messages. *)
+(** [(rule_id, description)]: the nine rules, for the finding messages. *)
 
 val findings : Cmt_load.unit_info list -> Analysis.Findings.t list
 (** Every finding of the rules, unit by unit in walk order, unsuppressed

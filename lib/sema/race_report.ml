@@ -336,13 +336,3 @@ let summary_json r =
         ("protected_sites", Int r.r_protected);
         ("parallel_roots", Int (List.length r.r_roots));
       ])
-
-let rules =
-  [
-    ( "race-shared-mut",
-      "module-level mutable state is mutated by a domain-parallel task \
-       without atomic, lock, or domain-local discipline" );
-    ( "race-captured-mut",
-      "state captured by a closure is mutated by a domain-parallel task \
-       without atomic, lock, or domain-local discipline" );
-  ]

@@ -25,5 +25,3 @@ val run : Race_extract.linked -> t
 val summary_json : t -> Analysis.Json_out.t
 (** Roots and mutation-site counts for the report. *)
 
-val rules : (string * string) list
-(** [(rule_id, description)] for the SARIF rule table. *)

@@ -185,7 +185,7 @@ let create ~sched ~cfg ~conn_id ~subflows ~src ~dst ~base_port ~dst_port ~tx_src
       Tcp.set_on_timeout s (fun () -> reinject t k);
       Tcp.set_ca_increase s (lia_increase t k);
       let r =
-        Tcp.create_receiver ~sched ~cfg ~conn_id ~subflow:k ~addr:dst ~peer:src
+        Tcp.create_receiver ~conn_id ~subflow:k ~addr:dst ~peer:src
           ~src_port:dst_port ~dst_port:(base_port + k) ~tx:tx_dst ()
       in
       Stack.register_receiver dst_stack r)

@@ -382,8 +382,6 @@ let on_ack s (seg : Packet.tcp_seg) =
 (* ------------------------------------------------------------------ *)
 
 type receiver = {
-  r_sched : Scheduler.t;
-  r_cfg : Tcp_config.t;
   r_conn_id : int;
   r_subflow : int;
   r_addr : Addr.t;
@@ -397,11 +395,8 @@ type receiver = {
   mutable ooo_count : int;
 }
 
-let create_receiver ~sched ~cfg ~conn_id ?(subflow = 0) ~addr ~peer ~src_port ~dst_port
-    ~tx () =
+let create_receiver ~conn_id ?(subflow = 0) ~addr ~peer ~src_port ~dst_port ~tx () =
   {
-    r_sched = sched;
-    r_cfg = cfg;
     r_conn_id = conn_id;
     r_subflow = subflow;
     r_addr = addr;
@@ -451,8 +446,6 @@ let absorb r =
   go ()
 
 let send_ack r ~ece =
-  ignore r.r_cfg;
-  ignore r.r_sched;
   r.r_tx
     (Packet_pool.acquire_tenant ~src:r.r_addr ~dst:r.r_peer
        ~conn_id:r.r_conn_id ~subflow:r.r_subflow ~src_port:r.r_src_port

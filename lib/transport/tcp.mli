@@ -81,8 +81,6 @@ val stop : sender -> unit
 (** {2 Receiver} *)
 
 val create_receiver :
-  sched:Scheduler.t ->
-  cfg:Tcp_config.t ->
   conn_id:int ->
   ?subflow:int ->
   addr:Addr.t ->

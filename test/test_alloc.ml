@@ -94,17 +94,11 @@ let test_clean_twin () =
 
 let test_deterministic_output () =
   let render () =
-    let fs = run_fixtures () in
     let new_keys = Hashtbl.create 1 in
-    ( Analysis.Json_out.to_string (Analysis.Findings.findings_json ~new_keys fs),
-      Analysis.Json_out.to_string
-        (Analysis.Findings.sarif ~tool:"clove-check"
-           ~rules:Sema.Alloc_report.rules ~new_keys fs) )
+    Analysis.Json_out.to_string
+      (Analysis.Findings.findings_json ~new_keys (run_fixtures ()))
   in
-  let j1, s1 = render () in
-  let j2, s2 = render () in
-  Alcotest.(check string) "two runs render identical JSON" j1 j2;
-  Alcotest.(check string) "two runs render identical SARIF" s1 s2
+  Alcotest.(check string) "two runs render identical JSON" (render ()) (render ())
 
 let test_findings_sorted () =
   let open Analysis.Findings in

@@ -262,7 +262,7 @@ let test_tcp_cwnd_persists_across_jobs () =
       ()
   in
   let receiver =
-    Transport.Tcp.create_receiver ~sched ~cfg:Transport.Tcp_config.default ~conn_id:1
+    Transport.Tcp.create_receiver ~conn_id:1
       ~addr:(Addr.of_int 1) ~peer:(Addr.of_int 0) ~src_port:2 ~dst_port:1
       ~tx:(fun pkt ->
         match pkt.Packet.payload with

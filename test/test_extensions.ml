@@ -264,7 +264,7 @@ let test_fat_tree_end_to_end_clove () =
   in
   Transport.Stack.register_sender src_stack sender;
   let receiver =
-    Transport.Tcp.create_receiver ~sched ~cfg:tcfg ~conn_id:1 ~addr:(Host.addr dst)
+    Transport.Tcp.create_receiver ~conn_id:1 ~addr:(Host.addr dst)
       ~peer:(Host.addr src) ~src_port:80 ~dst_port:1000
       ~tx:(fun pkt -> Clove.Vswitch.tx v_dst pkt)
       ()

@@ -501,6 +501,67 @@ let test_probe_loss_rediscovery () =
   Faults.Fault_engine.stop engine;
   Scenario.quiesce scn
 
+(* ---------------------- e2e: recovery spreads picks ---------------- *)
+
+let test_recovery_spreads_picks () =
+  (* with failure recovery on, the minimum-sample picker once read every
+     path as unverified soon after its install and sent every flowlet to
+     path index 0: each client of the golden setup must send data on at
+     least two outer source ports, under both sample schemes *)
+  let params =
+    {
+      Scenario.default_params with
+      Scenario.asymmetric = true;
+      failure_recovery = true;
+      seed = 1;
+    }
+  in
+  List.iter
+    (fun scheme ->
+      let scn = Scenario.build ~scheme params in
+      let clients = Scenario.clients scn and servers = Scenario.servers scn in
+      let per_port = Array.map (fun _ -> Hashtbl.create 8) clients in
+      Array.iteri
+        (fun i client ->
+          Host.set_tx_tap client (fun pkt ->
+              match (pkt.Packet.payload, pkt.Packet.encap) with
+              | Packet.Tenant inner, Some e
+                when inner.Packet.seg.Packet.kind = Packet.Data ->
+                let port = e.Packet.src_port in
+                let n = Option.value ~default:0 (Hashtbl.find_opt per_port.(i) port) in
+                Hashtbl.replace per_port.(i) port (n + 1)
+              | _ -> ()))
+        clients;
+      let conns =
+        Array.mapi
+          (fun i client -> Scenario.connect scn ~src:client ~dst:servers.(i))
+          clients
+      in
+      let cfg =
+        {
+          Workload.Websearch.load = 0.5;
+          bisection_bps = Scenario.bisection_bps scn;
+          jobs_per_conn = 8;
+          size_dist = Scenario.size_dist scn;
+          start_at = Scenario.warmup scn;
+        }
+      in
+      let (_ : Workload.Fct_stats.t) =
+        Scenario.run_websearch scn ~rng:(Scenario.rng scn) ~conns cfg
+      in
+      Scenario.quiesce scn;
+      Array.iteri
+        (fun i counts ->
+          let total = Hashtbl.fold (fun _ n acc -> acc + n) counts 0 in
+          let top = Hashtbl.fold (fun _ n acc -> max n acc) counts 0 in
+          check_bool
+            (Printf.sprintf "%s client %d: %d data ports (top share %d/%d)"
+               (Scenario.scheme_name scheme) i (Hashtbl.length counts) top total)
+            true
+            (Hashtbl.length counts >= 2))
+        per_port)
+    [ Scenario.S_clove_int; Scenario.S_clove_latency ]
+
 (* -------------------------- e2e: black hole ------------------------ *)
 
 let test_black_hole_eviction () =
@@ -637,6 +698,8 @@ let () =
             test_maintain_evicts_suspect;
           Alcotest.test_case "weight recovery drift" `Quick
             test_weight_recovery_drift;
+          Alcotest.test_case "recovery spreads picks" `Quick
+            test_recovery_spreads_picks;
         ] );
       ( "end-to-end",
         [

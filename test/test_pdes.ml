@@ -16,7 +16,6 @@ let params ~leaves ~hosts_per_leaf ~asymmetric ~seed =
   {
     Scenario.default_params with
     Scenario.leaves;
-    spines = 2;
     hosts_per_leaf;
     asymmetric;
     seed;

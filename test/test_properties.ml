@@ -78,11 +78,9 @@ let prop_receiver_interval_union =
       let total = nsegs * seg_len in
       let order = Array.init nsegs (fun i -> i) in
       Rng.shuffle rng order;
-      let sched = Scheduler.create () in
       let r =
-        Transport.Tcp.create_receiver ~sched ~cfg:Transport.Tcp_config.default
-          ~conn_id:1 ~addr:(Addr.of_int 1) ~peer:(Addr.of_int 0) ~src_port:2
-          ~dst_port:1
+        Transport.Tcp.create_receiver ~conn_id:1 ~addr:(Addr.of_int 1)
+          ~peer:(Addr.of_int 0) ~src_port:2 ~dst_port:1
           ~tx:(fun _ -> ())
           ()
       in

@@ -50,7 +50,7 @@ let make_pair ?(latency = Sim_time.us 50) ?(drop = fun _ -> false) () =
       ~dst_port:80 ~tx:tx_src ()
   in
   let receiver =
-    Transport.Tcp.create_receiver ~sched ~cfg ~conn_id:1 ~addr:dst ~peer:src
+    Transport.Tcp.create_receiver ~conn_id:1 ~addr:dst ~peer:src
       ~src_port:80 ~dst_port:1000 ~tx:tx_dst ()
   in
   sender_ref := Some sender;
@@ -170,10 +170,9 @@ let test_tcp_ecn_signal_halves_window () =
   Scheduler.run sched
 
 let test_tcp_receiver_reorder_buffer () =
-  let sched = Scheduler.create () in
   let acks = ref [] in
   let receiver =
-    Transport.Tcp.create_receiver ~sched ~cfg ~conn_id:1 ~addr:(Addr.of_int 1)
+    Transport.Tcp.create_receiver ~conn_id:1 ~addr:(Addr.of_int 1)
       ~peer:(Addr.of_int 0) ~src_port:80 ~dst_port:1000
       ~tx:(fun pkt ->
         match pkt.Packet.payload with
@@ -208,10 +207,9 @@ let test_tcp_receiver_reorder_buffer () =
   Alcotest.(check int) "dup acked" 3000 (List.hd !acks)
 
 let test_tcp_ece_echo () =
-  let sched = Scheduler.create () in
   let last_ece = ref false in
   let receiver =
-    Transport.Tcp.create_receiver ~sched ~cfg ~conn_id:1 ~addr:(Addr.of_int 1)
+    Transport.Tcp.create_receiver ~conn_id:1 ~addr:(Addr.of_int 1)
       ~peer:(Addr.of_int 0) ~src_port:80 ~dst_port:1000
       ~tx:(fun pkt ->
         match pkt.Packet.payload with
