@@ -324,10 +324,12 @@ let chaos_cmd =
   in
   let faults_arg =
     let doc =
-      "Fault plan, e.g. $(b,\"down s2-l2b\\@60ms; up s2-l2b\\@120ms\").  \
-       Verbs: down, up, flap (period=, duty=, until=), brownout (frac=, \
-       loss=, until=), feedback-loss (prob=, until=), probe-loss (prob=, \
-       until=), switch-down, switch-up.  Times use ns/us/ms/s suffixes."
+      "Fault plan, e.g. $(b,\"down s2-l2b@60ms; up s2-l2b@120ms\").  \
+       Verbs: down, up, flap (period=, duty=), brownout (frac=, loss=), \
+       feedback-loss (p=), probe-loss (p=), switch-down, switch-up; \
+       $(b,until=) ends a flap, brownout, feedback-loss or probe-loss and \
+       no other verb.  Any other key is an error.  Times use ns/us/ms/s \
+       suffixes."
     in
     Arg.(
       value

@@ -180,7 +180,9 @@ let send_feedback_carrier t ~to_hv fb =
   Host.send t.host pkt
 
 let rec arm_fb_timer t ~hv r =
-  if r.fb_timer = None then
+  match r.fb_timer with
+  | Some _ -> ()
+  | None ->
     r.fb_timer <-
       Some
         (Scheduler.schedule t.sched ~after:t.feedback_deadline (fun () ->
@@ -343,7 +345,7 @@ let tx t pkt =
         | None -> None
       in
       let fb = pop_feedback t r in
-      if fb <> None then t.s_piggy <- t.s_piggy + 1;
+      (match fb with Some _ -> t.s_piggy <- t.s_piggy + 1 | None -> ());
       (* rewrite the packet's pre-boxed header in place: the steady-state
          encapsulation allocates nothing *)
       Packet.install_encap pkt ~src_hv:(Host.addr t.host) ~dst_hv:dst

@@ -9,11 +9,7 @@ type opts = {
   params : Scenario.params;
 }
 
-let default_plan_spec = "flap s2-l2b period=20ms duty=0.5 until=120ms @60ms"
-
 let link_down_spec = "down s2-l2b@60ms; up s2-l2b@120ms"
-
-let default_plan () = Result.get_ok (Faults.Fault_plan.parse default_plan_spec)
 
 (* ------------------------ gray-failure presets --------------------- *)
 
@@ -58,7 +54,10 @@ let preset_spec (params : Scenario.params) name =
 
 let default_opts =
   {
-    plan = [];
+    plan =
+      Result.get_ok
+        (Faults.Fault_plan.parse
+           "flap s2-l2b period=20ms duty=0.5 until=120ms @60ms");
     schemes = [ Scenario.S_clove_ecn; Scenario.S_ecmp ];
     (* load 0.25 keeps the fault-free fabric clearly stable for every
        scheme (at 0.4, ECMP's own hash-collision backlog is as costly as
@@ -98,8 +97,8 @@ let arm_faults scn plan =
    without advancing the parent), so it is an exact control: windowed
    comparisons isolate the fault's cost from workload-sampling noise and
    secular backlog drift. *)
-let simulate opts scheme plan =
-  let scn = Scenario.build ~scheme opts.params in
+let simulate params ~load ~jobs_per_conn scheme plan =
+  let scn = Scenario.build ~scheme params in
   let servers = Scenario.servers scn in
   (* one-to-one pairing isolates the fabric fault from server-access-link
      collisions (same setup as the ext-failure timeline) *)
@@ -111,9 +110,9 @@ let simulate opts scheme plan =
   let engine = arm_faults scn plan in
   let cfg =
     {
-      Workload.Websearch.load = opts.load;
+      Workload.Websearch.load;
       bisection_bps = Scenario.bisection_bps scn;
-      jobs_per_conn = opts.jobs_per_conn;
+      jobs_per_conn;
       size_dist = Scenario.size_dist scn;
       start_at = Scenario.warmup scn;
     }
@@ -132,8 +131,8 @@ let mice_of fct =
     ~max_size:(Workload.Fct_stats.mice_cutoff / 4)
     fct
 
-(* [t_settle]: when the disruption stops changing — the restoration if
-   every fault ends, else the last fault event of a permanent plan.
+(* [t_settle]: when the disruption stops changing — the plan's latest
+   restoration, else the last fault event of a permanent plan.
    Recovery is judged from there: for a restored link it means "back to
    normal service", for a permanent failure it means "adapted to the
    degraded fabric" (which congestion-aware schemes can do and ECMP
@@ -141,16 +140,8 @@ let mice_of fct =
 let windows_of plan =
   match Faults.Fault_plan.disruption_window plan with
   | None -> (infinity, infinity)
-  | Some (start, stop) ->
-    let last_event =
-      List.fold_left
-        (fun acc (e : Faults.Fault_plan.event) ->
-          Float.max acc (Sim_time.span_to_sec e.Faults.Fault_plan.at))
-        0.0 plan
-    in
-    (match stop with
-    | Some s -> (Sim_time.span_to_sec start, Sim_time.span_to_sec s)
-    | None -> (Sim_time.span_to_sec start, last_event))
+  | Some (start, settle) ->
+    (Sim_time.span_to_sec start, Sim_time.span_to_sec settle)
 
 type score = {
   sc_pre_avg : float;  (* avg mice FCT (s), flows arriving before the fault *)
@@ -236,10 +227,18 @@ let score ~plan ~fct ~base =
   }
 
 let run_scheme opts scheme =
-  let plan = if opts.plan = [] then default_plan () else opts.plan in
-  let fct = simulate opts scheme plan in
-  let base = simulate opts scheme [] in
-  { r_scheme = scheme; r_score = score ~plan ~fct ~base; r_fct = fct; r_base = base }
+  let simulate =
+    simulate opts.params ~load:opts.load ~jobs_per_conn:opts.jobs_per_conn
+      scheme
+  in
+  let fct = simulate opts.plan in
+  let base = simulate [] in
+  {
+    r_scheme = scheme;
+    r_score = score ~plan:opts.plan ~fct ~base;
+    r_fct = fct;
+    r_base = base;
+  }
 
 let run opts =
   (* one fully private scenario per scheme: embarrassingly parallel, and
@@ -367,7 +366,4 @@ let pp_rows opts fmt rows =
         (Digest.to_hex (Digest.string (Workload.Fct_stats.canonical_dump r.r_fct))))
     rows
 
-let report ?(opts = default_opts) () =
-  let plan = if opts.plan = [] then default_plan () else opts.plan in
-  let rows = run { opts with plan } in
-  scorecard ~plan rows
+let report ?(opts = default_opts) () = scorecard ~plan:opts.plan (run opts)

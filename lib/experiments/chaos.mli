@@ -29,9 +29,7 @@
     is also the whole of the ext-failure timeline experiment. *)
 
 type opts = {
-  plan : Faults.Fault_plan.t;
-      (** [[]] selects the default plan,
-          ["flap s2-l2b period=20ms duty=0.5 until=120ms @60ms"] *)
+  plan : Faults.Fault_plan.t;  (** [[]] is a fault-free run *)
   schemes : Scenario.scheme list;
   load : float;
   jobs_per_conn : int;
@@ -42,8 +40,9 @@ type opts = {
 }
 
 val default_opts : opts
-(** Clove-ECN vs ECMP at load 0.25, seed 1,
-    750 jobs/conn, 20 ms probe interval, recovery on. *)
+(** Clove-ECN vs ECMP under
+    ["flap s2-l2b period=20ms duty=0.5 until=120ms @60ms"] at load 0.25,
+    seed 1, 750 jobs/conn, 20 ms probe interval, recovery on. *)
 
 val link_down_spec : string
 (** [clove-sim chaos]'s default plan: an S2-L2 link is down 60-120 ms. *)
@@ -79,11 +78,17 @@ type row = {
   r_base : Workload.Fct_stats.t;  (** the paired fault-free baseline's *)
 }
 
-val simulate : opts -> Scenario.scheme -> Faults.Fault_plan.t -> Workload.Fct_stats.t
-(** One seeded run of [opts.params] at [opts.load] for [opts.jobs_per_conn]
-    jobs per connection, client [i] paired with server [i], with the given
-    plan armed on the scenario's control scheduler ([[]] = the fault-free
-    baseline; [opts.plan] and [opts.schemes] are not read).  Runs at the
+val simulate :
+  Scenario.params ->
+  load:float ->
+  jobs_per_conn:int ->
+  Scenario.scheme ->
+  Faults.Fault_plan.t ->
+  Workload.Fct_stats.t
+(** One seeded run of [params] at [load] for [jobs_per_conn] jobs per
+    connection, client [i] paired with server [i], with the given plan
+    armed on the scenario's control scheduler ([[]] = the fault-free
+    baseline).  Runs at the
     scenario's shard width through {!Scenario.run_websearch}; raises
     [Invalid_argument] when the plan does not fit the topology.  The
     ext-failure timeline is two such runs. *)

@@ -67,17 +67,10 @@ let failure_timeline opts =
      server-access-link collisions, so the timeline isolates the fabric
      failure; load 0.4 keeps the pre-failure fabric clearly stable so the
      degradation and recovery stand out *)
-  let chaos =
-    {
-      Chaos.plan;
-      schemes = [ Scenario.S_ecmp; Scenario.S_clove_ecn ];
-      load = 0.4;
-      jobs_per_conn = jobs;
-      params;
-    }
-  in
   let run scheme =
-    Workload.Fct_stats.timeline (Chaos.simulate chaos scheme plan) ~bucket_sec:0.01
+    Workload.Fct_stats.timeline
+      (Chaos.simulate params ~load:0.4 ~jobs_per_conn:jobs scheme plan)
+      ~bucket_sec:0.01
   in
   let ecmp = run Scenario.S_ecmp in
   let clove = run Scenario.S_clove_ecn in

@@ -169,8 +169,7 @@ let build_topology params =
        else params.fabric_rate_bps)
     ~delay:(Sim_time.us 2)
 
-let fault_names params =
-  Faults.Fault_engine.names (Faults.Fault_engine.clos_naming (build_topology params))
+let fault_names params = Faults.Fault_engine.clos_naming (build_topology params)
 
 let bisection_bps t =
   (* aggregate client-side NIC rate: leaves/2 client leaves worth of

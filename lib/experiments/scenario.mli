@@ -107,12 +107,13 @@ val fabric : t -> Fabric.t
 val topology : t -> Topology.clos
 (** The topology description the fabric was instantiated from. *)
 
-val fault_naming : t -> Faults.Fault_engine.naming
+val fault_naming : t -> Faults.Fault_plan.names
 (** {!Faults.Fault_engine.clos_naming} of this scenario's topology. *)
 
 val fault_names : params -> Faults.Fault_plan.names
-(** Parse-time name-validation predicates for the topology [params]
-    describes, without building a scenario (the topology description is
+(** {!Faults.Fault_engine.clos_naming} of the topology [params]
+    describes, for parse-time name validation, without building a
+    scenario (the topology description is
     cheap; no fabric is instantiated). *)
 
 val build_topology : params -> Topology.clos

@@ -1,31 +1,3 @@
-type naming = {
-  resolve_edge : string -> Topology.edge option;
-  resolve_switch : string -> int option;
-}
-
-(* edge names are "<switch>-<switch>" in either order under any switch
-   naming; a trailing letter on the second component selects the parallel
-   link of the bundle ("s2-l2b" = bundle index 1) *)
-let edge_naming ~topo resolve_switch =
-  let resolve_edge name =
-    match String.split_on_char '-' name with
-    | [ a; b ] -> (
-      let b, bundle =
-        let n = String.length b in
-        if
-          n >= 2
-          && (match b.[n - 1] with 'a' .. 'z' -> true | _ -> false)
-          && (match b.[n - 2] with '0' .. '9' -> true | _ -> false)
-        then (String.sub b 0 (n - 1), Char.code b.[n - 1] - Char.code 'a')
-        else (b, 0)
-      in
-      match (resolve_switch a, resolve_switch b) with
-      | Some na, Some nb -> Topology.find_edge topo ~a:na ~b:nb ~bundle_index:bundle
-      | _ -> None)
-    | _ -> None
-  in
-  { resolve_edge; resolve_switch }
-
 let clos_naming (c : Topology.clos) =
   (* "<i>" counts across the whole pod-major id array, "<p>.<i>" within
      pod p; both 1-based *)
@@ -55,13 +27,34 @@ let clos_naming (c : Topology.clos) =
       | 's' -> pick c.Topology.spine_ids c.Topology.spines_per_pod rest
       | _ -> None
   in
-  edge_naming ~topo:c.Topology.topo resolve_switch
+  (* an edge is "<switch>-<switch>" in either order; a trailing letter on
+     the second component selects the parallel link of the bundle
+     ("s2-l2b" = bundle index 1) *)
+  let resolve_edge name =
+    match String.split_on_char '-' name with
+    | [ a; b ] -> (
+      let b, bundle =
+        let n = String.length b in
+        if
+          n >= 2
+          && (match b.[n - 1] with 'a' .. 'z' -> true | _ -> false)
+          && (match b.[n - 2] with '0' .. '9' -> true | _ -> false)
+        then (String.sub b 0 (n - 1), Char.code b.[n - 1] - Char.code 'a')
+        else (b, 0)
+      in
+      match (resolve_switch a, resolve_switch b) with
+      | Some na, Some nb ->
+        Topology.find_edge c.Topology.topo ~a:na ~b:nb ~bundle_index:bundle
+      | _ -> None)
+    | _ -> None
+  in
+  { Fault_plan.resolve_edge; resolve_switch }
 
 (* which tier a plan event disturbs, for per-tier scorecard breakdowns:
    any edge or switch touching a core is "core"; host access links are
    "host"; intra-pod leaf/spine faults are "pod"; vswitch-side loss
    profiles are "vedge" *)
-let tier_of_event (n : naming) topo (ev : Fault_plan.event) =
+let tier_of_event (n : Fault_plan.names) topo (ev : Fault_plan.event) =
   let level_of node =
     match Topology.node topo node with
     | Topology.Host_node _ -> None
@@ -91,23 +84,33 @@ let tier_of_event (n : naming) topo (ev : Fault_plan.event) =
       match level_of node with Some lvl -> switch_tier lvl | None -> "unknown"))
   | Fault_plan.Feedback_loss _ | Fault_plan.Probe_loss _ -> "vedge"
 
-let names (n : naming) : Fault_plan.names =
-  {
-    Fault_plan.edge_known = (fun s -> Option.is_some (n.resolve_edge s));
-    switch_known = (fun s -> Option.is_some (n.resolve_switch s));
-  }
+(* a plan event with its names resolved, as [arm] hands it to [fire] *)
+type action =
+  | Edge_down of Topology.edge
+  | Edge_up of Topology.edge
+  | Flap of { edge : Topology.edge; period : Sim_time.span; duty : float }
+  | Brownout of {
+      edge : Topology.edge;
+      capacity_frac : float;
+      loss_prob : float;
+      rng : Rng.t;
+    }
+  | Feedback_loss of float
+  | Probe_loss of float
+  | Switch_down of int
+  | Switch_up of int
 
 type t = {
   sched : Scheduler.t;
   fabric : Fabric.t;
   vswitches : Clove.Vswitch.t array;
-  naming : naming;
+  naming : Fault_plan.names;
   rng : Rng.t;
   mutable fb_prob : float;
   mutable probe_prob : float;
-  (* switch name -> edges this engine took down for it, so switch-up
+  (* switch node -> edges this engine took down for it, so switch-up
      restores exactly those and leaves independently failed edges alone *)
-  mutable switch_failed : (string * Topology.edge list) list;
+  mutable switch_failed : (int * Topology.edge list) list;
   mutable fired : int;
   mutable flap_transitions : int;
   mutable stopped : bool;
@@ -139,16 +142,18 @@ let edge_down t e =
 
 let edge_up t e = if e.Topology.failed then Fabric.restore_edge t.fabric e
 
-let push_loss_profiles t =
+let set_loss_profiles t ~feedback ~probe =
+  t.fb_prob <- feedback;
+  t.probe_prob <- probe;
   Array.iter
     (fun v ->
-      Clove.Vswitch.set_fault_profile v ~feedback_loss:t.fb_prob
-        ~probe_loss:t.probe_prob)
+      Clove.Vswitch.set_fault_profile v ~feedback_loss:feedback
+        ~probe_loss:probe)
     t.vswitches
 
-let rec flap_cycle t e ~period ~duty ~stop_at =
+let rec flap_cycle t e ~period ~duty ~until =
   let expired =
-    match stop_at with
+    match until with
     | None -> false
     | Some limit -> Sim_time.(Scheduler.now t.sched >= limit)
   in
@@ -164,118 +169,102 @@ let rec flap_cycle t e ~period ~duty ~stop_at =
           t.flap_transitions <- t.flap_transitions + 1;
           let (_ : Scheduler.handle) =
             Scheduler.schedule t.sched ~after:up_for (fun () ->
-                flap_cycle t e ~period ~duty ~stop_at)
+                flap_cycle t e ~period ~duty ~until)
           in
           ())
     in
     ()
   end
 
-let fire t (ev : Fault_plan.event) =
+(* the one place a brownout or loss profile ends: at its [until] *)
+let at_until t until undo =
+  match until with
+  | None -> ()
+  | Some time ->
+    let (_ : Scheduler.handle) = Scheduler.schedule_at t.sched ~time undo in
+    ()
+
+let fire t ~until action =
   if not t.stopped then begin
     t.fired <- t.fired + 1;
-    match ev.Fault_plan.spec with
-    | Fault_plan.Down name -> (
-      match t.naming.resolve_edge name with
-      | Some e -> edge_down t e
-      | None -> ())
-    | Fault_plan.Up name -> (
-      match t.naming.resolve_edge name with
-      | Some e -> edge_up t e
-      | None -> ())
-    | Fault_plan.Flap { edge; period; duty; stop } -> (
-      match t.naming.resolve_edge edge with
-      | None -> ()
-      | Some e ->
-        let stop_at = Option.map Sim_time.of_span stop in
-        flap_cycle t e ~period ~duty ~stop_at)
-    | Fault_plan.Brownout { edge; capacity_frac; loss_prob; until } -> (
-      match t.naming.resolve_edge edge with
-      | None -> ()
-      | Some e ->
-        Fabric.set_edge_brownout t.fabric e ~capacity_frac ~loss_prob
-          ~rng:(Rng.split_named t.rng ("edge:" ^ edge));
-        (match until with
-        | None -> ()
-        | Some stop ->
-          let (_ : Scheduler.handle) =
-            Scheduler.schedule_at t.sched ~time:(Sim_time.of_span stop)
-              (fun () -> Fabric.clear_edge_brownout t.fabric e)
-          in
-          ()))
-    | Fault_plan.Feedback_loss { prob; until } ->
-      t.fb_prob <- prob;
-      push_loss_profiles t;
-      (match until with
-      | None -> ()
-      | Some stop ->
-        let (_ : Scheduler.handle) =
-          Scheduler.schedule_at t.sched ~time:(Sim_time.of_span stop) (fun () ->
-              t.fb_prob <- 0.0;
-              push_loss_profiles t)
-        in
-        ())
-    | Fault_plan.Probe_loss { prob; until } ->
-      t.probe_prob <- prob;
-      push_loss_profiles t;
-      (match until with
-      | None -> ()
-      | Some stop ->
-        let (_ : Scheduler.handle) =
-          Scheduler.schedule_at t.sched ~time:(Sim_time.of_span stop) (fun () ->
-              t.probe_prob <- 0.0;
-              push_loss_profiles t)
-        in
-        ())
-    | Fault_plan.Switch_down name -> (
-      match t.naming.resolve_switch name with
-      | None -> ()
-      | Some node ->
-        let failed = Fabric.fail_switch t.fabric node in
-        t.switch_failed <- (name, failed) :: t.switch_failed)
-    | Fault_plan.Switch_up name -> (
-      match List.assoc_opt name t.switch_failed with
+    match action with
+    | Edge_down e -> edge_down t e
+    | Edge_up e -> edge_up t e
+    | Flap { edge; period; duty } -> flap_cycle t edge ~period ~duty ~until
+    | Brownout { edge; capacity_frac; loss_prob; rng } ->
+      Fabric.set_edge_brownout t.fabric edge ~capacity_frac ~loss_prob ~rng;
+      at_until t until (fun () -> Fabric.clear_edge_brownout t.fabric edge)
+    | Feedback_loss p ->
+      set_loss_profiles t ~feedback:p ~probe:t.probe_prob;
+      at_until t until (fun () ->
+          set_loss_profiles t ~feedback:0.0 ~probe:t.probe_prob)
+    | Probe_loss p ->
+      set_loss_profiles t ~feedback:t.fb_prob ~probe:p;
+      at_until t until (fun () ->
+          set_loss_profiles t ~feedback:t.fb_prob ~probe:0.0)
+    | Switch_down node ->
+      t.switch_failed <- (node, Fabric.fail_switch t.fabric node) :: t.switch_failed
+    | Switch_up node -> (
+      match List.assoc_opt node t.switch_failed with
       | None -> ()
       | Some edges ->
-        t.switch_failed <- List.remove_assoc name t.switch_failed;
+        t.switch_failed <- List.remove_assoc node t.switch_failed;
         Fabric.restore_edges t.fabric edges)
   end
 
 (* ------------------------------ arming ---------------------------- *)
 
-let validate t plan =
-  let missing_edge name =
-    match t.naming.resolve_edge name with
-    | Some _ -> None
-    | None -> Some (Printf.sprintf "unknown edge %S" name)
+let resolve t (ev : Fault_plan.event) =
+  let edge name action =
+    match t.naming.Fault_plan.resolve_edge name with
+    | Some e -> Ok (action e)
+    | None -> Error (Printf.sprintf "unknown edge %S" name)
   in
-  let missing_switch name =
-    match t.naming.resolve_switch name with
-    | Some _ -> None
-    | None -> Some (Printf.sprintf "unknown switch %S" name)
+  let switch name action =
+    match t.naming.Fault_plan.resolve_switch name with
+    | Some node -> Ok (action node)
+    | None -> Error (Printf.sprintf "unknown switch %S" name)
   in
-  let problem (ev : Fault_plan.event) =
-    match ev.Fault_plan.spec with
-    | Fault_plan.Down n | Fault_plan.Up n
-    | Fault_plan.Flap { edge = n; _ }
-    | Fault_plan.Brownout { edge = n; _ } ->
-      missing_edge n
-    | Fault_plan.Switch_down n | Fault_plan.Switch_up n -> missing_switch n
-    | Fault_plan.Feedback_loss _ | Fault_plan.Probe_loss _ -> None
-  in
-  List.find_map problem plan
+  match ev.Fault_plan.spec with
+  | Fault_plan.Down n -> edge n (fun e -> Edge_down e)
+  | Fault_plan.Up n -> edge n (fun e -> Edge_up e)
+  | Fault_plan.Flap { edge = n; period; duty } ->
+    edge n (fun e -> Flap { edge = e; period; duty })
+  | Fault_plan.Brownout { edge = n; capacity_frac; loss_prob } ->
+    edge n (fun e ->
+        Brownout
+          {
+            edge = e;
+            capacity_frac;
+            loss_prob;
+            rng = Rng.split_named t.rng ("edge:" ^ n);
+          })
+  | Fault_plan.Feedback_loss p -> Ok (Feedback_loss p)
+  | Fault_plan.Probe_loss p -> Ok (Probe_loss p)
+  | Fault_plan.Switch_down n -> switch n (fun node -> Switch_down node)
+  | Fault_plan.Switch_up n -> switch n (fun node -> Switch_up node)
 
 let arm t plan =
-  match validate t plan with
-  | Some err -> Error err
-  | None ->
+  (* resolve the whole plan before scheduling any of it, so a plan with
+     an unknown name arms nothing *)
+  let rec resolve_all acc = function
+    | [] -> Ok (List.rev acc)
+    | ev :: rest -> (
+      match resolve t ev with
+      | Ok action -> resolve_all ((ev, action) :: acc) rest
+      | Error _ as e -> e)
+  in
+  match resolve_all [] plan with
+  | Error _ as e -> e
+  | Ok resolved ->
     List.iter
-      (fun (ev : Fault_plan.event) ->
+      (fun ((ev : Fault_plan.event), action) ->
+        let until = Option.map Sim_time.of_span ev.Fault_plan.until in
         let (_ : Scheduler.handle) =
           Scheduler.schedule_at t.sched
             ~time:(Sim_time.of_span ev.Fault_plan.at)
-            (fun () -> fire t ev)
+            (fun () -> fire t ~until action)
         in
         ())
-      plan;
+      resolved;
     Ok ()

@@ -1,8 +1,10 @@
 (** Deterministic execution of a {!Fault_plan} against a live fabric.
 
-    The engine resolves the plan's symbolic names through a {!naming}
-    ({!clos_naming} names every fabric the simulator builds), schedules one scheduler event per plan entry, and drives
-    the injection hooks: {!Fabric.fail_edge} / {!Fabric.restore_edge} /
+    {!arm} resolves the plan's symbolic names once, through a
+    {!Fault_plan.names} ({!clos_naming} names every fabric the simulator
+    builds), and schedules one scheduler event per plan entry; each fires
+    with its edge or switch in hand and drives the injection hooks:
+    {!Fabric.fail_edge} / {!Fabric.restore_edge} /
     {!Fabric.set_edge_brownout} / {!Fabric.fail_switch} on the fabric
     side, {!Clove.Vswitch.set_fault_profile} on the virtual edge.
 
@@ -12,12 +14,7 @@
     schedule perturbation; fault-free runs draw nothing from these
     streams at all. *)
 
-type naming = {
-  resolve_edge : string -> Topology.edge option;
-  resolve_switch : string -> int option;
-}
-
-val clos_naming : Topology.clos -> naming
+val clos_naming : Topology.clos -> Fault_plan.names
 (** Switches are ["l3"] / ["s2"] (1-based, pod-major across the whole
     fabric), ["l<pod>.<i>"] / ["s<pod>.<i>"] (both 1-based, e.g.
     ["s2.1"] is pod 2's first spine; on one pod ["l1.2"] is ["l2"]) and
@@ -26,11 +23,7 @@ val clos_naming : Topology.clos -> naming
     trailing bundle letter selecting the parallel link (["s2-l2b"] is
     bundle index 1; no letter means bundle 0). *)
 
-val names : naming -> Fault_plan.names
-(** Membership predicates for {!Fault_plan.parse}'s parse-time name
-    validation. *)
-
-val tier_of_event : naming -> Topology.t -> Fault_plan.event -> string
+val tier_of_event : Fault_plan.names -> Topology.t -> Fault_plan.event -> string
 (** The tier a plan event disturbs: ["core"] (any edge or switch
     touching a core switch), ["pod"] (intra-pod leaf/spine), ["host"]
     (access links), ["vedge"] (feedback/probe loss profiles), or
@@ -43,7 +36,7 @@ val create :
   sched:Scheduler.t ->
   fabric:Fabric.t ->
   vswitches:Clove.Vswitch.t array ->
-  naming:naming ->
+  naming:Fault_plan.names ->
   rng:Rng.t ->
   t
 (** [rng] should be a dedicated substream (e.g.
@@ -51,9 +44,11 @@ val create :
     per-edge brownout streams from it by name. *)
 
 val arm : t -> Fault_plan.t -> (unit, string) result
-(** Resolve every name in the plan (failing fast with a message naming
-    the first unknown edge/switch), then schedule all events at their
-    absolute times.  Call before running the scheduler. *)
+(** Resolve every name in the plan once (failing, with nothing
+    scheduled, with a message naming the first unknown edge/switch),
+    then schedule all events at their absolute times; a brownout or loss
+    profile with an [until] ends there.  Call before running the
+    scheduler. *)
 
 val stop : t -> unit
 (** Disarm: events that have not fired yet become no-ops, and any

@@ -1,29 +1,19 @@
 type spec =
   | Down of string
   | Up of string
-  | Flap of {
-      edge : string;
-      period : Sim_time.span;
-      duty : float;
-      stop : Sim_time.span option;
-    }
-  | Brownout of {
-      edge : string;
-      capacity_frac : float;
-      loss_prob : float;
-      until : Sim_time.span option;
-    }
-  | Feedback_loss of { prob : float; until : Sim_time.span option }
-  | Probe_loss of { prob : float; until : Sim_time.span option }
+  | Flap of { edge : string; period : Sim_time.span; duty : float }
+  | Brownout of { edge : string; capacity_frac : float; loss_prob : float }
+  | Feedback_loss of float
+  | Probe_loss of float
   | Switch_down of string
   | Switch_up of string
 
-type event = { at : Sim_time.span; spec : spec }
+type event = { at : Sim_time.span; until : Sim_time.span option; spec : spec }
 type t = event list
 
 type names = {
-  edge_known : string -> bool;
-  switch_known : string -> bool;
+  resolve_edge : string -> Topology.edge option;
+  resolve_switch : string -> int option;
 }
 
 (* ------------------------------ durations ------------------------- *)
@@ -88,13 +78,28 @@ let span_param ~item kvs key =
     | Ok sp -> Ok (Some sp)
     | Error e -> Error (Printf.sprintf "%s (param %s of %S)" e key item))
 
-let require_target ~item = function
-  | Some tgt -> Ok tgt
-  | None -> Error (Printf.sprintf "missing target in %S" item)
-
 let check_prob ~item ~what p =
   if p >= 0.0 && p < 1.0 then Ok p
   else Error (Printf.sprintf "%s must be in [0, 1) in %S" what item)
+
+(* the keys each verb reads: any other key=value is an error, so a typo
+   such as [fraction=] cannot fall back to the default unnoticed *)
+let keys_of = function
+  | Down _ | Up _ | Switch_down _ | Switch_up _ -> []
+  | Flap _ -> [ "period"; "duty"; "until" ]
+  | Brownout _ -> [ "frac"; "loss"; "until" ]
+  | Feedback_loss _ | Probe_loss _ -> [ "p"; "until" ]
+
+let check_keys ~item ~verb spec kvs =
+  let rec go seen = function
+    | [] -> Ok ()
+    | (k, _) :: _ when List.mem k seen ->
+      Error (Printf.sprintf "repeated %s= in %S" k item)
+    | (k, _) :: _ when not (List.mem k (keys_of spec)) ->
+      Error (Printf.sprintf "%s takes no %s= in %S" verb k item)
+    | (k, _) :: rest -> go (k :: seen) rest
+  in
+  go [] kvs
 
 (* reject unknown symbolic names while the offending item text is still
    in hand — callers with a topology in scope get parse-time errors
@@ -105,10 +110,10 @@ let check_names ~item names spec =
   | Some ns -> (
     match spec with
     | Down n | Up n | Flap { edge = n; _ } | Brownout { edge = n; _ } ->
-      if ns.edge_known n then Ok ()
+      if Option.is_some (ns.resolve_edge n) then Ok ()
       else Error (Printf.sprintf "unknown edge %S in %S" n item)
     | Switch_down n | Switch_up n ->
-      if ns.switch_known n then Ok ()
+      if Option.is_some (ns.resolve_switch n) then Ok ()
       else Error (Printf.sprintf "unknown switch %S in %S" n item)
     | Feedback_loss _ | Probe_loss _ -> Ok ())
 
@@ -139,19 +144,21 @@ let parse_item ?names item =
       | [] -> Error (Printf.sprintf "empty fault item %S" item)
       | _ -> Error (Printf.sprintf "too many words in %S" item)
     in
+    let tgt =
+      match target with
+      | Some tgt -> Ok tgt
+      | None -> Error (Printf.sprintf "missing target in %S" item)
+    in
     let* spec =
       match verb with
-      | "down" ->
-        let* tgt = require_target ~item target in
-        Ok (Down tgt)
-      | "up" ->
-        let* tgt = require_target ~item target in
-        Ok (Up tgt)
+      | "down" -> Result.map (fun tgt -> Down tgt) tgt
+      | "up" -> Result.map (fun tgt -> Up tgt) tgt
+      | "switch-down" -> Result.map (fun tgt -> Switch_down tgt) tgt
+      | "switch-up" -> Result.map (fun tgt -> Switch_up tgt) tgt
       | "flap" ->
-        let* tgt = require_target ~item target in
+        let* tgt = tgt in
         let* period = span_param ~item kvs "period" in
         let* duty = float_param ~item kvs "duty" in
-        let* stop = span_param ~item kvs "until" in
         let* period =
           match period with
           | Some p when Sim_time.compare_span p Sim_time.zero_span > 0 -> Ok p
@@ -161,42 +168,36 @@ let parse_item ?names item =
         let duty = Option.value ~default:0.5 duty in
         if duty <= 0.0 || duty >= 1.0 then
           Error (Printf.sprintf "flap duty must be in (0, 1) in %S" item)
-        else Ok (Flap { edge = tgt; period; duty; stop })
+        else Ok (Flap { edge = tgt; period; duty })
       | "brownout" ->
-        let* tgt = require_target ~item target in
+        let* tgt = tgt in
         let* frac = float_param ~item kvs "frac" in
         let* loss = float_param ~item kvs "loss" in
-        let* until = span_param ~item kvs "until" in
         let frac = Option.value ~default:1.0 frac in
         let loss = Option.value ~default:0.0 loss in
         if frac <= 0.0 || frac > 1.0 then
           Error (Printf.sprintf "brownout frac must be in (0, 1] in %S" item)
         else
           let* loss = check_prob ~item ~what:"brownout loss" loss in
-          Ok (Brownout { edge = tgt; capacity_frac = frac; loss_prob = loss; until })
+          Ok (Brownout { edge = tgt; capacity_frac = frac; loss_prob = loss })
       | "feedback-loss" | "probe-loss" ->
         (match target with
         | Some t -> Error (Printf.sprintf "unexpected target %S in %S" t item)
         | None ->
           let* p = float_param ~item kvs "p" in
-          let* until = span_param ~item kvs "until" in
           let* p =
             match p with
             | Some p -> check_prob ~item ~what:"p" p
             | None -> Error (Printf.sprintf "%s needs p=<prob> in %S" verb item)
           in
-          if verb = "feedback-loss" then Ok (Feedback_loss { prob = p; until })
-          else Ok (Probe_loss { prob = p; until }))
-      | "switch-down" ->
-        let* tgt = require_target ~item target in
-        Ok (Switch_down tgt)
-      | "switch-up" ->
-        let* tgt = require_target ~item target in
-        Ok (Switch_up tgt)
+          if verb = "feedback-loss" then Ok (Feedback_loss p)
+          else Ok (Probe_loss p))
       | v -> Error (Printf.sprintf "unknown fault verb %S in %S" v item)
     in
+    let* () = check_keys ~item ~verb spec kvs in
+    let* until = span_param ~item kvs "until" in
     let* () = check_names ~item names spec in
-    Ok { at; spec }
+    Ok { at; until; spec }
 
 let parse ?names s =
   let items = split_trim ';' s in
@@ -220,57 +221,40 @@ let parse ?names s =
 let spec_to_string = function
   | Down e -> Printf.sprintf "down %s" e
   | Up e -> Printf.sprintf "up %s" e
-  | Flap { edge; period; duty; stop } ->
-    Printf.sprintf "flap %s period=%s duty=%g%s" edge (span_to_string period)
-      duty
-      (match stop with
-      | None -> ""
-      | Some s -> Printf.sprintf " until=%s" (span_to_string s))
-  | Brownout { edge; capacity_frac; loss_prob; until } ->
-    Printf.sprintf "brownout %s frac=%g loss=%g%s" edge capacity_frac loss_prob
-      (match until with
-      | None -> ""
-      | Some s -> Printf.sprintf " until=%s" (span_to_string s))
-  | Feedback_loss { prob; until } ->
-    Printf.sprintf "feedback-loss p=%g%s" prob
-      (match until with
-      | None -> ""
-      | Some s -> Printf.sprintf " until=%s" (span_to_string s))
-  | Probe_loss { prob; until } ->
-    Printf.sprintf "probe-loss p=%g%s" prob
-      (match until with
-      | None -> ""
-      | Some s -> Printf.sprintf " until=%s" (span_to_string s))
+  | Flap { edge; period; duty } ->
+    Printf.sprintf "flap %s period=%s duty=%g" edge (span_to_string period) duty
+  | Brownout { edge; capacity_frac; loss_prob } ->
+    Printf.sprintf "brownout %s frac=%g loss=%g" edge capacity_frac loss_prob
+  | Feedback_loss p -> Printf.sprintf "feedback-loss p=%g" p
+  | Probe_loss p -> Printf.sprintf "probe-loss p=%g" p
   | Switch_down s -> Printf.sprintf "switch-down %s" s
   | Switch_up s -> Printf.sprintf "switch-up %s" s
 
 let event_to_string ev =
-  Printf.sprintf "%s@%s" (spec_to_string ev.spec) (span_to_string ev.at)
+  Printf.sprintf "%s%s@%s" (spec_to_string ev.spec)
+    (match ev.until with
+    | None -> ""
+    | Some u -> Printf.sprintf " until=%s" (span_to_string u))
+    (span_to_string ev.at)
 
 let to_string plan = String.concat "; " (List.map event_to_string plan)
 
 (* ------------------------- disruption window ---------------------- *)
 
 let disruption_window plan =
-  let fmin a b =
-    match a with Some a when Sim_time.compare_span a b <= 0 -> Some a | _ -> Some b
-  in
-  let fmax a b =
-    match a with Some a when Sim_time.compare_span a b >= 0 -> Some a | _ -> Some b
-  in
-  let start, stop =
-    List.fold_left
-      (fun (start, stop) ev ->
-        match ev.spec with
-        | Down _ | Switch_down _ -> (fmin start ev.at, stop)
-        | Flap { stop = s; _ } ->
-          ( fmin start ev.at,
-            match s with None -> stop | Some s -> fmax stop s )
-        | Brownout { until; _ } | Feedback_loss { until; _ } | Probe_loss { until; _ }
-          ->
-          ( fmin start ev.at,
-            match until with None -> stop | Some s -> fmax stop s )
-        | Up _ | Switch_up _ -> (start, fmax stop ev.at))
-      (None, None) plan
-  in
-  match start with None -> None | Some s -> Some (s, stop)
+  let earlier a b = if Sim_time.compare_span a b <= 0 then a else b in
+  let later a b = if Sim_time.compare_span a b >= 0 then a else b in
+  let restores ev = match ev.spec with Up _ | Switch_up _ -> true | _ -> false in
+  match List.filter (fun ev -> not (restores ev)) plan with
+  | [] -> None
+  | first :: faults ->
+    let start = List.fold_left (fun acc ev -> earlier acc ev.at) first.at faults in
+    let ends =
+      List.filter_map (fun ev -> if restores ev then Some ev.at else ev.until) plan
+    in
+    let settle =
+      match ends with
+      | e :: es -> List.fold_left later e es
+      | [] -> List.fold_left (fun acc ev -> later acc ev.at) start plan
+    in
+    Some (start, settle)

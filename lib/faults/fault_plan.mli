@@ -11,26 +11,30 @@
     ["down s2-l2b@60ms"].  Verbs:
 
     - [down <edge>] / [up <edge>] — fail / restore a named edge;
-    - [flap <edge> period=10ms duty=0.5 until=120ms] — periodic
-      down/up: down for [duty*period], up for the rest, until [until]
-      (or the end of the run);
-    - [brownout <edge> frac=0.5 loss=0.01 until=120ms] — degrade an
-      edge to [frac] of its capacity with wire loss probability [loss];
-    - [feedback-loss p=0.3 until=120ms] — every vswitch drops
-      congestion feedback with probability [p];
-    - [probe-loss p=0.3 until=120ms] — every vswitch drops traceroute
-      probes and replies with probability [p];
+    - [flap <edge> period=10ms duty=0.5] — periodic down/up: down for
+      [duty*period], up for the rest;
+    - [brownout <edge> frac=0.5 loss=0.01] — degrade an edge to [frac]
+      of its capacity with wire loss probability [loss];
+    - [feedback-loss p=0.3] — every vswitch drops congestion feedback
+      with probability [p];
+    - [probe-loss p=0.3] — every vswitch drops traceroute probes and
+      replies with probability [p];
     - [switch-down <switch>] / [switch-up <switch>] — fail / restore
       every edge incident to a switch.
+
+    [until=<time>] ends a flap, brownout, feedback-loss or probe-loss at
+    that absolute instant (without it the fault lasts to the end of the
+    run); the four other verbs take no [until=].  A [key=value] its verb
+    does not read, or a repeated key, is a parse error.
 
     Switch and edge names follow {!Fault_engine.clos_naming}: on the
     paper's leaf–spine, ["s2-l2b"] is the second parallel link between
     spine 2 and leaf 2; with pods and cores, ["core0"], ["s1.2"] and
     ["l2.1-s2.2"] name a core, pod 1's second spine and an edge in
     pod 2.
-    Parsing is pure; pass [?names] membership predicates (from
-    {!Fault_engine.names}) to reject unknown switch/edge names at parse
-    time instead of arm time. *)
+    Parsing is pure; pass [?names] (from {!Fault_engine.clos_naming}) to
+    reject unknown switch/edge names at parse time instead of arm
+    time. *)
 
 type spec =
   | Down of string
@@ -39,36 +43,39 @@ type spec =
       edge : string;
       period : Sim_time.span;
       duty : float;  (** fraction of [period] spent down, in (0, 1) *)
-      stop : Sim_time.span option;
     }
   | Brownout of {
       edge : string;
       capacity_frac : float;  (** (0, 1] *)
       loss_prob : float;  (** [0, 1) *)
-      until : Sim_time.span option;
     }
-  | Feedback_loss of { prob : float; until : Sim_time.span option }
-  | Probe_loss of { prob : float; until : Sim_time.span option }
+  | Feedback_loss of float  (** drop probability, [0, 1) *)
+  | Probe_loss of float  (** drop probability, [0, 1) *)
   | Switch_down of string
   | Switch_up of string
 
-type event = { at : Sim_time.span; spec : spec }
+type event = {
+  at : Sim_time.span;
+  until : Sim_time.span option;
+      (** the end of a flap, brownout or loss profile; [None] for the
+          other verbs *)
+  spec : spec;
+}
 
 type t = event list
 (** Sorted by [at] (stable for equal times, preserving spec order). *)
 
 type names = {
-  edge_known : string -> bool;
-  switch_known : string -> bool;
+  resolve_edge : string -> Topology.edge option;
+  resolve_switch : string -> int option;
 }
-(** Membership predicates over a topology's symbolic names, used by
-    {!parse} to fail fast on typos.  Build one from a live naming with
-    {!Fault_engine.names}. *)
+(** A topology's symbolic names: {!parse} checks targets against it and
+    {!Fault_engine.arm} resolves them through it. *)
 
 val parse : ?names:names -> string -> (t, string) result
 (** Parse a CLI fault spec; the error is a human-readable message naming
-    the offending item.  With [?names], any edge/switch target unknown to
-    the predicates is a parse error ([unknown edge "x" in "item"]). *)
+    the offending item.  With [?names], any edge/switch target it does
+    not resolve is a parse error ([unknown edge "x" in "item"]). *)
 
 val span_of_string : string -> (Sim_time.span, string) result
 (** ["60ms"], ["10us"], ["2s"], ["500ns"], or bare seconds. *)
@@ -77,7 +84,9 @@ val to_string : t -> string
 (** Round-trips through {!parse} (modulo whitespace and item order of
     simultaneous events). *)
 
-val disruption_window : t -> (Sim_time.span * Sim_time.span option) option
-(** [(first fault start, last known restoration)] — the restoration is
-    [None] when some fault never ends inside the plan (e.g. a [down]
-    without an [up]).  Drives the scorecard's pre/during/post split. *)
+val disruption_window : t -> (Sim_time.span * Sim_time.span) option
+(** [(first fault start, settle instant)], or [None] for a plan with no
+    fault.  The disruption settles at the latest restoration ([up],
+    [switch-up] or [until]) when the plan has one, else at its last
+    event: a permanent fault settles once it has fully set in.  Drives
+    the scorecard's pre/during/post split. *)

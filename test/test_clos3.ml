@@ -78,7 +78,7 @@ let test_naming_round_trip () =
   let c3 = mk_clos3 () in
   let naming = Faults.Fault_engine.clos_naming c3 in
   let sw name =
-    match naming.Faults.Fault_engine.resolve_switch name with
+    match naming.Faults.Fault_plan.resolve_switch name with
     | Some id -> id
     | None -> Alcotest.failf "switch %S did not resolve" name
   in
@@ -92,7 +92,7 @@ let test_naming_round_trip () =
   check_int "s3 = s2.1" (sw "s2.1") (sw "s3");
   check_int "l4 = l2.2" (sw "l2.2") (sw "l4");
   let edge name =
-    match naming.Faults.Fault_engine.resolve_edge name with
+    match naming.Faults.Fault_plan.resolve_edge name with
     | Some e -> e
     | None -> Alcotest.failf "edge %S did not resolve" name
   in
@@ -107,8 +107,8 @@ let test_naming_round_trip () =
     (b0.Topology.edge_id <> b1.Topology.edge_id
     && b1.Topology.bundle_index = 1);
   (* unknowns stay unresolved *)
-  let no_sw n = naming.Faults.Fault_engine.resolve_switch n = None in
-  let no_edge n = naming.Faults.Fault_engine.resolve_edge n = None in
+  let no_sw n = naming.Faults.Fault_plan.resolve_switch n = None in
+  let no_edge n = naming.Faults.Fault_plan.resolve_edge n = None in
   check_bool "core4 unknown" true (no_sw "core4");
   check_bool "s3.1 unknown" true (no_sw "s3.1");
   check_bool "l1.3 unknown" true (no_sw "l1.3");
@@ -122,20 +122,20 @@ let test_one_pod_naming () =
       (Scenario.build_topology Scenario.default_params)
   in
   let sw name =
-    match naming.Faults.Fault_engine.resolve_switch name with
+    match naming.Faults.Fault_plan.resolve_switch name with
     | Some id -> id
     | None -> Alcotest.failf "switch %S did not resolve" name
   in
   let edge name =
-    match naming.Faults.Fault_engine.resolve_edge name with
+    match naming.Faults.Fault_plan.resolve_edge name with
     | Some e -> e.Topology.edge_id
     | None -> Alcotest.failf "edge %S did not resolve" name
   in
   check_int "l1.2 = l2" (sw "l2") (sw "l1.2");
   check_int "s1.1 = s1" (sw "s1") (sw "s1.1");
   check_int "s1.2-l1.2b = s2-l2b" (edge "s2-l2b") (edge "s1.2-l1.2b");
-  check_bool "no pod 2" true (naming.Faults.Fault_engine.resolve_switch "l2.1" = None);
-  check_bool "no cores" true (naming.Faults.Fault_engine.resolve_switch "core0" = None)
+  check_bool "no pod 2" true (naming.Faults.Fault_plan.resolve_switch "l2.1" = None);
+  check_bool "no cores" true (naming.Faults.Fault_plan.resolve_switch "core0" = None)
 
 let test_parse_time_validation () =
   (* Fault_plan.parse ~names rejects unknown names at parse time with an

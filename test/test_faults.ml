@@ -63,15 +63,15 @@ let test_parse_sorts_events () =
 let test_parse_flap_brownout () =
   let open Faults.Fault_plan in
   (match plan_of "flap s1-l1 period=10ms duty=0.25 until=100ms @20ms" with
-  | [ { at; spec = Flap { edge; period; duty; stop } } ] ->
+  | [ { at; until; spec = Flap { edge; period; duty } } ] ->
     check_int "at" 0 (Sim_time.compare_span at (span_ms 20));
     check_string "edge" "s1-l1" edge;
     check_int "period" 0 (Sim_time.compare_span period (span_ms 10));
     check_bool "duty" true (Float.abs (duty -. 0.25) < 1e-9);
-    check_bool "stop" true (stop = Some (span_ms 100))
+    check_bool "stop" true (until = Some (span_ms 100))
   | _ -> Alcotest.fail "flap did not parse as expected");
   match plan_of "brownout s2-l2b frac=0.5 loss=0.01 until=80ms @40ms" with
-  | [ { spec = Brownout { edge; capacity_frac; loss_prob; until }; _ } ] ->
+  | [ { spec = Brownout { edge; capacity_frac; loss_prob }; until; _ } ] ->
     check_string "edge" "s2-l2b" edge;
     check_bool "frac" true (Float.abs (capacity_frac -. 0.5) < 1e-9);
     check_bool "loss" true (Float.abs (loss_prob -. 0.01) < 1e-9);
@@ -81,16 +81,17 @@ let test_parse_flap_brownout () =
 let test_parse_vswitch_faults () =
   let open Faults.Fault_plan in
   (match plan_of "feedback-loss p=0.3 until=90ms @30ms" with
-  | [ { spec = Feedback_loss { prob; until }; _ } ] ->
+  | [ { spec = Feedback_loss prob; until; _ } ] ->
     check_bool "prob" true (Float.abs (prob -. 0.3) < 1e-9);
     check_bool "until" true (until = Some (span_ms 90))
   | _ -> Alcotest.fail "feedback-loss did not parse");
   (match plan_of "probe-loss p=0.9 @30ms" with
-  | [ { spec = Probe_loss { prob; until = None }; _ } ] ->
+  | [ { spec = Probe_loss prob; until = None; _ } ] ->
     check_bool "prob" true (Float.abs (prob -. 0.9) < 1e-9)
   | _ -> Alcotest.fail "probe-loss did not parse");
   match plan_of "switch-down s1@10ms; switch-up s1@20ms" with
-  | [ { spec = Switch_down "s1"; _ }; { spec = Switch_up "s1"; _ } ] -> ()
+  | [ { spec = Switch_down "s1"; until = None; _ };
+      { spec = Switch_up "s1"; until = None; _ } ] -> ()
   | _ -> Alcotest.fail "switch-down/up did not parse"
 
 let test_parse_errors () =
@@ -117,7 +118,28 @@ let test_parse_errors () =
   bad "feedback-loss @60ms";
   (* needs p= *)
   bad "probe-loss p=chunky @60ms";
-  bad "feedback-loss s2-l2b p=0.5 @60ms" (* takes no target *)
+  bad "feedback-loss s2-l2b p=0.5 @60ms";
+  (* takes no target *)
+  (* a key the verb does not read, or reads once, is an error naming it *)
+  let bad_key spec key =
+    match Faults.Fault_plan.parse spec with
+    | Ok _ -> Alcotest.failf "%S should not parse" spec
+    | Error e ->
+      let needle = key ^ "=" in
+      let n = String.length needle in
+      let rec mentions i =
+        i + n <= String.length e && (String.sub e i n = needle || mentions (i + 1))
+      in
+      check_bool (Printf.sprintf "error %S names %s" e needle) true (mentions 0)
+  in
+  bad_key "brownout s2-l2b fraction=0.1 @60ms" "fraction";
+  bad_key "feedback-loss prob=0.3 p=0.3 @60ms" "prob";
+  bad_key "brownout s2-l2b frac=0.5 frac=0.1 @60ms" "frac";
+  (* until= ends only flap, brownout and the loss profiles *)
+  bad_key "down s2-l2b until=70ms @60ms" "until";
+  bad_key "up s2-l2b until=70ms @60ms" "until";
+  bad_key "switch-down s1 until=70ms @60ms" "until";
+  bad_key "switch-up s1 until=70ms @60ms" "until"
 
 let test_plan_round_trip () =
   let specs =
@@ -143,20 +165,30 @@ let test_disruption_window () =
   let open Faults.Fault_plan in
   let window spec = disruption_window (plan_of spec) in
   (match window "down s2-l2b@60ms; up s2-l2b@120ms" with
-  | Some (start, Some stop) ->
+  | Some (start, stop) ->
     check_int "start" 0 (Sim_time.compare_span start (span_ms 60));
     check_int "stop" 0 (Sim_time.compare_span stop (span_ms 120))
   | _ -> Alcotest.fail "down/up window");
   (match window "down s2-l2b@60ms" with
-  | Some (_, None) -> ()
-  | _ -> Alcotest.fail "permanent down has no restoration");
+  | Some (start, settle) ->
+    check_int "permanent down settles at once" 0
+      (Sim_time.compare_span settle start)
+  | None -> Alcotest.fail "permanent down window");
+  (match window "down s2-l2b@60ms; down s1-l1@80ms" with
+  | Some (start, settle) ->
+    (* no restoration: a permanent plan settles at its last event *)
+    check_int "permanent start" 0 (Sim_time.compare_span start (span_ms 60));
+    check_int "permanent settle" 0 (Sim_time.compare_span settle (span_ms 80))
+  | None -> Alcotest.fail "permanent down window");
+  check_bool "restorations alone are no disruption" true
+    (window "up s2-l2b@60ms" = None);
   (match window "flap s2-l2b period=10ms until=110ms @60ms" with
-  | Some (start, Some stop) ->
+  | Some (start, stop) ->
     check_int "flap start" 0 (Sim_time.compare_span start (span_ms 60));
     check_int "flap stop" 0 (Sim_time.compare_span stop (span_ms 110))
   | _ -> Alcotest.fail "flap window");
   (match window "brownout s2-l2b loss=0.5 until=90ms @60ms" with
-  | Some (start, Some stop) ->
+  | Some (start, stop) ->
     check_int "brownout start" 0 (Sim_time.compare_span start (span_ms 60));
     check_int "brownout stop" 0 (Sim_time.compare_span stop (span_ms 90))
   | _ -> Alcotest.fail "brownout window")
@@ -298,6 +330,16 @@ let test_arm_rejects_unknown_names () =
   (match Faults.Fault_engine.arm engine (plan_of "switch-down s99@60ms") with
   | Error _ -> ()
   | Ok () -> Alcotest.fail "unknown switch should fail to arm");
+  (* names resolve before anything is scheduled: a plan whose later
+     event names an unknown edge arms none of its events *)
+  let pending = Scheduler.pending_events (Scenario.sched scn) in
+  (match
+     Faults.Fault_engine.arm engine (plan_of "down s2-l2b@60ms; up s9-l9@70ms")
+   with
+  | Error e -> check_string "first unknown name" "unknown edge \"s9-l9\"" e
+  | Ok () -> Alcotest.fail "unknown edge should fail to arm");
+  check_int "nothing scheduled" pending
+    (Scheduler.pending_events (Scenario.sched scn));
   Scenario.quiesce scn
 
 let test_flap_execution () =
