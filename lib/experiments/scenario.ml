@@ -328,12 +328,8 @@ let build ?shards ~scheme params =
   in
   let clients = leaf_hosts 0 ncl in
   let servers = leaf_hosts ncl (total_leaves params) in
-  if scheme = S_letflow then begin
-    let (_ : Fabric_lb.Letflow.t) =
-      Fabric_lb.Letflow.install ~rng:(Rng.split_named rng "letflow") fabric
-    in
-    ()
-  end;
+  if scheme = S_letflow then
+    Fabric_lb.Letflow.install ~rng:(Rng.split_named rng "letflow") fabric;
   let conga =
     if scheme = S_conga then
       (* CONGA's 500 us flowlet gap is ~5x its testbed RTT; scale the same
@@ -386,17 +382,13 @@ let fresh_conn t =
   t.next_port <- port + 16;
   (id, port)
 
-let tcp_cfg t =
-  if t.params.guest_dctcp then Transport.Tcp_config.dctcp
-  else Transport.Tcp_config.default
-
 let shard_of_host t host =
   match t.pdes with
   | None -> 0
   | Some p -> Partition.shard_of_node p.partition (Host.id host)
 
 let connect t ~src ~dst =
-  let tcp_cfg = tcp_cfg t in
+  let dctcp = t.params.guest_dctcp in
   let conn_id, base_port = fresh_conn t in
   t.conn_shards <- shard_of_host t src :: t.conn_shards;
   let v_src = vswitch t src and v_dst = vswitch t dst in
@@ -408,7 +400,7 @@ let connect t ~src ~dst =
   | S_mptcp ->
     (* one scheduler spans both endpoints; [build] rejects this sharded *)
     let conn =
-      Transport.Mptcp.create ~sched:t.sched ~cfg:tcp_cfg ~conn_id
+      Transport.Mptcp.create ~sched:t.sched ~dctcp ~conn_id
         ~subflows:mptcp_subflows ~src:(Host.addr src) ~dst:(Host.addr dst)
         ~base_port ~dst_port:80 ~tx_src ~tx_dst ~src_stack:(stack t src)
         ~dst_stack:(stack t dst) ()
@@ -418,7 +410,7 @@ let connect t ~src ~dst =
     (* each endpoint on its own host's scheduler: the fabric scheduler in
        serial builds, the host's shard under PDES *)
     let sender =
-      Transport.Tcp.create_sender ~sched:(Host.sched src) ~cfg:tcp_cfg ~conn_id
+      Transport.Tcp.create_sender ~sched:(Host.sched src) ~dctcp ~conn_id
         ~src:(Host.addr src) ~dst:(Host.addr dst) ~src_port:base_port ~dst_port:80
         ~tx:tx_src ()
     in

@@ -7,9 +7,7 @@
     switch hardware where Edge-Flowlet needs only the hypervisor.  It is
     included as an extension baseline. *)
 
-type t
-
-val install : rng:Rng.t -> Fabric.t -> t
+val install : rng:Rng.t -> Fabric.t -> unit
 (** Install flowlet pickers on every switch with multiple candidate next
     hops; each switch draws from a named substream of [rng] keyed on its
     id, so installation order never shifts another switch's picks.

@@ -203,7 +203,12 @@ let fire t ~until action =
       at_until t until (fun () ->
           set_loss_profiles t ~feedback:t.fb_prob ~probe:0.0)
     | Switch_down node ->
-      t.switch_failed <- (node, Fabric.fail_switch t.fabric node) :: t.switch_failed
+      (* one entry per switch: a repeated switch-down adds only the edges
+         it newly failed to the ones the first took down *)
+      let earlier = Option.value (List.assoc_opt node t.switch_failed) ~default:[] in
+      t.switch_failed <-
+        (node, Fabric.fail_switch t.fabric node @ earlier)
+        :: List.remove_assoc node t.switch_failed
     | Switch_up node -> (
       match List.assoc_opt node t.switch_failed with
       | None -> ()

@@ -10,10 +10,10 @@ type job = {
 type grant = { mutable g_bytes : int; mutable g_orphaned : bool; g_job : job }
 
 type t = {
-  senders : Tcp.sender array;
+  (* set once by [create]: each subflow's coupling closes over [t] *)
+  mutable senders : Tcp.sender array;
   mutable jobs : job list;  (* FIFO; oldest first *)
   grants : grant Queue.t array;  (* per-subflow FIFO of outstanding grants *)
-  mss : int;
   mutable reinjections : int;
 }
 
@@ -22,9 +22,7 @@ let lia_increase t k () =
      per-packet-acked increase for subflow k is min(alpha / w_total, 1 / w_k) *)
   let n = Array.length t.senders in
   let rtt_of s =
-    match Tcp.srtt s with
-    | Some r -> Float.max (Sim_time.span_to_sec r) 1e-6
-    | None -> 100e-6
+    Float.max (Sim_time.span_to_sec (Tcp.srtt s ~default:(Sim_time.us 100))) 1e-6
   in
   let w_total = ref 0.0 and best = ref 0.0 and denom = ref 0.0 in
   for i = 0 to n - 1 do
@@ -40,7 +38,7 @@ let lia_increase t k () =
     Float.min (alpha /. !w_total) (1.0 /. wk)
   end
 
-let chunk_bytes = 4 * 1400 (* the granule a subflow pulls: 4 MSS *)
+let chunk_bytes = 4 * Tcp.mss (* the granule a subflow pulls *)
 
 (* jobs of at most this many bytes ride one subflow instead of striping *)
 let stripe_threshold = 64 * 1024
@@ -57,12 +55,10 @@ let gc_jobs t =
 
 let window_avail t k =
   let s = t.senders.(k) in
-  int_of_float (Tcp.cwnd_pkts s *. float_of_int t.mss) - Tcp.flight_bytes s
+  int_of_float (Tcp.cwnd_pkts s *. float_of_int Tcp.mss) - Tcp.flight_bytes s
 
-let srtt_sec t k =
-  match Tcp.srtt t.senders.(k) with
-  | Some r -> Sim_time.span_to_sec r
-  | None -> 0.0 (* unmeasured subflows look attractive, like a fresh path *)
+(* unmeasured subflows look attractive, like a fresh path *)
+let srtt t k = Tcp.srtt t.senders.(k) ~default:Sim_time.zero_span
 
 let best_subflow t =
   (* minRTT scheduling, as in the Linux MPTCP default scheduler: the
@@ -70,10 +66,11 @@ let best_subflow t =
   let n = Array.length t.senders in
   let best = ref None in
   for k = 0 to n - 1 do
-    if window_avail t k >= t.mss then
+    if window_avail t k >= Tcp.mss then
       match !best with
       | None -> best := Some k
-      | Some b -> if srtt_sec t k < srtt_sec t b then best := Some k
+      | Some b ->
+        if Sim_time.compare_span (srtt t k) (srtt t b) < 0 then best := Some k
   done;
   !best
 
@@ -99,7 +96,9 @@ let pull t k () =
     | Some j when j <> k -> 0
     | _ ->
       let avail = window_avail t k in
-      let window_cap = if avail <= t.mss then t.mss else avail - (avail mod t.mss) in
+      let window_cap =
+        if avail <= Tcp.mss then Tcp.mss else avail - (avail mod Tcp.mss)
+      in
       let grant = min (min chunk_bytes window_cap) job.to_grant in
       if grant <= 0 then 0
       else begin
@@ -160,30 +159,32 @@ let reinject t k =
   if reinjected then
     Array.iteri (fun i s -> if i <> k then Tcp.try_send s) t.senders
 
-let create ~sched ~cfg ~conn_id ~subflows ~src ~dst ~base_port ~dst_port ~tx_src ~tx_dst
-    ~src_stack ~dst_stack () =
+let create ~sched ~dctcp ~conn_id ~subflows ~src ~dst ~base_port ~dst_port ~tx_src
+    ~tx_dst ~src_stack ~dst_stack () =
   if subflows < 1 then invalid_arg "Mptcp.create: need at least one subflow";
-  let senders =
-    Array.init subflows (fun k ->
-        Tcp.create_sender ~sched ~cfg ~conn_id ~subflow:k ~src ~dst
-          ~src_port:(base_port + k) ~dst_port ~tx:tx_src ())
-  in
   let t =
     {
-      senders;
+      senders = [||];
       jobs = [];
       grants = Array.init subflows (fun _ -> Queue.create ());
-      mss = cfg.Tcp_config.mss;
       reinjections = 0;
     }
   in
+  t.senders <-
+    Array.init subflows (fun k ->
+        let coupling =
+          {
+            Tcp.pull = pull t k;
+            ca_increase = lia_increase t k;
+            on_acked = on_acked t k;
+            on_timeout = (fun () -> reinject t k);
+          }
+        in
+        Tcp.create_sender ~sched ~dctcp ~coupling ~conn_id ~subflow:k ~src ~dst
+          ~src_port:(base_port + k) ~dst_port ~tx:tx_src ());
   Array.iteri
     (fun k s ->
       Stack.register_sender src_stack s;
-      Tcp.set_pull s (pull t k);
-      Tcp.set_on_acked s (on_acked t k);
-      Tcp.set_on_timeout s (fun () -> reinject t k);
-      Tcp.set_ca_increase s (lia_increase t k);
       let r =
         Tcp.create_receiver ~conn_id ~subflow:k ~addr:dst ~peer:src
           ~src_port:dst_port ~dst_port:(base_port + k) ~tx:tx_dst ()

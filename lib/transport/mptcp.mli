@@ -6,6 +6,12 @@
     credits for MPTCP's good average FCT and blames for its poor tail and
     incast behaviour.
 
+    Each subflow's sender is created with a {!Tcp.coupling}: the
+    connection hands it bytes, sets its congestion-avoidance increase,
+    attributes its ACKed bytes to jobs and reinjects after its RTO.
+    There is no shared reassembly: each subflow has its own receiver, and
+    a job completes once every grant carved from it is acknowledged.
+
     Scheduling is pull-based: a subflow with window space requests bytes of
     the connection-level job stream in small chunks.  Congestion avoidance
     uses the LIA coupled increase (Wischik et al., NSDI'11): per-ACK
@@ -16,7 +22,7 @@ type t
 
 val create :
   sched:Scheduler.t ->
-  cfg:Tcp_config.t ->
+  dctcp:bool ->
   conn_id:int ->
   subflows:int ->
   src:Addr.t ->

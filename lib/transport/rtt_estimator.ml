@@ -4,22 +4,15 @@
    floats (which mutable float fields of the mixed [t] record would) *)
 type ests = { mutable srtt_ns : float; mutable rttvar_ns : float }
 
-type t = {
-  min_rto : int;
-  max_rto : int;
-  e : ests;
-  mutable have_sample : bool;
-  mutable backoff_mult : int;
-}
+type t = { e : ests; mutable have_sample : bool; mutable backoff_mult : int }
 
-let create ?(min_rto = Sim_time.ms 10) ?(max_rto = Sim_time.sec 2.0) () =
-  {
-    min_rto = Sim_time.span_ns min_rto;
-    max_rto = Sim_time.span_ns max_rto;
-    e = { srtt_ns = 0.0; rttvar_ns = 0.0 };
-    have_sample = false;
-    backoff_mult = 1;
-  }
+(* RTO bounds in ns: a 10 ms floor (the datacenter testbed setting) and
+   a 2 s ceiling *)
+let min_rto = Sim_time.span_ns (Sim_time.ms 10)
+let max_rto = Sim_time.span_ns (Sim_time.sec 2.0)
+
+let create () =
+  { e = { srtt_ns = 0.0; rttvar_ns = 0.0 }; have_sample = false; backoff_mult = 1 }
 
 let sample t rtt =
   let r = float_of_int (Sim_time.span_ns rtt) in
@@ -38,20 +31,22 @@ let sample t rtt =
 
 let rto t =
   let base =
-    if not t.have_sample then t.min_rto * 20 (* conservative initial RTO *)
+    if not t.have_sample then min_rto * 20 (* conservative initial RTO *)
     else int_of_float (t.e.srtt_ns +. (4.0 *. t.e.rttvar_ns))
   in
   (* clamp to the floor before backing off, as Linux does: backoff must be
      observable even when SRTT-derived RTO sits below the minimum *)
-  let scaled = max t.min_rto base * t.backoff_mult in
-  Sim_time.span_of_ns (min t.max_rto scaled)
+  let scaled = max min_rto base * t.backoff_mult in
+  Sim_time.span_of_ns (min max_rto scaled)
 
-let has_sample t = t.have_sample
+let srtt t ~default =
+  if t.have_sample then Sim_time.span_of_ns (int_of_float t.e.srtt_ns) else default
 
-(* option-free SRTT for per-ACK callers; meaningless before the first
-   sample — guard with {!has_sample} *)
-let srtt_span t = Sim_time.span_of_ns (int_of_float t.e.srtt_ns)
-
-let srtt t = if t.have_sample then Some (srtt_span t) else None
+let pto t =
+  if t.have_sample then
+    Sim_time.add_span
+      (Sim_time.mul_span (srtt t ~default:Sim_time.zero_span) 2.0)
+      (Sim_time.us 100)
+  else Sim_time.ms 1
 
 let backoff t = t.backoff_mult <- min (t.backoff_mult * 2) 64

@@ -1,7 +1,16 @@
 type job = { end_seq : int; on_complete : unit -> unit }
 
+let mss = 1400
 let init_cwnd_pkts = 10.0
 let dupack_threshold = 3
+let dctcp_g = 1.0 /. 16.0 (* DCTCP's EWMA gain, as in the paper *)
+
+type coupling = {
+  pull : unit -> int;
+  ca_increase : unit -> float;
+  on_acked : int -> unit;
+  on_timeout : unit -> unit;
+}
 
 (* Congestion-control floats live in their own all-float record: OCaml
    stores such a record as a flat float block, so the per-ACK writes
@@ -17,7 +26,7 @@ type cc = {
 
 type sender = {
   sched : Scheduler.t;
-  cfg : Tcp_config.t;
+  dctcp : bool;
   conn_id : int;
   subflow : int;
   src : Addr.t;
@@ -48,23 +57,18 @@ type sender = {
   mutable dctcp_acked : int;
   mutable dctcp_marked : int;
   mutable dctcp_window_end : int;
-  mutable pull : (unit -> int) option;
-  mutable ca_increase : (unit -> float) option;
+  coupling : coupling option; (* MPTCP's; [None] is plain TCP *)
   mutable retransmits : int;
   mutable timeouts : int;
   mutable stopped : bool;
-  mutable on_acked : (int -> unit) option;
-  mutable on_timeout : (unit -> unit) option;
   (* timer arming, built once per sender: [arm_rto] runs on every ACK and
      would otherwise allocate a fresh closure each time *)
   start_rto : Sim_time.span -> Scheduler.handle;
   start_tlp : Sim_time.span -> Scheduler.handle;
 }
 
-let set_pull s f = s.pull <- Some f
-let set_ca_increase s f = s.ca_increase <- Some f
 let cwnd_pkts s = s.cc.cwnd
-let srtt s = Rtt_estimator.srtt s.rtt
+let srtt s ~default = Rtt_estimator.srtt s.rtt ~default
 let flight_bytes s = s.snd_next - s.snd_una
 let snd_una s = s.snd_una
 let retransmits s = s.retransmits
@@ -72,11 +76,7 @@ let timeouts s = s.timeouts
 let conn_id s = s.conn_id
 let subflow_id s = s.subflow
 let dst s = s.dst
-let set_on_acked s f = s.on_acked <- Some f
-let set_on_timeout s f = s.on_timeout <- Some f
-
-let mss s = s.cfg.Tcp_config.mss
-let cwnd_bytes s = int_of_float (s.cc.cwnd *. float_of_int (mss s))
+let cwnd_bytes s = int_of_float (s.cc.cwnd *. float_of_int mss)
 
 let cancel_rto s =
   match s.rto_handle with
@@ -111,28 +111,20 @@ let rec arm_rto s =
   end
 
 and arm_tlp s =
-  (* tail loss probe (Linux since 3.10): if no ACK arrives for ~2 SRTT,
-     retransmit the last unacked segment; a lost flight tail then recovers
-     via dupacks/cumulative ACK instead of a full RTO.  The SRTT is read
-     through the option-free raw accessors: this runs per ACK and the
-     [srtt] option would be a per-ACK box *)
-  if (not s.tlp_fired) && s.tlp_handle = None && not s.in_recovery then begin
-    let pto =
-      if Rtt_estimator.has_sample s.rtt then
-        Sim_time.add_span
-          (Sim_time.mul_span (Rtt_estimator.srtt_span s.rtt) 2.0)
-          (Sim_time.us 100)
-      else Sim_time.ms 1
-    in
-    s.tlp_handle <- Some (s.start_tlp pto)
-  end
+  (* tail loss probe (Linux since 3.10): if no ACK arrives within the
+     probe timeout, retransmit the last unacked segment; a lost flight
+     tail then recovers via dupacks/cumulative ACK instead of a full RTO *)
+  match s.tlp_handle with
+  | None when (not s.tlp_fired) && not s.in_recovery ->
+    s.tlp_handle <- Some (s.start_tlp (Rtt_estimator.pto s.rtt))
+  | _ -> ()
 
 and on_tlp s =
   s.tlp_handle <- None;
   if flight_bytes s > 0 && (not s.stopped) && not s.in_recovery then begin
     s.tlp_fired <- true;
-    let seq = max s.snd_una (s.snd_next - mss s) in
-    let payload = min (mss s) (s.stream_end - seq) in
+    let seq = max s.snd_una (s.snd_next - mss) in
+    let payload = min mss (s.stream_end - seq) in
     if payload > 0 then begin
       s.retransmits <- s.retransmits + 1;
       s.rtt_probe_seq <- -1;
@@ -147,7 +139,7 @@ and on_rto s =
     cancel_tlp s;
     s.tlp_fired <- false;
     Rtt_estimator.backoff s.rtt;
-    let flight_pkts = float_of_int (flight_bytes s) /. float_of_int (mss s) in
+    let flight_pkts = float_of_int (flight_bytes s) /. float_of_int mss in
     s.cc.ssthresh <- Float.max (flight_pkts /. 2.0) 2.0;
     s.cc.cwnd <- 1.0;
     s.in_recovery <- false;
@@ -156,24 +148,24 @@ and on_rto s =
     (* go-back-N: rewind and retransmit from the oldest unacked byte *)
     s.snd_next <- s.snd_una;
     s.retransmits <- s.retransmits + 1;
-    let payload = min (mss s) (s.stream_end - s.snd_una) in
+    let payload = min mss (s.stream_end - s.snd_una) in
     if payload > 0 then begin
       emit_data s ~seq:s.snd_una ~payload;
       s.snd_next <- s.snd_una + payload
     end;
     arm_rto s;
-    match s.on_timeout with Some f -> f () | None -> ()
+    match s.coupling with Some c -> c.on_timeout () | None -> ()
   end
 
-let create_sender ~sched ~cfg ~conn_id ?(subflow = 0) ~src ~dst ~src_port ~dst_port ~tx
-    () =
+let create_sender ~sched ~dctcp ?coupling ~conn_id ?(subflow = 0) ~src ~dst ~src_port
+    ~dst_port ~tx () =
   (* the timers rank under the sender's own component id: MPTCP arms all
      its subflows' timers from one handler in one instant *)
   let timer_src = Scheduler.fresh_src () in
   let rec s =
     {
       sched;
-      cfg;
+      dctcp;
       conn_id;
       subflow;
       src;
@@ -182,7 +174,7 @@ let create_sender ~sched ~cfg ~conn_id ?(subflow = 0) ~src ~dst ~src_port ~dst_p
       dst_port;
       tx;
       jobs = Queue.create ();
-      rtt = Rtt_estimator.create ~min_rto:cfg.Tcp_config.min_rto ~max_rto:cfg.Tcp_config.max_rto ();
+      rtt = Rtt_estimator.create ();
       snd_una = 0;
       snd_next = 0;
       stream_end = 0;
@@ -206,13 +198,10 @@ let create_sender ~sched ~cfg ~conn_id ?(subflow = 0) ~src ~dst ~src_port ~dst_p
       dctcp_acked = 0;
       dctcp_marked = 0;
       dctcp_window_end = 0;
-      pull = None;
-      ca_increase = None;
+      coupling;
       retransmits = 0;
       timeouts = 0;
       stopped = false;
-      on_acked = None;
-      on_timeout = None;
       start_rto = (fun after -> Scheduler.schedule_as sched ~src:timer_src ~after rto_fn);
       start_tlp = (fun after -> Scheduler.schedule_as sched ~src:timer_src ~after tlp_fn);
     }
@@ -221,7 +210,7 @@ let create_sender ~sched ~cfg ~conn_id ?(subflow = 0) ~src ~dst ~src_port ~dst_p
   s
 
 let retransmit_hole s =
-  let payload = min (mss s) (s.stream_end - s.snd_una) in
+  let payload = min mss (s.stream_end - s.snd_una) in
   if payload > 0 then begin
     s.retransmits <- s.retransmits + 1;
     s.rtt_probe_seq <- -1;
@@ -233,20 +222,20 @@ let rec try_send s =
   else begin
     (* extend the stream from the MPTCP scheduler if we have window room *)
     (if s.snd_next >= s.stream_end then
-       match s.pull with
-       | Some pull when s.snd_next - s.snd_una < cwnd_bytes s ->
-         let granted = pull () in
+       match s.coupling with
+       | Some c when s.snd_next - s.snd_una < cwnd_bytes s ->
+         let granted = c.pull () in
          if granted > 0 then s.stream_end <- s.stream_end + granted
        | _ -> ());
     if s.snd_next < s.stream_end && s.snd_next - s.snd_una < cwnd_bytes s then begin
-      let payload = min (mss s) (s.stream_end - s.snd_next) in
+      let payload = min mss (s.stream_end - s.snd_next) in
       emit_data s ~seq:s.snd_next ~payload;
       if s.rtt_probe_seq < 0 then begin
         s.rtt_probe_seq <- s.snd_next + payload;
         s.rtt_probe_t0 <- Scheduler.now s.sched
       end;
       s.snd_next <- s.snd_next + payload;
-      if s.rto_handle = None then arm_rto s;
+      (match s.rto_handle with None -> arm_rto s | Some _ -> ());
       try_send s
     end
   end
@@ -272,28 +261,22 @@ let ecn_signal s =
   (* at most one multiplicative decrease per RTT, RFC 3168 style; DCTCP
      scales the decrease by the marked fraction instead of halving *)
   let now = Scheduler.now s.sched in
-  let guard =
-    if Rtt_estimator.has_sample s.rtt then Rtt_estimator.srtt_span s.rtt
-    else Sim_time.us 100
-  in
+  let guard = Rtt_estimator.srtt s.rtt ~default:(Sim_time.us 100) in
   if (not s.ever_cut) || Sim_time.(now >= add s.last_ecn_cut guard) then begin
     s.ever_cut <- true;
     s.last_ecn_cut <- now;
-    let factor =
-      if s.cfg.Tcp_config.dctcp then 1.0 -. (s.cc.dctcp_alpha /. 2.0) else 0.5
-    in
+    let factor = if s.dctcp then 1.0 -. (s.cc.dctcp_alpha /. 2.0) else 0.5 in
     s.cc.ssthresh <- Float.max (s.cc.cwnd *. factor) 2.0;
     s.cc.cwnd <- s.cc.ssthresh
   end
 
 let dctcp_account s ~acked_bytes ~ece =
-  if s.cfg.Tcp_config.dctcp then begin
+  if s.dctcp then begin
     s.dctcp_acked <- s.dctcp_acked + acked_bytes;
     if ece then s.dctcp_marked <- s.dctcp_marked + acked_bytes;
     if s.snd_una >= s.dctcp_window_end && s.dctcp_acked > 0 then begin
       let f = float_of_int s.dctcp_marked /. float_of_int s.dctcp_acked in
-      let g = s.cfg.Tcp_config.dctcp_g in
-      s.cc.dctcp_alpha <- ((1.0 -. g) *. s.cc.dctcp_alpha) +. (g *. f);
+      s.cc.dctcp_alpha <- ((1.0 -. dctcp_g) *. s.cc.dctcp_alpha) +. (dctcp_g *. f);
       s.dctcp_acked <- 0;
       s.dctcp_marked <- 0;
       s.dctcp_window_end <- s.snd_next
@@ -301,13 +284,13 @@ let dctcp_account s ~acked_bytes ~ece =
   end
 
 let grow_window s ~acked_bytes =
-  let acked_pkts = float_of_int acked_bytes /. float_of_int (mss s) in
+  let acked_pkts = float_of_int acked_bytes /. float_of_int mss in
   if s.cc.cwnd < s.cc.ssthresh then
     s.cc.cwnd <- s.cc.cwnd +. acked_pkts (* slow start *)
   else
     let inc =
-      match s.ca_increase with
-      | Some f -> f () *. acked_pkts
+      match s.coupling with
+      | Some c -> c.ca_increase () *. acked_pkts
       | None -> acked_pkts /. s.cc.cwnd
     in
     s.cc.cwnd <- s.cc.cwnd +. inc
@@ -348,7 +331,7 @@ let on_ack s (seg : Packet.tcp_seg) =
           retransmit_hole s
       end
       else grow_window s ~acked_bytes;
-      (match s.on_acked with Some f -> f acked_bytes | None -> ());
+      (match s.coupling with Some c -> c.on_acked acked_bytes | None -> ());
       complete_jobs s;
       cancel_tlp s;
       s.tlp_fired <- false;
@@ -359,12 +342,12 @@ let on_ack s (seg : Packet.tcp_seg) =
       s.dup_acks <- s.dup_acks + 1;
       (* RFC 5827 early retransmit: with a small flight there can never be
          enough duplicate ACKs, so lower the threshold to flight-1 *)
-      let flight_pkts = (flight_bytes s + mss s - 1) / mss s in
+      let flight_pkts = (flight_bytes s + mss - 1) / mss in
       let threshold =
         min dupack_threshold (max 1 (flight_pkts - 1))
       in
       if s.dup_acks >= threshold && not s.in_recovery then begin
-        let flight_pkts = float_of_int (flight_bytes s) /. float_of_int (mss s) in
+        let flight_pkts = float_of_int (flight_bytes s) /. float_of_int mss in
         s.cc.ssthresh <- Float.max (flight_pkts /. 2.0) 2.0;
         s.in_recovery <- true;
         s.recover <- s.snd_next;

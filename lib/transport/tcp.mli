@@ -12,16 +12,39 @@
     Endpoints hand *inner* (unencapsulated) packets to a transmit callback
     provided by the hypervisor virtual-switch layer, which encapsulates
     and forwards them; inbound inner packets are dispatched back by
-    {!Stack}. *)
+    {!Stack}.
+
+    The segment size ({!mss}), the initial window (10 packets), the
+    dupack threshold (3), the RTO bounds ({!Rtt_estimator}) and DCTCP's
+    gain (1/16) are constants; the guest always reacts to ECN.  A sender
+    varies in two ways only: the DCTCP response and an MPTCP
+    {!coupling}, both fixed when it is created. *)
 
 type sender
 type receiver
 
+val mss : int
+(** Payload bytes per segment (1400). *)
+
 (** {2 Sender} *)
+
+type coupling = {
+  pull : unit -> int;
+      (** called when the stream is exhausted and window space remains;
+          returns the bytes the connection granted (0 = none) *)
+  ca_increase : unit -> float;
+      (** the per-packet-acked congestion-avoidance increment (MPTCP's
+          coupled increase), replacing [1 / cwnd] *)
+  on_acked : int -> unit;
+      (** newly acknowledged bytes, on every cumulative ACK advance *)
+  on_timeout : unit -> unit;  (** after the retransmission timer fires *)
+}
+(** How an MPTCP connection drives one of its subflows. *)
 
 val create_sender :
   sched:Scheduler.t ->
-  cfg:Tcp_config.t ->
+  dctcp:bool ->
+  ?coupling:coupling ->
   conn_id:int ->
   ?subflow:int ->
   src:Addr.t ->
@@ -31,6 +54,9 @@ val create_sender :
   tx:(Packet.t -> unit) ->
   unit ->
   sender
+(** [dctcp] cuts the window on ECN by half the marked-byte fraction
+    (DCTCP guests, Section 7) instead of halving it.  Without [coupling]
+    the sender is plain TCP. *)
 
 val send : sender -> bytes:int -> on_complete:(unit -> unit) -> unit
 (** Append a job of [bytes] to the stream; [on_complete] fires when its
@@ -45,20 +71,13 @@ val ecn_signal : sender -> unit
     the guest only when all paths are congested); reduces the window at
     most once per RTT, like an ECE. *)
 
-val set_pull : sender -> (unit -> int) -> unit
-(** MPTCP hook: when the stream is exhausted and window space remains, the
-    sender calls this to request more bytes; the scheduler returns how many
-    bytes it granted (0 = none available). *)
-
-val set_ca_increase : sender -> (unit -> float) -> unit
-(** Override the per-ACK congestion-avoidance window increment (in packets)
-    — used for MPTCP's coupled increase. *)
-
 val try_send : sender -> unit
 (** Opportunistically transmit whatever the window allows. *)
 
 val cwnd_pkts : sender -> float
-val srtt : sender -> Sim_time.span option
+val srtt : sender -> default:Sim_time.span -> Sim_time.span
+(** The smoothed RTT, or [default] before the first sample. *)
+
 val flight_bytes : sender -> int
 val snd_una : sender -> int
 val retransmits : sender -> int
@@ -66,14 +85,6 @@ val timeouts : sender -> int
 val conn_id : sender -> int
 val subflow_id : sender -> int
 val dst : sender -> Addr.t
-
-val set_on_acked : sender -> (int -> unit) -> unit
-(** Callback invoked with the number of newly acknowledged bytes on every
-    cumulative ACK advance (used by MPTCP to attribute bytes to jobs). *)
-
-val set_on_timeout : sender -> (unit -> unit) -> unit
-(** Callback invoked when the retransmission timer fires (used by MPTCP to
-    reinject the stalled subflow's data on healthy subflows). *)
 
 val stop : sender -> unit
 (** Cancel timers (end of experiment). *)

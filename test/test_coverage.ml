@@ -235,7 +235,7 @@ let test_routing_distances () =
 let test_tcp_invalid_send () =
   let sched = Scheduler.create () in
   let s =
-    Transport.Tcp.create_sender ~sched ~cfg:Transport.Tcp_config.default ~conn_id:1
+    Transport.Tcp.create_sender ~sched ~dctcp:false ~conn_id:1
       ~src:(Addr.of_int 0) ~dst:(Addr.of_int 1) ~src_port:1 ~dst_port:2
       ~tx:(fun _ -> ())
       ()
@@ -248,7 +248,7 @@ let test_tcp_cwnd_persists_across_jobs () =
   let sched = Scheduler.create () in
   let receiver_ref = ref None in
   let sender =
-    Transport.Tcp.create_sender ~sched ~cfg:Transport.Tcp_config.default ~conn_id:1
+    Transport.Tcp.create_sender ~sched ~dctcp:false ~conn_id:1
       ~src:(Addr.of_int 0) ~dst:(Addr.of_int 1) ~src_port:1 ~dst_port:2
       ~tx:(fun pkt ->
         match pkt.Packet.payload with
@@ -306,7 +306,7 @@ let test_mptcp_reinjection_recovers () =
     | _ -> ()
   in
   let conn =
-    Transport.Mptcp.create ~sched ~cfg:Transport.Tcp_config.default ~conn_id:2
+    Transport.Mptcp.create ~sched ~dctcp:false ~conn_id:2
       ~subflows:4 ~src ~dst ~base_port:3000 ~dst_port:80 ~tx_src ~tx_dst ~src_stack
       ~dst_stack ()
   in

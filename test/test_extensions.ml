@@ -124,22 +124,15 @@ let test_dctcp_guests_deliver () =
   check_bool "dctcp guests complete" true ok
 
 let test_dctcp_gentler_than_reno_cut () =
-  (* after an unmarked window drives alpha to ~0, DCTCP's reduction must be
-     much smaller than a Reno halving *)
+  (* DCTCP's alpha starts at 1 and each unmarked window scales it by
+     (1 - g), g = 1/16; its ECN cut is then alpha / 2, where Reno halves *)
   let sched = Scheduler.create () in
-  let mk cfg =
-    Transport.Tcp.create_sender ~sched ~cfg ~conn_id:1 ~src:(Addr.of_int 0)
+  let mk dctcp =
+    Transport.Tcp.create_sender ~sched ~dctcp ~conn_id:1 ~src:(Addr.of_int 0)
       ~dst:(Addr.of_int 1) ~src_port:1 ~dst_port:2
       ~tx:(fun _ -> ())
       ()
   in
-  let reno = mk Transport.Tcp_config.default in
-  let dctcp =
-    mk { Transport.Tcp_config.dctcp with Transport.Tcp_config.dctcp_g = 1.0 }
-  in
-  (* open both windows *)
-  Transport.Tcp.send reno ~bytes:100_000 ~on_complete:(fun () -> ());
-  Transport.Tcp.send dctcp ~bytes:100_000 ~on_complete:(fun () -> ());
   let ack s n =
     Transport.Tcp.on_ack s
       {
@@ -154,18 +147,32 @@ let test_dctcp_gentler_than_reno_cut () =
         ece = false;
       }
   in
-  (* a full unmarked window: with g = 1, alpha drops to 0 *)
-  for i = 1 to 10 do
-    ack dctcp (i * 1400)
+  let windows = 16 in
+  (* one segment per window: its unmarked ACK closes the window *)
+  let drive s =
+    for i = 1 to windows do
+      Transport.Tcp.send s ~bytes:Transport.Tcp.mss ~on_complete:(fun () -> ());
+      ack s (i * Transport.Tcp.mss)
+    done
+  in
+  let cut s =
+    let w = Transport.Tcp.cwnd_pkts s in
+    Transport.Tcp.ecn_signal s;
+    1.0 -. (Transport.Tcp.cwnd_pkts s /. w)
+  in
+  let reno = mk false and dctcp = mk true in
+  drive reno;
+  drive dctcp;
+  let g = 1.0 /. 16.0 in
+  let alpha = ref 1.0 in
+  for _ = 1 to windows do
+    alpha := (1.0 -. g) *. !alpha
   done;
-  let w_dctcp = Transport.Tcp.cwnd_pkts dctcp in
-  Transport.Tcp.ecn_signal dctcp;
-  let dctcp_cut = 1.0 -. (Transport.Tcp.cwnd_pkts dctcp /. w_dctcp) in
-  let w_reno = Transport.Tcp.cwnd_pkts reno in
-  Transport.Tcp.ecn_signal reno;
-  let reno_cut = 1.0 -. (Transport.Tcp.cwnd_pkts reno /. w_reno) in
+  let dctcp_cut = cut dctcp and reno_cut = cut reno in
+  Alcotest.(check (float 1e-9)) "dctcp cut = alpha / 2" (!alpha /. 2.0) dctcp_cut;
+  Alcotest.(check (float 1e-9)) "reno halves" 0.5 reno_cut;
   check_bool
-    (Printf.sprintf "dctcp cut (%.2f) < reno cut (%.2f)" dctcp_cut reno_cut)
+    (Printf.sprintf "dctcp cut (%.3f) < reno cut (%.3f)" dctcp_cut reno_cut)
     true (dctcp_cut < reno_cut);
   Transport.Tcp.stop reno;
   Transport.Tcp.stop dctcp
@@ -255,9 +262,8 @@ let test_fat_tree_end_to_end_clove () =
   in
   let src, src_stack, v_src = mk_host (pod_hosts c 0).(0) in
   let dst, dst_stack, v_dst = mk_host (pod_hosts c 3).(0) in
-  let tcfg = Transport.Tcp_config.default in
   let sender =
-    Transport.Tcp.create_sender ~sched ~cfg:tcfg ~conn_id:1 ~src:(Host.addr src)
+    Transport.Tcp.create_sender ~sched ~dctcp:false ~conn_id:1 ~src:(Host.addr src)
       ~dst:(Host.addr dst) ~src_port:1000 ~dst_port:80
       ~tx:(fun pkt -> Clove.Vswitch.tx v_src pkt)
       ()

@@ -373,6 +373,32 @@ let test_flap_execution () =
   Faults.Fault_engine.stop engine;
   Scenario.quiesce scn
 
+(* a switch-up restores every edge its switch's down took, also when the
+   switch was taken down twice *)
+let switch_up_restores spec () =
+  let scn = build_scenario ~scheme:Scenario.S_ecmp () in
+  let sched = Scenario.sched scn in
+  let engine = engine_for scn in
+  arm_exn engine (plan_of spec);
+  let edge =
+    match (Scenario.fault_naming scn).resolve_edge "s1-l1" with
+    | Some e -> e
+    | None -> Alcotest.fail "s1-l1 should resolve"
+  in
+  let fabric = Scenario.fabric scn in
+  let seen_down = ref false in
+  ignore
+    (Scheduler.schedule_at sched ~time:(Sim_time.of_span (Sim_time.ms 17))
+       (fun () ->
+         let fwd, _ = Fabric.links_of_edge fabric edge in
+         seen_down := not (Link.up fwd)));
+  Scheduler.run ~until:(Sim_time.of_span (Sim_time.ms 30)) sched;
+  check_bool "s1-l1 down while s1 is down" true !seen_down;
+  let fwd, rev = Fabric.links_of_edge fabric edge in
+  check_bool "s1-l1 up at 30 ms" true (Link.up fwd && Link.up rev);
+  Faults.Fault_engine.stop engine;
+  Scenario.quiesce scn
+
 (* ------------------------- Path_table aging ------------------------ *)
 
 let hop n p = { Packet.hop_node = n; hop_port = p }
@@ -726,6 +752,11 @@ let () =
           Alcotest.test_case "unknown names rejected" `Quick
             test_arm_rejects_unknown_names;
           Alcotest.test_case "flap executes" `Quick test_flap_execution;
+          Alcotest.test_case "switch-up restores" `Quick
+            (switch_up_restores "switch-down s1@10ms; switch-up s1@20ms");
+          Alcotest.test_case "repeated switch-down, one switch-up" `Quick
+            (switch_up_restores
+               "switch-down s1@10ms; switch-down s1@15ms; switch-up s1@20ms");
         ] );
       ( "path-aging",
         [

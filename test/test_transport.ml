@@ -8,8 +8,6 @@
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
-let cfg = Transport.Tcp_config.default
-
 (* a bidirectional pipe between one sender and one receiver with [latency],
    dropping data packets whose global index satisfies [drop] *)
 let make_pair ?(latency = Sim_time.us 50) ?(drop = fun _ -> false) () =
@@ -46,8 +44,8 @@ let make_pair ?(latency = Sim_time.us 50) ?(drop = fun _ -> false) () =
     | _ -> ()
   in
   let sender =
-    Transport.Tcp.create_sender ~sched ~cfg ~conn_id:1 ~src ~dst ~src_port:1000
-      ~dst_port:80 ~tx:tx_src ()
+    Transport.Tcp.create_sender ~sched ~dctcp:false ~conn_id:1 ~src ~dst
+      ~src_port:1000 ~dst_port:80 ~tx:tx_src ()
   in
   let receiver =
     Transport.Tcp.create_receiver ~conn_id:1 ~addr:dst ~peer:src
@@ -61,20 +59,21 @@ let make_pair ?(latency = Sim_time.us 50) ?(drop = fun _ -> false) () =
 
 let test_rtt_srtt_tracks () =
   let r = Transport.Rtt_estimator.create () in
-  Alcotest.(check bool) "no sample yet" true (Transport.Rtt_estimator.srtt r = None);
+  let srtt_ns () =
+    Sim_time.span_ns (Transport.Rtt_estimator.srtt r ~default:(Sim_time.ns (-1)))
+  in
+  let pto_ns () = Sim_time.span_ns (Transport.Rtt_estimator.pto r) in
+  check_int "no sample yet" (-1) (srtt_ns ());
+  check_int "pto before a sample" 1_000_000 (pto_ns ());
   Transport.Rtt_estimator.sample r (Sim_time.us 100);
-  (match Transport.Rtt_estimator.srtt r with
-  | Some s -> check_int "first sample" 100_000 (Sim_time.span_ns s)
-  | None -> Alcotest.fail "expected srtt");
+  check_int "first sample" 100_000 (srtt_ns ());
+  check_int "pto = 2 srtt + 100 us" 300_000 (pto_ns ());
   Transport.Rtt_estimator.sample r (Sim_time.us 200);
-  match Transport.Rtt_estimator.srtt r with
-  | Some s ->
-    check_bool "ewma between" true
-      (Sim_time.span_ns s > 100_000 && Sim_time.span_ns s < 200_000)
-  | None -> Alcotest.fail "expected srtt"
+  check_bool "ewma between" true (srtt_ns () > 100_000 && srtt_ns () < 200_000)
 
 let test_rtt_rto_floor_and_backoff () =
-  let r = Transport.Rtt_estimator.create ~min_rto:(Sim_time.ms 10) () in
+  (* the RTO floor is the 10 ms testbed setting *)
+  let r = Transport.Rtt_estimator.create () in
   Transport.Rtt_estimator.sample r (Sim_time.us 50);
   check_int "floored at min" 10_000_000 (Sim_time.span_ns (Transport.Rtt_estimator.rto r));
   Transport.Rtt_estimator.backoff r;
@@ -125,7 +124,7 @@ let test_tcp_tail_loss_probe () =
   (* drop the very LAST packet of the flow: no dupacks can arrive; the
      tail loss probe must recover it without a full RTO *)
   let total = 50_000 in
-  let npkts = (total + cfg.Transport.Tcp_config.mss - 1) / cfg.Transport.Tcp_config.mss in
+  let npkts = (total + Transport.Tcp.mss - 1) / Transport.Tcp.mss in
   let sched, sender, receiver = make_pair ~drop:(fun i -> i = npkts - 1) () in
   let finished = ref false in
   Transport.Tcp.send sender ~bytes:total ~on_complete:(fun () -> finished := true);
@@ -266,7 +265,7 @@ let make_mptcp ?(subflows = 4) () =
     | _ -> ()
   in
   let conn =
-    Transport.Mptcp.create ~sched ~cfg ~conn_id:7 ~subflows ~src ~dst ~base_port:2000
+    Transport.Mptcp.create ~sched ~dctcp:false ~conn_id:7 ~subflows ~src ~dst ~base_port:2000
       ~dst_port:80 ~tx_src ~tx_dst ~src_stack ~dst_stack ()
   in
   (sched, conn, src_stack, dst_stack)
@@ -321,7 +320,7 @@ let test_stack_dispatch_and_unknown () =
   let sched = Scheduler.create () in
   let st = Transport.Stack.create () in
   let sender =
-    Transport.Tcp.create_sender ~sched ~cfg ~conn_id:9 ~src:(Addr.of_int 0)
+    Transport.Tcp.create_sender ~sched ~dctcp:false ~conn_id:9 ~src:(Addr.of_int 0)
       ~dst:(Addr.of_int 1) ~src_port:1 ~dst_port:2
       ~tx:(fun _ -> ())
       ()
@@ -356,7 +355,7 @@ let test_stack_ecn_signal_routing () =
   let st = Transport.Stack.create () in
   let mk dst_int conn_id =
     let s =
-      Transport.Tcp.create_sender ~sched ~cfg ~conn_id ~src:(Addr.of_int 0)
+      Transport.Tcp.create_sender ~sched ~dctcp:false ~conn_id ~src:(Addr.of_int 0)
         ~dst:(Addr.of_int dst_int) ~src_port:1 ~dst_port:2
         ~tx:(fun _ -> ())
         ()
