@@ -18,8 +18,8 @@
                                          unit counts as a consumer
                  [--baseline FILE]       committed baseline to diff against
                  [--write-baseline FILE] regenerate the baseline and exit
-                 [-o FILE]               JSON report (default
-                                         clove_check_report.json)
+                 [-o FILE]               write the JSON report to FILE
+                                         (no report without it)
                  [--bench-out FILE]      wall-time/count record
 
    Exit status: 0 clean (or only baselined/suppressed/cold findings),
@@ -41,7 +41,7 @@ let () =
   let scopes = ref [] in
   let baseline = ref None in
   let write_baseline = ref None in
-  let report_path = ref "clove_check_report.json" in
+  let report_path = ref None in
   let bench_path = ref None in
   let usage () =
     prerr_endline
@@ -67,7 +67,7 @@ let () =
       write_baseline := Some path;
       parse_args rest
     | "-o" :: path :: rest ->
-      report_path := path;
+      report_path := Some path;
       parse_args rest
     | "--bench-out" :: path :: rest ->
       bench_path := Some path;
@@ -145,9 +145,11 @@ let () =
         ("per_rule", Obj (count_by (fun (f : Analysis.Findings.t) -> f.rule) active));
       ]
   in
-  Analysis.Json_out.(
-    to_file !report_path
-      (Obj
+  Option.iter
+    (fun path ->
+      Analysis.Json_out.(
+        to_file path
+          (Obj
          ([
             ("tool", String "clove-check");
             ("version", Int 1);
@@ -159,7 +161,8 @@ let () =
              ( "per_module",
                Obj (count_by (fun (f : Analysis.Findings.t) -> f.file) active) );
              ("findings", Analysis.Findings.findings_json ~new_keys findings);
-           ])));
+           ]))))
+    !report_path;
   (match !bench_path with
   | Some path ->
     Analysis.Json_out.(
@@ -190,5 +193,6 @@ let () =
     (List.length race.Sema.Race_report.r_roots)
     (List.length alloc.Sema.Alloc_report.a_roots)
     alloc.Sema.Alloc_report.a_hot_nodes (List.length active) suppressed
-    (List.length fresh) !report_path;
+    (List.length fresh)
+    (Option.value !report_path ~default:"none (no -o)");
   if fresh <> [] then exit 1

@@ -1,13 +1,13 @@
 (* Unboxed structure-of-arrays binary min-heap.
 
-   The previous representation boxed every scheduled event as
-   [Some { time; seq; value }] — two heap blocks per event on the
-   simulator's hottest path.  Storing times and sequence numbers in
+   Times, insertion instants, component ids and sequence numbers live in
    [int array]s and payloads in a plain ['a array] padded with a
-   caller-supplied [dummy] keeps the hot path allocation-free: [add]
-   and [pop] allocate nothing (the only allocation left is [pop]'s
-   [Some (time, value)] result).  The [dummy] fills slots above [size]
-   so vacated payloads are released to the GC without an [option] box.
+   caller-supplied [dummy], so [add] and [pop_unsafe] allocate nothing
+   (the only allocation left is [pop]'s [Some (time, value)] result).
+   The [dummy] fills slots above [size] so vacated payloads are released
+   to the GC without an [option] box.  The scheduler instantiates the
+   heap at [int] — each payload is an immediate event code — so moving
+   an entry writes no pointer the GC has to track.
 
    Events order by (time, born, src, seq): [born] is the simulation
    instant the event was inserted at and [src] is a global id of the
@@ -52,8 +52,10 @@ let create ?(capacity = 256) ~dummy () =
    complete runs to check nothing depends on it; the knob must never
    change while a queue is non-empty (the heap invariant assumes a fixed
    comparator).  Each operation reads the knob once into [fifo] so a
-   single sift sees a consistent comparator. *)
-let[@inline] lt ~fifo t1 b1 c1 s1 t2 b2 c2 s2 =
+   single sift sees a consistent comparator.  The [int] annotation keeps
+   every compare a machine instruction rather than a call to the generic
+   structural compare. *)
+let[@inline] lt ~fifo (t1 : int) (b1 : int) (c1 : int) (s1 : int) t2 b2 c2 s2 =
   if t1 <> t2 then t1 < t2
   else if b1 <> b2 then b1 < b2
   else if c1 <> c2 then c1 < c2
@@ -65,23 +67,73 @@ let fifo_now () =
   | Analysis.Perturb.Fifo -> true
   | Analysis.Perturb.Lifo -> false
 
+(* [a] doubled, its entries kept *)
+let double a fill =
+  let n = Array.length a in
+  (* amortized doubling: O(log n) times per queue, never in steady state — lint: allow alloc-array *)
+  let b = Array.make (2 * n) fill in
+  Array.blit a 0 b 0 n;
+  b
+
+(* called when full *)
 let grow t =
-  let cap = 2 * Array.length t.times in
-  let times = Array.make cap 0
-  and borns = Array.make cap 0
-  and srcs = Array.make cap 0
-  and seqs = Array.make cap 0
-  and values = Array.make cap t.dummy in
-  Array.blit t.times 0 times 0 t.size;
-  Array.blit t.borns 0 borns 0 t.size;
-  Array.blit t.srcs 0 srcs 0 t.size;
-  Array.blit t.seqs 0 seqs 0 t.size;
-  Array.blit t.values 0 values 0 t.size;
-  t.times <- times;
-  t.borns <- borns;
-  t.srcs <- srcs;
-  t.seqs <- seqs;
-  t.values <- values
+  t.times <- double t.times 0;
+  t.borns <- double t.borns 0;
+  t.srcs <- double t.srcs 0;
+  t.seqs <- double t.seqs 0;
+  t.values <- double t.values t.dummy
+
+(* copy entry [src] over entry [dst] *)
+let[@inline] move t ~src ~dst =
+  t.times.(dst) <- t.times.(src);
+  t.borns.(dst) <- t.borns.(src);
+  t.srcs.(dst) <- t.srcs.(src);
+  t.seqs.(dst) <- t.seqs.(src);
+  t.values.(dst) <- t.values.(src)
+
+let[@inline] set t i ~time ~born ~src ~seq value =
+  t.times.(i) <- time;
+  t.borns.(i) <- born;
+  t.srcs.(i) <- src;
+  t.seqs.(i) <- seq;
+  t.values.(i) <- value
+
+(* Hole-based sift-up from slot [i]: move heavier parents down and
+   return the slot the carried key (time, born, src, seq) belongs in. *)
+let rec sift_up t ~fifo i time born src seq =
+  if i = 0 then i
+  else begin
+    let p = (i - 1) / 2 in
+    if lt ~fifo time born src seq t.times.(p) t.borns.(p) t.srcs.(p) t.seqs.(p)
+    then begin
+      move t ~src:p ~dst:i;
+      sift_up t ~fifo p time born src seq
+    end
+    else i
+  end
+
+(* Hole-based sift-down from slot [i] over the first [n] entries: move
+   lighter children up and return the slot the carried key belongs in. *)
+let rec sift_down t ~fifo n i time born src seq =
+  let l = (2 * i) + 1 in
+  if l >= n then i
+  else begin
+    let r = l + 1 in
+    let c =
+      if
+        r < n
+        && lt ~fifo t.times.(r) t.borns.(r) t.srcs.(r) t.seqs.(r) t.times.(l)
+             t.borns.(l) t.srcs.(l) t.seqs.(l)
+      then r
+      else l
+    in
+    if lt ~fifo t.times.(c) t.borns.(c) t.srcs.(c) t.seqs.(c) time born src seq
+    then begin
+      move t ~src:c ~dst:i;
+      sift_down t ~fifo n c time born src seq
+    end
+    else i
+  end
 
 (* [add_at_ns] is the scheduler-facing entry point: the scheduler owns
    the sequence counter (it is shared with the timer wheel so wheel
@@ -90,36 +142,9 @@ let grow t =
    standalone users (benchmarks, tests). *)
 let add_at_ns t ~time_ns:time ~born_ns:born ~src ~seq value =
   if t.size = Array.length t.times then grow t;
-  let fifo = fifo_now () in
-  let times = t.times
-  and borns = t.borns
-  and srcs = t.srcs
-  and seqs = t.seqs
-  and values = t.values in
-  (* hole-based sift-up: move lighter parents down, drop the new entry in *)
-  let i = ref t.size in
+  let i = sift_up t ~fifo:(fifo_now ()) t.size time born src seq in
   t.size <- t.size + 1;
-  let sifting = ref true in
-  while !sifting && !i > 0 do
-    let parent = (!i - 1) / 2 in
-    if
-      lt ~fifo time born src seq times.(parent) borns.(parent) srcs.(parent)
-        seqs.(parent)
-    then begin
-      times.(!i) <- times.(parent);
-      borns.(!i) <- borns.(parent);
-      srcs.(!i) <- srcs.(parent);
-      seqs.(!i) <- seqs.(parent);
-      values.(!i) <- values.(parent);
-      i := parent
-    end
-    else sifting := false
-  done;
-  times.(!i) <- time;
-  borns.(!i) <- born;
-  srcs.(!i) <- src;
-  seqs.(!i) <- seq;
-  values.(!i) <- value
+  set t i ~time ~born ~src ~seq value
 
 let add t ~time value =
   let seq = t.next_seq in
@@ -127,136 +152,57 @@ let add t ~time value =
   (* standalone users get the historical pure (time, seq) order *)
   add_at_ns t ~time_ns:(Sim_time.to_ns time) ~born_ns:0 ~src:0 ~seq value
 
+(* re-seat the entry at [from] by sifting it down from slot [i] over the
+   first [n] entries *)
+let[@inline] reseat t ~fifo n ~from i =
+  let time = t.times.(from)
+  and born = t.borns.(from)
+  and src = t.srcs.(from)
+  and seq = t.seqs.(from)
+  and value = t.values.(from) in
+  let j = sift_down t ~fifo n i time born src seq in
+  set t j ~time ~born ~src ~seq value
+
 (* Floyd heapify: restore the heap property over the first [size]
    entries after an in-place rewrite.  Pop order is unaffected by the
    internal layout — (time, born, src, seq) is a total order, so the minimum
    popped at every step is the same whatever valid heap shape the arrays
    hold — which is what makes in-place compaction determinism-safe. *)
 let heapify t =
-  let n = t.size in
-  let times = t.times
-  and borns = t.borns
-  and srcs = t.srcs
-  and seqs = t.seqs
-  and values = t.values in
-  let fifo = fifo_now () in
+  let fifo = fifo_now () and n = t.size in
   for start = (n / 2) - 1 downto 0 do
-    let mtime = times.(start)
-    and mborn = borns.(start)
-    and msrc = srcs.(start)
-    and mseq = seqs.(start)
-    and mvalue = values.(start) in
-    let i = ref start in
-    let sifting = ref true in
-    while !sifting do
-      let l = (2 * !i) + 1 in
-      if l >= n then sifting := false
-      else begin
-        let r = l + 1 in
-        let c =
-          if
-            r < n
-            && lt ~fifo times.(r) borns.(r) srcs.(r) seqs.(r) times.(l)
-                 borns.(l) srcs.(l) seqs.(l)
-          then r
-          else l
-        in
-        if lt ~fifo times.(c) borns.(c) srcs.(c) seqs.(c) mtime mborn msrc mseq
-        then begin
-          times.(!i) <- times.(c);
-          borns.(!i) <- borns.(c);
-          srcs.(!i) <- srcs.(c);
-          seqs.(!i) <- seqs.(c);
-          values.(!i) <- values.(c);
-          i := c
-        end
-        else sifting := false
-      end
-    done;
-    times.(!i) <- mtime;
-    borns.(!i) <- mborn;
-    srcs.(!i) <- msrc;
-    seqs.(!i) <- mseq;
-    values.(!i) <- mvalue
+    reseat t ~fifo n ~from:start start
   done
 
+(* slide every entry of [i, size) that passes [keep] down to [kept, ..);
+   returns the survivor count *)
+let rec filter t ~keep i kept =
+  if i = t.size then kept
+  else if keep t.values.(i) then begin
+    if kept <> i then move t ~src:i ~dst:kept;
+    filter t ~keep (i + 1) (kept + 1)
+  end
+  else filter t ~keep (i + 1) kept
+
 let compact t ~keep =
-  let kept = ref 0 in
-  for i = 0 to t.size - 1 do
-    if keep t.values.(i) then begin
-      if !kept <> i then begin
-        t.times.(!kept) <- t.times.(i);
-        t.borns.(!kept) <- t.borns.(i);
-        t.srcs.(!kept) <- t.srcs.(i);
-        t.seqs.(!kept) <- t.seqs.(i);
-        t.values.(!kept) <- t.values.(i)
-      end;
-      incr kept
-    end
-  done;
-  let dropped = t.size - !kept in
-  Array.fill t.values !kept dropped t.dummy;
-  t.size <- !kept;
+  let kept = filter t ~keep 0 0 in
+  let dropped = t.size - kept in
+  Array.fill t.values kept dropped t.dummy;
+  t.size <- kept;
   heapify t;
   dropped
 
 (* Allocation-free pop for the scheduler's hot loop: the caller must
-   check emptiness (and read [min_time_ns]) first. *)
+   check emptiness (and read [min_time_ns]) first.  The last entry is
+   re-seated at the root and its hole sifted down. *)
 let pop_unsafe t =
-  let top_value = t.values.(0) in
+  let top = t.values.(0) in
   let n = t.size - 1 in
-    t.size <- n;
-    if n > 0 then begin
-      let times = t.times
-      and borns = t.borns
-      and srcs = t.srcs
-      and seqs = t.seqs
-      and values = t.values in
-      (* re-insert the last entry at the root and sift its hole down *)
-      let mtime = times.(n)
-      and mborn = borns.(n)
-      and msrc = srcs.(n)
-      and mseq = seqs.(n)
-      and mvalue = values.(n) in
-      let fifo = fifo_now () in
-      let i = ref 0 in
-      let sifting = ref true in
-      while !sifting do
-        let l = (2 * !i) + 1 in
-        if l >= n then sifting := false
-        else begin
-          let r = l + 1 in
-          let c =
-            if
-              r < n
-              && lt ~fifo times.(r) borns.(r) srcs.(r) seqs.(r) times.(l)
-                   borns.(l) srcs.(l) seqs.(l)
-            then r
-            else l
-          in
-          if
-            lt ~fifo times.(c) borns.(c) srcs.(c) seqs.(c) mtime mborn msrc
-              mseq
-          then begin
-            times.(!i) <- times.(c);
-            borns.(!i) <- borns.(c);
-            srcs.(!i) <- srcs.(c);
-            seqs.(!i) <- seqs.(c);
-            values.(!i) <- values.(c);
-            i := c
-          end
-          else sifting := false
-        end
-      done;
-      times.(!i) <- mtime;
-      borns.(!i) <- mborn;
-      srcs.(!i) <- msrc;
-      seqs.(!i) <- mseq;
-      values.(!i) <- mvalue
-    end;
-    (* release the vacated payload slot for GC *)
-    t.values.(t.size) <- t.dummy;
-    top_value
+  t.size <- n;
+  if n > 0 then reseat t ~fifo:(fifo_now ()) n ~from:n 0;
+  (* release the vacated payload slot for GC *)
+  t.values.(n) <- t.dummy;
+  top
 
 let pop t =
   if t.size = 0 then None

@@ -11,12 +11,15 @@
     injected and locally scheduled events resolve exactly as the serial
     engine would have resolved them.
 
-    The heap is a structure of unboxed arrays: times and sequence numbers
-    live in [int array]s and payloads in a plain ['a array], so [add] and
-    [pop] allocate nothing on the hot path.  The caller supplies a [dummy]
-    payload used to fill empty slots (a vacated slot is overwritten with
-    [dummy] so the popped payload is released to the GC); the dummy itself
-    is never returned. *)
+    The heap is a structure of unboxed arrays: the four key columns are
+    [int array]s compared as ints, and payloads live in a plain
+    ['a array], so [add] and [pop_unsafe] allocate nothing on the hot
+    path.  The caller supplies a [dummy] payload used to fill empty slots
+    (a vacated slot is overwritten with [dummy] so the popped payload is
+    released to the GC); the dummy itself is never returned.  The
+    scheduler instantiates the queue at [int] — its payloads are
+    immediate event codes (see {!Scheduler}) — so no sift moves a
+    pointer. *)
 
 type 'a t
 
@@ -47,8 +50,9 @@ val min_time_ns : 'a t -> int
 
 val compact : 'a t -> keep:('a -> bool) -> int
 (** Drop every entry whose payload fails [keep] and restore the heap in
-    place; returns the number dropped.  Pop order of surviving entries is
-    unchanged ((time, born, seq) is a total order). *)
+    place; returns the number dropped.  [keep] is called once per entry,
+    in array order.  Pop order of surviving entries is unchanged
+    ((time, born, src, seq) is a total order). *)
 
 val peek_time : 'a t -> Sim_time.t option
 

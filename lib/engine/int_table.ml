@@ -44,13 +44,15 @@ let[@inline] slot_of t key = (key * 0x5851F42D4C957F2D) lsr 5 land t.mask
 
 let length t = t.count
 
-let rec find_from t key i =
+(* the slot holding [key], or the free slot ending its probe chain *)
+let rec probe t key i =
   let k = t.keys.(i) in
-  if k = key then i
-  else if k = empty_key then -1
-  else find_from t key ((i + 1) land t.mask)
+  if k = key || k = empty_key then i else probe t key ((i + 1) land t.mask)
 
-let[@inline] index t key = find_from t key (slot_of t key)
+(* the slot holding [key], or -1 *)
+let[@inline] index t key =
+  let i = probe t key (slot_of t key) in
+  if t.keys.(i) = key then i else -1
 
 let mem t key = index t key >= 0
 
@@ -65,34 +67,30 @@ let find_opt t key =
 let grow t =
   let old_keys = t.keys and old_vals = t.vals in
   let cap = 2 * Array.length old_keys in
+  (* amortized doubling: O(log n) times per table, never in steady state — lint: allow alloc-array *)
   t.keys <- Array.make cap empty_key;
+  (* the payload column of the same doubling — lint: allow alloc-array *)
   t.vals <- Array.make cap t.dummy;
   t.mask <- cap - 1;
-  Array.iteri
-    (fun i k ->
-      if k <> empty_key then begin
-        let j = ref (slot_of t k) in
-        while t.keys.(!j) <> empty_key do
-          j := (!j + 1) land t.mask
-        done;
-        t.keys.(!j) <- k;
-        t.vals.(!j) <- old_vals.(i)
-      end)
-    old_keys
+  for i = 0 to Array.length old_keys - 1 do
+    let k = old_keys.(i) in
+    if k <> empty_key then begin
+      let j = probe t k (slot_of t k) in
+      t.keys.(j) <- k;
+      t.vals.(j) <- old_vals.(i)
+    end
+  done
 
 let set t key value =
   if key = empty_key then invalid_arg "Int_table.set: reserved key";
   (* grow at 5/8 load so probe chains stay short *)
   if 8 * (t.count + 1) > 5 * (t.mask + 1) then grow t;
-  let i = ref (slot_of t key) in
-  while t.keys.(!i) <> key && t.keys.(!i) <> empty_key do
-    i := (!i + 1) land t.mask
-  done;
-  if t.keys.(!i) = empty_key then begin
-    t.keys.(!i) <- key;
+  let i = probe t key (slot_of t key) in
+  if t.keys.(i) = empty_key then begin
+    t.keys.(i) <- key;
     t.count <- t.count + 1
   end;
-  t.vals.(!i) <- value
+  t.vals.(i) <- value
 
 (* Backward-shift deletion: close the hole by moving back any later entry
    of the probe chain whose home slot precedes the hole, so lookups never

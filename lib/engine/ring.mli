@@ -9,6 +9,9 @@
 type 'a t
 
 val create : ?capacity:int -> dummy:'a -> unit -> 'a t
+(** [capacity] (default 16) is rounded up to a power of two, so index
+    wrap-around is a mask. *)
+
 val push : 'a t -> 'a -> unit
 
 val pop : 'a t -> 'a

@@ -7,11 +7,14 @@
     ahead of the clock, so pop order is exactly that of a single binary
     heap under the (time, born, src, seq) total order.
 
-    Steady-state events use the defunctionalized path: components
-    register a handler kind once ({!register_kind}) and schedule
-    (kind, arg) pairs ({!schedule_tag}) carried by pooled handle
-    records, allocating nothing per event.  Closure scheduling remains
-    for cancellable timers and cold paths. *)
+    A pending event is one immediate [int], so neither structure holds
+    a pointer.  Steady-state events use the defunctionalized path:
+    components register a handler kind once ({!register_kind}) and
+    schedule (kind, arg) pairs ({!schedule_tag}) packed into the event
+    code itself, allocating nothing per event.  Closure scheduling
+    remains for cancellable timers and cold paths: the event code of a
+    closure names a slot in a per-scheduler slab of {!handle}s, freed
+    when the event fires or is purged. *)
 
 type t
 
@@ -50,7 +53,8 @@ val register_kind : t -> (int -> unit) -> int
     per component at construction (one closure per component for its
     whole lifetime, not one per event).  Each registration draws a fresh
     component id; components that spread one logical event stream over
-    several kinds override it with {!set_kind_src}. *)
+    several kinds override it with {!set_kind_src}.  Raises
+    [Invalid_argument] past 2{^20} kinds. *)
 
 val set_kind_src : t -> kind:int -> src:int -> unit
 (** Override the component id events of [kind] rank under.  A link gives
@@ -60,9 +64,10 @@ val set_kind_src : t -> kind:int -> src:int -> unit
 
 val schedule_tag : t -> after:Sim_time.span -> kind:int -> arg:int -> unit
 (** Allocation-free scheduling: at [now + after], call the handler
-    registered for [kind] with [arg].  The carrying handle comes from a
-    pool and is recycled at dispatch; tagged events cannot be
-    cancelled. *)
+    registered for [kind] with [arg].  The event is the immediate code
+    [kind lor (arg lsl 20)]; tagged events cannot be cancelled.  Raises
+    [Invalid_argument] if [kind] is not registered or [arg] lies outside
+    [\[0, max_int lsr 20\]]. *)
 
 val inject_tag : t -> time_ns:int -> born_ns:int -> kind:int -> arg:int -> unit
 (** PDES boundary injection: like {!schedule_tag} at an absolute time,
@@ -74,14 +79,15 @@ val inject_tag : t -> time_ns:int -> born_ns:int -> kind:int -> arg:int -> unit
     went through one clock and the same component ids.  [born_ns] may
     lie in this scheduler's past; the event time must not.  Raises
     [Invalid_argument] if [time_ns] is in the past or precedes
-    [born_ns]. *)
+    [born_ns], and on [kind] or [arg] as {!schedule_tag} does. *)
 
 val cancel : t -> handle -> unit
 (** Cancel a pending event; cancelling a fired or cancelled event is a
-    no-op.  Dead handles are purged lazily (when their wheel slot
-    flushes or they pop) and a compaction sweep runs whenever dead
-    handles outnumber live ones, so arm/cancel churn — TCP re-arming its
-    RTO per ack — keeps the queue bounded by the live set. *)
+    no-op.  Dead events are purged lazily (when their wheel slot
+    flushes or they pop, which also frees their slab slot) and a
+    compaction sweep runs whenever dead events outnumber live ones, so
+    arm/cancel churn — TCP re-arming its RTO per ack — keeps the queue
+    and the slab bounded by the live set. *)
 
 val is_pending : handle -> bool
 
@@ -106,15 +112,15 @@ val run_until : t -> until_ns:int -> unit
     scheduler. *)
 
 val pending_events : t -> int
-(** Queued handles in wheel + heap, including cancelled ones awaiting
+(** Queued events in wheel + heap, including cancelled ones awaiting
     purge. *)
 
 val dead_events : t -> int
 
 val events_fired : t -> int
 (** Total events dispatched since creation (throughput accounting for the
-    benchmark harness).  Cancelled handles popped from the heap count,
-    matching the pre-wheel scheduler; dead handles purged in bulk do
+    benchmark harness).  Cancelled events popped from the heap count,
+    matching the pre-wheel scheduler; dead events purged in bulk do
     not. *)
 
 val wheel_scheduled : t -> int
@@ -124,7 +130,7 @@ val heap_scheduled : t -> int
 (** Events that went straight to the overflow heap. *)
 
 val compactions : t -> int
-(** Dead-handle sweeps performed. *)
+(** Dead-event sweeps performed. *)
 
 val batched_events : t -> int
 (** Always 0: each event is dispatched on its own; kept for existing probes. *)

@@ -17,11 +17,11 @@ let diff a b = if a < b then invalid_arg "Sim_time.diff: negative" else a - b
 let ( < ) (a : int) b = Stdlib.( < ) a b
 let ( > ) (a : int) b = Stdlib.( > ) a b
 let ( >= ) (a : int) b = Stdlib.( >= ) a b
-let min = Stdlib.min
-let max = Stdlib.max
+let min = Int.min
+let max = Int.max
 let compare_span = Int.compare
 let add_span a b = Stdlib.( + ) a b
-let sub_span a b = Stdlib.max 0 (Stdlib.( - ) a b)
+let sub_span a b = Int.max 0 (Stdlib.( - ) a b)
 
 let mul_span s f =
   if Stdlib.( < ) f 0.0 then invalid_arg "Sim_time.mul_span: negative factor"

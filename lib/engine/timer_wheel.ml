@@ -8,13 +8,15 @@
    arms.  Events beyond the horizon (or behind the flushed frontier) are
    refused by [add]; the caller keeps them in the overflow heap.
 
-   Slots hold unsorted (time, born, src, seq, payload) tuples in
-   growable structure-of-arrays chunks.  Ordering is delegated entirely
-   to the destination heap: [advance] flushes whole slots — complete
-   windows, in window order, before the caller's clock can reach them —
-   so the heap's (time, born, src, seq) comparator reproduces exactly
-   the pop order of a pure binary heap.  The wheel never reorders, delays, or drops an event
-   (except entries failing [keep], which are cancelled timers).
+   A slot holds unsorted (time, born, src, seq, payload) entries packed
+   five ints apiece in one growable [int array]: the payload is the
+   scheduler's immediate event code, so staging and flushing an entry
+   writes no pointer.  Ordering is delegated entirely to the destination
+   heap: [advance] flushes whole slots — complete windows, in window
+   order, before the caller's clock can reach them — so the heap's
+   (time, born, src, seq) comparator reproduces exactly the pop order of
+   a pure binary heap.  The wheel never reorders, delays, or drops an
+   event (except entries failing [keep], which are cancelled timers).
 
    Two costs matter on the scheduler's per-pop path:
    - [min_bound_ns] is O(1): a cached lower bound on the earliest queued
@@ -26,22 +28,18 @@
      [levels * 2^bits] slot lengths per hop. *)
 
 type slot = {
-  mutable s_times : int array;
-  mutable s_borns : int array;
-  mutable s_srcs : int array;
-  mutable s_seqs : int array;
-  mutable s_len : int;
+  mutable data : int array; (* [stride] ints per entry, see [slot_push] *)
+  mutable len : int; (* entries *)
 }
 
+let stride = 5
 let bits = 8 (* log2 slots per level *)
 let g_bits = 6 (* log2 of level-0 slot span, ns *)
 let levels = 3
 
-type 'a t = {
-  dummy : 'a;
-  keep : 'a -> bool;
+type t = {
+  keep : int -> bool;
   slots : slot array; (* levels * 2^bits, level-major *)
-  vals : 'a array array; (* payload columns, parallel to [slots] *)
   (* per-level slot-occupancy bitmap, 32 bits per word: bit [i land 31]
      of [occ.(level * occ_words + (i lsr 5))] is set iff ring slot [i]
      of that level is non-empty.  [next_occupied_window] runs once per
@@ -53,25 +51,12 @@ type 'a t = {
   mutable lb : int; (* lower bound on min queued entry time, ns *)
 }
 
-let empty_ints = [||]
-
 let occ_words = (1 lsl bits) lsr 5 (* words per level; power of two *)
 
-let create ~dummy ~keep () =
-  let nslots = levels lsl bits in
+let create ~keep () =
   {
-    dummy;
     keep;
-    slots =
-      Array.init nslots (fun _ ->
-          {
-            s_times = empty_ints;
-            s_borns = empty_ints;
-            s_srcs = empty_ints;
-            s_seqs = empty_ints;
-            s_len = 0;
-          });
-    vals = Array.make nslots [||];
+    slots = Array.init (levels lsl bits) (fun _ -> { data = [||]; len = 0 });
     occ = Array.make (levels * occ_words) 0;
     frontier = 0;
     count = 0;
@@ -98,32 +83,21 @@ let[@inline] shift k = g_bits + (k * bits)
 
 let slot_push t idx ~time_ns ~born_ns ~src ~seq v =
   let s = t.slots.(idx) in
-  let cap = Array.length s.s_times in
-  if s.s_len = cap then begin
-    let cap' = if cap = 0 then 4 else 2 * cap in
-    let times = Array.make cap' 0
-    and borns = Array.make cap' 0
-    and srcs = Array.make cap' 0
-    and seqs = Array.make cap' 0
-    and vals = Array.make cap' t.dummy in
-    Array.blit s.s_times 0 times 0 s.s_len;
-    Array.blit s.s_borns 0 borns 0 s.s_len;
-    Array.blit s.s_srcs 0 srcs 0 s.s_len;
-    Array.blit s.s_seqs 0 seqs 0 s.s_len;
-    Array.blit t.vals.(idx) 0 vals 0 s.s_len;
-    s.s_times <- times;
-    s.s_borns <- borns;
-    s.s_srcs <- srcs;
-    s.s_seqs <- seqs;
-    t.vals.(idx) <- vals
+  let o = s.len * stride in
+  if o = Array.length s.data then begin
+    (* amortized doubling: O(log n) times per slot, never in steady state — lint: allow alloc-array *)
+    let data = Array.make (if o = 0 then 4 * stride else 2 * o) 0 in
+    Array.blit s.data 0 data 0 o;
+    s.data <- data
   end;
-  s.s_times.(s.s_len) <- time_ns;
-  s.s_borns.(s.s_len) <- born_ns;
-  s.s_srcs.(s.s_len) <- src;
-  s.s_seqs.(s.s_len) <- seq;
-  t.vals.(idx).(s.s_len) <- v;
-  if s.s_len = 0 then occ_set t idx;
-  s.s_len <- s.s_len + 1
+  let d = s.data in
+  d.(o) <- time_ns;
+  d.(o + 1) <- born_ns;
+  d.(o + 2) <- src;
+  d.(o + 3) <- seq;
+  d.(o + 4) <- v;
+  if s.len = 0 then occ_set t idx;
+  s.len <- s.len + 1
 
 (* Place at the smallest level whose live window reaches [time_ns]: level
    k accepts times at most [2^bits] level-k slots ahead of the frontier's
@@ -185,147 +159,170 @@ let first_occupied_distance t ~level ~start =
     scan_words t.occ ~base ~wi ~bit ~words ~start ~mask 1
 
 (* Earliest window start (granule-aligned) holding any entry, scanning
-   each ring's live window from the frontier's slot forward; [max_int]
-   when the wheel is empty.  A handful of occupancy-word reads per level. *)
-let next_occupied_window t =
-  let mask = (1 lsl bits) - 1 in
-  let best = ref max_int in
-  for k = 0 to levels - 1 do
+   each ring's live window from level [k] up, from the frontier's slot
+   forward; [best] when no level from [k] on beats it.  A handful of
+   occupancy-word reads per level. *)
+let rec next_occupied_window t k best =
+  if k = levels then best
+  else begin
     let sh = shift k in
     let fslot = t.frontier lsr sh in
-    let d = first_occupied_distance t ~level:k ~start:(fslot land mask) in
-    if d <> max_int then begin
-      let w = (fslot + d) lsl sh in
-      if w < !best then best := w
-    end
-  done;
-  !best
-
-(* Flush one slot: level 0 empties into the heap with original (time,
-   born, src, seq) keys — dead entries are purged and counted — while higher
-   levels cascade each entry down ([place] from level 0 always succeeds
-   here because the frontier sits at the slot's window start, putting
-   the whole window within reach of the ring below). *)
-let flush_slot t ~level idx ~into ~dropped =
-  let s = t.slots.(idx) in
-  let n = s.s_len in
-  if n > 0 then begin
-    let vals = t.vals.(idx) in
-    s.s_len <- 0;
-    occ_clear t idx;
-    for i = 0 to n - 1 do
-      let v = vals.(i) in
-      let time_ns = s.s_times.(i)
-      and born_ns = s.s_borns.(i)
-      and src = s.s_srcs.(i)
-      and seq = s.s_seqs.(i) in
-      vals.(i) <- t.dummy;
-      if not (t.keep v) then begin
-        t.count <- t.count - 1;
-        incr dropped
-      end
-      else if level = 0 then begin
-        t.count <- t.count - 1;
-        Event_queue.add_at_ns into ~time_ns ~born_ns ~src ~seq v
-      end
-      else if not (place t ~time_ns ~born_ns ~src ~seq v 0) then begin
-        (* unreachable by the window argument above; stay safe anyway *)
-        t.count <- t.count - 1;
-        Event_queue.add_at_ns into ~time_ns ~born_ns ~src ~seq v
-      end
-    done
+    let d =
+      first_occupied_distance t ~level:k ~start:(fslot land ((1 lsl bits) - 1))
+    in
+    let w = if d = max_int then max_int else (fslot + d) lsl sh in
+    next_occupied_window t (k + 1) (if w < best then w else best)
   end
 
-(* Cascade every level whose slot the frontier is entering (all lower
-   index bits zero), then flush the level-0 slot and step one granule. *)
-let step_frontier t ~into ~dropped =
-  let mask = (1 lsl bits) - 1 in
-  for k = levels - 1 downto 1 do
+(* Flush one slot's entries [i, len): level 0 empties into the heap with
+   original (time, born, src, seq) keys — dead entries are purged and
+   counted — while higher levels cascade each entry down ([place] from
+   level 0 always succeeds here because the frontier sits at the slot's
+   window start, putting the whole window within reach of the ring
+   below).  Returns [dropped] plus the dead entries purged. *)
+let rec flush_entries t ~level d len i ~into dropped =
+  if i = len then dropped
+  else begin
+    let o = i * stride in
+    let time_ns = d.(o)
+    and born_ns = d.(o + 1)
+    and src = d.(o + 2)
+    and seq = d.(o + 3)
+    and v = d.(o + 4) in
+    let dropped =
+      if not (t.keep v) then begin
+        t.count <- t.count - 1;
+        dropped + 1
+      end
+      else begin
+        (* at level > 0 the [place] fallback is unreachable by the window
+           argument above; stay safe anyway *)
+        if level = 0 || not (place t ~time_ns ~born_ns ~src ~seq v 0) then begin
+          t.count <- t.count - 1;
+          Event_queue.add_at_ns into ~time_ns ~born_ns ~src ~seq v
+        end;
+        dropped
+      end
+    in
+    flush_entries t ~level d len (i + 1) ~into dropped
+  end
+
+(* The slot is emptied before its entries are re-placed.  A cascade
+   re-places into lower levels, never back into this slot; even if it
+   did, each re-push writes at or below the entry just read, so no
+   unread entry is overwritten. *)
+let flush_slot t ~level idx ~into dropped =
+  let s = t.slots.(idx) in
+  let n = s.len in
+  if n = 0 then dropped
+  else begin
+    s.len <- 0;
+    occ_clear t idx;
+    flush_entries t ~level s.data n 0 ~into dropped
+  end
+
+(* Cascade every level from [k] down to 1 whose slot the frontier is
+   entering (all lower index bits zero). *)
+let rec cascade t ~into k dropped =
+  if k = 0 then dropped
+  else begin
     let sh = shift k in
-    if t.frontier land ((1 lsl sh) - 1) = 0 then
-      flush_slot t ~level:k
-        ((k lsl bits) lor ((t.frontier lsr sh) land mask))
-        ~into ~dropped
-  done;
-  flush_slot t ~level:0
-    ((t.frontier lsr g_bits) land mask)
-    ~into ~dropped;
-  t.frontier <- t.frontier + (1 lsl g_bits)
+    let dropped =
+      if t.frontier land ((1 lsl sh) - 1) = 0 then
+        flush_slot t ~level:k
+          ((k lsl bits) lor ((t.frontier lsr sh) land ((1 lsl bits) - 1)))
+          ~into dropped
+      else dropped
+    in
+    cascade t ~into (k - 1) dropped
+  end
+
+(* Cascade the upper levels, then flush the level-0 slot and step one
+   granule. *)
+let step_frontier t ~into dropped =
+  let dropped = cascade t ~into (levels - 1) dropped in
+  let dropped =
+    flush_slot t ~level:0
+      ((t.frontier lsr g_bits) land ((1 lsl bits) - 1))
+      ~into dropped
+  in
+  t.frontier <- t.frontier + (1 lsl g_bits);
+  dropped
 
 (* Flush every window whose start is <= [upto_ns] into [into], jumping
    the frontier across empty stretches.  Afterwards every remaining
    wheel entry's time exceeds [upto_ns], so a heap top at or before
    [upto_ns] is the true global minimum.  Returns the number of dead
    entries purged. *)
-let advance t ~upto_ns ~into =
-  let dropped = ref 0 in
-  (* first granule boundary strictly past [upto_ns] *)
-  let target = ((upto_ns lsr g_bits) + 1) lsl g_bits in
-  let continue = ref true in
-  while !continue do
-    if t.count = 0 then begin
+let rec advance_from t ~upto_ns ~target ~into dropped =
+  if t.count = 0 then begin
+    if t.frontier < target then t.frontier <- target;
+    t.lb <- max_int;
+    dropped
+  end
+  else begin
+    let next = next_occupied_window t 0 max_int in
+    if next > upto_ns then begin
+      (* [next] is granule-aligned and > upto_ns, hence >= target: the
+         jump cannot skip an occupied window's boundary *)
       if t.frontier < target then t.frontier <- target;
-      t.lb <- max_int;
-      continue := false
+      if t.lb < next then t.lb <- next;
+      dropped
     end
     else begin
-      let next = next_occupied_window t in
-      if next > upto_ns then begin
-        (* [next] is granule-aligned and > upto_ns, hence >= target: the
-           jump cannot skip an occupied window's boundary *)
-        if t.frontier < target then t.frontier <- target;
-        if t.lb < next then t.lb <- next;
-        continue := false
-      end
-      else begin
-        if next > t.frontier then t.frontier <- next;
-        step_frontier t ~into ~dropped
-      end
+      if next > t.frontier then t.frontier <- next;
+      advance_from t ~upto_ns ~target ~into (step_frontier t ~into dropped)
     end
-  done;
-  !dropped
+  end
+
+let advance t ~upto_ns ~into =
+  (* first granule boundary strictly past [upto_ns] *)
+  let target = ((upto_ns lsr g_bits) + 1) lsl g_bits in
+  advance_from t ~upto_ns ~target ~into 0
 
 (* Flush just the earliest occupied window (used when the heap is empty:
    afterwards the heap top precedes every remaining wheel entry, because
    cascaded survivors land in strictly later windows). *)
-let advance_next t ~into =
-  let dropped = ref 0 in
-  let before = Event_queue.size into in
-  while t.count > 0 && Event_queue.size into = before do
-    let next = next_occupied_window t in
+let rec advance_next_from t ~into ~before dropped =
+  if t.count > 0 && Event_queue.size into = before then begin
+    let next = next_occupied_window t 0 max_int in
     if next > t.frontier then t.frontier <- next;
-    step_frontier t ~into ~dropped
-  done;
-  if t.count = 0 then t.lb <- max_int
-  else if t.lb < t.frontier then t.lb <- t.frontier;
-  !dropped
+    advance_next_from t ~into ~before (step_frontier t ~into dropped)
+  end
+  else begin
+    if t.count = 0 then t.lb <- max_int
+    else if t.lb < t.frontier then t.lb <- t.frontier;
+    dropped
+  end
+
+let advance_next t ~into =
+  advance_next_from t ~into ~before:(Event_queue.size into) 0
+
+(* slide every entry of [d] in [i, len) that passes [keep] down to
+   [kept, ..); returns the survivor count *)
+let rec filter t d len i kept =
+  if i = len then kept
+  else if t.keep d.((i * stride) + 4) then begin
+    if kept <> i then Array.blit d (i * stride) d (kept * stride) stride;
+    filter t d len (i + 1) (kept + 1)
+  end
+  else filter t d len (i + 1) kept
+
+let rec compact_from t idx dropped =
+  if idx = Array.length t.slots then dropped
+  else begin
+    let s = t.slots.(idx) in
+    let kept = filter t s.data s.len 0 0 in
+    let removed = s.len - kept in
+    if removed > 0 then begin
+      s.len <- kept;
+      if kept = 0 then occ_clear t idx;
+      t.count <- t.count - removed
+    end;
+    compact_from t (idx + 1) (dropped + removed)
+  end
 
 let compact t =
-  let dropped = ref 0 in
-  for idx = 0 to Array.length t.slots - 1 do
-    let s = t.slots.(idx) in
-    if s.s_len > 0 then begin
-      let vals = t.vals.(idx) in
-      let kept = ref 0 in
-      for i = 0 to s.s_len - 1 do
-        if t.keep vals.(i) then begin
-          if !kept <> i then begin
-            s.s_times.(!kept) <- s.s_times.(i);
-            s.s_borns.(!kept) <- s.s_borns.(i);
-            s.s_srcs.(!kept) <- s.s_srcs.(i);
-            s.s_seqs.(!kept) <- s.s_seqs.(i);
-            vals.(!kept) <- vals.(i)
-          end;
-          incr kept
-        end
-      done;
-      let removed = s.s_len - !kept in
-      Array.fill vals !kept removed t.dummy;
-      s.s_len <- !kept;
-      if !kept = 0 then occ_clear t idx;
-      t.count <- t.count - removed;
-      dropped := !dropped + removed
-    end
-  done;
+  let dropped = compact_from t 0 0 in
   if t.count = 0 then t.lb <- max_int;
-  !dropped
+  dropped

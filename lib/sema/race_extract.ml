@@ -651,7 +651,10 @@ and handle_apply ctx it e p args =
         record_effect ctx ~target:(root_of ctx target) ~prim ~prot
           ~site:(site_of ctx e)
       | None -> ());
-      visit_args []
+      (* a mutator the analyzed code defines ([Event_queue.add_at_ns],
+         [Ring.push], ...) is also a call: its body's effects and
+         allocations belong to the caller's footprint *)
+      plain_call ()
     | None ->
       if List.mem (m, v) lock_takers then begin
         ctx.cur.n_takes_lock <- true;

@@ -36,8 +36,8 @@ let rto t =
   in
   (* clamp to the floor before backing off, as Linux does: backoff must be
      observable even when SRTT-derived RTO sits below the minimum *)
-  let scaled = max min_rto base * t.backoff_mult in
-  Sim_time.span_of_ns (min max_rto scaled)
+  let scaled = Int.max min_rto base * t.backoff_mult in
+  Sim_time.span_of_ns (Int.min max_rto scaled)
 
 let srtt t ~default =
   if t.have_sample then Sim_time.span_of_ns (int_of_float t.e.srtt_ns) else default
@@ -49,4 +49,4 @@ let pto t =
       (Sim_time.us 100)
   else Sim_time.ms 1
 
-let backoff t = t.backoff_mult <- min (t.backoff_mult * 2) 64
+let backoff t = t.backoff_mult <- Int.min (t.backoff_mult * 2) 64

@@ -399,7 +399,7 @@ let rcv_next r = r.rcv_next
 let delivered_bytes r = r.delivered
 let ooo_segments r = r.ooo_count
 
-let insert_interval intervals (lo, hi) =
+let insert_interval intervals ((lo : int), (hi : int)) =
   (* insert and coalesce; list stays sorted by lo *)
   let rec go = function
     | [] -> [ (lo, hi) ]
@@ -407,9 +407,9 @@ let insert_interval intervals (lo, hi) =
     | (a, b) :: rest when b < lo -> (a, b) :: go rest
     | (a, b) :: rest ->
       (* overlap: merge and keep folding into the remainder *)
-      let merged = (min a lo, max b hi) in
+      let merged = (Int.min a lo, Int.max b hi) in
       let rec fold (x, y) = function
-        | (c, d) :: more when c <= y -> fold (x, max y d) more
+        | (c, d) :: more when c <= y -> fold (x, Int.max y d) more
         | more -> (x, y) :: more
       in
       fold merged rest

@@ -16,3 +16,11 @@ let on_event arg = push_thunk (arg + 1)
 
 let install sched =
   ignore (Engine.Scheduler.register_kind sched (fun arg -> on_event arg))
+
+(* an int-keyed heap whose comparator is generic: reached only through
+   the mutator call [Event_queue.add] *)
+let heap = { Event_queue.top = 0; size = 0 }
+
+let on_key arg = Event_queue.add heap arg
+
+let install_heap sched = ignore (Engine.Scheduler.register_kind sched on_key)

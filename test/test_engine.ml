@@ -332,19 +332,22 @@ let prop_wheel_matches_heap =
           wheel_run_order delays = heap_run_order delays))
 
 (* TCP-RTO shaped churn: every tick cancels the previous timer and arms
-   a fresh one, so nearly every scheduled event dies unfired.  The lazy
-   compaction sweep must keep the dead fraction — and with it the queue
-   footprint — bounded throughout. *)
+   a fresh one, so nearly every scheduled event dies unfired — 100k
+   times over.  The lazy compaction sweep must keep the dead fraction —
+   and with it the queue footprint — bounded throughout, and the
+   closure slab must recycle every slot a cancel leaves behind. *)
 let test_sched_cancel_compaction () =
   let s = Scheduler.create () in
   let armed = ref None in
-  let bound_ok = ref true in
+  let bound_ok = ref true and max_pending = ref 0 and ticks = ref 0 in
   let rec tick n () =
+    incr ticks;
     (match !armed with Some h -> Scheduler.cancel s h | None -> ());
     armed := None;
     let d = Scheduler.dead_events s in
     if not (d <= 64 || 2 * d <= Scheduler.pending_events s) then
       bound_ok := false;
+    max_pending := max !max_pending (Scheduler.pending_events s);
     if n > 0 then begin
       armed :=
         Some
@@ -353,12 +356,140 @@ let test_sched_cancel_compaction () =
       ignore (Scheduler.schedule s ~after:(Sim_time.us 10) (tick (n - 1)))
     end
   in
-  tick 5_000 ();
+  tick 100_000 ();
   Scheduler.run s;
   check_bool "dead fraction bounded at every cancel" true !bound_ok;
+  (* live: the tick and one RTO; dead: at most the sweep threshold *)
+  check_bool "pending bounded by the sweep threshold" true (!max_pending <= 2 * 66);
+  check_int "every tick ran" 100_001 !ticks;
   check_bool "compaction ran" true (Scheduler.compactions s > 0);
   check_int "nothing pending after run" 0 (Scheduler.pending_events s);
   check_int "no dead handles left" 0 (Scheduler.dead_events s)
+
+let test_sched_tag_range () =
+  let s = Scheduler.create () in
+  let k = Scheduler.register_kind s (fun _ -> ()) in
+  let raises name f =
+    match f () with
+    | () -> Alcotest.failf "%s: no Invalid_argument" name
+    | exception Invalid_argument _ -> ()
+  in
+  let after = Sim_time.ns 1 in
+  raises "unregistered kind" (fun () ->
+      Scheduler.schedule_tag s ~after ~kind:(k + 1) ~arg:0);
+  raises "negative kind" (fun () -> Scheduler.schedule_tag s ~after ~kind:(-1) ~arg:0);
+  raises "negative arg" (fun () -> Scheduler.schedule_tag s ~after ~kind:k ~arg:(-1));
+  raises "arg too wide" (fun () -> Scheduler.schedule_tag s ~after ~kind:k ~arg:max_int);
+  raises "inject: unregistered kind" (fun () ->
+      Scheduler.inject_tag s ~time_ns:1 ~born_ns:0 ~kind:(k + 1) ~arg:0);
+  raises "inject: negative arg" (fun () ->
+      Scheduler.inject_tag s ~time_ns:1 ~born_ns:0 ~kind:k ~arg:(-1));
+  check_int "nothing scheduled" 0 (Scheduler.pending_events s)
+
+(* Model test of the whole event path: tagged, injected and closure
+   events (some cancelled) scheduled at random times — ties included,
+   and times past the wheel's horizon — fire in the order of a
+   reference sort on (time, born, src, seq), under both tie-breaks.
+   Two rounds run back to back, so the second reuses slab slots the
+   first freed by firing, popping and purging. *)
+type model_op =
+  | Tag of int * int (* kind index, delay *)
+  | Inject of int * int * int (* kind index, delay, born offset back *)
+  | Closure of int * int (* component id, delay *)
+  | Cancel of int (* which earlier closure of the round *)
+
+let model_op_gen =
+  let open QCheck.Gen in
+  (* mostly small delays, for ties; some spread over the wheel levels
+     and beyond its ~1.07 s horizon *)
+  let delay =
+    frequency
+      [
+        (4, int_bound 20);
+        ( 1,
+          map
+            (fun (v, e) -> v * int_of_float (10. ** float_of_int e))
+            (pair (int_bound 9) (int_range 2 10)) );
+      ]
+  in
+  frequency
+    [
+      (3, map2 (fun k d -> Tag (k, d)) (int_bound 2) delay);
+      (2, map3 (fun k d b -> Inject (k, d, b)) (int_bound 2) delay (int_bound 30));
+      (3, map2 (fun c d -> Closure (c, d)) (int_bound 3) delay);
+      (2, map (fun j -> Cancel j) (int_bound 20));
+    ]
+
+let prop_sched_matches_model =
+  QCheck.Test.make ~name:"scheduler dispatch order matches (time, born, src, seq) model"
+    ~count:300
+    QCheck.(
+      triple bool
+        (make Gen.(list_size (int_bound 40) model_op_gen))
+        (make Gen.(list_size (int_bound 40) model_op_gen)))
+    (fun (fifo, round1, round2) ->
+      let tb = if fifo then Analysis.Perturb.Fifo else Analysis.Perturb.Lifo in
+      Analysis.Perturb.with_settings ~tb ~salt:0 (fun () ->
+          let s = Scheduler.create () in
+          let log = ref [] in
+          let kinds =
+            Array.init 3 (fun i ->
+                let k = Scheduler.register_kind s (fun id -> log := id :: !log) in
+                (* tagged events rank under 100, 200, 300; closures under 0-3 *)
+                Scheduler.set_kind_src s ~kind:k ~src:(100 * (i + 1));
+                k)
+          in
+          let seq = ref 0 and next_id = ref 0 in
+          let round ops =
+            let now = Sim_time.to_ns (Scheduler.now s) in
+            let expected = ref [] and handles = ref [] in
+            List.iter
+              (fun op ->
+                let id = !next_id in
+                let key time born src = (time, born, src, !seq, id) in
+                (match op with
+                | Tag (k, d) ->
+                  Scheduler.schedule_tag s ~after:(Sim_time.ns d) ~kind:kinds.(k) ~arg:id;
+                  expected := key (now + d) now (100 * (k + 1)) :: !expected
+                | Inject (k, d, b) ->
+                  let born = max 0 (now + d - b) in
+                  Scheduler.inject_tag s ~time_ns:(now + d) ~born_ns:born ~kind:kinds.(k)
+                    ~arg:id;
+                  expected := key (now + d) born (100 * (k + 1)) :: !expected
+                | Closure (c, d) ->
+                  let h =
+                    Scheduler.schedule_as s ~src:c ~after:(Sim_time.ns d) (fun () ->
+                        log := id :: !log)
+                  in
+                  handles := (id, h) :: !handles;
+                  expected := key (now + d) now c :: !expected
+                | Cancel _ -> ());
+                match op with
+                | Cancel j -> (
+                  match List.nth_opt (List.rev !handles) j with
+                  | Some (victim, h) ->
+                    Scheduler.cancel s h;
+                    expected :=
+                      List.filter (fun (_, _, _, _, i) -> i <> victim) !expected
+                  | None -> ())
+                | _ ->
+                  incr seq;
+                  incr next_id)
+              ops;
+            let before (t1, b1, c1, s1, _) (t2, b2, c2, s2, _) =
+              compare (t1, b1, c1, if fifo then s1 else -s1)
+                (t2, b2, c2, if fifo then s2 else -s2)
+            in
+            let want =
+              List.map (fun (_, _, _, _, id) -> id) (List.sort before !expected)
+            in
+            log := [];
+            Scheduler.run s;
+            List.rev !log = want
+          in
+          let ok1 = round round1 in
+          let ok2 = round round2 in
+          ok1 && ok2 && Scheduler.pending_events s = 0))
 
 (* ------------------------------ Int_table ------------------------- *)
 
@@ -467,6 +598,8 @@ let () =
           Alcotest.test_case "RTO churn keeps dead fraction bounded" `Quick
             test_sched_cancel_compaction;
           qc prop_wheel_matches_heap;
+          Alcotest.test_case "out-of-range kind or arg raises" `Quick test_sched_tag_range;
+          qc prop_sched_matches_model;
         ] );
       ( "int_table",
         [
