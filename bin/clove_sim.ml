@@ -78,12 +78,6 @@ let domains_arg =
   in
   Arg.(value & opt (some int) None & info [ "domains" ] ~doc ~docv:"N")
 
-let apply_domains = function
-  | Some n ->
-    at_least_1 "--domains" n;
-    Domain_pool.set_default_domains n
-  | None -> ()
-
 let shards_arg =
   let doc =
     "Shard the fabric across N domains with conservative time-window PDES \
@@ -92,9 +86,12 @@ let shards_arg =
   in
   Arg.(value & opt int 1 & info [ "shards" ] ~doc ~docv:"N")
 
-let apply_shards n =
-  at_least_1 "--shards" n;
-  Scenario.default_shards := n
+(* the run mode the flags describe; a width below 1 exits 2 *)
+let mode_of ?domains ?(audit = false) shards =
+  Option.iter (at_least_1 "--domains") domains;
+  at_least_1 "--shards" shards;
+  let domains = Option.value domains ~default:Run_mode.default.Run_mode.domains in
+  { Run_mode.default with Run_mode.domains; shards; audit }
 
 let quick_arg =
   let doc =
@@ -110,7 +107,7 @@ let full_arg =
 let run_cmd =
   let run scheme load jobs seed asym hosts shards =
     check_workload ~load ~jobs ~hosts;
-    apply_shards shards;
+    let mode = mode_of shards in
     let params =
       {
         Scenario.default_params with
@@ -120,7 +117,7 @@ let run_cmd =
         fabric_rate_bps = float_of_int hosts *. 10e9 /. 4.0;
       }
     in
-    let fct = Sweep.websearch_run ~scheme ~params ~load ~jobs_per_conn:jobs in
+    let fct = Sweep.websearch_run ~mode ~scheme ~params ~load ~jobs_per_conn:jobs in
     let mice = Workload.Fct_stats.mice_cutoff / 4 in
     Format.printf "scheme          : %s@." (Scenario.scheme_name scheme);
     Format.printf "topology        : %s, %d hosts/leaf@."
@@ -162,9 +159,7 @@ let ids_arg ~docv = Arg.(value & pos_all string [] & info [] ~docv)
 
 let exp_cmd =
   let run ids quick full domains shards =
-    apply_domains domains;
-    apply_shards shards;
-    let opts = opts_of ~quick ~full in
+    let opts = { (opts_of ~quick ~full) with Sweep.mode = mode_of ?domains shards } in
     let selected = select ~what:"experiment" experiments ids in
     (try Sys.mkdir "results" 0o755 with Sys_error _ -> ());
     List.iter
@@ -195,10 +190,10 @@ let determinism_cmd =
     let diverged =
       List.concat_map
         (fun (id, digest) ->
-          let result = Sweep.check_stability ~label:id digest in
-          Format.printf "%a%!" (Analysis.Perturb.pp_outcomes ~label:id) result;
+          let result = Sweep.check_stability digest in
+          Format.printf "%a%!" (Run_mode.pp_outcomes ~label:id) result;
           List.filter_map
-            (fun o -> if o.Analysis.Perturb.matches then None else Some (id, o.mode))
+            (fun o -> if o.Run_mode.matches then None else Some (id, o.Run_mode.mode))
             (snd result))
         (select ~what:"row" Extensions.determinism_rows ids)
     in
@@ -235,9 +230,7 @@ let chaos_cmd =
       domains shards audit no_recovery assert_recovery =
     check_workload ~load ~jobs ~hosts;
     check_topology ~pods ~cores ~core_rate;
-    apply_domains domains;
-    apply_shards shards;
-    if audit then Analysis.Audit.set_enabled true;
+    let mode = mode_of ?domains ~audit shards in
     let params =
       {
         Chaos.default_opts.Chaos.params with
@@ -273,12 +266,12 @@ let chaos_cmd =
     let schemes =
       if schemes = [] then Chaos.default_opts.Chaos.schemes else schemes
     in
-    let opts = { Chaos.plan; schemes; load; jobs_per_conn = jobs; params } in
+    let opts = { Chaos.plan; schemes; load; jobs_per_conn = jobs; params; mode } in
     let rows = Chaos.run opts in
     Format.printf "%a" (Chaos.pp_rows opts) rows;
     if audit then begin
-      print_string (Analysis.Audit.report ());
-      if not (Analysis.Audit.ok ()) then exit 1
+      Format.printf "%a" Chaos.pp_ledgers rows;
+      if not (Array.for_all (fun r -> Ledger.ok r.Chaos.r_ledger) rows) then exit 1
     end;
     if assert_recovery then begin
       (* the congestion-aware fault-tolerant schemes must recover *)
@@ -372,7 +365,11 @@ let chaos_cmd =
     Arg.(value & opt float 0.0 & info [ "core-rate-gbps" ] ~doc)
   in
   let audit_arg =
-    let doc = "Run with the runtime invariant auditor enabled (serial)." in
+    let doc =
+      "Run with the runtime invariant auditor: print each scheme's ledger (packet \
+       conservation and violations over its faulted and fault-free runs); exit 1 \
+       on any violation."
+    in
     Arg.(value & flag & info [ "audit" ] ~doc)
   in
   let no_recovery_arg =

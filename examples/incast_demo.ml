@@ -18,7 +18,7 @@ let goodput scheme fanout =
       fabric_rate_bps = 40e9;
     }
   in
-  Sweep.incast_point ~scheme ~params ~fanout
+  Sweep.incast_point ~mode:Run_mode.default ~scheme ~params ~fanout
     ~total_bytes:(int_of_float (1e7 *. params.Scenario.size_scale))
     ~requests:10 ~seeds:[ 1 ]
 

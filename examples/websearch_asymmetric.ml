@@ -19,7 +19,8 @@ let run_one scheme =
       let params =
         { Scenario.default_params with Scenario.asymmetric = true; seed }
       in
-      Sweep.websearch_run ~scheme ~params ~load:0.6 ~jobs_per_conn:150)
+      Sweep.websearch_run ~mode:Run_mode.default ~scheme ~params ~load:0.6
+        ~jobs_per_conn:150)
     seeds
 
 let mean xs = List.fold_left ( +. ) 0.0 xs /. float_of_int (List.length xs)

@@ -67,6 +67,16 @@ let create ~sched ~cfg =
     port_index = Int_table.create ~capacity:8 ~dummy:(-1) ();
   }
 
+let check_weight_sum t ~label weights =
+  if Array.length weights > 0 then begin
+    let sum = Array.fold_left ( +. ) 0.0 weights in
+    if Float.abs (sum -. 1.0) > 1e-6 then
+      Scheduler.record_violation t.sched ~invariant:"weight-normalization"
+        ~detail:
+          (Printf.sprintf "Path_table.%s: %d weights sum to %.9f, expected 1" label
+             (Array.length weights) sum)
+  end
+
 let clear t =
   t.ports <- [||];
   t.paths <- [||];
@@ -110,8 +120,7 @@ let install t pairs =
     if total > 1e-9 then Array.iteri (fun i w -> weights.(i) <- w /. total) weights
     else Array.fill weights 0 n (1.0 /. float_of_int n);
     t.wrr <- Some (Wrr.create ~weights);
-    if !Analysis.Audit.on then
-      Analysis.Audit.check_weight_sum ~label:"Path_table.install" weights;
+    if Scheduler.audit t.sched then check_weight_sum t ~label:"install" weights;
     t.samples <- carry ~default:0.0 t.samples;
     t.sample_at <- carry ~default:None t.sample_at;
     t.last_congested <- carry ~default:Sim_time.zero t.last_congested;
@@ -235,9 +244,8 @@ let note_congested t ~port =
         let share = cut /. float_of_int (List.length targets) in
         List.iter (fun j -> Wrr.set_weight w j (Wrr.weight w j +. share)) targets);
       Wrr.normalize w;
-      if !Analysis.Audit.on then
-        Analysis.Audit.check_weight_sum ~label:"Path_table.note_congested"
-          (Wrr.weights w))
+      if Scheduler.audit t.sched then
+        check_weight_sum t ~label:"note_congested" (Wrr.weights w))
 
 let note_sample t ~port ~value =
   let i = Int_table.find_default t.port_index port (-1) in
@@ -313,6 +321,5 @@ let maintain t =
         done
       end;
       Wrr.normalize w;
-      if !Analysis.Audit.on then
-        Analysis.Audit.check_weight_sum ~label:"Path_table.maintain"
-          (Wrr.weights w)
+      if Scheduler.audit t.sched then
+        check_weight_sum t ~label:"maintain" (Wrr.weights w)

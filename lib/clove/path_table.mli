@@ -14,6 +14,11 @@ type t
 
 val create : sched:Scheduler.t -> cfg:Clove_config.t -> t
 
+val check_weight_sum : t -> label:string -> float array -> unit
+(** Records a [weight-normalization] violation on the table's scheduler
+    unless non-empty [weights] sum to 1 (±1e-6); an audited table runs
+    it after every install and weight update. *)
+
 val install : t -> (int * Clove_path.t) list -> unit
 (** Replace the port set with freshly discovered (port, path) pairs,
     preserving the weights and samples of paths already known.  An install

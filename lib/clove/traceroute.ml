@@ -48,7 +48,7 @@ let create ~sched ~cfg ~rng ~host_addr ~tx ~on_paths =
     host_addr;
     tx;
     on_paths;
-    dsts = Det.create 16;
+    dsts = Det.create (Scheduler.mode sched) 16;
     stopped = false;
   }
 
@@ -128,13 +128,13 @@ let finalize_cycle t st =
 let rec run_cycle t ~key st =
   if not t.stopped then begin
     Hashtbl.reset st.pending;
-    st.port_states <- Det.create 32;
+    st.port_states <- Det.create (Scheduler.mode t.sched) 32;
     (* trace currently installed ports plus fresh random ones *)
     let fresh = List.init probe_ports (fun _ -> random_port st) in
     let ports = List.sort_uniq Int.compare (st.installed_ports @ fresh) in
     List.iter
       (fun port ->
-        Hashtbl.replace st.port_states port { hops = Det.create 8; reached_ttl = -1 };
+        Hashtbl.replace st.port_states port { hops = Det.create (Scheduler.mode t.sched) 8; reached_ttl = -1 };
         for ttl = 1 to max_ttl do
           send_probe t st ~key ~port ~ttl
         done)
@@ -157,8 +157,8 @@ let add_destination t dst =
       {
         dst;
         rng = Rng.split_named t.rng ("dst:" ^ string_of_int key);
-        pending = Det.create 64;
-        port_states = Det.create 32;
+        pending = Det.create (Scheduler.mode t.sched) 64;
+        port_states = Det.create (Scheduler.mode t.sched) 32;
         installed_ports = [];
         empty_cycles = 0;
         next_probe = 0;

@@ -67,6 +67,7 @@ type t = {
   mutable presto_weight_fn : Clove_path.t -> float;
   presto_rx : Presto_rx.t;
   reorder_seq : int Int_table.t; (* clove_reorder per-flow next seq *)
+  fifo : Fifo_check.t; (* the auditor's stamps, as sender and receiver *)
   (* the pre-allocated flowlet picker: [Flowlet.touch] takes the picker
      as a closure, and building one per packet (capturing the path table
      or flow key) was a per-tx allocation.  Instead the operands live in
@@ -355,8 +356,8 @@ let tx t pkt =
          us liveness evidence (feedback or an ACK) within the timeout
          ([no_remote]'s empty table ignores it) *)
       Path_table.note_tx r.paths ~port;
-      if !Analysis.Audit.on then
-        pkt.Packet.audit_seq <- Analysis.Audit.fifo_tx ~stream:flow_key ~port;
+      if Scheduler.audit t.sched then
+        pkt.Packet.audit_seq <- Fifo_check.stamp t.fifo ~stream:flow_key ~port;
       (match t.scheme with
       | Clove_ecn -> pkt.Packet.ecn <- Packet.Ect
       | Clove_int ->
@@ -375,9 +376,9 @@ let rx_tenant t pkt (inner : Packet.inner) =
     (* the stack consumed the segment synchronously; recycle the bundle *)
     Packet_pool.release pkt
   | Some e ->
-    if !Analysis.Audit.on && pkt.Packet.audit_seq >= 0 then
-      Analysis.Audit.fifo_rx ~stream:(Packet.tcp_flow_key inner)
-        ~port:e.Packet.src_port ~seq:pkt.Packet.audit_seq;
+    if Scheduler.audit t.sched then
+      Fifo_check.check t.fifo t.sched ~stream:(Packet.tcp_flow_key inner)
+        ~port:e.Packet.src_port ~stamp:pkt.Packet.audit_seq;
     let peer_hv = e.Packet.src_hv in
     (* the one lookup of the sender's record *)
     let r = remote t peer_hv in
@@ -460,7 +461,7 @@ let rx t pkt =
       else Traceroute.on_reply d r
     | None -> ())
 
-let create ~host ~stack ~scheme ~cfg ~rng () =
+let create ~route_epoch ~host ~stack ~scheme ~cfg ~rng () =
   let sched = Host.sched host in
   (* dummies are pure allocations: building them consumes no RNG and
      schedules nothing, so they cannot perturb determinism *)
@@ -497,6 +498,7 @@ let create ~host ~stack ~scheme ~cfg ~rng () =
           Presto_rx.create ~sched ~cfg ~deliver:(fun inner ->
               Transport.Stack.deliver stack inner);
         reorder_seq = Int_table.create ~capacity:64 ~dummy:0 ();
+        fifo = Fifo_check.create ~route_epoch;
         cur_tbl = no_remote.paths;
         cur_key = 0;
         pick_fn = (fun ~flowlet_id -> ignore flowlet_id; 0);

@@ -60,6 +60,7 @@ type stats = {
 }
 
 val create :
+  route_epoch:(unit -> int) ->
   host:Host.t ->
   stack:Transport.Stack.t ->
   scheme:scheme ->
@@ -67,7 +68,8 @@ val create :
   rng:Rng.t ->
   unit ->
   t
-(** Installs itself as the host's packet handler. *)
+(** Installs itself as the host's packet handler.  [route_epoch] reads
+    the fabric's reconvergence count for the audit's {!Fifo_check}. *)
 
 val tx : t -> Packet.t -> unit
 (** Outbound inner (unencapsulated tenant) packet from the local guest. *)

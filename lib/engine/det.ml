@@ -1,4 +1,4 @@
-let create n = Hashtbl.create (Analysis.Perturb.perturbed_size n)
+let create mode n = Hashtbl.create (Run_mode.perturbed_size mode n)
 
 (* [cmp] is the caller's typed key compare (the [~compare] label), not
    the polymorphic one clove-lint bans. *)

@@ -5,9 +5,9 @@
     never leak into path selection, weight updates or any other
     simulator-visible behaviour.  Two rules keep it out:
 
-    - create simulator-state tables with {!create}, so the
-      schedule-perturbation sanitizer ([Analysis.Perturb]) can vary
-      bucket counts between runs and expose any leak dynamically;
+    - create simulator-state tables with {!create}, so the run mode's
+      table-size salt ({!Run_mode.t}) can vary bucket counts between
+      runs and expose any leak dynamically;
     - iterate with the [_sorted] helpers whenever the closure writes
       mutable state or its visit order is otherwise observable.  A plain
       [Hashtbl.fold] with a pure, commutative closure (counting, or
@@ -17,9 +17,9 @@
     The helpers take an explicit typed [compare] (keys here are ints,
     pairs or strings; polymorphic compare is linted against). *)
 
-val create : int -> ('k, 'v) Hashtbl.t
-(** [Hashtbl.create] with the initial size perturbed by the salt of
-    [Analysis.Perturb.set_tbl_size_salt] (identity when the salt is 0). *)
+val create : Run_mode.t -> int -> ('k, 'v) Hashtbl.t
+(** [Hashtbl.create] with the initial size perturbed by the salt of the
+    mode the table's owner runs under (identity when the salt is 0). *)
 
 val iter_sorted :
   compare:('k -> 'k -> int) -> ('k -> 'v -> unit) -> ('k, 'v) Hashtbl.t -> unit

@@ -8,10 +8,10 @@
    which domain finished first — the property the deterministic sweep
    engine builds on.
 
-   Tasks must not touch the simulator's serial-only global state (the
-   invariant auditor, the perturbation knobs); each experiment point owns
-   its private scenario, scheduler and RNG, which is what makes this
-   sound.  clove-check's [sema-domain-parallel] rule keeps Domain/Mutex
+   Tasks must not share mutable simulator state; each experiment point
+   owns its private scenario, schedulers (whose run mode carries the
+   perturbation knobs and the auditor's switch) and RNG, which is what
+   makes this sound.  clove-check's [sema-domain-parallel] rule keeps Domain/Mutex
    use fenced into this module. *)
 
 type batch = {
@@ -34,14 +34,7 @@ type t = {
 
 (* ---------------------------- sizing ------------------------------ *)
 
-let override = ref None
-
-let default_domains () =
-  match !override with
-  | Some n -> n
-  | None -> max 1 (Domain.recommended_domain_count () - 1)
-
-let set_default_domains n = override := Some (max 1 n)
+let default_domains () = max 1 (Domain.recommended_domain_count () - 1)
 
 (* --------------------------- the pool ----------------------------- *)
 

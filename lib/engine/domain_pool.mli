@@ -8,25 +8,20 @@
     the sweep engine's determinism-under-parallelism guarantee.
 
     Tasks must be independent: they may not share mutable simulator
-    state.  Serial-only facilities (the invariant auditor, the
-    perturbation sanitizer's knobs) must not be toggled while a batch is
-    in flight. *)
+    state.  Each run carries its own {!Run_mode.t}, and its auditor's
+    state lives in its own schedulers and components, so audited and
+    perturbed runs fan out like any other. *)
 
 type t
 
-val set_default_domains : int -> unit
-(** Override the pool width used when [?domains] is omitted, for the
-    process (the [--domains] CLI flag); clamped to at least 1.  Without
-    an override the width is [Domain.recommended_domain_count () - 1]
-    (at least 1).  1 means fully serial — no domains are spawned. *)
-
 val default_domains : unit -> int
-(** The width used when [?domains] is omitted. *)
+(** [Domain.recommended_domain_count () - 1], at least 1 (1 spawns no
+    domain): the width when [?domains] is omitted, and {!Run_mode.default}'s. *)
 
 val create : ?domains:int -> unit -> t
 (** Spawn a pool of [domains - 1] workers (the submitting domain itself
-    is the remaining member).  [domains] defaults to the default width
-    (see {!set_default_domains}). *)
+    is the remaining member).  [domains] defaults to
+    {!default_domains}. *)
 
 val map : t -> ('a -> 'b) -> 'a array -> 'b array
 (** [map t f xs] runs [f xs.(i)] for every [i] across the pool and

@@ -23,6 +23,8 @@
    then only ever compares events of one component inserted in one
    instant — program order, identical at any shard count. *)
 
+type tiebreak = Fifo | Lifo
+
 type 'a t = {
   mutable times : int array; (* event time in ns *)
   mutable borns : int array; (* insertion instant in ns, first tie-break *)
@@ -30,11 +32,12 @@ type 'a t = {
   mutable seqs : int array; (* insertion sequence, final tie-break *)
   mutable values : 'a array;
   dummy : 'a;
+  fifo : bool; (* the residual tie-break: schedule order, or its reverse *)
   mutable size : int;
   mutable next_seq : int;
 }
 
-let create ?(capacity = 256) ~dummy () =
+let create ?(capacity = 256) ?(tiebreak = Fifo) ~dummy () =
   let capacity = max capacity 1 in
   {
     times = Array.make capacity 0;
@@ -43,29 +46,23 @@ let create ?(capacity = 256) ~dummy () =
     seqs = Array.make capacity 0;
     values = Array.make capacity dummy;
     dummy;
+    fifo = (match tiebreak with Fifo -> true | Lifo -> false);
     size = 0;
     next_seq = 0;
   }
 
 (* Same-(time, born, src) events fire in schedule order (FIFO on [seq]).
-   The perturbation sanitizer reverses that residual tie-break between
-   complete runs to check nothing depends on it; the knob must never
-   change while a queue is non-empty (the heap invariant assumes a fixed
-   comparator).  Each operation reads the knob once into [fifo] so a
-   single sift sees a consistent comparator.  The [int] annotation keeps
-   every compare a machine instruction rather than a call to the generic
-   structural compare. *)
+   The schedule-perturbation check builds queues with that residual
+   tie-break reversed to show nothing depends on it; it is fixed at
+   [create], so the heap invariant always sees one comparator.  The
+   [int] annotation keeps every compare a machine instruction rather
+   than a call to the generic structural compare. *)
 let[@inline] lt ~fifo (t1 : int) (b1 : int) (c1 : int) (s1 : int) t2 b2 c2 s2 =
   if t1 <> t2 then t1 < t2
   else if b1 <> b2 then b1 < b2
   else if c1 <> c2 then c1 < c2
   else if fifo then s1 < s2
   else s1 > s2
-
-let fifo_now () =
-  match !Analysis.Perturb.tiebreak with
-  | Analysis.Perturb.Fifo -> true
-  | Analysis.Perturb.Lifo -> false
 
 (* [a] doubled, its entries kept *)
 let double a fill =
@@ -142,7 +139,7 @@ let rec sift_down t ~fifo n i time born src seq =
    standalone users (benchmarks, tests). *)
 let add_at_ns t ~time_ns:time ~born_ns:born ~src ~seq value =
   if t.size = Array.length t.times then grow t;
-  let i = sift_up t ~fifo:(fifo_now ()) t.size time born src seq in
+  let i = sift_up t ~fifo:t.fifo t.size time born src seq in
   t.size <- t.size + 1;
   set t i ~time ~born ~src ~seq value
 
@@ -169,7 +166,7 @@ let[@inline] reseat t ~fifo n ~from i =
    popped at every step is the same whatever valid heap shape the arrays
    hold — which is what makes in-place compaction determinism-safe. *)
 let heapify t =
-  let fifo = fifo_now () and n = t.size in
+  let fifo = t.fifo and n = t.size in
   for start = (n / 2) - 1 downto 0 do
     reseat t ~fifo n ~from:start start
   done
@@ -199,7 +196,7 @@ let pop_unsafe t =
   let top = t.values.(0) in
   let n = t.size - 1 in
   t.size <- n;
-  if n > 0 then reseat t ~fifo:(fifo_now ()) n ~from:n 0;
+  if n > 0 then reseat t ~fifo:t.fifo n ~from:n 0;
   (* release the vacated payload slot for GC *)
   t.values.(n) <- t.dummy;
   top

@@ -23,9 +23,13 @@
 
 type 'a t
 
-val create : ?capacity:int -> dummy:'a -> unit -> 'a t
-(** [create ~dummy ()] makes an empty queue.  [dummy] pads unused array
-    slots; any value of type ['a] works (it is never popped). *)
+type tiebreak =
+  | Fifo  (** same-(time, born, src) events pop in insertion order *)
+  | Lifo  (** ... in reverse insertion order (the perturbation check) *)
+
+val create : ?capacity:int -> ?tiebreak:tiebreak -> dummy:'a -> unit -> 'a t
+(** [create ~dummy ()] makes an empty queue of a fixed tie-break ([Fifo]
+    by default).  [dummy] pads unused array slots; any value works. *)
 
 val add : 'a t -> time:Sim_time.t -> 'a -> unit
 (** Self-sequencing add: the queue assigns the next insertion sequence. *)

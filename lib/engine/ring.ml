@@ -42,3 +42,5 @@ let pop t =
   t.head <- (t.head + 1) land (Array.length t.buf - 1);
   t.len <- t.len - 1;
   v
+
+let length t = t.len

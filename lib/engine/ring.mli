@@ -17,3 +17,5 @@ val push : 'a t -> 'a -> unit
 val pop : 'a t -> 'a
 (** Oldest element; raises [Invalid_argument] if empty.  The vacated
     slot is reset to the dummy. *)
+
+val length : 'a t -> int

@@ -63,8 +63,10 @@ type slab = {
   mutable n_free : int;
 }
 
+type violation = { invariant : string; detail : string }
+
 type t = {
-  id : int;
+  mode : Run_mode.t;
   mutable clock : Sim_time.t;
   mutable fired : int;
   queue : int Event_queue.t;
@@ -80,12 +82,14 @@ type t = {
   mutable wheel_scheduled : int;
   mutable heap_scheduled : int;
   mutable compactions : int;
+  (* audited runs: the latest dispatch time, and the first [max_kept]
+     of the [n_violations] recorded, newest first *)
+  mutable watermark_ns : int;
+  mutable violations : violation list;
+  mutable n_violations : int;
 }
 
-(* distinguishes schedulers in the invariant auditor's per-clock
-   monotonicity watermarks; scenarios may build several schedulers.
-   Atomic because parallel sweeps build scenarios on several domains. *)
-let next_id = Atomic.make 0
+let max_kept = 100
 
 let nop () = ()
 
@@ -121,16 +125,16 @@ let keep_event slab ev =
   (free_slot slab i;
    false)
 
-let create () =
+let create ?(mode = Run_mode.default) () =
   let slab =
     { handles = Array.make 16 dummy_handle; free = Array.init 16 Fun.id; n_free = 16 }
   in
   let keep = keep_event slab in
   {
-    id = 1 + Atomic.fetch_and_add next_id 1;
+    mode;
     clock = Sim_time.zero;
     fired = 0;
-    queue = Event_queue.create ~dummy:0 ();
+    queue = Event_queue.create ~tiebreak:mode.Run_mode.tiebreak ~dummy:0 ();
     wheel = Timer_wheel.create ~keep ();
     slab;
     keep;
@@ -143,9 +147,29 @@ let create () =
     compactions = 0;
     wheel_scheduled = 0;
     heap_scheduled = 0;
+    watermark_ns = 0;
+    violations = [];
+    n_violations = 0;
   }
 
 let now t = t.clock
+let mode t = t.mode
+let audit t = t.mode.Run_mode.audit
+
+let record_violation t ~invariant ~detail =
+  t.n_violations <- t.n_violations + 1;
+  if t.n_violations <= max_kept then
+    t.violations <- { invariant; detail } :: t.violations
+
+let violations t = List.rev t.violations
+let violation_count t = t.n_violations
+
+(* dispatch times never decrease *)
+let check_clock t time_ns =
+  if time_ns < t.watermark_ns then
+    record_violation t ~invariant:"monotonic-time"
+      ~detail:(Printf.sprintf "clock moved %dns -> %dns" t.watermark_ns time_ns);
+  t.watermark_ns <- time_ns
 
 (* ---- dispatch table ---- *)
 
@@ -302,8 +326,7 @@ let step_prepared t =
   else begin
     let time_ns = Event_queue.min_time_ns t.queue in
     let ev = Event_queue.pop_unsafe t.queue in
-    if !Analysis.Audit.on then
-      Analysis.Audit.note_clock ~clock_id:t.id ~now_ns:time_ns;
+    if t.mode.Run_mode.audit then check_clock t time_ns;
     t.clock <- Sim_time.of_ns time_ns;
     t.fired <- t.fired + 1;
     if ev >= 0 then begin

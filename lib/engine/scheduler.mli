@@ -23,7 +23,27 @@ type handle
     Tagged events ({!schedule_tag}) are fire-and-forget and expose no
     handle. *)
 
-val create : unit -> t
+val create : ?mode:Run_mode.t -> unit -> t
+(** A scheduler running under [mode] ({!Run_mode.default}) for its whole
+    life: its queue's tie-break, the salt of its components' tables,
+    and whether it audits. *)
+
+val mode : t -> Run_mode.t
+
+(** {2 Runtime invariant auditor}
+    Audited, the scheduler checks that dispatch times never decrease,
+    and keeps the violations its own and its components' checks record. *)
+type violation = { invariant : string; detail : string }
+
+val audit : t -> bool
+(** The mode's [audit], which guards every check. *)
+
+val record_violation : t -> invariant:string -> detail:string -> unit
+
+val violations : t -> violation list
+(** The first 100 recorded, oldest first. *)
+
+val violation_count : t -> int
 
 val now : t -> Sim_time.t
 (** Current simulation time. *)

@@ -28,8 +28,7 @@
    digest-invisible.
 
    The shard tasks run on a persistent {!Domain_pool} ([width] domains,
-   one barrier [map] per window).  Width 1 — and any run under the
-   (global, unsynchronized) invariant auditor — executes the same loop
+   one barrier [map] per window).  Width 1 executes the same loop
    serially on the calling domain. *)
 
 type t = {
@@ -80,10 +79,6 @@ let windows t = t.windows
 let stalls t = t.stalls
 let boundary_events t = t.boundary_events
 
-(* the auditor's tables are global and unsynchronized, so audited runs
-   keep every window on the calling domain (same loop, same results) *)
-let parallel_ok t = Array.length t.scheds > 1 && not !Analysis.Audit.on
-
 let pool t =
   match t.pool with
   | Some p -> p
@@ -94,7 +89,7 @@ let pool t =
     p
 
 let run_window t =
-  if parallel_ok t then
+  if Array.length t.scheds > 1 then
     let (_ : unit array) = Domain_pool.map (pool t) t.run_to_barrier t.scheds in
     ()
   else Array.iter t.run_to_barrier t.scheds
@@ -114,21 +109,34 @@ let rec count_stalls t ~barrier i =
     count_stalls t ~barrier (i + 1)
   end
 
+(* one window: every shard, then the global scheduler, to [barrier] *)
+let window t ~barrier =
+  t.barrier_ns <- barrier;
+  count_stalls t ~barrier 0;
+  run_window t;
+  Scheduler.run_until t.global ~until_ns:barrier;
+  t.boundary_events <- t.boundary_events + t.exchange ();
+  t.windows <- t.windows + 1
+
+(* frontier jump: a window starts at the earliest pending event [m],
+   skipping quiescent gaps (warmup, inter-arrival lulls) *)
+let next_barrier t =
+  let g = Scheduler.next_time_ns t.global in
+  let m = min_next_ns t 0 g in
+  if m = max_int then max_int else min (m + t.window_ns - 1) g
+
 let drive t ~finished =
   while not (finished ()) do
-    let g = Scheduler.next_time_ns t.global in
-    let m = min_next_ns t 0 g in
-    if m = max_int then
+    let barrier = next_barrier t in
+    if barrier = max_int then
       failwith "Shard.drive: every scheduler is idle but the run is unfinished";
-    (* frontier jump: the window starts at the earliest pending event,
-       skipping quiescent gaps (warmup, inter-arrival lulls) *)
-    let barrier = min (m + t.window_ns - 1) g in
-    t.barrier_ns <- barrier;
-    count_stalls t ~barrier 0;
-    run_window t;
-    Scheduler.run_until t.global ~until_ns:barrier;
-    t.boundary_events <- t.boundary_events + t.exchange ();
-    t.windows <- t.windows + 1
+    window t ~barrier
+  done
+
+let drive_until t ~until =
+  let until_ns = Sim_time.to_ns until in
+  while min_next_ns t 0 (Scheduler.next_time_ns t.global) <= until_ns do
+    window t ~barrier:(min (next_barrier t) until_ns)
   done
 
 let shutdown t =

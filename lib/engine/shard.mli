@@ -31,9 +31,12 @@ val drive : t -> finished:(unit -> bool) -> unit
 (** Run barrier windows until [finished ()].  [finished] is polled
     between windows only (never concurrently with shard execution).
     Raises [Failure] if every scheduler goes idle first — the sharded
-    analogue of a serial drive loop running dry with jobs outstanding.
-    Under the runtime invariant auditor (global tables), windows run
-    serially on the calling domain; results are identical. *)
+    analogue of a serial drive loop running dry with jobs outstanding. *)
+
+val drive_until : t -> until:Sim_time.t -> unit
+(** Run barrier windows, each clamped to [until], until no scheduler has
+    an event at or before [until]: the shards have then fired exactly
+    the events a serial run to [until] fires. *)
 
 val window_ns : t -> int
 

@@ -127,8 +127,22 @@ let add t ~time_ns ~born_ns ~src ~seq v =
   end
   else false
 
-(* index of the lowest set bit; caller guarantees [w <> 0] *)
-let rec ctz_from w i = if w land (1 lsl i) <> 0 then i else ctz_from w (i + 1)
+(* a de Bruijn sequence B(2, 5): the top 5 bits of the 32-bit word
+   [debruijn lsl i] differ for every i in 0..31; [ctz_table] maps them
+   back to i *)
+let debruijn = 0x077CB531
+let ctz_table =
+  let b = Bytes.make 32 '\000' in
+  for i = 0 to 31 do
+    Bytes.set b (((debruijn lsl i) land 0xFFFFFFFF) lsr 27) (Char.chr i)
+  done;
+  Bytes.to_string b
+
+(* index of the lowest set bit of a 32-bit word [w <> 0], in constant
+   time: [w land (-w)] is that bit 2^i, and 2^i * [debruijn] is
+   [debruijn lsl i] *)
+let[@inline] ctz w =
+  Char.code ctz_table.[(((w land (-w)) * debruijn) land 0xFFFFFFFF) lsr 27]
 
 (* whole words after the start word, wrapping; then the start word's low
    bits (positions before [start]) close the circle.  Top-level (not a
@@ -141,7 +155,7 @@ let rec scan_words occ ~base ~wi ~bit ~words ~start ~mask j =
       if j = words then occ.(base + wi) land ((1 lsl bit) - 1)
       else occ.(base + wj)
     in
-    if w <> 0 then ((wj lsl 5) + ctz_from w 0 - start) land mask
+    if w <> 0 then ((wj lsl 5) + ctz w - start) land mask
     else scan_words occ ~base ~wi ~bit ~words ~start ~mask (j + 1)
   end
 
@@ -153,7 +167,7 @@ let first_occupied_distance t ~level ~start =
   let base = level * words in
   let wi = start lsr 5 and bit = start land 31 in
   let w0 = t.occ.(base + wi) lsr bit in
-  if w0 <> 0 then ctz_from w0 0
+  if w0 <> 0 then ctz w0
   else
     let mask = (1 lsl bits) - 1 in
     scan_words t.occ ~base ~wi ~bit ~words ~start ~mask 1

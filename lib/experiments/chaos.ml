@@ -7,6 +7,7 @@ type opts = {
   load : float;
   jobs_per_conn : int;
   params : Scenario.params;
+  mode : Run_mode.t;
 }
 
 let link_down_spec = "down s2-l2b@60ms; up s2-l2b@120ms"
@@ -73,6 +74,7 @@ let default_opts =
         Scenario.probe_interval = Some (Sim_time.ms 20);
         failure_recovery = true;
       };
+    mode = Run_mode.default;
   }
 
 let recovery_slack = 1.10 (* "within 10% of the fault-free baseline" *)
@@ -97,8 +99,8 @@ let arm_faults scn plan =
    without advancing the parent), so it is an exact control: windowed
    comparisons isolate the fault's cost from workload-sampling noise and
    secular backlog drift. *)
-let simulate params ~load ~jobs_per_conn scheme plan =
-  let scn = Scenario.build ~scheme params in
+let simulate ~mode params ~load ~jobs_per_conn scheme plan =
+  let scn = Scenario.build ~mode ~scheme params in
   let servers = Scenario.servers scn in
   (* one-to-one pairing isolates the fabric fault from server-access-link
      collisions (same setup as the ext-failure timeline) *)
@@ -119,8 +121,9 @@ let simulate params ~load ~jobs_per_conn scheme plan =
   in
   let fct = Scenario.run_websearch scn ~rng:(Scenario.rng scn) ~conns cfg in
   Faults.Fault_engine.stop engine;
+  let ledger = Scenario.ledger scn in
   Scenario.quiesce scn;
-  fct
+  (fct, ledger)
 
 (* Mice slice: mice FCT tracks queueing and congestion directly, while
    whole-distribution averages are dominated by how many rare elephants
@@ -161,6 +164,7 @@ type row = {
   r_score : score;
   r_fct : Workload.Fct_stats.t;
   r_base : Workload.Fct_stats.t;  (* the paired fault-free baseline *)
+  r_ledger : Ledger.t;  (* both runs' *)
 }
 
 (* Score one (sub-)plan's disruption window against a faulted run and
@@ -228,26 +232,25 @@ let score ~plan ~fct ~base =
 
 let run_scheme opts scheme =
   let simulate =
-    simulate opts.params ~load:opts.load ~jobs_per_conn:opts.jobs_per_conn
-      scheme
+    simulate ~mode:opts.mode opts.params ~load:opts.load
+      ~jobs_per_conn:opts.jobs_per_conn scheme
   in
-  let fct = simulate opts.plan in
-  let base = simulate [] in
+  let fct, ledger = simulate opts.plan in
+  let base, base_ledger = simulate [] in
   {
     r_scheme = scheme;
     r_score = score ~plan:opts.plan ~fct ~base;
     r_fct = fct;
     r_base = base;
+    r_ledger = Ledger.merge ledger base_ledger;
   }
 
 let run opts =
   (* one fully private scenario per scheme: embarrassingly parallel, and
      results return by scheme index so the scorecard (and its digests)
-     are identical at any domain count; serial under Sweep's fan-out
-     rule *)
-  let schemes = Array.of_list opts.schemes in
-  if Sweep.run_serially () then Array.map (run_scheme opts) schemes
-  else Domain_pool.run (run_scheme opts) schemes
+     are identical at any domain count *)
+  Domain_pool.run ~domains:(Sweep.fan_width opts.mode) (run_scheme opts)
+    (Array.of_list opts.schemes)
 
 let ms v = if Float.is_nan v then nan else 1e3 *. v
 
@@ -364,6 +367,11 @@ let pp_rows opts fmt rows =
       Format.fprintf fmt "digest %-14s %s@."
         (Scenario.scheme_name r.r_scheme)
         (Digest.to_hex (Digest.string (Workload.Fct_stats.canonical_dump r.r_fct))))
+    rows
+
+let pp_ledgers fmt rows =
+  Array.iter
+    (fun r -> Ledger.pp ~label:(Scenario.scheme_name r.r_scheme) fmt r.r_ledger)
     rows
 
 let report ?(opts = default_opts) () = scorecard ~plan:opts.plan (run opts)

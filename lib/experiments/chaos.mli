@@ -37,6 +37,7 @@ type opts = {
       (** the scenario every run builds, seed included; its
           [failure_recovery = false] is the deliberate black-hole
           negative control *)
+  mode : Run_mode.t;  (** every run's mode: widths, knobs, auditing *)
 }
 
 val default_opts : opts
@@ -76,33 +77,37 @@ type row = {
   r_score : score;
   r_fct : Workload.Fct_stats.t;  (** the faulted run's full FCT record *)
   r_base : Workload.Fct_stats.t;  (** the paired fault-free baseline's *)
+  r_ledger : Ledger.t;  (** the auditor's ledger over both runs *)
 }
 
 val simulate :
+  mode:Run_mode.t ->
   Scenario.params ->
   load:float ->
   jobs_per_conn:int ->
   Scenario.scheme ->
   Faults.Fault_plan.t ->
-  Workload.Fct_stats.t
+  Workload.Fct_stats.t * Ledger.t
 (** One seeded run of [params] at [load] for [jobs_per_conn] jobs per
     connection, client [i] paired with server [i], with the given plan
     armed on the scenario's control scheduler ([[]] = the fault-free
     baseline).  Runs at the
     scenario's shard width through {!Scenario.run_websearch}; raises
-    [Invalid_argument] when the plan does not fit the topology.  The
-    ext-failure timeline is two such runs. *)
+    [Invalid_argument] when the plan does not fit the topology; with its
+    {!Scenario.ledger}.  The ext-failure timeline is two such runs. *)
 
 val run : opts -> row array
-(** All schemes across the domain pool — each a faulted run plus its
-    fault-free baseline — results by scheme index; serial under
-    {!Sweep.run_serially}. *)
+(** All schemes, {!Sweep.fan_width} wide — each a faulted run plus its
+    fault-free baseline — results by scheme index. *)
 
 val pp_rows : opts -> Format.formatter -> row array -> unit
 (** What [clove-sim chaos] prints: the resilience scorecard, its per-tier
     breakdown (each tier's own disruption window, per
     {!Faults.Fault_engine.tier_of_event}) and a
     [digest <scheme> <md5 of canonical_dump>] line per scheme. *)
+
+val pp_ledgers : Format.formatter -> row array -> unit
+(** What [clove-sim chaos --audit] adds: each scheme's {!Ledger.pp}. *)
 
 val report : ?opts:opts -> unit -> Figures.report
 (** {!run}'s resilience scorecard (the ext-chaos extension). *)

@@ -69,7 +69,7 @@ let failure_timeline opts =
      degradation and recovery stand out *)
   let run scheme =
     Workload.Fct_stats.timeline
-      (Chaos.simulate params ~load:0.4 ~jobs_per_conn:jobs scheme plan)
+      (fst (Chaos.simulate ~mode:opts.Sweep.mode params ~load:0.4 ~jobs_per_conn:jobs scheme plan))
       ~bucket_sec:0.01
   in
   let ecmp = run Scenario.S_ecmp in
@@ -174,7 +174,7 @@ let all =
     ( "ext-chaos",
       fun opts ->
         Chaos.report
-          ~opts:{ Chaos.default_opts with jobs_per_conn = opts.Sweep.jobs_per_conn }
+          ~opts:{ Chaos.default_opts with jobs_per_conn = opts.Sweep.jobs_per_conn; mode = opts.Sweep.mode }
           () );
   ]
 
@@ -185,13 +185,15 @@ let plan_of spec = Result.get_ok (Faults.Fault_plan.parse spec)
 
 (* a chaos row digests exactly what [clove-sim chaos] prints *)
 let chaos_row name opts =
-  (name, fun () -> md5 (Format.asprintf "%a" (Chaos.pp_rows opts) (Chaos.run opts)))
+  let digest opts = md5 (Format.asprintf "%a" (Chaos.pp_rows opts) (Chaos.run opts)) in
+  (name, fun mode -> digest { opts with Chaos.mode })
 
 let chaos3_row preset =
   let params = { Chaos.default_opts.Chaos.params with Scenario.pods = 2 } in
   chaos_row ("chaos3-" ^ preset)
     {
-      Chaos.plan = plan_of (Result.get_ok (Chaos.preset_spec params preset));
+      Chaos.default_opts with
+      plan = plan_of (Result.get_ok (Chaos.preset_spec params preset));
       schemes = [ Scenario.S_caft; Scenario.S_ecmp; Scenario.S_clove_ecn ];
       load = 0.15;
       jobs_per_conn = 120;
@@ -201,7 +203,8 @@ let chaos3_row preset =
 let determinism_rows =
   List.map
     (fun (id, runner) ->
-      (id, fun () -> md5 (Format.asprintf "%a@." Figures.pp_report (runner Sweep.quick_opts))))
+      let digest opts = md5 (Format.asprintf "%a@." Figures.pp_report (runner opts)) in
+      (id, fun mode -> digest { Sweep.quick_opts with mode }))
     (Figures.all @ all)
   @ chaos_row "chaos" { Chaos.default_opts with Chaos.plan = plan_of Chaos.link_down_spec }
     (* the sample picker with failure recovery on, which the figures

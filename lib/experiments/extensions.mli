@@ -20,8 +20,9 @@ val all : (string * (Sweep.run_opts -> Figures.report)) list
     {!Figures.load_sweep} calls; [ext-failure] runs one seed at 25x the
     options' jobs per connection. *)
 
-val determinism_rows : (string * (unit -> string)) list
-(** The [clove-sim determinism] matrix's rows, named digest thunks:
+val determinism_rows : (string * (Run_mode.t -> string)) list
+(** The [clove-sim determinism] matrix's rows, named digests of a run in
+    a given mode:
     every experiment id, the MD5 of its report as [exp -q] prints it;
     [chaos], [clove-sim chaos]'s default run; [chaos-int-latency], the
     same run of Clove-INT and Clove-Latency at 120 jobs (the sample picker

@@ -136,7 +136,7 @@ let fig6 opts =
 (* Fig. 7: incast, client goodput vs request fan-in; Clove-ECN /
    Edge-Flowlet / MPTCP.  The preset is fixed — 15 requests per fan-in
    over seeds 1-3 — whatever the sweep options. *)
-let fig7 () =
+let fig7 mode =
   let requests = 15 in
   (* the incast experiment uses the paper's full 16 servers so the fan-in
      axis matches; the fabric scales with the host count *)
@@ -157,7 +157,7 @@ let fig7 () =
       let values =
         List.map
           (fun scheme ->
-            Sweep.incast_point ~scheme ~params ~fanout ~total_bytes ~requests
+            Sweep.incast_point ~mode ~scheme ~params ~fanout ~total_bytes ~requests
               ~seeds:[ 1; 2; 3 ]
             /. 1e9)
           schemes
@@ -295,7 +295,7 @@ let all =
     ("fig5b", fig5b);
     ("fig5c", fig5c);
     ("fig6", fig6);
-    ("fig7", fun (_ : Sweep.run_opts) -> fig7 ());
+    ("fig7", fun opts -> fig7 opts.Sweep.mode);
     ("fig8a", fig8a);
     ("fig8b", fig8b);
     ("fig9", fig9);

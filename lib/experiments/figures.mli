@@ -41,7 +41,7 @@ val all : (string * (Sweep.run_opts -> report)) list
     simulation figures of Section 6 ([fig8a], [fig8b], [fig9]) and the
     DESIGN.md ablations ([ablation-relay], [ablation-paths],
     [ablation-beta]).  Every runner sweeps with the given options except
-    [fig7], whose incast preset is fixed. *)
+    [fig7], whose incast preset is fixed: it takes only their mode. *)
 
 val capture_ratio :
   ecmp:float -> clove:float -> conga:float -> float

@@ -91,6 +91,7 @@ let default_params =
 
 let host_rate_bps = 10e9 (* every host NIC *)
 let spines = 2 (* per pod *)
+let hop_delay = Sim_time.us 2 (* every link's *)
 let mptcp_subflows = 4
 
 type pdes = {
@@ -113,18 +114,13 @@ type t = {
   conga : Fabric_lb.Conga.t option;
   caft : Fabric_lb.Caft.t option;
   dist : Stats.Cdf.t;
+  mode : Run_mode.t; (* with [shards] the effective width *)
   shards : int; (* 1 = serial; >= 2 sharded *)
   pdes : pdes option; (* Some iff shards >= 2 *)
   mutable conn_shards : int list; (* per conn id, src-host shard; reversed *)
   mutable next_conn : int;
   mutable next_port : int;
 }
-
-(* Shard count used by [build] when the caller passes none — the CLI's
-   [--shards] flag lands here.  1 is the serial engine (canonicalized
-   stats ordering, comparable with any width); >= 2 partitions the
-   fabric across domains. *)
-let default_shards = ref 1
 
 let sched t = t.sched
 let fabric t = t.fabric
@@ -167,7 +163,7 @@ let build_topology params =
     ~core_rate_bps:
       (if params.core_rate_bps > 0.0 then params.core_rate_bps
        else params.fabric_rate_bps)
-    ~delay:(Sim_time.us 2)
+    ~delay:hop_delay
 
 let fault_names params = Faults.Fault_engine.clos_naming (build_topology params)
 
@@ -191,8 +187,8 @@ let vswitch_scheme = function
   | S_letflow -> Clove.Vswitch.Direct
   | S_caft -> Clove.Vswitch.Direct
 
-let build ?shards ~scheme params =
-  let shards = match shards with Some s -> s | None -> !default_shards in
+let build ?(mode = Run_mode.default) ?shards ~scheme params =
+  let shards = match shards with Some s -> s | None -> mode.Run_mode.shards in
   if shards < 1 then invalid_arg "Scenario.build: shards must be >= 1";
   (* Graceful degradation keeps the digest contract ("identical at any
      --shards >= 1") for every scenario: MPTCP couples both endpoints on
@@ -202,7 +198,8 @@ let build ?shards ~scheme params =
     if shards >= 2 && scheme = S_mptcp then 1
     else min shards (total_leaves params)
   in
-  let sched = Scheduler.create () in
+  let mode = { mode with Run_mode.shards } in
+  let sched = Scheduler.create ~mode () in
   let rng = Rng.create params.seed in
   let ({ Topology.topo; host_ids; leaf_ids; spine_ids; core_ids; _ } as topology) =
     build_topology params
@@ -231,7 +228,7 @@ let build ?shards ~scheme params =
           ~shard_of_node:(fun id -> node_shard.(id))
           ()
       in
-      let scheds = Array.init width (fun _ -> Scheduler.create ()) in
+      let scheds = Array.init width (fun _ -> Scheduler.create ~mode ()) in
       Some (partition, scheds)
     end
   in
@@ -296,14 +293,15 @@ let build ?shards ~scheme params =
     | None -> cfg
     | Some every -> { cfg with Clove.Clove_config.probe_interval = every }
   in
-  let stacks = Det.create 64 and vswitches = Det.create 64 in
+  let stacks = Det.create mode 64 and vswitches = Det.create mode 64 in
+  let route_epoch () = Fabric.reconvergences fabric in
   let degraded_spine = spine_ids.(1) in
   Array.iter
     (fun host ->
       let st = Transport.Stack.create () in
       Hashtbl.replace stacks (Host.id host) st;
       let v =
-        Clove.Vswitch.create ~host ~stack:st ~scheme:(vswitch_scheme scheme)
+        Clove.Vswitch.create ~route_epoch ~host ~stack:st ~scheme:(vswitch_scheme scheme)
           ~cfg:clove_cfg
           ~rng:(Rng.split_named rng ("host:" ^ string_of_int (Host.id host)))
           ()
@@ -368,6 +366,7 @@ let build ?shards ~scheme params =
         (if params.data_mining then Workload.Flow_size_dist.data_mining
          else Workload.Flow_size_dist.web_search)
         params.size_scale;
+    mode;
     shards;
     pdes;
     conn_shards = [];
@@ -432,11 +431,18 @@ let shard t = match t.pdes with Some p -> Some p.shard | None -> None
 
 (* Run the websearch workload on this scenario, honoring its execution
    mode.  [conns] must be every connection created on [t], in creation
-   order, so connection indices map onto the tracked source shards. *)
+   order, so connection indices map onto the tracked source shards.  An
+   audited run ends at a width-invariant instant, one hop delay past the
+   last completion: a sharded run stops at the barrier of the window
+   holding it, less than one window (at most one hop delay) later, so
+   every width can stop there having fired exactly the same events. *)
 let run_websearch t ~rng ~conns cfg =
+  let audit = t.mode.Run_mode.audit in
+  let audit_end stats = Sim_time.add (Workload.Fct_stats.last_finish stats) hop_delay in
   match t.pdes with
   | None ->
     let stats = Workload.Websearch.run ~sched:t.sched ~rng ~conns cfg in
+    if audit then Scheduler.run ~until:(audit_end stats) t.sched;
     (* canonical record order, like every other width *)
     Workload.Fct_stats.canonicalize stats;
     stats
@@ -467,8 +473,19 @@ let run_websearch t ~rng ~conns cfg =
       Array.fold_left Workload.Fct_stats.merge (Workload.Fct_stats.create ())
         stats
     in
+    if audit then begin
+      if Sim_time.compare_span (Sim_time.ns (Shard.window_ns p.shard)) hop_delay > 0 then
+        invalid_arg "Scenario.run_websearch: audit needs a window of at most one hop delay";
+      Shard.drive_until p.shard ~until:(audit_end merged)
+    end;
     Workload.Fct_stats.canonicalize merged;
     merged
+
+let ledger t =
+  let scheds =
+    match t.pdes with None -> [ t.sched ] | Some p -> t.sched :: Array.to_list p.scheds
+  in
+  Ledger.measure t.fabric ~scheds
 
 let quiesce t =
   Det.iter_sorted ~compare:Int.compare (fun _ v -> Clove.Vswitch.stop v) t.vswitches;

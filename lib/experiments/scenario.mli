@@ -78,19 +78,16 @@ val default_params : params
 
 type t
 
-val default_shards : int ref
-(** Shard count [build] uses when the caller passes none (the CLI's
-    [--shards]).  1 (default) = serial execution on one scheduler;
-    [n >= 2] = conservative time-window PDES over [n] domains, one
-    shard per leaf (spines round-robin).  Stats are canonicalized at
-    every width, so digests are comparable across widths. *)
-
-val build : ?shards:int -> scheme:scheme -> params -> t
-(** Raises [Invalid_argument] when [shards < 1].  A width beyond the
-    leaf count clamps (one shard per leaf is the finest partition) and
-    MPTCP always degrades to serial (one scheduler spans both of its
-    endpoints), so digests stay comparable at any requested width;
-    {!shards} reports the effective width. *)
+val build : ?mode:Run_mode.t -> ?shards:int -> scheme:scheme -> params -> t
+(** Every scheduler runs under [mode] ({!Run_mode.default}).  [shards]
+    (default: the mode's) is the width: 1 = serial, on one scheduler;
+    [n >= 2] = conservative time-window PDES over [n] domains, one shard
+    per leaf (spines round-robin).  Raises [Invalid_argument] when
+    [shards < 1].  A width beyond the leaf count clamps (one shard per
+    leaf is the finest partition) and MPTCP always degrades to serial
+    (one scheduler spans both of its endpoints), so digests stay
+    comparable at any requested width; {!shards} reports the effective
+    width. *)
 
 val sched : t -> Scheduler.t
 (** The control scheduler: the only scheduler in serial builds; under
@@ -157,7 +154,13 @@ val run_websearch :
     down entirely on its source host's shard.  Record order is
     canonicalized at every width.  [conns] must be every connection
     created on [t], in creation order.  FCT digests are byte-identical
-    at every width. *)
+    at every width.  An audited run goes on one hop delay past the last
+    completion, an instant every width reaches, so {!ledger} is the
+    same at every width too. *)
+
+val ledger : t -> Ledger.t
+(** The auditor's ledger now, over the fabric and the violations of the
+    control scheduler and then of each shard's. *)
 
 val total_drops : t -> int
 val total_marks : t -> int

@@ -1,7 +1,7 @@
-type run_opts = { jobs_per_conn : int; seeds : int list }
+type run_opts = { jobs_per_conn : int; seeds : int list; mode : Run_mode.t }
 
-let default_opts = { jobs_per_conn = 150; seeds = [ 1; 2; 3 ] }
-let quick_opts = { jobs_per_conn = 12; seeds = [ 1 ] }
+let default_opts = { jobs_per_conn = 150; seeds = [ 1; 2; 3 ]; mode = Run_mode.default }
+let quick_opts = { default_opts with jobs_per_conn = 12; seeds = [ 1 ] }
 
 let build_conns scn =
   (* each client opens [conns_per_client] persistent connections, each to a
@@ -25,8 +25,8 @@ let build_conns scn =
                 Scenario.connect scn ~src:client ~dst:server))
           (Scenario.clients scn)))
 
-let websearch_run ~scheme ~params ~load ~jobs_per_conn =
-  let scn = Scenario.build ~scheme params in
+let websearch_run ~mode ~scheme ~params ~load ~jobs_per_conn =
+  let scn = Scenario.build ~mode ~scheme params in
   let conns = build_conns scn in
   let cfg =
     {
@@ -63,26 +63,25 @@ type point = {
   pt_jobs_per_conn : int;
 }
 
-let run_point p =
-  websearch_run ~scheme:p.pt_scheme ~params:p.pt_params ~load:p.pt_load
+let run_point mode p =
+  websearch_run ~mode ~scheme:p.pt_scheme ~params:p.pt_params ~load:p.pt_load
     ~jobs_per_conn:p.pt_jobs_per_conn
 
 (* Every fan-out of independent runs (sweep points, incast seeds, chaos
-   schemes) stays serial while the invariant auditor is on — its tables
-   are global and unsynchronized — and under --shards >= 2, where each
-   run already parallelizes inside its scenario and running several at
-   once would nest domain pools. *)
-let run_serially () = !Analysis.Audit.on || !Scenario.default_shards >= 2
+   schemes) spans the mode's domains, except under --shards >= 2, where
+   each run already parallelizes inside its scenario and running several
+   at once would nest domain pools.  Each fan-out hands its task to
+   [Domain_pool.run] itself, so clove-check sees it as a parallel root. *)
+let fan_width mode = Run_mode.(if mode.shards >= 2 then 1 else mode.domains)
 
-let run_points_parallel ?domains points =
+let run_points_parallel ~mode points =
   (* every point owns a private scenario, scheduler and RNG, so points
      are embarrassingly parallel; results come back indexed by point, so
      the caller's aggregation order — and therefore every figure — is
      identical for 1 and N domains *)
-  if run_serially () then Array.map run_point points
-  else Domain_pool.run ?domains run_point points
+  Domain_pool.run ~domains:(fan_width mode) (run_point mode) points
 
-let websearch_points ?domains ~opts specs =
+let websearch_points ~opts specs =
   (* expand each not-yet-memoized spec into one task per seed, fan the
      tasks across domains, then merge per spec in seed order — exactly
      the serial fold — and fill the memo from this (single) domain *)
@@ -116,7 +115,7 @@ let websearch_points ?domains ~opts specs =
              opts.seeds)
          pending)
   in
-  let results = run_points_parallel ?domains tasks in
+  let results = run_points_parallel ~mode:opts.mode tasks in
   let idx = ref 0 in
   List.iter
     (fun spec ->
@@ -138,10 +137,10 @@ let websearch_points ?domains ~opts specs =
       | None -> assert false (* every spec was memoized above *))
     specs
 
-let incast_run ~scheme ~params ~fanout ~total_bytes ~requests =
+let incast_run ~mode ~scheme ~params ~fanout ~total_bytes ~requests =
   (* the incast driver steps the scenario scheduler directly, so it
      always runs on the serial build whatever --shards says *)
-  let scn = Scenario.build ~shards:1 ~scheme params in
+  let scn = Scenario.build ~mode ~shards:1 ~scheme params in
   let client = (Scenario.clients scn).(0) in
   let submits =
     Array.map
@@ -156,39 +155,31 @@ let incast_run ~scheme ~params ~fanout ~total_bytes ~requests =
   Scenario.quiesce scn;
   result.Workload.Incast.goodput_bps
 
-let incast_point ~scheme ~params ~fanout ~total_bytes ~requests ~seeds =
+let incast_point ~mode ~scheme ~params ~fanout ~total_bytes ~requests ~seeds =
   let run seed =
     let params = { params with Scenario.seed } in
-    incast_run ~scheme ~params ~fanout ~total_bytes ~requests
+    incast_run ~mode ~scheme ~params ~fanout ~total_bytes ~requests
   in
-  let goodputs =
-    (* per-seed incast runs are independent too; the left-to-right sum
-       below keeps float association in seed order on any domain count *)
-    if run_serially () then Array.map run (Array.of_list seeds)
-    else Domain_pool.run run (Array.of_list seeds)
-  in
+  (* per-seed incast runs are independent too; the left-to-right sum
+     below keeps float association in seed order on any domain count *)
+  let goodputs = Domain_pool.run ~domains:(fan_width mode) run (Array.of_list seeds) in
   Array.fold_left ( +. ) 0.0 goodputs /. float_of_int (List.length seeds)
 
 (* ----------------------- determinism matrix ------------------------ *)
 
-(* run [f] with a setting changed, restoring it afterwards *)
-let setting get set v f =
-  let saved = get () in
-  set v;
-  Fun.protect ~finally:(fun () -> set saved) f
+let matrix_modes =
+  [
+    ("domains-2", fun m -> { m with Run_mode.domains = 2 });
+    ("shards-2", fun m -> { m with Run_mode.shards = 2 });
+    ("tiebreak-lifo", fun m -> { m with Run_mode.tiebreak = Event_queue.Lifo });
+  ]
 
-let domains n f = setting Domain_pool.default_domains Domain_pool.set_default_domains n f
-let shards n f = setting (fun () -> !Scenario.default_shards) (( := ) Scenario.default_shards) n f
-
-let check_stability ~label run =
+let check_stability run =
   (* the memo key ignores the execution mode: a cell answered from an
      earlier cell's memo would compare nothing, so every cell starts cold *)
-  let cell () =
+  let cell mode =
     clear_memo ();
-    run ()
+    run mode
   in
-  let lifo = Analysis.Perturb.with_settings ~tb:Analysis.Perturb.Lifo ~salt:0 in
-  let modes = [ ("domains-2", domains 2); ("shards-2", shards 2); ("tiebreak-lifo", lifo) ] in
   Fun.protect ~finally:clear_memo (fun () ->
-      domains 1 (fun () ->
-          shards 1 (fun () -> Analysis.Perturb.check_schedule_stability ~modes ~label ~run:cell ())))
+      Run_mode.check_stability ~modes:matrix_modes cell)

@@ -10,16 +10,19 @@
 type run_opts = {
   jobs_per_conn : int;
   seeds : int list;  (** experiments are averaged over these seeds *)
+  mode : Run_mode.t;  (** every run's mode: widths, knobs, auditing *)
 }
 
 val default_opts : run_opts
 (** 150 jobs per connection, seeds [1; 2; 3] (the paper averages 3
-    runs): the preset that produced EXPERIMENTS.md and [results/*.csv]. *)
+    runs): the preset that produced EXPERIMENTS.md and [results/*.csv];
+    {!Run_mode.default}. *)
 
 val quick_opts : run_opts
 (** 12 jobs, single seed — for smoke tests. *)
 
 val websearch_run :
+  mode:Run_mode.t ->
   scheme:Scenario.scheme ->
   params:Scenario.params ->
   load:float ->
@@ -37,25 +40,19 @@ type point = {
   pt_jobs_per_conn : int;
 }
 
-val run_serially : unit -> bool
-(** The one fan-out rule: true while the invariant auditor is on (its
-    tables are global) or [Scenario.default_shards >= 2] (each run then
-    parallelizes inside its own scenario, and fanning runs out on top
-    would nest domain pools).  Every fan-out of independent runs — sweep
-    points, incast seeds, {!Chaos.run}'s schemes — maps serially while
-    it holds, and across a domain pool otherwise. *)
+val fan_width : Run_mode.t -> int
+(** The one fan-out rule for independent runs (sweep points, incast
+    seeds, {!Chaos.run}'s schemes): the {!Domain_pool.run} width is the
+    mode's [domains], or 1 when its [shards >= 2] (each run then
+    parallelizes inside its own scenario; pools would nest). *)
 
-val run_points_parallel :
-  ?domains:int -> point array -> Workload.Fct_stats.t array
+val run_points_parallel : mode:Run_mode.t -> point array -> Workload.Fct_stats.t array
 (** Run every point (each with a private scenario, scheduler and RNG)
-    across a domain pool and return the results {e by point index}, so
-    aggregation order — and every figure derived from it — is identical
-    for 1 and N domains.  [domains] defaults to the pool's default width
-    (see {!Domain_pool.set_default_domains}); serial under
-    {!run_serially}. *)
+    under [mode], {!fan_width} wide, and return the results {e by point
+    index}, so aggregation order — and every figure derived from it — is
+    identical for 1 and N domains. *)
 
 val websearch_points :
-  ?domains:int ->
   opts:run_opts ->
   (Scenario.scheme * Scenario.params * float) list ->
   Workload.Fct_stats.t list
@@ -71,6 +68,7 @@ val websearch_points :
 val clear_memo : unit -> unit
 
 val incast_point :
+  mode:Run_mode.t ->
   scheme:Scenario.scheme ->
   params:Scenario.params ->
   fanout:int ->
@@ -81,9 +79,7 @@ val incast_point :
 (** Mean client goodput (bps) over the seeds, which fan out like
     {!run_points_parallel}'s points. *)
 
-val check_stability :
-  label:string -> (unit -> string) -> string * Analysis.Perturb.outcome list
-(** {!Analysis.Perturb.check_schedule_stability} under [domains-2],
-    [shards-2] and [tiebreak-lifo], each set on a serial baseline (domains
-    1, shards 1) and restored afterwards.  Every run starts from a cleared
-    memo (its key ignores the mode), and the memo is cleared at the end. *)
+val check_stability : (Run_mode.t -> string) -> string * Run_mode.outcome list
+(** {!Run_mode.check_stability} of a [clove-sim determinism] row under
+    [domains-2], [shards-2] and [tiebreak-lifo].  Every run starts from a
+    cleared memo (its key ignores the mode), and so does the caller. *)

@@ -60,7 +60,7 @@ let reweight t =
   Hashtbl.reset t.cap;
   List.iter
     (fun dst_leaf ->
-      let dist = Routing.distances topo ~dst:dst_leaf in
+      let dist = Routing.distances ~mode:(Fabric.mode t.fabric) topo ~dst:dst_leaf in
       let by_dist = ref [] in
       Det.iter_sorted ~compare:Int.compare
         (fun u du ->
@@ -168,9 +168,9 @@ let install ?(flowlet_gap = Sim_time.us 500) fabric =
   let t =
     {
       fabric;
-      states = Det.create 16;
+      states = Det.create (Fabric.mode fabric) 16;
       leaf_of_host = Flowlet_route.leaf_of_host fabric;
-      cap = Det.create 256;
+      cap = Det.create (Fabric.mode fabric) 256;
       leaf_ids = [];
       reweights = 0;
     }
@@ -188,7 +188,7 @@ let install ?(flowlet_gap = Sim_time.us 500) fabric =
         {
           sw;
           flowlets = Flowlet_route.table sw ~gap:flowlet_gap;
-          health = Det.create 8;
+          health = Det.create (Fabric.mode fabric) 8;
           decisions = 0;
         }
       in

@@ -1,6 +1,6 @@
 let leaf_of_host fabric =
   let topo = Fabric.topology fabric in
-  let tbl = Det.create 64 in
+  let tbl = Det.create (Fabric.mode fabric) 64 in
   Array.iter
     (fun h ->
       let hid = Host.id h in

@@ -5,6 +5,7 @@ type config = { ecn_threshold_pkts : int; seed : int }
 let default_config = { ecn_threshold_pkts = 20; seed = 42 }
 
 type t = {
+  mode : Run_mode.t; (* the control scheduler's *)
   topo : Topology.t;
   entities : entity array;  (* indexed by node id *)
   hosts : Host.t array;
@@ -15,6 +16,7 @@ type t = {
 }
 
 let topology t = t.topo
+let mode t = t.mode
 let hosts t = t.hosts
 
 let host_by_addr t addr =
@@ -111,6 +113,7 @@ let create ?sched_of_node ~sched ~config topo =
     edges;
   let t =
     {
+      mode = Scheduler.mode sched;
       topo;
       entities;
       hosts = Array.of_list (List.rev !hosts);
@@ -127,7 +130,7 @@ let program_routes t =
   Array.iter
     (fun h ->
       let dst = Host.id h in
-      let nh = Routing.next_hops t.topo ~dst in
+      let nh = Routing.next_hops ~mode:t.mode t.topo ~dst in
       Array.iter
         (fun sw ->
           match Hashtbl.find_opt nh (Switch.id sw) with

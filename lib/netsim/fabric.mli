@@ -29,6 +29,9 @@ val create :
     build. *)
 
 val topology : t -> Topology.t
+
+val mode : t -> Run_mode.t  (** the control scheduler's *)
+
 val hosts : t -> Host.t array
 (** In creation order; [Host.addr] equals the topology node id. *)
 

@@ -38,13 +38,11 @@ let set_tx_tap t f = t.tx_tap <- Some f
 let send t pkt =
   pkt.Packet.sent_at <- Scheduler.now t.sched;
   t.tx_packets <- t.tx_packets + 1;
-  if !Analysis.Audit.on then Analysis.Audit.note_injected ();
   (match t.tx_tap with Some f -> f pkt | None -> ());
   Link.send (uplink t) pkt
 
 let deliver t pkt =
   t.rx_packets <- t.rx_packets + 1;
-  if !Analysis.Audit.on then Analysis.Audit.note_delivered ();
   match t.handler with
   | Some f -> f pkt
   | None -> ()

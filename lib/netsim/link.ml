@@ -18,6 +18,7 @@ type t = {
   mutable tx_packets : int;
   mutable down_drops : int;
   mutable brownout_drops : int;
+  mutable overflow_drops : int;
   (* defunctionalized event state: serializer completions carry a slot
      index into [tx_slots] (usually one in flight, but a down/up flap can
      briefly overlap two); wire deliveries are strictly FIFO (constant
@@ -43,8 +44,6 @@ let deliver t pkt =
   match t.sink with
   | None -> invalid_arg (Printf.sprintf "Link %s: no sink installed" t.label)
   | Some sink -> sink pkt
-
-let audit_drop reason = if !Analysis.Audit.on then Analysis.Audit.note_dropped ~reason
 
 let effective_rate t =
   match t.brownout with
@@ -84,14 +83,8 @@ let alloc_tx_slot t pkt =
 let rec on_txdone t slot =
   let pkt = t.tx_slots.(slot) in
   t.tx_slots.(slot) <- Packet.placeholder;
-  (if not t.is_up then begin
-     t.down_drops <- t.down_drops + 1;
-     audit_drop "link-down"
-   end
-   else if brownout_lost t then begin
-     t.brownout_drops <- t.brownout_drops + 1;
-     audit_drop "brownout"
-   end
+  (if not t.is_up then t.down_drops <- t.down_drops + 1
+   else if brownout_lost t then t.brownout_drops <- t.brownout_drops + 1
    else
      match t.boundary with
      | Some push ->
@@ -108,11 +101,7 @@ let rec on_txdone t slot =
 
 and on_deliver t =
   let pkt = Ring.pop t.prop in
-  if t.is_up then deliver t pkt
-  else begin
-    t.down_drops <- t.down_drops + 1;
-    audit_drop "link-down"
-  end
+  if t.is_up then deliver t pkt else t.down_drops <- t.down_drops + 1
 
 and start_tx t =
   if Pkt_queue.is_empty t.queue then t.busy <- false
@@ -147,6 +136,7 @@ let create ~sched ~rate_bps ~prop_delay ?queue ?(label = "link") () =
       tx_packets = 0;
       down_drops = 0;
       brownout_drops = 0;
+      overflow_drops = 0;
       k_txdone = -1;
       k_deliver = -1;
       tx_slots = Array.make 2 Packet.placeholder;
@@ -200,15 +190,14 @@ let send t pkt =
     if Pkt_queue.enqueue t.queue pkt then begin
       if not t.busy then start_tx t
     end
-    else audit_drop "queue-overflow"
+    else t.overflow_drops <- t.overflow_drops + 1
   end
   else begin
     (* a dead egress accounts offered bytes in the queue stats too, same
        as the [set_up false] drain, so switch-down (which fails every
        incident link) balances byte conservation at core tier fan-outs *)
     t.down_drops <- t.down_drops + 1;
-    Pkt_queue.count_drop t.queue pkt;
-    audit_drop "link-down"
+    Pkt_queue.count_drop t.queue pkt
   end
 
 let up t = t.is_up
@@ -225,7 +214,6 @@ let set_up t v =
       | Some pkt ->
         t.down_drops <- t.down_drops + 1;
         Pkt_queue.count_drop t.queue pkt;
-        audit_drop "link-down";
         drain ()
     in
     drain ();
@@ -249,3 +237,10 @@ let tx_bytes t = t.tx_bytes
 let tx_packets t = t.tx_packets
 let down_drops t = t.down_drops
 let brownout_drops t = t.brownout_drops
+let overflow_drops t = t.overflow_drops
+
+let in_flight t =
+  let serializing =
+    Array.fold_left (fun n p -> if p == Packet.placeholder then n else n + 1) 0 t.tx_slots
+  in
+  Pkt_queue.length t.queue + serializing + Ring.length t.prop

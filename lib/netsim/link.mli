@@ -83,3 +83,10 @@ val down_drops : t -> int
 
 val brownout_drops : t -> int
 (** Packets lost to brownout wire corruption. *)
+
+val overflow_drops : t -> int
+(** Packets the full queue refused (the queue's [dropped] also counts
+    down-link drains). *)
+
+val in_flight : t -> int
+(** Packets this link holds: queued, serializing, or on the wire. *)

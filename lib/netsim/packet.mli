@@ -122,8 +122,8 @@ type t = {
   mutable int_util : float;  (** max egress utilization along the path *)
   mutable sent_at : Sim_time.t;  (** set when first transmitted *)
   mutable audit_seq : int;
-      (** per-(flow, outer-port) sequence stamped by the invariant
-          auditor's FIFO check; [-1] when auditing is off *)
+      (** the audit's [Clove.Fifo_check] stamp (route epoch and
+          per-(flow, outer-port) sequence); [-1] when not audited *)
   payload : payload;
   cached_encap : encap;
       (** this packet's pre-boxed encapsulation header, rewritten in

@@ -1,5 +1,5 @@
-let distances topo ~dst =
-  let dist = Det.create 64 in
+let distances ~mode topo ~dst =
+  let dist = Det.create mode 64 in
   Hashtbl.replace dist dst 0;
   let q = Queue.create () in
   Queue.add dst q;
@@ -21,9 +21,9 @@ let distances topo ~dst =
   done;
   dist
 
-let next_hops topo ~dst =
-  let dist = distances topo ~dst in
-  let result = Det.create 64 in
+let next_hops ~mode topo ~dst =
+  let dist = distances ~mode topo ~dst in
+  let result = Det.create mode 64 in
   Det.iter_sorted ~compare:Int.compare
     (fun u du ->
       if u <> dst then begin

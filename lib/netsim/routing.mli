@@ -6,9 +6,10 @@
     would install.  [Fabric] translates neighbor sets into candidate egress
     ports (all parallel links to a next-hop are candidates). *)
 
-val next_hops : Topology.t -> dst:int -> (int, int list) Hashtbl.t
+val next_hops : mode:Run_mode.t -> Topology.t -> dst:int -> (int, int list) Hashtbl.t
 (** Maps each node id that can reach [dst] to its shortest-path next-hop
-    neighbor node ids (each listed once even with parallel links). *)
+    neighbor node ids (each listed once even with parallel links); its
+    tables are {!Det.create}d under [mode]. *)
 
-val distances : Topology.t -> dst:int -> (int, int) Hashtbl.t
+val distances : mode:Run_mode.t -> Topology.t -> dst:int -> (int, int) Hashtbl.t
 (** BFS hop distances toward [dst]; absent = unreachable. *)

@@ -25,6 +25,7 @@ type t = {
   mutable rx_packets : int;
   mutable routing_drops : int;
   mutable ttl_drops : int;
+  mutable ttl_replies : int;
 }
 
 and picker = t -> in_port:int -> Packet.t -> candidates:int array -> int
@@ -60,6 +61,9 @@ let set_picker t p = t.picker <- Some p
 let rx_packets t = t.rx_packets
 let routing_drops t = t.routing_drops
 let ttl_drops t = t.ttl_drops
+let ttl_replies t = t.ttl_replies
+
+let in_flight t = Array.fold_left (fun n pipe -> n + Ring.length pipe) 0 t.pipes
 
 let all_same_peer t candidates =
   let n = Array.length candidates in
@@ -103,9 +107,7 @@ let forward t ~in_port pkt =
   let dst = Packet.route_dst pkt in
   (* allocation-free lookup: the shared [||] dummy doubles as "no route" *)
   match Int_table.find_default t.routes (Addr.to_int dst) [||] with
-  | [||] ->
-    t.routing_drops <- t.routing_drops + 1;
-    if !Analysis.Audit.on then Analysis.Audit.note_dropped ~reason:"no-route"
+  | [||] -> t.routing_drops <- t.routing_drops + 1
   | candidates ->
     let port =
       match t.picker with
@@ -122,15 +124,15 @@ let receive t ~in_port pkt =
   pkt.Packet.ttl <- pkt.Packet.ttl - 1;
   if pkt.Packet.ttl <= 0 then begin
     t.ttl_drops <- t.ttl_drops + 1;
-    if !Analysis.Audit.on then Analysis.Audit.note_dropped ~reason:"ttl-expired";
     match answer_ttl_expired t ~in_port pkt with
     | None -> ()
     | Some reply ->
-      (* the reply is a switch-originated packet: a fresh injection as far
-         as packet conservation is concerned *)
-      if !Analysis.Audit.on then Analysis.Audit.note_injected ();
+      (* the reply is a switch-originated packet: it enters the network,
+         as far as packet conservation is concerned, when it is forwarded *)
       let (_ : Scheduler.handle) =
+        (* only traceroute probes expire — lint: allow alloc-closure *)
         Scheduler.schedule t.sched ~after:t.latency (fun () ->
+            t.ttl_replies <- t.ttl_replies + 1;
             forward t ~in_port:(-1) reply)
       in
       ()
@@ -195,6 +197,7 @@ let create ~sched ~id ~level ~ecmp_seed ?(latency = Sim_time.ns 250) () =
       rx_packets = 0;
       routing_drops = 0;
       ttl_drops = 0;
+      ttl_replies = 0;
       k_forwards = Array.make 8 (-1);
       pipes =
         Array.init 8 (fun _ ->

@@ -65,3 +65,9 @@ val routing_drops : t -> int
 (** Packets dropped for lack of a route (e.g. during failures). *)
 
 val ttl_drops : t -> int
+
+val ttl_replies : t -> int
+(** Traceroute replies originated here, counted as they are forwarded. *)
+
+val in_flight : t -> int
+(** Packets in the forwarding pipeline. *)

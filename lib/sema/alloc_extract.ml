@@ -134,9 +134,9 @@ let reachable ~n ~roots ~edges =
 (* --------------------------- cold branches ------------------------ *)
 
 (* An allocation inside one of these spans is off the steady-state
-   path: an audited (serial) run, drop accounting / violation
-   reporting, or a branch that only builds an exception.  Reported
-   under [alloc-cold] instead of counting against the budget. *)
+   path: an audited run, violation reporting, or a branch that only
+   builds an exception.  Reported under [alloc-cold] instead of
+   counting against the budget. *)
 
 type span = {
   sp_file : string;
@@ -145,16 +145,21 @@ type span = {
   sp_reason : string;
 }
 
-let deref_gate (e : Typedtree.expression) =
-  (* [!Audit.on]: the [`Then] branch is the audited path, so it is cold *)
+let is_run_mode (ty : Types.type_expr) =
+  match Types.get_desc ty with
+  | Types.Tconstr (p, _, _) -> Race_extract.suffix2 p = Some ("Run_mode", "t")
+  | _ -> false
+
+let audit_gate (e : Typedtree.expression) =
+  (* [Scheduler.audit s], or the [audit] field of a [Run_mode.t]: the
+     [`Then] branch is the audited path, so it is cold *)
   match e.Typedtree.exp_desc with
-  | Typedtree.Texp_apply
-      ( { exp_desc = Typedtree.Texp_ident (op, _, _); _ },
-        [ (Asttypes.Nolabel, Some { exp_desc = Typedtree.Texp_ident (p, _, _); _ }) ] )
-    when Race_extract.suffix2 op = Some ("Stdlib", "!") -> (
-    match Race_extract.suffix2 p with
-    | Some ("Audit", "on") -> Some (`Then, "audited-run branch (!Audit.on)")
-    | _ -> None)
+  | Typedtree.Texp_apply ({ exp_desc = Typedtree.Texp_ident (p, _, _); _ }, _)
+    when Race_extract.suffix2 p = Some ("Scheduler", "audit") ->
+    Some (`Then, "audited-run branch (Scheduler.audit)")
+  | Typedtree.Texp_field (_, _, { Types.lbl_name = "audit"; lbl_res; _ })
+    when is_run_mode lbl_res ->
+    Some (`Then, "audited-run branch (Run_mode.audit)")
   | _ -> None
 
 let rec gate_of (e : Typedtree.expression) =
@@ -167,16 +172,9 @@ let rec gate_of (e : Typedtree.expression) =
     | Some (`Else, r) -> Some (`Then, r)
     | Some (`Then, r) -> Some (`Else, r)
     | None -> None)
-  | _ -> deref_gate e
+  | _ -> audit_gate e
 
-let audit_error_calls =
-  [
-    ("Audit", "note_injected");
-    ("Audit", "note_dropped");
-    ("Audit", "record_violation");
-  ]
-
-let contains_audit_error (e : Typedtree.expression) =
+let contains_audit_error ~unit (e : Typedtree.expression) =
   let found = ref false in
   let it =
     {
@@ -184,10 +182,12 @@ let contains_audit_error (e : Typedtree.expression) =
       expr =
         (fun self e' ->
           (match e'.Typedtree.exp_desc with
-          | Typedtree.Texp_ident (p, _, _) -> (
-            match Race_extract.suffix2 p with
-            | Some mv when List.mem mv audit_error_calls -> found := true
-            | _ -> ())
+          (* [Scheduler.record_violation], unqualified inside the scheduler *)
+          | Typedtree.Texp_ident (Path.Pident id, _, _) ->
+            if String.equal unit "Scheduler" && String.equal (Ident.name id) "record_violation"
+            then found := true
+          | Typedtree.Texp_ident (p, _, _) ->
+            if Race_extract.suffix2 p = Some ("Scheduler", "record_violation") then found := true
           | _ -> ());
           if not !found then Tast_iterator.default_iterator.expr self e');
     }
@@ -231,7 +231,7 @@ let cold_spans units =
     let branch (e : Typedtree.expression) =
       if always_raises e then
         spans := span_of file e "always-raising branch" :: !spans
-      else if contains_audit_error e then
+      else if contains_audit_error ~unit:u.Cmt_load.u_short e then
         spans := span_of file e "audited error path" :: !spans
     in
     let it =

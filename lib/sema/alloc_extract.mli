@@ -42,9 +42,10 @@ type span = {
 }
 
 val cold_spans : Cmt_load.unit_info list -> span list
-(** Line spans off the steady-state path: branches under [!Audit.on],
-    branches calling [Audit.note_*]/[record_violation], and branches
-    that always raise. *)
+(** Line spans off the steady-state path: branches under
+    [Scheduler.audit] (or the [audit] field of a [Run_mode.t]),
+    branches calling [Scheduler.record_violation], and branches that
+    always raise. *)
 
 val cold_reason : span list -> string -> int -> string option
 (** First span covering (file, line), if any. *)

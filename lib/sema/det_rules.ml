@@ -39,7 +39,7 @@ let time_boundary_whitelist =
   [ "lib/engine/"; "lib/transport/rtt_estimator.ml"; "lib/netsim/dre.ml" ]
 
 (* The only files allowed to touch multicore primitives: the pool itself,
-   the scheduler's atomic id counter, and the packet layer's atomic uid /
+   the scheduler's domain-local component ids, and the packet layer's atomic uid /
    domain-local free list. *)
 let parallel_whitelist =
   [

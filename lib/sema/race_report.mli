@@ -5,7 +5,7 @@
     domain-parallel task without atomic/lock/DLS discipline) and
     [race-captured-mut] (same for closure-captured state).  Finding
     identity is ("race-<kind>", file of the mutation site, target,
-    e.g. ["Audit.n_dropped"] or ["capture memo"]); each finding's
+    e.g. ["Sweep.memo"] or ["capture memo"]); each finding's
     witness is the call chain root first, and its ["roots"] extra field
     lists every parallel root that reaches it, sorted. *)
 

@@ -38,6 +38,12 @@ let record t ~size ~start ~finish =
 
 let count t = t.len
 
+let last_finish t =
+  let acc = ref Sim_time.zero in
+  iter_rev t (fun r ->
+      acc := Sim_time.max !acc (Sim_time.of_span (Sim_time.span_of_sec (r.start_sec +. r.fct_sec))));
+  !acc
+
 let summary ?(min_size = 0) ?(max_size = max_int) t =
   let s = Stats.Summary.create () in
   iter_rev t (fun r ->

@@ -14,6 +14,9 @@ val create : unit -> t
 val record : t -> size:int -> start:Sim_time.t -> finish:Sim_time.t -> unit
 val count : t -> int
 
+val last_finish : t -> Sim_time.t
+(** The latest completion instant recorded; {!Sim_time.zero} if none. *)
+
 val avg : ?min_size:int -> ?max_size:int -> t -> float
 (** Mean FCT in seconds of flows with [min_size <= size < max_size];
     [nan] if no flows match. *)

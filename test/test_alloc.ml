@@ -119,6 +119,40 @@ let test_inline_poly_compare_through_mutator () =
       ]
       f.witness
 
+(* an allocation behind the auditor's switch ([Scheduler.audit]) is
+   demoted to [alloc-cold]: reported, but not against the budget *)
+let test_audit_gate_cold () =
+  let open Analysis.Findings in
+  let audited =
+    List.filter
+      (fun f -> contains f.target "Alloc_hot.on_audited")
+      (Lazy.force fixture_result)
+  in
+  Alcotest.(check bool) "the audited allocations are reported" true (audited <> []);
+  List.iter
+    (fun f ->
+      Alcotest.(check string) ("rule of " ^ f.target) "alloc-cold" f.rule;
+      Alcotest.(check bool) ("inactive: " ^ f.target) false (is_active f))
+    audited
+
+(* the gate is the run mode's field and the scheduler's reporter, not
+   their names: an unrelated [audit] field or [record_violation] helper
+   keeps its branch's allocations in the budget *)
+let test_namesake_gate_hot () =
+  let open Analysis.Findings in
+  List.iter
+    (fun node ->
+      match
+        List.filter
+          (fun f -> f.target = node ^ ": list cons")
+          (Lazy.force fixture_result)
+      with
+      | [ f ] ->
+        Alcotest.(check string) ("rule of " ^ node) "alloc-cons" f.rule;
+        Alcotest.(check bool) ("active: " ^ node) true (is_active f)
+      | fs -> Alcotest.failf "%s: %d list-cons findings" node (List.length fs))
+    [ "Alloc_hot.on_probe"; "Alloc_hot.on_probe_violation" ]
+
 let test_deterministic_output () =
   let render () =
     let new_keys = Hashtbl.create 1 in
@@ -169,6 +203,8 @@ let () =
           Alcotest.test_case "clean twin clean" `Quick test_clean_twin;
           Alcotest.test_case "inline generic compare behind a mutator call" `Quick
             test_inline_poly_compare_through_mutator;
+          Alcotest.test_case "audited branch is cold" `Quick test_audit_gate_cold;
+          Alcotest.test_case "namesake gates stay hot" `Quick test_namesake_gate_hot;
           Alcotest.test_case "deterministic report" `Quick
             test_deterministic_output;
           Alcotest.test_case "findings sorted" `Quick test_findings_sorted;

@@ -333,7 +333,7 @@ let prop_no_black_holes =
       Array.iter
         (fun h ->
           let hid = Host.id h in
-          let dist = Routing.distances topo ~dst:hid in
+          let dist = Routing.distances ~mode:Run_mode.default topo ~dst:hid in
           Array.iter
             (fun sw ->
               let sid = Switch.id sw in

@@ -225,7 +225,7 @@ let test_routing_distances () =
       ~core_rate_bps:1e9 ~delay:Sim_time.zero_span
   in
   let dst = ls.Topology.host_ids.(1).(0) in
-  let dist = Routing.distances ls.Topology.topo ~dst in
+  let dist = Routing.distances ~mode:Run_mode.default ls.Topology.topo ~dst in
   check_int "self distance" 0 (Hashtbl.find dist dst);
   (* other host: host -> leaf -> spine -> leaf -> host = 4 hops *)
   check_int "cross distance" 4 (Hashtbl.find dist ls.Topology.host_ids.(0).(0))

@@ -130,19 +130,17 @@ let test_eq_clear_and_reuse () =
     (match Event_queue.pop q with Some (_, v) -> v | None -> -1)
 
 let test_eq_lifo_tiebreak () =
-  (* the perturbation sanitizer flips the same-timestamp tie-break for a
-     whole run; the queue must honor it from a fresh (empty) state *)
-  Analysis.Perturb.with_settings ~tb:Analysis.Perturb.Lifo ~salt:0
-    (fun () ->
-      let q = Event_queue.create ~dummy:(-1) () in
-      for i = 0 to 9 do
-        Event_queue.add q ~time:(Sim_time.of_ns 5) i
-      done;
-      for i = 9 downto 0 do
-        match Event_queue.pop q with
-        | Some (_, v) -> check_int "reverse insertion order" i v
-        | None -> Alcotest.fail "queue empty early"
-      done)
+  (* the perturbation check builds queues with the same-timestamp
+     tie-break reversed; a queue must honor it from its creation *)
+  let q = Event_queue.create ~tiebreak:Event_queue.Lifo ~dummy:(-1) () in
+  for i = 0 to 9 do
+    Event_queue.add q ~time:(Sim_time.of_ns 5) i
+  done;
+  for i = 9 downto 0 do
+    match Event_queue.pop q with
+    | Some (_, v) -> check_int "reverse insertion order" i v
+    | None -> Alcotest.fail "queue empty early"
+  done
 
 (* reference model: a stable sort of (time, insertion index) pairs *)
 let drain_all q =
@@ -169,43 +167,42 @@ let prop_eq_matches_reference =
   QCheck.Test.make ~name:"event_queue matches sorted-reference model" ~count:200
     QCheck.(pair bool (small_list (pair (int_bound 50) bool)))
     (fun (fifo, ops) ->
-      let tb = if fifo then Analysis.Perturb.Fifo else Analysis.Perturb.Lifo in
-      Analysis.Perturb.with_settings ~tb ~salt:0 (fun () ->
-          let q = Event_queue.create ~capacity:1 ~dummy:(-1) () in
-          let model = ref [] in
-          (* reference order: time asc, then seq asc (FIFO) / desc (LIFO) *)
-          let earlier (t1, s1) (t2, s2) =
-            if t1 <> t2 then t1 < t2 else if fifo then s1 < s2 else s1 > s2
-          in
-          let ok = ref true in
-          let seq = ref 0 in
-          List.iter
-            (fun (time, is_add) ->
-              if is_add || !model = [] then begin
-                Event_queue.add q ~time:(Sim_time.of_ns time) !seq;
-                model := (time, !seq) :: !model;
-                incr seq
-              end
-              else begin
-                let best =
-                  List.fold_left
-                    (fun acc e -> if earlier e acc then e else acc)
-                    (List.hd !model) (List.tl !model)
-                in
-                model := List.filter (fun e -> e <> best) !model;
-                match Event_queue.pop q with
-                | Some (t, v) ->
-                  if (Sim_time.to_ns t, v) <> best then ok := false
-                | None -> ok := false
-              end)
-            ops;
-          (* drain the remainder and compare tails *)
-          let rest = drain_all q in
-          let expected = List.sort (fun a b ->
-              if earlier a b then -1 else if earlier b a then 1 else 0)
-              !model
-          in
-          !ok && rest = expected))
+      let tiebreak = if fifo then Event_queue.Fifo else Event_queue.Lifo in
+      let q = Event_queue.create ~capacity:1 ~tiebreak ~dummy:(-1) () in
+      let model = ref [] in
+      (* reference order: time asc, then seq asc (FIFO) / desc (LIFO) *)
+      let earlier (t1, s1) (t2, s2) =
+        if t1 <> t2 then t1 < t2 else if fifo then s1 < s2 else s1 > s2
+      in
+      let ok = ref true in
+      let seq = ref 0 in
+      List.iter
+        (fun (time, is_add) ->
+          if is_add || !model = [] then begin
+            Event_queue.add q ~time:(Sim_time.of_ns time) !seq;
+            model := (time, !seq) :: !model;
+            incr seq
+          end
+          else begin
+            let best =
+              List.fold_left
+                (fun acc e -> if earlier e acc then e else acc)
+                (List.hd !model) (List.tl !model)
+            in
+            model := List.filter (fun e -> e <> best) !model;
+            match Event_queue.pop q with
+            | Some (t, v) ->
+              if (Sim_time.to_ns t, v) <> best then ok := false
+            | None -> ok := false
+          end)
+        ops;
+      (* drain the remainder and compare tails *)
+      let rest = drain_all q in
+      let expected = List.sort (fun a b ->
+          if earlier a b then -1 else if earlier b a then 1 else 0)
+          !model
+      in
+      !ok && rest = expected)
 
 (* ------------------------------- Scheduler ------------------------ *)
 
@@ -294,8 +291,8 @@ let wheel_workload ~schedule delays =
     delays;
   log
 
-let wheel_run_order delays =
-  let s = Scheduler.create () in
+let wheel_run_order ~tiebreak delays =
+  let s = Scheduler.create ~mode:{ Run_mode.default with Run_mode.tiebreak } () in
   let log =
     wheel_workload delays ~schedule:(fun d f ->
         ignore (Scheduler.schedule s ~after:(Sim_time.ns d) f))
@@ -306,8 +303,8 @@ let wheel_run_order delays =
 (* Reference: the same schedule driven through one bare binary heap,
    each event born at the loop's clock under component 0 (the
    scheduler's rank for closures scheduled at setup or by closures). *)
-let heap_run_order delays =
-  let q = Event_queue.create ~dummy:(fun () -> ()) () in
+let heap_run_order ~tiebreak delays =
+  let q = Event_queue.create ~tiebreak ~dummy:(fun () -> ()) () in
   let clock = ref 0 and seq = ref 0 in
   let log =
     wheel_workload delays ~schedule:(fun d f ->
@@ -327,9 +324,8 @@ let prop_wheel_matches_heap =
     ~count:200
     QCheck.(pair bool (small_list (pair (int_bound 2_000) (int_bound 6))))
     (fun (fifo, delays) ->
-      let tb = if fifo then Analysis.Perturb.Fifo else Analysis.Perturb.Lifo in
-      Analysis.Perturb.with_settings ~tb ~salt:0 (fun () ->
-          wheel_run_order delays = heap_run_order delays))
+      let tiebreak = if fifo then Event_queue.Fifo else Event_queue.Lifo in
+      wheel_run_order ~tiebreak delays = heap_run_order ~tiebreak delays)
 
 (* TCP-RTO shaped churn: every tick cancels the previous timer and arms
    a fresh one, so nearly every scheduled event dies unfired — 100k
@@ -428,68 +424,67 @@ let prop_sched_matches_model =
         (make Gen.(list_size (int_bound 40) model_op_gen))
         (make Gen.(list_size (int_bound 40) model_op_gen)))
     (fun (fifo, round1, round2) ->
-      let tb = if fifo then Analysis.Perturb.Fifo else Analysis.Perturb.Lifo in
-      Analysis.Perturb.with_settings ~tb ~salt:0 (fun () ->
-          let s = Scheduler.create () in
-          let log = ref [] in
-          let kinds =
-            Array.init 3 (fun i ->
-                let k = Scheduler.register_kind s (fun id -> log := id :: !log) in
-                (* tagged events rank under 100, 200, 300; closures under 0-3 *)
-                Scheduler.set_kind_src s ~kind:k ~src:(100 * (i + 1));
-                k)
-          in
-          let seq = ref 0 and next_id = ref 0 in
-          let round ops =
-            let now = Sim_time.to_ns (Scheduler.now s) in
-            let expected = ref [] and handles = ref [] in
-            List.iter
-              (fun op ->
-                let id = !next_id in
-                let key time born src = (time, born, src, !seq, id) in
-                (match op with
-                | Tag (k, d) ->
-                  Scheduler.schedule_tag s ~after:(Sim_time.ns d) ~kind:kinds.(k) ~arg:id;
-                  expected := key (now + d) now (100 * (k + 1)) :: !expected
-                | Inject (k, d, b) ->
-                  let born = max 0 (now + d - b) in
-                  Scheduler.inject_tag s ~time_ns:(now + d) ~born_ns:born ~kind:kinds.(k)
-                    ~arg:id;
-                  expected := key (now + d) born (100 * (k + 1)) :: !expected
-                | Closure (c, d) ->
-                  let h =
-                    Scheduler.schedule_as s ~src:c ~after:(Sim_time.ns d) (fun () ->
-                        log := id :: !log)
-                  in
-                  handles := (id, h) :: !handles;
-                  expected := key (now + d) now c :: !expected
-                | Cancel _ -> ());
-                match op with
-                | Cancel j -> (
-                  match List.nth_opt (List.rev !handles) j with
-                  | Some (victim, h) ->
-                    Scheduler.cancel s h;
-                    expected :=
-                      List.filter (fun (_, _, _, _, i) -> i <> victim) !expected
-                  | None -> ())
-                | _ ->
-                  incr seq;
-                  incr next_id)
-              ops;
-            let before (t1, b1, c1, s1, _) (t2, b2, c2, s2, _) =
-              compare (t1, b1, c1, if fifo then s1 else -s1)
-                (t2, b2, c2, if fifo then s2 else -s2)
-            in
-            let want =
-              List.map (fun (_, _, _, _, id) -> id) (List.sort before !expected)
-            in
-            log := [];
-            Scheduler.run s;
-            List.rev !log = want
-          in
-          let ok1 = round round1 in
-          let ok2 = round round2 in
-          ok1 && ok2 && Scheduler.pending_events s = 0))
+      let tiebreak = if fifo then Event_queue.Fifo else Event_queue.Lifo in
+      let s = Scheduler.create ~mode:{ Run_mode.default with Run_mode.tiebreak } () in
+      let log = ref [] in
+      let kinds =
+        Array.init 3 (fun i ->
+            let k = Scheduler.register_kind s (fun id -> log := id :: !log) in
+            (* tagged events rank under 100, 200, 300; closures under 0-3 *)
+            Scheduler.set_kind_src s ~kind:k ~src:(100 * (i + 1));
+            k)
+      in
+      let seq = ref 0 and next_id = ref 0 in
+      let round ops =
+        let now = Sim_time.to_ns (Scheduler.now s) in
+        let expected = ref [] and handles = ref [] in
+        List.iter
+          (fun op ->
+            let id = !next_id in
+            let key time born src = (time, born, src, !seq, id) in
+            (match op with
+            | Tag (k, d) ->
+              Scheduler.schedule_tag s ~after:(Sim_time.ns d) ~kind:kinds.(k) ~arg:id;
+              expected := key (now + d) now (100 * (k + 1)) :: !expected
+            | Inject (k, d, b) ->
+              let born = max 0 (now + d - b) in
+              Scheduler.inject_tag s ~time_ns:(now + d) ~born_ns:born ~kind:kinds.(k)
+                ~arg:id;
+              expected := key (now + d) born (100 * (k + 1)) :: !expected
+            | Closure (c, d) ->
+              let h =
+                Scheduler.schedule_as s ~src:c ~after:(Sim_time.ns d) (fun () ->
+                    log := id :: !log)
+              in
+              handles := (id, h) :: !handles;
+              expected := key (now + d) now c :: !expected
+            | Cancel _ -> ());
+            match op with
+            | Cancel j -> (
+              match List.nth_opt (List.rev !handles) j with
+              | Some (victim, h) ->
+                Scheduler.cancel s h;
+                expected :=
+                  List.filter (fun (_, _, _, _, i) -> i <> victim) !expected
+              | None -> ())
+            | _ ->
+              incr seq;
+              incr next_id)
+          ops;
+        let before (t1, b1, c1, s1, _) (t2, b2, c2, s2, _) =
+          compare (t1, b1, c1, if fifo then s1 else -s1)
+            (t2, b2, c2, if fifo then s2 else -s2)
+        in
+        let want =
+          List.map (fun (_, _, _, _, id) -> id) (List.sort before !expected)
+        in
+        log := [];
+        Scheduler.run s;
+        List.rev !log = want
+      in
+      let ok1 = round round1 in
+      let ok2 = round round2 in
+      ok1 && ok2 && Scheduler.pending_events s = 0)
 
 (* ------------------------------ Int_table ------------------------- *)
 

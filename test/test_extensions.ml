@@ -232,7 +232,7 @@ let test_fat_tree_shape () =
 let test_fat_tree_routing_multipath () =
   let c = fat_tree () in
   let dst = (pod_hosts c 3).(0) in
-  let nh = Routing.next_hops c.Topology.topo ~dst in
+  let nh = Routing.next_hops ~mode:Run_mode.default c.Topology.topo ~dst in
   (* an edge switch in pod 0 has both aggs as next hops toward pod 3 *)
   let hops = Hashtbl.find nh c.Topology.leaf_ids.(0) in
   check_int "two agg next-hops" 2 (List.length hops);
@@ -255,7 +255,7 @@ let test_fat_tree_end_to_end_clove () =
     let st = Transport.Stack.create () in
     Hashtbl.replace stacks node_id st;
     let v =
-      Clove.Vswitch.create ~host ~stack:st ~scheme:Clove.Vswitch.Clove_ecn ~cfg
+      Clove.Vswitch.create ~route_epoch:(fun () -> 0) ~host ~stack:st ~scheme:Clove.Vswitch.Clove_ecn ~cfg
         ~rng:(Rng.split rng) ()
     in
     (host, st, v)

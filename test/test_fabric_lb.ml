@@ -101,7 +101,8 @@ let test_conga_asymmetric_beats_ecmp () =
       }
     in
     Workload.Fct_stats.avg
-      (Experiments.Sweep.websearch_run ~scheme ~params ~load:0.6 ~jobs_per_conn:60)
+      (Experiments.Sweep.websearch_run ~mode:Run_mode.default ~scheme ~params ~load:0.6
+         ~jobs_per_conn:60)
   in
   let ecmp = run Experiments.Scenario.S_ecmp in
   let conga = run Experiments.Scenario.S_conga in

@@ -9,7 +9,7 @@ open Experiments
 
 let small_run ?(asymmetric = false) ?(seed = 1) ?(load = 0.5) ?(jobs = 30) scheme =
   let params = { Scenario.default_params with Scenario.asymmetric; seed } in
-  Sweep.websearch_run ~scheme ~params ~load ~jobs_per_conn:jobs
+  Sweep.websearch_run ~mode:Run_mode.default ~scheme ~params ~load ~jobs_per_conn:jobs
 
 (* ------------------------------ determinism ----------------------- *)
 
@@ -95,7 +95,7 @@ let test_golden_digests () =
       ]
   in
   let digest (label, scheme, params) =
-    let fct = Sweep.websearch_run ~scheme ~params ~load:0.5 ~jobs_per_conn:8 in
+    let fct = Sweep.websearch_run ~mode:Run_mode.default ~scheme ~params ~load:0.5 ~jobs_per_conn:8 in
     (label, Digest.to_hex (Digest.string (Workload.Fct_stats.canonical_dump fct)))
   in
   Alcotest.(check (list (pair string string)))
@@ -182,7 +182,7 @@ let test_incast_mptcp_collapses () =
     { Scenario.default_params with Scenario.hosts_per_leaf = 16; fabric_rate_bps = 40e9 }
   in
   let goodput scheme =
-    Sweep.incast_point ~scheme ~params ~fanout:12
+    Sweep.incast_point ~mode:Run_mode.default ~scheme ~params ~fanout:12
       ~total_bytes:(int_of_float (1e7 *. params.Scenario.size_scale))
       ~requests:6 ~seeds:[ 1 ]
   in
@@ -218,7 +218,7 @@ let test_flowlet_gap_sensitivity_direction () =
           }
         in
         Workload.Fct_stats.avg
-          (Sweep.websearch_run ~scheme:Scenario.S_clove_ecn ~params ~load:0.8
+          (Sweep.websearch_run ~mode:Run_mode.default ~scheme:Scenario.S_clove_ecn ~params ~load:0.8
              ~jobs_per_conn:120))
   in
   let tiny = avg 0.2 in

@@ -424,7 +424,7 @@ let test_routing_host_to_host () =
   let ls = small_leaf_spine () in
   let topo = ls.Topology.topo in
   let dst = ls.Topology.host_ids.(1).(0) in
-  let nh = Routing.next_hops topo ~dst in
+  let nh = Routing.next_hops ~mode:Run_mode.default topo ~dst in
   let src_leaf = ls.Topology.leaf_ids.(0) in
   let hops = Hashtbl.find nh src_leaf in
   (* from the source leaf both spines are equal-cost next hops *)
@@ -445,7 +445,7 @@ let test_routing_avoids_failed () =
   | Some e -> Topology.fail_edge topo e
   | None -> Alcotest.fail "edge missing");
   let dst = ls.Topology.host_ids.(1).(0) in
-  let nh = Routing.next_hops topo ~dst in
+  let nh = Routing.next_hops ~mode:Run_mode.default topo ~dst in
   let hops = Hashtbl.find nh ls.Topology.leaf_ids.(0) in
   check_int "only one spine remains" 1 (List.length hops);
   check_int "it is s1" ls.Topology.spine_ids.(0) (List.hd hops)
@@ -456,7 +456,7 @@ let test_no_routing_through_hosts () =
   let ls = small_leaf_spine () in
   let topo = ls.Topology.topo in
   let dst = ls.Topology.host_ids.(0).(0) in
-  let nh = Routing.next_hops topo ~dst in
+  let nh = Routing.next_hops ~mode:Run_mode.default topo ~dst in
   let other_host = ls.Topology.host_ids.(0).(1) in
   let hops = Hashtbl.find nh other_host in
   Alcotest.(check (list int)) "via leaf" [ ls.Topology.leaf_ids.(0) ] hops

@@ -9,6 +9,7 @@ open Experiments
 
 let check_string = Alcotest.(check string)
 let check_int = Alcotest.(check int)
+let check_bool = Alcotest.(check bool)
 
 let small_params seed =
   {
@@ -38,11 +39,12 @@ let small_points () =
        [ Scenario.S_ecmp; Scenario.S_clove_ecn ])
 
 let dumps results = Array.map Workload.Fct_stats.canonical_dump results
+let at_domains domains = { Run_mode.default with Run_mode.domains }
 
 let test_two_domains_byte_identical () =
   let points = small_points () in
-  let serial = dumps (Sweep.run_points_parallel ~domains:1 points) in
-  let par = dumps (Sweep.run_points_parallel ~domains:2 points) in
+  let serial = dumps (Sweep.run_points_parallel ~mode:(at_domains 1) points) in
+  let par = dumps (Sweep.run_points_parallel ~mode:(at_domains 2) points) in
   check_int "same number of results" (Array.length serial) (Array.length par);
   Array.iteri
     (fun i s ->
@@ -62,12 +64,12 @@ let test_results_indexed_not_completion_ordered () =
     }
   in
   let heavy_first = [| mk 10 1; mk 2 2 |] in
-  let serial = dumps (Sweep.run_points_parallel ~domains:1 heavy_first) in
-  let par = dumps (Sweep.run_points_parallel ~domains:2 heavy_first) in
+  let serial = dumps (Sweep.run_points_parallel ~mode:(at_domains 1) heavy_first) in
+  let par = dumps (Sweep.run_points_parallel ~mode:(at_domains 2) heavy_first) in
   check_string "slow point stays at index 0" serial.(0) par.(0);
   check_string "fast point stays at index 1" serial.(1) par.(1)
 
-let opts = { Sweep.jobs_per_conn = 4; seeds = [ 1; 2 ] }
+let opts = { Sweep.default_opts with Sweep.jobs_per_conn = 4; seeds = [ 1; 2 ] }
 
 let memo_specs =
   [ (Scenario.S_ecmp, small_params 1, 0.5); (Scenario.S_clove_ecn, small_params 1, 0.5) ]
@@ -78,7 +80,7 @@ let test_prefetch_matches_serial_point () =
   let fetch domains =
     Sweep.clear_memo ();
     List.map Workload.Fct_stats.canonical_dump
-      (Sweep.websearch_points ~domains ~opts memo_specs)
+      (Sweep.websearch_points ~opts:{ opts with Sweep.mode = at_domains domains } memo_specs)
   in
   let serial = fetch 1 in
   let par = fetch 2 in
@@ -92,7 +94,7 @@ let test_load_sweep_cell_placement () =
   (* every cell of a (case x load) grid is the metric of its own point:
      row = load, column = case, never transposed or shifted *)
   Sweep.clear_memo ();
-  let opts = { Sweep.jobs_per_conn = 4; seeds = [ 1 ] } in
+  let opts = { Sweep.default_opts with Sweep.jobs_per_conn = 4; seeds = [ 1 ] } in
   let cases =
     [
       ("A-ecmp", Scenario.S_ecmp, small_params 1);
@@ -128,8 +130,8 @@ let test_repeated_parallel_runs_stable () =
   (* same points, same domain count, fresh pool each time: the engine
      itself must not inject nondeterminism (scheduling, pooling, uids) *)
   let points = small_points () in
-  let a = dumps (Sweep.run_points_parallel ~domains:2 points) in
-  let b = dumps (Sweep.run_points_parallel ~domains:2 points) in
+  let a = dumps (Sweep.run_points_parallel ~mode:(at_domains 2) points) in
+  let b = dumps (Sweep.run_points_parallel ~mode:(at_domains 2) points) in
   Array.iteri
     (fun i s -> check_string (Printf.sprintf "run-to-run point %d" i) s b.(i))
     a
@@ -142,14 +144,44 @@ let test_matrix_slice () =
   List.iter
     (fun id ->
       let baseline, outcomes =
-        Sweep.check_stability ~label:id (List.assoc id Extensions.determinism_rows)
+        Sweep.check_stability (List.assoc id Extensions.determinism_rows)
       in
       check_string (id ^ ": modes") "domains-2 shards-2 tiebreak-lifo"
-        (String.concat " " (List.map (fun o -> o.Analysis.Perturb.mode) outcomes));
+        (String.concat " " (List.map (fun o -> o.Run_mode.mode) outcomes));
       List.iter
-        (fun o -> check_string (id ^ " under " ^ o.Analysis.Perturb.mode) baseline o.digest)
+        (fun o -> check_string (id ^ " under " ^ o.Run_mode.mode) baseline o.Run_mode.digest)
         outcomes)
     [ "fig9"; "ext-chaos" ]
+
+(* an audited chaos run's ledgers, as [clove-sim chaos --audit] prints
+   them: the auditor's state lives in each run's own schedulers and
+   components, so audited runs fan out and shard like any other and
+   report the same packet counts and violations at every width.  At load
+   0.8 and seed 21 a sharded run's last window fires packets past the
+   last completion, so this also pins the audited run's common end *)
+let test_audited_chaos_width_invariant () =
+  let audited = { Run_mode.serial with Run_mode.audit = true } in
+  let run mode =
+    Chaos.run
+      {
+        Chaos.plan = Result.get_ok (Faults.Fault_plan.parse Chaos.link_down_spec);
+        schemes = [ Scenario.S_clove_ecn; Scenario.S_ecmp ];
+        load = 0.8;
+        jobs_per_conn = 20;
+        params = { Chaos.default_opts.Chaos.params with Scenario.seed = 21 };
+        mode;
+      }
+  in
+  let ledgers rows = Format.asprintf "%a" Chaos.pp_ledgers rows in
+  let serial = run audited in
+  check_bool "packets counted, no violation" true
+    (Array.for_all
+       (fun r -> r.Chaos.r_ledger.Ledger.injected > 0 && Ledger.ok r.Chaos.r_ledger)
+       serial);
+  check_string "ledgers at --shards 2" (ledgers serial)
+    (ledgers (run { audited with Run_mode.shards = 2 }));
+  check_string "ledgers at --domains 2" (ledgers serial)
+    (ledgers (run { audited with Run_mode.domains = 2 }))
 
 let () =
   Alcotest.run "parallel"
@@ -164,6 +196,8 @@ let () =
             test_prefetch_matches_serial_point;
           Alcotest.test_case "run-to-run stable" `Quick
             test_repeated_parallel_runs_stable;
+          Alcotest.test_case "audited chaos ledger width-invariant" `Quick
+            test_audited_chaos_width_invariant;
         ] );
       ( "figures",
         [

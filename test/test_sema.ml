@@ -7,8 +7,6 @@ let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 let qc = QCheck_alcotest.to_alcotest
 
-module Perturb = Analysis.Perturb
-module Audit = Analysis.Audit
 
 open Experiments
 
@@ -176,17 +174,18 @@ let test_dead_export () =
 (* -------------------- dynamic sanitizer: basics -------------------- *)
 
 let test_perturbed_size () =
-  check_int "identity at salt 0" 16 (Perturb.perturbed_size 16);
-  Perturb.with_settings ~tb:Perturb.Fifo ~salt:3 (fun () ->
-      check_bool "salt enlarges" true (Perturb.perturbed_size 16 > 16);
-      check_bool "deterministic" true
-        (Perturb.perturbed_size 16 = Perturb.perturbed_size 16));
-  check_int "settings restored" 16 (Perturb.perturbed_size 16)
+  check_int "identity at salt 0" 16 (Run_mode.perturbed_size Run_mode.default 16);
+  let salted = { Run_mode.default with Run_mode.tbl_salt = 3 } in
+  check_bool "salt enlarges" true (Run_mode.perturbed_size salted 16 > 16);
+  check_bool "deterministic" true
+    (Run_mode.perturbed_size salted 16 = Run_mode.perturbed_size salted 16);
+  check_int "the default mode is untouched" 16
+    (Run_mode.perturbed_size Run_mode.default 16)
 
 (* A correct run: observable order fixed by Det.iter_sorted, so the
    digest survives every perturbation. *)
-let sorted_run () =
-  let tbl = Det.create 16 in
+let sorted_run mode =
+  let tbl = Det.create mode 16 in
   for i = 0 to 19 do
     Hashtbl.replace tbl (i * 17) i
   done;
@@ -198,8 +197,8 @@ let sorted_run () =
 
 (* The fixture's dump_weights pattern: digest taken in bucket order, so
    a sizing salt reshuffles it. *)
-let bucket_order_run () =
-  let tbl = Det.create 16 in
+let bucket_order_run mode =
+  let tbl = Det.create mode 16 in
   for i = 0 to 19 do
     Hashtbl.replace tbl (i * 17) i
   done;
@@ -208,9 +207,9 @@ let bucket_order_run () =
   Buffer.contents b
 
 (* Two same-timestamp events whose firing order is observable: flipping
-   the tie-break knob flips the digest. *)
-let tie_order_run () =
-  let sched = Scheduler.create () in
+   the tie-break flips the digest. *)
+let tie_order_run mode =
+  let sched = Scheduler.create ~mode () in
   let b = Buffer.create 4 in
   let time = Sim_time.of_span (Sim_time.us 5) in
   let (_ : Scheduler.handle) =
@@ -222,50 +221,29 @@ let tie_order_run () =
   Scheduler.run sched;
   Buffer.contents b
 
+let diverged outcomes = List.filter (fun o -> not o.Run_mode.matches) outcomes
+
 let test_sanitizer_accepts_sorted () =
-  Audit.reset ();
-  Audit.set_enabled true;
-  let baseline, outcomes =
-    Perturb.check_schedule_stability ~label:"sorted" ~run:sorted_run ()
-  in
+  let baseline, outcomes = Run_mode.check_stability sorted_run in
   check_bool "digest non-empty" true (String.length baseline > 0);
   check_int "every standard mode runs" 4 (List.length outcomes);
-  check_bool "stable" true (Perturb.stable outcomes);
-  check_bool "no violations" true (Audit.ok ());
-  Audit.set_enabled false;
-  Audit.reset ()
+  check_bool "stable" true (Run_mode.stable outcomes);
+  check_int "no divergence" 0 (List.length (diverged outcomes))
 
 let test_sanitizer_catches_bucket_order () =
-  Audit.reset ();
-  Audit.set_enabled true;
-  let _, outcomes =
-    Perturb.check_schedule_stability ~label:"bucket-order" ~run:bucket_order_run
-      ()
-  in
-  check_bool "unstable" false (Perturb.stable outcomes);
+  let _, outcomes = Run_mode.check_stability bucket_order_run in
+  check_bool "unstable" false (Run_mode.stable outcomes);
   let salted =
-    List.filter
-      (fun o -> not o.Perturb.matches)
-      (List.filter (fun o -> o.Perturb.mode <> "tiebreak-lifo") outcomes)
+    List.filter (fun o -> o.Run_mode.mode <> "tiebreak-lifo") (diverged outcomes)
   in
   check_bool "a sizing salt exposed it" true (salted <> []);
-  check_bool "violations recorded" true (Audit.violation_count () > 0);
-  Audit.set_enabled false;
-  Audit.reset ()
+  check_bool "divergences reported" true (diverged outcomes <> [])
 
 let test_sanitizer_catches_tie_order () =
-  Audit.reset ();
-  Audit.set_enabled true;
-  let _, outcomes =
-    Perturb.check_schedule_stability ~label:"tie-order" ~run:tie_order_run ()
-  in
-  check_bool "unstable" false (Perturb.stable outcomes);
-  let lifo =
-    List.find (fun o -> o.Perturb.mode = "tiebreak-lifo") outcomes
-  in
-  check_bool "lifo flipped the digest" false lifo.Perturb.matches;
-  Audit.set_enabled false;
-  Audit.reset ()
+  let _, outcomes = Run_mode.check_stability tie_order_run in
+  check_bool "unstable" false (Run_mode.stable outcomes);
+  let lifo = List.find (fun o -> o.Run_mode.mode = "tiebreak-lifo") outcomes in
+  check_bool "lifo flipped the digest" false lifo.Run_mode.matches
 
 (* -------------- property: insertion order never leaks -------------- *)
 
@@ -285,8 +263,8 @@ let shuffle rng xs =
   |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
   |> List.map snd
 
-let digest_of bindings =
-  let tbl = Det.create 8 in
+let digest_of mode bindings =
+  let tbl = Det.create mode 8 in
   List.iter (fun (k, v) -> Hashtbl.replace tbl k v) bindings;
   Det.fold_sorted ~compare:Int.compare
     (fun k v acc -> Printf.sprintf "%s(%d,%d)" acc k v)
@@ -299,20 +277,20 @@ let prop_insertion_order =
     QCheck.(pair (small_list (pair small_nat small_nat)) small_nat)
     (fun (bindings, mix) ->
       let bindings = dedup_keys bindings in
-      let baseline = digest_of bindings in
+      let baseline = digest_of Run_mode.serial bindings in
       let shuffled = shuffle (Rng.create (mix + 1)) bindings in
       List.for_all
-        (fun (_, under) ->
-          String.equal (under (fun () -> digest_of shuffled)) baseline)
-        Perturb.standard_modes)
+        (fun (_, f) -> String.equal (digest_of (f Run_mode.serial) shuffled) baseline)
+        Run_mode.standard)
 
 (* ------------- end-to-end: a full scenario run is stable ----------- *)
 
-let scenario_digest ~params ~jobs () =
-  let fct =
-    Sweep.websearch_run ~scheme:Scenario.S_clove_ecn ~params ~load:0.4
-      ~jobs_per_conn:jobs
+(* an audited run's digest; its ledger's violations add to [violations] *)
+let scenario_digest ~violations ~params ~jobs mode =
+  let fct, ledger =
+    Chaos.simulate ~mode params ~load:0.4 ~jobs_per_conn:jobs Scenario.S_clove_ecn []
   in
+  violations := !violations + ledger.Ledger.violation_count;
   Digest.to_hex (Digest.string (Workload.Fct_stats.canonical_dump fct))
 
 (* the paper-claim configuration, the asymmetric testbed, and the
@@ -330,22 +308,20 @@ let scenario_inputs =
   ]
 
 let test_scenario_stable_under_perturbation () =
-  Audit.reset ();
-  Audit.set_enabled true;
+  let violations = ref 0 in
   List.iter
     (fun (label, params, jobs) ->
       let baseline, outcomes =
-        Perturb.check_schedule_stability ~label ~run:(scenario_digest ~params ~jobs) ()
+        Run_mode.check_stability (fun m ->
+            scenario_digest ~violations ~params ~jobs { m with Run_mode.audit = true })
       in
       check_bool
-        (Format.asprintf "identical digests:@.%a" (Perturb.pp_outcomes ~label)
+        (Format.asprintf "identical digests:@.%a" (Run_mode.pp_outcomes ~label)
            (baseline, outcomes))
         true
-        (Perturb.stable outcomes))
+        (Run_mode.stable outcomes))
     scenario_inputs;
-  check_bool "no violations" true (Audit.ok ());
-  Audit.set_enabled false;
-  Audit.reset ()
+  check_int "no violations" 0 !violations
 
 (* MPTCP arms every subflow's RTO and TLP from one handler in one
    instant; those timers used to rank under the arming handler and fall
@@ -353,16 +329,17 @@ let test_scenario_stable_under_perturbation () =
    moved at fan-in 7 and up).  They rank under each sender's own
    component id now, so the goodput is tie-order independent. *)
 let test_mptcp_incast_tie_order () =
-  let goodput tb =
-    Perturb.with_settings ~tb ~salt:0 (fun () ->
-        Sweep.incast_point ~scheme:Scenario.S_mptcp
-          ~params:
-            { Scenario.default_params with Scenario.hosts_per_leaf = 16; fabric_rate_bps = 40e9 }
-          ~fanout:7 ~total_bytes:2_500_000 ~requests:3 ~seeds:[ 1 ])
+  let goodput tiebreak =
+    Sweep.incast_point
+      ~mode:{ Run_mode.serial with Run_mode.tiebreak }
+      ~scheme:Scenario.S_mptcp
+      ~params:
+        { Scenario.default_params with Scenario.hosts_per_leaf = 16; fabric_rate_bps = 40e9 }
+      ~fanout:7 ~total_bytes:2_500_000 ~requests:3 ~seeds:[ 1 ]
   in
   Alcotest.(check string)
-    "FIFO and LIFO goodput" (Printf.sprintf "%h" (goodput Perturb.Fifo))
-    (Printf.sprintf "%h" (goodput Perturb.Lifo))
+    "FIFO and LIFO goodput" (Printf.sprintf "%h" (goodput Event_queue.Fifo))
+    (Printf.sprintf "%h" (goodput Event_queue.Lifo))
 
 let () =
   Alcotest.run "sema"
