@@ -1,9 +1,9 @@
 (* Growable circular FIFO, padded with a caller-supplied dummy.
 
    Backs the defunctionalized event path: a link's in-flight propagation
-   queue and a switch's pipeline both deliver strictly in FIFO order
-   (constant per-hop delay), so the packet a tagged event refers to is
-   always the oldest queued one — no per-event closure capture needed.
+   queue delivers strictly in FIFO order (constant per-hop delay), so the
+   packet a tagged event refers to is always the oldest queued one — no
+   per-event closure capture needed.
    [push]/[pop] allocate nothing once the ring has grown to its
    steady-state size.  The capacity is a power of two, so wrapping an
    index is a mask, not a division. *)

@@ -2,7 +2,7 @@
    defunctionalized (zero-allocation) path for steady-state events.
 
    Two structures hold pending events.  Short-horizon timers — link
-   hops, switch pipeline latencies, TCP RTO/TLP, flowlet gaps — land in
+   hops, TCP RTO/TLP, flowlet gaps — land in
    a hierarchical {!Timer_wheel}; far-future events (quiesce horizons,
    long idle timers) overflow into the {!Event_queue} binary heap.  Both
    draw sequence numbers from one scheduler-owned counter, and the wheel
@@ -257,12 +257,12 @@ let schedule_tag t ~after ~kind ~arg =
   let ev = tag t ~kind ~arg in
   push t ~time_ns ~src:t.kind_srcs.(kind) ev
 
-(* PDES boundary injection: a cross-shard event scheduled with the
-   sending shard's insertion instant as its tie-break rank, so a
-   same-timestamp tie against locally scheduled events resolves the way
-   the serial engine's single insertion clock would have resolved it.
-   [born_ns] may lie in this scheduler's past — that is the point — but
-   the event time itself must not. *)
+(* An event with an explicit tie-break rank: a PDES boundary delivery
+   keeps the sending shard's insertion instant, so a same-timestamp tie
+   against locally scheduled events resolves the way the serial engine's
+   single insertion clock would have; a link's delivery into a switch is
+   ranked at its wire-delivery instant, ahead of the clock.  [born_ns]
+   may lie in the past or ahead, but the event time must not be past. *)
 let inject_tag t ~time_ns ~born_ns ~kind ~arg =
   if time_ns < Sim_time.to_ns t.clock then
     invalid_arg "Scheduler.inject_tag: time in the past";

@@ -90,14 +90,15 @@ val schedule_tag : t -> after:Sim_time.span -> kind:int -> arg:int -> unit
     [\[0, max_int lsr 20\]]. *)
 
 val inject_tag : t -> time_ns:int -> born_ns:int -> kind:int -> arg:int -> unit
-(** PDES boundary injection: like {!schedule_tag} at an absolute time,
-    but the event's same-timestamp tie-break rank is ([born_ns],
-    [kind]'s component id): the simulation instant the *sending* shard
-    created it, then the owning component's construction-order id.  A
-    tie between an injected delivery and a locally scheduled event then
-    resolves exactly as it would in a serial run, where both insertions
-    went through one clock and the same component ids.  [born_ns] may
-    lie in this scheduler's past; the event time must not.  Raises
+(** Like {!schedule_tag} at an absolute time, but the event's
+    same-timestamp tie-break rank is ([born_ns], [kind]'s component id).
+    A PDES boundary delivery passes the instant the *sending* shard
+    created it, so a tie with a locally scheduled event resolves exactly
+    as in a serial run, where both insertions went through one clock and
+    the same component ids; a link's delivery into a switch passes its
+    wire-delivery instant, which may lie ahead of the clock.  [born_ns]
+    may lie in this scheduler's past or future; the event time must not
+    be past.  Raises
     [Invalid_argument] if [time_ns] is in the past or precedes
     [born_ns], and on [kind] or [arg] as {!schedule_tag} does. *)
 

@@ -64,10 +64,8 @@ let create ?sched_of_node ~sched ~config topo =
     Link.create ~sched ~rate_bps:1.0 ~prop_delay:Sim_time.zero_span ~label:"dummy" ()
   in
   let edge_links = Array.make n_edges (dummy, dummy) in
-  (* First pass: create links and register switch ports so that reverse-port
-     ids exist before sinks are wired. *)
-  let port_of = Hashtbl.create 64 in
-  (* (edge_id, node) -> port id at that node, for switch endpoints *)
+  (* per edge: its two links, each end's egress (a switch port or a host
+     uplink), then each link's sink, the far end on its port for the edge *)
   List.iter
     (fun (e : Topology.edge) ->
       let mk src dst =
@@ -80,36 +78,22 @@ let create ?sched_of_node ~sched ~config topo =
       let l_ab = mk e.Topology.a e.Topology.b in
       let l_ba = mk e.Topology.b e.Topology.a in
       edge_links.(e.Topology.edge_id) <- (l_ab, l_ba);
-      let register node link peer =
+      (* [node]'s end: registers its egress, returns how to wire its ingress *)
+      let attach node egress peer =
         match entities.(node) with
         | E_switch sw ->
-          let p =
-            Switch.add_port sw ~link ~peer ~parallel_index:e.Topology.bundle_index
-          in
-          Hashtbl.replace port_of (e.Topology.edge_id, node) p
-        | E_host h -> Host.attach_uplink h link
-      in
-      register e.Topology.a l_ab e.Topology.b;
-      register e.Topology.b l_ba e.Topology.a)
-    edges;
-  (* Second pass: wire sinks; a packet leaving a on edge e arrives at b on
-     b's port for that same edge. *)
-  List.iter
-    (fun (e : Topology.edge) ->
-      let l_ab, l_ba = edge_links.(e.Topology.edge_id) in
-      let wire link dst_node =
-        match entities.(dst_node) with
-        | E_host h -> Link.set_sink link (fun pkt -> Host.deliver h pkt)
-        | E_switch sw ->
           let in_port =
-            match Hashtbl.find_opt port_of (e.Topology.edge_id, dst_node) with
-            | Some p -> p
-            | None -> invalid_arg "Fabric.create: sink wiring for unregistered port"
+            Switch.add_port sw ~link:egress ~peer ~parallel_index:e.Topology.bundle_index
           in
-          Link.set_sink link (fun pkt -> Switch.receive sw ~in_port pkt)
+          fun ingress -> Switch.wire_ingress sw ~in_port ingress
+        | E_host h ->
+          Host.attach_uplink h egress;
+          fun ingress -> Link.set_sink ingress (fun pkt -> Host.deliver h pkt)
       in
-      wire l_ab e.Topology.b;
-      wire l_ba e.Topology.a)
+      let wire_a = attach e.Topology.a l_ab e.Topology.b in
+      let wire_b = attach e.Topology.b l_ba e.Topology.a in
+      wire_b l_ab;
+      wire_a l_ba)
     edges;
   let t =
     {

@@ -25,7 +25,7 @@ let measure fabric ~scheds =
           ("no-route", sum Switch.routing_drops switches);
           ("ttl-expired", sum Switch.ttl_drops switches);
         ];
-      in_flight = sum Link.in_flight links + sum Switch.in_flight switches;
+      in_flight = sum Link.in_flight links;
       violations = List.concat_map Scheduler.violations scheds;
       violation_count = List.fold_left (fun n s -> n + Scheduler.violation_count s) 0 scheds;
     }

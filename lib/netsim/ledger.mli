@@ -3,8 +3,9 @@
     the same at any shard count), and the violations the audited
     schedulers recorded.  A packet enters at a host's transmission or
     when a switch forwards the traceroute reply it originated, leaves at
-    a host's reception or a drop, and in between a link (queue,
-    serializer, wire) or a switch pipeline holds it. *)
+    a host's reception or a drop, and in between a link holds it: queued,
+    serializing, or on the wire, which toward a switch includes the
+    switch's pipeline latency. *)
 
 type t = {
   injected : int;

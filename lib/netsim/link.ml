@@ -3,6 +3,17 @@
    with a seeded probability *)
 type brownout = { capacity_frac : float; loss_prob : float; rng : Rng.t }
 
+(* where the wire delivers: a host at the wire-delivery instant D, the
+   event ranked (txdone, link); a switch's ingress lane [latency_ns]
+   after D, its pipeline folded into the event, ranked (D, lane) *)
+type sink =
+  | Host_sink of (Packet.t -> unit)
+  | Switch_sink of { latency_ns : int; lane : int; receive : Packet.t -> unit }
+
+(* a [set_up] while deliveries to a switch were pending: its instant and
+   the state before it *)
+type flip = { at_ns : int; was_up : bool }
+
 type t = {
   sched : Scheduler.t;
   rate_bps : float;
@@ -10,9 +21,10 @@ type t = {
   queue : Pkt_queue.t;
   dre : Dre.t;
   label : string;
-  mutable sink : (Packet.t -> unit) option;
+  mutable sink : sink;
   mutable busy : bool;
   mutable is_up : bool;
+  mutable flips : flip list; (* oldest first *)
   mutable brownout : brownout option;
   mutable tx_bytes : int;
   mutable tx_packets : int;
@@ -21,29 +33,33 @@ type t = {
   mutable overflow_drops : int;
   (* defunctionalized event state: serializer completions carry a slot
      index into [tx_slots] (usually one in flight, but a down/up flap can
-     briefly overlap two); wire deliveries are strictly FIFO (constant
-     [prop_delay]) so [prop] needs no per-event identity at all *)
+     briefly overlap two); deliveries are strictly FIFO (constant delays)
+     so [prop] needs no per-event identity at all *)
   src : int; (* construction-order id ranking this link's events *)
   mutable k_txdone : int;
-  mutable k_deliver : int;
   mutable tx_slots : Packet.t array; (* [Packet.placeholder] = free slot *)
   prop : Packet.t Ring.t;
-  (* cross-shard (PDES) boundary mode: instead of scheduling the wire
-     delivery locally, completed transmissions hand (deliver_time_ns,
-     packet) to the partition's exchange buffer; the coordinator calls
-     [inject] at the next window barrier, which re-enters the normal
-     delivery path on the destination shard's scheduler *)
+  (* deliveries fire as [k_deliver] on [rx_sched]: [sched], or across a
+     PDES boundary the destination shard's, where [inject] schedules
+     what [boundary] (the partition's exchange buffer) took *)
+  mutable rx_sched : Scheduler.t;
+  mutable k_deliver : int;
   mutable boundary : (born_ns:int -> time_ns:int -> Packet.t -> unit) option;
-  mutable inject_sched : Scheduler.t option; (* destination shard *)
-  mutable k_inject : int;
 }
 
-let set_sink t f = t.sink <- Some f
+(* every delivery ranks under one id, on whichever scheduler it fires *)
+let rank_deliveries t =
+  let src = match t.sink with Switch_sink s -> s.lane | Host_sink _ -> t.src in
+  Scheduler.set_kind_src t.rx_sched ~kind:t.k_deliver ~src
 
-let deliver t pkt =
-  match t.sink with
-  | None -> invalid_arg (Printf.sprintf "Link %s: no sink installed" t.label)
-  | Some sink -> sink pkt
+let set_sink t f =
+  t.sink <- Host_sink f;
+  rank_deliveries t
+
+let set_switch_sink t ~latency ~src f =
+  (* added to integer-ns delivery instants — lint: allow sema-time-boundary *)
+  t.sink <- Switch_sink { latency_ns = Sim_time.span_ns latency; lane = src; receive = f };
+  rank_deliveries t
 
 let effective_rate t =
   match t.brownout with
@@ -77,6 +93,38 @@ let alloc_tx_slot t pkt =
   t.tx_slots.(i) <- pkt;
   i
 
+(* flips at or before a delivery instant matter to no later delivery *)
+let rec flips_after ns = function
+  | f :: rest when f.at_ns <= ns -> flips_after ns rest
+  | flips -> flips
+
+(* whether the link was up at instant [ns]: the state before the first
+   flip after it, else the current one *)
+let up_at t ns =
+  match t.flips with
+  | [] -> t.is_up
+  | flips -> (
+    t.flips <- flips_after ns flips;
+    match t.flips with [] -> t.is_up | f :: _ -> f.was_up)
+
+let on_deliver t =
+  let pkt = Ring.pop t.prop in
+  match t.sink with
+  | Host_sink f -> if t.is_up then f pkt else t.down_drops <- t.down_drops + 1
+  | Switch_sink s ->
+    (* lost iff down at the wire-delivery instant, a pipeline latency ago — lint: allow sema-time-boundary *)
+    if up_at t (Sim_time.to_ns (Scheduler.now t.rx_sched) - s.latency_ns) then s.receive pkt
+    else t.down_drops <- t.down_drops + 1
+
+let schedule_delivery t ~born_ns ~time_ns pkt =
+  Ring.push t.prop pkt;
+  Scheduler.inject_tag t.rx_sched ~time_ns ~born_ns ~kind:t.k_deliver ~arg:0
+
+let launch t ~born_ns ~time_ns pkt =
+  match t.boundary with
+  | Some push -> push ~born_ns ~time_ns pkt
+  | None -> schedule_delivery t ~born_ns ~time_ns pkt
+
 (* Serializer completion at [tx] after start, then propagation for
    [prop_delay]; the serializer is free to start the next packet the
    moment the wire takes this one. *)
@@ -86,22 +134,15 @@ let rec on_txdone t slot =
   (if not t.is_up then t.down_drops <- t.down_drops + 1
    else if brownout_lost t then t.brownout_drops <- t.brownout_drops + 1
    else
-     match t.boundary with
-     | Some push ->
-       (* the txdone instant rides along as the delivery's insertion rank;
-          exchange buffers carry absolute integer ns, the PDES barrier
-          currency — lint: allow sema-time-boundary *)
-       let born_ns = Sim_time.to_ns (Scheduler.now t.sched) in
-       (* the delivery instant in the same integer ns — lint: allow sema-time-boundary *)
-       push ~born_ns ~time_ns:(born_ns + Sim_time.span_ns t.prop_delay) pkt
-     | None ->
-       Ring.push t.prop pkt;
-       Scheduler.schedule_tag t.sched ~after:t.prop_delay ~kind:t.k_deliver ~arg:0);
+     (* event ranks and exchange buffers carry absolute integer ns, the
+        PDES barrier currency — lint: allow sema-time-boundary *)
+     let txdone_ns = Sim_time.to_ns (Scheduler.now t.sched) in
+     (* the wire-delivery instant D — lint: allow sema-time-boundary *)
+     let deliver_ns = txdone_ns + Sim_time.span_ns t.prop_delay in
+     match t.sink with
+     | Host_sink _ -> launch t ~born_ns:txdone_ns ~time_ns:deliver_ns pkt
+     | Switch_sink s -> launch t ~born_ns:deliver_ns ~time_ns:(deliver_ns + s.latency_ns) pkt);
   start_tx t
-
-and on_deliver t =
-  let pkt = Ring.pop t.prop in
-  if t.is_up then deliver t pkt else t.down_drops <- t.down_drops + 1
 
 and start_tx t =
   if Pkt_queue.is_empty t.queue then t.busy <- false
@@ -128,9 +169,10 @@ let create ~sched ~rate_bps ~prop_delay ?queue ?(label = "link") () =
       dre = Dre.create ~rate_bps sched;
       label;
       src = Scheduler.fresh_src ();
-      sink = None;
+      sink = Host_sink (fun _ -> invalid_arg ("Link " ^ label ^ ": no sink installed"));
       busy = false;
       is_up = true;
+      flips = [];
       brownout = None;
       tx_bytes = 0;
       tx_packets = 0;
@@ -138,52 +180,35 @@ let create ~sched ~rate_bps ~prop_delay ?queue ?(label = "link") () =
       brownout_drops = 0;
       overflow_drops = 0;
       k_txdone = -1;
-      k_deliver = -1;
       tx_slots = Array.make 2 Packet.placeholder;
       prop = Ring.create ~capacity:8 ~dummy:Packet.placeholder ();
+      rx_sched = sched;
+      k_deliver = -1;
       boundary = None;
-      inject_sched = None;
-      k_inject = -1;
     }
   in
   (* one handler closure per link for its whole lifetime, not one per
      event: the steady-state transmit path allocates nothing *)
   t.k_txdone <- Scheduler.register_kind sched (fun slot -> on_txdone t slot);
   t.k_deliver <- Scheduler.register_kind sched (fun _ -> on_deliver t);
-  (* all of this link's events rank under one id, so a wire delivery's
-     tie-break does not depend on whether it was scheduled locally
-     (k_deliver) or injected across a PDES boundary (k_inject) *)
   Scheduler.set_kind_src sched ~kind:t.k_txdone ~src:t.src;
-  Scheduler.set_kind_src sched ~kind:t.k_deliver ~src:t.src;
+  rank_deliveries t;
   t
 
-(* Boundary deliveries reuse the closure-free delivery machinery: the
-   propagation ring stays FIFO (per-link deliver times are monotone —
-   serializer completions are ordered and [prop_delay] is constant — and
-   the exchange drains a window's buffer in generation order), and the
-   injection kind dispatches [on_deliver] on the destination shard's
-   scheduler, so is_up is re-checked at fire time exactly like the
-   serial path. *)
+(* the propagation ring stays FIFO across a boundary: the exchange
+   drains a window's buffer in generation order *)
 let set_boundary t ~dest_sched ~push =
   t.boundary <- Some push;
-  t.inject_sched <- Some dest_sched;
-  if t.k_inject < 0 then begin
-    t.k_inject <- Scheduler.register_kind dest_sched (fun _ -> on_deliver t);
-    (* injected deliveries rank under the link's own id, same as the
-       serial k_deliver path would *)
-    Scheduler.set_kind_src dest_sched ~kind:t.k_inject ~src:t.src
+  if t.rx_sched != dest_sched then begin
+    t.rx_sched <- dest_sched;
+    t.k_deliver <- Scheduler.register_kind dest_sched (fun _ -> on_deliver t);
+    rank_deliveries t
   end
 
 let inject t ~time_ns ~born_ns pkt =
-  match t.inject_sched with
+  match t.boundary with
   | None -> invalid_arg (Printf.sprintf "Link %s: inject without boundary" t.label)
-  | Some sched ->
-    Ring.push t.prop pkt;
-    (* lookahead guarantees time_ns is beyond the barrier, hence beyond
-       the destination clock; born_ns (the remote txdone instant) becomes
-       the event's tie-break rank so a same-nanosecond tie against a
-       locally scheduled event resolves as the serial engine would *)
-    Scheduler.inject_tag sched ~time_ns ~born_ns ~kind:t.k_inject ~arg:0
+  | Some _ -> schedule_delivery t ~born_ns ~time_ns pkt
 
 let send t pkt =
   if t.is_up then begin
@@ -203,6 +228,14 @@ let send t pkt =
 let up t = t.is_up
 
 let set_up t v =
+  (match t.sink with
+   | Switch_sink _ when Ring.length t.prop > 0 ->
+     (* for [up_at]; with deliveries pending, [rx_sched] is at this
+        instant, under PDES too: faults run at a barrier every shard has
+        reached — lint: allow sema-time-boundary *)
+     let at_ns = Sim_time.to_ns (Scheduler.now t.rx_sched) in
+     t.flips <- t.flips @ [ { at_ns; was_up = t.is_up } ]
+   | Host_sink _ | Switch_sink _ -> ());
   t.is_up <- v;
   if not v then begin
     (* drain the queue: a failed link loses its in-flight packets, and the

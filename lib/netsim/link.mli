@@ -19,7 +19,14 @@ val create :
   t
 
 val set_sink : t -> (Packet.t -> unit) -> unit
-(** Must be called before the first [send]. *)
+(** A host's: it takes each packet at the wire-delivery instant D.  This
+    or {!set_switch_sink} must be called before the first [send]. *)
+
+val set_switch_sink :
+  t -> latency:Sim_time.span -> src:int -> (Packet.t -> unit) -> unit
+(** A switch ingress lane's: its pipeline folds into the delivery, one
+    event at D + [latency] ranked (D, [src]), [src] the lane's
+    {!Scheduler.fresh_src}. *)
 
 val send : t -> Packet.t -> unit
 (** Enqueue for transmission; silently drops if the queue is full (the drop
@@ -30,7 +37,8 @@ val set_up : t -> bool -> unit
 (** Taking a link down drops all queued and future packets until it is
     brought back up — models a link failure.  Packets already queued are
     flushed and counted in both [down_drops] and the queue's drop
-    statistics. *)
+    statistics.  A packet on the wire is lost iff the link is down at its
+    wire-delivery instant D, also when a switch takes it later. *)
 
 val set_brownout :
   t -> capacity_frac:float -> loss_prob:float -> rng:Rng.t -> unit
@@ -51,9 +59,8 @@ val set_boundary :
 (** Mark this link as crossing a PDES shard boundary.  Completed
     transmissions stop scheduling their wire delivery locally and instead
     hand the packet to [push] (the partition's exchange buffer for this
-    link) with its delivery time and the txdone instant it was generated
-    at; {!inject} later re-enters the delivery path on [dest_sched].
-    Serialization, drops, brownouts and statistics are unaffected — only
+    link) with its delivery event's time and rank; {!inject} later
+    re-enters the delivery path on [dest_sched].  Serialization, drops, brownouts and statistics are unaffected — only
     the final propagation hop is deferred. *)
 
 val inject : t -> time_ns:int -> born_ns:int -> Packet.t -> unit
@@ -62,11 +69,11 @@ val inject : t -> time_ns:int -> born_ns:int -> Packet.t -> unit
     by the exchange drain at a window barrier, in the same per-link order
     the deliveries were generated; [time_ns] is always beyond the barrier
     thanks to the lookahead, so this never schedules into the past.
-    [born_ns] — the sending shard's txdone instant — becomes the event's
-    same-timestamp tie-break rank (see {!Scheduler.inject_tag}), keeping
-    pop order identical to the serial engine's single insertion clock.
-    Allocation-free (pushes the pooled packet onto the propagation ring
-    and schedules a tagged event). *)
+    [born_ns] — the txdone instant, or D for a switch sink — becomes the
+    event's same-timestamp tie-break rank (see {!Scheduler.inject_tag}),
+    keeping pop order identical to the serial engine's.  Allocation-free
+    (pushes the pooled packet onto the propagation ring and schedules a
+    tagged event). *)
 
 val utilization : t -> float
 (** DRE-estimated utilization of this link's egress. *)

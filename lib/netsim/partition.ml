@@ -14,17 +14,18 @@
    delivery on the destination shard via {!Link.inject}.  Per-link
    deliver times are monotone and the drain preserves generation order,
    so injection is deterministic at any shard count.  Each delivery also
-   carries the txdone instant it was generated at ([borns]): the
-   destination scheduler uses it as the event's same-timestamp tie-break
-   rank, so a tie between an injected delivery and a locally scheduled
-   event resolves exactly as the serial engine's single insertion clock
-   would have resolved it (see {!Scheduler.inject_tag}). *)
+   carries its rank instant ([borns]: the txdone instant, or into a
+   switch the wire-delivery instant): the destination scheduler uses it
+   as the event's same-timestamp tie-break rank, so a tie between an
+   injected delivery and a locally scheduled event resolves exactly as
+   the serial engine's single insertion clock would have resolved it
+   (see {!Scheduler.inject_tag}). *)
 
 type buffer = {
   link : Link.t;
   dest_shard : int;
   mutable times : int array; (* delivery time, absolute ns *)
-  mutable borns : int array; (* sending-shard txdone instant, absolute ns *)
+  mutable borns : int array; (* rank instant, absolute ns *)
   mutable pkts : Packet.t array;
   mutable len : int;
 }

@@ -1,6 +1,10 @@
 type level = Leaf | Spine | Core_sw
 
-type port = { link : Link.t; peer : int; parallel_index : int }
+(* [lane] ranks the events of packets arriving on this port: two
+   packets crossing the switch in the same nanosecond rank by ingress
+   port — a fixed arbitration order — rather than by insertion race,
+   which keeps the tie shard-invariant and perturbation-stable *)
+type port = { link : Link.t; peer : int; parallel_index : int; lane : int }
 
 type t = {
   sched : Scheduler.t;
@@ -12,15 +16,6 @@ type t = {
   mutable nports : int;
   unwired : port;  (* placeholder for unpopulated port slots *)
   routes : int array Int_table.t; (* keyed by [Addr.to_int] *)
-  (* defunctionalized pipeline, one lane per ingress port: forwards on a
-     port fire in FIFO order (constant [latency]), so the pending packet
-     is always the oldest in the port's ring.  Per-port dispatch kinds
-     give every lane its own component id: two packets crossing the
-     switch in the same nanosecond rank by ingress port — a fixed
-     arbitration order — rather than by insertion race, which keeps the
-     tie shard-invariant and perturbation-stable *)
-  mutable k_forwards : int array;
-  mutable pipes : Packet.t Ring.t array;
   mutable picker : picker option;
   mutable rx_packets : int;
   mutable routing_drops : int;
@@ -63,45 +58,28 @@ let routing_drops t = t.routing_drops
 let ttl_drops t = t.ttl_drops
 let ttl_replies t = t.ttl_replies
 
-let in_flight t = Array.fold_left (fun n pipe -> n + Ring.length pipe) 0 t.pipes
+(* whether candidates [i..] all lead to [peer] *)
+let rec same_peer_from t candidates ~peer i =
+  i >= Array.length candidates
+  || (t.ports.(candidates.(i)).peer = peer && same_peer_from t candidates ~peer (i + 1))
 
 let all_same_peer t candidates =
-  let n = Array.length candidates in
-  let peer = t.ports.(candidates.(0)).peer in
-  let rec go i = i >= n || (t.ports.(candidates.(i)).peer = peer && go (i + 1)) in
-  go 1
+  same_peer_from t candidates ~peer:t.ports.(candidates.(0)).peer 1
 
 let default_pick t ~in_port pkt ~candidates =
   let n = Array.length candidates in
   if n = 1 then candidates.(0)
-  else if
-    in_port >= 0 && t.level = Spine && all_same_peer t candidates
-  then
-    (* the testbed's deterministic spine wiring: traffic received on the
-       i-th parallel link from a leaf leaves on the i-th parallel link of
-       the bundle toward the next leaf, making leaf-to-leaf paths disjoint.
-       Only applies to parallel bundles (all candidates to one peer) — on
-       topologies like fat-trees the candidates are distinct switches and
-       normal ECMP hashing applies. *)
-    candidates.(t.ports.(in_port).parallel_index mod n)
-  else candidates.(Ecmp_hash.select ~seed:t.ecmp_seed pkt ~n)
-
-let answer_ttl_expired t ~in_port pkt =
-  match pkt.Packet.payload with
-  | Packet.Probe p ->
-    let reply =
-      Packet.make ~size:64
-        (Packet.Probe_reply
-           {
-             Packet.reply_to = p.Packet.probe_src;
-             reply_probe_id = p.Packet.probe_id;
-             reply_port = p.Packet.probe_port;
-             reply_ttl = 0;
-             reply_hop = Some { Packet.hop_node = t.id; hop_port = in_port };
-           })
-    in
-    Some reply
-  | Packet.Tenant _ | Packet.Probe_reply _ -> None
+  else
+    match t.level with
+    | Spine when in_port >= 0 && all_same_peer t candidates ->
+      (* the testbed's deterministic spine wiring: traffic received on the
+         i-th parallel link from a leaf leaves on the i-th parallel link of
+         the bundle toward the next leaf, making leaf-to-leaf paths disjoint.
+         Only applies to parallel bundles (all candidates to one peer) — on
+         topologies like fat-trees the candidates are distinct switches and
+         normal ECMP hashing applies. *)
+      candidates.(t.ports.(in_port).parallel_index mod n)
+    | Spine | Leaf | Core_sw -> candidates.(Ecmp_hash.select ~seed:t.ecmp_seed pkt ~n)
 
 let forward t ~in_port pkt =
   let dst = Packet.route_dst pkt in
@@ -119,56 +97,52 @@ let forward t ~in_port pkt =
       pkt.Packet.int_util <- Float.max pkt.Packet.int_util (Link.utilization link);
     Link.send link pkt
 
+(* the reply is a switch-originated packet: it enters the network, as
+   far as packet conservation is concerned, as it is forwarded *)
+let answer_ttl_expired t ~in_port pkt =
+  match pkt.Packet.payload with
+  | Packet.Probe p ->
+    t.ttl_replies <- t.ttl_replies + 1;
+    forward t ~in_port:(-1)
+      (Packet.make ~size:64
+         (Packet.Probe_reply
+            {
+              Packet.reply_to = p.Packet.probe_src;
+              reply_probe_id = p.Packet.probe_id;
+              reply_port = p.Packet.probe_port;
+              reply_ttl = 0;
+              reply_hop = Some { Packet.hop_node = t.id; hop_port = in_port };
+            }))
+  | Packet.Tenant _ | Packet.Probe_reply _ -> ()
+
 let receive t ~in_port pkt =
   t.rx_packets <- t.rx_packets + 1;
   pkt.Packet.ttl <- pkt.Packet.ttl - 1;
-  if pkt.Packet.ttl <= 0 then begin
-    t.ttl_drops <- t.ttl_drops + 1;
-    match answer_ttl_expired t ~in_port pkt with
-    | None -> ()
-    | Some reply ->
-      (* the reply is a switch-originated packet: it enters the network,
-         as far as packet conservation is concerned, when it is forwarded *)
-      let (_ : Scheduler.handle) =
-        (* only traceroute probes expire — lint: allow alloc-closure *)
-        Scheduler.schedule t.sched ~after:t.latency (fun () ->
-            t.ttl_replies <- t.ttl_replies + 1;
-            forward t ~in_port:(-1) reply)
-      in
-      ()
-  end
+  if pkt.Packet.ttl > 0 then forward t ~in_port pkt
   else begin
-    Ring.push t.pipes.(in_port) pkt;
-    Scheduler.schedule_tag t.sched ~after:t.latency ~kind:t.k_forwards.(in_port)
-      ~arg:0
+    t.ttl_drops <- t.ttl_drops + 1;
+    answer_ttl_expired t ~in_port pkt
   end
 
 (* Ports are wired after [create], in fabric construction order; each
-   registers its pipeline lane's dispatch kind then, so lane ids follow
-   wiring order at any shard count. *)
+   draws its ingress lane's rank then, so lane ranks follow wiring order
+   at any shard count. *)
 let add_port t ~link ~peer ~parallel_index =
   if t.nports = Array.length t.ports then begin
     let n = t.nports in
     let ports = Array.make (2 * n) t.unwired in
-    let kinds = Array.make (2 * n) (-1) in
-    let pipes =
-      Array.init (2 * n) (fun i ->
-          if i < n then t.pipes.(i)
-          else Ring.create ~capacity:16 ~dummy:Packet.placeholder ())
-    in
     Array.blit t.ports 0 ports 0 n;
-    Array.blit t.k_forwards 0 kinds 0 n;
-    t.ports <- ports;
-    t.k_forwards <- kinds;
-    t.pipes <- pipes
+    t.ports <- ports
   end;
   let p = t.nports in
-  t.ports.(p) <- { link; peer; parallel_index };
-  t.k_forwards.(p) <-
-    Scheduler.register_kind t.sched (fun _ ->
-        forward t ~in_port:p (Ring.pop t.pipes.(p)));
+  t.ports.(p) <- { link; peer; parallel_index; lane = Scheduler.fresh_src () };
   t.nports <- p + 1;
   p
+
+let wire_ingress t ~in_port link =
+  check_port t in_port;
+  Link.set_switch_sink link ~latency:t.latency ~src:t.ports.(in_port).lane (fun pkt ->
+      receive t ~in_port pkt)
 
 let create ~sched ~id ~level ~ecmp_seed ?(latency = Sim_time.ns 250) () =
   (* a real (never-transmitting) port fills empty slots of the port
@@ -180,28 +154,22 @@ let create ~sched ~id ~level ~ecmp_seed ?(latency = Sim_time.ns 250) () =
           ~label:"unwired" ();
       peer = -1;
       parallel_index = 0;
+      lane = 0;
     }
   in
-  let t =
-    {
-      sched;
-      id;
-      level;
-      ecmp_seed;
-      latency;
-      unwired;
-      ports = Array.make 8 unwired;
-      nports = 0;
-      routes = Int_table.create ~capacity:64 ~dummy:[||] ();
-      picker = None;
-      rx_packets = 0;
-      routing_drops = 0;
-      ttl_drops = 0;
-      ttl_replies = 0;
-      k_forwards = Array.make 8 (-1);
-      pipes =
-        Array.init 8 (fun _ ->
-            Ring.create ~capacity:16 ~dummy:Packet.placeholder ());
-    }
-  in
-  t
+  {
+    sched;
+    id;
+    level;
+    ecmp_seed;
+    latency;
+    unwired;
+    ports = Array.make 8 unwired;
+    nports = 0;
+    routes = Int_table.create ~capacity:64 ~dummy:[||] ();
+    picker = None;
+    rx_packets = 0;
+    routing_drops = 0;
+    ttl_drops = 0;
+    ttl_replies = 0;
+  }

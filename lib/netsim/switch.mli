@@ -31,6 +31,7 @@ val create :
   ?latency:Sim_time.span ->
   unit ->
   t
+(** [latency] (default 250 ns): the pipeline, see {!wire_ingress}. *)
 
 val id : t -> int
 val level : t -> level
@@ -51,10 +52,16 @@ val set_routes : t -> Addr.t -> int array -> unit
 val routes : t -> Addr.t -> int array option
 val clear_routes : t -> unit
 
+val wire_ingress : t -> in_port:int -> Link.t -> unit
+(** Make this switch the sink of an ingress link: packets enter {!receive}
+    on [in_port] [latency] after the wire delivers them, in the link's
+    delivery event ({!Link.set_switch_sink}); the switch has none. *)
+
 val receive : t -> in_port:int -> Packet.t -> unit
-(** Entry point wired as the sink of every ingress link.  [in_port] is the
-    local port id whose link points back toward the sender (used for
-    index-preserving forwarding); use [-1] when unknown. *)
+(** Decrement the TTL and forward, or drop and answer an expired
+    traceroute probe, at once.  [in_port] is the local port id whose link
+    points back toward the sender (used for index-preserving forwarding);
+    use [-1] when unknown. *)
 
 type picker = t -> in_port:int -> Packet.t -> candidates:int array -> int
 
@@ -68,6 +75,3 @@ val ttl_drops : t -> int
 
 val ttl_replies : t -> int
 (** Traceroute replies originated here, counted as they are forwarded. *)
-
-val in_flight : t -> int
-(** Packets in the forwarding pipeline. *)

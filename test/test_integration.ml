@@ -101,6 +101,30 @@ let test_golden_digests () =
   Alcotest.(check (list (pair string string)))
     "FCT digests" golden_digests (List.map digest runs)
 
+(* [clove-sim chaos --jobs 150]'s digests: a link down for 60-120 ms
+   while packets are crossing it, so they pin the rule that decides
+   which of those packets are lost (the link's state at the wire
+   delivery instant), which the fault-free runs above never reach *)
+let chaos_digests =
+  [ ("Clove-ECN", "9482cf6255aefb3fee71883e8f45b365"); ("ECMP", "2e1ccadc2204144741ca13eb8b8e271d") ]
+
+let test_chaos_digests () =
+  let params = Chaos.default_opts.Chaos.params in
+  let plan =
+    Result.get_ok
+      (Faults.Fault_plan.parse ~names:(Scenario.fault_names params) Chaos.link_down_spec)
+  in
+  let digest scheme =
+    let fct, _ =
+      Chaos.simulate ~mode:Run_mode.default params ~load:0.25 ~jobs_per_conn:150 scheme plan
+    in
+    ( Scenario.scheme_name scheme,
+      Digest.to_hex (Digest.string (Workload.Fct_stats.canonical_dump fct)) )
+  in
+  Alcotest.(check (list (pair string string)))
+    "chaos FCT digests" chaos_digests
+    (List.map digest [ Scenario.S_clove_ecn; Scenario.S_ecmp ])
+
 (* -------------------------- byte conservation --------------------- *)
 
 let test_byte_conservation () =
@@ -259,7 +283,10 @@ let () =
           Alcotest.test_case "different seeds differ" `Quick test_seeds_differ;
         ] );
       ( "golden",
-        [ Alcotest.test_case "pinned digests" `Quick test_golden_digests ] );
+        [
+          Alcotest.test_case "pinned digests" `Quick test_golden_digests;
+          Alcotest.test_case "pinned chaos digests" `Quick test_chaos_digests;
+        ] );
       ( "conservation",
         [ Alcotest.test_case "bytes acked exactly once" `Quick test_byte_conservation ] );
       ( "paper-claims",

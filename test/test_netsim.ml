@@ -379,6 +379,71 @@ let test_link_down_drops () =
   Scheduler.run sched;
   check_int "delivered after restore" 1 !got
 
+(* ---------------------------- Switch hop -------------------------- *)
+
+(* host 1 -> switch -> host 2.  A 1440 B packet takes 1.152 us to
+   serialize at 10 Gbit/s, then 1 us on the ingress wire: the wire
+   delivers at D = 2152 ns and the switch forwards 250 ns later. *)
+let deliver_ns = 2_152
+
+let one_hop () =
+  let sched = Scheduler.create () in
+  let sw = Switch.create ~sched ~id:0 ~level:Switch.Leaf ~ecmp_seed:0 () in
+  let link prop_delay = Link.create ~sched ~rate_bps:10e9 ~prop_delay () in
+  let ingress = link (Sim_time.us 1) in
+  let egress = link Sim_time.zero_span and back = link Sim_time.zero_span in
+  let arrivals = ref [] in
+  Link.set_sink egress (fun _ -> arrivals := Sim_time.to_ns (Scheduler.now sched) :: !arrivals);
+  Link.set_sink back (fun _ -> ());
+  let to_dst = Switch.add_port sw ~link:egress ~peer:2 ~parallel_index:0 in
+  let from_src = Switch.add_port sw ~link:back ~peer:1 ~parallel_index:0 in
+  Switch.set_routes sw (Addr.of_int 2) [| to_dst |];
+  Switch.wire_ingress sw ~in_port:from_src ingress;
+  Link.send ingress (mk_data ~src:1 ~dst:2 ());
+  (sched, sw, ingress, arrivals)
+
+let test_hop_two_events_each () =
+  let sched, sw, _, arrivals = one_hop () in
+  Scheduler.run sched;
+  (* ingress transmit-done, ingress delivery into the switch, egress
+     transmit-done, egress delivery: no switch event of its own *)
+  check_int "events" 4 (Scheduler.events_fired sched);
+  check_int "switch received" 1 (Switch.rx_packets sw);
+  Alcotest.(check (list int)) "arrival: D + 250 ns pipeline + 1152 ns egress"
+    [ deliver_ns + 250 + 1_152 ] !arrivals
+
+let set_up_at sched link ~ns v =
+  let (_ : Scheduler.handle) =
+    Scheduler.schedule_at sched ~time:(Sim_time.of_ns ns) (fun () -> Link.set_up link v)
+  in
+  ()
+
+(* a packet on the ingress wire is lost iff the link was down at D, not
+   at the later instant the switch takes it *)
+let test_ingress_down_after_delivery () =
+  let sched, sw, ingress, arrivals = one_hop () in
+  set_up_at sched ingress ~ns:(deliver_ns + 100) false;
+  Scheduler.run sched;
+  check_int "forwarded" 1 (List.length !arrivals);
+  check_int "no down drop" 0 (Link.down_drops ingress);
+  check_int "switch received" 1 (Switch.rx_packets sw)
+
+let test_ingress_down_across_delivery () =
+  let sched, sw, ingress, arrivals = one_hop () in
+  set_up_at sched ingress ~ns:(deliver_ns - 100) false;
+  set_up_at sched ingress ~ns:(deliver_ns + 100) true;
+  Scheduler.run sched;
+  check_int "dropped" 0 (List.length !arrivals);
+  check_int "down drops" 1 (Link.down_drops ingress);
+  check_int "switch received nothing" 0 (Switch.rx_packets sw)
+
+let test_ingress_down_at_delivery () =
+  let sched, _, ingress, arrivals = one_hop () in
+  set_up_at sched ingress ~ns:deliver_ns false;
+  Scheduler.run sched;
+  check_int "dropped" 0 (List.length !arrivals);
+  check_int "down drops" 1 (Link.down_drops ingress)
+
 (* ------------------------- Topology and routing ------------------- *)
 
 (* one pod, no cores: the paper's 2-leaf, 2-spine testbed with 2
@@ -608,6 +673,15 @@ let () =
           Alcotest.test_case "latency" `Quick test_link_delivers_with_latency;
           Alcotest.test_case "serialization" `Quick test_link_serializes;
           Alcotest.test_case "down drops" `Quick test_link_down_drops;
+        ] );
+      ( "switch-hop",
+        [
+          Alcotest.test_case "two events per hop" `Quick test_hop_two_events_each;
+          Alcotest.test_case "down after delivery forwards" `Quick
+            test_ingress_down_after_delivery;
+          Alcotest.test_case "down across delivery drops" `Quick
+            test_ingress_down_across_delivery;
+          Alcotest.test_case "down at delivery drops" `Quick test_ingress_down_at_delivery;
         ] );
       ( "topology+routing",
         [
