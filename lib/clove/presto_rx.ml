@@ -1,7 +1,7 @@
 type flow_state = {
   mutable expected : int; (* next cell_seq to deliver *)
   buffer : (int, Packet.inner) Hashtbl.t;
-  mutable timer : Scheduler.handle option;
+  timer : Scheduler.timer; (* the reorder wait; its operand is the flow key *)
 }
 
 let buffer_limit = 512 (* max buffered out-of-order packets per flow *)
@@ -11,15 +11,11 @@ type t = {
   reorder_timeout : Sim_time.span; (* 10 RTTs: the wait for a hole to fill *)
   deliver : Packet.inner -> unit;
   flows : (int, flow_state) Hashtbl.t;
+  expire : int -> unit; (* every flow's timer handler *)
   mutable buffered : int;
   mutable flushes : int;
   mutable reordered : int;
 }
-
-let create ~sched ~cfg ~deliver =
-  let reorder_timeout = Sim_time.mul_span cfg.Clove_config.rtt_estimate 10.0 in
-  let flows = Hashtbl.create 64 in
-  { sched; reorder_timeout; deliver; flows; buffered = 0; flushes = 0; reordered = 0 }
 
 let buffered t = t.buffered
 let timeout_flushes t = t.flushes
@@ -29,16 +25,15 @@ let flow t key =
   match Hashtbl.find_opt t.flows key with
   | Some f -> f
   | None ->
-    let f = { expected = 0; buffer = Hashtbl.create 16; timer = None } in
+    let f =
+      {
+        expected = 0;
+        buffer = Hashtbl.create 16;
+        timer = Scheduler.timer t.sched ~arg:key t.expire;
+      }
+    in
     Hashtbl.replace t.flows key f;
     f
-
-let cancel_timer t f =
-  match f.timer with
-  | Some h ->
-    Scheduler.cancel t.sched h;
-    f.timer <- None
-  | None -> ()
 
 let drain t f =
   (* deliver buffered packets contiguous with [expected] *)
@@ -69,19 +64,35 @@ let flush_all t f =
         t.deliver inner
       | None -> ())
     seqs;
-  cancel_timer t f
+  Scheduler.disarm t.sched f.timer
+
+(* the reorder wait ran out: release what the flow holds *)
+let expire t key =
+  match Hashtbl.find_opt t.flows key with
+  | Some f when Hashtbl.length f.buffer > 0 ->
+    t.flushes <- t.flushes + 1;
+    flush_all t f
+  | Some _ | None -> ()
+
+let create ~sched ~cfg ~deliver =
+  let reorder_timeout = Sim_time.mul_span cfg.Clove_config.rtt_estimate 10.0 in
+  let rec t =
+    {
+      sched;
+      reorder_timeout;
+      deliver;
+      flows = Hashtbl.create 64;
+      expire = (fun key -> expire t key);
+      buffered = 0;
+      flushes = 0;
+      reordered = 0;
+    }
+  in
+  t
 
 let arm_timer t f =
-  if f.timer = None then
-    f.timer <-
-      Some
-        (Scheduler.schedule t.sched ~after:t.reorder_timeout
-           (fun () ->
-             f.timer <- None;
-             if Hashtbl.length f.buffer > 0 then begin
-               t.flushes <- t.flushes + 1;
-               flush_all t f
-             end))
+  if not (Scheduler.armed t.sched f.timer) then
+    Scheduler.arm t.sched f.timer ~after:t.reorder_timeout
 
 let on_packet t inner ~cell =
   let f = flow t cell.Packet.flow_key in
@@ -91,7 +102,7 @@ let on_packet t inner ~cell =
     f.expected <- f.expected + 1;
     t.deliver inner;
     drain t f;
-    if Hashtbl.length f.buffer = 0 then cancel_timer t f
+    if Hashtbl.length f.buffer = 0 then Scheduler.disarm t.sched f.timer
   end
   else begin
     t.reordered <- t.reordered + 1;

@@ -139,15 +139,10 @@ let rec run_cycle t ~key st =
           send_probe t st ~key ~port ~ttl
         done)
       ports;
-    let (_ : Scheduler.handle) =
-      Scheduler.schedule t.sched ~after:probe_timeout (fun () ->
-          if not t.stopped then finalize_cycle t st)
-    in
-    let (_ : Scheduler.handle) =
-      Scheduler.schedule t.sched ~after:t.cfg.Clove_config.probe_interval (fun () ->
-          run_cycle t ~key st)
-    in
-    ()
+    Scheduler.schedule t.sched ~after:probe_timeout (fun () ->
+        if not t.stopped then finalize_cycle t st);
+    Scheduler.schedule t.sched ~after:t.cfg.Clove_config.probe_interval (fun () ->
+        run_cycle t ~key st)
   end
 
 let add_destination t dst =
@@ -171,10 +166,7 @@ let add_destination t dst =
        Capped at half the probe timeout so discovery still completes
        within [probe_timeout * 3/2] of registration. *)
     let jitter = Sim_time.mul_span probe_timeout (Rng.float st.rng 0.5) in
-    let (_ : Scheduler.handle) =
-      Scheduler.schedule t.sched ~after:jitter (fun () -> run_cycle t ~key st)
-    in
-    ()
+    Scheduler.schedule t.sched ~after:jitter (fun () -> run_cycle t ~key st)
   end
 
 let on_reply t (reply : Packet.probe_reply) =

@@ -30,7 +30,7 @@ type remote = {
   mutable discovering : bool;
   fb_queue : Packet.clove_feedback Queue.t;
   last_relay : Sim_time.t Int_table.t; (* port -> last relay time *)
-  mutable fb_timer : Scheduler.handle option;
+  fb_timer : Scheduler.timer; (* the carrier deadline; its operand is the hv *)
 }
 
 (* Presto per-flow spraying state *)
@@ -61,6 +61,7 @@ type t = {
   (* also the one record of every scheme without discovered paths: its
      table stays empty and its queue stays empty *)
   no_remote : remote;
+  fb_expire : int -> unit; (* every remote's [fb_timer] handler *)
   flowlets : int Flowlet.t; (* decision = outer source port *)
   presto_flows : presto_flow Int_table.t;
   no_presto_flow : presto_flow;
@@ -105,14 +106,14 @@ let rewrite_overhead_bytes = 12
 
 let presto_cell_bytes = 64 * 1024 (* Presto's flowcell size *)
 
-let make_remote ~sched ~cfg =
+let make_remote ~sched ~cfg ~fb_timer =
   {
     paths = Path_table.create ~sched ~cfg;
     weights = [||];
     discovering = false;
     fb_queue = Queue.create ();
     last_relay = Int_table.create ~capacity:8 ~dummy:Sim_time.zero ();
-    fb_timer = None;
+    fb_timer;
   }
 
 (* the record of remote hypervisor [hv], created on first use; creating
@@ -124,7 +125,8 @@ let remote t hv =
     let r = Int_table.find_default t.remotes key t.no_remote in
     if r != t.no_remote then r
     else begin
-      let r = make_remote ~sched:t.sched ~cfg:t.cfg in
+      let fb_timer = Scheduler.timer t.sched ~arg:key t.fb_expire in
+      let r = make_remote ~sched:t.sched ~cfg:t.cfg ~fb_timer in
       Int_table.set t.remotes key r;
       r
     end
@@ -180,21 +182,20 @@ let send_feedback_carrier t ~to_hv fb =
   t.s_carrier <- t.s_carrier + 1;
   Host.send t.host pkt
 
-let rec arm_fb_timer t ~hv r =
-  match r.fb_timer with
-  | Some _ -> ()
-  | None ->
-    r.fb_timer <-
-      Some
-        (Scheduler.schedule t.sched ~after:t.feedback_deadline (fun () ->
-             r.fb_timer <- None;
-             match Queue.take_opt r.fb_queue with
-             | None -> ()
-             | Some fb ->
-               send_feedback_carrier t ~to_hv:hv fb;
-               if not (Queue.is_empty r.fb_queue) then arm_fb_timer t ~hv r))
+let arm_fb_timer t r =
+  if not (Scheduler.armed t.sched r.fb_timer) then
+    Scheduler.arm t.sched r.fb_timer ~after:t.feedback_deadline
 
-let enqueue_feedback t ~from_hv r fb =
+(* no reverse traffic took the feedback owed to [hv] in time *)
+let fb_expire t hv =
+  let r = Int_table.find_default t.remotes hv t.no_remote in
+  match Queue.take_opt r.fb_queue with
+  | None -> ()
+  | Some fb ->
+    send_feedback_carrier t ~to_hv:(Addr.of_int hv) fb;
+    if not (Queue.is_empty r.fb_queue) then arm_fb_timer t r
+
+let enqueue_feedback t r fb =
   let port = match fb with Packet.Fb_ecn { port } | Packet.Fb_sample { port; _ } -> port in
   let now = Scheduler.now t.sched in
   let allowed =
@@ -207,18 +208,13 @@ let enqueue_feedback t ~from_hv r fb =
   if allowed then begin
     Int_table.set r.last_relay port now;
     Queue.add fb r.fb_queue;
-    arm_fb_timer t ~hv:from_hv r
+    arm_fb_timer t r
   end
 
 let pop_feedback t r =
   match Queue.take_opt r.fb_queue with
   | Some _ as fb ->
-    if Queue.is_empty r.fb_queue then (
-      match r.fb_timer with
-      | Some h ->
-        Scheduler.cancel t.sched h;
-        r.fb_timer <- None
-      | None -> ());
+    if Queue.is_empty r.fb_queue then Scheduler.disarm t.sched r.fb_timer;
     fb
   | None -> None
 
@@ -402,17 +398,17 @@ let rx_tenant t pkt (inner : Packet.inner) =
     (match t.scheme with
     | Clove_ecn ->
       if pkt.Packet.ecn = Packet.Ce then
-        enqueue_feedback t ~from_hv:peer_hv r
+        enqueue_feedback t r
           (Packet.Fb_ecn { port = e.Packet.src_port })
     | Clove_int ->
       if pkt.Packet.int_enabled then
-        enqueue_feedback t ~from_hv:peer_hv r
+        enqueue_feedback t r
           (Packet.Fb_sample { port = e.Packet.src_port; value = pkt.Packet.int_util })
     | Clove_latency ->
       (* NIC timestamping + synchronized clocks: one-way delay is simply
          receive time minus the sender's transmit stamp *)
       let delay = Sim_time.diff (Scheduler.now t.sched) pkt.Packet.sent_at in
-      enqueue_feedback t ~from_hv:peer_hv r
+      enqueue_feedback t r
         (Packet.Fb_sample
            { port = e.Packet.src_port; value = Sim_time.span_to_sec delay })
     | Ecmp | Edge_flowlet | Presto | Direct -> ());
@@ -465,7 +461,11 @@ let create ~route_epoch ~host ~stack ~scheme ~cfg ~rng () =
   let sched = Host.sched host in
   (* dummies are pure allocations: building them consumes no RNG and
      schedules nothing, so they cannot perturb determinism *)
-  let no_remote = make_remote ~sched ~cfg in
+  let no_remote =
+    (* its timer is never armed: no scheme that uses [no_remote] relays
+       feedback *)
+    make_remote ~sched ~cfg ~fb_timer:(Scheduler.timer sched ~arg:0 ignore)
+  in
   (* marked as discovering so that [start_discovery] skips it *)
   no_remote.discovering <- true;
   let no_presto_flow =
@@ -478,7 +478,7 @@ let create ~route_epoch ~host ~stack ~scheme ~cfg ~rng () =
       p_ports = [||];
     }
   in
-  let t =
+  let rec t =
       {
         sched;
         host;
@@ -490,6 +490,7 @@ let create ~route_epoch ~host ~stack ~scheme ~cfg ~rng () =
         rng;
         remotes = Int_table.create ~capacity:16 ~dummy:no_remote ();
         no_remote;
+        fb_expire = (fun hv -> fb_expire t hv);
         flowlets = Flowlet.create ~sched ~gap:cfg.Clove_config.flowlet_gap ~dummy:0;
         presto_flows = Int_table.create ~capacity:64 ~dummy:no_presto_flow ();
         no_presto_flow;
@@ -556,16 +557,10 @@ let create ~route_epoch ~host ~stack ~scheme ~cfg ~rng () =
              no longer carries usable liveness evidence *)
           Flowlet.expire_older_than t.flowlets
             (Sim_time.mul_span t.cfg.Clove_config.flowlet_gap 32.0);
-          let (_ : Scheduler.handle) =
-            Scheduler.schedule t.sched ~after:maintain_interval tick
-          in
-          ()
+          Scheduler.schedule t.sched ~after:maintain_interval tick
         end
       in
-      let (_ : Scheduler.handle) =
-        Scheduler.schedule sched ~after:maintain_interval tick
-      in
-      ()
+      Scheduler.schedule sched ~after:maintain_interval tick
     end
   end;
   Host.set_handler host (fun pkt -> rx t pkt);

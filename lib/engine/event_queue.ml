@@ -160,35 +160,6 @@ let[@inline] reseat t ~fifo n ~from i =
   let j = sift_down t ~fifo n i time born src seq in
   set t j ~time ~born ~src ~seq value
 
-(* Floyd heapify: restore the heap property over the first [size]
-   entries after an in-place rewrite.  Pop order is unaffected by the
-   internal layout — (time, born, src, seq) is a total order, so the minimum
-   popped at every step is the same whatever valid heap shape the arrays
-   hold — which is what makes in-place compaction determinism-safe. *)
-let heapify t =
-  let fifo = t.fifo and n = t.size in
-  for start = (n / 2) - 1 downto 0 do
-    reseat t ~fifo n ~from:start start
-  done
-
-(* slide every entry of [i, size) that passes [keep] down to [kept, ..);
-   returns the survivor count *)
-let rec filter t ~keep i kept =
-  if i = t.size then kept
-  else if keep t.values.(i) then begin
-    if kept <> i then move t ~src:i ~dst:kept;
-    filter t ~keep (i + 1) (kept + 1)
-  end
-  else filter t ~keep (i + 1) kept
-
-let compact t ~keep =
-  let kept = filter t ~keep 0 0 in
-  let dropped = t.size - kept in
-  Array.fill t.values kept dropped t.dummy;
-  t.size <- kept;
-  heapify t;
-  dropped
-
 (* Allocation-free pop for the scheduler's hot loop: the caller must
    check emptiness (and read [min_time_ns]) first.  The last entry is
    re-seated at the root and its hole sifted down. *)
@@ -210,6 +181,7 @@ let pop t =
   end
 
 let min_time_ns t = if t.size = 0 then max_int else t.times.(0)
+let min_seq t = t.seqs.(0)
 let peek_time t = if t.size = 0 then None else Some (Sim_time.of_ns t.times.(0))
 let size t = t.size
 let is_empty t = t.size = 0

@@ -52,11 +52,10 @@ val pop_unsafe : 'a t -> 'a
 val min_time_ns : 'a t -> int
 (** Earliest queued time in raw ns, or [max_int] when empty. *)
 
-val compact : 'a t -> keep:('a -> bool) -> int
-(** Drop every entry whose payload fails [keep] and restore the heap in
-    place; returns the number dropped.  [keep] is called once per entry,
-    in array order.  Pop order of surviving entries is unchanged
-    ((time, born, src, seq) is a total order). *)
+val min_seq : 'a t -> int
+(** The earliest event's sequence number; the queue must be non-empty.
+    The scheduler reads it before {!pop_unsafe} so a timer can tell its
+    own latest event from its stale ones. *)
 
 val peek_time : 'a t -> Sim_time.t option
 

@@ -18,23 +18,21 @@
    - a tagged event (>= 0) packs its handler kind and operand as
      [kind lor (arg lsl kind_bits)]: a component registers a handler
      kind once at construction ([register_kind]) and then schedules
-     (kind, arg) pairs ([schedule_tag]).  Tagged events are
-     fire-and-forget — never exposed, never cancellable;
+     (kind, arg) pairs ([schedule_tag]);
    - a closure event (< 0) is [lnot i], where slot [i] of the
-     scheduler's slab holds its cancellable [handle].  The slot is freed
-     when the entry fires or is purged, so the slab is bounded by the
-     closure events pending at once.
+     scheduler's slab holds its thunk and rank until it fires.
 
-   Cancelled handles are purged lazily: the wheel drops them when their
-   slot flushes, the heap when they pop, and a compaction sweep runs
-   when dead handles outnumber live ones (a TCP sender re-arming its RTO
-   on every ack would otherwise grow the queue without bound). *)
-
-type handle = {
-  mutable live : bool;
-  src : int; (* owning component (tie-break rank) *)
-  mutable thunk : unit -> unit;
-}
+   Nothing is ever cancelled: every queued event fires.  A component
+   that moves or drops a deadline holds a {!timer} — a row of ints in
+   the scheduler, operated on by [arm]/[disarm] — whose events are
+   tagged with the reserved kind [timer_kind].  A timer keeps one
+   "carrier": the event it queued last, known by its sequence number.
+   Arming queues a new carrier unless the queued one fires strictly
+   before the new deadline; a carrier that fires before the deadline
+   queues the next one at the deadline, born at the arm instant, so the
+   event that runs the handler has exactly the key (deadline, arm
+   instant, rank) a freshly scheduled event would have had.  Any other
+   event of the timer is stale and does nothing. *)
 
 (* Component ids for the (time, born, src, seq) event order.  The
    counter is domain-local: one scenario is always constructed on a
@@ -55,15 +53,33 @@ let kind_bits = 20
 let max_kind = (1 lsl kind_bits) - 1
 let max_arg = max_int lsr kind_bits
 
-(* closure events' handles, by slot; [free] is a stack of the free slot
-   indices *)
+(* closure events by slot: [thunks.(i)] runs ranked under [srcs.(i)];
+   [free] is a stack of the free slot indices *)
 type slab = {
-  mutable handles : handle array;
+  mutable thunks : (unit -> unit) array;
+  mutable srcs : int array;
   mutable free : int array;
   mutable n_free : int;
 }
 
+(* A timer is a row of [row] ints in [timers] (its handler in
+   [timer_fire]), so creating one allocates nothing beyond amortized
+   column growth.  The row's fields, at these offsets: *)
+let row = 7
+let r_src = 0 (* rank fixed at creation, or -1: the arming component's *)
+let r_arg = 1 (* the handler's operand *)
+let r_deadline = 2 (* armed key: deadline (-1 when disarmed), *)
+let r_born = 3 (*   arm instant, *)
+let r_rank = 4 (*   and rank *)
+let r_carrier = 5 (* seq of the carrier, or -1 when none is queued *)
+let r_carrier_ns = 6 (* the carrier's time *)
+
+(* the reserved kind of timer events; the arg is the timer *)
+let timer_kind = 0
+
 type violation = { invariant : string; detail : string }
+
+type timer = int
 
 type t = {
   mode : Run_mode.t;
@@ -72,16 +88,17 @@ type t = {
   queue : int Event_queue.t;
   wheel : Timer_wheel.t;
   slab : slab;
-  keep : int -> bool; (* purge predicate shared by wheel and heap *)
   mutable next_seq : int; (* shared by wheel and heap: one tie-break stream *)
-  mutable dead : int; (* cancelled handles still queued *)
   mutable handlers : (int -> unit) array;
   mutable kind_srcs : int array; (* component id per registered kind *)
   mutable n_kinds : int;
   mutable cur_src : int; (* component id of the dispatching event; 0 at setup *)
+  mutable cur_seq : int; (* seq of the dispatching event *)
+  mutable timers : int array;
+  mutable timer_fire : (int -> unit) array;
+  mutable n_timers : int;
   mutable wheel_scheduled : int;
   mutable heap_scheduled : int;
-  mutable compactions : int;
   (* audited runs: the latest dispatch time, and the first [max_kept]
      of the [n_violations] recorded, newest first *)
   mutable watermark_ns : int;
@@ -92,65 +109,16 @@ type t = {
 let max_kept = 100
 
 let nop () = ()
-
-(* pads free slab slots; [live = false] so it is inert even if a bug
-   ever dispatched it *)
-let dummy_handle = { live = false; src = 0; thunk = nop }
-
 let nop_handler (_ : int) = ()
 
-(* [a] doubled, its entries kept: the one growth step of the slab and
-   the dispatch table *)
+(* [a] doubled, its entries kept: the one growth step of the slab, the
+   dispatch table and the timer columns *)
 let double a fill =
   let n = Array.length a in
   (* amortized doubling: O(log n) times per scheduler, never in steady state — lint: allow alloc-array *)
   let b = Array.make (2 * n) fill in
   Array.blit a 0 b 0 n;
   b
-
-let free_slot slab i =
-  slab.handles.(i) <- dummy_handle;
-  slab.free.(slab.n_free) <- i;
-  slab.n_free <- slab.n_free + 1
-
-(* A tagged event is always live.  A closure event whose handle was
-   cancelled is purged: its slot is freed here, where the wheel or the
-   heap drops the entry, since nothing else will see it again. *)
-let keep_event slab ev =
-  ev >= 0
-  ||
-  let i = lnot ev in
-  slab.handles.(i).live
-  ||
-  (free_slot slab i;
-   false)
-
-let create ?(mode = Run_mode.default) () =
-  let slab =
-    { handles = Array.make 16 dummy_handle; free = Array.init 16 Fun.id; n_free = 16 }
-  in
-  let keep = keep_event slab in
-  {
-    mode;
-    clock = Sim_time.zero;
-    fired = 0;
-    queue = Event_queue.create ~tiebreak:mode.Run_mode.tiebreak ~dummy:0 ();
-    wheel = Timer_wheel.create ~keep ();
-    slab;
-    keep;
-    next_seq = 0;
-    dead = 0;
-    handlers = Array.make 8 nop_handler;
-    kind_srcs = Array.make 8 0;
-    n_kinds = 0;
-    cur_src = 0;
-    compactions = 0;
-    wheel_scheduled = 0;
-    heap_scheduled = 0;
-    watermark_ns = 0;
-    violations = [];
-    n_violations = 0;
-  }
 
 let now t = t.clock
 let mode t = t.mode
@@ -211,8 +179,9 @@ let push t ~time_ns ~src ev =
 (* a free slab slot, growing the slab when none is left *)
 let alloc_slot slab =
   if slab.n_free = 0 then begin
-    let n = Array.length slab.handles in
-    slab.handles <- double slab.handles dummy_handle;
+    let n = Array.length slab.thunks in
+    slab.thunks <- double slab.thunks nop;
+    slab.srcs <- double slab.srcs 0;
     slab.free <- double slab.free 0;
     for i = 0 to n - 1 do
       slab.free.(i) <- (2 * n) - 1 - i
@@ -227,26 +196,17 @@ let schedule_at t ~time f =
   if Sim_time.(time < t.clock) then
     invalid_arg "Scheduler.schedule_at: time in the past";
   (* closures rank under the component whose handler scheduled them *)
-  let src = t.cur_src in
-  let h = { live = true; src; thunk = f } in
   let i = alloc_slot t.slab in
-  t.slab.handles.(i) <- h;
-  push t ~time_ns:(Sim_time.to_ns time) ~src (lnot i);
-  h
+  t.slab.thunks.(i) <- f;
+  t.slab.srcs.(i) <- t.cur_src;
+  push t ~time_ns:(Sim_time.to_ns time) ~src:t.cur_src (lnot i)
 
 let schedule t ~after f = schedule_at t ~time:(Sim_time.add t.clock after) f
 
-(* the swap keeps [schedule_at] the one closure-handle allocation site *)
-let schedule_as t ~src ~after f =
-  let cur = t.cur_src in
-  t.cur_src <- src;
-  let h = schedule t ~after f in
-  t.cur_src <- cur;
-  h
-
 (* the tagged event code of ([kind], [arg]), checking both fit *)
 let tag t ~kind ~arg =
-  if kind < 0 || kind >= t.n_kinds then invalid_arg "Scheduler: unknown event kind";
+  if kind <= timer_kind || kind >= t.n_kinds then
+    invalid_arg "Scheduler: unknown event kind";
   if arg < 0 || arg > max_arg then invalid_arg "Scheduler: event arg out of range";
   kind lor (arg lsl kind_bits)
 
@@ -270,31 +230,99 @@ let inject_tag t ~time_ns ~born_ns ~kind ~arg =
   let ev = tag t ~kind ~arg in
   push_born t ~time_ns ~born_ns ~src:t.kind_srcs.(kind) ev
 
-(* ---- cancellation & compaction ---- *)
+(* ---- timers ---- *)
 
-let is_pending h = h.live
+let timer t ?src ~arg fire =
+  let id = t.n_timers in
+  if id = Array.length t.timer_fire then begin
+    t.timers <- double t.timers 0;
+    t.timer_fire <- double t.timer_fire nop_handler
+  end;
+  let o = id * row in
+  t.timers.(o + r_src) <- (match src with Some c -> c | None -> -1);
+  t.timers.(o + r_arg) <- arg;
+  t.timers.(o + r_deadline) <- -1;
+  t.timers.(o + r_carrier) <- -1;
+  t.timer_fire.(id) <- fire;
+  t.n_timers <- id + 1;
+  id
 
-(* Sweep dead handles out of both structures when they outnumber live
-   ones (and are numerous enough to matter).  Compaction preserves every
-   survivor's (time, born, src, seq), and pop order under a total order does not
-   depend on heap layout, so this is invisible to the simulation. *)
-let maybe_compact t =
-  if t.dead > 64 && 2 * t.dead > Event_queue.size t.queue + Timer_wheel.size t.wheel
-  then begin
-    let swept =
-      Event_queue.compact t.queue ~keep:t.keep + Timer_wheel.compact t.wheel
-    in
-    t.dead <- t.dead - swept;
-    t.compactions <- t.compactions + 1
+(* queue the timer's carrier at its armed key *)
+let queue_carrier t id =
+  let tm = t.timers and o = id * row in
+  let time_ns = tm.(o + r_deadline) in
+  tm.(o + r_carrier) <- t.next_seq;
+  tm.(o + r_carrier_ns) <- time_ns;
+  push_born t ~time_ns ~born_ns:tm.(o + r_born) ~src:tm.(o + r_rank)
+    (timer_kind lor (id lsl kind_bits))
+
+let arm t id ~after =
+  let now_ns = Sim_time.to_ns t.clock in
+  let deadline = now_ns + Sim_time.span_ns after in
+  if deadline < now_ns then invalid_arg "Scheduler.arm: deadline in the past";
+  let tm = t.timers and o = id * row in
+  tm.(o + r_deadline) <- deadline;
+  tm.(o + r_born) <- now_ns;
+  tm.(o + r_rank) <- (if tm.(o + r_src) >= 0 then tm.(o + r_src) else t.cur_src);
+  (* a carrier firing strictly earlier re-queues itself at the deadline *)
+  if tm.(o + r_carrier) < 0 || tm.(o + r_carrier_ns) >= deadline then
+    queue_carrier t id
+
+let disarm t id = t.timers.((id * row) + r_deadline) <- -1
+let armed t id = t.timers.((id * row) + r_deadline) >= 0
+
+(* The handler of [timer_kind].  Only the carrier acts.  Every arm after
+   it was queued either queued a newer carrier or found it strictly
+   earlier than the new deadline, so it carries the armed key exactly
+   when it fires at the deadline. *)
+let fire_timer t id =
+  let tm = t.timers and o = id * row in
+  if tm.(o + r_carrier) = t.cur_seq then begin
+    tm.(o + r_carrier) <- -1;
+    let deadline = tm.(o + r_deadline) in
+    if deadline = Sim_time.to_ns t.clock then begin
+      tm.(o + r_deadline) <- -1;
+      t.cur_src <- tm.(o + r_rank);
+      t.timer_fire.(id) tm.(o + r_arg)
+    end
+    else if deadline >= 0 then queue_carrier t id
   end
 
-let cancel t h =
-  if h.live then begin
-    h.live <- false;
-    h.thunk <- nop;
-    t.dead <- t.dead + 1;
-    maybe_compact t
-  end
+let create ?(mode = Run_mode.default) () =
+  let t =
+    {
+      mode;
+      clock = Sim_time.zero;
+      fired = 0;
+      queue = Event_queue.create ~tiebreak:mode.Run_mode.tiebreak ~dummy:0 ();
+      wheel = Timer_wheel.create ();
+      slab =
+        {
+          thunks = Array.make 16 nop;
+          srcs = Array.make 16 0;
+          free = Array.init 16 Fun.id;
+          n_free = 16;
+        };
+      next_seq = 0;
+      handlers = Array.make 8 nop_handler;
+      kind_srcs = Array.make 8 0;
+      n_kinds = 1;
+      cur_src = 0;
+      cur_seq = -1;
+      timers = Array.make (8 * row) 0;
+      timer_fire = Array.make 8 nop_handler;
+      n_timers = 0;
+      wheel_scheduled = 0;
+      heap_scheduled = 0;
+      watermark_ns = 0;
+      violations = [];
+      n_violations = 0;
+    }
+  in
+  (* the timer kind draws no component id: a timer event ranks under its
+     timer's armed rank *)
+  t.handlers.(timer_kind) <- fire_timer t;
+  t
 
 (* ---- dequeue ---- *)
 
@@ -307,11 +335,8 @@ let prepare t =
   if not (Timer_wheel.is_empty t.wheel) then begin
     let heap_min = Event_queue.min_time_ns t.queue in
     if Timer_wheel.min_bound_ns t.wheel <= heap_min then
-      let purged =
-        if heap_min = max_int then Timer_wheel.advance_next t.wheel ~into:t.queue
-        else Timer_wheel.advance t.wheel ~upto_ns:heap_min ~into:t.queue
-      in
-      t.dead <- t.dead - purged
+      if heap_min = max_int then Timer_wheel.advance_next t.wheel ~into:t.queue
+      else Timer_wheel.advance t.wheel ~upto_ns:heap_min ~into:t.queue
   end
 
 let next_time_ns t =
@@ -325,6 +350,7 @@ let step_prepared t =
   if Event_queue.is_empty t.queue then false
   else begin
     let time_ns = Event_queue.min_time_ns t.queue in
+    t.cur_seq <- Event_queue.min_seq t.queue;
     let ev = Event_queue.pop_unsafe t.queue in
     if t.mode.Run_mode.audit then check_clock t time_ns;
     t.clock <- Sim_time.of_ns time_ns;
@@ -338,14 +364,13 @@ let step_prepared t =
     else begin
       (* free the slot before running the thunk, which may schedule *)
       let i = lnot ev in
-      let h = t.slab.handles.(i) in
-      free_slot t.slab i;
-      if h.live then begin
-        h.live <- false;
-        t.cur_src <- h.src;
-        h.thunk ()
-      end
-      else t.dead <- t.dead - 1
+      let slab = t.slab in
+      let f = slab.thunks.(i) in
+      t.cur_src <- slab.srcs.(i);
+      slab.thunks.(i) <- nop;
+      slab.free.(slab.n_free) <- i;
+      slab.n_free <- slab.n_free + 1;
+      f ()
     end;
     true
   end
@@ -357,12 +382,15 @@ let step t =
 (* allocation-free horizon drive, also the PDES barrier loop's (one call
    per barrier window, millions of windows per run): drains events with
    timestamps at most [until_ns]; the clock parks at the horizon when the
-   next event lies beyond it, and an empty queue leaves the clock alone *)
+   next event lies beyond it and the horizon lies ahead of the clock, and
+   an empty queue leaves the clock alone *)
 let rec run_until t ~until_ns =
   prepare t;
   let time_ns = Event_queue.min_time_ns t.queue in
   if time_ns = max_int then ()
-  else if time_ns > until_ns then t.clock <- Sim_time.of_ns until_ns
+  else if time_ns > until_ns then begin
+    if until_ns > Sim_time.to_ns t.clock then t.clock <- Sim_time.of_ns until_ns
+  end
   else begin
     let (_ : bool) = step_prepared t in
     run_until t ~until_ns
@@ -375,9 +403,8 @@ let run ?until t =
 (* ---- accounting ---- *)
 
 let pending_events t = Event_queue.size t.queue + Timer_wheel.size t.wheel
-let dead_events t = t.dead
 let events_fired t = t.fired
 let wheel_scheduled t = t.wheel_scheduled
 let heap_scheduled t = t.heap_scheduled
-let compactions t = t.compactions
+let compactions (_ : t) = 0
 let batched_events (_ : t) = 0

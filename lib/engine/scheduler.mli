@@ -12,16 +12,14 @@
     components register a handler kind once ({!register_kind}) and
     schedule (kind, arg) pairs ({!schedule_tag}) packed into the event
     code itself, allocating nothing per event.  Closure scheduling
-    remains for cancellable timers and cold paths: the event code of a
-    closure names a slot in a per-scheduler slab of {!handle}s, freed
-    when the event fires or is purged. *)
+    remains for cold paths: the event code of a closure names a slot in
+    a per-scheduler slab holding its thunk until it fires.
+
+    No event is ever cancelled.  A deadline that moves or is dropped —
+    a retransmission timeout, a reorder wait — is a {!timer}: arming
+    it again allocates nothing, and to a later deadline queues nothing. *)
 
 type t
-
-type handle
-(** A scheduled closure event that can be cancelled before it fires.
-    Tagged events ({!schedule_tag}) are fire-and-forget and expose no
-    handle. *)
 
 val create : ?mode:Run_mode.t -> unit -> t
 (** A scheduler running under [mode] ({!Run_mode.default}) for its whole
@@ -48,19 +46,15 @@ val violation_count : t -> int
 val now : t -> Sim_time.t
 (** Current simulation time. *)
 
-val schedule : t -> after:Sim_time.span -> (unit -> unit) -> handle
-(** [schedule t ~after f] runs [f] at [now t + after].  Allocates a
-    handle and a closure — prefer {!schedule_tag} on per-packet paths.
+val schedule : t -> after:Sim_time.span -> (unit -> unit) -> unit
+(** [schedule t ~after f] runs [f] at [now t + after].  The caller
+    allocates the closure — prefer {!schedule_tag} on per-packet paths.
     For same-timestamp tie-breaking the event ranks under the component
     whose handler is executing. *)
 
-val schedule_at : t -> time:Sim_time.t -> (unit -> unit) -> handle
+val schedule_at : t -> time:Sim_time.t -> (unit -> unit) -> unit
 (** [schedule_at t ~time f] runs [f] at [time]; raises [Invalid_argument]
     if [time] is in the past. *)
-
-val schedule_as : t -> src:int -> after:Sim_time.span -> (unit -> unit) -> handle
-(** {!schedule}, but ranked under component [src] (a {!fresh_src}) rather
-    than the one whose handler is executing. *)
 
 val fresh_src : unit -> int
 (** Allocate a component id for the (time, born, src, seq) event order.
@@ -85,7 +79,7 @@ val set_kind_src : t -> kind:int -> src:int -> unit
 val schedule_tag : t -> after:Sim_time.span -> kind:int -> arg:int -> unit
 (** Allocation-free scheduling: at [now + after], call the handler
     registered for [kind] with [arg].  The event is the immediate code
-    [kind lor (arg lsl 20)]; tagged events cannot be cancelled.  Raises
+    [kind lor (arg lsl 20)].  Raises
     [Invalid_argument] if [kind] is not registered or [arg] lies outside
     [\[0, max_int lsr 20\]]. *)
 
@@ -102,19 +96,41 @@ val inject_tag : t -> time_ns:int -> born_ns:int -> kind:int -> arg:int -> unit
     [Invalid_argument] if [time_ns] is in the past or precedes
     [born_ns], and on [kind] or [arg] as {!schedule_tag} does. *)
 
-val cancel : t -> handle -> unit
-(** Cancel a pending event; cancelling a fired or cancelled event is a
-    no-op.  Dead events are purged lazily (when their wheel slot
-    flushes or they pop, which also frees their slab slot) and a
-    compaction sweep runs whenever dead events outnumber live ones, so
-    arm/cancel churn — TCP re-arming its RTO per ack — keeps the queue
-    and the slab bounded by the live set. *)
+(** {2 Deadline timers} *)
 
-val is_pending : handle -> bool
+type timer
+(** A re-armable deadline of one scheduler: armed, it calls its handler
+    once at the deadline, unless re-armed or disarmed first.  The handler
+    runs with the key (deadline, arm instant, rank) a closure scheduled
+    at the last arming would have had, so the order of events is that of
+    cancelling and rescheduling; but nothing is cancelled.  Arming
+    queues an event unless the timer's last queued event fires strictly
+    before the new deadline; that one, when it fires, queues the next
+    at the deadline.  The timer's other queued events are stale: each
+    fires as a no-op. *)
+
+val timer : t -> ?src:int -> arg:int -> (int -> unit) -> timer
+(** [timer t ?src ~arg f], disarmed, calls [f arg] when it expires.  Its
+    events rank under component [src] (a {!fresh_src}) when given, else
+    under the component dispatching when it is armed.  Registers no kind
+    and draws no component id; allocates nothing beyond amortized
+    growth of the scheduler's timer table. *)
+
+val arm : t -> timer -> after:Sim_time.span -> unit
+(** Set the deadline to [now t + after], replacing any earlier arming.
+    To a later deadline than a still-queued event of the timer it
+    schedules nothing.  Raises [Invalid_argument] on a negative span. *)
+
+val disarm : t -> timer -> unit
+(** Drop the deadline; the handler does not run.  Disarming a disarmed
+    timer is a no-op. *)
+
+val armed : t -> timer -> bool
+(** Armed and not yet expired.  The handler runs disarmed. *)
 
 val next_time_ns : t -> int
-(** Timestamp (ns) of the earliest pending live-or-dead event, or
-    [max_int] when the queue is empty.  Used by the conservative PDES
+(** Timestamp (ns) of the earliest pending event, stale timer events
+    included, or [max_int] when the queue is empty.  Used by the conservative PDES
     barrier loop ({!Shard}) to compute the next safe window; flushes
     due wheel windows into the heap, exactly like {!step} would. *)
 
@@ -127,22 +143,17 @@ val step : t -> bool
 
 val run_until : t -> until_ns:int -> unit
 (** [run ~until] minus the optional-argument and closure allocations:
-    drains events with timestamps at most [until_ns] and parks the
-    clock at the horizon when more remain beyond it.  The PDES barrier
-    loop ({!Shard.drive}) calls it once per window on its global
-    scheduler. *)
+    drains events with timestamps at most [until_ns] and, when more
+    remain beyond it, parks the clock at the horizon if that lies ahead;
+    the clock never moves backwards.  The PDES barrier loop
+    ({!Shard.drive}) calls it once per window on its global scheduler. *)
 
 val pending_events : t -> int
-(** Queued events in wheel + heap, including cancelled ones awaiting
-    purge. *)
-
-val dead_events : t -> int
+(** Queued events in wheel + heap, stale timer events included. *)
 
 val events_fired : t -> int
 (** Total events dispatched since creation (throughput accounting for the
-    benchmark harness).  Cancelled events popped from the heap count,
-    matching the pre-wheel scheduler; dead events purged in bulk do
-    not. *)
+    benchmark harness), stale timer events included. *)
 
 val wheel_scheduled : t -> int
 (** Events that entered the timing wheel. *)
@@ -151,7 +162,8 @@ val heap_scheduled : t -> int
 (** Events that went straight to the overflow heap. *)
 
 val compactions : t -> int
-(** Dead-event sweeps performed. *)
+(** Always 0: nothing is cancelled, so nothing is swept; kept for
+    existing probes. *)
 
 val batched_events : t -> int
 (** Always 0: each event is dispatched on its own; kept for existing probes. *)

@@ -16,7 +16,7 @@
    order, before the caller's clock can reach them — so the heap's
    (time, born, src, seq) comparator reproduces exactly the pop order of
    a pure binary heap.  The wheel never reorders, delays, or drops an
-   event (except entries failing [keep], which are cancelled timers).
+   event.
 
    Two costs matter on the scheduler's per-pop path:
    - [min_bound_ns] is O(1): a cached lower bound on the earliest queued
@@ -38,7 +38,6 @@ let g_bits = 6 (* log2 of level-0 slot span, ns *)
 let levels = 3
 
 type t = {
-  keep : int -> bool;
   slots : slot array; (* levels * 2^bits, level-major *)
   (* per-level slot-occupancy bitmap, 32 bits per word: bit [i land 31]
      of [occ.(level * occ_words + (i lsr 5))] is set iff ring slot [i]
@@ -53,9 +52,8 @@ type t = {
 
 let occ_words = (1 lsl bits) lsr 5 (* words per level; power of two *)
 
-let create ~keep () =
+let create () =
   {
-    keep;
     slots = Array.init (levels lsl bits) (fun _ -> { data = [||]; len = 0 });
     occ = Array.make (levels * occ_words) 0;
     frontier = 0;
@@ -189,90 +187,67 @@ let rec next_occupied_window t k best =
   end
 
 (* Flush one slot's entries [i, len): level 0 empties into the heap with
-   original (time, born, src, seq) keys — dead entries are purged and
-   counted — while higher levels cascade each entry down ([place] from
-   level 0 always succeeds here because the frontier sits at the slot's
-   window start, putting the whole window within reach of the ring
-   below).  Returns [dropped] plus the dead entries purged. *)
-let rec flush_entries t ~level d len i ~into dropped =
-  if i = len then dropped
-  else begin
+   original (time, born, src, seq) keys, while higher levels cascade each
+   entry down ([place] from level 0 always succeeds here because the
+   frontier sits at the slot's window start, putting the whole window
+   within reach of the ring below). *)
+let rec flush_entries t ~level d len i ~into =
+  if i < len then begin
     let o = i * stride in
     let time_ns = d.(o)
     and born_ns = d.(o + 1)
     and src = d.(o + 2)
     and seq = d.(o + 3)
     and v = d.(o + 4) in
-    let dropped =
-      if not (t.keep v) then begin
-        t.count <- t.count - 1;
-        dropped + 1
-      end
-      else begin
-        (* at level > 0 the [place] fallback is unreachable by the window
-           argument above; stay safe anyway *)
-        if level = 0 || not (place t ~time_ns ~born_ns ~src ~seq v 0) then begin
-          t.count <- t.count - 1;
-          Event_queue.add_at_ns into ~time_ns ~born_ns ~src ~seq v
-        end;
-        dropped
-      end
-    in
-    flush_entries t ~level d len (i + 1) ~into dropped
+    (* at level > 0 the [place] fallback is unreachable by the window
+       argument above; stay safe anyway *)
+    if level = 0 || not (place t ~time_ns ~born_ns ~src ~seq v 0) then begin
+      t.count <- t.count - 1;
+      Event_queue.add_at_ns into ~time_ns ~born_ns ~src ~seq v
+    end;
+    flush_entries t ~level d len (i + 1) ~into
   end
 
 (* The slot is emptied before its entries are re-placed.  A cascade
    re-places into lower levels, never back into this slot; even if it
    did, each re-push writes at or below the entry just read, so no
    unread entry is overwritten. *)
-let flush_slot t ~level idx ~into dropped =
+let flush_slot t ~level idx ~into =
   let s = t.slots.(idx) in
   let n = s.len in
-  if n = 0 then dropped
-  else begin
+  if n > 0 then begin
     s.len <- 0;
     occ_clear t idx;
-    flush_entries t ~level s.data n 0 ~into dropped
+    flush_entries t ~level s.data n 0 ~into
   end
 
 (* Cascade every level from [k] down to 1 whose slot the frontier is
    entering (all lower index bits zero). *)
-let rec cascade t ~into k dropped =
-  if k = 0 then dropped
-  else begin
+let rec cascade t ~into k =
+  if k > 0 then begin
     let sh = shift k in
-    let dropped =
-      if t.frontier land ((1 lsl sh) - 1) = 0 then
-        flush_slot t ~level:k
-          ((k lsl bits) lor ((t.frontier lsr sh) land ((1 lsl bits) - 1)))
-          ~into dropped
-      else dropped
-    in
-    cascade t ~into (k - 1) dropped
+    if t.frontier land ((1 lsl sh) - 1) = 0 then
+      flush_slot t ~level:k
+        ((k lsl bits) lor ((t.frontier lsr sh) land ((1 lsl bits) - 1)))
+        ~into;
+    cascade t ~into (k - 1)
   end
 
 (* Cascade the upper levels, then flush the level-0 slot and step one
    granule. *)
-let step_frontier t ~into dropped =
-  let dropped = cascade t ~into (levels - 1) dropped in
-  let dropped =
-    flush_slot t ~level:0
-      ((t.frontier lsr g_bits) land ((1 lsl bits) - 1))
-      ~into dropped
-  in
-  t.frontier <- t.frontier + (1 lsl g_bits);
-  dropped
+let step_frontier t ~into =
+  cascade t ~into (levels - 1);
+  flush_slot t ~level:0 ((t.frontier lsr g_bits) land ((1 lsl bits) - 1)) ~into;
+  t.frontier <- t.frontier + (1 lsl g_bits)
 
 (* Flush every window whose start is <= [upto_ns] into [into], jumping
    the frontier across empty stretches.  Afterwards every remaining
    wheel entry's time exceeds [upto_ns], so a heap top at or before
-   [upto_ns] is the true global minimum.  Returns the number of dead
-   entries purged. *)
-let rec advance_from t ~upto_ns ~target ~into dropped =
+   [upto_ns] is the true global minimum. *)
+let rec advance_from t ~upto_ns ~target ~into =
   if t.count = 0 then begin
     if t.frontier < target then t.frontier <- target;
-    t.lb <- max_int;
-    dropped
+    t.lb <- max_int
   end
   else begin
     let next = next_occupied_window t 0 max_int in
@@ -280,63 +255,31 @@ let rec advance_from t ~upto_ns ~target ~into dropped =
       (* [next] is granule-aligned and > upto_ns, hence >= target: the
          jump cannot skip an occupied window's boundary *)
       if t.frontier < target then t.frontier <- target;
-      if t.lb < next then t.lb <- next;
-      dropped
+      if t.lb < next then t.lb <- next
     end
     else begin
       if next > t.frontier then t.frontier <- next;
-      advance_from t ~upto_ns ~target ~into (step_frontier t ~into dropped)
+      step_frontier t ~into;
+      advance_from t ~upto_ns ~target ~into
     end
   end
 
 let advance t ~upto_ns ~into =
   (* first granule boundary strictly past [upto_ns] *)
   let target = ((upto_ns lsr g_bits) + 1) lsl g_bits in
-  advance_from t ~upto_ns ~target ~into 0
+  advance_from t ~upto_ns ~target ~into
 
 (* Flush just the earliest occupied window (used when the heap is empty:
    afterwards the heap top precedes every remaining wheel entry, because
    cascaded survivors land in strictly later windows). *)
-let rec advance_next_from t ~into ~before dropped =
+let rec advance_next_from t ~into ~before =
   if t.count > 0 && Event_queue.size into = before then begin
     let next = next_occupied_window t 0 max_int in
     if next > t.frontier then t.frontier <- next;
-    advance_next_from t ~into ~before (step_frontier t ~into dropped)
+    step_frontier t ~into;
+    advance_next_from t ~into ~before
   end
-  else begin
-    if t.count = 0 then t.lb <- max_int
-    else if t.lb < t.frontier then t.lb <- t.frontier;
-    dropped
-  end
+  else if t.count = 0 then t.lb <- max_int
+  else if t.lb < t.frontier then t.lb <- t.frontier
 
-let advance_next t ~into =
-  advance_next_from t ~into ~before:(Event_queue.size into) 0
-
-(* slide every entry of [d] in [i, len) that passes [keep] down to
-   [kept, ..); returns the survivor count *)
-let rec filter t d len i kept =
-  if i = len then kept
-  else if t.keep d.((i * stride) + 4) then begin
-    if kept <> i then Array.blit d (i * stride) d (kept * stride) stride;
-    filter t d len (i + 1) (kept + 1)
-  end
-  else filter t d len (i + 1) kept
-
-let rec compact_from t idx dropped =
-  if idx = Array.length t.slots then dropped
-  else begin
-    let s = t.slots.(idx) in
-    let kept = filter t s.data s.len 0 0 in
-    let removed = s.len - kept in
-    if removed > 0 then begin
-      s.len <- kept;
-      if kept = 0 then occ_clear t idx;
-      t.count <- t.count - removed
-    end;
-    compact_from t (idx + 1) (dropped + removed)
-  end
-
-let compact t =
-  let dropped = compact_from t 0 0 in
-  if t.count = 0 then t.lb <- max_int;
-  dropped
+let advance_next t ~into = advance_next_from t ~into ~before:(Event_queue.size into)

@@ -163,26 +163,18 @@ let rec flap_cycle t e ~period ~duty ~until =
     t.flap_transitions <- t.flap_transitions + 1;
     let down_for = Sim_time.mul_span period duty in
     let up_for = Sim_time.mul_span period (1.0 -. duty) in
-    let (_ : Scheduler.handle) =
-      Scheduler.schedule t.sched ~after:down_for (fun () ->
-          edge_up t e;
-          t.flap_transitions <- t.flap_transitions + 1;
-          let (_ : Scheduler.handle) =
-            Scheduler.schedule t.sched ~after:up_for (fun () ->
-                flap_cycle t e ~period ~duty ~until)
-          in
-          ())
-    in
-    ()
+    Scheduler.schedule t.sched ~after:down_for (fun () ->
+        edge_up t e;
+        t.flap_transitions <- t.flap_transitions + 1;
+        Scheduler.schedule t.sched ~after:up_for (fun () ->
+            flap_cycle t e ~period ~duty ~until))
   end
 
 (* the one place a brownout or loss profile ends: at its [until] *)
 let at_until t until undo =
   match until with
   | None -> ()
-  | Some time ->
-    let (_ : Scheduler.handle) = Scheduler.schedule_at t.sched ~time undo in
-    ()
+  | Some time -> Scheduler.schedule_at t.sched ~time undo
 
 let fire t ~until action =
   if not t.stopped then begin
@@ -265,11 +257,8 @@ let arm t plan =
     List.iter
       (fun ((ev : Fault_plan.event), action) ->
         let until = Option.map Sim_time.of_span ev.Fault_plan.until in
-        let (_ : Scheduler.handle) =
-          Scheduler.schedule_at t.sched
-            ~time:(Sim_time.of_span ev.Fault_plan.at)
-            (fun () -> fire t ~until action)
-        in
-        ())
+        Scheduler.schedule_at t.sched
+          ~time:(Sim_time.of_span ev.Fault_plan.at)
+          (fun () -> fire t ~until action))
       resolved;
     Ok ()

@@ -22,7 +22,8 @@ type t = {
   dre : Dre.t;
   label : string;
   mutable sink : sink;
-  mutable busy : bool;
+  mutable serializing : Packet.t; (* [Packet.placeholder] when idle *)
+  mutable corrupted : bool; (* the link failed while serializing it *)
   mutable is_up : bool;
   mutable flips : flip list; (* oldest first *)
   mutable brownout : brownout option;
@@ -31,13 +32,11 @@ type t = {
   mutable down_drops : int;
   mutable brownout_drops : int;
   mutable overflow_drops : int;
-  (* defunctionalized event state: serializer completions carry a slot
-     index into [tx_slots] (usually one in flight, but a down/up flap can
-     briefly overlap two); deliveries are strictly FIFO (constant delays)
-     so [prop] needs no per-event identity at all *)
+  (* defunctionalized event state: one frame serializes at a time, in
+     [serializing]; deliveries are strictly FIFO (constant delays) so
+     [prop] needs no per-event identity at all *)
   src : int; (* construction-order id ranking this link's events *)
   mutable k_txdone : int;
-  mutable tx_slots : Packet.t array; (* [Packet.placeholder] = free slot *)
   prop : Packet.t Ring.t;
   (* deliveries fire as [k_deliver] on [rx_sched]: [sched], or across a
      PDES boundary the destination shard's, where [inject] schedules
@@ -74,25 +73,6 @@ let brownout_lost t =
   | None -> false
   | Some b -> b.loss_prob > 0.0 && Rng.float b.rng 1.0 < b.loss_prob
 
-(* slot for a packet being serialized; frees are marked with the
-   placeholder.  Linear scan — the array holds at most a couple of
-   entries (overlap only happens across a down/up flap). *)
-let alloc_tx_slot t pkt =
-  let n = Array.length t.tx_slots in
-  let rec find i =
-    if i = n then begin
-      let slots = Array.make (2 * n) Packet.placeholder in
-      Array.blit t.tx_slots 0 slots 0 n;
-      t.tx_slots <- slots;
-      n
-    end
-    else if t.tx_slots.(i) == Packet.placeholder then i
-    else find (i + 1)
-  in
-  let i = find 0 in
-  t.tx_slots.(i) <- pkt;
-  i
-
 (* flips at or before a delivery instant matter to no later delivery *)
 let rec flips_after ns = function
   | f :: rest when f.at_ns <= ns -> flips_after ns rest
@@ -127,11 +107,15 @@ let launch t ~born_ns ~time_ns pkt =
 
 (* Serializer completion at [tx] after start, then propagation for
    [prop_delay]; the serializer is free to start the next packet the
-   moment the wire takes this one. *)
-let rec on_txdone t slot =
-  let pkt = t.tx_slots.(slot) in
-  t.tx_slots.(slot) <- Packet.placeholder;
-  (if not t.is_up then t.down_drops <- t.down_drops + 1
+   moment the wire takes this one.  A frame the link failed under is
+   lost, even if the link is back up. *)
+let rec on_txdone t =
+  let pkt = t.serializing in
+  t.serializing <- Packet.placeholder;
+  (if t.corrupted then begin
+     t.corrupted <- false;
+     t.down_drops <- t.down_drops + 1
+   end
    else if brownout_lost t then t.brownout_drops <- t.brownout_drops + 1
    else
      (* event ranks and exchange buffers carry absolute integer ns, the
@@ -145,16 +129,14 @@ let rec on_txdone t slot =
   start_tx t
 
 and start_tx t =
-  if Pkt_queue.is_empty t.queue then t.busy <- false
-  else begin
+  if not (Pkt_queue.is_empty t.queue) then begin
     let pkt = Pkt_queue.dequeue_unsafe t.queue in
-    t.busy <- true;
+    t.serializing <- pkt;
     Dre.observe t.dre ~bytes_len:pkt.Packet.size;
     t.tx_bytes <- t.tx_bytes + pkt.Packet.size;
     t.tx_packets <- t.tx_packets + 1;
     let tx = Sim_time.tx_time ~bytes_len:pkt.Packet.size ~rate_bps:(effective_rate t) in
-    Scheduler.schedule_tag t.sched ~after:tx ~kind:t.k_txdone
-      ~arg:(alloc_tx_slot t pkt)
+    Scheduler.schedule_tag t.sched ~after:tx ~kind:t.k_txdone ~arg:0
   end
 
 let create ~sched ~rate_bps ~prop_delay ?queue ?(label = "link") () =
@@ -170,7 +152,8 @@ let create ~sched ~rate_bps ~prop_delay ?queue ?(label = "link") () =
       label;
       src = Scheduler.fresh_src ();
       sink = Host_sink (fun _ -> invalid_arg ("Link " ^ label ^ ": no sink installed"));
-      busy = false;
+      serializing = Packet.placeholder;
+      corrupted = false;
       is_up = true;
       flips = [];
       brownout = None;
@@ -180,7 +163,6 @@ let create ~sched ~rate_bps ~prop_delay ?queue ?(label = "link") () =
       brownout_drops = 0;
       overflow_drops = 0;
       k_txdone = -1;
-      tx_slots = Array.make 2 Packet.placeholder;
       prop = Ring.create ~capacity:8 ~dummy:Packet.placeholder ();
       rx_sched = sched;
       k_deliver = -1;
@@ -189,7 +171,7 @@ let create ~sched ~rate_bps ~prop_delay ?queue ?(label = "link") () =
   in
   (* one handler closure per link for its whole lifetime, not one per
      event: the steady-state transmit path allocates nothing *)
-  t.k_txdone <- Scheduler.register_kind sched (fun slot -> on_txdone t slot);
+  t.k_txdone <- Scheduler.register_kind sched (fun _ -> on_txdone t);
   t.k_deliver <- Scheduler.register_kind sched (fun _ -> on_deliver t);
   Scheduler.set_kind_src sched ~kind:t.k_txdone ~src:t.src;
   rank_deliveries t;
@@ -213,7 +195,7 @@ let inject t ~time_ns ~born_ns pkt =
 let send t pkt =
   if t.is_up then begin
     if Pkt_queue.enqueue t.queue pkt then begin
-      if not t.busy then start_tx t
+      if t.serializing == Packet.placeholder then start_tx t
     end
     else t.overflow_drops <- t.overflow_drops + 1
   end
@@ -250,7 +232,9 @@ let set_up t v =
         drain ()
     in
     drain ();
-    t.busy <- false
+    (* the frame on the serializer is lost too, when it completes: the
+       serializer stays busy until then *)
+    if t.serializing != Packet.placeholder then t.corrupted <- true
   end
 
 let set_brownout t ~capacity_frac ~loss_prob ~rng =
@@ -273,7 +257,5 @@ let brownout_drops t = t.brownout_drops
 let overflow_drops t = t.overflow_drops
 
 let in_flight t =
-  let serializing =
-    Array.fold_left (fun n p -> if p == Packet.placeholder then n else n + 1) 0 t.tx_slots
-  in
+  let serializing = if t.serializing == Packet.placeholder then 0 else 1 in
   Pkt_queue.length t.queue + serializing + Ring.length t.prop

@@ -37,8 +37,12 @@ val set_up : t -> bool -> unit
 (** Taking a link down drops all queued and future packets until it is
     brought back up — models a link failure.  Packets already queued are
     flushed and counted in both [down_drops] and the queue's drop
-    statistics.  A packet on the wire is lost iff the link is down at its
-    wire-delivery instant D, also when a switch takes it later. *)
+    statistics.  The frame on the serializer is lost too, even if the
+    link is back up before it completes: it is counted then, and only
+    then does the serializer start the next frame, so a link serializes
+    one frame at a time.  A packet on the wire is lost iff the link is
+    down at its wire-delivery instant D, also when a switch takes it
+    later. *)
 
 val set_brownout :
   t -> capacity_frac:float -> loss_prob:float -> rng:Rng.t -> unit

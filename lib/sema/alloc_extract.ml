@@ -37,6 +37,9 @@ let named_roots =
     "Tcp.on_ack";
     "Tcp.on_data";
     "Tcp.try_send";
+    (* timer handlers reached through a handler table, not a call *)
+    "Presto_rx.expire";
+    "Vswitch.fb_expire";
   ]
 
 type hot = {

@@ -171,10 +171,8 @@ let unprotected_mutators =
        Timer_wheel are plain records of arrays, every entry point below
        rewrites them in place *)
     ( "Event_queue",
-      [ ("add", 0); ("add_at_ns", 0); ("pop", 0); ("pop_unsafe", 0);
-        ("compact", 0) ] );
-    ( "Timer_wheel",
-      [ ("add", 0); ("advance", 0); ("advance_next", 0); ("compact", 0) ] );
+      [ ("add", 0); ("add_at_ns", 0); ("pop", 0); ("pop_unsafe", 0) ] );
+    ("Timer_wheel", [ ("add", 0); ("advance", 0); ("advance_next", 0) ]);
   ]
 
 let atomic_mutators = [ "set"; "exchange"; "compare_and_set"; "fetch_and_add"; "incr"; "decr" ]

@@ -21,4 +21,4 @@ val ecn_signal_all : t -> dst:Addr.t -> unit
 val senders : t -> Tcp.sender list
 val unknown_drops : t -> int
 val stop_all : t -> unit
-(** Cancel all sender timers; used to quiesce at the end of a run. *)
+(** {!Tcp.stop} every sender; used to quiesce at the end of a run. *)

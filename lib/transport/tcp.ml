@@ -43,8 +43,8 @@ type sender = {
   mutable dup_acks : int;
   mutable in_recovery : bool;
   mutable recover : int;
-  mutable rto_handle : Scheduler.handle option;
-  mutable tlp_handle : Scheduler.handle option;
+  rto : Scheduler.timer;
+  tlp : Scheduler.timer;
   mutable tlp_fired : bool; (* one probe per flight *)
   (* the in-flight RTT probe, flattened from [(int * Sim_time.t) option]
      so arming one (once per window) writes two immediates instead of
@@ -61,10 +61,6 @@ type sender = {
   mutable retransmits : int;
   mutable timeouts : int;
   mutable stopped : bool;
-  (* timer arming, built once per sender: [arm_rto] runs on every ACK and
-     would otherwise allocate a fresh closure each time *)
-  start_rto : Sim_time.span -> Scheduler.handle;
-  start_tlp : Sim_time.span -> Scheduler.handle;
 }
 
 let cwnd_pkts s = s.cc.cwnd
@@ -78,24 +74,10 @@ let subflow_id s = s.subflow
 let dst s = s.dst
 let cwnd_bytes s = int_of_float (s.cc.cwnd *. float_of_int mss)
 
-let cancel_rto s =
-  match s.rto_handle with
-  | Some h ->
-    Scheduler.cancel s.sched h;
-    s.rto_handle <- None
-  | None -> ()
-
-let cancel_tlp s =
-  match s.tlp_handle with
-  | Some h ->
-    Scheduler.cancel s.sched h;
-    s.tlp_handle <- None
-  | None -> ()
-
 let stop s =
   s.stopped <- true;
-  cancel_rto s;
-  cancel_tlp s
+  Scheduler.disarm s.sched s.rto;
+  Scheduler.disarm s.sched s.tlp
 
 let emit_data s ~seq ~payload =
   s.tx
@@ -104,23 +86,20 @@ let emit_data s ~seq ~payload =
        ~kind:Packet.Data ~payload ~ece:false)
 
 let rec arm_rto s =
-  cancel_rto s;
   if flight_bytes s > 0 && not s.stopped then begin
-    s.rto_handle <- Some (s.start_rto (Rtt_estimator.rto s.rtt));
+    Scheduler.arm s.sched s.rto ~after:(Rtt_estimator.rto s.rtt);
     arm_tlp s
   end
+  else Scheduler.disarm s.sched s.rto
 
 and arm_tlp s =
   (* tail loss probe (Linux since 3.10): if no ACK arrives within the
      probe timeout, retransmit the last unacked segment; a lost flight
      tail then recovers via dupacks/cumulative ACK instead of a full RTO *)
-  match s.tlp_handle with
-  | None when (not s.tlp_fired) && not s.in_recovery ->
-    s.tlp_handle <- Some (s.start_tlp (Rtt_estimator.pto s.rtt))
-  | _ -> ()
+  if not (Scheduler.armed s.sched s.tlp || s.tlp_fired || s.in_recovery) then
+    Scheduler.arm s.sched s.tlp ~after:(Rtt_estimator.pto s.rtt)
 
 and on_tlp s =
-  s.tlp_handle <- None;
   if flight_bytes s > 0 && (not s.stopped) && not s.in_recovery then begin
     s.tlp_fired <- true;
     let seq = max s.snd_una (s.snd_next - mss) in
@@ -133,10 +112,9 @@ and on_tlp s =
   end
 
 and on_rto s =
-  s.rto_handle <- None;
   if flight_bytes s > 0 && not s.stopped then begin
     s.timeouts <- s.timeouts + 1;
-    cancel_tlp s;
+    Scheduler.disarm s.sched s.tlp;
     s.tlp_fired <- false;
     Rtt_estimator.backoff s.rtt;
     let flight_pkts = float_of_int (flight_bytes s) /. float_of_int mss in
@@ -160,54 +138,57 @@ and on_rto s =
 let create_sender ~sched ~dctcp ?coupling ~conn_id ?(subflow = 0) ~src ~dst ~src_port
     ~dst_port ~tx () =
   (* the timers rank under the sender's own component id: MPTCP arms all
-     its subflows' timers from one handler in one instant *)
+     its subflows' timers from one handler in one instant.  The record
+     and its timers' handlers are built together through [lazy]: a
+     handler needs the record, which holds the timers. *)
   let timer_src = Scheduler.fresh_src () in
+  let timer on_expiry =
+    Scheduler.timer sched ~src:timer_src ~arg:0 on_expiry
+  in
   let rec s =
-    {
-      sched;
-      dctcp;
-      conn_id;
-      subflow;
-      src;
-      dst;
-      src_port;
-      dst_port;
-      tx;
-      jobs = Queue.create ();
-      rtt = Rtt_estimator.create ();
-      snd_una = 0;
-      snd_next = 0;
-      stream_end = 0;
-      cc =
-        {
-          cwnd = init_cwnd_pkts;
-          ssthresh = 1e9;
-          dctcp_alpha = 1.0;
-          min_rtt_ns = infinity;
-        };
-      dup_acks = 0;
-      in_recovery = false;
-      recover = 0;
-      rto_handle = None;
-      tlp_handle = None;
-      tlp_fired = false;
-      rtt_probe_seq = -1;
-      rtt_probe_t0 = Sim_time.zero;
-      last_ecn_cut = Sim_time.zero;
-      ever_cut = false;
-      dctcp_acked = 0;
-      dctcp_marked = 0;
-      dctcp_window_end = 0;
-      coupling;
-      retransmits = 0;
-      timeouts = 0;
-      stopped = false;
-      start_rto = (fun after -> Scheduler.schedule_as sched ~src:timer_src ~after rto_fn);
-      start_tlp = (fun after -> Scheduler.schedule_as sched ~src:timer_src ~after tlp_fn);
-    }
-  and rto_fn () = on_rto s
-  and tlp_fn () = on_tlp s in
-  s
+    lazy
+      {
+        sched;
+        dctcp;
+        conn_id;
+        subflow;
+        src;
+        dst;
+        src_port;
+        dst_port;
+        tx;
+        jobs = Queue.create ();
+        rtt = Rtt_estimator.create ();
+        snd_una = 0;
+        snd_next = 0;
+        stream_end = 0;
+        cc =
+          {
+            cwnd = init_cwnd_pkts;
+            ssthresh = 1e9;
+            dctcp_alpha = 1.0;
+            min_rtt_ns = infinity;
+          };
+        dup_acks = 0;
+        in_recovery = false;
+        recover = 0;
+        rto = timer (fun _ -> on_rto (Lazy.force s));
+        tlp = timer (fun _ -> on_tlp (Lazy.force s));
+        tlp_fired = false;
+        rtt_probe_seq = -1;
+        rtt_probe_t0 = Sim_time.zero;
+        last_ecn_cut = Sim_time.zero;
+        ever_cut = false;
+        dctcp_acked = 0;
+        dctcp_marked = 0;
+        dctcp_window_end = 0;
+        coupling;
+        retransmits = 0;
+        timeouts = 0;
+        stopped = false;
+      }
+  in
+  Lazy.force s
 
 let retransmit_hole s =
   let payload = min mss (s.stream_end - s.snd_una) in
@@ -235,7 +216,7 @@ let rec try_send s =
         s.rtt_probe_t0 <- Scheduler.now s.sched
       end;
       s.snd_next <- s.snd_next + payload;
-      (match s.rto_handle with None -> arm_rto s | Some _ -> ());
+      if not (Scheduler.armed s.sched s.rto) then arm_rto s;
       try_send s
     end
   end
@@ -333,9 +314,9 @@ let on_ack s (seg : Packet.tcp_seg) =
       else grow_window s ~acked_bytes;
       (match s.coupling with Some c -> c.on_acked acked_bytes | None -> ());
       complete_jobs s;
-      cancel_tlp s;
+      Scheduler.disarm s.sched s.tlp;
       s.tlp_fired <- false;
-      if flight_bytes s = 0 then cancel_rto s else arm_rto s;
+      arm_rto s;
       try_send s
     end
     else if flight_bytes s > 0 then begin

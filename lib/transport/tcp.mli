@@ -87,7 +87,7 @@ val subflow_id : sender -> int
 val dst : sender -> Addr.t
 
 val stop : sender -> unit
-(** Cancel timers (end of experiment). *)
+(** Disarm the timers and ignore later ACKs (end of experiment). *)
 
 (** {2 Receiver} *)
 

@@ -25,11 +25,9 @@ let run ~sched ~rng ~server_submits ~fanout ~total_bytes ~requests ~start_at =
       done
     end
   in
-  let (_ : Scheduler.handle) =
-    Scheduler.schedule sched ~after:start_at (fun () ->
-        t_begin := Scheduler.now sched;
-        request 0)
-  in
+  Scheduler.schedule sched ~after:start_at (fun () ->
+      t_begin := Scheduler.now sched;
+      request 0);
   while (not !done_all) && Scheduler.step sched do
     ()
   done;

@@ -49,19 +49,13 @@ let arm ~sched_of_conn ~stats_of_conn ~remaining_of_conn ~rng ~conns cfg =
       let rec arrive issued =
         if issued < cfg.jobs_per_conn then begin
           let gap = Sim_time.sec (Rng.exponential conn_rng ~mean:mean_gap_sec) in
-          let (_ : Scheduler.handle) =
-            Scheduler.schedule sched ~after:gap (fun () ->
-                submit_job conn_rng submit;
-                arrive (issued + 1))
-          in
-          ()
+          Scheduler.schedule sched ~after:gap (fun () ->
+              submit_job conn_rng submit;
+              arrive (issued + 1))
         end
       in
       (* shift the whole process past the warmup *)
-      let (_ : Scheduler.handle) =
-        Scheduler.schedule sched ~after:cfg.start_at (fun () -> arrive 0)
-      in
-      ())
+      Scheduler.schedule sched ~after:cfg.start_at (fun () -> arrive 0))
     conns
 
 let run ~sched ~rng ~conns cfg =

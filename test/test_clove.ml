@@ -20,14 +20,12 @@ let test_flowlet_gap_detection () =
   let d0 = Clove.Flowlet.touch t ~key:1 ~pick in
   check_int "first packet opens flowlet 0" 0 d0;
   (* a packet within the gap keeps the decision *)
-  ignore
-    (Scheduler.schedule sched ~after:(Sim_time.us 5) (fun () ->
-         check_int "same flowlet" 0 (Clove.Flowlet.touch t ~key:1 ~pick)));
+  Scheduler.schedule sched ~after:(Sim_time.us 5) (fun () ->
+      check_int "same flowlet" 0 (Clove.Flowlet.touch t ~key:1 ~pick));
   Scheduler.run sched;
   (* after an idle gap a new flowlet opens *)
-  ignore
-    (Scheduler.schedule sched ~after:(Sim_time.us 20) (fun () ->
-         check_int "new flowlet" 1 (Clove.Flowlet.touch t ~key:1 ~pick)));
+  Scheduler.schedule sched ~after:(Sim_time.us 20) (fun () ->
+      check_int "new flowlet" 1 (Clove.Flowlet.touch t ~key:1 ~pick));
   Scheduler.run sched;
   check_int "two picks" 2 !picks;
   check_int "flowlets counted" 2 (Clove.Flowlet.flowlets_started t)
@@ -47,20 +45,18 @@ let test_flowlet_gap_boundary () =
   let sched = Scheduler.create () in
   let t = Clove.Flowlet.create ~sched ~gap:(Sim_time.us 10) ~dummy:0 in
   ignore (Clove.Flowlet.touch t ~key:1 ~pick:(fun ~flowlet_id -> flowlet_id));
-  ignore
-    (Scheduler.schedule sched ~after:(Sim_time.us 10) (fun () ->
-         check_int "boundary opens new" 1
-           (Clove.Flowlet.touch t ~key:1 ~pick:(fun ~flowlet_id -> flowlet_id))));
+  Scheduler.schedule sched ~after:(Sim_time.us 10) (fun () ->
+      check_int "boundary opens new" 1
+        (Clove.Flowlet.touch t ~key:1 ~pick:(fun ~flowlet_id -> flowlet_id)));
   Scheduler.run sched
 
 let test_flowlet_expiry () =
   let sched = Scheduler.create () in
   let t = Clove.Flowlet.create ~sched ~gap:(Sim_time.us 10) ~dummy:0 in
   ignore (Clove.Flowlet.touch t ~key:1 ~pick:(fun ~flowlet_id -> flowlet_id));
-  ignore
-    (Scheduler.schedule sched ~after:(Sim_time.ms 5) (fun () ->
-         Clove.Flowlet.expire_older_than t (Sim_time.ms 1);
-         check_int "expired" 0 (Clove.Flowlet.flows_tracked t)));
+  Scheduler.schedule sched ~after:(Sim_time.ms 5) (fun () ->
+      Clove.Flowlet.expire_older_than t (Sim_time.ms 1);
+      check_int "expired" 0 (Clove.Flowlet.flows_tracked t));
   Scheduler.run sched
 
 (* ---------------------------------- Wrr --------------------------- *)
@@ -376,9 +372,8 @@ let test_vswitch_end_to_end_per_scheme () =
       let server = (Experiments.Scenario.servers scn).(0) in
       let submit = Experiments.Scenario.connect scn ~src:client ~dst:server in
       let finished = ref false in
-      ignore
-        (Scheduler.schedule sched ~after:(Sim_time.ms 25) (fun () ->
-             submit ~bytes:200_000 ~on_complete:(fun () -> finished := true)));
+      Scheduler.schedule sched ~after:(Sim_time.ms 25) (fun () ->
+          submit ~bytes:200_000 ~on_complete:(fun () -> finished := true));
       Scheduler.run ~until:(Sim_time.of_ns 200_000_000) sched;
       Alcotest.(check bool)
         (Experiments.Scenario.scheme_name scheme ^ " completes")
@@ -398,11 +393,10 @@ let test_vswitch_ecn_feedback_loop () =
   let submits =
     Array.map (fun c -> Experiments.Scenario.connect scn ~src:c ~dst:server) clients
   in
-  ignore
-    (Scheduler.schedule sched ~after:(Sim_time.ms 25) (fun () ->
-         Array.iter
-           (fun submit -> submit ~bytes:3_000_000 ~on_complete:(fun () -> ()))
-           submits));
+  Scheduler.schedule sched ~after:(Sim_time.ms 25) (fun () ->
+      Array.iter
+        (fun submit -> submit ~bytes:3_000_000 ~on_complete:(fun () -> ()))
+        submits);
   Scheduler.run ~until:(Sim_time.of_ns 80_000_000) sched;
   (* at least one client's vswitch has seen feedback and skewed weights *)
   let any_feedback = ref false and any_skew = ref false in
@@ -456,8 +450,7 @@ let test_vswitch_feedback_carrier_when_no_reverse_traffic () =
         cell = None;
       };
   pkt.Packet.ecn <- Packet.Ce;
-  ignore
-    (Scheduler.schedule sched ~after:(Sim_time.ms 1) (fun () -> Host.deliver server pkt));
+  Scheduler.schedule sched ~after:(Sim_time.ms 1) (fun () -> Host.deliver server pkt);
   Scheduler.run ~until:(Sim_time.of_ns 10_000_000) sched;
   let stats = Clove.Vswitch.stats (Experiments.Scenario.vswitch scn server) in
   check_bool "carrier sent" true (stats.Clove.Vswitch.feedback_carriers >= 1);

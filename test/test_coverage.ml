@@ -36,17 +36,19 @@ let test_event_queue_clear () =
   check_bool "empty" true (Event_queue.is_empty q);
   check_bool "peek none" true (Event_queue.peek_time q = None)
 
-let test_scheduler_is_pending () =
+let test_scheduler_armed () =
   let s = Scheduler.create () in
-  let h = Scheduler.schedule s ~after:(Sim_time.us 1) (fun () -> ()) in
-  check_bool "pending before" true (Scheduler.is_pending h);
+  let tm = Scheduler.timer s ~arg:0 ignore in
+  check_bool "disarmed when made" false (Scheduler.armed s tm);
+  Scheduler.arm s tm ~after:(Sim_time.us 1);
+  check_bool "armed before" true (Scheduler.armed s tm);
   Scheduler.run s;
-  check_bool "not pending after" false (Scheduler.is_pending h)
+  check_bool "not armed after" false (Scheduler.armed s tm)
 
 let test_scheduler_pending_count () =
   let s = Scheduler.create () in
   for i = 1 to 4 do
-    ignore (Scheduler.schedule s ~after:(Sim_time.us i) (fun () -> ()))
+    Scheduler.schedule s ~after:(Sim_time.us i) (fun () -> ())
   done;
   check_int "four pending" 4 (Scheduler.pending_events s)
 
@@ -253,11 +255,10 @@ let test_tcp_cwnd_persists_across_jobs () =
       ~tx:(fun pkt ->
         match pkt.Packet.payload with
         | Packet.Tenant inner ->
-          ignore
-            (Scheduler.schedule sched ~after:(Sim_time.us 10) (fun () ->
-                 match !receiver_ref with
-                 | Some r -> Transport.Tcp.on_data r inner
-                 | None -> ()))
+          Scheduler.schedule sched ~after:(Sim_time.us 10) (fun () ->
+              match !receiver_ref with
+              | Some r -> Transport.Tcp.on_data r inner
+              | None -> ())
         | _ -> ())
       ()
   in
@@ -267,9 +268,8 @@ let test_tcp_cwnd_persists_across_jobs () =
       ~tx:(fun pkt ->
         match pkt.Packet.payload with
         | Packet.Tenant inner ->
-          ignore
-            (Scheduler.schedule sched ~after:(Sim_time.us 10) (fun () ->
-                 Transport.Tcp.on_ack sender inner.Packet.seg))
+          Scheduler.schedule sched ~after:(Sim_time.us 10) (fun () ->
+              Transport.Tcp.on_ack sender inner.Packet.seg)
         | _ -> ())
       ()
   in
@@ -292,17 +292,15 @@ let test_mptcp_reinjection_recovers () =
     match pkt.Packet.payload with
     | Packet.Tenant inner ->
       if inner.Packet.seg.Packet.subflow <> 3 then
-        ignore
-          (Scheduler.schedule sched ~after:(Sim_time.us 50) (fun () ->
-               Transport.Stack.deliver dst_stack inner))
+        Scheduler.schedule sched ~after:(Sim_time.us 50) (fun () ->
+            Transport.Stack.deliver dst_stack inner)
     | _ -> ()
   in
   let tx_dst pkt =
     match pkt.Packet.payload with
     | Packet.Tenant inner ->
-      ignore
-        (Scheduler.schedule sched ~after:(Sim_time.us 50) (fun () ->
-             Transport.Stack.deliver src_stack inner))
+      Scheduler.schedule sched ~after:(Sim_time.us 50) (fun () ->
+          Transport.Stack.deliver src_stack inner)
     | _ -> ()
   in
   let conn =
@@ -421,7 +419,7 @@ let () =
           Alcotest.test_case "rng bool" `Quick test_rng_bool_balanced;
           Alcotest.test_case "rng named splits" `Quick test_rng_split_named_differs_by_name;
           Alcotest.test_case "event queue clear" `Quick test_event_queue_clear;
-          Alcotest.test_case "scheduler pending" `Quick test_scheduler_is_pending;
+          Alcotest.test_case "scheduler pending" `Quick test_scheduler_armed;
           Alcotest.test_case "pending count" `Quick test_scheduler_pending_count;
         ] );
       ( "stats",

@@ -77,9 +77,8 @@ let test_escalation_cuts_guest_window () =
   let server = (Scenario.servers scn).(0) in
   let submit = Scenario.connect scn ~src:client ~dst:server in
   (* let discovery finish and open the sender's window with a transfer *)
-  ignore
-    (Scheduler.schedule sched ~after:(Sim_time.ms 25) (fun () ->
-         submit ~bytes:5_000_000 ~on_complete:(fun () -> ())));
+  Scheduler.schedule sched ~after:(Sim_time.ms 25) (fun () ->
+      submit ~bytes:5_000_000 ~on_complete:(fun () -> ()));
   Scheduler.run ~until:(Sim_time.of_ns 27_000_000) sched;
   let v = Scenario.vswitch scn client in
   let ports =
@@ -140,9 +139,8 @@ let test_presto_attaches_flowcells () =
         | Some c -> cells := c.Packet.cell_id :: !cells
         | None -> ())
       | None -> ());
-  ignore
-    (Scheduler.schedule sched ~after:(Sim_time.ms 25) (fun () ->
-         submit ~bytes:500_000 ~on_complete:(fun () -> ())));
+  Scheduler.schedule sched ~after:(Sim_time.ms 25) (fun () ->
+      submit ~bytes:500_000 ~on_complete:(fun () -> ()));
   Scheduler.run ~until:(Sim_time.of_ns 40_000_000) sched;
   check_bool "flowcell tags attached" true (List.length !cells > 0);
   (* 500 KB spans several 64 KB cells even while the window ramps *)
@@ -163,9 +161,8 @@ let test_edge_flowlet_ports_in_ephemeral_range () =
       match pkt.Packet.encap with
       | Some e -> Hashtbl.replace ports e.Packet.src_port ()
       | None -> ());
-  ignore
-    (Scheduler.schedule sched ~after:(Sim_time.ms 1) (fun () ->
-         submit ~bytes:100_000 ~on_complete:(fun () -> ())));
+  Scheduler.schedule sched ~after:(Sim_time.ms 1) (fun () ->
+      submit ~bytes:100_000 ~on_complete:(fun () -> ()));
   Scheduler.run ~until:(Sim_time.of_ns 20_000_000) sched;
   check_bool "packets observed" true (Hashtbl.length ports > 0);
   Hashtbl.iter
@@ -183,9 +180,8 @@ let test_fabric_counters_accumulate () =
   Array.iter
     (fun c ->
       let submit = Scenario.connect scn ~src:c ~dst:server in
-      ignore
-        (Scheduler.schedule sched ~after:(Sim_time.ms 25) (fun () ->
-             submit ~bytes:2_000_000 ~on_complete:(fun () -> ()))))
+      Scheduler.schedule sched ~after:(Sim_time.ms 25) (fun () ->
+          submit ~bytes:2_000_000 ~on_complete:(fun () -> ())))
     clients;
   Scheduler.run ~until:(Sim_time.of_ns 60_000_000) sched;
   (* eight clients into one server access link: must mark (and likely

@@ -209,30 +209,61 @@ let prop_eq_matches_reference =
 let test_sched_order_and_clock () =
   let s = Scheduler.create () in
   let log = ref [] in
-  ignore (Scheduler.schedule s ~after:(Sim_time.us 2) (fun () -> log := 2 :: !log));
-  ignore (Scheduler.schedule s ~after:(Sim_time.us 1) (fun () -> log := 1 :: !log));
-  ignore (Scheduler.schedule s ~after:(Sim_time.us 3) (fun () -> log := 3 :: !log));
+  Scheduler.schedule s ~after:(Sim_time.us 2) (fun () -> log := 2 :: !log);
+  Scheduler.schedule s ~after:(Sim_time.us 1) (fun () -> log := 1 :: !log);
+  Scheduler.schedule s ~after:(Sim_time.us 3) (fun () -> log := 3 :: !log);
   Scheduler.run s;
   Alcotest.(check (list int)) "order" [ 1; 2; 3 ] (List.rev !log);
   check_int "clock at last event" 3_000 (Sim_time.to_ns (Scheduler.now s))
 
-let test_sched_cancel () =
+let test_timer_disarm () =
   let s = Scheduler.create () in
   let fired = ref false in
-  let h = Scheduler.schedule s ~after:(Sim_time.us 1) (fun () -> fired := true) in
-  Scheduler.cancel s h;
+  let tm = Scheduler.timer s ~arg:0 (fun _ -> fired := true) in
+  Scheduler.arm s tm ~after:(Sim_time.us 1);
+  Scheduler.disarm s tm;
+  check_bool "disarmed" false (Scheduler.armed s tm);
   Scheduler.run s;
-  check_bool "cancelled" false !fired
+  check_bool "handler never ran" false !fired;
+  check_int "its event fired as a no-op" 1 (Scheduler.events_fired s)
+
+(* a timer without a fixed rank ranks under the component dispatching
+   when it is armed, and its handler dispatches under that rank *)
+let test_timer_rank () =
+  let s = Scheduler.create () in
+  let log = ref [] in
+  let note c = log := c :: !log in
+  let tm =
+    Scheduler.timer s ~arg:0 (fun _ ->
+        note 'T';
+        (* ranks under the timer's 50, ahead of the 60 born at 15 *)
+        Scheduler.schedule s ~after:Sim_time.zero_span (fun () -> note 'c'))
+  in
+  let kind src f =
+    let k = Scheduler.register_kind s f in
+    Scheduler.set_kind_src s ~kind:k ~src;
+    k
+  in
+  let arming = kind 50 (fun _ -> Scheduler.arm s tm ~after:(Sim_time.ns 10)) in
+  let k40 = kind 40 (fun _ -> note '4') and k60 = kind 60 (fun _ -> note '6') in
+  Scheduler.inject_tag s ~time_ns:5 ~born_ns:5 ~kind:arming ~arg:0;
+  Scheduler.inject_tag s ~time_ns:15 ~born_ns:5 ~kind:k60 ~arg:0;
+  Scheduler.inject_tag s ~time_ns:15 ~born_ns:5 ~kind:k40 ~arg:0;
+  Scheduler.inject_tag s ~time_ns:15 ~born_ns:15 ~kind:k60 ~arg:0;
+  Scheduler.run s;
+  Alcotest.(check string)
+    "(15,5,40) < timer (15,5,50) < (15,5,60) < its closure (15,15,50) < (15,15,60)"
+    "4T6c6"
+    (String.of_seq (List.to_seq (List.rev !log)))
 
 let test_sched_nested_schedule () =
   let s = Scheduler.create () in
   let count = ref 0 in
   let rec chain n =
     if n > 0 then
-      ignore
-        (Scheduler.schedule s ~after:(Sim_time.ns 10) (fun () ->
-             incr count;
-             chain (n - 1)))
+      Scheduler.schedule s ~after:(Sim_time.ns 10) (fun () ->
+          incr count;
+          chain (n - 1))
   in
   chain 100;
   Scheduler.run s;
@@ -243,7 +274,7 @@ let test_sched_until () =
   let s = Scheduler.create () in
   let fired = ref 0 in
   for i = 1 to 10 do
-    ignore (Scheduler.schedule s ~after:(Sim_time.us i) (fun () -> incr fired))
+    Scheduler.schedule s ~after:(Sim_time.us i) (fun () -> incr fired)
   done;
   Scheduler.run ~until:(Sim_time.of_ns 5_000) s;
   check_int "only first 5" 5 !fired;
@@ -253,10 +284,10 @@ let test_sched_until () =
 
 let test_sched_past_raises () =
   let s = Scheduler.create () in
-  ignore (Scheduler.schedule s ~after:(Sim_time.us 5) (fun () -> ()));
+  Scheduler.schedule s ~after:(Sim_time.us 5) (fun () -> ());
   Scheduler.run s;
   Alcotest.check_raises "past" (Invalid_argument "Scheduler.schedule_at: time in the past")
-    (fun () -> ignore (Scheduler.schedule_at s ~time:Sim_time.zero (fun () -> ())))
+    (fun () -> Scheduler.schedule_at s ~time:Sim_time.zero (fun () -> ()))
 
 let prop_scheduler_fires_all =
   QCheck.Test.make ~name:"scheduler fires every scheduled event" ~count:100
@@ -265,7 +296,7 @@ let prop_scheduler_fires_all =
       let s = Scheduler.create () in
       let fired = ref 0 in
       List.iter
-        (fun d -> ignore (Scheduler.schedule s ~after:(Sim_time.ns d) (fun () -> incr fired)))
+        (fun d -> Scheduler.schedule s ~after:(Sim_time.ns d) (fun () -> incr fired))
         delays;
       Scheduler.run s;
       !fired = List.length delays)
@@ -295,7 +326,7 @@ let wheel_run_order ~tiebreak delays =
   let s = Scheduler.create ~mode:{ Run_mode.default with Run_mode.tiebreak } () in
   let log =
     wheel_workload delays ~schedule:(fun d f ->
-        ignore (Scheduler.schedule s ~after:(Sim_time.ns d) f))
+        Scheduler.schedule s ~after:(Sim_time.ns d) f)
   in
   Scheduler.run s;
   List.rev !log
@@ -327,40 +358,50 @@ let prop_wheel_matches_heap =
       let tiebreak = if fifo then Event_queue.Fifo else Event_queue.Lifo in
       wheel_run_order ~tiebreak delays = heap_run_order ~tiebreak delays)
 
-(* TCP-RTO shaped churn: every tick cancels the previous timer and arms
-   a fresh one, so nearly every scheduled event dies unfired — 100k
-   times over.  The lazy compaction sweep must keep the dead fraction —
-   and with it the queue footprint — bounded throughout, and the
-   closure slab must recycle every slot a cancel leaves behind. *)
-let test_sched_cancel_compaction () =
+(* TCP-RTO shaped churn, 100k re-arms each way.  To a later deadline
+   (a tick every 10 us pushes a 200 ms RTO out) a re-arm queues
+   nothing: the timer's one queued event re-queues itself at the
+   deadline when it fires early, so the queue holds the tick and that
+   event.  To an earlier deadline each re-arm queues an event and
+   strands the previous one, which later fires as a no-op.  Either way
+   the handler runs once, at the last deadline. *)
+let test_timer_churn () =
   let s = Scheduler.create () in
-  let armed = ref None in
-  let bound_ok = ref true and max_pending = ref 0 and ticks = ref 0 in
+  let fired = ref [] in
+  let tm =
+    Scheduler.timer s ~arg:7 (fun a ->
+        fired := (a, Sim_time.to_ns (Scheduler.now s)) :: !fired)
+  in
+  let max_pending = ref 0 and ticks = ref 0 in
   let rec tick n () =
     incr ticks;
-    (match !armed with Some h -> Scheduler.cancel s h | None -> ());
-    armed := None;
-    let d = Scheduler.dead_events s in
-    if not (d <= 64 || 2 * d <= Scheduler.pending_events s) then
-      bound_ok := false;
-    max_pending := max !max_pending (Scheduler.pending_events s);
     if n > 0 then begin
-      armed :=
-        Some
-          (Scheduler.schedule s ~after:(Sim_time.ms 200) (fun () ->
-               Alcotest.fail "a cancelled RTO fired"));
-      ignore (Scheduler.schedule s ~after:(Sim_time.us 10) (tick (n - 1)))
+      Scheduler.arm s tm ~after:(Sim_time.ms 200);
+      Scheduler.schedule s ~after:(Sim_time.us 10) (tick (n - 1));
+      max_pending := max !max_pending (Scheduler.pending_events s)
     end
   in
   tick 100_000 ();
   Scheduler.run s;
-  check_bool "dead fraction bounded at every cancel" true !bound_ok;
-  (* live: the tick and one RTO; dead: at most the sweep threshold *)
-  check_bool "pending bounded by the sweep threshold" true (!max_pending <= 2 * 66);
   check_int "every tick ran" 100_001 !ticks;
-  check_bool "compaction ran" true (Scheduler.compactions s > 0);
+  check_bool "later re-arms: at most the tick and the timer's event" true
+    (!max_pending <= 2);
+  (* the last arm ran at tick 99,999, 999,990 us in *)
+  Alcotest.(check (list (pair int int)))
+    "later re-arms: fired once, at the last deadline" [ (7, 1_199_990_000) ] !fired;
+  fired := [];
+  let start = Sim_time.to_ns (Scheduler.now s) and before = Scheduler.events_fired s in
+  for i = 0 to 99_999 do
+    Scheduler.arm s tm ~after:(Sim_time.ns (200_000 - i))
+  done;
+  check_int "earlier re-arms: one event each" 100_000 (Scheduler.pending_events s);
+  Scheduler.run s;
+  Alcotest.(check (list (pair int int)))
+    "earlier re-arms: fired once, at the last deadline" [ (7, start + 100_001) ] !fired;
+  check_int "the stranded events fired as no-ops" 100_000
+    (Scheduler.events_fired s - before);
   check_int "nothing pending after run" 0 (Scheduler.pending_events s);
-  check_int "no dead handles left" 0 (Scheduler.dead_events s)
+  check_bool "disarmed after firing" false (Scheduler.armed s tm)
 
 let test_sched_tag_range () =
   let s = Scheduler.create () in
@@ -383,16 +424,21 @@ let test_sched_tag_range () =
   check_int "nothing scheduled" 0 (Scheduler.pending_events s)
 
 (* Model test of the whole event path: tagged, injected and closure
-   events (some cancelled) scheduled at random times — ties included,
+   events and armed timers, scheduled at random times — ties included,
    and times past the wheel's horizon — fire in the order of a
-   reference sort on (time, born, src, seq), under both tie-breaks.
-   Two rounds run back to back, so the second reuses slab slots the
-   first freed by firing, popping and purging. *)
+   reference sort on (time, born, src, seq), under both tie-breaks.  A
+   timer fires once, with the key of its last arming, unless disarmed
+   after it; re-arms to earlier deadlines strand events that must fire
+   as no-ops.  Two rounds run back to back, so the second reuses slab
+   slots the first freed and re-arms timers that already fired.  Each
+   round schedules from the handler of a tagged event ranked under 0,
+   so its closures rank under 0 whatever dispatched last. *)
 type model_op =
   | Tag of int * int (* kind index, delay *)
   | Inject of int * int * int (* kind index, delay, born offset back *)
-  | Closure of int * int (* component id, delay *)
-  | Cancel of int (* which earlier closure of the round *)
+  | Closure of int (* delay *)
+  | Arm of int * int (* timer index, delay *)
+  | Disarm of int (* timer index *)
 
 let model_op_gen =
   let open QCheck.Gen in
@@ -412,8 +458,9 @@ let model_op_gen =
     [
       (3, map2 (fun k d -> Tag (k, d)) (int_bound 2) delay);
       (2, map3 (fun k d b -> Inject (k, d, b)) (int_bound 2) delay (int_bound 30));
-      (3, map2 (fun c d -> Closure (c, d)) (int_bound 3) delay);
-      (2, map (fun j -> Cancel j) (int_bound 20));
+      (2, map (fun d -> Closure d) delay);
+      (3, map2 (fun j d -> Arm (j, d)) (int_bound 2) delay);
+      (1, map (fun j -> Disarm j) (int_bound 2));
     ]
 
 let prop_sched_matches_model =
@@ -430,14 +477,21 @@ let prop_sched_matches_model =
       let kinds =
         Array.init 3 (fun i ->
             let k = Scheduler.register_kind s (fun id -> log := id :: !log) in
-            (* tagged events rank under 100, 200, 300; closures under 0-3 *)
+            (* tagged events rank under 100, 200, 300; closures under 0 *)
             Scheduler.set_kind_src s ~kind:k ~src:(100 * (i + 1));
             k)
       in
+      (* timers rank under 150, 250, 350 and log -1, -2, -3 *)
+      let timers =
+        Array.init 3 (fun j ->
+            Scheduler.timer s ~src:((100 * (j + 1)) + 50) ~arg:(-(j + 1)) (fun id ->
+                log := id :: !log))
+      in
       let seq = ref 0 and next_id = ref 0 in
-      let round ops =
+      let expected = ref [] and ops = ref [] in
+      let schedule_round (_ : int) =
         let now = Sim_time.to_ns (Scheduler.now s) in
-        let expected = ref [] and handles = ref [] in
+        let armed = Array.make 3 None in
         List.iter
           (fun op ->
             let id = !next_id in
@@ -451,26 +505,27 @@ let prop_sched_matches_model =
               Scheduler.inject_tag s ~time_ns:(now + d) ~born_ns:born ~kind:kinds.(k)
                 ~arg:id;
               expected := key (now + d) born (100 * (k + 1)) :: !expected
-            | Closure (c, d) ->
-              let h =
-                Scheduler.schedule_as s ~src:c ~after:(Sim_time.ns d) (fun () ->
-                    log := id :: !log)
-              in
-              handles := (id, h) :: !handles;
-              expected := key (now + d) now c :: !expected
-            | Cancel _ -> ());
-            match op with
-            | Cancel j -> (
-              match List.nth_opt (List.rev !handles) j with
-              | Some (victim, h) ->
-                Scheduler.cancel s h;
-                expected :=
-                  List.filter (fun (_, _, _, _, i) -> i <> victim) !expected
-              | None -> ())
-            | _ ->
-              incr seq;
-              incr next_id)
-          ops;
+            | Closure d ->
+              Scheduler.schedule s ~after:(Sim_time.ns d) (fun () -> log := id :: !log);
+              expected := key (now + d) now 0 :: !expected
+            | Arm (j, d) ->
+              Scheduler.arm s timers.(j) ~after:(Sim_time.ns d);
+              armed.(j) <- Some (now + d, now, (100 * (j + 1)) + 50, !seq, -(j + 1))
+            | Disarm j ->
+              Scheduler.disarm s timers.(j);
+              armed.(j) <- None);
+            incr seq;
+            incr next_id)
+          !ops;
+        Array.iter (Option.iter (fun e -> expected := e :: !expected)) armed
+      in
+      let setup = Scheduler.register_kind s schedule_round in
+      Scheduler.set_kind_src s ~kind:setup ~src:0;
+      let round round_ops =
+        ops := round_ops;
+        expected := [];
+        Scheduler.schedule_tag s ~after:Sim_time.zero_span ~kind:setup ~arg:0;
+        let (_ : bool) = Scheduler.step s in
         let before (t1, b1, c1, s1, _) (t2, b2, c2, s2, _) =
           compare (t1, b1, c1, if fifo then s1 else -s1)
             (t2, b2, c2, if fifo then s2 else -s2)
@@ -481,6 +536,7 @@ let prop_sched_matches_model =
         log := [];
         Scheduler.run s;
         List.rev !log = want
+        && Array.for_all (fun tm -> not (Scheduler.armed s tm)) timers
       in
       let ok1 = round round1 in
       let ok2 = round round2 in
@@ -585,13 +641,14 @@ let () =
       ( "scheduler",
         [
           Alcotest.test_case "order and clock" `Quick test_sched_order_and_clock;
-          Alcotest.test_case "cancel" `Quick test_sched_cancel;
+          Alcotest.test_case "timer disarm" `Quick test_timer_disarm;
+          Alcotest.test_case "timer rank" `Quick test_timer_rank;
           Alcotest.test_case "nested scheduling" `Quick test_sched_nested_schedule;
           Alcotest.test_case "run until" `Quick test_sched_until;
           Alcotest.test_case "past raises" `Quick test_sched_past_raises;
           qc prop_scheduler_fires_all;
-          Alcotest.test_case "RTO churn keeps dead fraction bounded" `Quick
-            test_sched_cancel_compaction;
+          Alcotest.test_case "timer churn keeps the queue bounded" `Quick
+            test_timer_churn;
           qc prop_wheel_matches_heap;
           Alcotest.test_case "out-of-range kind or arg raises" `Quick test_sched_tag_range;
           qc prop_sched_matches_model;

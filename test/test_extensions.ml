@@ -18,9 +18,8 @@ let one_transfer ?params scheme ~bytes =
   let server = (Scenario.servers scn).(0) in
   let submit = Scenario.connect scn ~src:client ~dst:server in
   let finished = ref false in
-  ignore
-    (Scheduler.schedule sched ~after:(Sim_time.ms 25) (fun () ->
-         submit ~bytes ~on_complete:(fun () -> finished := true)));
+  Scheduler.schedule sched ~after:(Sim_time.ms 25) (fun () ->
+      submit ~bytes ~on_complete:(fun () -> finished := true));
   Scheduler.run ~until:(Sim_time.of_ns 300_000_000) sched;
   Scenario.quiesce scn;
   (!finished, scn)
@@ -37,9 +36,8 @@ let test_latency_feedback_populates_table () =
   let client = (Scenario.clients scn).(0) in
   let server = (Scenario.servers scn).(0) in
   let submit = Scenario.connect scn ~src:client ~dst:server in
-  ignore
-    (Scheduler.schedule sched ~after:(Sim_time.ms 25) (fun () ->
-         submit ~bytes:2_000_000 ~on_complete:(fun () -> ())));
+  Scheduler.schedule sched ~after:(Sim_time.ms 25) (fun () ->
+      submit ~bytes:2_000_000 ~on_complete:(fun () -> ()));
   Scheduler.run ~until:(Sim_time.of_ns 60_000_000) sched;
   (match Clove.Vswitch.path_table (Scenario.vswitch scn client) (Host.addr server) with
   | Some tbl ->
@@ -75,9 +73,8 @@ let test_rewrite_mode_less_overhead () =
     let client = (Scenario.clients scn).(0) in
     let server = (Scenario.servers scn).(0) in
     let submit = Scenario.connect scn ~src:client ~dst:server in
-    ignore
-      (Scheduler.schedule sched ~after:(Sim_time.ms 25) (fun () ->
-           submit ~bytes:300_000 ~on_complete:(fun () -> ())));
+    Scheduler.schedule sched ~after:(Sim_time.ms 25) (fun () ->
+        submit ~bytes:300_000 ~on_complete:(fun () -> ()));
     Scheduler.run ~until:(Sim_time.of_ns 100_000_000) sched;
     let bytes = Link.tx_bytes (Host.uplink client) in
     Scenario.quiesce scn;
@@ -109,9 +106,8 @@ let test_clove_reorder_delivers_in_order () =
   let server = (Scenario.servers scn).(0) in
   let submit = Scenario.connect scn ~src:client ~dst:server in
   let finished = ref false in
-  ignore
-    (Scheduler.schedule sched ~after:(Sim_time.ms 25) (fun () ->
-         submit ~bytes:1_000_000 ~on_complete:(fun () -> finished := true)));
+  Scheduler.schedule sched ~after:(Sim_time.ms 25) (fun () ->
+      submit ~bytes:1_000_000 ~on_complete:(fun () -> finished := true));
   Scheduler.run ~until:(Sim_time.of_ns 300_000_000) sched;
   check_bool "completes under per-packet spraying" true !finished;
   Scenario.quiesce scn
@@ -191,9 +187,8 @@ let test_letflow_uses_multiple_paths () =
   Array.iteri
     (fun i c ->
       let submit = Scenario.connect scn ~src:c ~dst:servers.(i) in
-      ignore
-        (Scheduler.schedule sched ~after:(Sim_time.ms 1) (fun () ->
-             submit ~bytes:2_000_000 ~on_complete:(fun () -> ()))))
+      Scheduler.schedule sched ~after:(Sim_time.ms 1) (fun () ->
+          submit ~bytes:2_000_000 ~on_complete:(fun () -> ())))
     clients;
   Scheduler.run ~until:(Sim_time.of_ns 50_000_000) sched;
   (* both spines carried traffic *)
@@ -278,10 +273,9 @@ let test_fat_tree_end_to_end_clove () =
   Transport.Stack.register_receiver dst_stack receiver;
   Clove.Vswitch.add_destination v_src (Host.addr dst);
   let finished = ref false in
-  ignore
-    (Scheduler.schedule sched ~after:(Sim_time.ms 15) (fun () ->
-         Transport.Tcp.send sender ~bytes:500_000 ~on_complete:(fun () ->
-             finished := true)));
+  Scheduler.schedule sched ~after:(Sim_time.ms 15) (fun () ->
+      Transport.Tcp.send sender ~bytes:500_000 ~on_complete:(fun () ->
+          finished := true));
   Scheduler.run ~until:(Sim_time.of_ns 100_000_000) sched;
   check_bool "cross-pod transfer completes" true !finished;
   (match Clove.Vswitch.path_table v_src (Host.addr dst) with

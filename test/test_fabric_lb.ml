@@ -20,9 +20,8 @@ let test_conga_delivers () =
   let server = (Experiments.Scenario.servers scn).(0) in
   let submit = Experiments.Scenario.connect scn ~src:client ~dst:server in
   let finished = ref false in
-  ignore
-    (Scheduler.schedule sched ~after:(Sim_time.ms 1) (fun () ->
-         submit ~bytes:500_000 ~on_complete:(fun () -> finished := true)));
+  Scheduler.schedule sched ~after:(Sim_time.ms 1) (fun () ->
+      submit ~bytes:500_000 ~on_complete:(fun () -> finished := true));
   Scheduler.run ~until:(Sim_time.of_ns 100_000_000) sched;
   check_bool "transfer completed" true !finished;
   Experiments.Scenario.quiesce scn
@@ -37,9 +36,8 @@ let test_conga_metadata_flows () =
   let submits =
     Array.map (fun c -> Experiments.Scenario.connect scn ~src:c ~dst:server) clients
   in
-  ignore
-    (Scheduler.schedule sched ~after:(Sim_time.ms 1) (fun () ->
-         Array.iter (fun s -> s ~bytes:2_000_000 ~on_complete:(fun () -> ())) submits));
+  Scheduler.schedule sched ~after:(Sim_time.ms 1) (fun () ->
+      Array.iter (fun s -> s ~bytes:2_000_000 ~on_complete:(fun () -> ())) submits);
   (* read the tables while traffic is still flowing: CONGA ages metrics
      out after 10 ms of silence *)
   Scheduler.run ~until:(Sim_time.of_ns 9_000_000) sched;
@@ -72,9 +70,8 @@ let test_conga_avoids_degraded_spine () =
       let submit =
         Experiments.Scenario.connect scn ~src:c ~dst:servers.(i mod Array.length servers)
       in
-      ignore
-        (Scheduler.schedule sched ~after:(Sim_time.ms 1) (fun () ->
-             submit ~bytes:4_000_000 ~on_complete:(fun () -> ()))))
+      Scheduler.schedule sched ~after:(Sim_time.ms 1) (fun () ->
+          submit ~bytes:4_000_000 ~on_complete:(fun () -> ())))
     clients;
   Scheduler.run ~until:(Sim_time.of_ns 60_000_000) sched;
   let spines =
@@ -169,9 +166,8 @@ let test_caft_delivers_across_core () =
   let server = (Experiments.Scenario.servers scn).(0) in
   let submit = Experiments.Scenario.connect scn ~src:client ~dst:server in
   let finished = ref false in
-  ignore
-    (Scheduler.schedule sched ~after:(Sim_time.ms 1) (fun () ->
-         submit ~bytes:500_000 ~on_complete:(fun () -> finished := true)));
+  Scheduler.schedule sched ~after:(Sim_time.ms 1) (fun () ->
+      submit ~bytes:500_000 ~on_complete:(fun () -> finished := true));
   Scheduler.run ~until:(Sim_time.of_ns 100_000_000) sched;
   check_bool "transfer completed" true !finished;
   let caft =
@@ -200,9 +196,8 @@ let test_caft_spreads_over_both_cores () =
         Experiments.Scenario.connect scn ~src:c
           ~dst:servers.(i mod Array.length servers)
       in
-      ignore
-        (Scheduler.schedule sched ~after:(Sim_time.ms 1) (fun () ->
-             submit ~bytes:4_000_000 ~on_complete:(fun () -> ()))))
+      Scheduler.schedule sched ~after:(Sim_time.ms 1) (fun () ->
+          submit ~bytes:4_000_000 ~on_complete:(fun () -> ())))
     clients;
   Scheduler.run ~until:(Sim_time.of_ns 60_000_000) sched;
   let cores =

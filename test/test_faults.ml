@@ -354,11 +354,10 @@ let test_flap_execution () =
   in
   let fabric = Scenario.fabric scn in
   let seen_down = ref false in
-  ignore
-    (Scheduler.schedule_at sched ~time:(Sim_time.of_span (Sim_time.ms 22))
-       (fun () ->
-         let fwd, _ = Fabric.links_of_edge fabric edge in
-         if not (Link.up fwd) then seen_down := true));
+  Scheduler.schedule_at sched ~time:(Sim_time.of_span (Sim_time.ms 22))
+    (fun () ->
+      let fwd, _ = Fabric.links_of_edge fabric edge in
+      if not (Link.up fwd) then seen_down := true);
   Scheduler.run ~until:(Sim_time.of_span (Sim_time.ms 150)) sched;
   check_bool "link observed down mid-flap" true !seen_down;
   let fwd, rev = Fabric.links_of_edge fabric edge in
@@ -387,11 +386,10 @@ let switch_up_restores spec () =
   in
   let fabric = Scenario.fabric scn in
   let seen_down = ref false in
-  ignore
-    (Scheduler.schedule_at sched ~time:(Sim_time.of_span (Sim_time.ms 17))
-       (fun () ->
-         let fwd, _ = Fabric.links_of_edge fabric edge in
-         seen_down := not (Link.up fwd)));
+  Scheduler.schedule_at sched ~time:(Sim_time.of_span (Sim_time.ms 17))
+    (fun () ->
+      let fwd, _ = Fabric.links_of_edge fabric edge in
+      seen_down := not (Link.up fwd));
   Scheduler.run ~until:(Sim_time.of_span (Sim_time.ms 30)) sched;
   check_bool "s1-l1 down while s1 is down" true !seen_down;
   let fwd, rev = Fabric.links_of_edge fabric edge in
@@ -404,7 +402,7 @@ let switch_up_restores spec () =
 let hop n p = { Packet.hop_node = n; hop_port = p }
 
 let advance_to sched span =
-  ignore (Scheduler.schedule_at sched ~time:(Sim_time.of_span span) (fun () -> ()));
+  Scheduler.schedule_at sched ~time:(Sim_time.of_span span) (fun () -> ());
   Scheduler.run sched
 
 let test_pick_min_latency_suspect_trap () =
@@ -543,20 +541,18 @@ let test_probe_loss_rediscovery () =
   let server = (Scenario.servers scn).(0) in
   let submit = Scenario.connect scn ~src:client ~dst:server in
   let finished = ref false in
-  ignore
-    (Scheduler.schedule sched ~after:(Sim_time.ms 25) (fun () ->
-         submit ~bytes:2_000_000 ~on_complete:(fun () -> finished := true)));
+  Scheduler.schedule sched ~after:(Sim_time.ms 25) (fun () ->
+      submit ~bytes:2_000_000 ~on_complete:(fun () -> finished := true));
   let engine = engine_for scn in
   arm_exn engine (plan_of "probe-loss p=0.99 until=220ms @40ms");
   let vsw = Scenario.vswitch scn client in
   let evicted_mid_fault = ref false in
-  ignore
-    (Scheduler.schedule_at sched ~time:(Sim_time.of_span (Sim_time.ms 210))
-       (fun () ->
-         match Clove.Vswitch.path_table vsw (Host.addr server) with
-         | None -> evicted_mid_fault := true
-         | Some tbl ->
-           if not (Clove.Path_table.ready tbl) then evicted_mid_fault := true));
+  Scheduler.schedule_at sched ~time:(Sim_time.of_span (Sim_time.ms 210))
+    (fun () ->
+      match Clove.Vswitch.path_table vsw (Host.addr server) with
+      | None -> evicted_mid_fault := true
+      | Some tbl ->
+        if not (Clove.Path_table.ready tbl) then evicted_mid_fault := true);
   Scheduler.run ~until:(Sim_time.of_span (Sim_time.ms 400)) sched;
   check_bool "probes were dropped" true
     ((Clove.Vswitch.stats vsw).Clove.Vswitch.probes_dropped > 0);
@@ -645,24 +641,22 @@ let test_black_hole_eviction () =
   let server = (Scenario.servers scn).(0) in
   let submit = Scenario.connect scn ~src:client ~dst:server in
   let finished = ref false in
-  ignore
-    (Scheduler.schedule sched ~after:(Sim_time.ms 25) (fun () ->
-         submit ~bytes:50_000_000 ~on_complete:(fun () -> finished := true)));
+  Scheduler.schedule sched ~after:(Sim_time.ms 25) (fun () ->
+      submit ~bytes:50_000_000 ~on_complete:(fun () -> finished := true));
   let engine = engine_for scn in
   arm_exn engine (plan_of "brownout s2-l2b frac=1.0 loss=0.99 until=150ms @50ms");
   let vsw = Scenario.vswitch scn client in
   let suspect_seen = ref false and min_weight = ref 1.0 in
-  ignore
-    (Scheduler.schedule_at sched ~time:(Sim_time.of_span (Sim_time.ms 140))
-       (fun () ->
-         match Clove.Vswitch.path_table vsw (Host.addr server) with
-         | None -> ()
-         | Some tbl ->
-           if Array.exists Fun.id (Clove.Path_table.suspects tbl) then
-             suspect_seen := true;
-           Array.iter
-             (fun w -> if w < !min_weight then min_weight := w)
-             (Clove.Path_table.weights tbl)));
+  Scheduler.schedule_at sched ~time:(Sim_time.of_span (Sim_time.ms 140))
+    (fun () ->
+      match Clove.Vswitch.path_table vsw (Host.addr server) with
+      | None -> ()
+      | Some tbl ->
+        if Array.exists Fun.id (Clove.Path_table.suspects tbl) then
+          suspect_seen := true;
+        Array.iter
+          (fun w -> if w < !min_weight then min_weight := w)
+          (Clove.Path_table.weights tbl));
   Scheduler.run ~until:(Sim_time.of_span (Sim_time.ms 600)) sched;
   check_bool "black-holed path flagged suspect" true !suspect_seen;
   check_bool

@@ -139,9 +139,8 @@ let test_byte_conservation () =
   let sizes = [ 5_000; 123_456; 999; 70_000 ] in
   let total = List.fold_left ( + ) 0 sizes in
   let done_count = ref 0 in
-  ignore
-    (Scheduler.schedule sched ~after:(Sim_time.ms 25) (fun () ->
-         List.iter (fun b -> submit ~bytes:b ~on_complete:(fun () -> incr done_count)) sizes));
+  Scheduler.schedule sched ~after:(Sim_time.ms 25) (fun () ->
+      List.iter (fun b -> submit ~bytes:b ~on_complete:(fun () -> incr done_count)) sizes);
   Scheduler.run ~until:(Sim_time.of_ns 300_000_000) sched;
   check_int "all jobs done" (List.length sizes) !done_count;
   (* receiver-side delivered bytes: find via the stack's registered

@@ -119,10 +119,9 @@ let test_dre_tracks_rate () =
   let interval = Sim_time.ns (pkt_bytes * 8 / 10) in
   (* 1250B at 10Gbps = 1us *)
   for i = 0 to 299 do
-    ignore
-      (Scheduler.schedule_at sched
-         ~time:(Sim_time.of_ns (i * Sim_time.span_ns interval))
-         (fun () -> Dre.observe dre ~bytes_len:pkt_bytes))
+    Scheduler.schedule_at sched
+      ~time:(Sim_time.of_ns (i * Sim_time.span_ns interval))
+      (fun () -> Dre.observe dre ~bytes_len:pkt_bytes)
   done;
   Scheduler.run sched;
   let u = Dre.utilization dre in
@@ -132,7 +131,7 @@ let test_dre_decays_when_idle () =
   let sched = Scheduler.create () in
   let dre = Dre.create ~rate_bps:10e9 sched in
   Dre.observe dre ~bytes_len:100_000;
-  ignore (Scheduler.schedule sched ~after:(Sim_time.ms 10) (fun () -> ()));
+  Scheduler.schedule sched ~after:(Sim_time.ms 10) (fun () -> ());
   Scheduler.run sched;
   check_bool "decayed to ~0" true (Dre.utilization dre < 0.01)
 
@@ -379,6 +378,27 @@ let test_link_down_drops () =
   Scheduler.run sched;
   check_int "delivered after restore" 1 !got
 
+(* a link that fails and recovers within one frame loses that frame and
+   still serializes one frame at a time: the four sent after the flap
+   wait for the lost one's 1152 ns to run out, then go back to back *)
+let test_link_flap_loses_serializing_frame () =
+  let sched = Scheduler.create () in
+  let link = Link.create ~sched ~rate_bps:10e9 ~prop_delay:(Sim_time.us 1) () in
+  let arrivals = ref [] in
+  Link.set_sink link (fun _ -> arrivals := Sim_time.to_ns (Scheduler.now sched) :: !arrivals);
+  let at ns f = Scheduler.schedule_at sched ~time:(Sim_time.of_ns ns) f in
+  Link.send link (mk_data ());
+  at 100 (fun () -> Link.set_up link false);
+  at 200 (fun () -> Link.set_up link true);
+  at 300 (fun () ->
+      for _ = 1 to 4 do
+        Link.send link (mk_data ())
+      done);
+  Scheduler.run sched;
+  check_int "the serializing frame is lost" 1 (Link.down_drops link);
+  Alcotest.(check (list int)) "the rest, one serializer" [ 3_304; 4_456; 5_608; 6_760 ]
+    (List.rev !arrivals)
+
 (* ---------------------------- Switch hop -------------------------- *)
 
 (* host 1 -> switch -> host 2.  A 1440 B packet takes 1.152 us to
@@ -413,10 +433,7 @@ let test_hop_two_events_each () =
     [ deliver_ns + 250 + 1_152 ] !arrivals
 
 let set_up_at sched link ~ns v =
-  let (_ : Scheduler.handle) =
-    Scheduler.schedule_at sched ~time:(Sim_time.of_ns ns) (fun () -> Link.set_up link v)
-  in
-  ()
+  Scheduler.schedule_at sched ~time:(Sim_time.of_ns ns) (fun () -> Link.set_up link v)
 
 (* a packet on the ingress wire is lost iff the link was down at D, not
    at the later instant the switch takes it *)
@@ -673,6 +690,8 @@ let () =
           Alcotest.test_case "latency" `Quick test_link_delivers_with_latency;
           Alcotest.test_case "serialization" `Quick test_link_serializes;
           Alcotest.test_case "down drops" `Quick test_link_down_drops;
+          Alcotest.test_case "flap loses the serializing frame" `Quick
+            test_link_flap_loses_serializing_frame;
         ] );
       ( "switch-hop",
         [

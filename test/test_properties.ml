@@ -130,19 +130,18 @@ let prop_flowlet_gap_semantics =
       let first = ref true in
       List.iter
         (fun delta_us ->
-          ignore
-            (Scheduler.schedule sched ~after:(Sim_time.us delta_us) (fun () ->
-                 (* the inter-touch time is exactly [delta_us], so a new
-                    flowlet is expected iff it reaches the 10 us gap (or
-                    this is the flow's first packet) *)
-                 let expect_new = !first || delta_us >= 10 in
-                 first := false;
-                 let d = Clove.Flowlet.touch t ~key:1 ~pick in
-                 if expect_new then begin
-                   if d <> !last_decision + 1 then ok := false
-                 end
-                 else if d <> !last_decision then ok := false;
-                 last_decision := d));
+          Scheduler.schedule sched ~after:(Sim_time.us delta_us) (fun () ->
+              (* the inter-touch time is exactly [delta_us], so a new
+                 flowlet is expected iff it reaches the 10 us gap (or
+                 this is the flow's first packet) *)
+              let expect_new = !first || delta_us >= 10 in
+              first := false;
+              let d = Clove.Flowlet.touch t ~key:1 ~pick in
+              if expect_new then begin
+                if d <> !last_decision + 1 then ok := false
+              end
+              else if d <> !last_decision then ok := false;
+              last_decision := d);
           Scheduler.run sched)
         gaps_us;
       !ok)

@@ -212,12 +212,8 @@ let tie_order_run mode =
   let sched = Scheduler.create ~mode () in
   let b = Buffer.create 4 in
   let time = Sim_time.of_span (Sim_time.us 5) in
-  let (_ : Scheduler.handle) =
-    Scheduler.schedule_at sched ~time (fun () -> Buffer.add_char b 'a')
-  in
-  let (_ : Scheduler.handle) =
-    Scheduler.schedule_at sched ~time (fun () -> Buffer.add_char b 'b')
-  in
+  Scheduler.schedule_at sched ~time (fun () -> Buffer.add_char b 'a');
+  Scheduler.schedule_at sched ~time (fun () -> Buffer.add_char b 'b');
   Scheduler.run sched;
   Buffer.contents b
 

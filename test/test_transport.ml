@@ -31,16 +31,14 @@ let make_pair ?(latency = Sim_time.us 50) ?(drop = fun _ -> false) () =
       let idx = !data_count in
       incr data_count;
       if not (drop idx) then
-        ignore
-          (Scheduler.schedule sched ~after:latency (fun () -> deliver_to_receiver inner))
+        Scheduler.schedule sched ~after:latency (fun () -> deliver_to_receiver inner)
     | _ -> ()
   in
   let tx_dst pkt =
     match pkt.Packet.payload with
     | Packet.Tenant inner ->
-      ignore
-        (Scheduler.schedule sched ~after:latency (fun () ->
-             deliver_to_sender inner.Packet.seg))
+      Scheduler.schedule sched ~after:latency (fun () ->
+          deliver_to_sender inner.Packet.seg)
     | _ -> ()
   in
   let sender =
@@ -251,17 +249,15 @@ let make_mptcp ?(subflows = 4) () =
   let tx_src pkt =
     match pkt.Packet.payload with
     | Packet.Tenant inner ->
-      ignore
-        (Scheduler.schedule sched ~after:latency (fun () ->
-             Transport.Stack.deliver dst_stack inner))
+      Scheduler.schedule sched ~after:latency (fun () ->
+          Transport.Stack.deliver dst_stack inner)
     | _ -> ()
   in
   let tx_dst pkt =
     match pkt.Packet.payload with
     | Packet.Tenant inner ->
-      ignore
-        (Scheduler.schedule sched ~after:latency (fun () ->
-             Transport.Stack.deliver src_stack inner))
+      Scheduler.schedule sched ~after:latency (fun () ->
+          Transport.Stack.deliver src_stack inner)
     | _ -> ()
   in
   let conn =

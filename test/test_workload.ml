@@ -104,7 +104,7 @@ let test_websearch_driver_runs_all_jobs () =
   let submit ~bytes ~on_complete =
     ignore bytes;
     incr served;
-    ignore (Scheduler.schedule sched ~after:(Sim_time.us 10) on_complete)
+    Scheduler.schedule sched ~after:(Sim_time.us 10) on_complete
   in
   let cfg =
     {
@@ -131,7 +131,7 @@ let test_websearch_queueing_included () =
     let start = Sim_time.max now !busy_until in
     let finish = Sim_time.add start (Sim_time.ms 5) in
     busy_until := finish;
-    ignore (Scheduler.schedule_at sched ~time:finish on_complete)
+    Scheduler.schedule_at sched ~time:finish on_complete
   in
   let cfg =
     {
@@ -158,7 +158,7 @@ let test_incast_driver () =
         fun ~bytes ~on_complete ->
           ignore bytes;
           calls.(i) <- calls.(i) + 1;
-          ignore (Scheduler.schedule sched ~after:(Sim_time.us 100) on_complete))
+          Scheduler.schedule sched ~after:(Sim_time.us 100) on_complete)
   in
   let result =
     Workload.Incast.run ~sched ~rng ~server_submits:submits ~fanout:4
