@@ -3,8 +3,8 @@
    analysis (shared mutable state reached from the domain-parallel entry
    points) and the allocation analysis (allocation sites reached from the
    scheduler dispatch roots) over it, run the unused-export pass (in-scope
-   interface values that no other loaded unit uses) and the determinism
-   and unit-safety rules (Sema.Det_rules), apply the source
+   interface values that no other loaded unit uses) and the determinism,
+   unit-safety and code rules (Sema.Det_rules), apply the source
    suppressions, and compare the merged findings against one committed
    baseline.
 

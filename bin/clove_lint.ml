@@ -1,13 +1,6 @@
-(* clove-lint driver: walk the given roots (default: lib bin examples),
-   run every lexical rule over each [.ml] file, and check that
-   library modules ship an interface.  Exits 1 if any finding survives
-   its suppression check. *)
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+(* clove-lint driver: walk the given roots (default: lib bin examples)
+   and check that every library module ships an interface.  Exits 1 on
+   a module without one, 2 on a root that does not exist. *)
 
 let skip_dir name =
   name = "_build" || name = "results" || (String.length name > 0 && name.[0] = '.')
@@ -45,18 +38,11 @@ let () =
   let files = List.sort String.compare files in
   let ml_files = List.filter (has_extension ".ml") files in
   let mli_files = List.filter (has_extension ".mli") files in
-  let sources = List.map (fun f -> (f, read_file f)) ml_files in
-  let per_line =
-    List.concat_map
-      (fun (file, src) -> Analysis.Lint.check_source ~file src)
-      sources
-  in
-  let interface =
+  let findings =
     Analysis.Lint.check_interface_presence
       ~ml_files:(List.filter wants_interface ml_files)
       ~mli_files
   in
-  let findings = per_line @ interface in
   List.iter
     (fun f -> Format.eprintf "%a@." Analysis.Lint.pp_finding f)
     findings;

@@ -1,4 +1,4 @@
-(* clove-sema: clove-check's determinism and unit-safety rules
+(* clove-sema: clove-check's determinism, unit-safety and code rules
    (Sema.Det_rules) alone, over the .cmt of the units under the given
    source roots (default: lib bin examples), with the shared suppression
    grammar applied.  Writes the findings as JSON; exits 1 if any is

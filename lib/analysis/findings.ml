@@ -4,8 +4,8 @@
    lifecycle: deterministic sorted serialization, a committed baseline
    keyed by (rule, file, target) — line numbers deliberately excluded so
    unrelated edits do not churn it — and a diff that fails CI only on
-   *new* keys.  The source suppression grammar below is the one that
-   clove-lint and clove-check both parse. *)
+   *new* keys.  The source suppression grammar below is the one every
+   rule id answers to. *)
 
 type t = {
   rule : string;

@@ -1,7 +1,7 @@
 (** Shared findings layer of the static analyzers: one finding record,
     sorted deterministic serialization, committed-baseline
-    load/diff for clove-check, and the one suppression grammar that
-    clove-lint and clove-check both parse. *)
+    load/diff for clove-check, and the one suppression grammar every
+    rule id answers to. *)
 
 type t = {
   rule : string;
@@ -27,8 +27,8 @@ val sort : t list -> t list
 
 (** {2 Suppressions}
 
-    The one suppression grammar of clove-lint and clove-check, on the
-    flagged line or the line above:
+    The one suppression grammar of every rule id, on the flagged line
+    or the line above:
 
     {[ (* why the finding is acceptable — lint: allow <rule-id> *) ]}
 
@@ -51,10 +51,6 @@ val allowed : marker list -> rule:string -> line:int -> string option
 (** The justification of the first justified marker that suppresses
     [rule] at [line]; [None] when the finding stands.  An unjustified
     marker suppresses nothing. *)
-
-val allow_empty_rule : string
-(** ["allow-empty"]: a suppression marker with no justification text on
-    its line. *)
 
 val allow_empty : marker list -> (int * string) list
 (** [(line, message)] for every unjustified marker: each is one

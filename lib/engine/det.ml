@@ -1,7 +1,7 @@
 let create mode n = Hashtbl.create (Run_mode.perturbed_size mode n)
 
 (* [cmp] is the caller's typed key compare (the [~compare] label), not
-   the polymorphic one clove-lint bans. *)
+   the polymorphic one clove-check's poly-compare rule bans. *)
 let sorted_bindings ~compare:cmp tbl =
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
   |> List.sort (fun (a, _) (b, _) -> cmp a b)

@@ -2,16 +2,15 @@
    defunctionalized (zero-allocation) path for steady-state events.
 
    Two structures hold pending events.  Short-horizon timers — link
-   hops, TCP RTO/TLP, flowlet gaps — land in
-   a hierarchical {!Timer_wheel}; far-future events (quiesce horizons,
-   long idle timers) overflow into the {!Event_queue} binary heap.  Both
-   draw sequence numbers from one scheduler-owned counter, and the wheel
-   flushes whole windows into the heap before the clock can reach them,
-   so pop order is exactly that of a single binary heap under the
-   (time, born, src, seq) total order.  [born] is the insertion instant
-   and [src] the owning component's construction-order id; together they
-   make same-timestamp tie-breaking shard-invariant under PDES (see
-   {!Event_queue}).
+   hops, TCP RTO/TLP — land in a hierarchical {!Timer_wheel}; far-future
+   events (quiesce horizons, long idle timers) overflow into the
+   {!Event_queue} binary heap.  Both draw sequence numbers from one
+   scheduler-owned counter, and the wheel flushes whole windows into the
+   heap before the clock can reach them, so pop order is exactly that of
+   a single binary heap under the (time, born, src, seq) total order.
+   [born] is the insertion instant and [src] the owning component's
+   construction-order id; together they make same-timestamp tie-breaking
+   shard-invariant under PDES (see {!Event_queue}).
 
    A pending event is one immediate [int], so neither structure holds a
    pointer:

@@ -23,9 +23,15 @@
    Clamping the barrier to [g] means global events never interleave with
    a shard's window: a fault at time [f] executes only after every shard
    has fired its events up to [f] and before any fires an event past
-   [f] — the same-timestamp tie with shard events is exactly the
-   tie-break freedom the schedule-perturbation sanitizer already proves
-   digest-invisible.
+   [f].  That order is not the serial engine's, which ranks
+   same-instant events by born time, and the difference is a known hole
+   in width invariance: a flap with a sub-window period ties its
+   transitions with link events born later, and the digests move.
+   [clove-sim chaos --audit --faults "flap s2-l2b period=1us duty=0.5
+   until=61ms @60ms" --jobs 150] prints Clove-ECN 8c07a2ad..., ECMP
+   76068c10... serially but 72c1e202..., e0e6060d... at [--shards 2]
+   (0 audit violations either way).  The default chaos plan and the
+   4 ms CI flap produce no such tie.
 
    The shard tasks run on a persistent {!Domain_pool} ([width] domains,
    one barrier [map] per window).  Width 1 executes the same loop

@@ -9,9 +9,11 @@
     then the boundary-event exchange buffers drain in a fixed order.
     Because no cross-shard influence can arrive sooner than the
     lookahead, the merged event schedule is equivalent to the serial one
-    up to same-timestamp tie-breaking — which the schedule-perturbation
-    sanitizer independently proves digest-invisible — so results are
-    byte-identical at any width. *)
+    up to same-timestamp tie-breaking, so results are byte-identical at
+    any width — except for a known hole: a global (fault) event that
+    ties with shard events runs after them, not in the serial born-time
+    order, and a flap with a sub-window period moves the digests (the
+    reproducer is in shard.ml's header). *)
 
 type t
 

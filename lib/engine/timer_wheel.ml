@@ -3,10 +3,10 @@
 
    The wheel is a set of [levels] rings of [2^bits] slots each; a level-k
    slot spans [2^(g_bits + k*bits)] ns, so with 3 levels of 256 slots at
-   64 ns granularity the wheel covers ~1.07 s of simulated
-   future — every link hop, TCP RTO/TLP and flowlet gap the simulator
-   arms.  Events beyond the horizon (or behind the flushed frontier) are
-   refused by [add]; the caller keeps them in the overflow heap.
+   64 ns granularity the wheel covers ~1.07 s of simulated future —
+   every link hop and TCP RTO/TLP the simulator arms.  Events beyond the
+   horizon (or behind the flushed frontier) are refused by [add]; the
+   caller keeps them in the overflow heap.
 
    A slot holds unsorted (time, born, src, seq, payload) entries packed
    five ints apiece in one growable [int array]: the payload is the

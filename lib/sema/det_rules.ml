@@ -1,4 +1,4 @@
-(* The determinism and unit-safety rules of clove-check, over the
+(* The determinism, unit-safety and code rules of clove-check, over the
    typedtree: every name is a resolved [Path.t], so the rules match on
    what an identifier is, not on how it is spelled. *)
 
@@ -33,6 +33,17 @@ let rules =
       "Domain/Mutex/Condition/Atomic/Thread primitive outside the parallel \
        runtime whitelist: simulation code must stay single-domain \
        deterministic, parallelism lives in Engine.Domain_pool" );
+    ( "obj-magic",
+      "Obj.magic defeats the type system; use an option slot or a real dummy \
+       value" );
+    ( "poly-compare",
+      "Stdlib.compare is polymorphic; pass the element type's compare" );
+    ( "bare-ignore",
+      "a computed result is silently discarded; bind it as let (_ : ty) = \
+       ... or say why it is safe to drop" );
+    ( "hashtbl-find",
+      "Hashtbl.find raises Not_found on an absent key; use Hashtbl.find_opt" );
+    ("float-eq", "exact float comparison against a literal");
   ]
 
 let time_boundary_whitelist =
@@ -239,6 +250,10 @@ let check_cases : type k. ctx -> Types.type_expr -> k case list -> unit =
 let check_ident ctx (e : expression) p =
   let file = ctx.unit_.Cmt_load.u_source in
   match stdlib_name ctx p with
+  | [ "Obj"; "magic" ] -> add ctx ~rule:"obj-magic" e.exp_loc "Obj.magic"
+  | [ "compare" ] -> add ctx ~rule:"poly-compare" e.exp_loc "Stdlib.compare"
+  | [ "Hashtbl"; "find" ] ->
+    add ctx ~rule:"hashtbl-find" e.exp_loc "Hashtbl.find"
   | "Random" :: _ :: _ as parts ->
     add ctx ~rule:"sema-raw-random" e.exp_loc (String.concat "." parts)
   | ([ "Unix"; ("gettimeofday" | "time") ] | [ "Sys"; "time" ]) as parts ->
@@ -254,11 +269,27 @@ let check_ident ctx (e : expression) p =
       add ctx ~rule:"sema-time-boundary" e.exp_loc ("Sim_time." ^ f)
     | _ -> ())
 
+(* a value that was already there: discarding it computes nothing *)
+let is_variable (e : expression) =
+  match e.exp_desc with Texp_ident _ -> true | _ -> false
+
+let is_float_literal (e : expression) =
+  match e.exp_desc with
+  | Texp_constant (Asttypes.Const_float _) -> true
+  | _ -> false
+
 let check_apply ctx (e : expression) (fn : expression) p args =
   let positional =
     List.filter_map (function Asttypes.Nolabel, Some a -> Some a | _ -> None) args
   in
   (match (stdlib_name ctx p, positional) with
+  (* the typechecker turns [x |> ignore] and [ignore @@ x] into [ignore x] *)
+  | [ "ignore" ], [ a ] when not (is_variable a) ->
+    add ctx ~rule:"bare-ignore" e.exp_loc "ignore"
+  (* a float literal operand types the comparison at float *)
+  | [ (("=" | "<>") as op) ], [ a; b ]
+    when is_float_literal a || is_float_literal b ->
+    add ctx ~rule:"float-eq" e.exp_loc ("(" ^ op ^ ")")
   | [ "Hashtbl"; (("iter" | "fold") as op) ], closure :: _ ->
     Option.iter
       (fun what ->

@@ -205,11 +205,12 @@ let parallel_entries =
 
 (* (module, function) -> 0-based index of the handler argument among
    the positional arguments.  A closure registered as a scheduler
-   dispatch kind becomes its own node so the hot-region analysis can
-   root there, while a call edge from the registering function is kept
-   so the race fixpoint still re-roots whatever the closure captured
-   from the creator's scope. *)
-let dispatch_entries = [ (("Scheduler", "register_kind"), 1) ]
+   dispatch kind or a deadline timer's handler becomes its own node so
+   the hot-region analysis can root there, while a call edge from the
+   registering function is kept so the race fixpoint still re-roots
+   whatever the closure captured from the creator's scope. *)
+let dispatch_entries =
+  [ (("Scheduler", "register_kind"), 1); (("Scheduler", "timer"), 1) ]
 
 (* ----------------------------- context ---------------------------- *)
 

@@ -117,7 +117,9 @@ and on_rto s =
     Scheduler.disarm s.sched s.tlp;
     s.tlp_fired <- false;
     Rtt_estimator.backoff s.rtt;
+    (* once per timeout, never per packet — lint: allow alloc-boxed-float *)
     let flight_pkts = float_of_int (flight_bytes s) /. float_of_int mss in
+    (* the same timeout-only cut — lint: allow alloc-boxed-float *)
     s.cc.ssthresh <- Float.max (flight_pkts /. 2.0) 2.0;
     s.cc.cwnd <- 1.0;
     s.in_recovery <- false;
@@ -140,11 +142,9 @@ let create_sender ~sched ~dctcp ?coupling ~conn_id ?(subflow = 0) ~src ~dst ~src
   (* the timers rank under the sender's own component id: MPTCP arms all
      its subflows' timers from one handler in one instant.  The record
      and its timers' handlers are built together through [lazy]: a
-     handler needs the record, which holds the timers. *)
+     handler needs the record, which holds the timers.  Each handler is
+     passed to [Scheduler.timer] itself, so clove-check roots it. *)
   let timer_src = Scheduler.fresh_src () in
-  let timer on_expiry =
-    Scheduler.timer sched ~src:timer_src ~arg:0 on_expiry
-  in
   let rec s =
     lazy
       {
@@ -172,8 +172,12 @@ let create_sender ~sched ~dctcp ?coupling ~conn_id ?(subflow = 0) ~src ~dst ~src
         dup_acks = 0;
         in_recovery = false;
         recover = 0;
-        rto = timer (fun _ -> on_rto (Lazy.force s));
-        tlp = timer (fun _ -> on_tlp (Lazy.force s));
+        rto =
+          Scheduler.timer sched ~src:timer_src ~arg:0 (fun _ ->
+              on_rto (Lazy.force s));
+        tlp =
+          Scheduler.timer sched ~src:timer_src ~arg:0 (fun _ ->
+              on_tlp (Lazy.force s));
         tlp_fired = false;
         rtt_probe_seq = -1;
         rtt_probe_t0 = Sim_time.zero;

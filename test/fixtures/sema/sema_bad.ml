@@ -1,4 +1,4 @@
-(* Every binding here breaks one determinism or unit-safety rule;
+(* Every binding here breaks one determinism, unit-safety or code rule;
    test_sema expects exactly these (rule, binding) findings. *)
 open Engine
 open Netsim
@@ -45,3 +45,22 @@ let spawn work = Domain.spawn work
 let lock = Mutex.create ()
 let bump counter = Atomic.fetch_and_add counter 1
 let wake cv = Condition.broadcast cv
+
+(* obj-magic: an unchecked cast *)
+let sentinel : Packet.t = Obj.magic 0
+
+(* poly-compare: polymorphic compare, applied and passed as a value *)
+let order a b = compare a b
+let sort_weights ws = List.sort Stdlib.compare ws
+
+(* bare-ignore: computed results thrown away *)
+let drop_lookup port = ignore (Hashtbl.find_opt weights port)
+let drop_piped port = Hashtbl.find_opt weights port |> ignore
+let drop_applied port = ignore @@ Hashtbl.find_opt weights port
+
+(* hashtbl-find: raises Not_found on an absent port *)
+let weight_of port = Hashtbl.find weights port
+
+(* float-eq: exact comparison against a float literal *)
+let idle w = if w = 0.0 then 1 else 0
+let busy w = 1.0 <> w

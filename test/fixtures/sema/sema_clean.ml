@@ -46,3 +46,23 @@ let fan xs = Domain_pool.run (fun x -> x + 1) xs
 let counted counter =
   (* harness counter -- lint: allow sema-domain-parallel *)
   Atomic.fetch_and_add counter 1
+
+(* the code rules' near-misses: a local compare, ignore of a variable
+   and ignore passed as a value, find_opt, comparisons a float literal
+   does not make exact, and the rules' tokens inside strings and
+   comments: compare Obj.magic ignore (f x) Hashtbl.find if x = 1.0 *)
+let sort_sizes xs =
+  let compare (a : int) b = Int.compare b a in
+  List.sort compare xs
+
+let unused port = ignore port
+let drain q = Queue.iter ignore q
+let size_of port = Hashtbl.find_opt weights port
+let positive w = w > 0.0
+let empty n = n = 0
+let same (a : float) b = a = b
+let tokens = "compare Obj.magic ignore (f x) Hashtbl.find if x = 1.0"
+
+let present port =
+  (* the port was inserted at creation -- lint: allow hashtbl-find *)
+  Hashtbl.find weights port

@@ -1,7 +1,8 @@
-(* Six snippets that matching on spellings instead of resolved names
-   misreads: five violations reached through a qualified path, an alias,
-   a repository mutator or a local open, and one local constructor named
-   like a packet kind. *)
+(* Ten snippets that matching on spellings instead of resolved names
+   misreads: eight violations reached through a qualified path, an
+   alias, a repository mutator, a local open or an expression that is no
+   conditional, one local constructor named like a packet kind, and one
+   local compare defined away from its use. *)
 open Engine
 
 let weights : (int, int) Hashtbl.t = Hashtbl.create 16
@@ -33,3 +34,20 @@ let opened_clock () =
 type frame = Data | Control | Padding
 
 let is_data = function Data -> true | _ -> false
+
+(* hashtbl-find through a local open *)
+let opened_find k =
+  let open Hashtbl in
+  find weights k
+
+(* obj-magic through a module alias *)
+let aliased_magic =
+  let module O = Obj in
+  (O.magic 0 : int list)
+
+(* float-eq outside any conditional *)
+let exact_zero w = w = 0.0
+
+(* not poly-compare: the compare in scope is a local, typed one *)
+let compare (a : int) b = Int.compare a b
+let sort_ints xs = List.sort compare xs

@@ -153,6 +153,35 @@ let test_namesake_gate_hot () =
       | fs -> Alcotest.failf "%s: %d list-cons findings" node (List.length fs))
     [ "Alloc_hot.on_probe"; "Alloc_hot.on_probe_violation" ]
 
+(* TCP's retransmission and tail-loss-probe handlers are closures handed
+   straight to Scheduler.timer: each must be a dispatch root of its own,
+   so on_rto and on_tlp stay in the hot region.  The transport
+   library's .cmt files are under ../lib/transport. *)
+let test_tcp_timer_roots () =
+  let units =
+    fst
+      (Sema.Cmt_load.load ~root:"../lib/transport"
+         ~source_prefixes:[ "lib/transport/" ])
+  in
+  let l = Sema.Race_extract.analyze units in
+  let roots =
+    List.filter_map
+      (fun (id, _) ->
+        if String.starts_with ~prefix:"Tcp.create_sender.<kind@" id then Some id
+        else None)
+      l.Sema.Race_extract.l_dispatch
+  in
+  Alcotest.(check int) "RTO and TLP handler closures rooted" 2 (List.length roots);
+  let hot = Sema.Alloc_extract.hot_region l in
+  List.iter
+    (fun handler ->
+      match Sema.Alloc_extract.witness_to hot handler with
+      | Some ((root, None) :: _) ->
+        Alcotest.(check bool) (handler ^ " reached from a timer root") true
+          (List.mem root roots)
+      | _ -> Alcotest.failf "%s is not in the hot region" handler)
+    [ "Tcp.on_rto"; "Tcp.on_tlp" ]
+
 let test_deterministic_output () =
   let render () =
     let new_keys = Hashtbl.create 1 in
@@ -205,6 +234,8 @@ let () =
             test_inline_poly_compare_through_mutator;
           Alcotest.test_case "audited branch is cold" `Quick test_audit_gate_cold;
           Alcotest.test_case "namesake gates stay hot" `Quick test_namesake_gate_hot;
+          Alcotest.test_case "tcp timer handlers are dispatch roots" `Quick
+            test_tcp_timer_roots;
           Alcotest.test_case "deterministic report" `Quick
             test_deterministic_output;
           Alcotest.test_case "findings sorted" `Quick test_findings_sorted;

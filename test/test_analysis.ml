@@ -1,6 +1,7 @@
-(* Tests for the correctness-tooling layer: the clove-lint lexical rules
-   and the runtime invariant auditor (packet conservation, monotonic
-   clocks, per-flowlet FIFO, weight normalization, determinism). *)
+(* Tests for the correctness-tooling layer: clove-lint's interface
+   check, the shared suppression grammar and the runtime invariant
+   auditor (packet conservation, monotonic clocks, per-flowlet FIFO,
+   weight normalization, determinism). *)
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -11,66 +12,6 @@ module Lint = Analysis.Lint
 open Experiments
 
 (* ------------------------------ lint ------------------------------- *)
-
-let lint src = Lint.check_source ~file:"fixture.ml" src
-let count src = List.length (lint src)
-
-let test_lint_obj_magic () =
-  check_int "flagged" 1 (count "let x = Obj.magic 0\n");
-  check_int "suppressed by preceding line" 0
-    (count
-       "(* sentinel is never read back -- lint: allow obj-magic *)\n\
-        let x = Obj.magic 0\n");
-  check_int "suppressed on same line" 0
-    (count "let x = Obj.magic 0 (* never read back -- lint: allow obj-magic *)\n");
-  Alcotest.(check (list string))
-    "an unjustified marker suppresses nothing and is a finding"
-    [ "obj-magic"; "allow-empty" ]
-    (List.map
-       (fun f -> f.Lint.rule)
-       (lint "let x = Obj.magic 0 (* lint: allow obj-magic *)\n"))
-
-let test_lint_poly_compare () =
-  check_int "List.sort compare" 1 (count "let s = List.sort compare xs\n");
-  check_int "bare compare application" 1 (count "let c = compare a b\n");
-  check_int "Stdlib.compare" 1 (count "let c = Stdlib.compare a b\n");
-  check_int "Int.compare clean" 0 (count "let s = List.sort Int.compare xs\n");
-  check_int "definition clean" 0 (count "let compare a b = Int.compare a b\n");
-  check_int "labelled arg clean" 0 (count "let s = sort ~compare xs\n")
-
-let test_lint_bare_ignore () =
-  check_int "ignore (...)" 1 (count "ignore (f x);\n");
-  check_int "multiline ignore" 1 (count "ignore\n  (f x);\n");
-  check_int "typed let clean" 0 (count "let (_ : int) = f x in\n");
-  check_int "ignore of a variable clean" 0 (count "ignore x;\n");
-  check_int "suppressed" 0
-    (count "(* thunk result unused -- lint: allow bare-ignore *)\nignore (f x);\n")
-
-let test_lint_hashtbl_find () =
-  check_int "Hashtbl.find" 1 (count "let v = Hashtbl.find tbl k in\n");
-  check_int "find_opt clean" 0 (count "let v = Hashtbl.find_opt tbl k in\n");
-  check_int "find_all clean" 0 (count "let v = Hashtbl.find_all tbl k in\n");
-  check_int "suppressed" 0
-    (count
-       "(* key inserted above -- lint: allow hashtbl-find *)\n\
-        let v = Hashtbl.find tbl k in\n")
-
-let test_lint_float_eq () =
-  check_int "if x = 1.0" 1 (count "if x = 1.0 then y\n");
-  check_int "literal first" 1 (count "if 1.0 = x then y\n");
-  check_int "guard with &&" 1 (count "ready && x = 0.5\n");
-  check_int "binding is clean" 0 (count "let x = 1.0 in\n");
-  check_int "<= is clean" 0 (count "if t.total <= 0.0 then z\n");
-  check_int "int equality clean" 0 (count "if x = 10 then y\n")
-
-let test_lint_masking () =
-  check_int "comments and strings never fire" 0
-    (count
-       "(* compare Obj.magic ignore (x) Hashtbl.find *)\n\
-        let s = \"if x = 1.0 then Obj.magic\" in\n\
-        let c = 'c' in\n");
-  check_int "nested comment" 0
-    (count "(* outer (* ignore (f x) *) still comment *)\nlet y = 1\n")
 
 let test_lint_missing_mli () =
   let fs =
@@ -417,12 +358,6 @@ let () =
     [
       ( "lint",
         [
-          Alcotest.test_case "obj-magic" `Quick test_lint_obj_magic;
-          Alcotest.test_case "poly-compare" `Quick test_lint_poly_compare;
-          Alcotest.test_case "bare-ignore" `Quick test_lint_bare_ignore;
-          Alcotest.test_case "hashtbl-find" `Quick test_lint_hashtbl_find;
-          Alcotest.test_case "float-eq" `Quick test_lint_float_eq;
-          Alcotest.test_case "masking" `Quick test_lint_masking;
           Alcotest.test_case "missing-mli" `Quick test_lint_missing_mli;
           Alcotest.test_case "suppression grammar" `Quick
             test_suppression_grammar;

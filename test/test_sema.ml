@@ -1,4 +1,4 @@
-(* Tests for clove-check's determinism and unit-safety rules and for the
+(* Tests for clove-check's determinism, unit-safety and code rules and for the
    schedule-perturbation sanitizer: the static and dynamic halves of the
    same guarantee, that a run is a function of its seed and nothing
    else. *)
@@ -121,15 +121,49 @@ let test_domain_parallel () =
     "outside the whitelist" [ "Sema_paths.slot"; "Sema_paths.worker" ]
     (as_if "lib/netsim/dre.ml" "sema-domain-parallel")
 
-(* sema_misread.ml: the five violations a spelling match misses are
-   flagged, and the wildcard over a local [Data] constructor is not *)
+(* the code rules: each seeded instance is flagged and no near-miss of
+   sema_clean.ml or sema_misread.ml is (a local compare, [ignore] of a
+   variable or passed as a value, the tokens in strings and comments) *)
+let test_obj_magic () =
+  check_flagged "obj-magic" [ "Sema_bad.sentinel"; "Sema_misread.aliased_magic" ]
+
+let test_poly_compare () =
+  check_flagged "poly-compare" [ "Sema_bad.order"; "Sema_bad.sort_weights" ]
+
+let test_bare_ignore () =
+  check_flagged "bare-ignore"
+    [ "Sema_bad.drop_lookup"; "Sema_bad.drop_piped"; "Sema_bad.drop_applied" ]
+
+let test_hashtbl_find () =
+  check_flagged "hashtbl-find" [ "Sema_bad.weight_of"; "Sema_misread.opened_find" ];
+  (* the justified marker in sema_clean.ml suppresses, and says why *)
+  Alcotest.(check (list (pair string (option string))))
+    "suppressed"
+    [ ("Sema_clean.present", Some "the port was inserted at creation") ]
+    (Analysis.Findings.suppress ~source_root:".." ~files:[]
+       (Sema.Det_rules.findings (Lazy.force fixture_units))
+    |> List.filter_map (fun (f : Analysis.Findings.t) ->
+           if f.rule = "hashtbl-find" && not (Analysis.Findings.is_active f) then
+             Some (f.target, f.reason)
+           else None))
+
+let test_float_eq () =
+  check_flagged "float-eq"
+    [ "Sema_bad.idle"; "Sema_bad.busy"; "Sema_misread.exact_zero" ]
+
+(* sema_misread.ml: the eight violations a spelling match misses are
+   flagged, and neither the wildcard over a local [Data] constructor nor
+   the local compare is *)
 let test_parent_misreads () =
   Alcotest.(check (list (pair string string)))
     "misreads classified"
     [
       ("Sema_misread.aliased", "sema-hashtbl-order");
+      ("Sema_misread.aliased_magic", "obj-magic");
+      ("Sema_misread.exact_zero", "float-eq");
       ("Sema_misread.mirrored", "sema-hashtbl-order");
       ("Sema_misread.opened_clock", "sema-wall-clock");
+      ("Sema_misread.opened_find", "hashtbl-find");
       ("Sema_misread.opened_time", "sema-time-boundary");
       ("Sema_misread.qualified", "sema-hashtbl-order");
     ]
@@ -354,6 +388,14 @@ let () =
           Alcotest.test_case "parent misreads" `Quick test_parent_misreads;
           Alcotest.test_case "fixture flagged" `Quick test_fixture_flagged;
           Alcotest.test_case "dead-export fixture" `Quick test_dead_export;
+        ] );
+      ( "lint",
+        [
+          Alcotest.test_case "obj-magic" `Quick test_obj_magic;
+          Alcotest.test_case "poly-compare" `Quick test_poly_compare;
+          Alcotest.test_case "bare-ignore" `Quick test_bare_ignore;
+          Alcotest.test_case "hashtbl-find" `Quick test_hashtbl_find;
+          Alcotest.test_case "float-eq" `Quick test_float_eq;
         ] );
       ( "sanitizer",
         [
