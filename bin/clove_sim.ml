@@ -118,7 +118,7 @@ let run_cmd =
       }
     in
     let fct = Sweep.websearch_run ~mode ~scheme ~params ~load ~jobs_per_conn:jobs in
-    let mice = Workload.Fct_stats.mice_cutoff / 4 in
+    let mice = Scenario.scaled_cutoff params Workload.Fct_stats.mice_cutoff in
     Format.printf "scheme          : %s@." (Scenario.scheme_name scheme);
     Format.printf "topology        : %s, %d hosts/leaf@."
       (if asym then "asymmetric" else "symmetric")

@@ -11,7 +11,7 @@ type 'd t = {
 
 let create ~sched ~gap ~dummy =
   let absent = { last_seen = Sim_time.zero; flowlet_id = -1; decision = dummy } in
-  { sched; gap; table = Int_table.create ~capacity:256 ~dummy:absent (); absent;
+  { sched; gap; table = Int_table.create ~capacity:256 ~dummy:absent; absent;
     started = 0; peak = 0 }
 
 let touch t ~key ~pick =

@@ -64,7 +64,7 @@ let create ~sched ~cfg =
     last_tx = [||];
     last_alive = [||];
     verified_at = Sim_time.zero;
-    port_index = Int_table.create ~capacity:8 ~dummy:(-1) ();
+    port_index = Int_table.create ~capacity:8 ~dummy:(-1);
   }
 
 let check_weight_sum t ~label weights =
@@ -132,7 +132,7 @@ let install t pairs =
     (* an install only happens when probes completed the round trip, so it
        vouches for every path in the new set *)
     t.verified_at <- Scheduler.now t.sched;
-    let idx = Int_table.create ~capacity:n ~dummy:(-1) () in
+    let idx = Int_table.create ~capacity:n ~dummy:(-1) in
     Array.iteri (fun i p -> Int_table.set idx p i) ports;
     t.port_index <- idx
   end

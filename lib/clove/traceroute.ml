@@ -1,13 +1,19 @@
 type port_state = {
-  hops : (int, Packet.hop) Hashtbl.t; (* ttl -> hop *)
+  hops : Packet.hop Int_table.t; (* ttl -> hop *)
   mutable reached_ttl : int; (* smallest ttl whose probe reached the host; -1 = none *)
 }
+
+let no_hop = { Packet.hop_node = -1; hop_port = -1 }
+
+(* the dummy of every port table: never mutated, never returned *)
+let no_port = { hops = Int_table.create ~capacity:2 ~dummy:no_hop; reached_ttl = -1 }
 
 type dst_state = {
   dst : Addr.t;
   rng : Rng.t; (* per-destination stream: draws never shift other dsts *)
-  pending : (int, int * int) Hashtbl.t; (* probe_id -> (port, ttl) *)
-  mutable port_states : (int, port_state) Hashtbl.t;
+  mutable cycle_first : int; (* [next_probe] when this cycle's probes went out *)
+  port_states : port_state Int_table.t;
+  mutable traced : int list; (* this cycle's ports, ascending: [port_states]' keys *)
   mutable installed_ports : int list;
   mutable empty_cycles : int; (* consecutive cycles with zero usable paths *)
   mutable next_probe : int;
@@ -20,7 +26,8 @@ type t = {
   host_addr : Addr.t;
   tx : Packet.t -> unit;
   on_paths : dst:Addr.t -> (int * Clove_path.t) list -> unit;
-  dsts : (int, dst_state) Hashtbl.t;
+  dsts : dst_state Int_table.t;
+  no_dst : dst_state; (* [dsts]' dummy *)
   mutable stopped : bool;
 }
 
@@ -41,6 +48,18 @@ let probe_timeout = Sim_time.ms 10 (* per-cycle reply deadline *)
 let evict_after_cycles = 2
 
 let create ~sched ~cfg ~rng ~host_addr ~tx ~on_paths =
+  let no_dst =
+    {
+      dst = host_addr;
+      rng;
+      cycle_first = 0;
+      port_states = Int_table.create ~capacity:2 ~dummy:no_port;
+      traced = [];
+      installed_ports = [];
+      empty_cycles = 0;
+      next_probe = 0;
+    }
+  in
   {
     sched;
     cfg;
@@ -48,7 +67,8 @@ let create ~sched ~cfg ~rng ~host_addr ~tx ~on_paths =
     host_addr;
     tx;
     on_paths;
-    dsts = Det.create (Scheduler.mode sched) 16;
+    dsts = Int_table.create ~capacity:16 ~dummy:no_dst;
+    no_dst;
     stopped = false;
   }
 
@@ -58,7 +78,6 @@ let random_port (st : dst_state) = 49152 + Rng.int st.rng 16384
 let send_probe t st ~key ~port ~ttl =
   let id = (key lsl probe_id_bits) lor (st.next_probe land probe_id_mask) in
   st.next_probe <- st.next_probe + 1;
-  Hashtbl.replace st.pending id (port, ttl);
   let pkt =
     Packet.make ~ttl ~size:(64 + Packet.encap_header_bytes)
       (Packet.Probe
@@ -82,25 +101,26 @@ let send_probe t st ~key ~port ~ttl =
   t.tx pkt
 
 let finalize_cycle t st =
-  (* Candidate order feeds the greedy disjoint-path pick, so iterate the
-     port table in sorted order rather than bucket order. *)
+  (* Candidate order feeds the greedy disjoint-path pick, so visit this
+     cycle's ports in ascending order, not in table order. *)
   let candidates =
-    Det.fold_sorted ~compare:Int.compare
-      (fun port ps acc ->
+    List.fold_left
+      (fun acc port ->
+        let ps = Int_table.find_default st.port_states port no_port in
         if ps.reached_ttl >= 1 then begin
           let rec collect ttl acc_hops =
             if ttl >= ps.reached_ttl then Some (List.rev acc_hops)
             else
-              match Hashtbl.find_opt ps.hops ttl with
-              | Some hop -> collect (ttl + 1) (hop :: acc_hops)
-              | None -> None (* lost reply: discard this port for the cycle *)
+              let hop = Int_table.find_default ps.hops ttl no_hop in
+              if hop == no_hop then None (* lost reply: discard this port for the cycle *)
+              else collect (ttl + 1) (hop :: acc_hops)
           in
           match collect 1 [] with
           | Some path -> (port, path) :: acc
           | None -> acc
         end
         else acc)
-      st.port_states []
+      [] st.traced
   in
   let picked = Clove_path.select_disjoint ~k:t.cfg.Clove_config.k_paths (List.rev candidates) in
   if picked <> [] then begin
@@ -127,14 +147,17 @@ let finalize_cycle t st =
 
 let rec run_cycle t ~key st =
   if not t.stopped then begin
-    Hashtbl.reset st.pending;
-    st.port_states <- Det.create (Scheduler.mode t.sched) 32;
+    st.cycle_first <- st.next_probe;
+    Int_table.clear st.port_states;
     (* trace currently installed ports plus fresh random ones *)
     let fresh = List.init probe_ports (fun _ -> random_port st) in
     let ports = List.sort_uniq Int.compare (st.installed_ports @ fresh) in
+    st.traced <- ports;
     List.iter
       (fun port ->
-        Hashtbl.replace st.port_states port { hops = Det.create (Scheduler.mode t.sched) 8; reached_ttl = -1 };
+        Int_table.set st.port_states port
+          { hops = Int_table.create ~capacity:8 ~dummy:no_hop; reached_ttl = -1 };
+        (* probe [cycle_first + i] of the cycle has ttl [i mod max_ttl + 1] *)
         for ttl = 1 to max_ttl do
           send_probe t st ~key ~port ~ttl
         done)
@@ -147,19 +170,20 @@ let rec run_cycle t ~key st =
 
 let add_destination t dst =
   let key = Addr.to_int dst in
-  if not (Hashtbl.mem t.dsts key) then begin
+  if not (Int_table.mem t.dsts key) then begin
     let st =
       {
         dst;
         rng = Rng.split_named t.rng ("dst:" ^ string_of_int key);
-        pending = Det.create (Scheduler.mode t.sched) 64;
-        port_states = Det.create (Scheduler.mode t.sched) 32;
+        cycle_first = 0;
+        port_states = Int_table.create ~capacity:32 ~dummy:no_port;
+        traced = [];
         installed_ports = [];
         empty_cycles = 0;
         next_probe = 0;
       }
     in
-    Hashtbl.replace t.dsts key st;
+    Int_table.set t.dsts key st;
     (* Desynchronize the first cycle with a small deterministic jitter so
        daemons started at the same instant do not emit interleavable probe
        storms whose relative order a schedule perturbation could flip.
@@ -171,20 +195,19 @@ let add_destination t dst =
 
 let on_reply t (reply : Packet.probe_reply) =
   let key = reply.Packet.reply_probe_id lsr probe_id_bits in
-  match Hashtbl.find_opt t.dsts key with
-  | None -> ()
-  | Some st -> (
-    match Hashtbl.find_opt st.pending reply.Packet.reply_probe_id with
-    | None -> ()
-    | Some (port, ttl) -> (
-      Hashtbl.remove st.pending reply.Packet.reply_probe_id;
-      match Hashtbl.find_opt st.port_states port with
-      | None -> ()
-      | Some ps -> (
-        match reply.Packet.reply_hop with
-        | Some hop -> Hashtbl.replace ps.hops ttl hop
-        | None ->
-          if ps.reached_ttl < 0 || ttl < ps.reached_ttl then ps.reached_ttl <- ttl)))
+  let st = Int_table.find_default t.dsts key t.no_dst in
+  (* A cycle sends all its probes at once, numbered from [cycle_first]: a
+     reply whose id falls outside them (mod the id bits) answers an
+     earlier cycle.  A probe draws at most one reply. *)
+  let i = (reply.Packet.reply_probe_id - st.cycle_first) land probe_id_mask in
+  if i < st.next_probe - st.cycle_first then begin
+    let ttl = (i mod max_ttl) + 1 in
+    let ps = Int_table.find_default st.port_states reply.Packet.reply_port no_port in
+    if ps != no_port then
+      match reply.Packet.reply_hop with
+      | Some hop -> Int_table.set ps.hops ttl hop
+      | None -> if ps.reached_ttl < 0 || ttl < ps.reached_ttl then ps.reached_ttl <- ttl
+  end
 
 let answer_probe ~remaining_ttl (p : Packet.probe_info) =
   Packet.make ~size:64

@@ -112,7 +112,7 @@ let make_remote ~sched ~cfg ~fb_timer =
     weights = [||];
     discovering = false;
     fb_queue = Queue.create ();
-    last_relay = Int_table.create ~capacity:8 ~dummy:Sim_time.zero ();
+    last_relay = Int_table.create ~capacity:8 ~dummy:Sim_time.zero;
     fb_timer;
   }
 
@@ -488,17 +488,17 @@ let create ~route_epoch ~host ~stack ~scheme ~cfg ~rng () =
         relay_interval = Sim_time.mul_span cfg.Clove_config.rtt_estimate 0.5;
         feedback_deadline = Sim_time.mul_span cfg.Clove_config.rtt_estimate 2.0;
         rng;
-        remotes = Int_table.create ~capacity:16 ~dummy:no_remote ();
+        remotes = Int_table.create ~capacity:16 ~dummy:no_remote;
         no_remote;
         fb_expire = (fun hv -> fb_expire t hv);
         flowlets = Flowlet.create ~sched ~gap:cfg.Clove_config.flowlet_gap ~dummy:0;
-        presto_flows = Int_table.create ~capacity:64 ~dummy:no_presto_flow ();
+        presto_flows = Int_table.create ~capacity:64 ~dummy:no_presto_flow;
         no_presto_flow;
         presto_weight_fn = (fun _ -> 1.0);
         presto_rx =
           Presto_rx.create ~sched ~cfg ~deliver:(fun inner ->
               Transport.Stack.deliver stack inner);
-        reorder_seq = Int_table.create ~capacity:64 ~dummy:0 ();
+        reorder_seq = Int_table.create ~capacity:64 ~dummy:0;
         fifo = Fifo_check.create ~route_epoch;
         cur_tbl = no_remote.paths;
         cur_key = 0;

@@ -10,8 +10,9 @@
    Iteration visits slots in array order.  That order is a deterministic
    function of the insertion/removal history (the hash is a fixed integer
    mix, never salted per-run), but it is NOT sorted: callers whose
-   traversal has observable effects must use [sorted_keys]/[iter_sorted],
-   exactly as with [Det] over stdlib tables. *)
+   traversal has observable effects must use [sorted_keys]/[iter_sorted]
+   (clove-check's [sema-hashtbl-order] rule flags an [iter]/[fold] whose
+   closure has effects). *)
 
 type 'a t = {
   mutable keys : int array; (* [empty_key] marks a free slot *)
@@ -27,7 +28,7 @@ let empty_key = min_int
 
 let rec pow2_above n c = if c >= n then c else pow2_above n (c * 2)
 
-let create ?(capacity = 16) ~dummy () =
+let create ~capacity ~dummy =
   let cap = pow2_above (max capacity 2) 2 in
   {
     keys = Array.make cap empty_key;
@@ -94,42 +95,50 @@ let set t key value =
 
 (* Backward-shift deletion: close the hole by moving back any later entry
    of the probe chain whose home slot precedes the hole, so lookups never
-   need tombstones and long-lived tables do not accumulate them. *)
+   need tombstones and long-lived tables do not accumulate them.
+   [shift_back t hole j] shifts the chain from [j] and returns the hole
+   it leaves. *)
+let rec shift_back t hole j =
+  let k = t.keys.(j) in
+  if k = empty_key then hole
+  else begin
+    let next = (j + 1) land t.mask in
+    (* is [k]'s home slot outside the (hole, j] circular interval?  then
+       the entry at [j] may legally move back into the hole *)
+    if (j - slot_of t k) land t.mask >= (j - hole) land t.mask then begin
+      t.keys.(hole) <- k;
+      t.vals.(hole) <- t.vals.(j);
+      shift_back t j next
+    end
+    else shift_back t hole next
+  end
+
 let remove t key =
   let i = index t key in
   if i >= 0 then begin
     t.count <- t.count - 1;
-    let hole = ref i in
-    let j = ref ((i + 1) land t.mask) in
-    let continue = ref true in
-    while !continue do
-      let k = t.keys.(!j) in
-      if k = empty_key then continue := false
-      else begin
-        let home = slot_of t k in
-        (* is [home] outside the (hole, j] circular interval?  then the
-           entry at [j] may legally move back into the hole *)
-        let dist_home = (!j - home) land t.mask in
-        let dist_hole = (!j - !hole) land t.mask in
-        if dist_home >= dist_hole then begin
-          t.keys.(!hole) <- k;
-          t.vals.(!hole) <- t.vals.(!j);
-          hole := !j
-        end;
-        j := (!j + 1) land t.mask
-      end
-    done;
-    t.keys.(!hole) <- empty_key;
-    t.vals.(!hole) <- t.dummy
+    let hole = shift_back t i ((i + 1) land t.mask) in
+    t.keys.(hole) <- empty_key;
+    t.vals.(hole) <- t.dummy
   end
 
-let iter f t =
-  Array.iteri (fun i k -> if k <> empty_key then f k t.vals.(i)) t.keys
+(* slot-order traversals as loops over the slots from [i]: no closure
+   or ref cell, so a traversal allocates only what [f] does *)
+let rec iter_from f t i =
+  if i < Array.length t.keys then begin
+    let k = t.keys.(i) in
+    if k <> empty_key then f k t.vals.(i);
+    iter_from f t (i + 1)
+  end
 
-let fold f t init =
-  let acc = ref init in
-  Array.iteri (fun i k -> if k <> empty_key then acc := f k t.vals.(i) !acc) t.keys;
-  !acc
+let rec fold_from f t i acc =
+  if i = Array.length t.keys then acc
+  else
+    let k = t.keys.(i) in
+    fold_from f t (i + 1) (if k <> empty_key then f k t.vals.(i) acc else acc)
+
+let iter f t = iter_from f t 0
+let fold f t init = fold_from f t 0 init
 
 let sorted_keys t =
   fold (fun k _ acc -> k :: acc) t [] |> List.sort Int.compare

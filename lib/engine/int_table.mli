@@ -1,9 +1,10 @@
-(** Flat open-addressing table with [int] keys.
+(** Flat open-addressing table with [int] keys: the one table type of
+    simulator state (pair keys are packed into one int).
 
-    A drop-in replacement for stdlib [Hashtbl] on per-packet paths:
-    linear probing over a power-of-two array pair, no per-binding
-    allocation, allocation-free lookup via [find_default], and
-    tombstone-free deletion (backward-shift compaction).
+    A replacement for stdlib [Hashtbl]: linear probing over a
+    power-of-two array pair, no per-binding allocation, allocation-free
+    lookup via [find_default], and tombstone-free deletion
+    (backward-shift compaction).
 
     The caller supplies a [dummy] value used to pad empty slots, as with
     {!Event_queue}; the dummy is never returned by iteration.  One key is
@@ -11,12 +12,15 @@
 
     Iteration order is deterministic — a pure function of the operation
     history, with a fixed (never salted) hash — but unsorted; use
-    [sorted_keys] or [iter_sorted] when traversal order is observable. *)
+    [sorted_keys] or [iter_sorted] when traversal order is observable
+    (clove-check's [sema-hashtbl-order] rule flags an effectful [iter] or
+    [fold] closure). *)
 
 type 'a t
 
-val create : ?capacity:int -> dummy:'a -> unit -> 'a t
-(** [capacity] is rounded up to a power of two (default 16). *)
+val create : capacity:int -> dummy:'a -> 'a t
+(** [capacity] is rounded up to a power of two (at least 2); the table
+    doubles when more than 5/8 of it is full. *)
 
 val length : 'a t -> int
 val mem : 'a t -> int -> bool
@@ -38,7 +42,8 @@ val remove : 'a t -> int -> unit
 
 val iter : (int -> 'a -> unit) -> 'a t -> unit
 (** Slot order: deterministic but unsorted — effects must not care, or
-    use [iter_sorted]. *)
+    use [iter_sorted].  [iter] and [fold] allocate nothing themselves;
+    the table must not change during either. *)
 
 val fold : (int -> 'a -> 'acc -> 'acc) -> 'a t -> 'acc -> 'acc
 val sorted_keys : 'a t -> int list

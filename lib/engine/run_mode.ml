@@ -1,27 +1,15 @@
 type t = {
   tiebreak : Event_queue.tiebreak;
-  tbl_salt : int;
   audit : bool;
   shards : int;
   domains : int;
 }
 
 let default =
-  { tiebreak = Event_queue.Fifo; tbl_salt = 0; audit = false; shards = 1;
+  { tiebreak = Event_queue.Fifo; audit = false; shards = 1;
     domains = Domain_pool.default_domains () }
 
 let serial = { default with domains = 1 }
-
-let perturbed_size t n =
-  if t.tbl_salt = 0 then n
-  else begin
-    (* deterministic per-(size, salt) delta: tables of the same requested
-       size still diverge across salts, and a given (size, salt) pair is
-       stable so perturbed runs remain exactly reproducible *)
-    let h = (n * 0x9E3779B1) lxor (t.tbl_salt * 0x85EBCA77) in
-    let h = (h lxor (h lsr 13)) land 0xFF in
-    max 1 (n + 1 + (h mod 61))
-  end
 
 type transform = string * (t -> t)
 type outcome = { mode : string; digest : string; matches : bool }
@@ -32,8 +20,6 @@ let standard =
   [
     rerun;
     ("tiebreak-lifo", fun m -> { m with tiebreak = Event_queue.Lifo });
-    ("tbl-salt-3", fun m -> { m with tbl_salt = 3 });
-    ("tbl-salt-11", fun m -> { m with tbl_salt = 11 });
   ]
 
 let check_stability ?(modes = standard) run =

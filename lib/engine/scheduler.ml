@@ -81,7 +81,7 @@ type violation = { invariant : string; detail : string }
 type timer = int
 
 type t = {
-  mode : Run_mode.t;
+  audit : bool; (* the run mode's: guards every check *)
   mutable clock : Sim_time.t;
   mutable fired : int;
   queue : int Event_queue.t;
@@ -120,8 +120,7 @@ let double a fill =
   b
 
 let now t = t.clock
-let mode t = t.mode
-let audit t = t.mode.Run_mode.audit
+let audit t = t.audit
 
 let record_violation t ~invariant ~detail =
   t.n_violations <- t.n_violations + 1;
@@ -290,7 +289,7 @@ let fire_timer t id =
 let create ?(mode = Run_mode.default) () =
   let t =
     {
-      mode;
+      audit = mode.Run_mode.audit;
       clock = Sim_time.zero;
       fired = 0;
       queue = Event_queue.create ~tiebreak:mode.Run_mode.tiebreak ~dummy:0 ();
@@ -351,7 +350,7 @@ let step_prepared t =
     let time_ns = Event_queue.min_time_ns t.queue in
     t.cur_seq <- Event_queue.min_seq t.queue;
     let ev = Event_queue.pop_unsafe t.queue in
-    if t.mode.Run_mode.audit then check_clock t time_ns;
+    if t.audit then check_clock t time_ns;
     t.clock <- Sim_time.of_ns time_ns;
     t.fired <- t.fired + 1;
     if ev >= 0 then begin

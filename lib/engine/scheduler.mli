@@ -23,10 +23,7 @@ type t
 
 val create : ?mode:Run_mode.t -> unit -> t
 (** A scheduler running under [mode] ({!Run_mode.default}) for its whole
-    life: its queue's tie-break, the salt of its components' tables,
-    and whether it audits. *)
-
-val mode : t -> Run_mode.t
+    life: its queue's tie-break and whether it audits. *)
 
 (** {2 Runtime invariant auditor}
     Audited, the scheduler checks that dispatch times never decrease,

@@ -128,10 +128,10 @@ let simulate ~mode params ~load ~jobs_per_conn scheme plan =
 (* Mice slice: mice FCT tracks queueing and congestion directly, while
    whole-distribution averages are dominated by how many rare elephants
    each window happened to sample (the short pre-fault window sees almost
-   none).  Cutoff matches the scenario's 0.25x size scaling. *)
-let mice_of fct =
+   none).  The cutoff scales with the scenario's flow sizes. *)
+let mice_of params fct =
   Workload.Fct_stats.filter_size
-    ~max_size:(Workload.Fct_stats.mice_cutoff / 4)
+    ~max_size:(Scenario.scaled_cutoff params Workload.Fct_stats.mice_cutoff)
     fct
 
 (* [t_settle]: when the disruption stops changing — the plan's latest
@@ -170,10 +170,10 @@ type row = {
 (* Score one (sub-)plan's disruption window against a faulted run and
    its paired fault-free baseline — also how the per-tier breakdown
    scores each tier's own window within one run. *)
-let score ~plan ~fct ~base =
+let score ~params ~plan ~fct ~base =
   let t_fault, t_settle = windows_of plan in
-  let mice = mice_of fct in
-  let mice_base = mice_of base in
+  let mice = mice_of params fct in
+  let mice_base = mice_of params base in
   let pre = Workload.Fct_stats.window ~from:0.0 ~until:t_fault mice in
   let during = Workload.Fct_stats.window ~from:t_fault ~until:t_settle mice in
   let post = Workload.Fct_stats.window ~from:t_settle ~until:infinity mice in
@@ -239,7 +239,7 @@ let run_scheme opts scheme =
   let base, base_ledger = simulate [] in
   {
     r_scheme = scheme;
-    r_score = score ~plan:opts.plan ~fct ~base;
+    r_score = score ~params:opts.params ~plan:opts.plan ~fct ~base;
     r_fct = fct;
     r_base = base;
     r_ledger = Ledger.merge ledger base_ledger;
@@ -332,7 +332,7 @@ let tier_scorecard ~plan ~(params : Scenario.params) rows =
       List.iter
         (fun tier ->
           let sub = List.filter (fun ev -> tier_of ev = tier) plan in
-          let s = score ~plan:sub ~fct:r.r_fct ~base:r.r_base in
+          let s = score ~params ~plan:sub ~fct:r.r_fct ~base:r.r_base in
           Stats.Table.add_float_row table
             ~label:(Scenario.scheme_name r.r_scheme ^ ":" ^ tier)
             [

@@ -73,13 +73,9 @@ let fig4c opts =
     ~cases:(scheme_cases testbed_schemes asym_params)
     ~loads:default_loads ~metric:avg_fct ~metric_name:"avgFCT(s)" ~opts
 
-(* the scaled workload scales the mice/elephant cutoffs identically *)
-let scaled_cutoff params cutoff =
-  int_of_float (float_of_int cutoff *. params.Scenario.size_scale)
-
 (* Fig. 5a: avg FCT of <100 KB flows vs load, asymmetric *)
 let fig5a opts =
-  let cutoff = scaled_cutoff asym_params Workload.Fct_stats.mice_cutoff in
+  let cutoff = Scenario.scaled_cutoff asym_params Workload.Fct_stats.mice_cutoff in
   load_sweep ~id:"fig5a" ~title:"Avg FCT of <100KB flows vs load, asymmetric"
     ~paper_claim:"relative ordering as overall FCT; Edge-Flowlet 3.7x over ECMP at 70%"
     ~cases:(scheme_cases testbed_schemes asym_params) ~loads:default_loads
@@ -88,7 +84,7 @@ let fig5a opts =
 
 (* Fig. 5b: avg FCT of >10 MB flows vs load, asymmetric *)
 let fig5b opts =
-  let cutoff = scaled_cutoff asym_params Workload.Fct_stats.elephant_cutoff in
+  let cutoff = Scenario.scaled_cutoff asym_params Workload.Fct_stats.elephant_cutoff in
   load_sweep ~id:"fig5b" ~title:"Avg FCT of >10MB flows vs load, asymmetric"
     ~paper_claim:"larger spread than mice: Edge-Flowlet 4.1x over ECMP at 70%"
     ~cases:(scheme_cases testbed_schemes asym_params) ~loads:default_loads
@@ -202,7 +198,7 @@ let fig8b opts =
 let fig9 opts =
   let params = { ns2_params with Scenario.asymmetric = true } in
   let schemes = [ Scenario.S_ecmp; Scenario.S_clove_ecn; Scenario.S_conga ] in
-  let cutoff = scaled_cutoff params Workload.Fct_stats.mice_cutoff in
+  let cutoff = Scenario.scaled_cutoff params Workload.Fct_stats.mice_cutoff in
   let fcts =
     Sweep.websearch_points ~opts
       (List.map (fun scheme -> (scheme, params, 0.7)) schemes)

@@ -109,8 +109,8 @@ type t = {
   scheme : scheme;
   params : params;
   rng : Rng.t;
-  stacks : (int, Transport.Stack.t) Hashtbl.t;
-  vswitches : (int, Clove.Vswitch.t) Hashtbl.t;
+  stacks : Transport.Stack.t option array; (* indexed by node id *)
+  vswitches : Clove.Vswitch.t option array; (* indexed by node id *)
   conga : Fabric_lb.Conga.t option;
   caft : Fabric_lb.Caft.t option;
   dist : Stats.Cdf.t;
@@ -131,15 +131,18 @@ let params t = t.params
 let rng t = t.rng
 let size_dist t = t.dist
 
-let vswitch t host =
-  match Hashtbl.find_opt t.vswitches (Host.id host) with
-  | Some v -> v
-  | None -> invalid_arg "Scenario.vswitch: unknown host"
+let scaled_cutoff params cutoff =
+  int_of_float (float_of_int cutoff *. params.size_scale)
 
-let stack t host =
-  match Hashtbl.find_opt t.stacks (Host.id host) with
-  | Some s -> s
-  | None -> invalid_arg "Scenario.stack: unknown host"
+(* the entry of [host] in a per-host array indexed by node id *)
+let of_host what per_host host =
+  let id = Host.id host in
+  match if id >= 0 && id < Array.length per_host then per_host.(id) else None with
+  | Some x -> x
+  | None -> invalid_arg ("Scenario." ^ what ^ ": unknown host")
+
+let vswitch t host = of_host "vswitch" t.vswitches host
+let stack t host = of_host "stack" t.stacks host
 
 let total_leaves params = max 1 params.pods * params.leaves
 let client_leaves params = max 1 (total_leaves params / 2)
@@ -224,9 +227,7 @@ let build ?(mode = Run_mode.default) ?shards ~scheme params =
       round_robin spine_ids;
       round_robin core_ids;
       let partition =
-        Partition.plan ~topo ~nshards:width
-          ~shard_of_node:(fun id -> node_shard.(id))
-          ()
+        Partition.plan ~topo ~nshards:width ~shard_of_node:(fun id -> node_shard.(id))
       in
       let scheds = Array.init width (fun _ -> Scheduler.create ~mode ()) in
       Some (partition, scheds)
@@ -293,13 +294,14 @@ let build ?(mode = Run_mode.default) ?shards ~scheme params =
     | None -> cfg
     | Some every -> { cfg with Clove.Clove_config.probe_interval = every }
   in
-  let stacks = Det.create mode 64 and vswitches = Det.create mode 64 in
+  let n_nodes = Topology.node_count topo in
+  let stacks = Array.make n_nodes None and vswitches = Array.make n_nodes None in
   let route_epoch () = Fabric.reconvergences fabric in
   let degraded_spine = spine_ids.(1) in
   Array.iter
     (fun host ->
       let st = Transport.Stack.create () in
-      Hashtbl.replace stacks (Host.id host) st;
+      stacks.(Host.id host) <- Some st;
       let v =
         Clove.Vswitch.create ~route_epoch ~host ~stack:st ~scheme:(vswitch_scheme scheme)
           ~cfg:clove_cfg
@@ -314,7 +316,7 @@ let build ?(mode = Run_mode.default) ?shards ~scheme params =
               List.exists (fun h -> h.Packet.hop_node = degraded_spine) path
             in
             if through_degraded then 1.0 else 2.0);
-      Hashtbl.replace vswitches (Host.id host) v)
+      vswitches.(Host.id host) <- Some v)
     (Fabric.hosts fabric);
   let host_of_node id = Fabric.host_by_addr fabric (Addr.of_int id) in
   (* first half of the leaves hold clients, the rest servers; at the
@@ -488,6 +490,6 @@ let ledger t =
   Ledger.measure t.fabric ~scheds
 
 let quiesce t =
-  Det.iter_sorted ~compare:Int.compare (fun _ v -> Clove.Vswitch.stop v) t.vswitches;
-  Det.iter_sorted ~compare:Int.compare (fun _ s -> Transport.Stack.stop_all s) t.stacks;
+  Array.iter (Option.iter Clove.Vswitch.stop) t.vswitches;
+  Array.iter (Option.iter Transport.Stack.stop_all) t.stacks;
   match t.pdes with Some p -> Shard.shutdown p.shard | None -> ()

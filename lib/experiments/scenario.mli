@@ -138,6 +138,10 @@ val connect : t -> src:Host.t -> dst:Host.t -> Workload.Websearch.submit
 val size_dist : t -> Stats.Cdf.t
 (** The web-search distribution scaled by [size_scale]. *)
 
+val scaled_cutoff : params -> int -> int
+(** A flow-size cutoff (e.g. {!Workload.Fct_stats.mice_cutoff}) scaled by
+    [size_scale], as the workload's flow sizes are. *)
+
 val bisection_bps : t -> float
 (** Full (pre-failure) bisection bandwidth, the paper's load reference. *)
 

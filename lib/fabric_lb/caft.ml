@@ -32,7 +32,7 @@ type port_health = { mutable seen_drops : int; mutable bad_until : Sim_time.t }
 type state = {
   sw : Switch.t;
   flowlets : int Clove.Flowlet.t; (* decision = port id *)
-  health : (int, port_health) Hashtbl.t; (* port -> loss hold-down *)
+  health : port_health Int_table.t; (* port -> loss hold-down *)
   mutable decisions : int;
 }
 
@@ -41,14 +41,21 @@ type state = {
 let eps = 0.05
 let holddown = Sim_time.ms 50
 
+(* the dummy of every [health] table: never mutated, never returned *)
+let no_health = { seen_drops = -1; bad_until = Sim_time.zero }
+
 type t = {
   fabric : Fabric.t;
-  states : (int, state) Hashtbl.t; (* switch node id *)
-  leaf_of_host : (int, int) Hashtbl.t; (* host node id -> leaf node id *)
-  cap : (int * int, float) Hashtbl.t; (* (node, dst_leaf) -> bps *)
-  mutable leaf_ids : int list; (* destination leaves, sorted *)
+  n_nodes : int;
+  states : state array; (* one per switch *)
+  leaf_of_host : int Int_table.t; (* host node id -> leaf node id *)
+  cap : float Int_table.t; (* [cap_key node dst_leaf] -> bps; absent = 0 *)
+  leaf_ids : int list; (* destination leaves, sorted *)
   mutable reweights : int;
 }
+
+let cap_key t node dst_leaf = (node * t.n_nodes) + dst_leaf
+let capacity t node dst_leaf = Int_table.find_default t.cap (cap_key t node dst_leaf) 0.0
 
 (* ---------------------------- reweighting -------------------------- *)
 
@@ -57,23 +64,20 @@ type t = {
    dist-decreasing neighbor is already final when a node is summed *)
 let reweight t =
   let topo = Fabric.topology t.fabric in
-  Hashtbl.reset t.cap;
+  Int_table.clear t.cap;
   List.iter
     (fun dst_leaf ->
-      let dist = Routing.distances ~mode:(Fabric.mode t.fabric) topo ~dst:dst_leaf in
-      let by_dist = ref [] in
-      Det.iter_sorted ~compare:Int.compare
-        (fun u du ->
-          if u <> dst_leaf && not (Topology.is_host topo u) then
-            by_dist := (du, u) :: !by_dist)
-        dist;
+      let dist = Routing.distances topo ~dst:dst_leaf in
       let ordered =
-        List.sort
-          (fun (d1, u1) (d2, u2) ->
-            match Int.compare d1 d2 with 0 -> Int.compare u1 u2 | c -> c)
-          !by_dist
+        Int_table.fold
+          (fun u du acc ->
+            if u <> dst_leaf && not (Topology.is_host topo u) then (du, u) :: acc
+            else acc)
+          dist []
+        |> List.sort (fun (d1, u1) (d2, u2) ->
+               match Int.compare d1 d2 with 0 -> Int.compare u1 u2 | c -> c)
       in
-      Hashtbl.replace t.cap (dst_leaf, dst_leaf) infinity;
+      Int_table.set t.cap (cap_key t dst_leaf dst_leaf) infinity;
       List.iter
         (fun (du, u) ->
           let c =
@@ -82,15 +86,12 @@ let reweight t =
                 if e.Topology.failed then acc
                 else
                   let v = if e.Topology.a = u then e.Topology.b else e.Topology.a in
-                  match Hashtbl.find_opt dist v with
-                  | Some dv when dv = du - 1 -> (
-                    match Hashtbl.find_opt t.cap (v, dst_leaf) with
-                    | Some cv -> acc +. Float.min e.Topology.rate_bps cv
-                    | None -> acc)
-                  | _ -> acc)
+                  if Int_table.find_default dist v (-1) = du - 1 then
+                    acc +. Float.min e.Topology.rate_bps (capacity t v dst_leaf)
+                  else acc)
               0.0 (Topology.edges_of topo u)
           in
-          if c > 0.0 then Hashtbl.replace t.cap (u, dst_leaf) c)
+          if c > 0.0 then Int_table.set t.cap (cap_key t u dst_leaf) c)
         ordered)
     t.leaf_ids;
   t.reweights <- t.reweights + 1
@@ -111,18 +112,19 @@ let congestion sw port =
 let port_gray st port =
   let link = Switch.port_link st.sw port in
   let drops = Link.down_drops link + Link.brownout_drops link in
-  match Hashtbl.find_opt st.health port with
-  | None ->
-    Hashtbl.replace st.health port
-      { seen_drops = drops; bad_until = Sim_time.zero };
+  let h = Int_table.find_default st.health port no_health in
+  if h == no_health then begin
+    Int_table.set st.health port { seen_drops = drops; bad_until = Sim_time.zero };
     false
-  | Some h ->
+  end
+  else begin
     let now = Scheduler.now (Switch.sched st.sw) in
     if drops > h.seen_drops then begin
       h.seen_drops <- drops;
       h.bad_until <- Sim_time.add now holddown
     end;
     Sim_time.( < ) now h.bad_until
+  end
 
 let choose t st ~dst_leaf ~candidates =
   st.decisions <- st.decisions + 1;
@@ -131,9 +133,7 @@ let choose t st ~dst_leaf ~candidates =
     (fun port ->
       let peer = Switch.port_peer st.sw port in
       let w =
-        match Hashtbl.find_opt t.cap (peer, dst_leaf) with
-        | Some c -> Float.min (Link.rate_bps (Switch.port_link st.sw port)) c
-        | None -> 0.0
+        Float.min (Link.rate_bps (Switch.port_link st.sw port)) (capacity t peer dst_leaf)
       in
       if w > 0.0 then begin
         let cong =
@@ -155,57 +155,51 @@ let picker t st _sw ~in_port pkt ~candidates =
   if n = 1 then candidates.(0)
   else
     let dst = Packet.route_dst pkt in
-    match Hashtbl.find_opt t.leaf_of_host (Addr.to_int dst) with
-    | Some dst_leaf ->
+    let dst_leaf = Int_table.find_default t.leaf_of_host (Addr.to_int dst) (-1) in
+    if dst_leaf >= 0 then
       Flowlet_route.route st.flowlets pkt ~candidates ~choose:(fun () ->
           choose t st ~dst_leaf ~candidates)
-    | None ->
-      candidates.(Ecmp_hash.select ~seed:(Switch.id st.sw) pkt ~n)
+    else candidates.(Ecmp_hash.select ~seed:(Switch.id st.sw) pkt ~n)
 
 (* ----------------------------- install ----------------------------- *)
 
 let install ?(flowlet_gap = Sim_time.us 500) fabric =
-  let t =
-    {
-      fabric;
-      states = Det.create (Fabric.mode fabric) 16;
-      leaf_of_host = Flowlet_route.leaf_of_host fabric;
-      cap = Det.create (Fabric.mode fabric) 256;
-      leaf_ids = [];
-      reweights = 0;
-    }
-  in
-  (* destination set: exactly the leaves that terminate hosts *)
-  let leaves = Hashtbl.create 16 in
-  Det.iter_sorted ~compare:Int.compare
-    (fun _ leaf -> Hashtbl.replace leaves leaf ())
-    t.leaf_of_host;
-  t.leaf_ids <-
-    List.sort Int.compare (Hashtbl.fold (fun l () acc -> l :: acc) leaves []);
-  Array.iter
-    (fun sw ->
-      let st =
+  let leaf_of_host = Flowlet_route.leaf_of_host fabric in
+  let states =
+    Array.map
+      (fun sw ->
         {
           sw;
           flowlets = Flowlet_route.table sw ~gap:flowlet_gap;
-          health = Det.create (Fabric.mode fabric) 8;
+          health = Int_table.create ~capacity:8 ~dummy:no_health;
           decisions = 0;
-        }
-      in
-      Hashtbl.replace t.states (Switch.id sw) st;
-      Switch.set_picker sw (picker t st))
-    (Fabric.switches fabric);
+        })
+      (Fabric.switches fabric)
+  in
+  let t =
+    {
+      fabric;
+      n_nodes = Topology.node_count (Fabric.topology fabric);
+      states;
+      leaf_of_host;
+      cap = Int_table.create ~capacity:256 ~dummy:0.0;
+      (* destination set: exactly the leaves that terminate hosts *)
+      leaf_ids =
+        Int_table.fold (fun _ leaf acc -> leaf :: acc) leaf_of_host []
+        |> List.sort_uniq Int.compare;
+      reweights = 0;
+    }
+  in
+  Array.iter (fun st -> Switch.set_picker st.sw (picker t st)) states;
   reweight t;
   Fabric.set_reconverge_hook fabric (fun () -> reweight t);
   t
 
 let flowlets_started t =
-  Hashtbl.fold
-    (fun _ st acc -> acc + Clove.Flowlet.flowlets_started st.flowlets)
-    t.states 0
+  Array.fold_left
+    (fun acc st -> acc + Clove.Flowlet.flowlets_started st.flowlets)
+    0 t.states
 
-let decisions t = Hashtbl.fold (fun _ st acc -> acc + st.decisions) t.states 0
+let decisions t = Array.fold_left (fun acc st -> acc + st.decisions) 0 t.states
 let reweights t = t.reweights
-
-let capacity_to t ~node ~dst_leaf =
-  match Hashtbl.find_opt t.cap (node, dst_leaf) with Some c -> c | None -> 0.0
+let capacity_to t ~node ~dst_leaf = capacity t node dst_leaf

@@ -4,10 +4,10 @@ type leaf_state = {
   sw : Switch.t;
   lsched : Scheduler.t; (* the leaf's own clock: shard-local under PDES *)
   uplinks : int array; (* port ids; lbtag = index *)
-  lbtag_of_port : (int, int) Hashtbl.t;
-  cong_to : (int * int, metric) Hashtbl.t; (* (dst_leaf, lbtag) *)
-  cong_from : (int * int, metric) Hashtbl.t; (* (src_leaf, lbtag) *)
-  fb_ptr : (int, int) Hashtbl.t; (* dst_leaf -> next lbtag to piggyback *)
+  lbtag_of_port : int Int_table.t; (* absent = -1 *)
+  cong_to : metric Int_table.t; (* [metric_key dst_leaf lbtag] *)
+  cong_from : metric Int_table.t; (* [metric_key src_leaf lbtag] *)
+  fb_ptr : int Int_table.t; (* dst_leaf -> next lbtag to piggyback *)
   flowlets : int Clove.Flowlet.t; (* decision = port id *)
   mutable decisions : int;
 }
@@ -17,25 +17,32 @@ type leaf_state = {
 let metric_age = Sim_time.ms 10
 
 type t = {
-  leaves : (int, leaf_state) Hashtbl.t; (* leaf node id *)
-  leaf_of_host : (int, int) Hashtbl.t; (* host node id -> leaf node id *)
+  leaves : leaf_state list;
+  leaf_of_host : int Int_table.t; (* host node id -> leaf node id *)
 }
+
+(* a (leaf, lbtag) pair as one key: an LBTag indexes a leaf's uplinks *)
+let metric_key leaf lbtag = (leaf lsl 16) lor lbtag
+
+(* the dummy of every metric table: never mutated, never returned *)
+let no_metric = { value = 0.0; stamp = Sim_time.zero }
 
 (* metric stamps read and write the owning leaf's clock, so all state a
    leaf touches stays on its shard *)
 let read_metric ls tbl key =
-  match Hashtbl.find_opt tbl key with
-  | None -> 0.0
-  | Some m ->
-    if Sim_time.(Scheduler.now ls.lsched >= add m.stamp metric_age) then 0.0
-    else m.value
+  let m = Int_table.find_default tbl key no_metric in
+  if m == no_metric then 0.0
+  else if Sim_time.(Scheduler.now ls.lsched >= add m.stamp metric_age) then 0.0
+  else m.value
 
 let write_metric ls tbl key v =
-  match Hashtbl.find_opt tbl key with
-  | Some m ->
+  let m = Int_table.find_default tbl key no_metric in
+  if m == no_metric then
+    Int_table.set tbl key { value = v; stamp = Scheduler.now ls.lsched }
+  else begin
     m.value <- v;
     m.stamp <- Scheduler.now ls.lsched
-  | None -> Hashtbl.replace tbl key { value = v; stamp = Scheduler.now ls.lsched }
+  end
 
 (* destination-leaf processing: learn from arriving metadata *)
 let absorb ls pkt =
@@ -43,10 +50,13 @@ let absorb ls pkt =
   | None -> ()
   | Some md ->
     if md.Packet.dst_leaf = Switch.id ls.sw then begin
-      write_metric ls ls.cong_from (md.Packet.src_leaf, md.Packet.lbtag)
+      write_metric ls ls.cong_from
+        (metric_key md.Packet.src_leaf md.Packet.lbtag)
         pkt.Packet.int_util;
       if md.Packet.fb_lbtag >= 0 then
-        write_metric ls ls.cong_to (md.Packet.src_leaf, md.Packet.fb_lbtag) md.Packet.fb_ce
+        write_metric ls ls.cong_to
+          (metric_key md.Packet.src_leaf md.Packet.fb_lbtag)
+          md.Packet.fb_ce
     end
 
 let pick_feedback ls ~dst_leaf =
@@ -54,9 +64,9 @@ let pick_feedback ls ~dst_leaf =
   let n = Array.length ls.uplinks in
   if n = 0 then (-1, 0.0)
   else begin
-    let ptr = match Hashtbl.find_opt ls.fb_ptr dst_leaf with Some p -> p | None -> 0 in
-    Hashtbl.replace ls.fb_ptr dst_leaf ((ptr + 1) mod n);
-    (ptr, read_metric ls ls.cong_from (dst_leaf, ptr))
+    let ptr = Int_table.find_default ls.fb_ptr dst_leaf 0 in
+    Int_table.set ls.fb_ptr dst_leaf ((ptr + 1) mod n);
+    (ptr, read_metric ls ls.cong_from (metric_key dst_leaf ptr))
   end
 
 let choose_uplink ls ~dst_leaf ~candidates =
@@ -65,16 +75,16 @@ let choose_uplink ls ~dst_leaf ~candidates =
   let best_port = ref candidates.(0) and best_cost = ref infinity in
   Array.iter
     (fun port ->
-      match Hashtbl.find_opt ls.lbtag_of_port port with
-      | None -> ()
-      | Some tag ->
+      let tag = Int_table.find_default ls.lbtag_of_port port (-1) in
+      if tag >= 0 then begin
         let local = Link.utilization (Switch.port_link ls.sw port) in
-        let remote = read_metric ls ls.cong_to (dst_leaf, tag) in
+        let remote = read_metric ls ls.cong_to (metric_key dst_leaf tag) in
         let cost = Float.max local remote in
         if cost < !best_cost then begin
           best_cost := cost;
           best_port := port
-        end)
+        end
+      end)
     candidates;
   !best_port
 
@@ -82,13 +92,13 @@ let leaf_picker t ls _sw ~in_port pkt ~candidates =
   ignore in_port;
   absorb ls pkt;
   let dst = Packet.route_dst pkt in
-  match Hashtbl.find_opt t.leaf_of_host (Addr.to_int dst) with
-  | Some dst_leaf when dst_leaf <> Switch.id ls.sw && Array.length candidates > 0 ->
+  let dst_leaf = Int_table.find_default t.leaf_of_host (Addr.to_int dst) (-1) in
+  if dst_leaf >= 0 && dst_leaf <> Switch.id ls.sw && Array.length candidates > 0 then begin
     let port =
       Flowlet_route.route ls.flowlets pkt ~candidates ~choose:(fun () ->
           choose_uplink ls ~dst_leaf ~candidates)
     in
-    let lbtag = match Hashtbl.find_opt ls.lbtag_of_port port with Some i -> i | None -> 0 in
+    let lbtag = Int_table.find_default ls.lbtag_of_port port 0 in
     let fb_lbtag, fb_ce = pick_feedback ls ~dst_leaf in
     pkt.Packet.conga <-
       Some
@@ -104,56 +114,56 @@ let leaf_picker t ls _sw ~in_port pkt ~candidates =
     pkt.Packet.int_enabled <- true;
     pkt.Packet.int_util <- 0.0;
     port
-  | _ ->
-    (* local delivery (or unknown): default single-path/ECMP behaviour *)
-    if Array.length candidates = 1 then candidates.(0)
-    else candidates.(Ecmp_hash.select ~seed:(Switch.id ls.sw) pkt ~n:(Array.length candidates))
+  end
+  (* local delivery (or unknown): default single-path/ECMP behaviour *)
+  else if Array.length candidates = 1 then candidates.(0)
+  else candidates.(Ecmp_hash.select ~seed:(Switch.id ls.sw) pkt ~n:(Array.length candidates))
 
 let install ?(flowlet_gap = Sim_time.us 500) fabric =
   let topo = Fabric.topology fabric in
-  let t =
-    { leaves = Hashtbl.create 8; leaf_of_host = Flowlet_route.leaf_of_host fabric }
+  let leaf_state sw =
+    let uplinks =
+      List.filter
+        (fun p -> not (Topology.is_host topo (Switch.port_peer sw p)))
+        (List.init (Switch.port_count sw) (fun i -> i))
+      |> Array.of_list
+    in
+    let lbtag_of_port = Int_table.create ~capacity:8 ~dummy:(-1) in
+    Array.iteri (fun tag port -> Int_table.set lbtag_of_port port tag) uplinks;
+    {
+      sw;
+      lsched = Switch.sched sw;
+      uplinks;
+      lbtag_of_port;
+      cong_to = Int_table.create ~capacity:32 ~dummy:no_metric;
+      cong_from = Int_table.create ~capacity:32 ~dummy:no_metric;
+      fb_ptr = Int_table.create ~capacity:8 ~dummy:0;
+      flowlets = Flowlet_route.table sw ~gap:flowlet_gap;
+      decisions = 0;
+    }
   in
-  Array.iter
-    (fun sw ->
-      match Switch.level sw with
-      | Switch.Spine | Switch.Core_sw -> ()
-      | Switch.Leaf ->
-        let uplinks =
-          List.filter
-            (fun p -> not (Topology.is_host topo (Switch.port_peer sw p)))
-            (List.init (Switch.port_count sw) (fun i -> i))
-          |> Array.of_list
-        in
-        let lbtag_of_port = Hashtbl.create 8 in
-        Array.iteri (fun tag port -> Hashtbl.replace lbtag_of_port port tag) uplinks;
-        let ls =
-          {
-            sw;
-            lsched = Switch.sched sw;
-            uplinks;
-            lbtag_of_port;
-            cong_to = Hashtbl.create 32;
-            cong_from = Hashtbl.create 32;
-            fb_ptr = Hashtbl.create 8;
-            flowlets = Flowlet_route.table sw ~gap:flowlet_gap;
-            decisions = 0;
-          }
-        in
-        Hashtbl.replace t.leaves (Switch.id sw) ls;
-        Switch.set_picker sw (leaf_picker t ls))
-    (Fabric.switches fabric);
+  let leaves =
+    List.filter_map
+      (fun sw ->
+        match Switch.level sw with
+        | Switch.Leaf -> Some (leaf_state sw)
+        | Switch.Spine | Switch.Core_sw -> None)
+      (Array.to_list (Fabric.switches fabric))
+  in
+  let t = { leaves; leaf_of_host = Flowlet_route.leaf_of_host fabric } in
+  List.iter (fun ls -> Switch.set_picker ls.sw (leaf_picker t ls)) leaves;
   t
 
 let flowlets_started t =
-  Hashtbl.fold (fun _ ls acc -> acc + Clove.Flowlet.flowlets_started ls.flowlets) t.leaves 0
+  List.fold_left
+    (fun acc ls -> acc + Clove.Flowlet.flowlets_started ls.flowlets)
+    0 t.leaves
 
-let decisions t =
-  Hashtbl.fold (fun _ ls acc -> acc + ls.decisions) t.leaves 0
+let decisions t = List.fold_left (fun acc ls -> acc + ls.decisions) 0 t.leaves
 
 let cong_to_leaf t ~leaf ~dst_leaf =
-  match Hashtbl.find_opt t.leaves leaf with
+  match List.find_opt (fun ls -> Switch.id ls.sw = leaf) t.leaves with
   | None -> [||]
   | Some ls ->
-    Array.mapi (fun tag _ -> read_metric ls ls.cong_to (dst_leaf, tag)) ls.uplinks
+    Array.mapi (fun tag _ -> read_metric ls ls.cong_to (metric_key dst_leaf tag)) ls.uplinks
 

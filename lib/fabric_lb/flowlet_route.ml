@@ -1,11 +1,11 @@
 let leaf_of_host fabric =
   let topo = Fabric.topology fabric in
-  let tbl = Det.create (Fabric.mode fabric) 64 in
+  let tbl = Int_table.create ~capacity:64 ~dummy:(-1) in
   Array.iter
     (fun h ->
       let hid = Host.id h in
       match Topology.live_neighbors topo hid with
-      | leaf :: _ -> Hashtbl.replace tbl hid leaf
+      | leaf :: _ -> Int_table.set tbl hid leaf
       | [] -> ())
     (Fabric.hosts fabric);
   tbl

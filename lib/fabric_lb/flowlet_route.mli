@@ -2,9 +2,10 @@
     CAFT): each keeps only its chooser, and this module keeps the flowlet
     table, the flow key and the failure re-pick. *)
 
-val leaf_of_host : Fabric.t -> (int, int) Hashtbl.t
+val leaf_of_host : Fabric.t -> int Int_table.t
 (** Host node id -> the leaf it hangs off (its first live neighbor);
-    hosts with no live neighbor are absent. *)
+    hosts with no live neighbor are absent (the table's dummy is
+    [-1]). *)
 
 val table : Switch.t -> gap:Sim_time.span -> int Clove.Flowlet.t
 (** An empty flowlet table of port ids on the switch's own clock: the

@@ -5,7 +5,6 @@ type config = { ecn_threshold_pkts : int; seed : int }
 let default_config = { ecn_threshold_pkts = 20; seed = 42 }
 
 type t = {
-  mode : Run_mode.t; (* the control scheduler's *)
   topo : Topology.t;
   entities : entity array;  (* indexed by node id *)
   hosts : Host.t array;
@@ -16,7 +15,6 @@ type t = {
 }
 
 let topology t = t.topo
-let mode t = t.mode
 let hosts t = t.hosts
 
 let host_by_addr t addr =
@@ -97,7 +95,6 @@ let create ?sched_of_node ~sched ~config topo =
     edges;
   let t =
     {
-      mode = Scheduler.mode sched;
       topo;
       entities;
       hosts = Array.of_list (List.rev !hosts);
@@ -114,12 +111,12 @@ let program_routes t =
   Array.iter
     (fun h ->
       let dst = Host.id h in
-      let nh = Routing.next_hops ~mode:t.mode t.topo ~dst in
+      let nh = Routing.next_hops t.topo ~dst in
       Array.iter
         (fun sw ->
-          match Hashtbl.find_opt nh (Switch.id sw) with
-          | None -> ()
-          | Some peers ->
+          match Int_table.find_default nh (Switch.id sw) [] with
+          | [] -> ()
+          | peers ->
             let ports =
               List.concat_map (fun peer -> Switch.ports_to_peer sw ~peer) peers
               |> List.filter (fun p -> Link.up (Switch.port_link sw p))
@@ -140,20 +137,6 @@ let reconverge t =
   t.reconvergences <- t.reconvergences + 1;
   match t.reconverge_hook with Some f -> f () | None -> ()
 
-let fail_edge t e =
-  Topology.fail_edge t.topo e;
-  let l_ab, l_ba = links_of_edge t e in
-  Link.set_up l_ab false;
-  Link.set_up l_ba false;
-  reconverge t
-
-let restore_edge t e =
-  Topology.restore_edge t.topo e;
-  let l_ab, l_ba = links_of_edge t e in
-  Link.set_up l_ab true;
-  Link.set_up l_ba true;
-  reconverge t
-
 let set_edge_brownout t e ~capacity_frac ~loss_prob ~rng =
   let l_ab, l_ba = links_of_edge t e in
   (* one substream per direction, keyed on the link label so the loss
@@ -172,27 +155,27 @@ let live_incident_edges t node =
   List.filter (fun (e : Topology.edge) -> not e.Topology.failed)
     (Topology.edges_of t.topo node)
 
-let fail_switch t node =
-  let failed = live_incident_edges t node in
+(* take [edges] down ([up = false]) or back up, both directions of
+   each, then reconverge once *)
+let set_edges t edges ~up =
   List.iter
     (fun (e : Topology.edge) ->
-      Topology.fail_edge t.topo e;
+      if up then Topology.restore_edge t.topo e else Topology.fail_edge t.topo e;
       let l_ab, l_ba = links_of_edge t e in
-      Link.set_up l_ab false;
-      Link.set_up l_ba false)
-    failed;
-  reconverge t;
-  failed
-
-let restore_edges t edges =
-  List.iter
-    (fun (e : Topology.edge) ->
-      Topology.restore_edge t.topo e;
-      let l_ab, l_ba = links_of_edge t e in
-      Link.set_up l_ab true;
-      Link.set_up l_ba true)
+      Link.set_up l_ab up;
+      Link.set_up l_ba up)
     edges;
   reconverge t
+
+let fail_edge t e = set_edges t [ e ] ~up:false
+let restore_edge t e = set_edges t [ e ] ~up:true
+
+let fail_switch t node =
+  let failed = live_incident_edges t node in
+  set_edges t failed ~up:false;
+  failed
+
+let restore_edges t edges = set_edges t edges ~up:true
 
 let fold_queues t f init =
   Array.fold_left

@@ -30,8 +30,6 @@ val create :
 
 val topology : t -> Topology.t
 
-val mode : t -> Run_mode.t  (** the control scheduler's *)
-
 val hosts : t -> Host.t array
 (** In creation order; [Host.addr] equals the topology node id. *)
 

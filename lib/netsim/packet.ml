@@ -75,7 +75,6 @@ type payload =
   | Probe_reply of probe_reply
 
 type t = {
-  mutable uid : int;
   mutable size : int;
   mutable ttl : int;
   mutable ecn : ecn;
@@ -99,31 +98,6 @@ type t = {
 let stt_port = 7471
 let inner_header_bytes = 40
 let encap_header_bytes = 58
-(* Uids are only ever read for pretty-printing and audit labels, so
-   their cross-domain interleaving is behavior-irrelevant — but the old
-   per-packet [Atomic.fetch_and_add] bounced a cache line between
-   domains on every allocation in parallel sweeps.  Each domain now
-   draws a block of 4096 uids at a time and hands them out locally:
-   uids stay globally unique, the shared counter is touched once per
-   block, and a single-domain run still sees the exact historical
-   1, 2, 3, … sequence. *)
-let uid_counter = Atomic.make 0
-let uid_block = 4096
-
-type uid_cursor = { mutable next_uid : int; mutable uid_limit : int }
-
-let uid_key = Domain.DLS.new_key (fun () -> { next_uid = 0; uid_limit = 0 })
-
-let fresh_uid () =
-  let c = Domain.DLS.get uid_key in
-  if c.next_uid = c.uid_limit then begin
-    c.next_uid <- Atomic.fetch_and_add uid_counter uid_block;
-    c.uid_limit <- c.next_uid + uid_block
-  end;
-  let u = c.next_uid in
-  c.next_uid <- u + 1;
-  u + 1
-
 let fresh_encap () =
   let a = Addr.of_int 0 in
   {
@@ -138,7 +112,6 @@ let fresh_encap () =
 let make ?(ttl = 64) ~size payload =
   let cached_encap = fresh_encap () in
   {
-    uid = fresh_uid ();
     size;
     ttl;
     ecn = Not_ect;
@@ -167,13 +140,11 @@ let install_encap t ~src_hv ~dst_hv ~src_port ~feedback ~cell =
   e.cell <- cell;
   t.encap <- t.cached_encap_some
 
-(* pads rings and in-flight slots on the defunctionalized event path;
-   built without [fresh_uid] so padding never perturbs the uid stream *)
+(* pads rings and in-flight slots on the defunctionalized event path *)
 let placeholder =
   let a = Addr.of_int 0 in
   let cached_encap = fresh_encap () in
   {
-    uid = -1;
     size = 0;
     ttl = 0;
     ecn = Not_ect;
@@ -252,5 +223,5 @@ let pp fmt t =
     | Probe _ -> "probe"
     | Probe_reply _ -> "probe-reply"
   in
-  Format.fprintf fmt "#%d %s %dB ttl=%d ecn=%a dst=%a" t.uid kind t.size t.ttl pp_ecn
+  Format.fprintf fmt "%s %dB ttl=%d ecn=%a dst=%a" kind t.size t.ttl pp_ecn
     t.ecn Addr.pp (route_dst t)

@@ -112,7 +112,6 @@ type payload =
   | Probe_reply of probe_reply
 
 type t = {
-  mutable uid : int;  (** unique per logical packet; refreshed on pool reuse *)
   mutable size : int;  (** wire size in bytes, for link occupancy *)
   mutable ttl : int;
   mutable ecn : ecn;  (** outer IP ECN codepoint (fabric-visible) *)
@@ -139,20 +138,12 @@ val stt_port : int
 val inner_header_bytes : int
 val encap_header_bytes : int
 
-val fresh_uid : unit -> int
-(** Next packet uid; used by [Packet_pool] when recycling a packet so a
-    reused record is still distinguishable in logs and audit output.
-    Uids come from domain-local blocks drawn off one global counter, so
-    they are globally unique without bouncing a cache line per packet in
-    parallel sweeps; a single-domain run sees the sequential stream. *)
-
 val make : ?ttl:int -> size:int -> payload -> t
-(** Allocates a packet with a fresh [uid]; [size] is the wire size. *)
+(** Allocates a packet; [size] is the wire size. *)
 
 val placeholder : t
-(** Inert padding packet (uid [-1]) for rings and in-flight slots on the
-    defunctionalized event path.  Never transmitted; constructed without
-    consuming a uid so padding does not perturb the uid stream. *)
+(** Inert padding packet for rings and in-flight slots on the
+    defunctionalized event path.  Never transmitted. *)
 
 val make_tenant :
   src:Addr.t -> dst:Addr.t -> seg:tcp_seg -> t

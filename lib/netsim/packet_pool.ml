@@ -21,8 +21,7 @@
 
    Correctness invariants:
    - [acquire_tenant] resets every mutable field, so a recycled packet
-     is indistinguishable from [Packet.make_tenant]'s output except for
-     its (fresh) uid.
+     is indistinguishable from [Packet.make_tenant]'s output.
    - [release] must only be called once the packet and its inner are
      provably dead: the vswitch releases on the two [Stack.deliver]
      paths, but NOT on the flowcell path, where [Presto_rx] retains the
@@ -91,7 +90,6 @@ let acquire_tenant ~src ~dst ~conn_id ~subflow ~src_port ~dst_port ~seq ~ack
       inner.Packet.src <- src;
       inner.Packet.dst <- dst;
       inner.Packet.inner_ecn <- Packet.Not_ect;
-      pkt.Packet.uid <- Packet.fresh_uid ();
       pkt.Packet.size <- payload + Packet.inner_header_bytes;
       pkt.Packet.ttl <- 64;
       pkt.Packet.ecn <- Packet.Not_ect;

@@ -25,7 +25,7 @@ val acquire_tenant :
   Packet.t
 (** A tenant packet with every field (re)initialized, recycled from the
     free list when possible and freshly allocated otherwise.
-    Behaviorally identical to [Packet.make_tenant] with a fresh uid. *)
+    Behaviorally identical to [Packet.make_tenant]. *)
 
 val release : Packet.t -> unit
 (** Return a tenant packet to the current domain's free list.  The caller

@@ -45,7 +45,7 @@ let shard_of_node t node =
     invalid_arg "Partition.shard_of_node: unknown node";
   t.shard_of_node.(node)
 
-let plan ~topo ~nshards ~shard_of_node ?window () =
+let plan ~topo ~nshards ~shard_of_node =
   if nshards < 1 then invalid_arg "Partition.plan: nshards must be >= 1";
   let nodes = Topology.nodes topo in
   let shards =
@@ -65,44 +65,22 @@ let plan ~topo ~nshards ~shard_of_node ?window () =
       (Topology.edges topo)
   in
   let window_ns =
-    match window with
-    | Some w ->
-      (* window math is integer ns throughout — lint: allow sema-time-boundary *)
-      let w = Sim_time.span_ns w in
+    match cross with
+    (* single shard: any horizon — lint: allow sema-time-boundary *)
+    | [] -> Sim_time.span_ns (Sim_time.ms 1)
+    | _ ->
+      let w =
+        List.fold_left
+          (fun acc ((e : Topology.edge), _, _) ->
+            (* lookahead = least cut-link latency, in ns — lint: allow sema-time-boundary *)
+            min acc (Sim_time.span_ns e.Topology.delay))
+          max_int cross
+      in
       if w <= 0 then
-        invalid_arg "Partition.plan: lookahead window must be positive";
-      (* every cut link must cover the requested lookahead, or events
-         could cross between shards inside a window *)
-      List.iter
-        (fun ((e : Topology.edge), _, _) ->
-          (* cut-link latency in the window's integer ns — lint: allow sema-time-boundary *)
-          let d = Sim_time.span_ns e.Topology.delay in
-          if d < w then
-            invalid_arg
-              (Printf.sprintf
-                 "Partition.plan: cross-shard link n%d-n%d/%d has latency \
-                  %dns, below the %dns lookahead window — a shard boundary \
-                  may only cut links whose latency covers the window"
-                 e.Topology.a e.Topology.b e.Topology.bundle_index d w))
-        cross;
+        invalid_arg
+          "Partition.plan: a cross-shard link has zero latency — no \
+           positive lookahead window exists for this cut";
       w
-    | None -> (
-      match cross with
-      (* single shard: any horizon — lint: allow sema-time-boundary *)
-      | [] -> Sim_time.span_ns (Sim_time.ms 1)
-      | _ ->
-        let w =
-          List.fold_left
-            (fun acc ((e : Topology.edge), _, _) ->
-              (* lookahead = least cut-link latency, in ns — lint: allow sema-time-boundary *)
-              min acc (Sim_time.span_ns e.Topology.delay))
-            max_int cross
-        in
-        if w <= 0 then
-          invalid_arg
-            "Partition.plan: a cross-shard link has zero latency — no \
-             positive lookahead window exists for this cut";
-        w)
   in
   { nshards; window_ns; shard_of_node = shards; cross; buffers = [||] }
 

@@ -2,10 +2,10 @@
 
     A partition assigns every topology node to a shard and identifies the
     cross links — links whose two endpoints live on different shards.  The
-    lookahead window is the minimum propagation delay over those links
-    (or an explicit [?window], validated against them): events on one
-    shard cannot affect another sooner than the window, which is what
-    makes per-window parallel execution in {!Shard} causally safe.
+    lookahead window is the minimum propagation delay over those links:
+    events on one shard cannot affect another sooner than the window,
+    which is what makes per-window parallel execution in {!Shard}
+    causally safe.
 
     Each cross link direction owns a pre-sized exchange buffer.  During a
     window only the source shard appends to its buffers; at the barrier,
@@ -17,20 +17,13 @@
 
 type t
 
-val plan :
-  topo:Topology.t ->
-  nshards:int ->
-  shard_of_node:(int -> int) ->
-  ?window:Sim_time.span ->
-  unit ->
-  t
+val plan : topo:Topology.t -> nshards:int -> shard_of_node:(int -> int) -> t
 (** Compute the cut for [shard_of_node] (must map every node id into
     [0, nshards)).  Raises [Invalid_argument] with a descriptive message
-    if an explicit [window] is non-positive or exceeds the latency of any
-    cross-shard link — such a cut cannot support the requested lookahead —
-    or, with the window inferred, if any cross-shard link has zero
-    latency.  With no cross links (e.g. [nshards = 1]) the window
-    defaults to 1ms; it only bounds barrier spacing. *)
+    if any cross-shard link has zero latency: no positive lookahead
+    window exists for such a cut.  With no cross links (e.g.
+    [nshards = 1]) the window defaults to 1ms; it only bounds barrier
+    spacing. *)
 
 val attach : t -> fabric:Fabric.t -> scheds:Scheduler.t array -> unit
 (** Install boundary mode ({!Link.set_boundary}) on every cross link of

@@ -1,19 +1,18 @@
-let distances ~mode topo ~dst =
-  let dist = Det.create mode 64 in
-  Hashtbl.replace dist dst 0;
+let distances topo ~dst =
+  let dist = Int_table.create ~capacity:64 ~dummy:(-1) in
+  Int_table.set dist dst 0;
   let q = Queue.create () in
   Queue.add dst q;
   while not (Queue.is_empty q) do
     let u = Queue.take q in
     (* packets are never relayed through a host other than the endpoints *)
     if u = dst || not (Topology.is_host topo u) then begin
-      (* [u] is inserted into [dist] before it is ever enqueued, so the
-         key is always present — lint: allow hashtbl-find *)
-      let du = Hashtbl.find dist u in
+      (* [u] was inserted before it was enqueued *)
+      let du = Int_table.find_default dist u (-1) in
       List.iter
         (fun v ->
-          if not (Hashtbl.mem dist v) then begin
-            Hashtbl.replace dist v (du + 1);
+          if not (Int_table.mem dist v) then begin
+            Int_table.set dist v (du + 1);
             Queue.add v q
           end)
         (Topology.live_neighbors topo u)
@@ -21,21 +20,18 @@ let distances ~mode topo ~dst =
   done;
   dist
 
-let next_hops ~mode topo ~dst =
-  let dist = distances ~mode topo ~dst in
-  let result = Det.create mode 64 in
-  Det.iter_sorted ~compare:Int.compare
+let next_hops topo ~dst =
+  let dist = distances topo ~dst in
+  let result = Int_table.create ~capacity:64 ~dummy:[] in
+  Int_table.iter_sorted
     (fun u du ->
       if u <> dst then begin
         let hops =
           List.filter
-            (fun v ->
-              match Hashtbl.find_opt dist v with
-              | Some dv -> dv = du - 1
-              | None -> false)
+            (fun v -> Int_table.find_default dist v (-1) = du - 1)
             (Topology.live_neighbors topo u)
         in
-        if hops <> [] then Hashtbl.replace result u hops
+        if hops <> [] then Int_table.set result u hops
       end)
     dist;
   result

@@ -6,10 +6,11 @@
     would install.  [Fabric] translates neighbor sets into candidate egress
     ports (all parallel links to a next-hop are candidates). *)
 
-val next_hops : mode:Run_mode.t -> Topology.t -> dst:int -> (int, int list) Hashtbl.t
+val next_hops : Topology.t -> dst:int -> int list Int_table.t
 (** Maps each node id that can reach [dst] to its shortest-path next-hop
-    neighbor node ids (each listed once even with parallel links); its
-    tables are {!Det.create}d under [mode]. *)
+    neighbor node ids (each listed once even with parallel links); a
+    node with none is absent (the table's dummy is [[]]). *)
 
-val distances : mode:Run_mode.t -> Topology.t -> dst:int -> (int, int) Hashtbl.t
-(** BFS hop distances toward [dst]; absent = unreachable. *)
+val distances : Topology.t -> dst:int -> int Int_table.t
+(** BFS hop distances toward [dst]; absent = unreachable (the table's
+    dummy is [-1]). *)

@@ -166,7 +166,7 @@ let create ~sched ~id ~level ~ecmp_seed ?(latency = Sim_time.ns 250) () =
     unwired;
     ports = Array.make 8 unwired;
     nports = 0;
-    routes = Int_table.create ~capacity:64 ~dummy:[||] ();
+    routes = Int_table.create ~capacity:64 ~dummy:[||];
     picker = None;
     rx_packets = 0;
     routing_drops = 0;

@@ -15,17 +15,22 @@ type t = {
   mutable n_nodes : int;
   mutable edge_list : edge list;  (* reversed *)
   mutable n_edges : int;
-  incidence : (int, edge list ref) Hashtbl.t;
+  incidence : edge list Int_table.t; (* node id -> incident edges, newest first *)
 }
 
 let create () =
-  { node_list = []; n_nodes = 0; edge_list = []; n_edges = 0; incidence = Hashtbl.create 64 }
+  {
+    node_list = [];
+    n_nodes = 0;
+    edge_list = [];
+    n_edges = 0;
+    incidence = Int_table.create ~capacity:64 ~dummy:[];
+  }
 
 let add_node t node =
   let id = t.n_nodes in
   t.node_list <- node :: t.node_list;
   t.n_nodes <- t.n_nodes + 1;
-  Hashtbl.replace t.incidence id (ref []);
   id
 
 let add_host t =
@@ -37,9 +42,8 @@ let add_switch t level =
   add_node t (Switch_node (level, id))
 
 let incident t id =
-  match Hashtbl.find_opt t.incidence id with
-  | Some r -> r
-  | None -> invalid_arg "Topology: unknown node id"
+  if id < 0 || id >= t.n_nodes then invalid_arg "Topology: unknown node id";
+  Int_table.find_default t.incidence id []
 
 let connect t a b ~rate_bps ~delay ?(bundle_index = 0) () =
   if a = b then invalid_arg "Topology.connect: self-loop";
@@ -48,9 +52,8 @@ let connect t a b ~rate_bps ~delay ?(bundle_index = 0) () =
   in
   t.n_edges <- t.n_edges + 1;
   t.edge_list <- edge :: t.edge_list;
-  let ra = incident t a and rb = incident t b in
-  ra := edge :: !ra;
-  rb := edge :: !rb;
+  Int_table.set t.incidence a (edge :: incident t a);
+  Int_table.set t.incidence b (edge :: incident t b);
   edge
 
 let nodes t = Array.of_list (List.rev t.node_list)
@@ -60,7 +63,7 @@ let node t id =
 
 let node_count t = t.n_nodes
 let edges t = List.rev t.edge_list
-let edges_of t id = List.rev !(incident t id)
+let edges_of t id = List.rev (incident t id)
 
 let live_neighbors t id =
   let seen = Hashtbl.create 8 in

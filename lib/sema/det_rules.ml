@@ -7,9 +7,9 @@ open Typedtree
 let rules =
   [
     ( "sema-hashtbl-order",
-      "Hashtbl.iter/fold whose closure mutates state or prints: bucket order \
-       is nondeterministic, use Det.iter_sorted/fold_sorted with a typed \
-       compare" );
+      "Hashtbl.iter/fold or Int_table.iter/fold whose closure mutates state \
+       or prints: table order is unsorted, iterate Int_table.sorted_keys or \
+       Int_table.iter_sorted" );
     ("sema-raw-random", "Random.* bypasses the seeded Engine.Rng streams");
     ( "sema-wall-clock",
       "Unix.gettimeofday/Unix.time/Sys.time bypasses Engine.Sim_time" );
@@ -50,8 +50,8 @@ let time_boundary_whitelist =
   [ "lib/engine/"; "lib/transport/rtt_estimator.ml"; "lib/netsim/dre.ml" ]
 
 (* The only files allowed to touch multicore primitives: the pool itself,
-   the scheduler's domain-local component ids, and the packet layer's atomic uid /
-   domain-local free list. *)
+   the scheduler's domain-local component ids, and the packet layer's
+   domain-local flow-key scratch and free list. *)
 let parallel_whitelist =
   [
     "lib/engine/domain_pool.ml";
@@ -278,6 +278,14 @@ let is_float_literal (e : expression) =
   | Texp_constant (Asttypes.Const_float _) -> true
   | _ -> false
 
+(* an unsorted traversal (either table type) whose closure has an effect *)
+let check_table_order ctx (fn : expression) traversal closure =
+  Option.iter
+    (fun what ->
+      add ctx ~rule:"sema-hashtbl-order" fn.exp_loc
+        (Printf.sprintf "%s closure: %s" traversal what))
+    (first_effect ctx closure)
+
 let check_apply ctx (e : expression) (fn : expression) p args =
   let positional =
     List.filter_map (function Asttypes.Nolabel, Some a -> Some a | _ -> None) args
@@ -291,11 +299,7 @@ let check_apply ctx (e : expression) (fn : expression) p args =
     when is_float_literal a || is_float_literal b ->
     add ctx ~rule:"float-eq" e.exp_loc ("(" ^ op ^ ")")
   | [ "Hashtbl"; (("iter" | "fold") as op) ], closure :: _ ->
-    Option.iter
-      (fun what ->
-        add ctx ~rule:"sema-hashtbl-order" fn.exp_loc
-          (Printf.sprintf "Hashtbl.%s closure: %s" op what))
-      (first_effect ctx closure)
+    check_table_order ctx fn ("Hashtbl." ^ op) closure
   | [ (("+" | "-" | "+." | "-.") as op) ], [ a; b ] -> (
     match (unit_guess a, unit_guess b) with
     | `Time, `Size | `Size, `Time ->
@@ -312,6 +316,8 @@ let check_apply ctx (e : expression) (fn : expression) p args =
   | Some ("Rng", "create"),
     { exp_desc = Texp_constant (Asttypes.Const_int n); _ } :: _ ->
     add ctx ~rule:"sema-adhoc-seed" e.exp_loc (Printf.sprintf "Rng.create %d" n)
+  | Some ("Int_table", (("iter" | "fold") as op)), closure :: _ ->
+    check_table_order ctx fn ("Int_table." ^ op) closure
   | _ -> ()
 
 let check_unit (u : Cmt_load.unit_info) =

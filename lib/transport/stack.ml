@@ -14,9 +14,9 @@ type t = {
 
 let create () =
   {
-    senders = Int_table.create ~capacity:32 ~dummy:None ();
-    receivers = Int_table.create ~capacity:32 ~dummy:None ();
-    by_dst = Int_table.create ~capacity:8 ~dummy:[] ();
+    senders = Int_table.create ~capacity:32 ~dummy:None;
+    receivers = Int_table.create ~capacity:32 ~dummy:None;
+    by_dst = Int_table.create ~capacity:8 ~dummy:[];
     unknown = 0;
   }
 

@@ -15,6 +15,14 @@ let dump_weights () =
 let total_into c = Hashtbl.fold (fun _ w () -> c := !c +. w) weights ()
 let show () = Hashtbl.iter (fun port _ -> Printf.printf "%d\n" port) weights
 
+(* ... and in Int_table slot order, which is unsorted too *)
+let flows : int Int_table.t = Int_table.create ~capacity:16 ~dummy:0
+
+let dump_flows () =
+  Int_table.iter (fun k v -> Buffer.add_string log (string_of_int (k + v))) flows
+
+let count_into c = Int_table.fold (fun _ v () -> c := !c + v) flows ()
+
 (* sema-raw-random: bypasses the seeded Engine.Rng streams *)
 let pick_port ports = List.nth ports (Random.int (List.length ports))
 let reseed () = Random.self_init ()

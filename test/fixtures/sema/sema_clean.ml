@@ -7,10 +7,14 @@ let weights : (int, int) Hashtbl.t = Hashtbl.create 16
 (* a pure, commutative fold *)
 let total () = Hashtbl.fold (fun _ v acc -> acc + v) weights 0
 
+let flows : int Int_table.t = Int_table.create ~capacity:16 ~dummy:0
+
 let dump b =
-  Det.iter_sorted ~compare:Int.compare
+  Int_table.iter_sorted
     (fun k v -> Buffer.add_string b (string_of_int (k + v)))
-    weights
+    flows
+
+let flow_total () = Int_table.fold (fun _ v acc -> acc + v) flows 0
 
 (* a local function named like a mutator mutates nothing *)
 let shadowed () =

@@ -333,11 +333,11 @@ let prop_no_black_holes =
       Array.iter
         (fun h ->
           let hid = Host.id h in
-          let dist = Routing.distances ~mode:Run_mode.default topo ~dst:hid in
+          let dist = Routing.distances topo ~dst:hid in
           Array.iter
             (fun sw ->
               let sid = Switch.id sw in
-              let du = Hashtbl.find_opt dist sid in
+              let du = Int_table.find_opt dist sid in
               match Switch.routes sw (Host.addr h) with
               | None -> if du <> None then ok := false (* black hole *)
               | Some ports ->
@@ -348,7 +348,7 @@ let prop_no_black_holes =
                       let link = Switch.port_link sw p in
                       let peer = Switch.port_peer sw p in
                       if not (Link.up link) then ok := false;
-                      match (du, Hashtbl.find_opt dist peer) with
+                      match (du, Int_table.find_opt dist peer) with
                       | Some du, Some dp -> if dp <> du - 1 then ok := false
                       | _ -> ok := false)
                     ports)

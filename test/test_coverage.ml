@@ -161,7 +161,7 @@ let test_switch_int_stamp_and_drops () =
   Switch.set_picker sw (fun sw ~in_port:_ pkt ~candidates ->
       let port = candidates.(1) in
       util_at_pick :=
-        (pkt.Packet.uid, Link.utilization (Switch.port_link sw port)) :: !util_at_pick;
+        (pkt, Link.utilization (Switch.port_link sw port)) :: !util_at_pick;
       port);
   let mk ~int_enabled ~int_util =
     let pkt =
@@ -179,7 +179,7 @@ let test_switch_int_stamp_and_drops () =
   Scheduler.run sched;
   check_int "all delivered" 6 (List.length !sink);
   List.iter (fun (peer, _) -> check_int "picker chose port 1" 101 peer) !sink;
-  let util p = List.assoc p.Packet.uid !util_at_pick in
+  let util p = List.assq p !util_at_pick in
   List.iter
     (fun p -> feq "stamp = max(0, egress utilization)" (util p) p.Packet.int_util)
     int_pkts;
@@ -227,10 +227,10 @@ let test_routing_distances () =
       ~core_rate_bps:1e9 ~delay:Sim_time.zero_span
   in
   let dst = ls.Topology.host_ids.(1).(0) in
-  let dist = Routing.distances ~mode:Run_mode.default ls.Topology.topo ~dst in
-  check_int "self distance" 0 (Hashtbl.find dist dst);
+  let dist = Routing.distances ls.Topology.topo ~dst in
+  check_int "self distance" 0 (Int_table.find_default dist dst (-1));
   (* other host: host -> leaf -> spine -> leaf -> host = 4 hops *)
-  check_int "cross distance" 4 (Hashtbl.find dist ls.Topology.host_ids.(0).(0))
+  check_int "cross distance" 4 (Int_table.find_default dist ls.Topology.host_ids.(0).(0) (-1))
 
 (* ------------------------------- transport ------------------------- *)
 

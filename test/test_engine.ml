@@ -551,7 +551,7 @@ let prop_int_table_model =
   QCheck.Test.make ~name:"int_table matches reference map" ~count:300
     QCheck.(small_list (triple (int_range (-20) 20) bool small_nat))
     (fun ops ->
-      let t = Int_table.create ~capacity:2 ~dummy:(-1) () in
+      let t = Int_table.create ~capacity:2 ~dummy:(-1) in
       let model = Hashtbl.create 16 in
       List.iter
         (fun (k, is_add, v) ->
@@ -589,7 +589,7 @@ let test_int_table_unsorted_iter_deterministic () =
      two tables fed the same ops traverse identically — this is what
      lets hot paths use [iter] when the effect is order-insensitive *)
   let build () =
-    let t = Int_table.create ~capacity:4 ~dummy:(-1) () in
+    let t = Int_table.create ~capacity:4 ~dummy:(-1) in
     for i = 0 to 99 do
       Int_table.set t (i * 37) i
     done;

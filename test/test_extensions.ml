@@ -227,12 +227,12 @@ let test_fat_tree_shape () =
 let test_fat_tree_routing_multipath () =
   let c = fat_tree () in
   let dst = (pod_hosts c 3).(0) in
-  let nh = Routing.next_hops ~mode:Run_mode.default c.Topology.topo ~dst in
+  let nh = Routing.next_hops c.Topology.topo ~dst in
   (* an edge switch in pod 0 has both aggs as next hops toward pod 3 *)
-  let hops = Hashtbl.find nh c.Topology.leaf_ids.(0) in
+  let hops = Int_table.find_default nh c.Topology.leaf_ids.(0) [] in
   check_int "two agg next-hops" 2 (List.length hops);
   (* an agg in pod 0 has both its cores as next hops *)
-  let hops = Hashtbl.find nh c.Topology.spine_ids.(0) in
+  let hops = Int_table.find_default nh c.Topology.spine_ids.(0) [] in
   check_int "two core next-hops" 2 (List.length hops)
 
 let test_fat_tree_end_to_end_clove () =

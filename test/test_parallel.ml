@@ -128,7 +128,7 @@ let test_load_sweep_cell_placement () =
 
 let test_repeated_parallel_runs_stable () =
   (* same points, same domain count, fresh pool each time: the engine
-     itself must not inject nondeterminism (scheduling, pooling, uids) *)
+     itself must not inject nondeterminism (scheduling, pooling) *)
   let points = small_points () in
   let a = dumps (Sweep.run_points_parallel ~mode:(at_domains 2) points) in
   let b = dumps (Sweep.run_points_parallel ~mode:(at_domains 2) points) in
