@@ -15,7 +15,9 @@
                                          source paths resolve (default .)
                  [--scope PREFIX]*       source prefixes to analyze
                                          (default: lib/); every loaded
-                                         unit counts as a consumer
+                                         unit outside test/ counts as a
+                                         consumer, a test/ unit only
+                                         when in scope
                  [--baseline FILE]       committed baseline to diff against
                  [--write-baseline FILE] regenerate the baseline and exit
                  [-o FILE]               write the JSON report to FILE

@@ -44,14 +44,17 @@ type marker = {
   m_reason : string;  (** the justification, separators stripped *)
 }
 
+(* oracle of test_analysis' lint suppression grammar case — lint: allow dead-export *)
 val markers : string -> marker list
 (** Every marker in a source text, in line order. *)
 
+(* oracle of test_analysis' lint suppression grammar case — lint: allow dead-export *)
 val allowed : marker list -> rule:string -> line:int -> string option
 (** The justification of the first justified marker that suppresses
     [rule] at [line]; [None] when the finding stands.  An unjustified
     marker suppresses nothing. *)
 
+(* oracle of test_analysis' lint suppression grammar case — lint: allow dead-export *)
 val allow_empty : marker list -> (int * string) list
 (** [(line, message)] for every unjustified marker: each is one
     [allow-empty] finding, whatever the tool. *)

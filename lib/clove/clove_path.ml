@@ -3,11 +3,7 @@ type t = Packet.hop list
 let signature path =
   Hashtbl.hash (List.map (fun h -> (h.Packet.hop_node, h.Packet.hop_port)) path)
 
-let equal a b =
-  List.length a = List.length b
-  && List.for_all2
-       (fun x y -> x.Packet.hop_node = y.Packet.hop_node && x.Packet.hop_port = y.Packet.hop_port)
-       a b
+let same_hop x y = x.Packet.hop_node = y.Packet.hop_node && x.Packet.hop_port = y.Packet.hop_port
 
 let shared_hops a b =
   List.fold_left
@@ -31,7 +27,7 @@ let select_disjoint ~k candidates =
     let distinct =
       List.fold_left
         (fun acc (port, path) ->
-          if List.exists (fun (_, p) -> equal p path) acc then acc
+          if List.exists (fun (_, p) -> List.equal same_hop p path) acc then acc
           else (port, path) :: acc)
         [] sorted
       |> List.rev

@@ -10,7 +10,6 @@ val signature : t -> int
     currently maps to it — used to carry path state (weights, utilization)
     across topology-change rediscovery. *)
 
-val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
 
 val select_disjoint : k:int -> (int * t) list -> (int * t) list

@@ -24,6 +24,7 @@ val active_flowlet : 'd t -> key:int -> 'd option
 val flowlets_started : 'd t -> int
 (** Total new-flowlet events, across all flows. *)
 
+(* oracle of test_clove's flowlet expiry and keys cases — lint: allow dead-export *)
 val flows_tracked : 'd t -> int
 (** Entries currently in the table (idle eviction shrinks this). *)
 

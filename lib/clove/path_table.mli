@@ -14,6 +14,7 @@ type t
 
 val create : sched:Scheduler.t -> cfg:Clove_config.t -> t
 
+(* test_analysis' audit-units weight sum drives it directly — lint: allow dead-export *)
 val check_weight_sum : t -> label:string -> float array -> unit
 (** Records a [weight-normalization] violation on the table's scheduler
     unless non-empty [weights] sum to 1 (±1e-6); an audited table runs
@@ -32,6 +33,7 @@ val ready : t -> bool
 
 val ports : t -> int array
 val paths : t -> Clove_path.t array
+(* oracle of the traceroute cases in test_clove, test_extensions — lint: allow dead-export *)
 val port_count : t -> int
 
 val pick_wrr : t -> int
@@ -63,6 +65,7 @@ val latency_spread : t -> Sim_time.span
     delay spread, which drives the adaptive flowlet gap. *)
 
 val weights : t -> float array
+(* oracle of test_clove's remap and test_extensions' latency cases — lint: allow dead-export *)
 val samples : t -> float array
 
 val all_congested : t -> bool
@@ -78,6 +81,7 @@ val note_alive : t -> port:int -> unit
     for a flow currently pinned to it).  Feedback via [note_congested] /
     [note_sample] counts automatically. *)
 
+(* oracle of test_faults' black-hole eviction and path-aging cases — lint: allow dead-export *)
 val suspects : t -> bool array
 (** Per-path suspect flags: traffic was sent after the last liveness
     evidence and no echo arrived within the suspect timeout (20x the RTT

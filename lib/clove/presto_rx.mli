@@ -19,9 +19,12 @@ val create :
   t
 
 val on_packet : t -> Packet.inner -> cell:Packet.flowcell -> unit
+(* oracle of test_clove's presto_rx passthrough and reorders — lint: allow dead-export *)
 val buffered : t -> int
 (** Packets currently held across all flows. *)
 
+(* oracle of the presto_rx flush cases in test_clove, test_coverage — lint: allow dead-export *)
 val timeout_flushes : t -> int
+(* oracle of test_clove's presto_rx reorders — lint: allow dead-export *)
 val reordered : t -> int
 (** Packets that arrived ahead of a hole and had to be buffered. *)

@@ -182,10 +182,5 @@ let pop t =
 
 let min_time_ns t = if t.size = 0 then max_int else t.times.(0)
 let min_seq t = t.seqs.(0)
-let peek_time t = if t.size = 0 then None else Some (Sim_time.of_ns t.times.(0))
 let size t = t.size
 let is_empty t = t.size = 0
-
-let clear t =
-  Array.fill t.values 0 t.size t.dummy;
-  t.size <- 0

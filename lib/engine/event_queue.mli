@@ -57,10 +57,5 @@ val min_seq : 'a t -> int
     The scheduler reads it before {!pop_unsafe} so a timer can tell its
     own latest event from its stale ones. *)
 
-val peek_time : 'a t -> Sim_time.t option
-
 val size : 'a t -> int
 val is_empty : 'a t -> bool
-
-val clear : 'a t -> unit
-(** Drop all pending events (payload slots are reset to [dummy]). *)

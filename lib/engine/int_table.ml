@@ -11,8 +11,8 @@
    function of the insertion/removal history (the hash is a fixed integer
    mix, never salted per-run), but it is NOT sorted: callers whose
    traversal has observable effects must use [sorted_keys]/[iter_sorted]
-   (clove-check's [sema-hashtbl-order] rule flags an [iter]/[fold] whose
-   closure has effects). *)
+   (clove-check's [sema-hashtbl-order] rule flags a [fold] whose closure
+   has effects). *)
 
 type 'a t = {
   mutable keys : int array; (* [empty_key] marks a free slot *)
@@ -122,22 +122,14 @@ let remove t key =
     t.vals.(hole) <- t.dummy
   end
 
-(* slot-order traversals as loops over the slots from [i]: no closure
-   or ref cell, so a traversal allocates only what [f] does *)
-let rec iter_from f t i =
-  if i < Array.length t.keys then begin
-    let k = t.keys.(i) in
-    if k <> empty_key then f k t.vals.(i);
-    iter_from f t (i + 1)
-  end
-
+(* the slot-order traversal as a loop over the slots from [i]: no
+   closure or ref cell, so it allocates only what [f] does *)
 let rec fold_from f t i acc =
   if i = Array.length t.keys then acc
   else
     let k = t.keys.(i) in
     fold_from f t (i + 1) (if k <> empty_key then f k t.vals.(i) acc else acc)
 
-let iter f t = iter_from f t 0
 let fold f t init = fold_from f t 0 init
 
 let sorted_keys t =

@@ -13,8 +13,8 @@
     Iteration order is deterministic — a pure function of the operation
     history, with a fixed (never salted) hash — but unsorted; use
     [sorted_keys] or [iter_sorted] when traversal order is observable
-    (clove-check's [sema-hashtbl-order] rule flags an effectful [iter] or
-    [fold] closure). *)
+    (clove-check's [sema-hashtbl-order] rule flags an effectful [fold]
+    closure). *)
 
 type 'a t
 
@@ -40,12 +40,11 @@ val set : 'a t -> int -> 'a -> unit
 val remove : 'a t -> int -> unit
 (** No-op if absent; otherwise backward-shift deletion (no tombstones). *)
 
-val iter : (int -> 'a -> unit) -> 'a t -> unit
-(** Slot order: deterministic but unsorted — effects must not care, or
-    use [iter_sorted].  [iter] and [fold] allocate nothing themselves;
-    the table must not change during either. *)
-
 val fold : (int -> 'a -> 'acc -> 'acc) -> 'a t -> 'acc -> 'acc
+(** Slot order: deterministic but unsorted — effects must not care, or
+    use [iter_sorted].  [fold] allocates nothing itself; the table must
+    not change during it. *)
+
 val sorted_keys : 'a t -> int list
 val iter_sorted : (int -> 'a -> unit) -> 'a t -> unit
 val clear : 'a t -> unit

@@ -31,10 +31,6 @@ let bits64 t =
   t.s3 <- rotl t.s3 45;
   result
 
-let split t =
-  let seed = Int64.to_int (bits64 t) land max_int in
-  create seed
-
 let split_named t name =
   let h = Hashtbl.hash name in
   let base = Int64.to_int (splitmix64 (Int64.logxor t.s0 (Int64.of_int h))) land max_int in
@@ -47,8 +43,6 @@ let int t bound =
 let float t bound =
   let x = Int64.to_float (Int64.shift_right_logical (bits64 t) 11) /. 9007199254740992.0 in
   x *. bound
-
-let bool t = Int64.logand (bits64 t) 1L = 1L
 
 let exponential t ~mean =
   if mean <= 0.0 then invalid_arg "Rng.exponential: mean must be positive"

@@ -10,9 +10,6 @@ type t
 val create : int -> t
 (** [create seed] builds a generator from a 63-bit seed. *)
 
-val split : t -> t
-(** [split t] derives an independent generator; [t] advances. *)
-
 val split_named : t -> string -> t
 (** [split_named t name] derives a generator keyed on [name] without
     advancing [t]: components get stable streams regardless of the order in
@@ -23,8 +20,6 @@ val int : t -> int -> int
 
 val float : t -> float -> float
 (** [float t bound] is uniform in \[0, bound). *)
-
-val bool : t -> bool
 
 val exponential : t -> mean:float -> float
 (** Exponentially distributed sample with the given mean (> 0). *)

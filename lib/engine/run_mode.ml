@@ -14,23 +14,13 @@ let serial = { default with domains = 1 }
 type transform = string * (t -> t)
 type outcome = { mode : string; digest : string; matches : bool }
 
-let rerun = ("rerun", Fun.id)
-
-let standard =
-  [
-    rerun;
-    ("tiebreak-lifo", fun m -> { m with tiebreak = Event_queue.Lifo });
-  ]
-
-let check_stability ?(modes = standard) run =
+let check_stability ~modes run =
   let baseline = run serial in
   let outcome (mode, f) =
     let digest = run (f serial) in
     { mode; digest; matches = String.equal digest baseline }
   in
   (baseline, List.map outcome modes)
-
-let stable outcomes = List.for_all (fun o -> o.matches) outcomes
 
 let pp_outcomes ~label fmt (baseline, outcomes) =
   Format.fprintf fmt "%-22s %-14s %-8s %s@." label "baseline" "" baseline;

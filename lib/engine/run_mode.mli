@@ -20,21 +20,13 @@ type t = {
 val default : t
 (** FIFO, no audit, 1 shard, {!Domain_pool.default_domains}. *)
 
-val serial : t
-(** {!default} at 1 domain: the stability baseline. *)
-
 type transform = string * (t -> t)
 type outcome = { mode : string; digest : string; matches : bool }
 
-val rerun : transform
-(** The identity: a second, unchanged run. *)
-
-val check_stability : ?modes:transform list -> (t -> string) -> string * outcome list
-(** [check_stability run] is [run serial] and, for each [(name, f)] of
-    [modes] ({!rerun} and [tiebreak-lifo]), whether [run (f serial)] gave
-    the same digest. *)
-
-val stable : outcome list -> bool
+val check_stability : modes:transform list -> (t -> string) -> string * outcome list
+(** [check_stability ~modes run] is [run serial] ({!default} at 1
+    domain) and, for each [(name, f)] of [modes], whether
+    [run (f serial)] gave the same digest. *)
 
 val pp_outcomes : label:string -> Format.formatter -> string * outcome list -> unit
 (** One line per run, each prefixed with [label]. *)

@@ -10,7 +10,11 @@
    a single binary heap under the (time, born, src, seq) total order.
    [born] is the insertion instant and [src] the owning component's
    construction-order id; together they make same-timestamp tie-breaking
-   shard-invariant under PDES (see {!Event_queue}).
+   shard-invariant under PDES (see {!Event_queue}).  The wheel is a
+   measured speed-up, not an ordering need: routing every event straight
+   to the heap kept every FCT digest and event count but cost 15-29% of
+   perfbench payload MB/s on all four workloads (2-core Intel Xeon,
+   OCaml 5.1.1, 4 alternating pairs each, the wheel ahead in all 16).
 
    A pending event is one immediate [int], so neither structure holds a
    pointer:

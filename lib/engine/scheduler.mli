@@ -145,6 +145,7 @@ val run_until : t -> until_ns:int -> unit
     the clock never moves backwards.  The PDES barrier loop
     ({!Shard.drive}) calls it once per window on its global scheduler. *)
 
+(* oracle of test_engine's timer churn and scheduler model cases — lint: allow dead-export *)
 val pending_events : t -> int
 (** Queued events in wheel + heap, stale timer events included. *)
 

@@ -17,7 +17,6 @@ let diff a b = if a < b then invalid_arg "Sim_time.diff: negative" else a - b
 let ( < ) (a : int) b = Stdlib.( < ) a b
 let ( > ) (a : int) b = Stdlib.( > ) a b
 let ( >= ) (a : int) b = Stdlib.( >= ) a b
-let min = Int.min
 let max = Int.max
 let compare_span = Int.compare
 let add_span a b = Stdlib.( + ) a b
@@ -30,11 +29,6 @@ let mul_span s f =
 let zero_span = 0
 let of_span s = s
 let to_sec t = float_of_int t /. 1e9
-
-let pp fmt t =
-  if Stdlib.( >= ) t 1_000_000 then Format.fprintf fmt "%.3fms" (float_of_int t /. 1e6)
-  else if Stdlib.( >= ) t 1_000 then Format.fprintf fmt "%.3fus" (float_of_int t /. 1e3)
-  else Format.fprintf fmt "%dns" t
 
 let tx_time ~bytes_len ~rate_bps =
   if Stdlib.( <= ) rate_bps 0.0 then invalid_arg "Sim_time.tx_time: rate must be positive"

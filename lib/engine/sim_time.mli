@@ -37,7 +37,6 @@ val diff : t -> t -> span
 val ( < ) : t -> t -> bool
 val ( > ) : t -> t -> bool
 val ( >= ) : t -> t -> bool
-val min : t -> t -> t
 val max : t -> t -> t
 
 val compare_span : span -> span -> int
@@ -56,8 +55,6 @@ val of_span : span -> t
 
 val to_sec : t -> float
 (** Seconds since the epoch, for reporting. *)
-
-val pp : Format.formatter -> t -> unit
 
 (** Transmission-time helper: time to serialize [bytes] at [rate_bps]. *)
 val tx_time : bytes_len:int -> rate_bps:float -> span

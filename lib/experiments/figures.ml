@@ -10,9 +10,6 @@ let pp_report fmt r =
   Format.fprintf fmt "paper: %s@." r.paper_claim;
   Stats.Table.pp fmt r.table
 
-let capture_ratio ~ecmp ~clove ~conga =
-  if ecmp <= conga then nan else (ecmp -. clove) /. (ecmp -. conga)
-
 let testbed_schemes =
   [ Scenario.S_ecmp; Scenario.S_edge_flowlet; Scenario.S_clove_ecn; Scenario.S_mptcp; Scenario.S_presto ]
 

@@ -42,8 +42,3 @@ val all : (string * (Sweep.run_opts -> report)) list
     DESIGN.md ablations ([ablation-relay], [ablation-paths],
     [ablation-beta]).  Every runner sweeps with the given options except
     [fig7], whose incast preset is fixed: it takes only their mode. *)
-
-val capture_ratio :
-  ecmp:float -> clove:float -> conga:float -> float
-(** Fraction of the ECMP-to-CONGA FCT gain captured by Clove (the paper's
-    "captures 80%" metric). *)

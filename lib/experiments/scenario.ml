@@ -124,7 +124,6 @@ type t = {
 
 let sched t = t.sched
 let fabric t = t.fabric
-let topology t = t.topology
 let clients t = t.clients
 let servers t = t.servers
 let params t = t.params

@@ -101,9 +101,6 @@ val shard : t -> Shard.t option
 
 val fabric : t -> Fabric.t
 
-val topology : t -> Topology.clos
-(** The topology description the fabric was instantiated from. *)
-
 val fault_naming : t -> Faults.Fault_plan.names
 (** {!Faults.Fault_engine.clos_naming} of this scenario's topology. *)
 
@@ -124,6 +121,7 @@ val params : t -> params
 val rng : t -> Rng.t
 val vswitch : t -> Host.t -> Clove.Vswitch.t
 val stack : t -> Host.t -> Transport.Stack.t
+(* oracle of test_fabric_lb's conga metadata case — lint: allow dead-export *)
 val conga : t -> Fabric_lb.Conga.t option
 (** The fabric-side CONGA state, when the scheme is [S_conga]. *)
 

@@ -74,13 +74,6 @@ let run_point mode p =
    [Domain_pool.run] itself, so clove-check sees it as a parallel root. *)
 let fan_width mode = Run_mode.(if mode.shards >= 2 then 1 else mode.domains)
 
-let run_points_parallel ~mode points =
-  (* every point owns a private scenario, scheduler and RNG, so points
-     are embarrassingly parallel; results come back indexed by point, so
-     the caller's aggregation order — and therefore every figure — is
-     identical for 1 and N domains *)
-  Domain_pool.run ~domains:(fan_width mode) (run_point mode) points
-
 let websearch_points ~opts specs =
   (* expand each not-yet-memoized spec into one task per seed, fan the
      tasks across domains, then merge per spec in seed order — exactly
@@ -115,7 +108,11 @@ let websearch_points ~opts specs =
              opts.seeds)
          pending)
   in
-  let results = run_points_parallel ~mode:opts.mode tasks in
+  (* every point owns a private scenario, scheduler and RNG, so points
+     are embarrassingly parallel; results come back indexed by point, so
+     the aggregation order below — and therefore every figure — is
+     identical for 1 and N domains *)
+  let results = Domain_pool.run ~domains:(fan_width opts.mode) (run_point opts.mode) tasks in
   let idx = ref 0 in
   List.iter
     (fun spec ->

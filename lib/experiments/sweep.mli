@@ -31,26 +31,11 @@ val websearch_run :
 (** One full scenario execution at one load point (single seed taken from
     [params.seed]). *)
 
-(** One single-seed experiment point (the seed is [pt_params.seed]);
-    the unit of work fanned across domains by {!run_points_parallel}. *)
-type point = {
-  pt_scheme : Scenario.scheme;
-  pt_params : Scenario.params;
-  pt_load : float;
-  pt_jobs_per_conn : int;
-}
-
 val fan_width : Run_mode.t -> int
 (** The one fan-out rule for independent runs (sweep points, incast
     seeds, {!Chaos.run}'s schemes): the {!Domain_pool.run} width is the
     mode's [domains], or 1 when its [shards >= 2] (each run then
     parallelizes inside its own scenario; pools would nest). *)
-
-val run_points_parallel : mode:Run_mode.t -> point array -> Workload.Fct_stats.t array
-(** Run every point (each with a private scenario, scheduler and RNG)
-    under [mode], {!fan_width} wide, and return the results {e by point
-    index}, so aggregation order — and every figure derived from it — is
-    identical for 1 and N domains. *)
 
 val websearch_points :
   opts:run_opts ->
@@ -61,11 +46,11 @@ val websearch_points :
     memoized on their full configuration tuple, not on the execution
     mode, so figures that slice the same sweep differently (fig4c and
     fig5a/b/c) reuse the same runs.  Specs not yet in the memo run as
-    one task per (spec, seed) across the domain pool and are merged in
-    seed order; the memo is only ever touched from the calling domain,
-    so the result is identical at any domain count. *)
-
-val clear_memo : unit -> unit
+    one task per (spec, seed) across the domain pool, {!fan_width}
+    wide, each with a private scenario, scheduler and RNG; the results
+    come back by task index and are merged in seed order, and the memo
+    is only ever touched from the calling domain, so the result is
+    identical at any domain count. *)
 
 val incast_point :
   mode:Run_mode.t ->
@@ -77,7 +62,7 @@ val incast_point :
   seeds:int list ->
   float
 (** Mean client goodput (bps) over the seeds, which fan out like
-    {!run_points_parallel}'s points. *)
+    {!websearch_points}' tasks. *)
 
 val check_stability : (Run_mode.t -> string) -> string * Run_mode.outcome list
 (** {!Run_mode.check_stability} of a [clove-sim determinism] row under

@@ -42,6 +42,7 @@ val decisions : t -> int
 val reweights : t -> int
 (** Weight recomputations executed (1 at install + 1 per reconvergence). *)
 
+(* oracle of test_clos3's caft capacity case — lint: allow dead-export *)
 val capacity_to : t -> node:int -> dst_leaf:int -> float
 (** Current effective downstream capacity (bps) from a switch node
     toward a destination leaf — for inspection and tests; 0 when

@@ -27,11 +27,14 @@ val install : ?flowlet_gap:Sim_time.span -> Fabric.t -> t
     picker.  Default flowlet gap 500 us; metrics age out after a fixed
     10 ms. *)
 
+(* oracle of test_fabric_lb's conga metadata case — lint: allow dead-export *)
 val flowlets_started : t -> int
+(* oracle of test_fabric_lb's conga metadata case — lint: allow dead-export *)
 val decisions : t -> int
 (** Cross-fabric path choices made (first decisions plus failure
     re-picks). *)
 
+(* oracle of test_fabric_lb's conga metadata case — lint: allow dead-export *)
 val cong_to_leaf : t -> leaf:int -> dst_leaf:int -> float array
 (** Current (aged) CongToLeaf metrics of [leaf] toward [dst_leaf], one per
     uplink — for inspection and tests. *)

@@ -54,7 +54,9 @@ val stop : t -> unit
 (** Disarm: events that have not fired yet become no-ops, and any
     running flap loop restores its edge at the next transition. *)
 
+(* oracle of test_faults' flap executes case — lint: allow dead-export *)
 val events_fired : t -> int
 
+(* oracle of test_faults' flap executes case — lint: allow dead-export *)
 val flap_transitions : t -> int
 (** Individual down/up edges executed by flap loops (not plan events). *)

@@ -77,6 +77,7 @@ val parse : ?names:names -> string -> (t, string) result
     the offending item.  With [?names], any edge/switch target it does
     not resolve is a parse error ([unknown edge "x" in "item"]). *)
 
+(* oracle of test_faults' span_of_string case — lint: allow dead-export *)
 val span_of_string : string -> (Sim_time.span, string) result
 (** ["60ms"], ["10us"], ["2s"], ["500ns"], or bare seconds. *)
 

@@ -10,5 +10,4 @@ val of_int : int -> t
 
 val to_int : t -> int
 val equal : t -> t -> bool
-val compare : t -> t -> int
 val pp : Format.formatter -> t -> unit

@@ -15,6 +15,7 @@ type config = {
   seed : int;  (** seeds the per-switch ECMP hash functions *)
 }
 
+(* hand-wired fabrics in test_netsim, test_clos3, test_extensions — lint: allow dead-export *)
 val default_config : config
 
 val create :

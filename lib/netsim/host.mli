@@ -15,6 +15,7 @@ val sched : t -> Scheduler.t
 val attach_uplink : t -> Link.t -> unit
 (** The host's NIC egress toward its leaf switch. *)
 
+(* test_analysis' conservation fixture, test_extensions' rewrite-mode — lint: allow dead-export *)
 val uplink : t -> Link.t
 
 val set_handler : t -> (Packet.t -> unit) -> unit
@@ -23,6 +24,7 @@ val set_handler : t -> (Packet.t -> unit) -> unit
 val send : t -> Packet.t -> unit
 (** Transmit via the uplink; stamps [sent_at] with the current time. *)
 
+(* packet taps of test_analysis' audit-units, test_dataplane, test_faults — lint: allow dead-export *)
 val set_tx_tap : t -> (Packet.t -> unit) -> unit
 (** Observe every packet the host transmits (monitoring/tests); the tap
     runs before the packet enters the uplink queue. *)

@@ -1,10 +1,5 @@
 type ecn = Not_ect | Ect | Ce
 
-let pp_ecn fmt = function
-  | Not_ect -> Format.pp_print_string fmt "not-ect"
-  | Ect -> Format.pp_print_string fmt "ect"
-  | Ce -> Format.pp_print_string fmt "ce"
-
 type tcp_kind = Data | Ack
 
 type tcp_seg = {
@@ -212,16 +207,3 @@ let route_dst t =
   | None, Tenant inner -> inner.dst
   | None, Probe p -> p.probe_dst
   | None, Probe_reply r -> r.reply_to
-
-let is_probe t = match t.payload with Probe _ -> true | Tenant _ | Probe_reply _ -> false
-
-let pp fmt t =
-  let kind =
-    match t.payload with
-    | Tenant { seg = { kind = Data; _ }; _ } -> "data"
-    | Tenant { seg = { kind = Ack; _ }; _ } -> "ack"
-    | Probe _ -> "probe"
-    | Probe_reply _ -> "probe-reply"
-  in
-  Format.fprintf fmt "%s %dB ttl=%d ecn=%a dst=%a" kind t.size t.ttl pp_ecn
-    t.ecn Addr.pp (route_dst t)

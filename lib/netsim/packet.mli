@@ -174,6 +174,3 @@ val route_dst : t -> Addr.t
 (** The address fabric switches route on: the outer destination if
     encapsulated, the inner destination otherwise; probe replies are routed
     to [reply_to]. *)
-
-val is_probe : t -> bool
-val pp : Format.formatter -> t -> unit

@@ -17,7 +17,6 @@ type t = {
      three O(1)-but-not-free length reads per packet showed up in
      profiles *)
   mutable len : int;
-  mutable bytes : int;
   mutable enqueued : int;
   mutable dropped : int;
   mutable dropped_bytes : int;
@@ -32,7 +31,6 @@ let create ?(capacity_pkts = 256) ?(ecn_threshold_pkts = 20) () =
     capacity = capacity_pkts;
     ecn_threshold = ecn_threshold_pkts;
     len = 0;
-    bytes = 0;
     enqueued = 0;
     dropped = 0;
     dropped_bytes = 0;
@@ -41,7 +39,6 @@ let create ?(capacity_pkts = 256) ?(ecn_threshold_pkts = 20) () =
   }
 
 let length t = t.len
-let byte_length t = t.bytes
 let is_empty t = t.len = 0
 
 let enqueue t pkt =
@@ -66,7 +63,6 @@ let enqueue t pkt =
        | Packet.Ce | Packet.Not_ect -> ());
     Ring.push t.q pkt;
     t.len <- len;
-    t.bytes <- t.bytes + pkt.Packet.size;
     t.enqueued <- t.enqueued + 1;
     if len > t.max_occupancy then t.max_occupancy <- len;
     true
@@ -77,7 +73,6 @@ let enqueue t pkt =
 let dequeue_unsafe t =
   let pkt = Ring.pop t.q in
   t.len <- t.len - 1;
-  t.bytes <- t.bytes - pkt.Packet.size;
   pkt
 
 let dequeue t = if t.len = 0 then None else Some (dequeue_unsafe t)

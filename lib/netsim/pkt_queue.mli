@@ -37,7 +37,6 @@ val count_drop : t -> Packet.t -> unit
     every loss at this egress and packet-conservation audits balance. *)
 
 val length : t -> int
-val byte_length : t -> int
 val is_empty : t -> bool
 val stats : t -> stats
 val capacity : t -> int

@@ -49,6 +49,7 @@ val ports_to_peer : t -> peer:int -> int list
 val set_routes : t -> Addr.t -> int array -> unit
 (** Candidate egress ports for a destination (replaces previous entry). *)
 
+(* oracle of test_clos3's no-black-holes property — lint: allow dead-export *)
 val routes : t -> Addr.t -> int array option
 val clear_routes : t -> unit
 

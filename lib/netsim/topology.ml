@@ -46,7 +46,6 @@ let incident t id =
   Int_table.find_default t.incidence id []
 
 let connect t a b ~rate_bps ~delay ?(bundle_index = 0) () =
-  if a = b then invalid_arg "Topology.connect: self-loop";
   let edge =
     { edge_id = t.n_edges; a; b; rate_bps; delay; bundle_index; failed = false }
   in

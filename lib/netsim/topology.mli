@@ -26,13 +26,6 @@ type edge = {
 
 type t
 
-val create : unit -> t
-
-val add_switch : t -> Switch.level -> int
-val connect :
-  t -> int -> int -> rate_bps:float -> delay:Sim_time.span ->
-  ?bundle_index:int -> unit -> edge
-
 val node : t -> int -> node
 val node_count : t -> int
 val nodes : t -> node array

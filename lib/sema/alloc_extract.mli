@@ -28,6 +28,7 @@ val witness_to :
     site is the call site in the previous element; [None] when the
     node is not hot. *)
 
+(* oracle of test_alloc's hot-region monotonicity — lint: allow dead-export *)
 val reachable : n:int -> roots:int list -> edges:(int * int) list -> bool array
 (** Pure reachability on an integer graph; exposed for the qcheck
     property that membership is monotone under added edges. *)

@@ -47,12 +47,17 @@ let rec scan_dir path acc =
     Array.fold_left
       (fun acc name ->
         let full = Filename.concat path name in
-        if Sys.is_directory full then
+        match Sys.is_directory full with
+        (* a compiler's temporary file renamed away since [readdir]: the
+           test units may still be building while clove-check runs *)
+        | exception Sys_error _ -> acc
+        | true ->
           (* the install tree duplicates every .objs cmt *)
           if name = "install" || name = ".git" then acc else scan_dir full acc
-        else if Filename.check_suffix name ".cmt" || Filename.check_suffix name ".cmti"
-        then full :: acc
-        else acc)
+        | false ->
+          if Filename.check_suffix name ".cmt" || Filename.check_suffix name ".cmti"
+          then full :: acc
+          else acc)
       acc entries
 
 type loaded = Impl of unit_info | Intf of intf_info

@@ -7,7 +7,7 @@ open Typedtree
 
 let rule = "dead-export"
 
-let fixtures = "test/fixtures/"
+let tests = "test/"
 
 (* [module X = M], possibly under the implicit constraint the
    typechecker adds: X is a new name for M, not a use of it *)
@@ -98,7 +98,7 @@ let findings ~scope units intfs =
   List.iter
     (fun (u : Cmt_load.unit_info) ->
       if
-        (not (Cmt_load.in_scope [ fixtures ] u.Cmt_load.u_source))
+        (not (Cmt_load.in_scope [ tests ] u.Cmt_load.u_source))
         || Cmt_load.in_scope scope u.Cmt_load.u_source
       then scan uses u)
     units;

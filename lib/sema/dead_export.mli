@@ -11,9 +11,9 @@
     functor argument, a signature coercion, an [include], a
     [(module M)] — counts every one of its values as used.
 
-    Implementations under [test/fixtures/] are consumers only when they
-    are themselves in scope, so a seeded fixture never keeps a library
-    export alive. *)
+    Implementations under [test/] (suites and seeded fixtures) are
+    consumers only when they are themselves in scope, so an export that
+    only tests read is dead. *)
 
 val findings :
   scope:string list ->

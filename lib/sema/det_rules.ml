@@ -7,7 +7,7 @@ open Typedtree
 let rules =
   [
     ( "sema-hashtbl-order",
-      "Hashtbl.iter/fold or Int_table.iter/fold whose closure mutates state \
+      "Hashtbl.iter/fold or Int_table.fold whose closure mutates state \
        or prints: table order is unsorted, iterate Int_table.sorted_keys or \
        Int_table.iter_sorted" );
     ("sema-raw-random", "Random.* bypasses the seeded Engine.Rng streams");
@@ -316,8 +316,8 @@ let check_apply ctx (e : expression) (fn : expression) p args =
   | Some ("Rng", "create"),
     { exp_desc = Texp_constant (Asttypes.Const_int n); _ } :: _ ->
     add ctx ~rule:"sema-adhoc-seed" e.exp_loc (Printf.sprintf "Rng.create %d" n)
-  | Some ("Int_table", (("iter" | "fold") as op)), closure :: _ ->
-    check_table_order ctx fn ("Int_table." ^ op) closure
+  | Some ("Int_table", "fold"), closure :: _ ->
+    check_table_order ctx fn "Int_table.fold" closure
   | _ -> ()
 
 let check_unit (u : Cmt_load.unit_info) =

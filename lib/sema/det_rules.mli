@@ -14,6 +14,7 @@
     variable; [float-eq] flags [=]/[<>] with a float-literal operand.
     DESIGN.md §11 tabulates the rules. *)
 
+(* test_sema's fixture case requires every rule id — lint: allow dead-export *)
 val rules : (string * string) list
 (** [(rule_id, description)]: the fourteen rules, for the finding messages. *)
 

@@ -425,6 +425,17 @@ let alloc_calls =
 let poly_compare_fns =
   [ "compare"; "="; "<>"; "<"; ">"; "<="; ">="; "min"; "max" ]
 
+(* a variant block whose arguments are all constants ([Some 64], and
+   the typechecker's [Some] around [f ~capacity:64]) is static data
+   ocamlopt emits once: building it allocates nothing.  A variable
+   argument ([Some x], [f ~capacity:c]) is a heap block per evaluation. *)
+let rec is_static (e : Typedtree.expression) =
+  match e.exp_desc with
+  | Texp_constant _ -> true
+  | Texp_construct (_, { cstr_tag = Cstr_constant _; _ }, []) -> true
+  | Texp_construct (_, { cstr_tag = Cstr_block _; _ }, args) -> List.for_all is_static args
+  | _ -> false
+
 (* classify [e] as an allocation site of the current node, if it is
    one.  Closure literals that are the node's own outer [fun]-chain
    (tracked by physical identity in [ctx.chain]) are the function
@@ -452,7 +463,7 @@ let record_alloc ctx (e : Typedtree.expression) =
         | _ -> "?"
       in
       add K_record (Printf.sprintf "record %s (%d fields)" tyname (Array.length fields))
-    | Texp_construct (_, cstr, args) when args <> [] -> (
+    | Texp_construct (_, cstr, args) when args <> [] && not (is_static e) -> (
       match cstr.Types.cstr_name with
       | "Some" -> add K_option "Some"
       | "::" -> add K_cons "list cons"

@@ -20,6 +20,7 @@
 type cls = Pure | Local_mut | Param_mut | Captured_mut | Shared_mut
 
 val rank : cls -> int
+(* oracle of test_race's lattice properties — lint: allow dead-export *)
 val join : cls -> cls -> cls
 
 type protection = Unprotected | P_atomic | P_lock | P_dls
@@ -31,6 +32,7 @@ type arg_class =
       (** the parameter's [Ident.unique_name]; [""] when unknown *)
   | A_local
 
+(* oracle of test_race's lattice properties — lint: allow dead-export *)
 val solve :
   nodes:int ->
   own:(int -> cls) ->

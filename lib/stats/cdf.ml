@@ -1,13 +1,5 @@
 type t = { xs : float array; ps : float array }
 
-let of_samples samples =
-  if Array.length samples = 0 then invalid_arg "Cdf.of_samples: empty";
-  let xs = Array.copy samples in
-  Array.sort Float.compare xs;
-  let n = Array.length xs in
-  let ps = Array.init n (fun i -> float_of_int (i + 1) /. float_of_int n) in
-  { xs; ps }
-
 let of_knots knots =
   let arr = Array.of_list knots in
   let n = Array.length arr in
@@ -20,22 +12,6 @@ let of_knots knots =
   if ps.(0) < 0.0 || abs_float (ps.(n - 1) -. 1.0) > 1e-9 then
     invalid_arg "Cdf.of_knots: probabilities must span up to 1";
   { xs; ps }
-
-let eval t x =
-  let n = Array.length t.xs in
-  if x < t.xs.(0) then 0.0
-  else if x >= t.xs.(n - 1) then 1.0
-  else begin
-    (* binary search for the segment containing x *)
-    let lo = ref 0 and hi = ref (n - 1) in
-    while !hi - !lo > 1 do
-      let mid = (!lo + !hi) / 2 in
-      if t.xs.(mid) <= x then lo := mid else hi := mid
-    done;
-    let x0 = t.xs.(!lo) and x1 = t.xs.(!hi) in
-    let p0 = t.ps.(!lo) and p1 = t.ps.(!hi) in
-    if x1 = x0 then p1 else p0 +. ((p1 -. p0) *. (x -. x0) /. (x1 -. x0))
-  end
 
 let inverse t p =
   if p < 0.0 || p > 1.0 then invalid_arg "Cdf.inverse: p out of range";
@@ -64,9 +40,3 @@ let mean t =
   !acc
 
 let points t = Array.init (Array.length t.xs) (fun i -> (t.xs.(i), t.ps.(i)))
-
-let quantiles t n =
-  if n < 2 then invalid_arg "Cdf.quantiles: need n >= 2";
-  Array.init n (fun i ->
-      let p = float_of_int i /. float_of_int (n - 1) in
-      (inverse t p, p))

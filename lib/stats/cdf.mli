@@ -1,21 +1,14 @@
-(** Empirical cumulative distribution functions.
-
-    Two uses in this project: reporting FCT CDFs (Fig. 9) and sampling from
-    published workload CDFs (web-search flow sizes), with linear
-    interpolation between knots as is standard in datacenter simulators. *)
+(** Piecewise-linear cumulative distribution functions, for sampling
+    from published workload CDFs (web-search and data-mining flow sizes)
+    with linear interpolation between knots, as is standard in
+    datacenter simulators. *)
 
 type t
-
-val of_samples : float array -> t
-(** Empirical CDF of observed samples. *)
 
 val of_knots : (float * float) list -> t
 (** [of_knots [(x0, p0); ...]] builds a piecewise-linear CDF from knots with
     non-decreasing [x] and [p], [p] in \[0,1\], last [p] = 1.  Raises
     [Invalid_argument] on malformed input. *)
-
-val eval : t -> float -> float
-(** [eval t x] = P(X <= x). *)
 
 val inverse : t -> float -> float
 (** [inverse t p] = smallest x with CDF(x) >= p, interpolated; [p] in
@@ -26,7 +19,3 @@ val mean : t -> float
 
 val points : t -> (float * float) array
 (** The (x, p) knots. *)
-
-val quantiles : t -> int -> (float * float) array
-(** [quantiles t n] samples the inverse CDF at [n] evenly spaced probability
-    levels — convenient for plotting. *)

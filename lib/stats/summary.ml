@@ -3,9 +3,6 @@ type t = {
   mutable size : int;
   mutable sorted : bool;
   mutable sum : float;
-  mutable sum_sq : float;
-  mutable min_v : float;
-  mutable max_v : float;
 }
 
 let create () =
@@ -14,9 +11,6 @@ let create () =
     size = 0;
     sorted = true;
     sum = 0.0;
-    sum_sq = 0.0;
-    min_v = infinity;
-    max_v = neg_infinity;
   }
 
 let add t x =
@@ -28,24 +22,9 @@ let add t x =
   t.data.(t.size) <- x;
   t.size <- t.size + 1;
   t.sorted <- false;
-  t.sum <- t.sum +. x;
-  t.sum_sq <- t.sum_sq +. (x *. x);
-  if x < t.min_v then t.min_v <- x;
-  if x > t.max_v then t.max_v <- x
+  t.sum <- t.sum +. x
 
-let count t = t.size
 let mean t = if t.size = 0 then nan else t.sum /. float_of_int t.size
-let total t = t.sum
-let min_value t = if t.size = 0 then nan else t.min_v
-let max_value t = if t.size = 0 then nan else t.max_v
-
-let stddev t =
-  if t.size = 0 then nan
-  else
-    let n = float_of_int t.size in
-    let m = t.sum /. n in
-    let v = (t.sum_sq /. n) -. (m *. m) in
-    sqrt (max 0.0 v)
 
 let ensure_sorted t =
   if not t.sorted then begin
@@ -68,15 +47,3 @@ let percentile t p =
       let w = rank -. float_of_int lo in
       ((1.0 -. w) *. t.data.(lo)) +. (w *. t.data.(hi))
   end
-
-let median t = percentile t 50.0
-
-let merge a b =
-  let t = create () in
-  for i = 0 to a.size - 1 do
-    add t a.data.(i)
-  done;
-  for i = 0 to b.size - 1 do
-    add t b.data.(i)
-  done;
-  t

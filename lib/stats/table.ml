@@ -2,17 +2,15 @@ type t = { header : string list; mutable rows : string list list }
 
 let create ~header = { header; rows = [] }
 
-let add_row t row =
-  if List.length row <> List.length t.header then
-    invalid_arg "Table.add_row: row width mismatch";
-  t.rows <- t.rows @ [ row ]
-
 let fmt_float x =
   if Float.is_nan x then "-"
   else if Float.is_integer x && abs_float x < 1e15 then Printf.sprintf "%.0f" x
   else Printf.sprintf "%.4g" x
 
-let add_float_row t ~label values = add_row t (label :: List.map fmt_float values)
+let add_float_row t ~label values =
+  if List.length values + 1 <> List.length t.header then
+    invalid_arg "Table.add_float_row: row width mismatch";
+  t.rows <- t.rows @ [ label :: List.map fmt_float values ]
 
 let widths t =
   let all = t.header :: t.rows in
@@ -33,8 +31,6 @@ let pp fmt t =
   let rule = Array.to_list (Array.map (fun n -> String.make n '-') w) in
   line rule;
   List.iter line t.rows
-
-let to_string t = Format.asprintf "%a" pp t
 
 let csv t =
   let line row = String.concat "," row in

@@ -43,6 +43,7 @@ val send : t -> bytes:int -> on_complete:(unit -> unit) -> unit
 (** Enqueue a job; jobs are served FIFO over the subflow pool and complete
     when every byte has been acknowledged on its subflow. *)
 
+(* oracle of test_coverage's mptcp reinjection case — lint: allow dead-export *)
 val reinjections : t -> int
 (** Grants reinjected onto healthy subflows after a subflow RTO
     (opportunistic retransmission). *)

@@ -79,6 +79,7 @@ val srtt : sender -> default:Sim_time.span -> Sim_time.span
 (** The smoothed RTT, or [default] before the first sample. *)
 
 val flight_bytes : sender -> int
+(* oracle of test_integration's conservation, test_transport's mptcp — lint: allow dead-export *)
 val snd_una : sender -> int
 val retransmits : sender -> int
 val timeouts : sender -> int
@@ -107,7 +108,10 @@ val on_data : receiver -> Packet.inner -> unit
 
 val conn_id_r : receiver -> int
 val subflow_id_r : receiver -> int
+(* oracle of test_properties' receiver buffer — lint: allow dead-export *)
 val rcv_next : receiver -> int
+(* oracle of test_transport's tcp delivery cases — lint: allow dead-export *)
 val delivered_bytes : receiver -> int
+(* oracle of test_transport's reorder buffer case — lint: allow dead-export *)
 val ooo_segments : receiver -> int
 (** Number of segments that arrived out of order (reordering metric). *)

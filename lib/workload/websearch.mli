@@ -54,7 +54,3 @@ val run :
     completed (there must be no other unbounded event sources that block
     progress — periodic probes etc. are fine).  Returns the recorded
     FCTs. *)
-
-val arrival_rate_per_conn : config -> conns:int -> float
-(** Jobs per second per connection implied by the config (exposed for
-    tests). *)

@@ -57,3 +57,13 @@ let on_probe_violation arg =
 let install_probe sched =
   ignore (Engine.Scheduler.register_kind sched on_probe);
   ignore (Engine.Scheduler.register_kind sched on_probe_violation)
+
+(* a constructor over a variable is a heap block per event, where its
+   constant twin in alloc_clean is static data *)
+type slot = { mutable cap : int option }
+
+let last_arg = { cap = None }
+
+let on_some arg = last_arg.cap <- Some arg
+
+let install_some sched = ignore (Engine.Scheduler.register_kind sched on_some)

@@ -19,7 +19,7 @@ let show () = Hashtbl.iter (fun port _ -> Printf.printf "%d\n" port) weights
 let flows : int Int_table.t = Int_table.create ~capacity:16 ~dummy:0
 
 let dump_flows () =
-  Int_table.iter (fun k v -> Buffer.add_string log (string_of_int (k + v))) flows
+  Int_table.fold (fun k v () -> Buffer.add_string log (string_of_int (k + v))) flows ()
 
 let count_into c = Int_table.fold (fun _ v () -> c := !c + v) flows ()
 

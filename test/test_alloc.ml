@@ -94,6 +94,21 @@ let test_clean_twin () =
            [ "test/fixtures/alloc/alloc_hot.ml"; "test/fixtures/alloc/event_queue.ml" ]))
     (active_findings ())
 
+(* a constructor of constants is static data: the clean twin's
+   [Some 64] and [~capacity:64] are not flagged, while [Some arg] in
+   the hot unit is *)
+let test_static_constructors () =
+  let open Analysis.Findings in
+  let all = Lazy.force fixture_result in
+  Alcotest.(check (list string)) "clean twin: no finding at all" []
+    (List.filter_map
+       (fun f -> if contains f.file "alloc_clean" then Some f.target else None)
+       all);
+  Alcotest.(check bool) "Some over a variable flagged" true
+    (List.exists
+       (fun f -> f.rule = "alloc-option" && f.target = "Alloc_hot.on_some: Some")
+       (active_findings ()))
+
 (* The engine's heap once hid 16 generic compares per pop: its
    comparator was an unannotated [let[@inline]], and the call into the
    heap was recorded only as a mutation of the queue, not as a call
@@ -230,6 +245,8 @@ let () =
           Alcotest.test_case "hot twin flagged with witness" `Quick
             test_hot_flagged_with_witness;
           Alcotest.test_case "clean twin clean" `Quick test_clean_twin;
+          Alcotest.test_case "constant constructors are static" `Quick
+            test_static_constructors;
           Alcotest.test_case "inline generic compare behind a mutator call" `Quick
             test_inline_poly_compare_through_mutator;
           Alcotest.test_case "audited branch is cold" `Quick test_audit_gate_cold;

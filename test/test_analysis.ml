@@ -88,7 +88,8 @@ let test_suppression_grammar () =
 
 (* --------------------------- audit: units -------------------------- *)
 
-let audited = { Run_mode.serial with Run_mode.audit = true }
+let serial = { Run_mode.default with Run_mode.domains = 1 }
+let audited = { serial with Run_mode.audit = true }
 let cfg = Clove.Clove_config.default
 
 (* the outer-header stamps of the tenant packets a client sends while
@@ -126,7 +127,7 @@ let clock_regression sched =
   Scheduler.run sched
 
 let test_audit_disabled_hooks () =
-  let stamps, scn = client_stamps Run_mode.serial in
+  let stamps, scn = client_stamps serial in
   check_bool "tenant packets were sent" true (stamps <> []);
   check_bool "no FIFO stamp when off" true (List.for_all (fun s -> s = -1) stamps);
   let sched = Scheduler.create () in
@@ -331,15 +332,18 @@ let websearch_digest ~violations mode =
     (Workload.Fct_stats.percentile fct 99.0)
     (Workload.Fct_stats.count fct)
 
-(* run-to-run determinism is the stability driver's [rerun] mode *)
+(* run-to-run determinism: the stability check with one unchanged
+   rerun as its only mode *)
 let rerun run =
-  Run_mode.check_stability ~modes:[ Run_mode.rerun ] (fun m ->
+  Run_mode.check_stability ~modes:[ ("rerun", Fun.id) ] (fun m ->
       run { m with Run_mode.audit = true })
+
+let stable outcomes = List.for_all (fun o -> o.Run_mode.matches) outcomes
 
 let test_determinism_websearch () =
   let violations = ref 0 in
   check_bool "same seed, same digest" true
-    (Run_mode.stable (snd (rerun (websearch_digest ~violations))));
+    (stable (snd (rerun (websearch_digest ~violations))));
   check_int "no violations" 0 !violations
 
 let test_determinism_counterexample () =
@@ -349,7 +353,7 @@ let test_determinism_counterexample () =
     string_of_int !calls
   in
   let _, outcomes = rerun run in
-  check_bool "impure run caught" false (Run_mode.stable outcomes);
+  check_bool "impure run caught" false (stable outcomes);
   check_int "mismatch recorded" 1
     (List.length (List.filter (fun o -> not o.Run_mode.matches) outcomes))
 

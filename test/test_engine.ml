@@ -40,14 +40,18 @@ let test_rng_determinism () =
 
 let test_rng_split_independent () =
   let a = Rng.create 42 in
-  let c = Rng.split a in
-  let d = Rng.split a in
-  (* different splits should give different streams *)
-  let same = ref 0 in
+  let c = Rng.split_named a "c" in
+  let d = Rng.split_named a "d" in
+  (* differently named splits give different streams, and neither
+     is the parent's *)
+  let same = ref 0 and parent = ref 0 in
   for _ = 1 to 50 do
-    if Rng.int c 1_000_000 = Rng.int d 1_000_000 then incr same
+    let x = Rng.int c 1_000_000 in
+    if x = Rng.int d 1_000_000 then incr same;
+    if x = Rng.int a 1_000_000 then incr parent
   done;
-  check_bool "streams differ" true (!same < 5)
+  check_bool "streams differ" true (!same < 5);
+  check_bool "split differs from its parent" true (!parent < 5)
 
 let test_rng_split_named_stable () =
   let a = Rng.create 7 and b = Rng.create 7 in
@@ -111,23 +115,7 @@ let test_eq_grows () =
     Event_queue.add q ~time:(Sim_time.of_ns i) i
   done;
   check_int "size" 1000 (Event_queue.size q);
-  check_int "peek" 0 (match Event_queue.peek_time q with Some t -> Sim_time.to_ns t | None -> -1)
-
-let test_eq_clear_and_reuse () =
-  let q = Event_queue.create ~capacity:4 ~dummy:(-1) () in
-  for i = 0 to 99 do
-    Event_queue.add q ~time:(Sim_time.of_ns (100 - i)) i
-  done;
-  Event_queue.clear q;
-  check_bool "empty after clear" true (Event_queue.is_empty q);
-  check_bool "pop after clear" true (Event_queue.pop q = None);
-  (* the queue (and its grown arrays) stay usable after clear *)
-  Event_queue.add q ~time:(Sim_time.of_ns 7) 7;
-  Event_queue.add q ~time:(Sim_time.of_ns 3) 3;
-  check_int "reuse pops min" 3
-    (match Event_queue.pop q with Some (_, v) -> v | None -> -1);
-  check_int "reuse pops rest" 7
-    (match Event_queue.pop q with Some (_, v) -> v | None -> -1)
+  check_int "earliest" 0 (Event_queue.min_time_ns q)
 
 let test_eq_lifo_tiebreak () =
   (* the perturbation check builds queues with the same-timestamp
@@ -587,7 +575,7 @@ let prop_int_table_model =
 let test_int_table_unsorted_iter_deterministic () =
   (* raw iteration order is a pure function of the operation history:
      two tables fed the same ops traverse identically — this is what
-     lets hot paths use [iter] when the effect is order-insensitive *)
+     lets hot paths use [fold] when the effect is order-insensitive *)
   let build () =
     let t = Int_table.create ~capacity:4 ~dummy:(-1) in
     for i = 0 to 99 do
@@ -598,11 +586,7 @@ let test_int_table_unsorted_iter_deterministic () =
     done;
     t
   in
-  let trace t =
-    let acc = ref [] in
-    Int_table.iter (fun k v -> acc := (k, v) :: !acc) t;
-    List.rev !acc
-  in
+  let trace t = Int_table.fold (fun k v acc -> (k, v) :: acc) t [] in
   let a = build () and b = build () in
   check_int "same length" (Int_table.length a) (Int_table.length b);
   check_bool "identical raw traversal" true (trace a = trace b);
@@ -633,7 +617,6 @@ let () =
           Alcotest.test_case "ordering" `Quick test_eq_ordering;
           Alcotest.test_case "fifo at same time" `Quick test_eq_fifo_same_time;
           Alcotest.test_case "growth" `Quick test_eq_grows;
-          Alcotest.test_case "clear and reuse" `Quick test_eq_clear_and_reuse;
           Alcotest.test_case "lifo tie-break under perturb" `Quick test_eq_lifo_tiebreak;
           qc prop_eq_sorted;
           qc prop_eq_matches_reference;

@@ -180,7 +180,9 @@ let test_caft_delivers_across_core () =
     (Fabric_lb.Caft.flowlets_started caft > 0);
   check_int "reweighted once at install" 1 (Fabric_lb.Caft.reweights caft);
   check_bool "core tier built" true
-    (Array.length (Experiments.Scenario.topology scn).Topology.core_ids > 0);
+    (Array.exists
+       (function Topology.Switch_node (Switch.Core_sw, _) -> true | _ -> false)
+       (Topology.nodes (Fabric.topology (Experiments.Scenario.fabric scn))));
   Experiments.Scenario.quiesce scn
 
 let test_caft_spreads_over_both_cores () =

@@ -20,31 +20,33 @@ let small_params seed =
     fabric_rate_bps = 4.0 *. 10e9 /. 4.0;
   }
 
+(* a sweep point: one (scheme, seed, load, jobs per connection) run *)
+type point = { scheme : Scenario.scheme; seed : int; load : float; jobs : int }
+
 let small_points () =
   Array.of_list
     (List.concat_map
        (fun scheme ->
          List.concat_map
-           (fun load ->
-             List.map
-               (fun seed ->
-                 {
-                   Sweep.pt_scheme = scheme;
-                   pt_params = small_params seed;
-                   pt_load = load;
-                   pt_jobs_per_conn = 4;
-                 })
-               [ 1; 2 ])
+           (fun load -> List.map (fun seed -> { scheme; seed; load; jobs = 4 }) [ 1; 2 ])
            [ 0.3; 0.6 ])
        [ Scenario.S_ecmp; Scenario.S_clove_ecn ])
 
-let dumps results = Array.map Workload.Fct_stats.canonical_dump results
 let at_domains domains = { Run_mode.default with Run_mode.domains }
+
+(* the points fanned across the pool as the sweep fans its tasks: each
+   with a private scenario, results by point index *)
+let run_points ~domains points =
+  let run p =
+    Sweep.websearch_run ~mode:(at_domains domains) ~scheme:p.scheme
+      ~params:(small_params p.seed) ~load:p.load ~jobs_per_conn:p.jobs
+  in
+  Array.map Workload.Fct_stats.canonical_dump (Domain_pool.run ~domains run points)
 
 let test_two_domains_byte_identical () =
   let points = small_points () in
-  let serial = dumps (Sweep.run_points_parallel ~mode:(at_domains 1) points) in
-  let par = dumps (Sweep.run_points_parallel ~mode:(at_domains 2) points) in
+  let serial = run_points ~domains:1 points in
+  let par = run_points ~domains:2 points in
   check_int "same number of results" (Array.length serial) (Array.length par);
   Array.iteri
     (fun i s ->
@@ -55,17 +57,10 @@ let test_two_domains_byte_identical () =
 let test_results_indexed_not_completion_ordered () =
   (* points with very different costs: if results were collected in
      completion order the cheap point would land in the wrong slot *)
-  let mk jobs seed =
-    {
-      Sweep.pt_scheme = Scenario.S_ecmp;
-      pt_params = small_params seed;
-      pt_load = 0.4;
-      pt_jobs_per_conn = jobs;
-    }
-  in
+  let mk jobs seed = { scheme = Scenario.S_ecmp; seed; load = 0.4; jobs } in
   let heavy_first = [| mk 10 1; mk 2 2 |] in
-  let serial = dumps (Sweep.run_points_parallel ~mode:(at_domains 1) heavy_first) in
-  let par = dumps (Sweep.run_points_parallel ~mode:(at_domains 2) heavy_first) in
+  let serial = run_points ~domains:1 heavy_first in
+  let par = run_points ~domains:2 heavy_first in
   check_string "slow point stays at index 0" serial.(0) par.(0);
   check_string "fast point stays at index 1" serial.(1) par.(1)
 
@@ -76,24 +71,20 @@ let memo_specs =
 
 let test_prefetch_matches_serial_point () =
   (* the merged, memoized answer must not depend on how it was computed:
-     every (spec, seed) task on 1 domain vs fanned across 2 *)
-  let fetch domains =
-    Sweep.clear_memo ();
-    List.map Workload.Fct_stats.canonical_dump
-      (Sweep.websearch_points ~opts:{ opts with Sweep.mode = at_domains domains } memo_specs)
+     every (spec, seed) task on 1 domain vs fanned across 2 (the
+     stability check starts every mode from a cleared memo) *)
+  let fetch mode =
+    String.concat "\n"
+      (List.map Workload.Fct_stats.canonical_dump
+         (Sweep.websearch_points ~opts:{ opts with Sweep.mode } memo_specs))
   in
-  let serial = fetch 1 in
-  let par = fetch 2 in
-  List.iter2
-    (fun name (s, p) -> check_string (name ^ ": 2-domain merge identical") s p)
-    [ "ecmp"; "clove-ecn" ]
-    (List.combine serial par);
-  Sweep.clear_memo ()
+  let serial, outcomes = Sweep.check_stability fetch in
+  let par = List.find (fun o -> o.Run_mode.mode = "domains-2") outcomes in
+  check_string "2-domain merge identical" serial par.Run_mode.digest
 
 let test_load_sweep_cell_placement () =
   (* every cell of a (case x load) grid is the metric of its own point:
      row = load, column = case, never transposed or shifted *)
-  Sweep.clear_memo ();
   let opts = { Sweep.default_opts with Sweep.jobs_per_conn = 4; seeds = [ 1 ] } in
   let cases =
     [
@@ -123,15 +114,14 @@ let test_load_sweep_cell_placement () =
            (Sweep.websearch_points ~opts
               (List.map (fun (_, scheme, params) -> (scheme, params, load)) cases))))
     loads;
-  check_string "every cell is its own point's metric" (Stats.Table.csv expected) csv;
-  Sweep.clear_memo ()
+  check_string "every cell is its own point's metric" (Stats.Table.csv expected) csv
 
 let test_repeated_parallel_runs_stable () =
   (* same points, same domain count, fresh pool each time: the engine
      itself must not inject nondeterminism (scheduling, pooling) *)
   let points = small_points () in
-  let a = dumps (Sweep.run_points_parallel ~mode:(at_domains 2) points) in
-  let b = dumps (Sweep.run_points_parallel ~mode:(at_domains 2) points) in
+  let a = run_points ~domains:2 points in
+  let b = run_points ~domains:2 points in
   Array.iteri
     (fun i s -> check_string (Printf.sprintf "run-to-run point %d" i) s b.(i))
     a
@@ -160,7 +150,7 @@ let test_matrix_slice () =
    0.8 and seed 21 a sharded run's last window fires packets past the
    last completion, so this also pins the audited run's common end *)
 let test_audited_chaos_width_invariant () =
-  let audited = { Run_mode.serial with Run_mode.audit = true } in
+  let audited = { Run_mode.default with Run_mode.domains = 1; audit = true } in
   let run mode =
     Chaos.run
       {

@@ -207,7 +207,49 @@ let test_dead_export () =
       Alcotest.(check string) "file" "test/fixtures/dead/dead_lib.mli" f.file)
     fs
 
+(* who counts as a consumer: the fixture's consumer unit moved (by its
+   recorded source path) to a test file outside the scope keeps nothing
+   alive, the same unit in scope does, and so does a production unit
+   outside the scope *)
+let test_dead_export_consumers () =
+  let scope = [ "test/fixtures/dead/" ] in
+  let units, intfs = Sema.Cmt_load.load ~root:"fixtures" ~source_prefixes:scope in
+  let moved source =
+    List.map
+      (fun (u : Sema.Cmt_load.unit_info) ->
+        if u.u_short = "Dead_consumer" then { u with u_source = source } else u)
+      units
+  in
+  let dead ~scope units =
+    List.sort String.compare
+      (List.map
+         (fun (f : Analysis.Findings.t) -> f.target)
+         (Sema.Dead_export.findings ~scope units intfs))
+  in
+  Alcotest.(check (list string))
+    "test unit outside the scope: every value it uses is dead"
+    [ "Dead_lib.+!"; "Dead_lib.span"; "Dead_lib.stale"; "Whole_lib.only_included" ]
+    (dead ~scope (moved "test/test_consumer.ml"));
+  Alcotest.(check (list string))
+    "test unit in scope: a consumer" [ "Dead_lib.stale" ]
+    (dead ~scope:("test/test_consumer.ml" :: scope) (moved "test/test_consumer.ml"));
+  Alcotest.(check (list string))
+    "production unit outside the scope: a consumer" [ "Dead_lib.stale" ]
+    (dead ~scope (moved "bin/consumer.ml"))
+
 (* -------------------- dynamic sanitizer: basics -------------------- *)
+
+(* the stability check under an unchanged rerun and the reversed
+   same-timestamp tie-break *)
+let check_stability =
+  Run_mode.check_stability
+    ~modes:
+      [
+        ("rerun", Fun.id);
+        ("tiebreak-lifo", fun m -> { m with Run_mode.tiebreak = Event_queue.Lifo });
+      ]
+
+let stable outcomes = List.for_all (fun o -> o.Run_mode.matches) outcomes
 
 (* A correct run: observable order fixed by Int_table.iter_sorted, so
    the digest survives every perturbation. *)
@@ -236,15 +278,15 @@ let tie_order_run mode =
 let diverged outcomes = List.filter (fun o -> not o.Run_mode.matches) outcomes
 
 let test_sanitizer_accepts_sorted () =
-  let baseline, outcomes = Run_mode.check_stability sorted_run in
+  let baseline, outcomes = check_stability sorted_run in
   check_bool "digest non-empty" true (String.length baseline > 0);
-  check_int "every standard mode runs" 2 (List.length outcomes);
-  check_bool "stable" true (Run_mode.stable outcomes);
+  check_int "both modes run" 2 (List.length outcomes);
+  check_bool "stable" true (stable outcomes);
   check_int "no divergence" 0 (List.length (diverged outcomes))
 
 let test_sanitizer_catches_tie_order () =
-  let _, outcomes = Run_mode.check_stability tie_order_run in
-  check_bool "unstable" false (Run_mode.stable outcomes);
+  let _, outcomes = check_stability tie_order_run in
+  check_bool "unstable" false (stable outcomes);
   let lifo = List.find (fun o -> o.Run_mode.mode = "tiebreak-lifo") outcomes in
   check_bool "lifo flipped the digest" false lifo.Run_mode.matches
 
@@ -317,14 +359,14 @@ let test_scenario_stable_under_perturbation () =
   List.iter
     (fun (label, params, jobs) ->
       let baseline, outcomes =
-        Run_mode.check_stability (fun m ->
+        check_stability (fun m ->
             scenario_digest ~violations ~params ~jobs { m with Run_mode.audit = true })
       in
       check_bool
         (Format.asprintf "identical digests:@.%a" (Run_mode.pp_outcomes ~label)
            (baseline, outcomes))
         true
-        (Run_mode.stable outcomes))
+        (stable outcomes))
     scenario_inputs;
   check_int "no violations" 0 !violations
 
@@ -336,7 +378,7 @@ let test_scenario_stable_under_perturbation () =
 let test_mptcp_incast_tie_order () =
   let goodput tiebreak =
     Sweep.incast_point
-      ~mode:{ Run_mode.serial with Run_mode.tiebreak }
+      ~mode:{ Run_mode.default with Run_mode.domains = 1; tiebreak }
       ~scheme:Scenario.S_mptcp
       ~params:
         { Scenario.default_params with Scenario.hosts_per_leaf = 16; fabric_rate_bps = 40e9 }
@@ -363,6 +405,7 @@ let () =
           Alcotest.test_case "parent misreads" `Quick test_parent_misreads;
           Alcotest.test_case "fixture flagged" `Quick test_fixture_flagged;
           Alcotest.test_case "dead-export fixture" `Quick test_dead_export;
+          Alcotest.test_case "dead-export consumers" `Quick test_dead_export_consumers;
         ] );
       ( "lint",
         [

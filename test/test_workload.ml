@@ -10,8 +10,8 @@ let test_web_search_shape () =
   let d = Workload.Flow_size_dist.web_search in
   (* the published distribution: ~30% of flows are <= 13KB, long tail to
      20MB, mean around 1.7MB *)
-  Alcotest.(check (float 0.02)) "p(<=13KB)" 0.30 (Stats.Cdf.eval d 13_000.0);
-  Alcotest.(check (float 0.02)) "p(<=667KB)" 0.90 (Stats.Cdf.eval d 667_000.0);
+  Alcotest.(check (float 1.0)) "30% of flows <= 13KB" 13_000.0 (Stats.Cdf.inverse d 0.30);
+  Alcotest.(check (float 1.0)) "90% of flows <= 667KB" 667_000.0 (Stats.Cdf.inverse d 0.90);
   (* mean of the piecewise-linear interpolation of the published knots:
      a few hundred KB (the tail carries most of the bytes) *)
   let mean = Workload.Flow_size_dist.mean_bytes d in
@@ -35,16 +35,15 @@ let test_scaling_preserves_shape () =
   Alcotest.(check (float 1e-6))
     "mean halves" 0.5
     (Workload.Flow_size_dist.mean_bytes half /. Workload.Flow_size_dist.mean_bytes d);
-  Alcotest.(check (float 0.01))
-    "same quantile structure"
-    (Stats.Cdf.eval d 33_000.0)
-    (Stats.Cdf.eval half 16_500.0)
+  Alcotest.(check (float 1e-6))
+    "same quantile structure" 0.5
+    (Stats.Cdf.inverse half 0.6 /. Stats.Cdf.inverse d 0.6)
 
 let test_data_mining_heavier_tail () =
   (* data-mining has many tiny flows but a much heavier tail *)
   let ws = Workload.Flow_size_dist.web_search in
   let dm = Workload.Flow_size_dist.data_mining in
-  check_bool "more tiny flows" true (Stats.Cdf.eval dm 10_000.0 > Stats.Cdf.eval ws 10_000.0);
+  check_bool "more tiny flows" true (Stats.Cdf.inverse dm 0.5 < Stats.Cdf.inverse ws 0.5);
   check_bool "heavier tail" true
     (Workload.Flow_size_dist.mean_bytes dm > Workload.Flow_size_dist.mean_bytes ws)
 
@@ -81,19 +80,36 @@ let test_fct_merge_and_percentile () =
 (* -------------------------------- Websearch ----------------------- *)
 
 let test_arrival_rate_math () =
+  (* each connection's Poisson arrivals average one job per
+     conns * mean_bits / (load * bisection) seconds, measured on the
+     submit instants of Websearch.run *)
+  let sched = Scheduler.create () in
+  let conns = 8 and jobs = 500 in
+  let last = Array.make conns 0 in
+  let submit i ~bytes ~on_complete =
+    ignore bytes;
+    last.(i) <- Sim_time.to_ns (Scheduler.now sched);
+    on_complete ()
+  in
   let cfg =
     {
       Workload.Websearch.load = 0.5;
       bisection_bps = 80e9;
-      jobs_per_conn = 10;
+      jobs_per_conn = jobs;
       size_dist = Workload.Flow_size_dist.web_search;
       start_at = Sim_time.zero_span;
     }
   in
-  let lambda = Workload.Websearch.arrival_rate_per_conn cfg ~conns:8 in
-  (* 0.5 * 80G / 8 / (mean*8 bits) *)
+  ignore
+    (Workload.Websearch.run ~sched ~rng:(Rng.create 5) ~conns:(Array.init conns submit) cfg);
+  let mean_gap =
+    Array.fold_left (fun acc t -> acc +. (float_of_int t /. 1e9)) 0.0 last
+    /. float_of_int (conns * jobs)
+  in
   let mean_bits = Workload.Flow_size_dist.mean_bytes cfg.size_dist *. 8.0 in
-  Alcotest.(check (float 1.0)) "lambda" (0.5 *. 80e9 /. 8.0 /. mean_bits) lambda
+  let expected = float_of_int conns *. mean_bits /. (0.5 *. 80e9) in
+  check_bool "mean gap within 5% of the rate's inverse" true
+    (abs_float (mean_gap -. expected) < 0.05 *. expected)
 
 let test_websearch_driver_runs_all_jobs () =
   (* synthetic instant-completion transport: every job completes after a
