@@ -182,5 +182,7 @@ let pop t =
 
 let min_time_ns t = if t.size = 0 then max_int else t.times.(0)
 let min_seq t = t.seqs.(0)
+let min_born t = t.borns.(0)
+let min_src t = t.srcs.(0)
 let size t = t.size
 let is_empty t = t.size = 0

@@ -57,5 +57,11 @@ val min_seq : 'a t -> int
     The scheduler reads it before {!pop_unsafe} so a timer can tell its
     own latest event from its stale ones. *)
 
+val min_born : 'a t -> int
+val min_src : 'a t -> int
+(** The earliest event's born instant and component id; the queue must
+    be non-empty.  With {!min_time_ns} they are the key the scheduler
+    reports for the event it dispatches. *)
+
 val size : 'a t -> int
 val is_empty : 'a t -> bool

@@ -97,6 +97,10 @@ type t = {
   mutable n_kinds : int;
   mutable cur_src : int; (* component id of the dispatching event; 0 at setup *)
   mutable cur_seq : int; (* seq of the dispatching event *)
+  (* the dispatching event's popped born and src (its time is [clock]);
+     [max_int] born outside a dispatch *)
+  mutable cur_born : int;
+  mutable cur_key_src : int;
   mutable timers : int array;
   mutable timer_fire : (int -> unit) array;
   mutable n_timers : int;
@@ -311,6 +315,8 @@ let create ?(mode = Run_mode.default) () =
       n_kinds = 1;
       cur_src = 0;
       cur_seq = -1;
+      cur_born = max_int;
+      cur_key_src = 0;
       timers = Array.make (8 * row) 0;
       timer_fire = Array.make 8 nop_handler;
       n_timers = 0;
@@ -353,6 +359,8 @@ let step_prepared t =
   else begin
     let time_ns = Event_queue.min_time_ns t.queue in
     t.cur_seq <- Event_queue.min_seq t.queue;
+    t.cur_born <- Event_queue.min_born t.queue;
+    t.cur_key_src <- Event_queue.min_src t.queue;
     let ev = Event_queue.pop_unsafe t.queue in
     if t.audit then check_clock t time_ns;
     t.clock <- Sim_time.of_ns time_ns;
@@ -374,8 +382,19 @@ let step_prepared t =
       slab.n_free <- slab.n_free + 1;
       f ()
     end;
+    t.cur_born <- max_int;
     true
   end
+
+(* Outside a dispatch the popped key reads (clock, max_int, _), so an
+   event at the clock counts as before it: the clock's instant has run,
+   as after [run_until], or as for a shard scheduler while the PDES
+   global scheduler dispatches a fault at the barrier. *)
+let before_dispatching t ~time_ns ~born_ns ~src =
+  let now_ns = Sim_time.to_ns t.clock in
+  time_ns < now_ns
+  || time_ns = now_ns
+     && (born_ns < t.cur_born || (born_ns = t.cur_born && src < t.cur_key_src))
 
 let step t =
   prepare t;

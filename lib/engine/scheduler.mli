@@ -43,6 +43,17 @@ val violation_count : t -> int
 val now : t -> Sim_time.t
 (** Current simulation time. *)
 
+val before_dispatching : t -> time_ns:int -> born_ns:int -> src:int -> bool
+(** Whether an event keyed ([time_ns], [born_ns], [src]) would pop
+    before the event this scheduler is dispatching: its key is smaller
+    than that event's popped (time, born, src).  A full tie is not
+    before: only [seq] would break it.  Outside a dispatch — at set-up,
+    after {!run_until}, or for a shard scheduler while the PDES global
+    scheduler dispatches a fault at a barrier — it is whether
+    [time_ns] is at most the clock: every event at the clock's instant
+    has run.  {!Link} asks it to replay the frame departures it keeps
+    no event for. *)
+
 val schedule : t -> after:Sim_time.span -> (unit -> unit) -> unit
 (** [schedule t ~after f] runs [f] at [now t + after].  The caller
     allocates the closure — prefer {!schedule_tag} on per-packet paths.

@@ -21,8 +21,7 @@ let create ~rate_bps sched =
     capacity_bytes_per_tau = rate_bps /. 8.0 *. (tau_ns /. 1e9);
   }
 
-let decay t =
-  let now = Scheduler.now t.sched in
+let decay t now =
   let elapsed = float_of_int (Sim_time.span_ns (Sim_time.diff now t.last_decay)) in
   let ticks = elapsed /. tick_ns in
   if ticks >= 1.0 then begin
@@ -36,12 +35,15 @@ let decay t =
     if t.x.(0) < 1e-6 then t.x.(0) <- 0.0
   end
 
-let observe t ~bytes_len =
-  decay t;
+let observe_at t ~now_ns ~bytes_len =
+  decay t (Sim_time.of_ns now_ns);
   (* lint: allow alloc-boxed-float — unboxed float-array read, as in decay *)
   t.x.(0) <- t.x.(0) +. float_of_int bytes_len
 
+let observe t ~bytes_len =
+  observe_at t ~now_ns:(Sim_time.to_ns (Scheduler.now t.sched)) ~bytes_len
+
 let utilization t =
-  decay t;
+  decay t (Scheduler.now t.sched);
   (* lint: allow alloc-boxed-float — unboxed float-array read, as in decay *)
   t.x.(0) /. t.capacity_bytes_per_tau

@@ -18,5 +18,11 @@ val create : rate_bps:float -> Scheduler.t -> t
 val observe : t -> bytes_len:int -> unit
 (** Record a transmission happening now. *)
 
+val observe_at : t -> now_ns:int -> bytes_len:int -> unit
+(** Record a transmission that started at instant [now_ns], which may lie
+    before the clock but not before the last observation or read: a
+    {!Link} replays its frame starts in order, before anything reads
+    the estimator. *)
+
 val utilization : t -> float
 (** Current utilization estimate in [0, ~1.2]; decays to 0 when idle. *)

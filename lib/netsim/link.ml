@@ -1,10 +1,44 @@
+(* A FIFO link at a fixed rate knows when each frame departs, so it
+   keeps no transmit-done event.  A frame that starts serializing at S
+   departs at T = S + tx, at the rate in force at S, and the next frame
+   starts at T.  Its delivery is scheduled as it starts, keyed as if an
+   event at T had scheduled it: (D, T, link) into a host, (D + latency,
+   D, lane) into a switch, D = T + prop.  The departure itself is
+   replayed lazily by [catch_up], in this order: the verdict (a frame
+   the link failed under, or a brownout's wire loss, drawn in FIFO
+   order), then the next frame's dequeue, its DRE observation at its
+   start instant, the counters and its delivery's scheduling.  The
+   result is event for event that of a serializer with a transmit-done
+   event per frame (test_netsim's reference model).  A frame lost on
+   the wire keeps its delivery event, which then does nothing.
+
+   Tie rule.  A departure (T, S, link) is replayed before the event
+   being dispatched iff that key is smaller than the event's popped
+   (time, born, src) ({!Scheduler.before_dispatching}): exactly the
+   events a transmit-done event keyed (T, S, link) preceded.  A full tie
+   is an event ranked under the link's own id at (T, S): one of its
+   deliveries into a host, or an event the host scheduled while taking
+   one.  A host sends only on its uplink, another link, so no such
+   event reaches this link's queue or state, and the order of a full
+   tie is not observable.  Outside a dispatch (a PDES fault runs on
+   the global scheduler at a barrier, after the shard ran every event
+   up to it) the link catches up to its scheduler's clock.
+
+   [catch_up] runs before anything reads or writes the link, and at each
+   delivery event: D_k precedes D_(k+1), and frame k+1's delivery is
+   scheduled when frame k departs, so the pending delivery of the
+   serializing frame carries the chain.  Across a PDES boundary the
+   delivery fires on another shard, so there alone the link keeps one
+   event per frame, [k_depart] at (T, S, link), that carries the chain
+   and hands the frame to the exchange buffer. *)
+
 (* degraded-link state installed by the fault layer: the serializer runs
    at a fraction of the nominal rate and packets are dropped on the wire
    with a seeded probability *)
 type brownout = { capacity_frac : float; loss_prob : float; rng : Rng.t }
 
 (* where the wire delivers: a host at the wire-delivery instant D, the
-   event ranked (txdone, link); a switch's ingress lane [latency_ns]
+   event ranked (T, link); a switch's ingress lane [latency_ns]
    after D, its pipeline folded into the event, ranked (D, lane) *)
 type sink =
   | Host_sink of (Packet.t -> unit)
@@ -23,6 +57,8 @@ type t = {
   label : string;
   mutable sink : sink;
   mutable serializing : Packet.t; (* [Packet.placeholder] when idle *)
+  mutable start_ns : int; (* the serializing frame's start S *)
+  mutable depart_ns : int; (* and departure T *)
   mutable corrupted : bool; (* the link failed while serializing it *)
   mutable is_up : bool;
   mutable flips : flip list; (* oldest first *)
@@ -32,12 +68,14 @@ type t = {
   mutable down_drops : int;
   mutable brownout_drops : int;
   mutable overflow_drops : int;
-  (* defunctionalized event state: one frame serializes at a time, in
-     [serializing]; deliveries are strictly FIFO (constant delays) so
-     [prop] needs no per-event identity at all *)
+  (* defunctionalized event state: deliveries are strictly FIFO
+     (constant delays), so [prop] needs no per-event identity at all *)
   src : int; (* construction-order id ranking this link's events *)
-  mutable k_txdone : int;
+  mutable k_depart : int;
+  (* departed frames whose delivery is pending, a frame lost on the wire
+     as [Packet.placeholder]; across a boundary, the injected ones *)
   prop : Packet.t Ring.t;
+  mutable lost_pending : int; (* placeholders in [prop] *)
   (* deliveries fire as [k_deliver] on [rx_sched]: [sched], or across a
      PDES boundary the destination shard's, where [inject] schedules
      what [boundary] (the partition's exchange buffer) took *)
@@ -87,57 +125,100 @@ let up_at t ns =
     t.flips <- flips_after ns flips;
     match t.flips with [] -> t.is_up | f :: _ -> f.was_up)
 
-let on_deliver t =
-  let pkt = Ring.pop t.prop in
+(* the key of the delivery of a frame departing at [depart_ns]: its
+   time, and its born *)
+let delivery_ns t ~depart_ns =
+  (* event ranks and exchange buffers carry absolute integer ns, the
+     PDES barrier currency — lint: allow sema-time-boundary *)
+  let d = depart_ns + Sim_time.span_ns t.prop_delay in
+  match t.sink with Host_sink _ -> d | Switch_sink s -> d + s.latency_ns
+
+let delivery_born_ns t ~depart_ns =
   match t.sink with
-  | Host_sink f -> if t.is_up then f pkt else t.down_drops <- t.down_drops + 1
-  | Switch_sink s ->
-    (* lost iff down at the wire-delivery instant, a pipeline latency ago — lint: allow sema-time-boundary *)
-    if up_at t (Sim_time.to_ns (Scheduler.now t.rx_sched) - s.latency_ns) then s.receive pkt
-    else t.down_drops <- t.down_drops + 1
+  | Host_sink _ -> depart_ns
+  (* the wire-delivery instant D — lint: allow sema-time-boundary *)
+  | Switch_sink _ -> depart_ns + Sim_time.span_ns t.prop_delay
 
-let schedule_delivery t ~born_ns ~time_ns pkt =
-  Ring.push t.prop pkt;
-  Scheduler.inject_tag t.rx_sched ~time_ns ~born_ns ~kind:t.k_deliver ~arg:0
-
-let launch t ~born_ns ~time_ns pkt =
-  match t.boundary with
-  | Some push -> push ~born_ns ~time_ns pkt
-  | None -> schedule_delivery t ~born_ns ~time_ns pkt
-
-(* Serializer completion at [tx] after start, then propagation for
-   [prop_delay]; the serializer is free to start the next packet the
-   moment the wire takes this one.  A frame the link failed under is
-   lost, even if the link is back up. *)
-let rec on_txdone t =
-  let pkt = t.serializing in
-  t.serializing <- Packet.placeholder;
-  (if t.corrupted then begin
-     t.corrupted <- false;
-     t.down_drops <- t.down_drops + 1
-   end
-   else if brownout_lost t then t.brownout_drops <- t.brownout_drops + 1
-   else
-     (* event ranks and exchange buffers carry absolute integer ns, the
-        PDES barrier currency — lint: allow sema-time-boundary *)
-     let txdone_ns = Sim_time.to_ns (Scheduler.now t.sched) in
-     (* the wire-delivery instant D — lint: allow sema-time-boundary *)
-     let deliver_ns = txdone_ns + Sim_time.span_ns t.prop_delay in
-     match t.sink with
-     | Host_sink _ -> launch t ~born_ns:txdone_ns ~time_ns:deliver_ns pkt
-     | Switch_sink s -> launch t ~born_ns:deliver_ns ~time_ns:(deliver_ns + s.latency_ns) pkt);
-  start_tx t
-
-and start_tx t =
+(* Start the next queued frame at [start_ns] and schedule the event that
+   carries the chain: its delivery, or across a boundary its departure. *)
+let rec start_tx t ~start_ns =
   if not (Pkt_queue.is_empty t.queue) then begin
     let pkt = Pkt_queue.dequeue_unsafe t.queue in
     t.serializing <- pkt;
-    Dre.observe t.dre ~bytes_len:pkt.Packet.size;
+    Dre.observe_at t.dre ~now_ns:start_ns ~bytes_len:pkt.Packet.size;
     t.tx_bytes <- t.tx_bytes + pkt.Packet.size;
     t.tx_packets <- t.tx_packets + 1;
     let tx = Sim_time.tx_time ~bytes_len:pkt.Packet.size ~rate_bps:(effective_rate t) in
-    Scheduler.schedule_tag t.sched ~after:tx ~kind:t.k_txdone ~arg:0
+    (* departures key events in absolute ns — lint: allow sema-time-boundary *)
+    let depart_ns = start_ns + Sim_time.span_ns tx in
+    t.start_ns <- start_ns;
+    t.depart_ns <- depart_ns;
+    match t.boundary with
+    | Some _ ->
+      Scheduler.inject_tag t.sched ~time_ns:depart_ns ~born_ns:start_ns ~kind:t.k_depart
+        ~arg:0
+    | None ->
+      Scheduler.inject_tag t.sched ~time_ns:(delivery_ns t ~depart_ns)
+        ~born_ns:(delivery_born_ns t ~depart_ns) ~kind:t.k_deliver ~arg:0
   end
+
+(* The serializing frame departs at [depart_ns]: the wire takes it, and
+   the serializer starts the next frame that instant.  A frame the link
+   failed under is lost, even if the link is back up. *)
+and depart t =
+  let pkt = t.serializing and depart_ns = t.depart_ns in
+  t.serializing <- Packet.placeholder;
+  let lost =
+    if t.corrupted then begin
+      t.corrupted <- false;
+      t.down_drops <- t.down_drops + 1;
+      true
+    end
+    else if brownout_lost t then begin
+      t.brownout_drops <- t.brownout_drops + 1;
+      true
+    end
+    else false
+  in
+  (match t.boundary with
+   | Some push ->
+     if not lost then
+       push ~born_ns:(delivery_born_ns t ~depart_ns) ~time_ns:(delivery_ns t ~depart_ns) pkt
+   | None ->
+     if lost then begin
+       t.lost_pending <- t.lost_pending + 1;
+       Ring.push t.prop Packet.placeholder
+     end
+     else Ring.push t.prop pkt);
+  start_tx t ~start_ns:depart_ns
+
+(* replay every departure the dispatching event comes after *)
+let rec catch_up t =
+  if
+    t.serializing != Packet.placeholder
+    && Scheduler.before_dispatching t.sched ~time_ns:t.depart_ns ~born_ns:t.start_ns
+         ~src:t.src
+  then begin
+    depart t;
+    catch_up t
+  end
+
+let on_deliver t =
+  (match t.boundary with None -> catch_up t | Some _ -> ());
+  let pkt = Ring.pop t.prop in
+  if pkt == Packet.placeholder then t.lost_pending <- t.lost_pending - 1
+  else
+    match t.sink with
+    | Host_sink f -> if t.is_up then f pkt else t.down_drops <- t.down_drops + 1
+    | Switch_sink s ->
+      (* lost iff down at the wire-delivery instant, a pipeline latency ago — lint: allow sema-time-boundary *)
+      if up_at t (Sim_time.to_ns (Scheduler.now t.rx_sched) - s.latency_ns) then s.receive pkt
+      else t.down_drops <- t.down_drops + 1
+
+(* a boundary link's own event, keyed (T, S, link) as its serializing
+   frame's departure: [catch_up] never replays one before its event, as
+   no earlier event's key is larger *)
+let on_depart t = depart t
 
 let create ~sched ~rate_bps ~prop_delay ?queue ?(label = "link") () =
   if rate_bps <= 0.0 then invalid_arg "Link.create: rate must be positive";
@@ -153,6 +234,8 @@ let create ~sched ~rate_bps ~prop_delay ?queue ?(label = "link") () =
       src = Scheduler.fresh_src ();
       sink = Host_sink (fun _ -> invalid_arg ("Link " ^ label ^ ": no sink installed"));
       serializing = Packet.placeholder;
+      start_ns = 0;
+      depart_ns = 0;
       corrupted = false;
       is_up = true;
       flips = [];
@@ -162,8 +245,9 @@ let create ~sched ~rate_bps ~prop_delay ?queue ?(label = "link") () =
       down_drops = 0;
       brownout_drops = 0;
       overflow_drops = 0;
-      k_txdone = -1;
+      k_depart = -1;
       prop = Ring.create ~capacity:8 ~dummy:Packet.placeholder ();
+      lost_pending = 0;
       rx_sched = sched;
       k_deliver = -1;
       boundary = None;
@@ -171,9 +255,9 @@ let create ~sched ~rate_bps ~prop_delay ?queue ?(label = "link") () =
   in
   (* one handler closure per link for its whole lifetime, not one per
      event: the steady-state transmit path allocates nothing *)
-  t.k_txdone <- Scheduler.register_kind sched (fun _ -> on_txdone t);
+  t.k_depart <- Scheduler.register_kind sched (fun _ -> on_depart t);
   t.k_deliver <- Scheduler.register_kind sched (fun _ -> on_deliver t);
-  Scheduler.set_kind_src sched ~kind:t.k_txdone ~src:t.src;
+  Scheduler.set_kind_src sched ~kind:t.k_depart ~src:t.src;
   rank_deliveries t;
   t
 
@@ -190,12 +274,17 @@ let set_boundary t ~dest_sched ~push =
 let inject t ~time_ns ~born_ns pkt =
   match t.boundary with
   | None -> invalid_arg (Printf.sprintf "Link %s: inject without boundary" t.label)
-  | Some _ -> schedule_delivery t ~born_ns ~time_ns pkt
+  | Some _ ->
+    Ring.push t.prop pkt;
+    Scheduler.inject_tag t.rx_sched ~time_ns ~born_ns ~kind:t.k_deliver ~arg:0
 
 let send t pkt =
+  catch_up t;
   if t.is_up then begin
     if Pkt_queue.enqueue t.queue pkt then begin
-      if t.serializing == Packet.placeholder then start_tx t
+      if t.serializing == Packet.placeholder then
+        (* the frame starts now — lint: allow sema-time-boundary *)
+        start_tx t ~start_ns:(Sim_time.to_ns (Scheduler.now t.sched))
     end
     else t.overflow_drops <- t.overflow_drops + 1
   end
@@ -210,6 +299,7 @@ let send t pkt =
 let up t = t.is_up
 
 let set_up t v =
+  catch_up t;
   (match t.sink with
    | Switch_sink _ when Ring.length t.prop > 0 ->
      (* for [up_at]; with deliveries pending, [rx_sched] is at this
@@ -242,20 +332,45 @@ let set_brownout t ~capacity_frac ~loss_prob ~rng =
     invalid_arg "Link.set_brownout: capacity_frac must be in (0, 1]";
   if loss_prob < 0.0 || loss_prob >= 1.0 then
     invalid_arg "Link.set_brownout: loss_prob must be in [0, 1)";
+  catch_up t;
   t.brownout <- Some { capacity_frac; loss_prob; rng }
 
-let clear_brownout t = t.brownout <- None
+let clear_brownout t =
+  catch_up t;
+  t.brownout <- None
 
-let utilization t = Dre.utilization t.dre
-let queue t = t.queue
+let utilization t =
+  catch_up t;
+  Dre.utilization t.dre
+
+let queue t =
+  catch_up t;
+  t.queue
+
 let rate_bps t = t.rate_bps
 let label t = t.label
-let tx_bytes t = t.tx_bytes
-let tx_packets t = t.tx_packets
-let down_drops t = t.down_drops
-let brownout_drops t = t.brownout_drops
-let overflow_drops t = t.overflow_drops
+
+let tx_bytes t =
+  catch_up t;
+  t.tx_bytes
+
+let tx_packets t =
+  catch_up t;
+  t.tx_packets
+
+let down_drops t =
+  catch_up t;
+  t.down_drops
+
+let brownout_drops t =
+  catch_up t;
+  t.brownout_drops
+
+let overflow_drops t =
+  catch_up t;
+  t.overflow_drops
 
 let in_flight t =
+  catch_up t;
   let serializing = if t.serializing == Packet.placeholder then 0 else 1 in
-  Pkt_queue.length t.queue + serializing + Ring.length t.prop
+  Pkt_queue.length t.queue + serializing + Ring.length t.prop - t.lost_pending

@@ -5,7 +5,23 @@
     after [prop_delay].  The egress queue applies drop-tail and ECN marking.
     The paired reverse direction is a separate link.  The sink callback is
     installed at wiring time, which keeps [Link] independent of switches and
-    hosts. *)
+    hosts.
+
+    Event model: one event per frame, its delivery.  A frame's departure
+    instant T is known when it starts serializing (start + tx at the rate
+    in force then), so its delivery is scheduled then, ranked as if a
+    transmit-done event at T had scheduled it.  The departure (the loss
+    verdict, the next frame's start, the counters, the DRE) is replayed
+    lazily, before anything reads or writes the link and at each
+    delivery, so every accessor answers exactly as an event-driven
+    serializer would at that point of the event order.  A frame lost on
+    the wire still fires its delivery event, which delivers nothing.
+    Across a PDES boundary ({!set_boundary}) the link also keeps one
+    event per frame at T, on its own shard.  [set_up] and
+    [set_brownout] take effect at their point of the event order, as
+    documented below: a brownout re-times frames from the next start
+    and judges wire loss from the next departure, including the
+    serializing frame's. *)
 
 type t
 
@@ -64,8 +80,11 @@ val set_boundary :
     transmissions stop scheduling their wire delivery locally and instead
     hand the packet to [push] (the partition's exchange buffer for this
     link) with its delivery event's time and rank; {!inject} later
-    re-enters the delivery path on [dest_sched].  Serialization, drops, brownouts and statistics are unaffected — only
-    the final propagation hop is deferred. *)
+    re-enters the delivery path on [dest_sched].  Serialization, drops,
+    brownouts and statistics are unaffected — only the final
+    propagation hop is deferred.  The link then keeps one event per
+    frame on its own scheduler, at the frame's departure, which hands
+    the frame over. *)
 
 val inject : t -> time_ns:int -> born_ns:int -> Packet.t -> unit
 (** Deliver a buffered boundary packet at absolute [time_ns] on the
@@ -73,7 +92,7 @@ val inject : t -> time_ns:int -> born_ns:int -> Packet.t -> unit
     by the exchange drain at a window barrier, in the same per-link order
     the deliveries were generated; [time_ns] is always beyond the barrier
     thanks to the lookahead, so this never schedules into the past.
-    [born_ns] — the txdone instant, or D for a switch sink — becomes the
+    [born_ns] — the departure instant, or D for a switch sink — becomes the
     event's same-timestamp tie-break rank (see {!Scheduler.inject_tag}),
     keeping pop order identical to the serial engine's.  Allocation-free
     (pushes the pooled packet onto the propagation ring and schedules a

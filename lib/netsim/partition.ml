@@ -14,7 +14,7 @@
    delivery on the destination shard via {!Link.inject}.  Per-link
    deliver times are monotone and the drain preserves generation order,
    so injection is deterministic at any shard count.  Each delivery also
-   carries its rank instant ([borns]: the txdone instant, or into a
+   carries its rank instant ([borns]: the departure instant, or into a
    switch the wire-delivery instant): the destination scheduler uses it
    as the event's same-timestamp tie-break rank, so a tie between an
    injected delivery and a locally scheduled event resolves exactly as

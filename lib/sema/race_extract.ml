@@ -593,7 +593,10 @@ and handle_binding ctx it vb =
    the first multi-case [function] (whose scrutinee is the last
    parameter) or non-function body.  The chain expressions are also
    remembered (by physical identity) so [record_alloc] does not count
-   the node's own currying as closure allocations. *)
+   the node's own currying as closure allocations.  A defaulted
+   optional parameter [?(x = d)] is typed as the parameter [*opt*]
+   whose body is [let x = match *opt* with ... in fun ...]: the chain
+   goes on through that generated binding. *)
 and peel_param_order ctx node (e : Typedtree.expression) =
   match e.Typedtree.exp_desc with
   | Typedtree.Texp_function { arg_label; cases; _ } -> (
@@ -605,7 +608,12 @@ and peel_param_order ctx node (e : Typedtree.expression) =
     in
     node.n_param_order <- node.n_param_order @ [ (arg_label, unames) ];
     match cases with
-    | [ c ] when c.Typedtree.c_guard = None -> peel_param_order ctx node c.Typedtree.c_rhs
+    | [ c ] when c.Typedtree.c_guard = None -> (
+      match (c.Typedtree.c_lhs.pat_desc, c.Typedtree.c_rhs.exp_desc) with
+      | Typedtree.Tpat_var (id, _), Typedtree.Texp_let (Asttypes.Nonrecursive, [ _ ], body)
+        when String.equal (Ident.name id) "*opt*" ->
+        peel_param_order ctx node body
+      | _ -> peel_param_order ctx node c.Typedtree.c_rhs)
     | _ -> ())
   | _ -> ()
 

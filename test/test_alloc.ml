@@ -109,6 +109,18 @@ let test_static_constructors () =
        (fun f -> f.rule = "alloc-option" && f.target = "Alloc_hot.on_some: Some")
        (active_findings ()))
 
+(* [let f ?(x = d) y = ...] types as a function whose body is
+   [let x = match *opt* with ...] in front of [fun y]: that [fun] is
+   still the function's own chain, not a closure it allocates *)
+let test_defaulted_optional_no_closure () =
+  let open Analysis.Findings in
+  Alcotest.(check (list string)) "no finding in Alloc_clean.masked" []
+    (List.filter_map
+       (fun f ->
+         if contains f.target "Alloc_clean.masked" then Some (f.rule ^ " " ^ f.target)
+         else None)
+       (Lazy.force fixture_result))
+
 (* The engine's heap once hid 16 generic compares per pop: its
    comparator was an unannotated [let[@inline]], and the call into the
    heap was recorded only as a mutation of the queue, not as a call
@@ -247,6 +259,8 @@ let () =
           Alcotest.test_case "clean twin clean" `Quick test_clean_twin;
           Alcotest.test_case "constant constructors are static" `Quick
             test_static_constructors;
+          Alcotest.test_case "defaulted optional argument is no closure" `Quick
+            test_defaulted_optional_no_closure;
           Alcotest.test_case "inline generic compare behind a mutator call" `Quick
             test_inline_poly_compare_through_mutator;
           Alcotest.test_case "audited branch is cold" `Quick test_audit_gate_cold;

@@ -108,11 +108,12 @@ let test_golden_digests () =
 let chaos_digests =
   [ ("Clove-ECN", "9482cf6255aefb3fee71883e8f45b365"); ("ECMP", "2e1ccadc2204144741ca13eb8b8e271d") ]
 
-let test_chaos_digests () =
+(* the Clove-ECN and ECMP FCT digests of a [Chaos.simulate] run at load
+   0.25 and 150 jobs per connection under the fault plan [spec] *)
+let chaos_run_digests spec =
   let params = Chaos.default_opts.Chaos.params in
   let plan =
-    Result.get_ok
-      (Faults.Fault_plan.parse ~names:(Scenario.fault_names params) Chaos.link_down_spec)
+    Result.get_ok (Faults.Fault_plan.parse ~names:(Scenario.fault_names params) spec)
   in
   let digest scheme =
     let fct, _ =
@@ -121,9 +122,23 @@ let test_chaos_digests () =
     ( Scenario.scheme_name scheme,
       Digest.to_hex (Digest.string (Workload.Fct_stats.canonical_dump fct)) )
   in
+  List.map digest [ Scenario.S_clove_ecn; Scenario.S_ecmp ]
+
+let test_chaos_digests () =
   Alcotest.(check (list (pair string string)))
-    "chaos FCT digests" chaos_digests
-    (List.map digest [ Scenario.S_clove_ecn; Scenario.S_ecmp ])
+    "chaos FCT digests" chaos_digests (chaos_run_digests Chaos.link_down_spec)
+
+(* [clove-sim chaos --faults "<brownout_spec>" --jobs 150]'s digests: a
+   brownout halves a core link's rate while its queue holds frames,
+   re-timing the queued tail, loses 1% on the wire, then clears *)
+let brownout_spec = "brownout s2-l2b frac=0.5 loss=0.01 until=100ms @40ms"
+
+let brownout_digests =
+  [ ("Clove-ECN", "ce40e561e6ac4373d064311cb7c67a08"); ("ECMP", "21739133f6ba97822d8374c5d1c748ae") ]
+
+let test_brownout_digests () =
+  Alcotest.(check (list (pair string string)))
+    "brownout FCT digests" brownout_digests (chaos_run_digests brownout_spec)
 
 (* -------------------------- byte conservation --------------------- *)
 
@@ -285,6 +300,7 @@ let () =
         [
           Alcotest.test_case "pinned digests" `Quick test_golden_digests;
           Alcotest.test_case "pinned chaos digests" `Quick test_chaos_digests;
+          Alcotest.test_case "pinned brownout digests" `Quick test_brownout_digests;
         ] );
       ( "conservation",
         [ Alcotest.test_case "bytes acked exactly once" `Quick test_byte_conservation ] );

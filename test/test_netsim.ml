@@ -395,6 +395,272 @@ let test_link_flap_loses_serializing_frame () =
   Alcotest.(check (list int)) "the rest, one serializer" [ 3_304; 4_456; 5_608; 6_760 ]
     (List.rev !arrivals)
 
+(* a link keeps no transmit-done event: N frames sent back to back fire
+   N events, their deliveries *)
+let test_link_one_event_per_frame () =
+  let sched = Scheduler.create () in
+  let link = Link.create ~sched ~rate_bps:10e9 ~prop_delay:(Sim_time.us 1) () in
+  let got = ref 0 in
+  Link.set_sink link (fun _ -> incr got);
+  let n = 10 in
+  for _ = 1 to n do
+    Link.send link (mk_data ())
+  done;
+  Scheduler.run sched;
+  check_int "delivered" n !got;
+  check_int "events" n (Scheduler.events_fired sched);
+  check_int "tx packets" n (Link.tx_packets link)
+
+(* ----------------- lazy serializer vs event-driven model ---------- *)
+
+(* The event-driven serializer a link once was: a transmit-done event
+   per frame, keyed (T, S, rank), that takes the verdict, schedules the
+   delivery and starts the next frame.  The lazy [Link] must match it
+   event for event. *)
+type model = {
+  m_sched : Scheduler.t;
+  m_rate : float;
+  m_prop_ns : int;
+  m_queue : Pkt_queue.t;
+  m_dre : Dre.t;
+  mutable m_serializing : Packet.t option;
+  mutable m_corrupted : bool;
+  mutable m_up : bool;
+  mutable m_brownout : (float * float * Rng.t) option;
+  mutable m_down : int;
+  mutable m_brownout_drops : int;
+  mutable m_overflow : int;
+  mutable m_k_txdone : int;
+  mutable m_k_deliver : int;
+  m_wire : Packet.t Queue.t;
+  mutable m_delivered : (int * int * bool) list; (* (ns, id, CE), newest first *)
+}
+
+let model_rate m =
+  match m.m_brownout with None -> m.m_rate | Some (frac, _, _) -> m.m_rate *. frac
+
+let model_start_tx m =
+  if not (Pkt_queue.is_empty m.m_queue) then begin
+    let pkt = Pkt_queue.dequeue_unsafe m.m_queue in
+    m.m_serializing <- Some pkt;
+    Dre.observe m.m_dre ~bytes_len:pkt.Packet.size;
+    Scheduler.schedule_tag m.m_sched
+      ~after:(Sim_time.tx_time ~bytes_len:pkt.Packet.size ~rate_bps:(model_rate m))
+      ~kind:m.m_k_txdone ~arg:0
+  end
+
+let model_txdone m =
+  (match m.m_serializing with
+   | None -> assert false
+   | Some pkt ->
+     m.m_serializing <- None;
+     let lost_on_wire () =
+       match m.m_brownout with
+       | Some (_, loss, rng) -> loss > 0.0 && Rng.float rng 1.0 < loss
+       | None -> false
+     in
+     if m.m_corrupted then begin
+       m.m_corrupted <- false;
+       m.m_down <- m.m_down + 1
+     end
+     else if lost_on_wire () then m.m_brownout_drops <- m.m_brownout_drops + 1
+     else begin
+       let now = Sim_time.to_ns (Scheduler.now m.m_sched) in
+       Queue.push pkt m.m_wire;
+       Scheduler.inject_tag m.m_sched ~time_ns:(now + m.m_prop_ns) ~born_ns:now
+         ~kind:m.m_k_deliver ~arg:0
+     end);
+  model_start_tx m
+
+let model_deliver m =
+  let pkt = Queue.pop m.m_wire in
+  if m.m_up then
+    m.m_delivered <-
+      ( Sim_time.to_ns (Scheduler.now m.m_sched),
+        pkt.Packet.audit_seq,
+        pkt.Packet.ecn = Packet.Ce )
+      :: m.m_delivered
+  else m.m_down <- m.m_down + 1
+
+let model_create sched ~rate ~prop_ns ~queue =
+  let m =
+    {
+      m_sched = sched;
+      m_rate = rate;
+      m_prop_ns = prop_ns;
+      m_queue = queue;
+      m_dre = Dre.create ~rate_bps:rate sched;
+      m_serializing = None;
+      m_corrupted = false;
+      m_up = true;
+      m_brownout = None;
+      m_down = 0;
+      m_brownout_drops = 0;
+      m_overflow = 0;
+      m_k_txdone = -1;
+      m_k_deliver = -1;
+      m_wire = Queue.create ();
+      m_delivered = [];
+    }
+  in
+  let src = Scheduler.fresh_src () in
+  m.m_k_txdone <- Scheduler.register_kind sched (fun _ -> model_txdone m);
+  m.m_k_deliver <- Scheduler.register_kind sched (fun _ -> model_deliver m);
+  Scheduler.set_kind_src sched ~kind:m.m_k_txdone ~src;
+  Scheduler.set_kind_src sched ~kind:m.m_k_deliver ~src;
+  m
+
+let model_send m pkt =
+  if m.m_up then begin
+    if Pkt_queue.enqueue m.m_queue pkt then begin
+      if m.m_serializing = None then model_start_tx m
+    end
+    else m.m_overflow <- m.m_overflow + 1
+  end
+  else begin
+    m.m_down <- m.m_down + 1;
+    Pkt_queue.count_drop m.m_queue pkt
+  end
+
+let model_set_up m v =
+  m.m_up <- v;
+  if not v then begin
+    let rec drain () =
+      match Pkt_queue.dequeue m.m_queue with
+      | None -> ()
+      | Some pkt ->
+        m.m_down <- m.m_down + 1;
+        Pkt_queue.count_drop m.m_queue pkt;
+        drain ()
+    in
+    drain ();
+    if m.m_serializing <> None then m.m_corrupted <- true
+  end
+
+type op =
+  | Send of int (* frame bytes *)
+  | Set_up of bool
+  | Brownout of float * float (* capacity fraction, loss *)
+  | Clear_brownout
+  | Sample
+
+(* (time, born, ranked after the link, op) on a 100 ns grid: 10 Gbit/s
+   serializes these frame sizes in whole multiples of 100 ns, at full or
+   reduced rate, so sends and flips tie exactly with departures *)
+let op_gen =
+  let open QCheck.Gen in
+  let op =
+    frequency
+      [
+        (8, map (fun b -> Send b) (oneofl [ 125; 625; 1250; 1500 ]));
+        (1, map (fun v -> Set_up v) bool);
+        (1, map2 (fun f l -> Brownout (f, l)) (oneofl [ 0.5; 0.25; 1.0 ]) (oneofl [ 0.0; 0.3 ]));
+        (1, return Clear_brownout);
+        (2, return Sample);
+      ]
+  in
+  int_range 0 200 >>= fun t ->
+  int_range 0 t >>= fun b ->
+  bool >>= fun after ->
+  op >>= fun o -> return (t * 100, b * 100, after, o)
+
+let serializer_gen =
+  QCheck.Gen.(pair (oneofl [ 0; 1_000; 5_000 ]) (list_size (int_range 1 60) op_gen))
+
+let show_op = function
+  | Send b -> Printf.sprintf "send %d" b
+  | Set_up v -> Printf.sprintf "up %b" v
+  | Brownout (f, l) -> Printf.sprintf "brownout %g %g" f l
+  | Clear_brownout -> "clear"
+  | Sample -> "sample"
+
+let print_case (prop, ops) =
+  Printf.sprintf "prop %d: %s" prop
+    (String.concat "; "
+       (List.map
+          (fun (t, b, after, o) -> Printf.sprintf "%d/%d%s %s" t b (if after then "+" else "") (show_op o))
+          ops))
+
+(* run [ops] against both, in one scheduler; each op fires as a timer
+   keyed (time, born, rank), the rank drawn before or after both *)
+let run_serializers (prop_ns, ops) =
+  let sched = Scheduler.create () in
+  let before = Scheduler.fresh_src () in
+  let mk_queue () = Pkt_queue.create ~capacity_pkts:6 ~ecn_threshold_pkts:3 () in
+  let queue = mk_queue () in
+  let link =
+    Link.create ~sched ~rate_bps:10e9 ~prop_delay:(Sim_time.span_of_ns prop_ns) ~queue ()
+  in
+  let delivered = ref [] in
+  Link.set_sink link (fun pkt ->
+      delivered :=
+        (Sim_time.to_ns (Scheduler.now sched), pkt.Packet.audit_seq, pkt.Packet.ecn = Packet.Ce)
+        :: !delivered);
+  let m = model_create sched ~rate:10e9 ~prop_ns ~queue:(mk_queue ()) in
+  let after = Scheduler.fresh_src () in
+  let samples = ref [] and model_samples = ref [] in
+  let frame i bytes =
+    let pkt = mk_data ~payload:(bytes - Packet.inner_header_bytes) () in
+    pkt.Packet.ecn <- Packet.Ect;
+    pkt.Packet.audit_seq <- i;
+    pkt
+  in
+  (* a brownout's stream is seeded by its op, not its index, so a
+     shrunk case keeps its draws *)
+  let apply i (t, b, _, o) =
+    match o with
+    | Send bytes ->
+      Link.send link (frame i bytes);
+      model_send m (frame i bytes)
+    | Set_up v ->
+      Link.set_up link v;
+      model_set_up m v
+    | Brownout (capacity_frac, loss_prob) ->
+      Link.set_brownout link ~capacity_frac ~loss_prob ~rng:(Rng.create (t + b));
+      m.m_brownout <- Some (capacity_frac, loss_prob, Rng.create (t + b))
+    | Clear_brownout ->
+      Link.clear_brownout link;
+      m.m_brownout <- None
+    | Sample ->
+      samples := Int64.bits_of_float (Link.utilization link) :: !samples;
+      model_samples := Int64.bits_of_float (Dre.utilization m.m_dre) :: !model_samples
+  in
+  List.iteri
+    (fun i ((t, b, ranked_after, _) as op) ->
+      let src = if ranked_after then after else before in
+      let tm = Scheduler.timer sched ~src ~arg:i (fun i -> apply i op) in
+      Scheduler.schedule_at sched ~time:(Sim_time.of_ns b) (fun () ->
+          Scheduler.arm sched tm ~after:(Sim_time.span_of_ns (t - b))))
+    ops;
+  Scheduler.run sched;
+  let st = Pkt_queue.stats (Link.queue link) and mst = Pkt_queue.stats m.m_queue in
+  ( (!delivered, !samples),
+    (m.m_delivered, !model_samples),
+    [
+      ("down drops", Link.down_drops link, m.m_down);
+      ("brownout drops", Link.brownout_drops link, m.m_brownout_drops);
+      ("overflow drops", Link.overflow_drops link, m.m_overflow);
+      ("marks", st.Pkt_queue.marked, mst.Pkt_queue.marked);
+      ("max occupancy", st.Pkt_queue.max_occupancy, mst.Pkt_queue.max_occupancy);
+      ("queue drops", st.Pkt_queue.dropped, mst.Pkt_queue.dropped);
+      ("in flight", Link.in_flight link, 0);
+    ] )
+
+let prop_lazy_serializer_matches_events =
+  QCheck.Test.make ~name:"lazy serializer matches the event-driven one" ~count:300
+    (QCheck.make ~print:print_case
+       ~shrink:(fun (prop, ops) -> QCheck.Iter.map (fun ops -> (prop, ops)) (QCheck.Shrink.list ops))
+       serializer_gen)
+    (fun case ->
+      let (got, samples), (want, model_samples), counters = run_serializers case in
+      List.iter
+        (fun (what, a, b) ->
+          if a <> b then QCheck.Test.fail_reportf "%s: link %d, model %d" what a b)
+        counters;
+      if got <> want then QCheck.Test.fail_reportf "deliveries differ";
+      if samples <> model_samples then QCheck.Test.fail_reportf "utilization samples differ";
+      true)
+
 (* ---------------------------- Switch hop -------------------------- *)
 
 (* host 1 -> switch -> host 2.  A 1440 B packet takes 1.152 us to
@@ -418,12 +684,12 @@ let one_hop () =
   Link.send ingress (mk_data ~src:1 ~dst:2 ());
   (sched, sw, ingress, arrivals)
 
-let test_hop_two_events_each () =
+let test_hop_one_event_each () =
   let sched, sw, _, arrivals = one_hop () in
   Scheduler.run sched;
-  (* ingress transmit-done, ingress delivery into the switch, egress
-     transmit-done, egress delivery: no switch event of its own *)
-  check_int "events" 4 (Scheduler.events_fired sched);
+  (* the ingress delivery into the switch and the egress delivery: no
+     transmit-done and no switch event *)
+  check_int "events" 2 (Scheduler.events_fired sched);
   check_int "switch received" 1 (Switch.rx_packets sw);
   Alcotest.(check (list int)) "arrival: D + 250 ns pipeline + 1152 ns egress"
     [ deliver_ns + 250 + 1_152 ] !arrivals
@@ -687,10 +953,13 @@ let () =
           Alcotest.test_case "down drops" `Quick test_link_down_drops;
           Alcotest.test_case "flap loses the serializing frame" `Quick
             test_link_flap_loses_serializing_frame;
+          Alcotest.test_case "N back-to-back frames fire N events" `Quick
+            test_link_one_event_per_frame;
+          qc prop_lazy_serializer_matches_events;
         ] );
       ( "switch-hop",
         [
-          Alcotest.test_case "two events per hop" `Quick test_hop_two_events_each;
+          Alcotest.test_case "one event per hop" `Quick test_hop_one_event_each;
           Alcotest.test_case "down after delivery forwards" `Quick
             test_ingress_down_after_delivery;
           Alcotest.test_case "down across delivery drops" `Quick
