@@ -3,10 +3,11 @@
    analysis (shared mutable state reached from the domain-parallel entry
    points) and the allocation analysis (allocation sites reached from the
    scheduler dispatch roots) over it, run the unused-export pass (in-scope
-   interface values that no other loaded unit uses) and the determinism,
-   unit-safety and code rules (Sema.Det_rules), apply the source
-   suppressions, and compare the merged findings against one committed
-   baseline.
+   interface values that no other loaded unit uses), the determinism,
+   unit-safety and code rules (Analysis.Det_rules) and missing-mli (a
+   lib/ implementation with no interface, Analysis.Lint), apply the
+   source suppressions, and compare the merged findings against one
+   committed baseline: sorted rule|file|target lines.
 
    Usage:
      clove_check [--cmt-root DIR]        build root ( default: _build/default
@@ -19,6 +20,8 @@
                                          consumer, a test/ unit only
                                          when in scope
                  [--baseline FILE]       committed baseline to diff against
+                                         (a line that is malformed, repeated
+                                         or out of order exits 2)
                  [--write-baseline FILE] regenerate the baseline and exit
                  [-o FILE]               write the JSON report to FILE
                                          (no report without it)
@@ -78,46 +81,9 @@ let () =
   in
   parse_args (List.tl (Array.to_list Sys.argv));
   let cmt_root =
-    match !cmt_root with Some d -> d | None -> Sema.Cmt_load.default_root ()
+    match !cmt_root with Some d -> d | None -> Analysis.Cmt_load.default_root ()
   in
   let scopes = match List.rev !scopes with [] -> [ "lib/" ] | s -> s in
-  (* analyzer harness timing, not simulation time — lint: allow sema-wall-clock *)
-  let t0 = Unix.gettimeofday () in
-  let all_units, intfs = Sema.Cmt_load.load ~root:cmt_root ~source_prefixes:[] in
-  let units =
-    List.filter (fun u -> Sema.Cmt_load.in_scope scopes u.Sema.Cmt_load.u_source) all_units
-  in
-  if units = [] then begin
-    Format.eprintf
-      "clove-check: no .cmt files under '%s' for scope(s) %s — build with \
-       -bin-annot first@."
-      cmt_root
-      (String.concat " " scopes);
-    exit 2
-  end;
-  let l = Sema.Race_extract.analyze units in
-  let race = Sema.Race_report.run l in
-  let alloc = Sema.Alloc_report.run ~cold:(Sema.Alloc_extract.cold_spans units) l in
-  let findings =
-    Analysis.Findings.suppress ~source_root:!source_root
-      ~files:l.Sema.Race_extract.l_files
-      (race.Sema.Race_report.r_findings @ alloc.Sema.Alloc_report.a_findings
-      @ Sema.Dead_export.findings ~scope:scopes all_units intfs
-      @ Sema.Det_rules.findings units)
-  in
-  (* analyzer harness timing, not simulation time — lint: allow sema-wall-clock *)
-  let wall_s = Unix.gettimeofday () -. t0 in
-  let active = List.filter Analysis.Findings.is_active findings in
-  let suppressed = List.length findings - List.length active in
-  (match !write_baseline with
-  | Some path ->
-    Analysis.Json_out.to_file path
-      (Analysis.Findings.baseline_json ~tool:"clove-check" findings);
-    Format.printf "clove-check: baseline written to %s (%d entr%s)@." path
-      (List.length active)
-      (if List.length active = 1 then "y" else "ies");
-    exit 0
-  | None -> ());
   let baseline_keys =
     match !baseline with
     | None -> Hashtbl.create 1
@@ -128,10 +94,52 @@ let () =
         Format.eprintf "clove-check: cannot read baseline %s: %s@." path e;
         exit 2)
   in
+  (* analyzer harness timing, not simulation time — lint: allow sema-wall-clock *)
+  let t0 = Unix.gettimeofday () in
+  let all_units, intfs = Analysis.Cmt_load.load ~root:cmt_root ~source_prefixes:[] in
+  let units =
+    List.filter
+      (fun u -> Analysis.Cmt_load.in_scope scopes u.Analysis.Cmt_load.u_source)
+      all_units
+  in
+  if units = [] then begin
+    Format.eprintf
+      "clove-check: no .cmt files under '%s' for scope(s) %s — build with \
+       -bin-annot first@."
+      cmt_root
+      (String.concat " " scopes);
+    exit 2
+  end;
+  let l = Analysis.Race_extract.analyze units in
+  let race = Analysis.Race_report.run l in
+  let alloc =
+    Analysis.Alloc_report.run ~cold:(Analysis.Alloc_extract.cold_spans units) l
+  in
+  let findings =
+    Analysis.Findings.suppress ~source_root:!source_root
+      ~files:l.Analysis.Race_extract.l_files
+      (race.Analysis.Race_report.r_findings @ alloc.Analysis.Alloc_report.a_findings
+      @ Analysis.Dead_export.findings ~scope:scopes all_units intfs
+      @ Analysis.Det_rules.findings units
+      @ Analysis.Lint.findings units intfs)
+  in
+  (* analyzer harness timing, not simulation time — lint: allow sema-wall-clock *)
+  let wall_s = Unix.gettimeofday () -. t0 in
+  let active = List.filter Analysis.Findings.is_active findings in
+  let suppressed = List.length findings - List.length active in
+  (match !write_baseline with
+  | Some path ->
+    Out_channel.with_open_bin path (fun oc ->
+        output_string oc (Analysis.Findings.baseline_text findings));
+    Format.printf "clove-check: baseline written to %s (%d entr%s)@." path
+      (List.length active)
+      (if List.length active = 1 then "y" else "ies");
+    exit 0
+  | None -> ());
   let fresh = Analysis.Findings.new_findings findings baseline_keys in
   let new_keys = Analysis.Findings.key_table fresh in
   let edges =
-    Hashtbl.fold (fun _ cs acc -> acc + List.length cs) l.Sema.Race_extract.l_calls 0
+    Hashtbl.fold (fun _ cs acc -> acc + List.length cs) l.Analysis.Race_extract.l_calls 0
   in
   (* graph sizes, per-analysis summaries and active counts per rule:
      shared by the report and the bench record *)
@@ -140,10 +148,10 @@ let () =
       [
         ("units", Int (List.length all_units));
         ("interfaces", Int (List.length intfs));
-        ("nodes", Int (List.length l.Sema.Race_extract.l_nodes));
+        ("nodes", Int (List.length l.Analysis.Race_extract.l_nodes));
         ("call_edges", Int edges);
-        ("race", Sema.Race_report.summary_json race);
-        ("alloc", Sema.Alloc_report.summary_json alloc);
+        ("race", Analysis.Race_report.summary_json race);
+        ("alloc", Analysis.Alloc_report.summary_json alloc);
         ("per_rule", Obj (count_by (fun (f : Analysis.Findings.t) -> f.rule) active));
       ]
   in
@@ -156,7 +164,7 @@ let () =
             ("tool", String "clove-check");
             ("version", Int 1);
             ( "files",
-              List (List.map (fun f -> String f) l.Sema.Race_extract.l_files) );
+              List (List.map (fun f -> String f) l.Analysis.Race_extract.l_files) );
           ]
          @ summary
          @ [
@@ -190,11 +198,11 @@ let () =
      call edge(s); %d parallel root(s), %d dispatch root(s), %d hot \
      node(s); %d finding(s) (%d suppressed, %d new); report: %s@."
     (List.length all_units) (List.length units) (List.length intfs)
-    (List.length l.Sema.Race_extract.l_nodes)
+    (List.length l.Analysis.Race_extract.l_nodes)
     edges
-    (List.length race.Sema.Race_report.r_roots)
-    (List.length alloc.Sema.Alloc_report.a_roots)
-    alloc.Sema.Alloc_report.a_hot_nodes (List.length active) suppressed
+    (List.length race.Analysis.Race_report.r_roots)
+    (List.length alloc.Analysis.Alloc_report.a_roots)
+    alloc.Analysis.Alloc_report.a_hot_nodes (List.length active) suppressed
     (List.length fresh)
     (Option.value !report_path ~default:"none (no -o)");
   if fresh <> [] then exit 1

@@ -1,6 +1,9 @@
 (* clove-lint driver: walk the given roots (default: lib bin examples)
-   and check that every library module ships an interface.  Exits 1 on
-   a module without one, 2 on a root that does not exist. *)
+   and check that every library module ships an interface
+   ([Analysis.Lint]).  Exits 1 on a module without one, 2 on a root that
+   does not exist.  clove-check runs the same rule over the build's
+   .cmt/.cmti files; this file walk's only remaining caller is
+   perfbench/dune. *)
 
 let skip_dir name =
   name = "_build" || name = "results" || (String.length name > 0 && name.[0] = '.')
@@ -14,11 +17,6 @@ let rec walk path acc =
   else path :: acc
 
 let has_extension ext path = Filename.check_suffix path ext
-
-(* [missing-mli] applies to library modules only: executables and
-   examples are entry points, not public API *)
-let wants_interface path =
-  String.length path >= 4 && String.sub path 0 4 = "lib/"
 
 let () =
   let roots =
@@ -39,12 +37,11 @@ let () =
   let ml_files = List.filter (has_extension ".ml") files in
   let mli_files = List.filter (has_extension ".mli") files in
   let findings =
-    Analysis.Lint.check_interface_presence
-      ~ml_files:(List.filter wants_interface ml_files)
-      ~mli_files
+    Analysis.Lint.check_interface_presence ~ml_files ~mli_files
   in
   List.iter
-    (fun f -> Format.eprintf "%a@." Analysis.Lint.pp_finding f)
+    (fun (f : Analysis.Findings.t) ->
+      Format.eprintf "%s:%d: [%s] %s@." f.file f.line f.rule f.message)
     findings;
   if findings <> [] then begin
     Format.eprintf "clove-lint: %d finding(s) in %d file(s)@."

@@ -1,5 +1,5 @@
 (* clove-sema: clove-check's determinism, unit-safety and code rules
-   (Sema.Det_rules) alone, over the .cmt of the units under the given
+   (Analysis.Det_rules) alone, over the .cmt of the units under the given
    source roots (default: lib bin examples), with the shared suppression
    grammar applied.  Writes the findings as JSON; exits 1 if any is
    active, 2 on a bad argument or a root with no .cmt.
@@ -23,12 +23,12 @@ let () =
     | root :: rest -> roots := root :: !roots; parse rest
   in
   parse (List.tl (Array.to_list Sys.argv));
-  let cmt_root = Option.value !cmt_root ~default:(Sema.Cmt_load.default_root ()) in
+  let cmt_root = Option.value !cmt_root ~default:(Analysis.Cmt_load.default_root ()) in
   (* only each root's own build directory is read *)
   let load root =
     let prefix = if String.ends_with ~suffix:"/" root then root else root ^ "/" in
     match
-      Sema.Cmt_load.load ~root:(Filename.concat cmt_root root)
+      Analysis.Cmt_load.load ~root:(Filename.concat cmt_root root)
         ~source_prefixes:[ prefix ]
     with
     | [], _ ->
@@ -42,8 +42,8 @@ let () =
   in
   let findings =
     Analysis.Findings.suppress ~source_root:"."
-      ~files:(List.map (fun u -> u.Sema.Cmt_load.u_source) units)
-      (Sema.Det_rules.findings units)
+      ~files:(List.map (fun u -> u.Analysis.Cmt_load.u_source) units)
+      (Analysis.Det_rules.findings units)
   in
   Analysis.Json_out.(
     to_file !report

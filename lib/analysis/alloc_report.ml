@@ -1,7 +1,7 @@
 (* The allocation analysis of clove-check: hot-region allocation
    findings with a call-chain witness from a dispatch root, and
    cold-branch demotion.  Suppressions, the baseline and the JSON
-   output are [Analysis.Findings]'s, applied by the driver.
+   output are [Findings]'s, applied by the driver.
 
    Each finding's identity is ("alloc-<kind>", file, "node: desc") —
    line-free, so moving code inside a function does not churn the
@@ -16,7 +16,7 @@
    the budget. *)
 
 type t = {
-  a_findings : Analysis.Findings.t list;
+  a_findings : Findings.t list;
   a_roots : (string * string) list;
   a_hot_nodes : int;
   a_sites_total : int;
@@ -42,7 +42,7 @@ let findings (l : Race_extract.linked) (hot : Alloc_extract.hot) spans =
   let sites_cold = ref 0 in
   (* merged per identity key; first (lowest-line) site wins, later
      duplicates only bump the count *)
-  let acc : (string, Analysis.Findings.t * int) Hashtbl.t = Hashtbl.create 64 in
+  let acc : (string, Findings.t * int) Hashtbl.t = Hashtbl.create 64 in
   let order = ref [] in
   List.iter
     (fun (n : Race_extract.node) ->
@@ -71,7 +71,7 @@ let findings (l : Race_extract.linked) (hot : Alloc_extract.hot) spans =
             in
             let f =
               {
-                Analysis.Findings.rule;
+                Findings.rule;
                 file;
                 line;
                 target;
@@ -81,19 +81,19 @@ let findings (l : Race_extract.linked) (hot : Alloc_extract.hot) spans =
                 witness = render_witness chain al;
                 extra =
                   [
-                    ("kind", Analysis.Json_out.String slug);
-                    ("node", Analysis.Json_out.String n.Race_extract.n_id);
+                    ("kind", Json_out.String slug);
+                    ("node", Json_out.String n.Race_extract.n_id);
                   ];
                 reason;
               }
             in
-            let key = Analysis.Findings.key f in
+            let key = Findings.key f in
             match Hashtbl.find_opt acc key with
             | None ->
               Hashtbl.replace acc key (f, 1);
               order := key :: !order
             | Some (f0, c) ->
-              let f0 = if line < f0.Analysis.Findings.line then f else f0 in
+              let f0 = if line < f0.Findings.line then f else f0 in
               Hashtbl.replace acc key (f0, c + 1))
           (List.rev n.Race_extract.n_allocs))
     l.Race_extract.l_nodes;
@@ -109,12 +109,12 @@ let findings (l : Race_extract.linked) (hot : Alloc_extract.hot) spans =
         else
           {
             f with
-            Analysis.Findings.extra =
-              f.Analysis.Findings.extra @ [ ("count", Analysis.Json_out.Int c) ];
+            Findings.extra =
+              f.Findings.extra @ [ ("count", Json_out.Int c) ];
           })
       !order
   in
-  (Analysis.Findings.sort fs, !sites_total, !sites_cold)
+  (Findings.sort fs, !sites_total, !sites_cold)
 
 let run ~cold (l : Race_extract.linked) =
   let hot = Alloc_extract.hot_region l in
@@ -128,7 +128,7 @@ let run ~cold (l : Race_extract.linked) =
   }
 
 let summary_json r =
-  Analysis.Json_out.(
+  Json_out.(
     Obj
       [
         ( "roots",

@@ -8,7 +8,7 @@
     finding carrying the first site's line and a ["count"]. *)
 
 type t = {
-  a_findings : Analysis.Findings.t list;
+  a_findings : Findings.t list;
       (** sorted; only [alloc-cold] findings carry a reason *)
   a_roots : (string * string) list;  (** (node id, origin), sorted *)
   a_hot_nodes : int;
@@ -19,8 +19,8 @@ type t = {
 val run : cold:Alloc_extract.span list -> Race_extract.linked -> t
 (** Compute the hot region and assemble the findings, demoting sites
     inside a [cold] span ({!Alloc_extract.cold_spans}).  Reads no
-    source: suppressions are applied by {!Analysis.Findings.suppress}. *)
+    source: suppressions are applied by {!Findings.suppress}. *)
 
-val summary_json : t -> Analysis.Json_out.t
+val summary_json : t -> Json_out.t
 (** Roots, hot-region size and site counts for the report. *)
 

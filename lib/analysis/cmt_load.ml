@@ -119,3 +119,30 @@ let load ~root ~source_prefixes =
     dedup ~name:(fun i -> i.i_modname) ~source:(fun i -> i.i_source) intfs )
 
 let default_root () = if Sys.file_exists "_build/default" then "_build/default" else "."
+
+(* One unit's module aliases, keyed by [Ident.unique_name] and stored
+   resolved: a walk records each alias before its scope, so a chain of
+   aliases resolves to its end in one lookup. *)
+type aliases = (string, Path.t) Hashtbl.t
+
+let aliases () = Hashtbl.create 8
+
+let rec resolve aliases p =
+  match p with
+  | Path.Pident id ->
+    Option.value ~default:p (Hashtbl.find_opt aliases (Ident.unique_name id))
+  | Path.Pdot (q, s) -> Path.Pdot (resolve aliases q, s)
+  | _ -> p
+
+let rec alias_target aliases (me : Typedtree.module_expr) =
+  match me.mod_desc with
+  | Tmod_ident (p, _) -> Some (resolve aliases p)
+  | Tmod_constraint (inner, _, _, _) -> alias_target aliases inner
+  | _ -> None
+
+let record_alias aliases id me =
+  match (id, alias_target aliases me) with
+  | Some id, Some p ->
+    Hashtbl.replace aliases (Ident.unique_name id) p;
+    true
+  | _ -> false

@@ -37,3 +37,26 @@ val load :
 val default_root : unit -> string
 (** [_build/default] when it exists (running from the repo root),
     else ["."] (running from inside the build tree). *)
+
+(** {2 Module aliases}
+
+    The one resolver of [module X = M] (structure-level or [let module],
+    through any signature constraint) that every rule reads paths
+    through. *)
+
+type aliases
+(** One unit's aliases, filled in walk order. *)
+
+val aliases : unit -> aliases
+
+val resolve : aliases -> Path.t -> Path.t
+(** [p] with an aliased head replaced by the path it names, so [H.iter]
+    under [module H = Hashtbl] is [Hashtbl.iter]. *)
+
+val alias_target : aliases -> Typedtree.module_expr -> Path.t option
+(** The resolved module path [me] names; [None] for a structure, a
+    functor application or an unpacked module. *)
+
+val record_alias : aliases -> Ident.t option -> Typedtree.module_expr -> bool
+(** Bind the ident as a name for {!alias_target}; [false] (nothing
+    recorded) when [me] names no path or the binding is anonymous. *)

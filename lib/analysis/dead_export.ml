@@ -1,7 +1,6 @@
 (* The typed unused-export pass: see dead_export.mli.  Uses are collected
-   per unit as raw paths plus the unit's module aliases, then resolved
-   once the whole unit has been walked, so an alias bound anywhere in
-   the unit is followed. *)
+   per unit as raw paths, then resolved through the unit's module
+   aliases ({!Cmt_load.resolve}) once the whole unit has been walked. *)
 
 open Typedtree
 
@@ -9,23 +8,12 @@ let rule = "dead-export"
 
 let tests = "test/"
 
-(* [module X = M], possibly under the implicit constraint the
-   typechecker adds: X is a new name for M, not a use of it *)
-let rec alias_target me =
-  match me.mod_desc with
-  | Tmod_ident (p, _) -> Some p
-  | Tmod_constraint (me, _, Tmodtype_implicit, _) -> alias_target me
-  | _ -> None
-
 (* a path as unit-level names, through the unit's aliases; [None] for a
    module local to the unit or a functor application *)
-let rec resolve aliases p =
-  match Path.flatten p with
+let unit_names aliases p =
+  match Path.flatten (Cmt_load.resolve aliases p) with
   | `Contains_apply -> None
-  | `Ok (id, names) -> (
-    match Hashtbl.find_opt aliases id with
-    | Some target -> Option.map (fun base -> base @ names) (resolve aliases target)
-    | None -> if Ident.global id then Some (Ident.name id :: names) else None)
+  | `Ok (id, names) -> if Ident.global id then Some (Ident.name id :: names) else None
 
 type uses = {
   values : (string * string, unit) Hashtbl.t;  (* (short module, value) *)
@@ -33,15 +21,9 @@ type uses = {
 }
 
 let scan uses (u : Cmt_load.unit_info) =
-  let aliases = Hashtbl.create 8 in
+  let aliases = Cmt_load.aliases () in
   let idents = ref [] and wholes = ref [] in
-  let bind id me =
-    match (id, alias_target me) with
-    | Some id, Some p ->
-      Hashtbl.replace aliases id p;
-      true
-    | _ -> false
-  in
+  let bind = Cmt_load.record_alias aliases in
   let default = Tast_iterator.default_iterator in
   let it =
     {
@@ -60,7 +42,8 @@ let scan uses (u : Cmt_load.unit_info) =
       (* an opened module's values show up as full paths where used *)
       open_declaration =
         (fun self od ->
-          if alias_target od.open_expr = None then default.open_declaration self od);
+          if Cmt_load.alias_target aliases od.open_expr = None then
+            default.open_declaration self od);
       module_expr =
         (fun self me ->
           (match me.mod_desc with
@@ -73,14 +56,14 @@ let scan uses (u : Cmt_load.unit_info) =
   let short = Cmt_load.short_of_modname in
   List.iter
     (fun p ->
-      match Option.map List.rev (resolve aliases p) with
+      match Option.map List.rev (unit_names aliases p) with
       | Some (v :: m :: _) when short m <> u.Cmt_load.u_short ->
         Hashtbl.replace uses.values (short m, v) ()
       | _ -> ())
     !idents;
   List.iter
     (fun p ->
-      match Option.map List.rev (resolve aliases p) with
+      match Option.map List.rev (unit_names aliases p) with
       | Some (m :: _) -> Hashtbl.replace uses.whole (short m) ()
       | _ -> ())
     !wholes
@@ -118,7 +101,7 @@ let findings ~scope units intfs =
               let target = m ^ "." ^ vd.val_name.txt in
               Some
                 {
-                  Analysis.Findings.rule;
+                  Findings.rule;
                   file = i.Cmt_load.i_source;
                   line = vd.val_loc.Location.loc_start.Lexing.pos_lnum;
                   target;

@@ -7,7 +7,8 @@
     so [Engine.Sim_time.(>=)], [Engine__Sim_time.(>=)] and a
     [Sim_time.(now >= t)] local open are one use, and a type that shares
     a value's name is never mistaken for it.  Module aliases
-    ([module S = Sim_time]) are followed.  A module used whole — a
+    ([module S = Sim_time], constrained or not) are followed through
+    {!Cmt_load.resolve}.  A module used whole — a
     functor argument, a signature coercion, an [include], a
     [(module M)] — counts every one of its values as used.
 
@@ -19,7 +20,7 @@ val findings :
   scope:string list ->
   Cmt_load.unit_info list ->
   Cmt_load.intf_info list ->
-  Analysis.Findings.t list
+  Findings.t list
 (** [findings ~scope units intfs]: one [dead-export] finding per export
     of an in-scope interface that no other unit in [units] uses; [file]
     is the [.mli], [line] the [val], [target] ["Module.value"].

@@ -96,15 +96,15 @@ let under prefixes file =
 
 type ctx = {
   unit_ : Cmt_load.unit_info;
-  aliases : (string, Path.t) Hashtbl.t;  (* module ident unique name -> target *)
+  aliases : Cmt_load.aliases;
   mutable binding : string;  (* enclosing top-level binding *)
-  mutable found : Analysis.Findings.t list;
+  mutable found : Findings.t list;
 }
 
 let add ctx ~rule (loc : Location.t) what =
   ctx.found <-
     {
-      Analysis.Findings.rule;
+      Findings.rule;
       file = ctx.unit_.Cmt_load.u_source;
       line = loc.loc_start.pos_lnum;
       target = ctx.unit_.Cmt_load.u_short ^ "." ^ ctx.binding;
@@ -117,31 +117,16 @@ let add ctx ~rule (loc : Location.t) what =
 
 (* ------------------------- path resolution ------------------------ *)
 
-let rec resolve ctx p =
-  match p with
-  | Path.Pident id ->
-    Option.value ~default:p (Hashtbl.find_opt ctx.aliases (Ident.unique_name id))
-  | Path.Pdot (q, s) -> Path.Pdot (resolve ctx q, s)
-  | _ -> p
-
-(* a module alias, structure-level or [let module]; the walk records
-   each before its scope, so a chain of aliases resolves to its end *)
-let record_alias ctx id (me : module_expr) =
-  let rec target (me : module_expr) =
-    match me.mod_desc with
-    | Tmod_ident (p, _) -> Some (resolve ctx p)
-    | Tmod_constraint (inner, _, _, _) -> target inner
-    | _ -> None
-  in
-  match (id, target me) with
-  | Some id, Some p -> Hashtbl.replace ctx.aliases (Ident.unique_name id) p
-  | _ -> ()
+(* a module alias, structure-level or [let module] *)
+let alias ctx id me =
+  let (_ : bool) = Cmt_load.record_alias ctx.aliases id me in
+  ()
 
 (* A path into the standard distribution with [Stdlib] stripped:
    [Stdlib.Hashtbl.iter], [Stdlib__Hashtbl.iter] and an aliased [H.iter]
    are all [["Hashtbl"; "iter"]]; a path anywhere else is [[]]. *)
 let stdlib_name ctx p =
-  match Path.flatten (resolve ctx p) with
+  match Path.flatten (Cmt_load.resolve ctx.aliases p) with
   | `Ok (id, rest) when Ident.global id -> (
     match Ident.name id with
     | "Stdlib" -> rest
@@ -151,7 +136,7 @@ let stdlib_name ctx p =
     | _ -> [])
   | _ -> []
 
-let project_name ctx p = Race_extract.suffix2 (resolve ctx p)
+let project_name ctx p = Race_extract.suffix2 (Cmt_load.resolve ctx.aliases p)
 
 (* ------------------------ closures and operands ------------------- *)
 
@@ -179,7 +164,7 @@ let first_effect ctx e =
         match ex.exp_desc with
         | Texp_setfield _ -> raise (Found "record field assignment")
         | Texp_setinstvar _ -> raise (Found "instance variable assignment")
-        | Texp_letmodule (id, _, _, me, _) -> record_alias ctx id me
+        | Texp_letmodule (id, _, _, me, _) -> alias ctx id me
         | Texp_apply ({ exp_desc = Texp_ident (p, _, _); _ }, _) ->
           Option.iter (fun prim -> raise (Found prim)) (effect_of_call p)
         | _ -> ())
@@ -213,7 +198,7 @@ let unit_guess e =
 let is_protocol ctx ty =
   match Types.get_desc ty with
   | Types.Tconstr (p, _, _) -> (
-    let p = resolve ctx p in
+    let p = Cmt_load.resolve ctx.aliases p in
     List.mem (Path.last p) protocol_types
     &&
     match (p, Race_extract.suffix2 p) with
@@ -322,7 +307,7 @@ let check_apply ctx (e : expression) (fn : expression) p args =
 
 let check_unit (u : Cmt_load.unit_info) =
   let ctx =
-    { unit_ = u; aliases = Hashtbl.create 8; binding = "<init>"; found = [] }
+    { unit_ = u; aliases = Cmt_load.aliases (); binding = "<init>"; found = [] }
   in
   let super = Tast_iterator.default_iterator in
   let it =
@@ -341,7 +326,7 @@ let check_unit (u : Cmt_load.unit_info) =
           super.structure_item self si);
       module_binding =
         (fun self mb ->
-          record_alias ctx mb.mb_id mb.mb_expr;
+          alias ctx mb.mb_id mb.mb_expr;
           super.module_binding self mb);
       expr =
         (fun self e ->
@@ -353,7 +338,7 @@ let check_unit (u : Cmt_load.unit_info) =
             check_cases ctx scrutinee.exp_type cases
           | Texp_function { cases = c :: _ as cases; _ } ->
             check_cases ctx c.c_lhs.pat_type cases
-          | Texp_letmodule (id, _, _, me, _) -> record_alias ctx id me
+          | Texp_letmodule (id, _, _, me, _) -> alias ctx id me
           | _ -> ());
           super.expr self e);
     }

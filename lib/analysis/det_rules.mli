@@ -18,7 +18,7 @@
 val rules : (string * string) list
 (** [(rule_id, description)]: the fourteen rules, for the finding messages. *)
 
-val findings : Cmt_load.unit_info list -> Analysis.Findings.t list
+val findings : Cmt_load.unit_info list -> Findings.t list
 (** Every finding of the rules, unit by unit in walk order, unsuppressed
-    (the caller applies {!Analysis.Findings.suppress}).  The target is
+    (the caller applies {!Findings.suppress}).  The target is
     the enclosing top-level binding, e.g. ["Link.on_txdone"]. *)

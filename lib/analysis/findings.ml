@@ -2,7 +2,7 @@
 
    clove-check (the typed analyses and rules) produces findings with one
    lifecycle: deterministic sorted serialization, a committed baseline
-   keyed by (rule, file, target) — line numbers deliberately excluded so
+   of sorted "rule|file|target" lines — line numbers deliberately excluded so
    unrelated edits do not churn it — and a diff that fails CI only on
    *new* keys.  The source suppression grammar below is the one every
    rule id answers to. *)
@@ -204,47 +204,41 @@ let suppress ~source_root ~files fs =
 
 (* ----------------------------- baseline --------------------------- *)
 
-let baseline_json ~tool fs =
-  Json_out.(
-    Obj
-      [
-        ("tool", String tool);
-        ("version", Int 1);
-        ( "entries",
-          List
-            (List.filter_map
-               (fun f ->
-                 if is_active f then
-                   Some
-                     (Obj
-                        [
-                          ("rule", String f.rule);
-                          ("file", String f.file);
-                          ("target", String f.target);
-                        ])
-                 else None)
-               (sort fs)) );
-      ])
+(* one key per line, sorted, so a diff of the file shows each key a
+   change adds or removes *)
+let baseline_text fs =
+  List.filter_map (fun f -> if is_active f then Some (key f ^ "\n") else None) fs
+  |> List.sort_uniq String.compare |> String.concat ""
 
-(* keys present in a committed baseline file; [Error] on parse trouble
-   so CI fails loudly rather than treating everything as new *)
+(* [Error] names the first bad line, so CI fails loudly rather than
+   treating everything as new *)
 let load_baseline path =
-  match Json_in.of_file path with
-  | Error e -> Error e
-  | Ok json -> (
-    match Option.bind (Json_in.member "entries" json) Json_in.to_list with
-    | None -> Error "baseline has no \"entries\" array"
-    | Some entries ->
-      let keys = Hashtbl.create 32 in
-      List.iter
-        (fun entry ->
-          let field k = Option.bind (Json_in.member k entry) Json_in.to_string_opt in
-          match (field "rule", field "file", field "target") with
-          | Some rule, Some file, Some target ->
-            Hashtbl.replace keys (rule ^ "|" ^ file ^ "|" ^ target) ()
-          | _ -> ())
-        entries;
-      Ok keys)
+  match read_source path with
+  | None -> Error "cannot open the file"
+  | Some text ->
+    let keys = Hashtbl.create 256 in
+    let lines =
+      match List.rev (String.split_on_char '\n' text) with
+      | "" :: rest -> List.rev rest
+      | lines -> List.rev lines
+    in
+    let rec go n prev = function
+      | [] -> Ok keys
+      | line :: rest -> (
+        let refuse what = Error (Printf.sprintf "line %d %s" n what) in
+        match String.split_on_char '|' line with
+        | rule :: file :: target
+          when rule <> "" && file <> "" && String.concat "|" target <> "" ->
+          let c = String.compare prev line in
+          if c = 0 then refuse "repeats the key above"
+          else if c > 0 then refuse "is out of sorted order"
+          else begin
+            Hashtbl.replace keys line ();
+            go (n + 1) line rest
+          end
+        | _ -> refuse "is not rule|file|target")
+    in
+    go 1 "" lines
 
 let new_findings fs baseline_keys =
   List.filter (fun f -> is_active f && not (Hashtbl.mem baseline_keys (key f))) fs

@@ -66,12 +66,14 @@ val suppress : source_root:string -> files:string list -> t list -> t list
 
 (** {2 Baseline} *)
 
-val baseline_json : tool:string -> t list -> Json_out.t
-(** Baseline file content: the active findings' identity keys. *)
+val baseline_text : t list -> string
+(** Baseline file content: the active findings' identity keys, sorted
+    and unique, one per line. *)
 
 val load_baseline : string -> ((string, unit) Hashtbl.t, string) result
-(** Keys of a committed baseline; [Error] on parse trouble so CI fails
-    loudly rather than treating everything as new. *)
+(** Keys of a committed baseline; [Error] names the first line that is
+    not [rule|file|target], repeats the key above it or is out of sorted
+    order, so CI fails loudly rather than treating everything as new. *)
 
 val new_findings : t list -> (string, unit) Hashtbl.t -> t list
 (** Active findings whose identity key is not in the baseline. *)

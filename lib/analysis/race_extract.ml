@@ -425,6 +425,32 @@ let alloc_calls =
 let poly_compare_fns =
   [ "compare"; "="; "<>"; "<"; ">"; "<="; ">="; "min"; "max" ]
 
+(* ocamlopt specializes the comparison primitives (not [min]/[max],
+   which are functions) at these operand types to an inline, float,
+   string or boxed-integer compare: no call into the generic one *)
+let is_specialized_compare_ty ty =
+  is_immediate_ty ty
+  || List.exists (path_is ty)
+       Predef.
+         [ path_float; path_string; path_bytes; path_int32; path_int64; path_nativeint ]
+
+(* a constant constructor ([[]], [Ce]): ocamlopt compiles [=]/[<>]
+   against one (not [<] or [compare]) to an integer compare *)
+let is_constant_constructor (e : Typedtree.expression) =
+  match e.exp_desc with
+  | Texp_construct (_, { cstr_tag = Cstr_constant _; _ }, []) -> true
+  | _ -> false
+
+(* [v] applied to [operands] calls the generic structural compare *)
+let is_generic_compare v = function
+  | [] -> false
+  | (a : Typedtree.expression) :: _ as operands ->
+    if v = "min" || v = "max" then not (is_immediate_ty a.exp_type)
+    else
+      not
+        (is_specialized_compare_ty a.exp_type
+        || ((v = "=" || v = "<>") && List.exists is_constant_constructor operands))
+
 (* a variant block whose arguments are all constants ([Some 64], and
    the typechecker's [Some] around [f ~capacity:64]) is static data
    ocamlopt emits once: building it allocates nothing.  A variable
@@ -432,18 +458,18 @@ let poly_compare_fns =
 let rec is_static (e : Typedtree.expression) =
   match e.exp_desc with
   | Texp_constant _ -> true
-  | Texp_construct (_, { cstr_tag = Cstr_constant _; _ }, []) -> true
   | Texp_construct (_, { cstr_tag = Cstr_block _; _ }, args) -> List.for_all is_static args
-  | _ -> false
+  | _ -> is_constant_constructor e
 
 (* classify [e] as an allocation site of the current node, if it is
    one.  Closure literals that are the node's own outer [fun]-chain
    (tracked by physical identity in [ctx.chain]) are the function
-   itself, not a per-call allocation.  Float results and polymorphic
-   comparisons are over-approximations: a float-returning call boxes
-   unless the compiler unboxes locally, and comparing a non-immediate
-   type walks (and may box) — both are exactly the hazards the hot
-   path is supposed to avoid, so the noise is the signal. *)
+   itself, not a per-call allocation.  Float results are an
+   over-approximation: a float-returning call boxes unless the compiler
+   unboxes locally.  A compare ocamlopt does not specialize calls the
+   generic structural compare, which walks (and may box).  Both are
+   exactly the hazards the hot path is supposed to avoid, so the noise
+   is the signal. *)
 let record_alloc ctx (e : Typedtree.expression) =
   let open Typedtree in
   if ctx.cur.n_id <> "<pre>" then begin
@@ -479,10 +505,8 @@ let record_alloc ctx (e : Typedtree.expression) =
         | Some (m, v) -> m ^ "." ^ v
         | None -> "<expr>"
       in
-      let first_positional =
-        List.find_map
-          (function Asttypes.Nolabel, Some a -> Some a | _ -> None)
-          args
+      let positional =
+        List.filter_map (function Asttypes.Nolabel, Some a -> Some a | _ -> None) args
       in
       match callee with
       | Some mv when List.mem mv format_fns ->
@@ -492,14 +516,11 @@ let record_alloc ctx (e : Typedtree.expression) =
       | Some mv when List.mem_assoc mv alloc_calls ->
         let kind, desc = List.assoc mv alloc_calls in
         add kind desc
-      | Some ("Stdlib", v) when List.mem v poly_compare_fns -> (
-        match first_positional with
-        | Some a when not (is_immediate_ty a.exp_type) ->
-          add K_poly ("polymorphic " ^ v)
-        | _ -> ())
+      | Some ("Stdlib", v) when List.mem v poly_compare_fns ->
+        if is_generic_compare v positional then add K_poly ("polymorphic " ^ v)
       | Some ("Hashtbl", ("hash" | "hash_param")) -> (
-        match first_positional with
-        | Some a when not (is_immediate_ty a.exp_type) ->
+        match positional with
+        | a :: _ when not (is_immediate_ty a.exp_type) ->
           add K_poly "polymorphic Hashtbl.hash"
         | _ -> ())
       | _ ->

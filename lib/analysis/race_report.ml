@@ -35,7 +35,7 @@ open Race_lattice
 type hop = { h_site : Race_extract.site; h_desc : string }
 
 type t = {
-  r_findings : Analysis.Findings.t list;
+  r_findings : Findings.t list;
   r_roots : (string * Race_extract.site) list;
   r_mutations : int;
   r_protected : int;
@@ -239,7 +239,7 @@ let render_hop h =
 let findings (l : Race_extract.linked) summary =
   (* merge across roots: one finding per (rule, file, target), with the
      sorted roots that reach it and the shortest witness *)
-  let acc : (string, Analysis.Findings.t * string list) Hashtbl.t =
+  let acc : (string, Findings.t * string list) Hashtbl.t =
     Hashtbl.create 32
   in
   List.iter
@@ -261,7 +261,7 @@ let findings (l : Race_extract.linked) summary =
               let msite = (List.nth hops (List.length hops - 1)).h_site in
               let f =
                 {
-                  Analysis.Findings.rule;
+                  Findings.rule;
                   file = msite.Race_extract.s_file;
                   line = msite.Race_extract.s_line;
                   target = display_of_key key;
@@ -271,7 +271,7 @@ let findings (l : Race_extract.linked) summary =
                   reason = None;
                 }
               in
-              let k = Analysis.Findings.key f in
+              let k = Findings.key f in
               match Hashtbl.find_opt acc k with
               | None -> Hashtbl.replace acc k (f, [ root_id ])
               | Some (f0, roots) ->
@@ -286,7 +286,7 @@ let findings (l : Race_extract.linked) summary =
           (sorted_entries t))
     l.Race_extract.l_roots;
   Hashtbl.fold
-    (fun _ ((f : Analysis.Findings.t), roots) acc ->
+    (fun _ ((f : Findings.t), roots) acc ->
       {
         f with
         message =
@@ -295,13 +295,13 @@ let findings (l : Race_extract.linked) summary =
         extra =
           [
             ( "roots",
-              Analysis.Json_out.List
-                (List.map (fun r -> Analysis.Json_out.String r) roots) );
+              Json_out.List
+                (List.map (fun r -> Json_out.String r) roots) );
           ];
       }
       :: acc)
     acc []
-  |> Analysis.Findings.sort
+  |> Findings.sort
 
 let run (l : Race_extract.linked) =
   let mutations, protected =
@@ -323,7 +323,7 @@ let run (l : Race_extract.linked) =
 let site_str (s : Race_extract.site) = Printf.sprintf "%s:%d" s.s_file s.s_line
 
 let summary_json r =
-  Analysis.Json_out.(
+  Json_out.(
     Obj
       [
         ( "roots",

@@ -10,7 +10,7 @@
     lists every parallel root that reaches it, sorted. *)
 
 type t = {
-  r_findings : Analysis.Findings.t list;  (** unsuppressed, sorted *)
+  r_findings : Findings.t list;  (** unsuppressed, sorted *)
   r_roots : (string * Race_extract.site) list;
       (** (root node id, spawn site), sorted *)
   r_mutations : int;  (** mutation sites in the graph *)
@@ -20,8 +20,8 @@ type t = {
 val run : Race_extract.linked -> t
 (** Solve the footprints and report every shared or captured target
     mutated from a parallel root.  Reads no source: suppressions are
-    applied by {!Analysis.Findings.suppress}. *)
+    applied by {!Findings.suppress}. *)
 
-val summary_json : t -> Analysis.Json_out.t
+val summary_json : t -> Json_out.t
 (** Roots and mutation-site counts for the report. *)
 

@@ -5,11 +5,18 @@
    constants ([Some 64], and the [Some] the typechecker wraps around
    [~capacity:64]) is static data, not a per-event block; the body of
    a function with a defaulted optional argument is that function, not
-   a closure it builds. *)
+   a closure it builds.  ocamlopt compiles a float [<] and an [x <> []]
+   to inline compares, so neither is a polymorphic compare. *)
 
-type handle = { mutable last : int; mutable fires : int; mutable cap : int option }
+type handle = {
+  mutable last : int;
+  mutable fires : int;
+  mutable cap : int option;
+  mutable load : float;
+  mutable queued : int list;
+}
 
-let h = { last = 0; fires = 0; cap = None }
+let h = { last = 0; fires = 0; cap = None; load = 0.; queued = [] }
 
 let sized ?capacity arg = match capacity with Some c -> arg land (c - 1) | None -> arg
 let masked ?(capacity = 16) arg = arg land (capacity - 1)
@@ -17,6 +24,6 @@ let masked ?(capacity = 16) arg = arg land (capacity - 1)
 let on_event arg =
   h.last <- sized ~capacity:64 arg + masked arg;
   h.cap <- Some 64;
-  h.fires <- h.fires + 1
+  if h.load < 0.5 && h.queued <> [] then h.fires <- h.fires + 1
 
 let install sched = ignore (Engine.Scheduler.register_kind sched on_event)

@@ -16,21 +16,21 @@ let contains s sub =
 (* tests run from _build/default/test, so the fixture library's build
    artifacts are under fixtures/ and the repo's build root is .. *)
 let load_fixture_units () =
-  fst (Sema.Cmt_load.load ~root:"fixtures" ~source_prefixes:[ "test/fixtures/alloc/" ])
+  fst (Analysis.Cmt_load.load ~root:"fixtures" ~source_prefixes:[ "test/fixtures/alloc/" ])
 
 (* the driver's path: one linked graph, then the shared suppressions *)
 let run_fixtures () =
   let units = load_fixture_units () in
-  let l = Sema.Race_extract.analyze units in
-  Analysis.Findings.suppress ~source_root:".." ~files:l.Sema.Race_extract.l_files
-    (Sema.Alloc_report.run ~cold:(Sema.Alloc_extract.cold_spans units) l)
-      .Sema.Alloc_report.a_findings
+  let l = Analysis.Race_extract.analyze units in
+  Analysis.Findings.suppress ~source_root:".." ~files:l.Analysis.Race_extract.l_files
+    (Analysis.Alloc_report.run ~cold:(Analysis.Alloc_extract.cold_spans units) l)
+      .Analysis.Alloc_report.a_findings
 
 let fixture_result = lazy (run_fixtures ())
 
 let test_fixtures_load () =
   let units = load_fixture_units () in
-  let names = List.map (fun u -> u.Sema.Cmt_load.u_short) units in
+  let names = List.map (fun u -> u.Analysis.Cmt_load.u_short) units in
   Alcotest.(check bool) "hot unit loaded" true (List.mem "Alloc_hot" names);
   Alcotest.(check bool) "clean unit loaded" true (List.mem "Alloc_clean" names)
 
@@ -187,22 +187,22 @@ let test_namesake_gate_hot () =
 let test_tcp_timer_roots () =
   let units =
     fst
-      (Sema.Cmt_load.load ~root:"../lib/transport"
+      (Analysis.Cmt_load.load ~root:"../lib/transport"
          ~source_prefixes:[ "lib/transport/" ])
   in
-  let l = Sema.Race_extract.analyze units in
+  let l = Analysis.Race_extract.analyze units in
   let roots =
     List.filter_map
       (fun (id, _) ->
         if String.starts_with ~prefix:"Tcp.create_sender.<kind@" id then Some id
         else None)
-      l.Sema.Race_extract.l_dispatch
+      l.Analysis.Race_extract.l_dispatch
   in
   Alcotest.(check int) "RTO and TLP handler closures rooted" 2 (List.length roots);
-  let hot = Sema.Alloc_extract.hot_region l in
+  let hot = Analysis.Alloc_extract.hot_region l in
   List.iter
     (fun handler ->
-      match Sema.Alloc_extract.witness_to hot handler with
+      match Analysis.Alloc_extract.witness_to hot handler with
       | Some ((root, None) :: _) ->
         Alcotest.(check bool) (handler ^ " reached from a timer root") true
           (List.mem root roots)
@@ -244,8 +244,8 @@ let prop_hot_monotone =
   QCheck.Test.make ~count:500
     ~name:"hot region: adding a call edge is monotone"
     (QCheck.make graph_gen) (fun (n, roots, edges, extra) ->
-      let before = Sema.Alloc_extract.reachable ~n ~roots ~edges in
-      let after = Sema.Alloc_extract.reachable ~n ~roots ~edges:(extra :: edges) in
+      let before = Analysis.Alloc_extract.reachable ~n ~roots ~edges in
+      let after = Analysis.Alloc_extract.reachable ~n ~roots ~edges:(extra :: edges) in
       Array.for_all2 (fun b a -> (not b) || a) before after)
 
 let () =

@@ -1,7 +1,8 @@
-(* Tests for the correctness-tooling layer: clove-lint's interface
-   check, the shared suppression grammar and the runtime invariant
-   auditor (packet conservation, monotonic clocks, per-flowlet FIFO,
-   weight normalization, determinism). *)
+(* Tests for the correctness-tooling layer: the missing-mli interface
+   check, the shared suppression grammar, the committed baseline's line
+   format and the runtime invariant auditor (packet conservation,
+   monotonic clocks, per-flowlet FIFO, weight normalization,
+   determinism). *)
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -22,8 +23,8 @@ let test_lint_missing_mli () =
   check_int "one module uncovered" 1 (List.length fs);
   match fs with
   | [ f ] ->
-    check_bool "names the .ml" true (f.Lint.file = "lib/foo/b.ml");
-    check_bool "right rule" true (f.Lint.rule = "missing-mli")
+    check_bool "names the .ml" true (f.Analysis.Findings.file = "lib/foo/b.ml");
+    check_bool "right rule" true (f.Analysis.Findings.rule = "missing-mli")
   | _ -> Alcotest.fail "expected exactly one finding"
 
 (* ----------------------- suppression grammar ----------------------- *)
@@ -85,6 +86,71 @@ let test_suppression_grammar () =
         (case ^ ": allow-empty lines") empty
         (List.map fst (Analysis.Findings.allow_empty ms)))
     suppression_cases
+
+(* ----------------------------- baseline ---------------------------- *)
+
+let finding rule file target =
+  {
+    Analysis.Findings.rule;
+    file;
+    line = 1;
+    target;
+    message = "";
+    witness = [];
+    extra = [];
+    reason = None;
+  }
+
+(* the committed baseline read back from a scratch file *)
+let load_text text =
+  let path = Filename.temp_file "baseline" ".txt" in
+  Out_channel.with_open_bin path (fun oc -> output_string oc text);
+  let keys = Analysis.Findings.load_baseline path in
+  Sys.remove path;
+  keys
+
+(* the written form is sorted, one key a line, without suppressed
+   findings or repeats, and loads back to the same keys *)
+let test_baseline_round_trip () =
+  let fs =
+    [
+      finding "alloc-ref" "lib/b.ml" "B.f: ref cell";
+      finding "alloc-cons" "lib/a.ml" "A.g: list cons";
+      finding "alloc-ref" "lib/b.ml" "B.f: ref cell";
+      { (finding "alloc-tuple" "lib/a.ml" "A.h: tuple") with reason = Some "cold" };
+    ]
+  in
+  let text = Analysis.Findings.baseline_text fs in
+  check_string "sorted key lines"
+    "alloc-cons|lib/a.ml|A.g: list cons\nalloc-ref|lib/b.ml|B.f: ref cell\n" text;
+  match load_text text with
+  | Error e -> Alcotest.fail e
+  | Ok keys ->
+    check_int "keys" 2 (Hashtbl.length keys);
+    check_bool "a key" true (Hashtbl.mem keys "alloc-ref|lib/b.ml|B.f: ref cell")
+
+(* a baseline CI cannot trust is refused, naming the line, rather than
+   read as "every finding is new" *)
+let check_refused case text line =
+  match load_text text with
+  | Ok _ -> Alcotest.failf "%s: baseline accepted" case
+  | Error e ->
+    check_bool
+      (Printf.sprintf "%s: names line %d (%s)" case line e)
+      true
+      (String.starts_with ~prefix:(Printf.sprintf "line %d " line) e)
+
+let test_baseline_malformed () =
+  check_refused "two fields" "a|lib/a.ml|t\nb|lib/b.ml\n" 2;
+  check_refused "empty target" "a|lib/a.ml|\n" 1;
+  check_refused "blank line" "a|lib/a.ml|t\n\nb|lib/b.ml|t\n" 2;
+  check_refused "the old JSON form" "{\"entries\":[]}\n" 1
+
+let test_baseline_repeated () =
+  check_refused "repeated key" "a|lib/a.ml|t\na|lib/a.ml|t\n" 2
+
+let test_baseline_unsorted () =
+  check_refused "out of order" "a|lib/a.ml|t\nc|lib/c.ml|t\nb|lib/b.ml|t\n" 3
 
 (* --------------------------- audit: units -------------------------- *)
 
@@ -365,6 +431,12 @@ let () =
           Alcotest.test_case "missing-mli" `Quick test_lint_missing_mli;
           Alcotest.test_case "suppression grammar" `Quick
             test_suppression_grammar;
+          Alcotest.test_case "baseline round trip" `Quick test_baseline_round_trip;
+          Alcotest.test_case "baseline malformed line refused" `Quick
+            test_baseline_malformed;
+          Alcotest.test_case "baseline repeated key refused" `Quick
+            test_baseline_repeated;
+          Alcotest.test_case "baseline unsorted refused" `Quick test_baseline_unsorted;
         ] );
       ( "audit-units",
         [

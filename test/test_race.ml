@@ -14,21 +14,21 @@ let contains s sub =
 (* tests run from _build/default/test, so the fixture library's build
    artifacts are under fixtures/ and the repo's build root is .. *)
 let load_fixture_units () =
-  fst (Sema.Cmt_load.load ~root:"fixtures" ~source_prefixes:[ "test/fixtures/race/" ])
+  fst (Analysis.Cmt_load.load ~root:"fixtures" ~source_prefixes:[ "test/fixtures/race/" ])
 
 (* the driver's path: one linked graph, then the shared suppressions *)
 let run_fixtures () =
-  let l = Sema.Race_extract.analyze (load_fixture_units ()) in
-  let r = Sema.Race_report.run l in
+  let l = Analysis.Race_extract.analyze (load_fixture_units ()) in
+  let r = Analysis.Race_report.run l in
   ( r,
-    Analysis.Findings.suppress ~source_root:".." ~files:l.Sema.Race_extract.l_files
-      r.Sema.Race_report.r_findings )
+    Analysis.Findings.suppress ~source_root:".." ~files:l.Analysis.Race_extract.l_files
+      r.Analysis.Race_report.r_findings )
 
 let fixture_result = lazy (run_fixtures ())
 
 let test_fixtures_load () =
   let units = load_fixture_units () in
-  let names = List.map (fun u -> u.Sema.Cmt_load.u_short) units in
+  let names = List.map (fun u -> u.Analysis.Cmt_load.u_short) units in
   Alcotest.(check bool) "racy unit loaded" true (List.mem "Racy_chain" names);
   Alcotest.(check bool) "safe unit loaded" true (List.mem "Safe_chain" names)
 
@@ -100,7 +100,7 @@ let test_deterministic_output () =
     Analysis.Json_out.to_string
       (Analysis.Json_out.List
          [
-           Sema.Race_report.summary_json r;
+           Analysis.Race_report.summary_json r;
            Analysis.Findings.findings_json ~new_keys:(Hashtbl.create 1) fs;
          ])
   in
@@ -118,10 +118,10 @@ let test_findings_sorted () =
 (* ----------------------- lattice properties ----------------------- *)
 
 let all_cls =
-  Sema.Race_lattice.[ Pure; Local_mut; Param_mut; Captured_mut; Shared_mut ]
+  Analysis.Race_lattice.[ Pure; Local_mut; Param_mut; Captured_mut; Shared_mut ]
 
 let all_args =
-  Sema.Race_lattice.[ A_local; A_param "p_0"; A_captured "c_0"; A_global "G.g" ]
+  Analysis.Race_lattice.[ A_local; A_param "p_0"; A_captured "c_0"; A_global "G.g" ]
 
 (* (n, own, edges, extra edge): a random abstract call graph plus one
    candidate edge to add *)
@@ -140,14 +140,14 @@ let calls_of edges i =
 
 let pointwise_leq a b =
   Array.for_all2
-    (fun x y -> Sema.Race_lattice.rank x <= Sema.Race_lattice.rank y)
+    (fun x y -> Analysis.Race_lattice.rank x <= Analysis.Race_lattice.rank y)
     a b
 
 let prop_edge_monotone =
   QCheck.Test.make ~count:500 ~name:"solve: adding a call edge is monotone"
     (QCheck.make graph_gen) (fun (n, own, edges, extra) ->
       let solve edges =
-        Sema.Race_lattice.solve ~nodes:n
+        Analysis.Race_lattice.solve ~nodes:n
           ~own:(fun i -> own.(i))
           ~calls:(calls_of edges)
       in
@@ -158,10 +158,10 @@ let prop_own_monotone =
     ~name:"solve: raising an intrinsic footprint is monotone"
     (QCheck.make graph_gen) (fun (n, own, edges, (m, _, _)) ->
       let solve own_of =
-        Sema.Race_lattice.solve ~nodes:n ~own:own_of ~calls:(calls_of edges)
+        Analysis.Race_lattice.solve ~nodes:n ~own:own_of ~calls:(calls_of edges)
       in
       let raised i =
-        if i = m then Sema.Race_lattice.join own.(i) Sema.Race_lattice.Shared_mut
+        if i = m then Analysis.Race_lattice.join own.(i) Analysis.Race_lattice.Shared_mut
         else own.(i)
       in
       pointwise_leq (solve (fun i -> own.(i))) (solve raised))

@@ -19,13 +19,13 @@ open Experiments
 let fixture_units =
   lazy
     (fst
-       (Sema.Cmt_load.load ~root:"fixtures/sema"
+       (Analysis.Cmt_load.load ~root:"fixtures/sema"
           ~source_prefixes:[ "test/fixtures/sema/" ]))
 
 let fixture_findings =
   lazy
     (Analysis.Findings.suppress ~source_root:".." ~files:[]
-       (Sema.Det_rules.findings (Lazy.force fixture_units))
+       (Analysis.Det_rules.findings (Lazy.force fixture_units))
     |> List.filter Analysis.Findings.is_active)
 
 let targets rule fs =
@@ -44,9 +44,9 @@ let check_flagged rule expected =
    [source] *)
 let as_if source rule =
   Lazy.force fixture_units
-  |> List.filter_map (fun (u : Sema.Cmt_load.unit_info) ->
+  |> List.filter_map (fun (u : Analysis.Cmt_load.unit_info) ->
          if u.u_short = "Sema_paths" then Some { u with u_source = source } else None)
-  |> Sema.Det_rules.findings |> targets rule
+  |> Analysis.Det_rules.findings |> targets rule
 
 let test_hashtbl_order () =
   check_flagged "sema-hashtbl-order"
@@ -143,7 +143,7 @@ let test_hashtbl_find () =
     "suppressed"
     [ ("Sema_clean.present", Some "the port was inserted at creation") ]
     (Analysis.Findings.suppress ~source_root:".." ~files:[]
-       (Sema.Det_rules.findings (Lazy.force fixture_units))
+       (Analysis.Det_rules.findings (Lazy.force fixture_units))
     |> List.filter_map (fun (f : Analysis.Findings.t) ->
            if f.rule = "hashtbl-find" && not (Analysis.Findings.is_active f) then
              Some (f.target, f.reason)
@@ -180,7 +180,7 @@ let test_fixture_flagged () =
   List.iter
     (fun (rule, _) ->
       check_bool (rule ^ " flagged") true (targets rule fs <> []))
-    Sema.Det_rules.rules;
+    Analysis.Det_rules.rules;
   List.iter
     (fun (f : Analysis.Findings.t) ->
       check_bool "finding names a fixture" true
@@ -195,9 +195,9 @@ let test_fixture_flagged () =
    the value nothing references is reported *)
 let test_dead_export () =
   let scope = [ "test/fixtures/dead/" ] in
-  let units, intfs = Sema.Cmt_load.load ~root:"fixtures" ~source_prefixes:scope in
+  let units, intfs = Analysis.Cmt_load.load ~root:"fixtures" ~source_prefixes:scope in
   check_bool "fixture interface loaded" true (intfs <> []);
-  let fs = Sema.Dead_export.findings ~scope units intfs in
+  let fs = Analysis.Dead_export.findings ~scope units intfs in
   Alcotest.(check (list string))
     "only the dead export" [ "Dead_lib.stale" ]
     (List.map (fun (f : Analysis.Findings.t) -> f.target) fs);
@@ -213,10 +213,10 @@ let test_dead_export () =
    outside the scope *)
 let test_dead_export_consumers () =
   let scope = [ "test/fixtures/dead/" ] in
-  let units, intfs = Sema.Cmt_load.load ~root:"fixtures" ~source_prefixes:scope in
+  let units, intfs = Analysis.Cmt_load.load ~root:"fixtures" ~source_prefixes:scope in
   let moved source =
     List.map
-      (fun (u : Sema.Cmt_load.unit_info) ->
+      (fun (u : Analysis.Cmt_load.unit_info) ->
         if u.u_short = "Dead_consumer" then { u with u_source = source } else u)
       units
   in
@@ -224,7 +224,7 @@ let test_dead_export_consumers () =
     List.sort String.compare
       (List.map
          (fun (f : Analysis.Findings.t) -> f.target)
-         (Sema.Dead_export.findings ~scope units intfs))
+         (Analysis.Dead_export.findings ~scope units intfs))
   in
   Alcotest.(check (list string))
     "test unit outside the scope: every value it uses is dead"
@@ -236,6 +236,39 @@ let test_dead_export_consumers () =
   Alcotest.(check (list string))
     "production unit outside the scope: a consumer" [ "Dead_lib.stale" ]
     (dead ~scope (moved "bin/consumer.ml"))
+
+(* clove-check's missing-mli over real .cmt/.cmti pairs: the dead-export
+   fixture library compiled as if it lived under lib/ is flagged for
+   its one unit without an .mli, not for dune's .ml-gen alias module;
+   the same units under bin/ or examples/ are executables, never
+   flagged *)
+let test_missing_mli () =
+  let units, intfs =
+    Analysis.Cmt_load.load ~root:"fixtures" ~source_prefixes:[ "test/fixtures/dead/" ]
+  in
+  check_bool "alias module loaded" true
+    (List.exists
+       (fun (u : Analysis.Cmt_load.unit_info) ->
+         Filename.check_suffix u.u_source ".ml-gen")
+       units);
+  let flagged dir =
+    let move source = dir ^ Filename.basename source in
+    Analysis.Lint.findings
+      (List.map
+         (fun (u : Analysis.Cmt_load.unit_info) -> { u with u_source = move u.u_source })
+         units)
+      (List.map
+         (fun (i : Analysis.Cmt_load.intf_info) -> { i with i_source = move i.i_source })
+         intfs)
+    |> List.map (fun (f : Analysis.Findings.t) ->
+           String.concat " " [ f.rule; f.file; f.target ])
+  in
+  Alcotest.(check (list string))
+    "lib/: the unit without an interface"
+    [ "missing-mli lib/dead/dead_consumer.ml Dead_consumer" ]
+    (flagged "lib/dead/");
+  Alcotest.(check (list string)) "bin/: executables" [] (flagged "bin/dead/");
+  Alcotest.(check (list string)) "examples/: executables" [] (flagged "examples/dead/")
 
 (* -------------------- dynamic sanitizer: basics -------------------- *)
 
@@ -406,6 +439,7 @@ let () =
           Alcotest.test_case "fixture flagged" `Quick test_fixture_flagged;
           Alcotest.test_case "dead-export fixture" `Quick test_dead_export;
           Alcotest.test_case "dead-export consumers" `Quick test_dead_export_consumers;
+          Alcotest.test_case "missing-mli over the build" `Quick test_missing_mli;
         ] );
       ( "lint",
         [
