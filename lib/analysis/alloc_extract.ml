@@ -113,7 +113,7 @@ let witness_to hot id =
    property: hot-region membership only ever grows when edges are
    added.  Mirrors the BFS above minus the node table. *)
 let reachable ~n ~roots ~edges =
-  let seen = Array.make (max n 1) false in
+  let seen = Array.make (Int.max n 1) false in
   let q = Queue.create () in
   List.iter
     (fun r ->
@@ -148,9 +148,15 @@ type span = {
   sp_reason : string;
 }
 
+(* [p] names the value (or type) [v] of module [m] *)
+let names (m, v) p =
+  match Race_extract.suffix2 p with
+  | Some (m', v') -> String.equal m m' && String.equal v v'
+  | None -> false
+
 let is_run_mode (ty : Types.type_expr) =
   match Types.get_desc ty with
-  | Types.Tconstr (p, _, _) -> Race_extract.suffix2 p = Some ("Run_mode", "t")
+  | Types.Tconstr (p, _, _) -> names ("Run_mode", "t") p
   | _ -> false
 
 let audit_gate (e : Typedtree.expression) =
@@ -158,7 +164,7 @@ let audit_gate (e : Typedtree.expression) =
      [`Then] branch is the audited path, so it is cold *)
   match e.Typedtree.exp_desc with
   | Typedtree.Texp_apply ({ exp_desc = Typedtree.Texp_ident (p, _, _); _ }, _)
-    when Race_extract.suffix2 p = Some ("Scheduler", "audit") ->
+    when names ("Scheduler", "audit") p ->
     Some (`Then, "audited-run branch (Scheduler.audit)")
   | Typedtree.Texp_field (_, _, { Types.lbl_name = "audit"; lbl_res; _ })
     when is_run_mode lbl_res ->
@@ -170,7 +176,7 @@ let rec gate_of (e : Typedtree.expression) =
   | Typedtree.Texp_apply
       ( { exp_desc = Typedtree.Texp_ident (op, _, _); _ },
         [ (Asttypes.Nolabel, Some inner) ] )
-    when Race_extract.suffix2 op = Some ("Stdlib", "not") -> (
+    when names ("Stdlib", "not") op -> (
     match gate_of inner with
     | Some (`Else, r) -> Some (`Then, r)
     | Some (`Then, r) -> Some (`Else, r)
@@ -190,7 +196,7 @@ let contains_audit_error ~unit (e : Typedtree.expression) =
             if String.equal unit "Scheduler" && String.equal (Ident.name id) "record_violation"
             then found := true
           | Typedtree.Texp_ident (p, _, _) ->
-            if Race_extract.suffix2 p = Some ("Scheduler", "record_violation") then found := true
+            if names ("Scheduler", "record_violation") p then found := true
           | _ -> ());
           if not !found then Tast_iterator.default_iterator.expr self e');
     }

@@ -37,7 +37,9 @@ let rules =
       "Obj.magic defeats the type system; use an option slot or a real dummy \
        value" );
     ( "poly-compare",
-      "Stdlib.compare is polymorphic; pass the element type's compare" );
+      "a call into OCaml's generic structural compare or hash: it ignores \
+       the type's own ordering and walks the value in C; use the type's \
+       compare/equal, Int.min/Int.max or a pattern match" );
     ( "bare-ignore",
       "a computed result is silently discarded; bind it as let (_ : ty) = \
        ... or say why it is safe to drop" );
@@ -96,6 +98,7 @@ let under prefixes file =
 
 type ctx = {
   unit_ : Cmt_load.unit_info;
+  in_lib : bool;  (* under lib/: held to the generic-compare rules *)
   aliases : Cmt_load.aliases;
   mutable binding : string;  (* enclosing top-level binding *)
   mutable found : Findings.t list;
@@ -230,6 +233,53 @@ let check_cases : type k. ctx -> Types.type_expr -> k case list -> unit =
           add ctx ~rule:"sema-wildcard-variant" c.c_lhs.pat_loc "catch-all case")
       cases
 
+(* ------------------------- generic compare ------------------------ *)
+
+(* the standard library's manifest abbreviations of predefined types *)
+let stdlib_abbrevs =
+  Predef.
+    [
+      ("Int", path_int); ("Bool", path_bool); ("Char", path_char);
+      ("Unit", path_unit); ("Float", path_float); ("String", path_string);
+      ("Bytes", path_bytes); ("Int32", path_int32); ("Int64", path_int64);
+      ("Nativeint", path_nativeint);
+    ]
+
+(* values that are unboxed words: hashing one reads no block *)
+let immediate = Predef.[ path_int; path_bool; path_char; path_unit ]
+
+(* ocamlopt compiles a comparison at these types inline or to a typed C
+   compare, never to the generic one *)
+let specialized =
+  immediate
+  @ Predef.[ path_float; path_string; path_bytes; path_int32; path_int64; path_nativeint ]
+
+(* [ty] is one of [paths], also through an abbreviation of [stdlib_abbrevs]
+   ([String.t], [Float.t]) *)
+let is_type_in ctx paths ty =
+  match Types.get_desc ty with
+  | Types.Tconstr (p, [], _) -> (
+    List.exists (Path.same p) paths
+    ||
+    match stdlib_name ctx p with
+    | [ m; "t" ] -> (
+      match List.assoc_opt m stdlib_abbrevs with
+      | Some q -> List.exists (Path.same q) paths
+      | None -> false)
+    | _ -> false)
+  | _ -> false
+
+(* [op] applied to [operands] calls the generic structural compare:
+   ocamlopt specializes it by the operands' type, and [=]/[<>] against
+   a constant constructor to an integer compare *)
+let is_generic_compare ctx op = function
+  | [] -> false
+  | (a : expression) :: _ as operands ->
+    not
+      (is_type_in ctx specialized a.exp_type
+      || ((op = "=" || op = "<>")
+         && List.exists Race_extract.is_constant_constructor operands))
+
 (* ------------------------------ rules ----------------------------- *)
 
 let check_ident ctx (e : expression) p =
@@ -237,6 +287,10 @@ let check_ident ctx (e : expression) p =
   match stdlib_name ctx p with
   | [ "Obj"; "magic" ] -> add ctx ~rule:"obj-magic" e.exp_loc "Obj.magic"
   | [ "compare" ] -> add ctx ~rule:"poly-compare" e.exp_loc "Stdlib.compare"
+  (* functions, never specialized: applied or passed, each use is a call
+     whose body is the generic [<=] *)
+  | [ (("min" | "max") as f) ] when ctx.in_lib ->
+    add ctx ~rule:"poly-compare" e.exp_loc ("Stdlib." ^ f)
   | [ "Hashtbl"; "find" ] ->
     add ctx ~rule:"hashtbl-find" e.exp_loc "Hashtbl.find"
   | "Random" :: _ :: _ as parts ->
@@ -283,6 +337,12 @@ let check_apply ctx (e : expression) (fn : expression) p args =
   | [ (("=" | "<>") as op) ], [ a; b ]
     when is_float_literal a || is_float_literal b ->
     add ctx ~rule:"float-eq" e.exp_loc ("(" ^ op ^ ")")
+  | [ (("=" | "<>" | "<" | ">" | "<=" | ">=") as op) ], operands
+    when ctx.in_lib && is_generic_compare ctx op operands ->
+    add ctx ~rule:"poly-compare" e.exp_loc ("generic (" ^ op ^ ")")
+  | [ "Hashtbl"; "hash" ], [ a ]
+    when ctx.in_lib && not (is_type_in ctx immediate a.exp_type) ->
+    add ctx ~rule:"poly-compare" e.exp_loc "generic Hashtbl.hash"
   | [ "Hashtbl"; (("iter" | "fold") as op) ], closure :: _ ->
     check_table_order ctx fn ("Hashtbl." ^ op) closure
   | [ (("+" | "-" | "+." | "-.") as op) ], [ a; b ] -> (
@@ -307,7 +367,14 @@ let check_apply ctx (e : expression) (fn : expression) p args =
 
 let check_unit (u : Cmt_load.unit_info) =
   let ctx =
-    { unit_ = u; aliases = Cmt_load.aliases (); binding = "<init>"; found = [] }
+    {
+      unit_ = u;
+      (* tools and harnesses outside lib/ may pay for the generic compare *)
+      in_lib = under [ "lib/" ] u.Cmt_load.u_source;
+      aliases = Cmt_load.aliases ();
+      binding = "<init>";
+      found = [];
+    }
   in
   let super = Tast_iterator.default_iterator in
   let it =

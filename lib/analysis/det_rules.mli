@@ -7,12 +7,14 @@
     ({!Race_extract.classify_mutator}), field assignment and output; a
     protocol match is one whose scrutinee has a [Packet] protocol type
     ([payload], [tcp_kind], [ecn], [clove_feedback]).  The path lists
-    ([lib/faults/], the conversion and parallel whitelists) match at the
-    start of a source path or right after a [/], so a fixture tree
-    mirroring [lib/faults/] is held to the same rule.  [bare-ignore]
-    flags [ignore] (also through [|>] or [@@]) applied to anything but a
-    variable; [float-eq] flags [=]/[<>] with a float-literal operand.
-    DESIGN.md §11 tabulates the rules. *)
+    ([lib/faults/], [lib/], the conversion and parallel whitelists) match
+    at the start of a source path or right after a [/], so a fixture tree
+    mirroring [lib/faults/] is held to the same rule.  [poly-compare]
+    flags [Stdlib.compare] everywhere and, under [lib/], [min]/[max] and
+    a comparison or [Hashtbl.hash] that ocamlopt compiles to the generic
+    structural one.  [bare-ignore] flags [ignore] (also through [|>] or
+    [@@]) applied to anything but a variable; [float-eq] flags [=]/[<>]
+    with a float-literal operand.  DESIGN.md §11 tabulates the rules. *)
 
 (* test_sema's fixture case requires every rule id — lint: allow dead-export *)
 val rules : (string * string) list

@@ -57,7 +57,6 @@ type alloc_kind =
   | K_float
   | K_array
   | K_string
-  | K_poly
   | K_format
   | K_ref
 
@@ -72,7 +71,6 @@ let alloc_kind_slug = function
   | K_float -> "boxed-float"
   | K_array -> "array"
   | K_string -> "string"
-  | K_poly -> "poly-compare"
   | K_format -> "format"
   | K_ref -> "ref"
 
@@ -360,12 +358,6 @@ let path_is ty p =
 
 let is_float_ty ty = path_is ty Predef.path_float
 
-(* types whose values are unboxed words: comparing or hashing them
-   never walks or allocates *)
-let is_immediate_ty ty =
-  path_is ty Predef.path_int || path_is ty Predef.path_bool
-  || path_is ty Predef.path_char || path_is ty Predef.path_unit
-
 let format_fns =
   [
     ("Printf", "sprintf"); ("Printf", "printf"); ("Printf", "eprintf");
@@ -422,34 +414,12 @@ let alloc_calls =
     (("Option", "some"), (K_option, "Option.some"));
   ]
 
-let poly_compare_fns =
-  [ "compare"; "="; "<>"; "<"; ">"; "<="; ">="; "min"; "max" ]
-
-(* ocamlopt specializes the comparison primitives (not [min]/[max],
-   which are functions) at these operand types to an inline, float,
-   string or boxed-integer compare: no call into the generic one *)
-let is_specialized_compare_ty ty =
-  is_immediate_ty ty
-  || List.exists (path_is ty)
-       Predef.
-         [ path_float; path_string; path_bytes; path_int32; path_int64; path_nativeint ]
-
 (* a constant constructor ([[]], [Ce]): ocamlopt compiles [=]/[<>]
    against one (not [<] or [compare]) to an integer compare *)
 let is_constant_constructor (e : Typedtree.expression) =
   match e.exp_desc with
   | Texp_construct (_, { cstr_tag = Cstr_constant _; _ }, []) -> true
   | _ -> false
-
-(* [v] applied to [operands] calls the generic structural compare *)
-let is_generic_compare v = function
-  | [] -> false
-  | (a : Typedtree.expression) :: _ as operands ->
-    if v = "min" || v = "max" then not (is_immediate_ty a.exp_type)
-    else
-      not
-        (is_specialized_compare_ty a.exp_type
-        || ((v = "=" || v = "<>") && List.exists is_constant_constructor operands))
 
 (* a variant block whose arguments are all constants ([Some 64], and
    the typechecker's [Some] around [f ~capacity:64]) is static data
@@ -466,10 +436,8 @@ let rec is_static (e : Typedtree.expression) =
    (tracked by physical identity in [ctx.chain]) are the function
    itself, not a per-call allocation.  Float results are an
    over-approximation: a float-returning call boxes unless the compiler
-   unboxes locally.  A compare ocamlopt does not specialize calls the
-   generic structural compare, which walks (and may box).  Both are
-   exactly the hazards the hot path is supposed to avoid, so the noise
-   is the signal. *)
+   unboxes locally; that is exactly the hazard the hot path is supposed
+   to avoid, so the noise is the signal. *)
 let record_alloc ctx (e : Typedtree.expression) =
   let open Typedtree in
   if ctx.cur.n_id <> "<pre>" then begin
@@ -495,7 +463,7 @@ let record_alloc ctx (e : Typedtree.expression) =
       | "::" -> add K_cons "list cons"
       | name -> add K_variant ("constructor " ^ name))
     | Texp_array (_ :: _) -> add K_array "array literal"
-    | Texp_apply (fn, args) -> (
+    | Texp_apply (fn, _) -> (
       let callee =
         match fn.exp_desc with Texp_ident (p, _, _) -> suffix2 p | _ -> None
       in
@@ -505,9 +473,6 @@ let record_alloc ctx (e : Typedtree.expression) =
         | Some (m, v) -> m ^ "." ^ v
         | None -> "<expr>"
       in
-      let positional =
-        List.filter_map (function Asttypes.Nolabel, Some a -> Some a | _ -> None) args
-      in
       match callee with
       | Some mv when List.mem mv format_fns ->
         add K_format ("format call " ^ callee_name)
@@ -516,18 +481,13 @@ let record_alloc ctx (e : Typedtree.expression) =
       | Some mv when List.mem_assoc mv alloc_calls ->
         let kind, desc = List.assoc mv alloc_calls in
         add kind desc
-      | Some ("Stdlib", v) when List.mem v poly_compare_fns ->
-        if is_generic_compare v positional then add K_poly ("polymorphic " ^ v)
-      | Some ("Hashtbl", ("hash" | "hash_param")) -> (
-        match positional with
-        | a :: _ when not (is_immediate_ty a.exp_type) ->
-          add K_poly "polymorphic Hashtbl.hash"
-        | _ -> ())
       | _ ->
         if is_arrow_ty e.exp_type then
           add K_partial ("partial application of " ^ callee_name)
-        else if is_float_ty e.exp_type && callee <> Some ("Stdlib", "!") then
-          add K_float ("float result of " ^ callee_name))
+        else if is_float_ty e.exp_type then
+          match callee with
+          | Some ("Stdlib", "!") -> ()
+          | _ -> add K_float ("float result of " ^ callee_name))
     | _ -> ()
   end
 

@@ -13,9 +13,9 @@ type site = { s_file : string; s_line : int }
 (** Allocation sites, recorded during the same walk and attributed to
     the node whose body performs them.  [K_partial] and [K_float] are
     deliberate over-approximations (a partial application always
-    allocates; a float-returning call boxes unless locally unboxed);
-    [K_poly] flags polymorphic compare/hash on non-immediate types,
-    whose traversal is the hot-path hazard. *)
+    allocates; a float-returning call boxes unless locally unboxed).
+    A generic compare or hash allocates nothing and is
+    {!Det_rules}'s [poly-compare], not an allocation kind. *)
 type alloc_kind =
   | K_closure
   | K_partial
@@ -27,7 +27,6 @@ type alloc_kind =
   | K_float
   | K_array
   | K_string
-  | K_poly
   | K_format
   | K_ref
 
@@ -46,6 +45,11 @@ val classify_mutator :
 (** [Some (primitive, protection, target)] when the call {!suffix2} names
     mutates its [target]-th positional argument: the one table of
     mutating primitives, shared with {!Det_rules}. *)
+
+val is_constant_constructor : Typedtree.expression -> bool
+(** [[]], [None], [Ce]: a constructor without arguments, an immediate
+    at run time.  A block of such constants is static data, and
+    ocamlopt compiles [=]/[<>] against one to an integer compare. *)
 
 type effect_site = {
   ef_target : Race_lattice.arg_class;  (** root of the mutated value *)

@@ -91,7 +91,7 @@ let solve ~nodes ~own ~calls =
         (fun (j, arg) ->
           if j >= 0 && j < nodes then begin
             let c = join fp.(i) (translate ~callee:fp.(j) arg) in
-            if c <> fp.(i) then begin
+            if rank c <> rank fp.(i) then begin
               fp.(i) <- c;
               changed := true
             end

@@ -1,6 +1,7 @@
 type t = Packet.hop list
 
 let signature path =
+  (* path tables, and so the digests, are keyed on this generic hash — lint: allow poly-compare *)
   Hashtbl.hash (List.map (fun h -> (h.Packet.hop_node, h.Packet.hop_port)) path)
 
 let same_hop x y = x.Packet.hop_node = y.Packet.hop_node && x.Packet.hop_port = y.Packet.hop_port
@@ -35,7 +36,7 @@ let select_disjoint ~k candidates =
     let cost picked path =
       List.fold_left (fun acc (_, p) -> acc + shared_hops path p) 0 picked
     in
-    let rec grow picked pool =
+    let rec grow picked (pool : (int * t) list) =
       if List.length picked >= k || pool = [] then List.rev picked
       else begin
         let best =

@@ -63,7 +63,7 @@ let flush_all t f =
       if inner != t.no_inner then begin
         Int_table.remove f.buffer s;
         t.buffered <- t.buffered - 1;
-        f.expected <- max f.expected (s + 1);
+        f.expected <- Int.max f.expected (s + 1);
         t.deliver inner
       end)
     seqs;

@@ -129,11 +129,10 @@ let finalize_cycle t st =
     t.on_paths ~dst:st.dst picked
   end
   else begin
-    (* zero usable paths this cycle: previously the stale install simply
-       stayed in place forever.  Count consecutive dry cycles and, once
-       the eviction threshold is reached, clear the install so the path
-       table stops steering traffic into ports nobody has verified; the
-       next cycles keep probing fresh random ports for rediscovery. *)
+    (* zero usable paths this cycle: count consecutive dry cycles and,
+       once the eviction threshold is reached, clear the install so the
+       path table stops steering traffic into ports nobody has verified;
+       the next cycles keep probing fresh random ports for rediscovery. *)
     st.empty_cycles <- st.empty_cycles + 1;
     if
       t.cfg.Clove_config.failure_recovery

@@ -34,7 +34,7 @@ type t = {
 
 (* ---------------------------- sizing ------------------------------ *)
 
-let default_domains () = max 1 (Domain.recommended_domain_count () - 1)
+let default_domains () = Int.max 1 (Domain.recommended_domain_count () - 1)
 
 (* --------------------------- the pool ----------------------------- *)
 
@@ -77,7 +77,7 @@ let worker t =
 
 let create ?domains () =
   let n =
-    match domains with Some n -> max 1 n | None -> default_domains ()
+    match domains with Some n -> Int.max 1 n | None -> default_domains ()
   in
   let t =
     (* lint: allow alloc-record — pool construction allocates once per run, reused per window *)
@@ -137,10 +137,10 @@ let map t f xs =
 
 let run ?domains f xs =
   let n =
-    match domains with Some n -> max 1 n | None -> default_domains ()
+    match domains with Some n -> Int.max 1 n | None -> default_domains ()
   in
   if n = 1 || Array.length xs <= 1 then Array.map f xs
   else begin
-    let t = create ~domains:(min n (Array.length xs)) () in
+    let t = create ~domains:(Int.min n (Array.length xs)) () in
     Fun.protect ~finally:(fun () -> shutdown t) (fun () -> map t f xs)
   end

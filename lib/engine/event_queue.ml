@@ -38,7 +38,7 @@ type 'a t = {
 }
 
 let create ?(capacity = 256) ?(tiebreak = Fifo) ~dummy () =
-  let capacity = max capacity 1 in
+  let capacity = Int.max capacity 1 in
   {
     times = Array.make capacity 0;
     borns = Array.make capacity 0;

@@ -29,7 +29,7 @@ let empty_key = min_int
 let rec pow2_above n c = if c >= n then c else pow2_above n (c * 2)
 
 let create ~capacity ~dummy =
-  let cap = pow2_above (max capacity 2) 2 in
+  let cap = pow2_above (Int.max capacity 2) 2 in
   {
     keys = Array.make cap empty_key;
     vals = Array.make cap dummy;

@@ -32,7 +32,7 @@ let bits64 t =
   result
 
 let split_named t name =
-  let h = Hashtbl.hash name in
+  let h = String.hash name in
   let base = Int64.to_int (splitmix64 (Int64.logxor t.s0 (Int64.of_int h))) land max_int in
   create base
 

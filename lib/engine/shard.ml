@@ -106,7 +106,7 @@ let run_window t =
    millions on long scenarios *)
 let rec min_next_ns t i acc =
   if i = Array.length t.scheds then acc
-  else min_next_ns t (i + 1) (min acc (Scheduler.next_time_ns t.scheds.(i)))
+  else min_next_ns t (i + 1) (Int.min acc (Scheduler.next_time_ns t.scheds.(i)))
 
 let rec count_stalls t ~barrier i =
   if i < Array.length t.scheds then begin
@@ -129,7 +129,7 @@ let window t ~barrier =
 let next_barrier t =
   let g = Scheduler.next_time_ns t.global in
   let m = min_next_ns t 0 g in
-  if m = max_int then max_int else min (m + t.window_ns - 1) g
+  if m = max_int then max_int else Int.min (m + t.window_ns - 1) g
 
 let drive t ~finished =
   while not (finished ()) do
@@ -142,7 +142,7 @@ let drive t ~finished =
 let drive_until t ~until =
   let until_ns = Sim_time.to_ns until in
   while min_next_ns t 0 (Scheduler.next_time_ns t.global) <= until_ns do
-    window t ~barrier:(min (next_barrier t) until_ns)
+    window t ~barrier:(Int.min (next_barrier t) until_ns)
   done
 
 let shutdown t =

@@ -188,7 +188,7 @@ let score ~params ~plan ~fct ~base =
       let delivered w =
         Workload.Fct_stats.completed_bytes_in ~from:t_fault ~until:t_settle w
       in
-      float_of_int (max 0 (delivered base - delivered fct))
+      float_of_int (Int.max 0 (delivered base - delivered fct))
     else 0.0
   in
   (* Sustained recovery: the earliest post-settle instant from which the

@@ -143,8 +143,8 @@ let of_host what per_host host =
 let vswitch t host = of_host "vswitch" t.vswitches host
 let stack t host = of_host "stack" t.stacks host
 
-let total_leaves params = max 1 params.pods * params.leaves
-let client_leaves params = max 1 (total_leaves params / 2)
+let total_leaves params = Int.max 1 params.pods * params.leaves
+let client_leaves params = Int.max 1 (total_leaves params / 2)
 
 (* the topology is a pure description — cheap enough to build standalone
    for parse-time fault-name validation.  One pod has no core tier (and
@@ -198,7 +198,7 @@ let build ?(mode = Run_mode.default) ?shards ~scheme params =
      leaf is the finest partition so wider requests clamp. *)
   let shards =
     if shards >= 2 && scheme = S_mptcp then 1
-    else min shards (total_leaves params)
+    else Int.min shards (total_leaves params)
   in
   let mode = { mode with Run_mode.shards } in
   let sched = Scheduler.create ~mode () in

@@ -45,9 +45,8 @@ let websearch_run ~mode ~scheme ~params ~load ~jobs_per_conn =
    are one set of runs in the paper too), so points are memoized on their
    full configuration.  The key is the configuration tuple itself —
    [Scenario.params] is pure data, so structural equality in the table
-   disambiguates hash-bucket collisions; an earlier version keyed on the
-   output of [Hashtbl.hash_param], which silently aliased any two
-   configurations that happened to share a hash. *)
+   disambiguates hash-bucket collisions: two configurations that share a
+   hash stay two points. *)
 type memo_key = Scenario.scheme * Scenario.params * float * int * int list
 
 let memo : (memo_key, Workload.Fct_stats.t) Hashtbl.t = Hashtbl.create 64

@@ -15,7 +15,9 @@ let table sw ~gap = Clove.Flowlet.create ~sched:(Switch.sched sw) ~gap ~dummy:0
 let flow_key pkt =
   match pkt.Packet.payload with
   | Packet.Tenant inner -> Packet.tcp_flow_key inner
-  | Packet.Probe p -> Hashtbl.hash (p.Packet.probe_id, p.Packet.probe_port)
+  | Packet.Probe p ->
+    (* probe flowlets, and so the digests, are keyed on this generic hash — lint: allow poly-compare *)
+    Hashtbl.hash (p.Packet.probe_id, p.Packet.probe_port)
   | Packet.Probe_reply r -> Hashtbl.hash r.Packet.reply_probe_id
 
 (* [Array.exists] without its per-packet closure *)

@@ -189,6 +189,8 @@ let tcp_flow_key inner =
   k.fk_c <- s.src_port;
   k.fk_d <- s.dst_port;
   k.fk_e <- s.subflow;
+  (* ECMP and flowlet state, and so every digest, are keyed on this
+     generic hash — lint: allow poly-compare *)
   Hashtbl.hash k
 
 let tcp_flow_key_rev inner =
@@ -199,6 +201,8 @@ let tcp_flow_key_rev inner =
   k.fk_c <- s.dst_port;
   k.fk_d <- s.src_port;
   k.fk_e <- s.subflow;
+  (* ECMP and flowlet state, and so every digest, are keyed on this
+     generic hash — lint: allow poly-compare *)
   Hashtbl.hash k
 
 let route_dst t =

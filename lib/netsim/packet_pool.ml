@@ -123,7 +123,7 @@ let acquire_tenant ~src ~dst ~conn_id ~subflow ~src_port ~dst_port ~seq ~ack
 
 let grow p =
   let cap = Array.length p.slots in
-  let slots = Array.make (min (2 * cap) max_pooled) Packet.placeholder in
+  let slots = Array.make (Int.min (2 * cap) max_pooled) Packet.placeholder in
   Array.blit p.slots 0 slots 0 p.len;
   p.slots <- slots
 

@@ -73,7 +73,7 @@ let plan ~topo ~nshards ~shard_of_node =
         List.fold_left
           (fun acc ((e : Topology.edge), _, _) ->
             (* lookahead = least cut-link latency, in ns — lint: allow sema-time-boundary *)
-            min acc (Sim_time.span_ns e.Topology.delay))
+            Int.min acc (Sim_time.span_ns e.Topology.delay))
           max_int cross
       in
       if w <= 0 then

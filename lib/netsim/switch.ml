@@ -146,7 +146,7 @@ let wire_ingress t ~in_port link =
 
 let create ~sched ~id ~level ~ecmp_seed ?(latency = Sim_time.ns 250) () =
   (* a real (never-transmitting) port fills empty slots of the port
-     array, replacing the seed's GC-unsafe [Obj.magic 0] sentinel *)
+     array: a typed, GC-safe sentinel *)
   let unwired =
     {
       link =

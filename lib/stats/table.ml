@@ -16,7 +16,7 @@ let widths t =
   let all = t.header :: t.rows in
   let ncols = List.length t.header in
   let w = Array.make ncols 0 in
-  let measure row = List.iteri (fun i cell -> w.(i) <- max w.(i) (String.length cell)) row in
+  let measure row = List.iteri (fun i cell -> w.(i) <- Int.max w.(i) (String.length cell)) row in
   List.iter measure all;
   w
 

@@ -99,7 +99,7 @@ let pull t k () =
       let window_cap =
         if avail <= Tcp.mss then Tcp.mss else avail - (avail mod Tcp.mss)
       in
-      let grant = min (min chunk_bytes window_cap) job.to_grant in
+      let grant = Int.min (Int.min chunk_bytes window_cap) job.to_grant in
       if grant <= 0 then 0
       else begin
         job.to_grant <- job.to_grant - grant;
@@ -119,7 +119,7 @@ let on_acked t k bytes =
   let remaining = ref bytes in
   while !remaining > 0 && not (Queue.is_empty t.grants.(k)) do
     let g = Queue.peek t.grants.(k) in
-    let consumed = min g.g_bytes !remaining in
+    let consumed = Int.min g.g_bytes !remaining in
     remaining := !remaining - consumed;
     g.g_bytes <- g.g_bytes - consumed;
     if not g.g_orphaned then begin

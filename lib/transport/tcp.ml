@@ -102,8 +102,8 @@ and arm_tlp s =
 and on_tlp s =
   if flight_bytes s > 0 && (not s.stopped) && not s.in_recovery then begin
     s.tlp_fired <- true;
-    let seq = max s.snd_una (s.snd_next - mss) in
-    let payload = min mss (s.stream_end - seq) in
+    let seq = Int.max s.snd_una (s.snd_next - mss) in
+    let payload = Int.min mss (s.stream_end - seq) in
     if payload > 0 then begin
       s.retransmits <- s.retransmits + 1;
       s.rtt_probe_seq <- -1;
@@ -128,7 +128,7 @@ and on_rto s =
     (* go-back-N: rewind and retransmit from the oldest unacked byte *)
     s.snd_next <- s.snd_una;
     s.retransmits <- s.retransmits + 1;
-    let payload = min mss (s.stream_end - s.snd_una) in
+    let payload = Int.min mss (s.stream_end - s.snd_una) in
     if payload > 0 then begin
       emit_data s ~seq:s.snd_una ~payload;
       s.snd_next <- s.snd_una + payload
@@ -195,7 +195,7 @@ let create_sender ~sched ~dctcp ?coupling ~conn_id ?(subflow = 0) ~src ~dst ~src
   Lazy.force s
 
 let retransmit_hole s =
-  let payload = min mss (s.stream_end - s.snd_una) in
+  let payload = Int.min mss (s.stream_end - s.snd_una) in
   if payload > 0 then begin
     s.retransmits <- s.retransmits + 1;
     s.rtt_probe_seq <- -1;
@@ -213,7 +213,7 @@ let rec try_send s =
          if granted > 0 then s.stream_end <- s.stream_end + granted
        | _ -> ());
     if s.snd_next < s.stream_end && s.snd_next - s.snd_una < cwnd_bytes s then begin
-      let payload = min mss (s.stream_end - s.snd_next) in
+      let payload = Int.min mss (s.stream_end - s.snd_next) in
       emit_data s ~seq:s.snd_next ~payload;
       if s.rtt_probe_seq < 0 then begin
         s.rtt_probe_seq <- s.snd_next + payload;
@@ -329,7 +329,7 @@ let on_ack s (seg : Packet.tcp_seg) =
          enough duplicate ACKs, so lower the threshold to flight-1 *)
       let flight_pkts = (flight_bytes s + mss - 1) / mss in
       let threshold =
-        min dupack_threshold (max 1 (flight_pkts - 1))
+        Int.min dupack_threshold (Int.max 1 (flight_pkts - 1))
       in
       if s.dup_acks >= threshold && not s.in_recovery then begin
         let flight_pkts = float_of_int (flight_bytes s) /. float_of_int mss in

@@ -58,7 +58,7 @@ let percentile ?min_size ?max_size t p =
 let merge a b =
   (* the list representation produced a-then-b in newest-first order;
      back-to-front iteration over [b's records; a's records] matches *)
-  let arr = Array.make (max 1 (a.len + b.len)) dummy_record in
+  let arr = Array.make (Int.max 1 (a.len + b.len)) dummy_record in
   Array.blit b.arr 0 arr 0 b.len;
   Array.blit a.arr 0 arr b.len a.len;
   { arr; len = a.len + b.len }

@@ -38,7 +38,7 @@ let data_mining =
 
 let sample cdf rng =
   let u = Rng.float rng 1.0 in
-  max 1 (int_of_float (Stats.Cdf.inverse cdf u))
+  Int.max 1 (int_of_float (Stats.Cdf.inverse cdf u))
 
 let mean_bytes = Stats.Cdf.mean
 

@@ -4,7 +4,7 @@ let run ~sched ~rng ~server_submits ~fanout ~total_bytes ~requests ~start_at =
   let n = Array.length server_submits in
   if fanout < 1 || fanout > n then invalid_arg "Incast.run: bad fanout";
   if requests < 1 then invalid_arg "Incast.run: bad request count";
-  let per_server = max 1 (total_bytes / fanout) in
+  let per_server = Int.max 1 (total_bytes / fanout) in
   let t_begin = ref Sim_time.zero in
   let t_end = ref Sim_time.zero in
   let done_all = ref false in

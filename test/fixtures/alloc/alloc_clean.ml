@@ -5,8 +5,7 @@
    constants ([Some 64], and the [Some] the typechecker wraps around
    [~capacity:64]) is static data, not a per-event block; the body of
    a function with a defaulted optional argument is that function, not
-   a closure it builds.  ocamlopt compiles a float [<] and an [x <> []]
-   to inline compares, so neither is a polymorphic compare. *)
+   a closure it builds; a float [<] and an [x <> []] allocate nothing. *)
 
 type handle = {
   mutable last : int;

@@ -2,10 +2,10 @@
    clove-check classifies [Event_queue.add] as a mutator of its first
    argument.  Its [@inline] comparator carries no type annotation, so
    each compare runs at a type variable — a call into the generic
-   structural compare, whatever the caller's key type.  clove-check must
-   follow the mutator call into [add] and on into [lt], and flag the
-   compare with a witness from the dispatch root:
-     Alloc_hot.on_key -> Event_queue.add -> Event_queue.lt -> polymorphic <. *)
+   structural compare, whatever the caller's key type.  The file
+   mirrors lib/engine/, so [poly-compare] flags the compare, and the
+   hot region must follow the mutator call into [add] and on into [lt]:
+     Alloc_hot.on_key -> Event_queue.add -> Event_queue.lt. *)
 
 type 'a t = { mutable top : 'a; mutable size : int }
 

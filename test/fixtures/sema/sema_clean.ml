@@ -67,6 +67,18 @@ let empty n = n = 0
 let same (a : float) b = a = b
 let tokens = "compare Obj.magic ignore (f x) Hashtbl.find if x = 1.0"
 
+(* compares ocamlopt specializes, clean under lib/'s poly-compare too:
+   Int.min, = against a constant constructor, compares at Float.t and
+   String.t, and a local min *)
+let smaller a b = Int.min a b
+let unset (shape : Hot_compare.shape option) = shape = None
+let cheaper (a : Float.t) b = a < b
+let same_name (a : String.t) b = a = b
+
+let lowest xs =
+  let min (a : int) b = if a <= b then a else b in
+  List.fold_left min max_int xs
+
 let present port =
   (* the port was inserted at creation -- lint: allow hashtbl-find *)
   Hashtbl.find weights port

@@ -1,8 +1,8 @@
-(* Ten snippets that matching on spellings instead of resolved names
+(* Eleven snippets that matching on spellings instead of resolved names
    misreads: eight violations reached through a qualified path, an
    alias, a repository mutator, a local open or an expression that is no
-   conditional, one local constructor named like a packet kind, and one
-   local compare defined away from its use. *)
+   conditional, one local constructor named like a packet kind, and a
+   local compare and a local min defined away from their uses. *)
 open Engine
 
 let weights : (int, int) Hashtbl.t = Hashtbl.create 16
@@ -51,3 +51,7 @@ let exact_zero w = w = 0.0
 (* not poly-compare: the compare in scope is a local, typed one *)
 let compare (a : int) b = Int.compare a b
 let sort_ints xs = List.sort compare xs
+
+(* not poly-compare, even under lib/: the min in scope is a local one *)
+let min (a : int) b = if a < b then a else b
+let lowest xs = List.fold_left min max_int xs

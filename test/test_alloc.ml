@@ -90,8 +90,7 @@ let test_clean_twin () =
     (fun f ->
       Alcotest.(check bool)
         ("finding file " ^ f.file) true
-        (List.mem f.file
-           [ "test/fixtures/alloc/alloc_hot.ml"; "test/fixtures/alloc/event_queue.ml" ]))
+        (String.equal f.file "test/fixtures/alloc/alloc_hot.ml"))
     (active_findings ())
 
 (* a constructor of constants is static data: the clean twin's
@@ -125,26 +124,36 @@ let test_defaulted_optional_no_closure () =
    comparator was an unannotated [let[@inline]], and the call into the
    heap was recorded only as a mutation of the queue, not as a call
    edge, so the comparator never joined the hot region.  The seeded
-   twin must now be flagged through both hops. *)
+   twin's compare is a [poly-compare] finding (its file mirrors
+   lib/engine/), and the hot region reaches it through both hops. *)
 let test_inline_poly_compare_through_mutator () =
   let open Analysis.Findings in
-  match
-    List.find_opt
-      (fun f -> f.rule = "alloc-poly-compare" && f.target = "Event_queue.lt: polymorphic <")
-      (active_findings ())
-  with
-  | None -> Alcotest.fail "generic compare in Event_queue.lt not flagged"
-  | Some f ->
-    Alcotest.(check string) "file" "test/fixtures/alloc/event_queue.ml" f.file;
-    Alcotest.(check (list string))
-      "witness: root, mutator call, comparator call, compare"
-      [
-        "Alloc_hot.on_key";
-        "test/fixtures/alloc/alloc_hot.ml:24 calls Event_queue.add";
-        "test/fixtures/alloc/event_queue.ml:15 calls Event_queue.lt";
-        "test/fixtures/alloc/event_queue.ml:12 polymorphic <";
-      ]
-      f.witness
+  let units = load_fixture_units () in
+  (match
+     List.filter
+       (fun f -> f.rule = "poly-compare")
+       (Analysis.Det_rules.findings units)
+   with
+  | [ f ] ->
+    Alcotest.(check string) "target" "Event_queue.lt" f.target;
+    Alcotest.(check string) "file" "test/fixtures/alloc/lib/engine/event_queue.ml" f.file;
+    Alcotest.(check int) "line" 12 f.line
+  | fs -> Alcotest.failf "%d poly-compare findings, expected Event_queue.lt" (List.length fs));
+  let hot = Analysis.Alloc_extract.hot_region (Analysis.Race_extract.analyze units) in
+  let hop (id, site) =
+    match site with
+    | None -> id
+    | Some s -> Printf.sprintf "%s:%d calls %s" s.Analysis.Race_extract.s_file s.s_line id
+  in
+  Alcotest.(check (option (list string)))
+    "witness: root, mutator call, comparator call"
+    (Some
+       [
+         "Alloc_hot.on_key";
+         "test/fixtures/alloc/alloc_hot.ml:24 calls Event_queue.add";
+         "test/fixtures/alloc/lib/engine/event_queue.ml:15 calls Event_queue.lt";
+       ])
+    (Option.map (List.map hop) (Analysis.Alloc_extract.witness_to hot "Event_queue.lt"))
 
 (* an allocation behind the auditor's switch ([Scheduler.audit]) is
    demoted to [alloc-cold]: reported, but not against the budget *)

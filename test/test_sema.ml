@@ -40,13 +40,15 @@ let check_flagged rule expected =
     (List.sort String.compare expected)
     (targets rule (Lazy.force fixture_findings))
 
-(* the findings of [rule] on sema_paths.ml compiled as if it lived at
-   [source] *)
-let as_if source rule =
+(* the findings of [rule] on fixture unit [short] compiled as if it
+   lived at [source] *)
+let unit_as_if short source rule =
   Lazy.force fixture_units
   |> List.filter_map (fun (u : Analysis.Cmt_load.unit_info) ->
-         if u.u_short = "Sema_paths" then Some { u with u_source = source } else None)
+         if u.u_short = short then Some { u with u_source = source } else None)
   |> Analysis.Det_rules.findings |> targets rule
+
+let as_if = unit_as_if "Sema_paths"
 
 let test_hashtbl_order () =
   check_flagged "sema-hashtbl-order"
@@ -130,7 +132,28 @@ let test_obj_magic () =
   check_flagged "obj-magic" [ "Sema_bad.sentinel"; "Sema_misread.aliased_magic" ]
 
 let test_poly_compare () =
-  check_flagged "poly-compare" [ "Sema_bad.order"; "Sema_bad.sort_weights" ]
+  (* Stdlib.compare anywhere; under lib/ also min/max at any type and a
+     compare or hash at a type ocamlopt does not specialize *)
+  check_flagged "poly-compare"
+    [
+      "Sema_bad.order";
+      "Sema_bad.sort_weights";
+      "Hot_compare.smaller";
+      "Hot_compare.widest";
+      "Hot_compare.same_shape";
+      "Hot_compare.pair_key";
+    ];
+  (* the clean twins hold under lib/ too: Int.min, = against a constant
+     constructor, Float.t/String.t compares, a local min *)
+  List.iter
+    (fun short ->
+      Alcotest.(check (list string))
+        (short ^ " under lib/") []
+        (unit_as_if short "lib/clove/twin.ml" "poly-compare"))
+    [ "Sema_clean"; "Sema_misread" ];
+  Alcotest.(check (list string))
+    "outside lib/" []
+    (unit_as_if "Hot_compare" "bin/hot_compare.ml" "poly-compare")
 
 let test_bare_ignore () =
   check_flagged "bare-ignore"
