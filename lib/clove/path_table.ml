@@ -94,18 +94,16 @@ let install t pairs =
   else begin
     (* a known path keeps its state, found by signature even when the port
        that maps to it changed; [-1] marks a newly discovered path *)
-    let old_index = Hashtbl.create 8 in
+    let old_index = Int_table.create ~capacity:8 ~dummy:(-1) in
     Array.iteri
-      (fun i path -> Hashtbl.replace old_index (Clove_path.signature path) i)
+      (fun i path -> Int_table.set old_index (Clove_path.signature path) i)
       t.paths;
     let ports = Array.of_list (List.map fst pairs) in
     let paths = Array.of_list (List.map snd pairs) in
     let n = Array.length ports in
     let old =
       Array.map
-        (fun path ->
-          Option.value ~default:(-1)
-            (Hashtbl.find_opt old_index (Clove_path.signature path)))
+        (fun path -> Int_table.find_default old_index (Clove_path.signature path) (-1))
         paths
     in
     let carry ~default prev =

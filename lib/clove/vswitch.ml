@@ -566,13 +566,13 @@ let create ~route_epoch ~host ~stack ~scheme ~cfg ~rng () =
   Host.set_handler host (fun pkt -> rx t pkt);
   t
 
-let set_fault_profile t ~feedback_loss ~probe_loss =
-  if feedback_loss < 0.0 || feedback_loss >= 1.0 then
-    invalid_arg "Vswitch.set_fault_profile: feedback_loss must be in [0, 1)";
-  if probe_loss < 0.0 || probe_loss >= 1.0 then
-    invalid_arg "Vswitch.set_fault_profile: probe_loss must be in [0, 1)";
-  t.fb_loss <- feedback_loss;
-  t.probe_loss <- probe_loss
+let set_feedback_loss t p =
+  if p < 0.0 || p >= 1.0 then invalid_arg "Vswitch.set_feedback_loss: p must be in [0, 1)";
+  t.fb_loss <- p
+
+let set_probe_loss t p =
+  if p < 0.0 || p >= 1.0 then invalid_arg "Vswitch.set_probe_loss: p must be in [0, 1)";
+  t.probe_loss <- p
 
 let set_presto_weight_fn t f = t.presto_weight_fn <- f
 

@@ -82,14 +82,18 @@ val set_presto_weight_fn : t -> (Clove_path.t -> float) -> unit
 (** Static per-path Presto weights, evaluated when paths are (re)installed;
     default weights are uniform. *)
 
-val set_fault_profile : t -> feedback_loss:float -> probe_loss:float -> unit
-(** Install vswitch-local fault-injection drop probabilities (both in
-    [0, 1)): [feedback_loss] makes congestion feedback evaporate before the
-    path table sees it; [probe_loss] kills traceroute probes arriving at
-    this vswitch and probe replies returning to it.  Randomness comes from
-    a dedicated ["fault-drops"] substream consumed only while a
-    probability is non-zero, so fault-free runs are byte-identical to runs
-    without this subsystem. *)
+val set_feedback_loss : t -> float -> unit
+(** Fault injection: drop congestion feedback with this probability (in
+    [0, 1)) before the path table sees it; [0.0] turns it off.  Its
+    randomness, and {!set_probe_loss}'s, comes from a dedicated
+    ["fault-drops"] substream consumed only while a probability is
+    non-zero, so fault-free runs are byte-identical to runs without this
+    subsystem. *)
+
+val set_probe_loss : t -> float -> unit
+(** Fault injection: drop traceroute probes arriving at this vswitch and
+    probe replies returning to it with this probability (in [0, 1));
+    independent of {!set_feedback_loss}. *)
 
 val path_table : t -> Addr.t -> Path_table.t option
 val stats : t -> stats

@@ -12,6 +12,10 @@ type opts = {
 
 let link_down_spec = "down s2-l2b@60ms; up s2-l2b@120ms"
 
+let vedge_spec =
+  "feedback-loss p=0.5 until=45ms @30ms; probe-loss p=0.99 until=65ms @30ms; \
+   switch-down s2 @40ms; switch-up s2 @55ms"
+
 (* ------------------------ gray-failure presets --------------------- *)
 
 let preset_names = [ "core-brownout"; "interpod-flap"; "dual-link-loss" ]
@@ -374,4 +378,4 @@ let pp_ledgers fmt rows =
     (fun r -> Ledger.pp ~label:(Scenario.scheme_name r.r_scheme) fmt r.r_ledger)
     rows
 
-let report ?(opts = default_opts) () = scorecard ~plan:opts.plan (run opts)
+let report opts = scorecard ~plan:opts.plan (run opts)

@@ -48,6 +48,12 @@ val default_opts : opts
 val link_down_spec : string
 (** [clove-sim chaos]'s default plan: an S2-L2 link is down 60-120 ms. *)
 
+val vedge_spec : string
+(** The virtual-edge verbs in one plan: every vswitch loses half its
+    congestion feedback 30-45 ms and 99% of its probes 30-65 ms, while
+    spine 2 is down 40-55 ms, so the feedback-loss profile ends while
+    the probe-loss one still holds. *)
+
 val preset_names : string list
 (** Pod-level gray-failure presets for 3-tier topologies:
     ["core-brownout"] (the flagship: core0 grays out to 10% capacity
@@ -109,5 +115,5 @@ val pp_rows : opts -> Format.formatter -> row array -> unit
 val pp_ledgers : Format.formatter -> row array -> unit
 (** What [clove-sim chaos --audit] adds: each scheme's {!Ledger.pp}. *)
 
-val report : ?opts:opts -> unit -> Figures.report
+val report : opts -> Figures.report
 (** {!run}'s resilience scorecard (the ext-chaos extension). *)

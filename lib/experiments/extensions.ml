@@ -174,8 +174,7 @@ let all =
     ( "ext-chaos",
       fun opts ->
         Chaos.report
-          ~opts:{ Chaos.default_opts with jobs_per_conn = opts.Sweep.jobs_per_conn; mode = opts.Sweep.mode }
-          () );
+          { Chaos.default_opts with jobs_per_conn = opts.Sweep.jobs_per_conn; mode = opts.Sweep.mode } );
   ]
 
 (* ------------------------ determinism matrix ----------------------- *)
@@ -216,4 +215,8 @@ let determinism_rows =
            schemes = [ Scenario.S_clove_int; Scenario.S_clove_latency ];
            jobs_per_conn = 120;
          }
+    (* the vswitch loss profiles and switch-down/up, which no other row
+       arms *)
+    :: chaos_row "chaos-vedge"
+         { Chaos.default_opts with Chaos.plan = plan_of Chaos.vedge_spec; jobs_per_conn = 120 }
     :: List.map chaos3_row Chaos.preset_names

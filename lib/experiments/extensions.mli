@@ -26,6 +26,7 @@ val determinism_rows : (string * (Run_mode.t -> string)) list
     every experiment id, the MD5 of its report as [exp -q] prints it;
     [chaos], [clove-sim chaos]'s default run; [chaos-int-latency], the
     same run of Clove-INT and Clove-Latency at 120 jobs (the sample picker
-    with failure recovery on); and [chaos3-<preset>] per
+    with failure recovery on); [chaos-vedge], the default run under
+    {!Chaos.vedge_spec} at 120 jobs; and [chaos3-<preset>] per
     {!Chaos.preset_names} (pods 2, load 0.15, 120 jobs, CAFT, ECMP and
     Clove-ECN).  A chaos row is the MD5 of {!Chaos.pp_rows}. *)

@@ -329,24 +329,17 @@ let build ?(mode = Run_mode.default) ?shards ~scheme params =
   let servers = leaf_hosts ncl (total_leaves params) in
   if scheme = S_letflow then
     Fabric_lb.Letflow.install ~rng:(Rng.split_named rng "letflow") fabric;
+  (* CONGA's 500 us flowlet gap is ~5x its testbed RTT; CONGA and CAFT
+     scale it the same way relative to ours *)
+  let flowlet_gap = Sim_time.mul_span params.rtt_estimate 5.0 in
   let conga =
-    if scheme = S_conga then
-      (* CONGA's 500 us flowlet gap is ~5x its testbed RTT; scale the same
-         way relative to ours *)
-      Some
-        (Fabric_lb.Conga.install
-           ~flowlet_gap:(Sim_time.mul_span params.rtt_estimate 5.0)
-           fabric)
+    if scheme = S_conga then Some (Fabric_lb.Conga.install ~flowlet_gap fabric)
     else None
   in
   let caft =
-    if scheme = S_caft then
-      (* same gap policy as CONGA; installing also registers the
-         re-weighting reconvergence hook on the fabric *)
-      Some
-        (Fabric_lb.Caft.install
-           ~flowlet_gap:(Sim_time.mul_span params.rtt_estimate 5.0)
-           fabric)
+    (* installing also registers the re-weighting reconvergence hook on
+       the fabric *)
+    if scheme = S_caft then Some (Fabric_lb.Caft.install ~flowlet_gap fabric)
     else None
   in
   {

@@ -163,7 +163,7 @@ let picker t st _sw ~in_port pkt ~candidates =
 
 (* ----------------------------- install ----------------------------- *)
 
-let install ?(flowlet_gap = Sim_time.us 500) fabric =
+let install ~flowlet_gap fabric =
   let leaf_of_host = Flowlet_route.leaf_of_host fabric in
   let states =
     Array.map

@@ -27,12 +27,12 @@
 
 type t
 
-val install : ?flowlet_gap:Sim_time.span -> Fabric.t -> t
+val install : flowlet_gap:Sim_time.span -> Fabric.t -> t
 (** Installs pickers on every switch, computes initial weights, and
-    registers the re-weighting reconvergence hook on the fabric.
-    Default flowlet gap 500 us.  Fixed: [eps = 0.05] (the congestion
-    floor that keeps an idle narrow path from always beating a busy wide
-    one) and a 50 ms gray-port loss hold-down. *)
+    registers the re-weighting reconvergence hook on the fabric.  Fixed:
+    [eps = 0.05] (the congestion floor that keeps an idle narrow path
+    from always beating a busy wide one) and a 50 ms gray-port loss
+    hold-down. *)
 
 val flowlets_started : t -> int
 

@@ -119,7 +119,7 @@ let leaf_picker t ls _sw ~in_port pkt ~candidates =
   else if Array.length candidates = 1 then candidates.(0)
   else candidates.(Ecmp_hash.select ~seed:(Switch.id ls.sw) pkt ~n:(Array.length candidates))
 
-let install ?(flowlet_gap = Sim_time.us 500) fabric =
+let install ~flowlet_gap fabric =
   let topo = Fabric.topology fabric in
   let leaf_state sw =
     let uplinks =

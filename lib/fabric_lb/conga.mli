@@ -13,8 +13,8 @@
       destination leaf stores it;
     - reverse traffic piggybacks one (FB_LBTag, FB_metric) pair per packet,
       round-robining over LBTags;
-    - leaves route each new flowlet (500 us gap by default) on the uplink
-      minimizing max(local DRE, CongToLeaf);
+    - leaves route each new flowlet (the caller's [flowlet_gap]) on the
+      uplink minimizing max(local DRE, CongToLeaf);
     - metrics age out so stale congestion does not pin decisions.
 
     Spines forward with the fabric's index-preserving parallel-link rule,
@@ -22,10 +22,9 @@
 
 type t
 
-val install : ?flowlet_gap:Sim_time.span -> Fabric.t -> t
+val install : flowlet_gap:Sim_time.span -> Fabric.t -> t
 (** Installs pickers on the leaves; spines and cores keep the default
-    picker.  Default flowlet gap 500 us; metrics age out after a fixed
-    10 ms. *)
+    picker.  Metrics age out after a fixed 10 ms. *)
 
 (* oracle of test_fabric_lb's conga metadata case — lint: allow dead-export *)
 val flowlets_started : t -> int

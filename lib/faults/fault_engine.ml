@@ -54,51 +54,25 @@ let clos_naming (c : Topology.clos) =
    any edge or switch touching a core is "core"; host access links are
    "host"; intra-pod leaf/spine faults are "pod"; vswitch-side loss
    profiles are "vedge" *)
-let tier_of_event (n : Fault_plan.names) topo (ev : Fault_plan.event) =
+let tier_of_event names topo (ev : Fault_plan.event) =
   let level_of node =
     match Topology.node topo node with
     | Topology.Host_node _ -> None
     | Topology.Switch_node (lvl, _) -> Some lvl
   in
-  let switch_tier lvl =
-    match lvl with Switch.Core_sw -> "core" | Switch.Leaf | Switch.Spine -> "pod"
-  in
-  let edge_tier name =
-    match n.resolve_edge name with
-    | None -> "unknown"
-    | Some e -> (
-      match (level_of e.Topology.a, level_of e.Topology.b) with
-      | Some Switch.Core_sw, _ | _, Some Switch.Core_sw -> "core"
-      | None, _ | _, None -> "host"
-      | Some _, Some _ -> "pod")
-  in
-  match ev.Fault_plan.spec with
-  | Fault_plan.Down e | Fault_plan.Up e
-  | Fault_plan.Flap { edge = e; _ }
-  | Fault_plan.Brownout { edge = e; _ } ->
-    edge_tier e
-  | Fault_plan.Switch_down s | Fault_plan.Switch_up s -> (
-    match n.resolve_switch s with
-    | None -> "unknown"
-    | Some node -> (
-      match level_of node with Some lvl -> switch_tier lvl | None -> "unknown"))
-  | Fault_plan.Feedback_loss _ | Fault_plan.Probe_loss _ -> "vedge"
-
-(* a plan event with its names resolved, as [arm] hands it to [fire] *)
-type action =
-  | Edge_down of Topology.edge
-  | Edge_up of Topology.edge
-  | Flap of { edge : Topology.edge; period : Sim_time.span; duty : float }
-  | Brownout of {
-      edge : Topology.edge;
-      capacity_frac : float;
-      loss_prob : float;
-      rng : Rng.t;
-    }
-  | Feedback_loss of float
-  | Probe_loss of float
-  | Switch_down of int
-  | Switch_up of int
+  match Fault_plan.resolve names ev.Fault_plan.spec with
+  | Error _ -> "unknown"
+  | Ok Fault_plan.Vedge -> "vedge"
+  | Ok (Fault_plan.Switch node) -> (
+    match level_of node with
+    | Some Switch.Core_sw -> "core"
+    | Some (Switch.Leaf | Switch.Spine) -> "pod"
+    | None -> "unknown")
+  | Ok (Fault_plan.Edge e) -> (
+    match (level_of e.Topology.a, level_of e.Topology.b) with
+    | Some Switch.Core_sw, _ | _, Some Switch.Core_sw -> "core"
+    | None, _ | _, None -> "host"
+    | Some _, Some _ -> "pod")
 
 type t = {
   sched : Scheduler.t;
@@ -106,11 +80,9 @@ type t = {
   vswitches : Clove.Vswitch.t array;
   naming : Fault_plan.names;
   rng : Rng.t;
-  mutable fb_prob : float;
-  mutable probe_prob : float;
   (* switch node -> edges this engine took down for it, so switch-up
      restores exactly those and leaves independently failed edges alone *)
-  mutable switch_failed : (int * Topology.edge list) list;
+  switch_failed : Topology.edge list Int_table.t;
   mutable fired : int;
   mutable flap_transitions : int;
   mutable stopped : bool;
@@ -123,9 +95,7 @@ let create ~sched ~fabric ~vswitches ~naming ~rng =
     vswitches;
     naming;
     rng;
-    fb_prob = 0.0;
-    probe_prob = 0.0;
-    switch_failed = [];
+    switch_failed = Int_table.create ~capacity:8 ~dummy:[];
     fired = 0;
     flap_transitions = 0;
     stopped = false;
@@ -141,15 +111,6 @@ let edge_down t e =
   if not e.Topology.failed then Fabric.fail_edge t.fabric e
 
 let edge_up t e = if e.Topology.failed then Fabric.restore_edge t.fabric e
-
-let set_loss_profiles t ~feedback ~probe =
-  t.fb_prob <- feedback;
-  t.probe_prob <- probe;
-  Array.iter
-    (fun v ->
-      Clove.Vswitch.set_fault_profile v ~feedback_loss:feedback
-        ~probe_loss:probe)
-    t.vswitches
 
 let rec flap_cycle t e ~period ~duty ~until =
   let expired =
@@ -176,89 +137,67 @@ let at_until t until undo =
   | None -> ()
   | Some time -> Scheduler.schedule_at t.sched ~time undo
 
-let fire t ~until action =
-  if not t.stopped then begin
-    t.fired <- t.fired + 1;
-    match action with
-    | Edge_down e -> edge_down t e
-    | Edge_up e -> edge_up t e
-    | Flap { edge; period; duty } -> flap_cycle t edge ~period ~duty ~until
-    | Brownout { edge; capacity_frac; loss_prob; rng } ->
-      Fabric.set_edge_brownout t.fabric edge ~capacity_frac ~loss_prob ~rng;
-      at_until t until (fun () -> Fabric.clear_edge_brownout t.fabric edge)
-    | Feedback_loss p ->
-      set_loss_profiles t ~feedback:p ~probe:t.probe_prob;
-      at_until t until (fun () ->
-          set_loss_profiles t ~feedback:0.0 ~probe:t.probe_prob)
-    | Probe_loss p ->
-      set_loss_profiles t ~feedback:t.fb_prob ~probe:p;
-      at_until t until (fun () ->
-          set_loss_profiles t ~feedback:t.fb_prob ~probe:0.0)
-    | Switch_down node ->
-      (* one entry per switch: a repeated switch-down adds only the edges
-         it newly failed to the ones the first took down *)
-      let earlier = Option.value (List.assoc_opt node t.switch_failed) ~default:[] in
-      t.switch_failed <-
-        (node, Fabric.fail_switch t.fabric node @ earlier)
-        :: List.remove_assoc node t.switch_failed
-    | Switch_up node -> (
-      match List.assoc_opt node t.switch_failed with
-      | None -> ()
-      | Some edges ->
-        t.switch_failed <- List.remove_assoc node t.switch_failed;
-        Fabric.restore_edges t.fabric edges)
-  end
+let switch_down t node =
+  (* one entry per switch: a repeated switch-down adds only the edges it
+     newly failed to the ones the first took down *)
+  let earlier = Int_table.find_default t.switch_failed node [] in
+  Int_table.set t.switch_failed node (Fabric.fail_switch t.fabric node @ earlier)
+
+let switch_up t node =
+  match Int_table.find_opt t.switch_failed node with
+  | None -> ()
+  | Some edges ->
+    Int_table.remove t.switch_failed node;
+    Fabric.restore_edges t.fabric edges
+
+(* what [ev] does to its resolved [target] when it fires; built at arm
+   time, so a brownout's stream is drawn then *)
+let action t (ev : Fault_plan.event) target =
+  let until = Option.map Sim_time.of_span ev.Fault_plan.until in
+  let loss set p =
+    let all p () = Array.iter (fun v -> set v p) t.vswitches in
+    fun () ->
+      all p ();
+      at_until t until (all 0.0)
+  in
+  match (ev.Fault_plan.spec, target) with
+  | Fault_plan.Down _, Fault_plan.Edge e -> fun () -> edge_down t e
+  | Fault_plan.Up _, Fault_plan.Edge e -> fun () -> edge_up t e
+  | Fault_plan.Flap { period; duty; _ }, Fault_plan.Edge e ->
+    fun () -> flap_cycle t e ~period ~duty ~until
+  | Fault_plan.Brownout { edge; capacity_frac; loss_prob }, Fault_plan.Edge e ->
+    let rng = Rng.split_named t.rng ("edge:" ^ edge) in
+    fun () ->
+      Fabric.set_edge_brownout t.fabric e ~capacity_frac ~loss_prob ~rng;
+      at_until t until (fun () -> Fabric.clear_edge_brownout t.fabric e)
+  | Fault_plan.Feedback_loss p, Fault_plan.Vedge -> loss Clove.Vswitch.set_feedback_loss p
+  | Fault_plan.Probe_loss p, Fault_plan.Vedge -> loss Clove.Vswitch.set_probe_loss p
+  | Fault_plan.Switch_down _, Fault_plan.Switch node -> fun () -> switch_down t node
+  | Fault_plan.Switch_up _, Fault_plan.Switch node -> fun () -> switch_up t node
+  | _, (Fault_plan.Edge _ | Fault_plan.Switch _ | Fault_plan.Vedge) ->
+    invalid_arg "Fault_engine: a target not resolved from its own spec"
 
 (* ------------------------------ arming ---------------------------- *)
-
-let resolve t (ev : Fault_plan.event) =
-  let edge name action =
-    match t.naming.Fault_plan.resolve_edge name with
-    | Some e -> Ok (action e)
-    | None -> Error (Printf.sprintf "unknown edge %S" name)
-  in
-  let switch name action =
-    match t.naming.Fault_plan.resolve_switch name with
-    | Some node -> Ok (action node)
-    | None -> Error (Printf.sprintf "unknown switch %S" name)
-  in
-  match ev.Fault_plan.spec with
-  | Fault_plan.Down n -> edge n (fun e -> Edge_down e)
-  | Fault_plan.Up n -> edge n (fun e -> Edge_up e)
-  | Fault_plan.Flap { edge = n; period; duty } ->
-    edge n (fun e -> Flap { edge = e; period; duty })
-  | Fault_plan.Brownout { edge = n; capacity_frac; loss_prob } ->
-    edge n (fun e ->
-        Brownout
-          {
-            edge = e;
-            capacity_frac;
-            loss_prob;
-            rng = Rng.split_named t.rng ("edge:" ^ n);
-          })
-  | Fault_plan.Feedback_loss p -> Ok (Feedback_loss p)
-  | Fault_plan.Probe_loss p -> Ok (Probe_loss p)
-  | Fault_plan.Switch_down n -> switch n (fun node -> Switch_down node)
-  | Fault_plan.Switch_up n -> switch n (fun node -> Switch_up node)
 
 let arm t plan =
   (* resolve the whole plan before scheduling any of it, so a plan with
      an unknown name arms nothing *)
   let rec resolve_all acc = function
     | [] -> Ok (List.rev acc)
-    | ev :: rest -> (
-      match resolve t ev with
-      | Ok action -> resolve_all ((ev, action) :: acc) rest
+    | (ev : Fault_plan.event) :: rest -> (
+      match Fault_plan.resolve t.naming ev.Fault_plan.spec with
+      | Ok target -> resolve_all ((ev.Fault_plan.at, action t ev target) :: acc) rest
       | Error _ as e -> e)
   in
   match resolve_all [] plan with
   | Error _ as e -> e
-  | Ok resolved ->
+  | Ok actions ->
     List.iter
-      (fun ((ev : Fault_plan.event), action) ->
-        let until = Option.map Sim_time.of_span ev.Fault_plan.until in
-        Scheduler.schedule_at t.sched
-          ~time:(Sim_time.of_span ev.Fault_plan.at)
-          (fun () -> fire t ~until action))
-      resolved;
+      (fun (at, run) ->
+        Scheduler.schedule_at t.sched ~time:(Sim_time.of_span at) (fun () ->
+            if not t.stopped then begin
+              t.fired <- t.fired + 1;
+              run ()
+            end))
+      actions;
     Ok ()

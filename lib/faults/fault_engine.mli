@@ -1,12 +1,14 @@
 (** Deterministic execution of a {!Fault_plan} against a live fabric.
 
-    {!arm} resolves the plan's symbolic names once, through a
-    {!Fault_plan.names} ({!clos_naming} names every fabric the simulator
-    builds), and schedules one scheduler event per plan entry; each fires
-    with its edge or switch in hand and drives the injection hooks:
-    {!Fabric.fail_edge} / {!Fabric.restore_edge} /
+    {!arm} resolves every event of the plan through {!Fault_plan.resolve}
+    (the resolver {!Fault_plan.parse} and {!tier_of_event} share;
+    {!clos_naming} names every fabric the simulator builds) before it
+    schedules any, then schedules one scheduler event per plan entry over
+    its resolved target: {!Fabric.fail_edge} / {!Fabric.restore_edge} /
     {!Fabric.set_edge_brownout} / {!Fabric.fail_switch} on the fabric
-    side, {!Clove.Vswitch.set_fault_profile} on the virtual edge.
+    side, {!Clove.Vswitch.set_feedback_loss} /
+    {!Clove.Vswitch.set_probe_loss} on the virtual edge.  The engine
+    keeps no copy of the plan or of the vswitches' settings.
 
     Every random choice (brownout wire loss, vswitch feedback/probe
     drops) comes from named [Rng.split_named] substreams, so a plan
@@ -24,11 +26,11 @@ val clos_naming : Topology.clos -> Fault_plan.names
     bundle index 1; no letter means bundle 0). *)
 
 val tier_of_event : Fault_plan.names -> Topology.t -> Fault_plan.event -> string
-(** The tier a plan event disturbs: ["core"] (any edge or switch
-    touching a core switch), ["pod"] (intra-pod leaf/spine), ["host"]
-    (access links), ["vedge"] (feedback/probe loss profiles), or
-    ["unknown"] for unresolvable names.  Drives the chaos scorecard's
-    per-tier breakdown. *)
+(** The tier of the plan event's {!Fault_plan.resolve} target:
+    ["core"] (any edge or switch touching a core switch), ["pod"]
+    (intra-pod leaf/spine), ["host"] (access links), ["vedge"]
+    (feedback/probe loss profiles), or ["unknown"] for unresolvable
+    names.  Drives the chaos scorecard's per-tier breakdown. *)
 
 type t
 
@@ -44,11 +46,11 @@ val create :
     per-edge brownout streams from it by name. *)
 
 val arm : t -> Fault_plan.t -> (unit, string) result
-(** Resolve every name in the plan once (failing, with nothing
-    scheduled, with a message naming the first unknown edge/switch),
-    then schedule all events at their absolute times; a brownout or loss
-    profile with an [until] ends there.  Call before running the
-    scheduler. *)
+(** Resolve every event of the plan (failing, with nothing scheduled,
+    with {!Fault_plan.resolve}'s message for the first unknown
+    edge/switch), then schedule all events at their absolute times; a
+    brownout or loss profile with an [until] ends there.  Call before
+    running the scheduler. *)
 
 val stop : t -> unit
 (** Disarm: events that have not fired yet become no-ops, and any

@@ -16,6 +16,22 @@ type names = {
   resolve_switch : string -> int option;
 }
 
+(* ---------------------------- resolution -------------------------- *)
+
+type target = Edge of Topology.edge | Switch of int | Vedge
+
+let resolve names spec =
+  match spec with
+  | Down n | Up n | Flap { edge = n; _ } | Brownout { edge = n; _ } -> (
+    match names.resolve_edge n with
+    | Some e -> Ok (Edge e)
+    | None -> Error (Printf.sprintf "unknown edge %S" n))
+  | Switch_down n | Switch_up n -> (
+    match names.resolve_switch n with
+    | Some node -> Ok (Switch node)
+    | None -> Error (Printf.sprintf "unknown switch %S" n))
+  | Feedback_loss _ | Probe_loss _ -> Ok Vedge
+
 (* ------------------------------ durations ------------------------- *)
 
 let span_of_string s =
@@ -101,22 +117,6 @@ let check_keys ~item ~verb spec kvs =
   in
   go [] kvs
 
-(* reject unknown symbolic names while the offending item text is still
-   in hand — callers with a topology in scope get parse-time errors
-   instead of arm-time ones *)
-let check_names ~item names spec =
-  match names with
-  | None -> Ok ()
-  | Some ns -> (
-    match spec with
-    | Down n | Up n | Flap { edge = n; _ } | Brownout { edge = n; _ } ->
-      if Option.is_some (ns.resolve_edge n) then Ok ()
-      else Error (Printf.sprintf "unknown edge %S in %S" n item)
-    | Switch_down n | Switch_up n ->
-      if Option.is_some (ns.resolve_switch n) then Ok ()
-      else Error (Printf.sprintf "unknown switch %S in %S" n item)
-    | Feedback_loss _ | Probe_loss _ -> Ok ())
-
 let parse_item ?names item =
   (* grammar: <verb> [target] [key=value ...] @<start-time> *)
   match String.index_opt item '@' with
@@ -196,8 +196,11 @@ let parse_item ?names item =
     in
     let* () = check_keys ~item ~verb spec kvs in
     let* until = span_param ~item kvs "until" in
-    let* () = check_names ~item names spec in
-    Ok { at; until; spec }
+    (* callers with a topology in scope get unknown names as parse errors,
+       while the offending item text is still in hand *)
+    match Option.map (fun ns -> resolve ns spec) names with
+    | Some (Error e) -> Error (Printf.sprintf "%s in %S" e item)
+    | None | Some (Ok _) -> Ok { at; until; spec }
 
 let parse ?names s =
   let items = split_trim ';' s in

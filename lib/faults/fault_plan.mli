@@ -31,10 +31,11 @@
     paper's leaf–spine, ["s2-l2b"] is the second parallel link between
     spine 2 and leaf 2; with pods and cores, ["core0"], ["s1.2"] and
     ["l2.1-s2.2"] name a core, pod 1's second spine and an edge in
-    pod 2.
-    Parsing is pure; pass [?names] (from {!Fault_engine.clos_naming}) to
-    reject unknown switch/edge names at parse time instead of arm
-    time. *)
+    pod 2.  {!resolve} is the one place a name becomes the fabric object
+    its verb acts on: {!parse} with [?names] calls it to reject unknown
+    names at parse time, {!Fault_engine.arm} to schedule each event over
+    its target, and {!Fault_engine.tier_of_event} to classify it.
+    Parsing is otherwise pure. *)
 
 type spec =
   | Down of string
@@ -69,13 +70,22 @@ type names = {
   resolve_edge : string -> Topology.edge option;
   resolve_switch : string -> int option;
 }
-(** A topology's symbolic names: {!parse} checks targets against it and
-    {!Fault_engine.arm} resolves them through it. *)
+(** A topology's symbolic names (built by {!Fault_engine.clos_naming}). *)
+
+(** What a plan event acts on. *)
+type target =
+  | Edge of Topology.edge  (** down, up, flap, brownout *)
+  | Switch of int  (** switch-down, switch-up: the switch's node *)
+  | Vedge  (** feedback-loss, probe-loss: every vswitch *)
+
+val resolve : names -> spec -> (target, string) result
+(** The spec's target, or the one error for a name the topology does
+    not have ([unknown edge "x"] / [unknown switch "x"]). *)
 
 val parse : ?names:names -> string -> (t, string) result
 (** Parse a CLI fault spec; the error is a human-readable message naming
-    the offending item.  With [?names], any edge/switch target it does
-    not resolve is a parse error ([unknown edge "x" in "item"]). *)
+    the offending item.  With [?names], an item {!resolve} rejects is a
+    parse error ([unknown edge "x" in "item"]). *)
 
 (* oracle of test_faults' span_of_string case — lint: allow dead-export *)
 val span_of_string : string -> (Sim_time.span, string) result

@@ -265,7 +265,7 @@ let test_caft_capacity_tracks_failures () =
   let topo = c3.Topology.topo in
   let sched = Scheduler.create () in
   let fabric = Fabric.create ~sched ~config:Fabric.default_config topo in
-  let caft = Fabric_lb.Caft.install fabric in
+  let caft = Fabric_lb.Caft.install ~flowlet_gap:(Sim_time.us 500) fabric in
   check_int "one reweight at install" 1 (Fabric_lb.Caft.reweights caft);
   let spine0 = c3.Topology.spine_ids.(0) in
   let remote_leaf = c3.Topology.leaf_ids.(2) in

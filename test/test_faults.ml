@@ -565,6 +565,39 @@ let test_probe_loss_rediscovery () =
   Faults.Fault_engine.stop engine;
   Scenario.quiesce scn
 
+let test_loss_profiles_end_apart () =
+  (* each loss profile ends at its own [until]: the end of the
+     feedback-loss profile at 60 ms leaves the probe-loss profile in
+     force until 200 ms, and nothing is dropped after that *)
+  let scn = build_scenario ~probe_interval:(Sim_time.ms 20) () in
+  let sched = Scenario.sched scn in
+  let client = (Scenario.clients scn).(0) in
+  let server = (Scenario.servers scn).(0) in
+  let submit = Scenario.connect scn ~src:client ~dst:server in
+  Scheduler.schedule sched ~after:(Sim_time.ms 25) (fun () ->
+      submit ~bytes:2_000_000 ~on_complete:Fun.id);
+  let engine = engine_for scn in
+  arm_exn engine
+    (plan_of "feedback-loss p=0.5 until=60ms @40ms; probe-loss p=0.99 until=200ms @40ms");
+  let vsw = Scenario.vswitch scn client in
+  let dropped () = (Clove.Vswitch.stats vsw).Clove.Vswitch.probes_dropped in
+  let at_ms ms =
+    let n = ref 0 in
+    Scheduler.schedule_at sched ~time:(Sim_time.of_span (Sim_time.ms ms))
+      (fun () -> n := dropped ());
+    n
+  in
+  let at_fb_end = at_ms 61 and at_probe_end = at_ms 201 in
+  Scheduler.run ~until:(Sim_time.of_span (Sim_time.ms 300)) sched;
+  check_bool
+    (Printf.sprintf "probes dropped after feedback loss ended (%d -> %d)"
+       !at_fb_end !at_probe_end)
+    true
+    (!at_probe_end > !at_fb_end);
+  check_int "no probe dropped after probe loss ended" !at_probe_end (dropped ());
+  Faults.Fault_engine.stop engine;
+  Scenario.quiesce scn
+
 (* ---------------------- e2e: recovery spreads picks ---------------- *)
 
 let test_recovery_spreads_picks () =
@@ -772,6 +805,8 @@ let () =
         [
           Alcotest.test_case "probe-loss rediscovery" `Quick
             test_probe_loss_rediscovery;
+          Alcotest.test_case "loss profiles end apart" `Quick
+            test_loss_profiles_end_apart;
           Alcotest.test_case "black-hole eviction" `Quick
             test_black_hole_eviction;
           qc prop_replay_deterministic;

@@ -140,6 +140,17 @@ let test_brownout_digests () =
   Alcotest.(check (list (pair string string)))
     "brownout FCT digests" brownout_digests (chaos_run_digests brownout_spec)
 
+(* [Chaos.vedge_spec]'s digests: feedback and probe loss on every
+   vswitch, ending at different instants, while a spine is down and back
+   up; only Clove-ECN reads feedback and probes, so ECMP's digest moves
+   with the switch alone *)
+let vedge_digests =
+  [ ("Clove-ECN", "6f09f1e548ea5860f86ecfe33283e265"); ("ECMP", "26934657c55ad6d66b84e33b9b8a494a") ]
+
+let test_vedge_digests () =
+  Alcotest.(check (list (pair string string)))
+    "vedge FCT digests" vedge_digests (chaos_run_digests Chaos.vedge_spec)
+
 (* -------------------------- byte conservation --------------------- *)
 
 let test_byte_conservation () =
@@ -301,6 +312,7 @@ let () =
           Alcotest.test_case "pinned digests" `Quick test_golden_digests;
           Alcotest.test_case "pinned chaos digests" `Quick test_chaos_digests;
           Alcotest.test_case "pinned brownout digests" `Quick test_brownout_digests;
+          Alcotest.test_case "pinned vedge digests" `Quick test_vedge_digests;
         ] );
       ( "conservation",
         [ Alcotest.test_case "bytes acked exactly once" `Quick test_byte_conservation ] );
