@@ -152,7 +152,7 @@ let unprotected_mutators =
       [ ("add", 0); ("replace", 0); ("remove", 0); ("reset", 0); ("clear", 0);
         ("filter_map_inplace", 1) ] );
     ("Int_table", [ ("set", 0); ("remove", 0); ("clear", 0) ]);
-    ("Ring", [ ("push", 0); ("pop", 0); ("clear", 0) ]);
+    ("Ring", [ ("push", 0); ("pop", 0); ("set", 0); ("truncate", 0) ]);
     ( "Queue",
       [ ("add", 0); ("push", 0); ("pop", 0); ("take", 0); ("take_opt", 0);
         ("clear", 0); ("transfer", 0) ] );

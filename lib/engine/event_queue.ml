@@ -6,8 +6,10 @@
    (the only allocation left is [pop]'s [Some (time, value)] result).
    The [dummy] fills slots above [size] so vacated payloads are released
    to the GC without an [option] box.  The scheduler instantiates the
-   heap at [int] — each payload is an immediate event code — so moving
-   an entry writes no pointer the GC has to track.
+   heap at [int] — each payload is an immediate event code — but the
+   module is compiled once, at ['a], so every payload write (a sift's
+   move, [add], [pop]) is still a [caml_modify] call, at any
+   instantiation.
 
    Events order by (time, born, src, seq): [born] is the simulation
    instant the event was inserted at and [src] is a global id of the

@@ -18,8 +18,9 @@
     (a vacated slot is overwritten with [dummy] so the popped payload is
     released to the GC); the dummy itself is never returned.  The
     scheduler instantiates the queue at [int] — its payloads are
-    immediate event codes (see {!Scheduler}) — so no sift moves a
-    pointer. *)
+    immediate event codes (see {!Scheduler}) — but the module is
+    compiled at ['a], so each payload write is a [caml_modify] call even
+    then. *)
 
 type 'a t
 

@@ -6,11 +6,18 @@
    D, lane) into a switch, D = T + prop.  The departure itself is
    replayed lazily by [catch_up], in this order: the verdict (a frame
    the link failed under, or a brownout's wire loss, drawn in FIFO
-   order), then the next frame's dequeue, its DRE observation at its
+   order), then the next frame's start, its DRE observation at its
    start instant, the counters and its delivery's scheduling.  The
    result is event for event that of a serializer with a transmit-done
    event per frame (test_netsim's reference model).  A frame lost on
    the wire keeps its delivery event, which then does nothing.
+
+   One ring holds the link's frames, oldest first, in three sections:
+   the [departed] frames whose delivery is pending (a frame lost on the
+   wire as [Packet.placeholder]), then, if [busy], the serializing
+   frame, then the queued ones.  A departure moves the cursor, not the
+   frame: a frame is written into the ring once, at admission, and its
+   slot is cleared once, at its delivery.
 
    Tie rule.  A departure (T, S, link) is replayed before the event
    being dispatched iff that key is smaller than the event's popped
@@ -56,7 +63,9 @@ type t = {
   dre : Dre.t;
   label : string;
   mutable sink : sink;
-  mutable serializing : Packet.t; (* [Packet.placeholder] when idle *)
+  ring : Packet.t Ring.t; (* departed, serializing, queued frames *)
+  mutable departed : int; (* the serializing frame's index in [ring] *)
+  mutable busy : bool; (* a frame is serializing *)
   mutable start_ns : int; (* the serializing frame's start S *)
   mutable depart_ns : int; (* and departure T *)
   mutable corrupted : bool; (* the link failed while serializing it *)
@@ -69,19 +78,25 @@ type t = {
   mutable brownout_drops : int;
   mutable overflow_drops : int;
   (* defunctionalized event state: deliveries are strictly FIFO
-     (constant delays), so [prop] needs no per-event identity at all *)
+     (constant delays), so a delivery needs no per-event identity *)
   src : int; (* construction-order id ranking this link's events *)
   mutable k_depart : int;
-  (* departed frames whose delivery is pending, a frame lost on the wire
-     as [Packet.placeholder]; across a boundary, the injected ones *)
-  prop : Packet.t Ring.t;
-  mutable lost_pending : int; (* placeholders in [prop] *)
+  mutable lost_pending : int; (* placeholders in [ring] *)
   (* deliveries fire as [k_deliver] on [rx_sched]: [sched], or across a
      PDES boundary the destination shard's, where [inject] schedules
-     what [boundary] (the partition's exchange buffer) took *)
+     what the partition's exchange buffer took *)
   mutable rx_sched : Scheduler.t;
   mutable k_deliver : int;
-  mutable boundary : (born_ns:int -> time_ns:int -> Packet.t -> unit) option;
+  mutable boundary : boundary option;
+}
+
+(* a PDES boundary link's two sides: departures go to [push], the
+   partition's exchange buffer, and [inject] queues them in [rx] for
+   their delivery on the destination shard; its own [ring] then holds no
+   departed frame *)
+and boundary = {
+  push : born_ns:int -> time_ns:int -> Packet.t -> unit;
+  rx : Packet.t Ring.t;
 }
 
 (* every delivery ranks under one id, on whichever scheduler it fires *)
@@ -142,9 +157,10 @@ let delivery_born_ns t ~depart_ns =
 (* Start the next queued frame at [start_ns] and schedule the event that
    carries the chain: its delivery, or across a boundary its departure. *)
 let rec start_tx t ~start_ns =
-  if not (Pkt_queue.is_empty t.queue) then begin
-    let pkt = Pkt_queue.dequeue_unsafe t.queue in
-    t.serializing <- pkt;
+  if Ring.length t.ring > t.departed then begin
+    let pkt = Ring.get t.ring t.departed in
+    Pkt_queue.leave t.queue;
+    t.busy <- true;
     Dre.observe_at t.dre ~now_ns:start_ns ~bytes_len:pkt.Packet.size;
     t.tx_bytes <- t.tx_bytes + pkt.Packet.size;
     t.tx_packets <- t.tx_packets + 1;
@@ -166,8 +182,8 @@ let rec start_tx t ~start_ns =
    the serializer starts the next frame that instant.  A frame the link
    failed under is lost, even if the link is back up. *)
 and depart t =
-  let pkt = t.serializing and depart_ns = t.depart_ns in
-  t.serializing <- Packet.placeholder;
+  let depart_ns = t.depart_ns in
+  t.busy <- false;
   let lost =
     if t.corrupted then begin
       t.corrupted <- false;
@@ -181,21 +197,22 @@ and depart t =
     else false
   in
   (match t.boundary with
-   | Some push ->
+   | Some b ->
+     let pkt = Ring.pop t.ring in
      if not lost then
-       push ~born_ns:(delivery_born_ns t ~depart_ns) ~time_ns:(delivery_ns t ~depart_ns) pkt
+       b.push ~born_ns:(delivery_born_ns t ~depart_ns) ~time_ns:(delivery_ns t ~depart_ns) pkt
    | None ->
      if lost then begin
        t.lost_pending <- t.lost_pending + 1;
-       Ring.push t.prop Packet.placeholder
-     end
-     else Ring.push t.prop pkt);
+       Ring.set t.ring t.departed Packet.placeholder
+     end;
+     t.departed <- t.departed + 1);
   start_tx t ~start_ns:depart_ns
 
 (* replay every departure the dispatching event comes after *)
 let rec catch_up t =
   if
-    t.serializing != Packet.placeholder
+    t.busy
     && Scheduler.before_dispatching t.sched ~time_ns:t.depart_ns ~born_ns:t.start_ns
          ~src:t.src
   then begin
@@ -204,8 +221,14 @@ let rec catch_up t =
   end
 
 let on_deliver t =
-  (match t.boundary with None -> catch_up t | Some _ -> ());
-  let pkt = Ring.pop t.prop in
+  let pkt =
+    match t.boundary with
+    | None ->
+      catch_up t;
+      t.departed <- t.departed - 1;
+      Ring.pop t.ring
+    | Some b -> Ring.pop b.rx
+  in
   if pkt == Packet.placeholder then t.lost_pending <- t.lost_pending - 1
   else
     match t.sink with
@@ -233,7 +256,11 @@ let create ~sched ~rate_bps ~prop_delay ?queue ?(label = "link") () =
       label;
       src = Scheduler.fresh_src ();
       sink = Host_sink (fun _ -> invalid_arg ("Link " ^ label ^ ": no sink installed"));
-      serializing = Packet.placeholder;
+      (* room for a short queue and its wire, in one array; most links
+         never grow it *)
+      ring = Ring.create ~capacity:32 ~dummy:Packet.placeholder ();
+      departed = 0;
+      busy = false;
       start_ns = 0;
       depart_ns = 0;
       corrupted = false;
@@ -246,7 +273,6 @@ let create ~sched ~rate_bps ~prop_delay ?queue ?(label = "link") () =
       brownout_drops = 0;
       overflow_drops = 0;
       k_depart = -1;
-      prop = Ring.create ~capacity:8 ~dummy:Packet.placeholder ();
       lost_pending = 0;
       rx_sched = sched;
       k_deliver = -1;
@@ -261,10 +287,12 @@ let create ~sched ~rate_bps ~prop_delay ?queue ?(label = "link") () =
   rank_deliveries t;
   t
 
-(* the propagation ring stays FIFO across a boundary: the exchange
-   drains a window's buffer in generation order *)
+(* the injected ring stays FIFO: the exchange drains a window's buffer
+   in generation order *)
 let set_boundary t ~dest_sched ~push =
-  t.boundary <- Some push;
+  if Ring.length t.ring > 0 then
+    invalid_arg (Printf.sprintf "Link %s: set_boundary on a link holding frames" t.label);
+  t.boundary <- Some { push; rx = Ring.create ~capacity:8 ~dummy:Packet.placeholder () };
   if t.rx_sched != dest_sched then begin
     t.rx_sched <- dest_sched;
     t.k_deliver <- Scheduler.register_kind dest_sched (fun _ -> on_deliver t);
@@ -274,15 +302,16 @@ let set_boundary t ~dest_sched ~push =
 let inject t ~time_ns ~born_ns pkt =
   match t.boundary with
   | None -> invalid_arg (Printf.sprintf "Link %s: inject without boundary" t.label)
-  | Some _ ->
-    Ring.push t.prop pkt;
+  | Some b ->
+    Ring.push b.rx pkt;
     Scheduler.inject_tag t.rx_sched ~time_ns ~born_ns ~kind:t.k_deliver ~arg:0
 
 let send t pkt =
   catch_up t;
   if t.is_up then begin
-    if Pkt_queue.enqueue t.queue pkt then begin
-      if t.serializing == Packet.placeholder then
+    if Pkt_queue.admit t.queue pkt then begin
+      Ring.push t.ring pkt;
+      if not t.busy then
         (* the frame starts now — lint: allow sema-time-boundary *)
         start_tx t ~start_ns:(Sim_time.to_ns (Scheduler.now t.sched))
     end
@@ -298,10 +327,15 @@ let send t pkt =
 
 let up t = t.is_up
 
+(* deliveries scheduled and not yet fired: the departed frames, or
+   across a boundary the injected ones *)
+let pending_deliveries t =
+  match t.boundary with None -> t.departed | Some b -> Ring.length b.rx
+
 let set_up t v =
   catch_up t;
   (match t.sink with
-   | Switch_sink _ when Ring.length t.prop > 0 ->
+   | Switch_sink _ when pending_deliveries t > 0 ->
      (* for [up_at]; with deliveries pending, [rx_sched] is at this
         instant, under PDES too: faults run at a barrier every shard has
         reached — lint: allow sema-time-boundary *)
@@ -310,21 +344,19 @@ let set_up t v =
    | Host_sink _ | Switch_sink _ -> ());
   t.is_up <- v;
   if not v then begin
-    (* drain the queue: a failed link loses its in-flight packets, and the
-       loss is accounted in both the link and queue statistics so
-       packet-conservation audits balance under mid-run failures *)
-    let rec drain () =
-      match Pkt_queue.dequeue t.queue with
-      | None -> ()
-      | Some pkt ->
-        t.down_drops <- t.down_drops + 1;
-        Pkt_queue.count_drop t.queue pkt;
-        drain ()
-    in
-    drain ();
+    (* drop the queued section: a failed link loses its queued packets,
+       and the loss is accounted in both the link and queue statistics
+       so packet-conservation audits balance under mid-run failures *)
+    let queued_from = if t.busy then t.departed + 1 else t.departed in
+    for i = queued_from to Ring.length t.ring - 1 do
+      t.down_drops <- t.down_drops + 1;
+      Pkt_queue.leave t.queue;
+      Pkt_queue.count_drop t.queue (Ring.get t.ring i)
+    done;
+    Ring.truncate t.ring queued_from;
     (* the frame on the serializer is lost too, when it completes: the
        serializer stays busy until then *)
-    if t.serializing != Packet.placeholder then t.corrupted <- true
+    if t.busy then t.corrupted <- true
   end
 
 let set_brownout t ~capacity_frac ~loss_prob ~rng =
@@ -372,5 +404,5 @@ let overflow_drops t =
 
 let in_flight t =
   catch_up t;
-  let serializing = if t.serializing == Packet.placeholder then 0 else 1 in
-  Pkt_queue.length t.queue + serializing + Ring.length t.prop - t.lost_pending
+  let injected = match t.boundary with None -> 0 | Some b -> Ring.length b.rx in
+  Ring.length t.ring + injected - t.lost_pending

@@ -21,7 +21,16 @@
     [set_brownout] take effect at their point of the event order, as
     documented below: a brownout re-times frames from the next start
     and judges wire loss from the next departure, including the
-    serializing frame's. *)
+    serializing frame's.
+
+    Frame store: one FIFO ring per link, oldest first, in three
+    sections — the departed frames awaiting their delivery, the
+    serializing frame, the queued frames.  A departure advances a
+    cursor; a frame is written into the ring once, when the queue
+    admits it, and its slot is cleared once, at its delivery.  A frame
+    lost on the wire becomes a placeholder in its slot, and [set_up
+    false] drops exactly the queued section.  The queue ({!Pkt_queue})
+    admits, marks and counts, and holds no packet. *)
 
 type t
 
@@ -79,12 +88,13 @@ val set_boundary :
 (** Mark this link as crossing a PDES shard boundary.  Completed
     transmissions stop scheduling their wire delivery locally and instead
     hand the packet to [push] (the partition's exchange buffer for this
-    link) with its delivery event's time and rank; {!inject} later
-    re-enters the delivery path on [dest_sched].  Serialization, drops,
-    brownouts and statistics are unaffected — only the final
+    link), out of the link's ring, with its delivery event's time and
+    rank; {!inject} later re-enters the delivery path on [dest_sched].
+    Serialization, drops, brownouts and statistics are unaffected — only the final
     propagation hop is deferred.  The link then keeps one event per
     frame on its own scheduler, at the frame's departure, which hands
-    the frame over. *)
+    the frame over.  The link must hold no frame yet; raises
+    [Invalid_argument] otherwise. *)
 
 val inject : t -> time_ns:int -> born_ns:int -> Packet.t -> unit
 (** Deliver a buffered boundary packet at absolute [time_ns] on the
@@ -95,8 +105,9 @@ val inject : t -> time_ns:int -> born_ns:int -> Packet.t -> unit
     [born_ns] — the departure instant, or D for a switch sink — becomes the
     event's same-timestamp tie-break rank (see {!Scheduler.inject_tag}),
     keeping pop order identical to the serial engine's.  Allocation-free
-    (pushes the pooled packet onto the propagation ring and schedules a
-    tagged event). *)
+    at steady state (pushes the pooled packet onto the receiving side's
+    ring, which {!set_boundary} created, and schedules a tagged
+    event). *)
 
 val utilization : t -> float
 (** DRE-estimated utilization of this link's egress. *)

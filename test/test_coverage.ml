@@ -75,7 +75,7 @@ let test_queue_disable_marking () =
   for _ = 1 to 8 do
     let p = Packet.make_tenant ~src:(Addr.of_int 0) ~dst:(Addr.of_int 1) ~seg:(mk_seg ()) in
     p.Packet.ecn <- Packet.Ect;
-    ignore (Pkt_queue.enqueue q p)
+    ignore (Pkt_queue.admit q p)
   done;
   check_int "no marks when disabled" 0 (Pkt_queue.stats q).Pkt_queue.marked;
   check_int "max occupancy tracked" 8 (Pkt_queue.stats q).Pkt_queue.max_occupancy

@@ -85,6 +85,100 @@ let test_rng_shuffle_permutation () =
   Array.sort compare sorted;
   Alcotest.(check (array int)) "is permutation" (Array.init 100 (fun i -> i)) sorted
 
+(* ---------------------------------- Ring -------------------------- *)
+
+let ring_contents r = List.init (Ring.length r) (Ring.get r)
+
+let raises_invalid f =
+  match f () with _ -> false | exception Invalid_argument _ -> true
+
+(* push 0..2 and pop two, so the next pushes wrap around slot 0 *)
+let ring_moved_head ~capacity =
+  let r = Ring.create ~capacity ~dummy:(-1) () in
+  List.iter (Ring.push r) [ 0; 1; 2 ];
+  ignore (Ring.pop r);
+  ignore (Ring.pop r);
+  r
+
+let test_ring_indexed_wrapped () =
+  let r = ring_moved_head ~capacity:4 in
+  List.iter (Ring.push r) [ 3; 4; 5 ];
+  Alcotest.(check (list int)) "get across the wrap" [ 2; 3; 4; 5 ] (ring_contents r);
+  Ring.set r 2 40;
+  Alcotest.(check (list int)) "set in the wrapped part" [ 2; 3; 40; 5 ] (ring_contents r);
+  check_bool "get past the tail" true (raises_invalid (fun () -> Ring.get r 4));
+  check_bool "get before the head" true (raises_invalid (fun () -> Ring.get r (-1)));
+  check_bool "set past the tail" true (raises_invalid (fun () -> Ring.set r 4 0));
+  Ring.truncate r 5;
+  check_int "truncate longer is a no-op" 4 (Ring.length r);
+  Ring.truncate r 2;
+  Alcotest.(check (list int)) "truncate keeps the oldest" [ 2; 3 ] (ring_contents r);
+  check_bool "negative truncate" true (raises_invalid (fun () -> Ring.truncate r (-1)));
+  Ring.push r 6;
+  Alcotest.(check (list int)) "push after truncate" [ 2; 3; 6 ] (ring_contents r);
+  check_int "pop" 2 (Ring.pop r);
+  Ring.truncate r 0;
+  check_int "empty" 0 (Ring.length r);
+  check_bool "pop empty" true (raises_invalid (fun () -> Ring.pop r))
+
+let test_ring_indexed_grown () =
+  (* wrapped when full, so growth re-lays the wrapped part out: 4 slots
+     double to 8, then 16, ...; past 128 slots the ring grows by half *)
+  let r = ring_moved_head ~capacity:4 in
+  for i = 3 to 302 do
+    Ring.push r i
+  done;
+  Alcotest.(check (list int)) "get after growth" (List.init 301 (fun i -> i + 2)) (ring_contents r);
+  Ring.set r 0 (-2);
+  Ring.set r 300 (-302);
+  check_int "set the oldest" (-2) (Ring.get r 0);
+  check_int "set the newest" (-302) (Ring.get r 300);
+  Ring.truncate r 3;
+  Alcotest.(check (list int)) "truncate after growth" [ -2; 3; 4 ] (ring_contents r);
+  Ring.push r 7;
+  Alcotest.(check (list int)) "pop order" [ -2; 3; 4; 7 ]
+    (List.init 4 (fun _ -> Ring.pop r))
+
+(* a random script of ring operations against a list, oldest first *)
+let prop_ring_matches_list =
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          (4, map (fun v -> `Push v) small_nat);
+          (2, return `Pop);
+          (2, map2 (fun i v -> `Set (i, v)) small_nat small_nat);
+          (1, map (fun n -> `Truncate n) small_nat);
+        ])
+  in
+  QCheck.Test.make ~name:"ring matches a list" ~count:300
+    (QCheck.make QCheck.Gen.(pair (int_range 1 8) (list_size (int_range 0 200) op)))
+    (fun (capacity, ops) ->
+      let r = Ring.create ~capacity ~dummy:(-1) () in
+      let step model = function
+        | `Push v ->
+          Ring.push r v;
+          model @ [ v ]
+        | `Pop -> (
+          match model with
+          | [] -> model
+          | x :: rest ->
+            if Ring.pop r <> x then QCheck.Test.fail_report "pop";
+            rest)
+        | `Set (i, v) ->
+          if model = [] then model
+          else begin
+            let i = i mod List.length model in
+            Ring.set r i v;
+            List.mapi (fun j x -> if j = i then v else x) model
+          end
+        | `Truncate n ->
+          Ring.truncate r n;
+          List.filteri (fun j _ -> j < n) model
+      in
+      let model = List.fold_left step [] ops in
+      ring_contents r = model)
+
 (* ------------------------------ Event_queue ----------------------- *)
 
 let test_eq_ordering () =
@@ -611,6 +705,12 @@ let () =
           Alcotest.test_case "bounds" `Quick test_rng_bounds;
           Alcotest.test_case "exponential mean" `Quick test_rng_exponential_mean;
           Alcotest.test_case "shuffle is permutation" `Quick test_rng_shuffle_permutation;
+        ] );
+      ( "ring",
+        [
+          Alcotest.test_case "indexed at wrap-around" `Quick test_ring_indexed_wrapped;
+          Alcotest.test_case "indexed after growth" `Quick test_ring_indexed_grown;
+          qc prop_ring_matches_list;
         ] );
       ( "event_queue",
         [

@@ -140,6 +140,20 @@ let test_brownout_digests () =
   Alcotest.(check (list (pair string string)))
     "brownout FCT digests" brownout_digests (chaos_run_digests brownout_spec)
 
+(* a fabric fault restored within the run, which ends at about 72 ms:
+   the link fails with frames queued and on the wire, comes back, then
+   browns out and clears.  Both ends show: without the [up], Clove-ECN's
+   digest is 1281a18d..., without the brownout's [until] 78715881... *)
+let restore_spec =
+  "down s2-l2b@20ms; up s2-l2b@35ms; brownout s2-l2b frac=0.5 loss=0.01 until=60ms @45ms"
+
+let restore_digests =
+  [ ("Clove-ECN", "0633aa2d5655dd13ce2271158bd6c604"); ("ECMP", "59a40bb9280270bd50dd48a75b85b515") ]
+
+let test_restore_digests () =
+  Alcotest.(check (list (pair string string)))
+    "restore FCT digests" restore_digests (chaos_run_digests restore_spec)
+
 (* [Chaos.vedge_spec]'s digests: feedback and probe loss on every
    vswitch, ending at different instants, while a spine is down and back
    up; only Clove-ECN reads feedback and probes, so ECMP's digest moves
@@ -313,6 +327,7 @@ let () =
           Alcotest.test_case "pinned chaos digests" `Quick test_chaos_digests;
           Alcotest.test_case "pinned brownout digests" `Quick test_brownout_digests;
           Alcotest.test_case "pinned vedge digests" `Quick test_vedge_digests;
+          Alcotest.test_case "pinned restore digests" `Quick test_restore_digests;
         ] );
       ( "conservation",
         [ Alcotest.test_case "bytes acked exactly once" `Quick test_byte_conservation ] );

@@ -133,24 +133,30 @@ let test_dre_decays_when_idle () =
 
 (* ------------------------------- Pkt_queue ------------------------ *)
 
+(* the queue holds no packets: the frames it admits leave its link in
+   admission order, and its occupancy counts the ones not yet started *)
 let test_queue_fifo () =
-  let q = Pkt_queue.create () in
-  let a = mk_data () and b = mk_data () in
-  ignore (Pkt_queue.enqueue q a);
-  ignore (Pkt_queue.enqueue q b);
-  check_int "len" 2 (Pkt_queue.length q);
-  (match Pkt_queue.dequeue q with
-  | Some p -> check_bool "fifo" true (p == a)
-  | None -> Alcotest.fail "empty");
-  (match Pkt_queue.dequeue q with
-  | Some p -> check_bool "then the second" true (p == b)
-  | None -> Alcotest.fail "empty")
+  let sched = Scheduler.create () in
+  let link = Link.create ~sched ~rate_bps:10e9 ~prop_delay:Sim_time.zero_span () in
+  let got = ref [] in
+  Link.set_sink link (fun p -> got := p :: !got);
+  let a = mk_data () and b = mk_data () and c = mk_data () in
+  List.iter (Link.send link) [ a; b; c ];
+  check_int "len: all but the serializing frame" 2 (Pkt_queue.length (Link.queue link));
+  Scheduler.run sched;
+  check_int "empty" 0 (Pkt_queue.length (Link.queue link));
+  match List.rev !got with
+  | [ pa; pb; pc ] ->
+    check_bool "fifo" true (pa == a);
+    check_bool "then the second" true (pb == b);
+    check_bool "then the third" true (pc == c)
+  | _ -> Alcotest.fail "expected three deliveries"
 
 let test_queue_drop_tail () =
   let q = Pkt_queue.create ~capacity_pkts:2 ~ecn_threshold_pkts:0 () in
-  check_bool "ok" true (Pkt_queue.enqueue q (mk_data ()));
-  check_bool "ok" true (Pkt_queue.enqueue q (mk_data ()));
-  check_bool "dropped" false (Pkt_queue.enqueue q (mk_data ()));
+  check_bool "ok" true (Pkt_queue.admit q (mk_data ()));
+  check_bool "ok" true (Pkt_queue.admit q (mk_data ()));
+  check_bool "dropped" false (Pkt_queue.admit q (mk_data ()));
   check_int "drop counted" 1 (Pkt_queue.stats q).Pkt_queue.dropped
 
 let test_queue_ecn_marking () =
@@ -160,7 +166,7 @@ let test_queue_ecn_marking () =
       p.Packet.ecn <- Packet.Ect;
       p)
   in
-  List.iter (fun p -> ignore (Pkt_queue.enqueue q p)) pkts;
+  List.iter (fun p -> ignore (Pkt_queue.admit q p)) pkts;
   let marked = List.filter (fun p -> p.Packet.ecn = Packet.Ce) pkts in
   (* occupancy after enqueue exceeds 3 for packets 4..6 *)
   check_int "marks" 3 (List.length marked);
@@ -169,15 +175,15 @@ let test_queue_ecn_marking () =
 let test_queue_no_mark_not_ect () =
   let q = Pkt_queue.create ~capacity_pkts:100 ~ecn_threshold_pkts:1 () in
   let pkts = List.init 4 (fun _ -> mk_data ()) in
-  List.iter (fun p -> ignore (Pkt_queue.enqueue q p)) pkts;
+  List.iter (fun p -> ignore (Pkt_queue.admit q p)) pkts;
   check_int "non-ECT never marked" 0 (Pkt_queue.stats q).Pkt_queue.marked
 
 let test_queue_drop_accounting () =
   let q = Pkt_queue.create ~capacity_pkts:2 ~ecn_threshold_pkts:0 () in
   let a = mk_data () and b = mk_data () and c = mk_data ~payload:500 () in
-  ignore (Pkt_queue.enqueue q a);
-  ignore (Pkt_queue.enqueue q b);
-  check_bool "third dropped" false (Pkt_queue.enqueue q c);
+  ignore (Pkt_queue.admit q a);
+  ignore (Pkt_queue.admit q b);
+  check_bool "third dropped" false (Pkt_queue.admit q c);
   let st = Pkt_queue.stats q in
   check_int "dropped bytes = dropped packet size" c.Packet.size
     st.Pkt_queue.dropped_bytes;
@@ -185,11 +191,12 @@ let test_queue_drop_accounting () =
   (* the cached length stays in lockstep with the queue through a full
      drain-and-refill cycle *)
   check_int "len after drop" 2 (Pkt_queue.length q);
-  ignore (Pkt_queue.dequeue q);
-  check_int "len after dequeue" 1 (Pkt_queue.length q);
-  ignore (Pkt_queue.dequeue q);
-  check_bool "empty again" true (Pkt_queue.is_empty q);
-  check_bool "accepts after drain" true (Pkt_queue.enqueue q (mk_data ()))
+  Pkt_queue.leave q;
+  check_int "len after leave" 1 (Pkt_queue.length q);
+  Pkt_queue.leave q;
+  check_int "empty again" 0 (Pkt_queue.length q);
+  check_bool "accepts after drain" true (Pkt_queue.admit q (mk_data ()));
+  check_int "admitted" 3 (Pkt_queue.stats q).Pkt_queue.enqueued
 
 (* ------------------------------ Packet_pool ----------------------- *)
 
@@ -411,6 +418,54 @@ let test_link_one_event_per_frame () =
   check_int "events" n (Scheduler.events_fired sched);
   check_int "tx packets" n (Link.tx_packets link)
 
+(* A link goes down while its one ring holds all three sections, after
+   the ring wrapped and grew past its 32 initial slots: 4 departed
+   frames on a 20 us wire, 1 serializing, 35 queued.  The queued frames
+   are dropped at once and counted in the queue's stats, the serializing
+   one is lost at its departure, and each departed frame arrives iff
+   the link is up at its delivery instant. *)
+let test_link_down_three_sections () =
+  let sched = Scheduler.create () in
+  let link = Link.create ~sched ~rate_bps:10e9 ~prop_delay:(Sim_time.us 20) () in
+  let got = ref [] in
+  Link.set_sink link (fun p -> got := p.Packet.audit_seq :: !got);
+  let at ns f = Scheduler.schedule_at sched ~time:(Sim_time.of_ns ns) f in
+  let send_range lo hi =
+    for i = lo to hi do
+      let pkt = mk_data () in
+      pkt.Packet.audit_seq <- i;
+      Link.send link pkt
+    done
+  in
+  let size = (mk_data ()).Packet.size in
+  (* 20 frames move the ring's head, so the next 40 wrap, then grow it *)
+  send_range 0 19;
+  at 50_000 (fun () -> send_range 20 59);
+  (* frames 20..23 departed at 51152 + k * 1152, 24 departs at 55760 *)
+  at 55_500 (fun () ->
+      check_int "tx before" 25 (Link.tx_packets link);
+      check_int "in flight before" 40 (Link.in_flight link);
+      Link.set_up link false;
+      let st = Pkt_queue.stats (Link.queue link) in
+      check_int "queued frames dropped" 35 (Link.down_drops link);
+      check_int "counted in the queue" 35 st.Pkt_queue.dropped;
+      check_int "their bytes" (35 * size) st.Pkt_queue.dropped_bytes;
+      check_int "queue empty" 0 (Pkt_queue.length (Link.queue link));
+      check_int "departed and serializing in flight" 5 (Link.in_flight link));
+  at 60_000 (fun () ->
+      check_int "serializing frame lost at its departure" 36 (Link.down_drops link);
+      check_int "departed in flight" 4 (Link.in_flight link);
+      check_int "no frame started while down" 25 (Link.tx_packets link));
+  (* deliveries at 71152, 72304 (down: lost), 73456, 74608 (up) *)
+  at 72_900 (fun () -> Link.set_up link true);
+  at 80_000 (fun () -> send_range 60 62);
+  Scheduler.run sched;
+  Alcotest.(check (list int))
+    "delivered" (List.init 20 Fun.id @ [ 22; 23; 60; 61; 62 ]) (List.rev !got);
+  check_int "down drops" 38 (Link.down_drops link);
+  check_int "tx packets" 28 (Link.tx_packets link);
+  check_int "in flight at the end" 0 (Link.in_flight link)
+
 (* ----------------- lazy serializer vs event-driven model ---------- *)
 
 (* The event-driven serializer a link once was: a transmit-done event
@@ -421,7 +476,8 @@ type model = {
   m_sched : Scheduler.t;
   m_rate : float;
   m_prop_ns : int;
-  m_queue : Pkt_queue.t;
+  m_queue : Pkt_queue.t; (* admission only *)
+  m_fifo : Packet.t Queue.t; (* the queued frames *)
   m_dre : Dre.t;
   mutable m_serializing : Packet.t option;
   mutable m_corrupted : bool;
@@ -440,8 +496,9 @@ let model_rate m =
   match m.m_brownout with None -> m.m_rate | Some (frac, _, _) -> m.m_rate *. frac
 
 let model_start_tx m =
-  if not (Pkt_queue.is_empty m.m_queue) then begin
-    let pkt = Pkt_queue.dequeue_unsafe m.m_queue in
+  if not (Queue.is_empty m.m_fifo) then begin
+    let pkt = Queue.pop m.m_fifo in
+    Pkt_queue.leave m.m_queue;
     m.m_serializing <- Some pkt;
     Dre.observe m.m_dre ~bytes_len:pkt.Packet.size;
     Scheduler.schedule_tag m.m_sched
@@ -489,6 +546,7 @@ let model_create sched ~rate ~prop_ns ~queue =
       m_rate = rate;
       m_prop_ns = prop_ns;
       m_queue = queue;
+      m_fifo = Queue.create ();
       m_dre = Dre.create ~rate_bps:rate sched;
       m_serializing = None;
       m_corrupted = false;
@@ -512,7 +570,8 @@ let model_create sched ~rate ~prop_ns ~queue =
 
 let model_send m pkt =
   if m.m_up then begin
-    if Pkt_queue.enqueue m.m_queue pkt then begin
+    if Pkt_queue.admit m.m_queue pkt then begin
+      Queue.push pkt m.m_fifo;
       if m.m_serializing = None then model_start_tx m
     end
     else m.m_overflow <- m.m_overflow + 1
@@ -525,15 +584,13 @@ let model_send m pkt =
 let model_set_up m v =
   m.m_up <- v;
   if not v then begin
-    let rec drain () =
-      match Pkt_queue.dequeue m.m_queue with
-      | None -> ()
-      | Some pkt ->
+    Queue.iter
+      (fun pkt ->
         m.m_down <- m.m_down + 1;
-        Pkt_queue.count_drop m.m_queue pkt;
-        drain ()
-    in
-    drain ();
+        Pkt_queue.leave m.m_queue;
+        Pkt_queue.count_drop m.m_queue pkt)
+      m.m_fifo;
+    Queue.clear m.m_fifo;
     if m.m_serializing <> None then m.m_corrupted <- true
   end
 
@@ -955,6 +1012,8 @@ let () =
             test_link_flap_loses_serializing_frame;
           Alcotest.test_case "N back-to-back frames fire N events" `Quick
             test_link_one_event_per_frame;
+          Alcotest.test_case "down with departed, serializing and queued frames" `Quick
+            test_link_down_three_sections;
           qc prop_lazy_serializer_matches_events;
         ] );
       ( "switch-hop",
