@@ -5,7 +5,7 @@
    graph from the scheduler dispatch roots — the defunctionalized kind
    handlers registered with [Scheduler.register_kind] (collected per
    registration site by [Race_extract]) plus the named per-event entry
-   points of the packet path (timer-wheel flush, link/switch/vswitch
+   points of the packet path (timer-wheel load, link/switch/vswitch
    forwarding, TCP tx/rx).  A helper two calls away from [Tcp.on_ack]
    is hot whether or not its module ever appeared on a list.
 
@@ -16,9 +16,9 @@
 
 (* Per-event entry points whose bodies (and transitive callees) run
    once per packet/event in steady state.  Resolved against the actual
-   node table, so renames degrade to "root absent" rather than a stale
-   whitelist silently shrinking coverage; the report lists the
-   roots it resolved. *)
+   node table; a name that resolves to no node (a renamed or deleted
+   function) is listed under [absent_roots] in the report, and CI fails
+   on any for lib/, so a stale list cannot silently shrink coverage. *)
 let named_roots =
   [
     "Scheduler.run";
@@ -26,8 +26,7 @@ let named_roots =
     "Shard.drive";
     "Partition.exchange";
     "Link.inject";
-    "Timer_wheel.advance";
-    "Timer_wheel.advance_next";
+    "Timer_wheel.load";
     "Link.send";
     "Switch.forward";
     "Switch.receive";
@@ -44,6 +43,7 @@ let named_roots =
 
 type hot = {
   h_roots : (string * string) list;  (** (node id, origin), sorted by id *)
+  h_absent : string list;  (** [named_roots] that resolve to no node, in list order *)
   h_member : (string, unit) Hashtbl.t;
   h_parent : (string, string * Race_extract.site) Hashtbl.t;
       (** discovered node -> (caller, call site); roots absent *)
@@ -97,7 +97,8 @@ let hot_region (l : Race_extract.linked) =
       | Some cs -> cs
       | None -> [])
   done;
-  { h_roots = sorted_roots; h_member; h_parent }
+  let h_absent = List.filter (fun id -> not (Hashtbl.mem node_ids id)) named_roots in
+  { h_roots = sorted_roots; h_absent; h_member; h_parent }
 
 (* chain root-first: [(root, None); (n1, Some s1); ...; (id, Some sk)]
    where [si] is the call site in the previous element *)

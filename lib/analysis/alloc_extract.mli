@@ -9,6 +9,8 @@
 
 type hot = {
   h_roots : (string * string) list;  (** (node id, origin), sorted by id *)
+  h_absent : string list;
+      (** named per-event entry points that resolve to no node *)
   h_member : (string, unit) Hashtbl.t;
   h_parent : (string, string * Race_extract.site) Hashtbl.t;
       (** discovered node -> (caller, call site); roots absent *)

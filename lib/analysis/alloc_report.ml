@@ -18,6 +18,7 @@
 type t = {
   a_findings : Findings.t list;
   a_roots : (string * string) list;
+  a_absent_roots : string list;
   a_hot_nodes : int;
   a_sites_total : int;
   a_sites_cold : int;
@@ -122,6 +123,7 @@ let run ~cold (l : Race_extract.linked) =
   {
     a_findings = fs;
     a_roots = hot.Alloc_extract.h_roots;
+    a_absent_roots = hot.Alloc_extract.h_absent;
     a_hot_nodes = Hashtbl.length hot.Alloc_extract.h_member;
     a_sites_total = sites_total;
     a_sites_cold = sites_cold;
@@ -139,6 +141,7 @@ let summary_json r =
                r.a_roots) );
         ("hot_nodes", Int r.a_hot_nodes);
         ("dispatch_roots", Int (List.length r.a_roots));
+        ("absent_roots", List (List.map (fun id -> String id) r.a_absent_roots));
         ("sites_total", Int r.a_sites_total);
         ("sites_cold", Int r.a_sites_cold);
       ])

@@ -11,6 +11,8 @@ type t = {
   a_findings : Findings.t list;
       (** sorted; only [alloc-cold] findings carry a reason *)
   a_roots : (string * string) list;  (** (node id, origin), sorted *)
+  a_absent_roots : string list;
+      (** named roots resolving to no node: the report's [absent_roots] *)
   a_hot_nodes : int;
   a_sites_total : int;  (** allocation sites in hot nodes, pre-merge *)
   a_sites_cold : int;
@@ -22,5 +24,6 @@ val run : cold:Alloc_extract.span list -> Race_extract.linked -> t
     source: suppressions are applied by {!Findings.suppress}. *)
 
 val summary_json : t -> Json_out.t
-(** Roots, hot-region size and site counts for the report. *)
+(** Roots, absent named roots, hot-region size and site counts for the
+    report. *)
 

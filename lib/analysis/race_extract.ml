@@ -170,7 +170,7 @@ let unprotected_mutators =
        rewrites them in place *)
     ( "Event_queue",
       [ ("add", 0); ("add_at_ns", 0); ("pop", 0); ("pop_unsafe", 0) ] );
-    ("Timer_wheel", [ ("add", 0); ("advance", 0); ("advance_next", 0) ]);
+    ("Timer_wheel", [ ("add", 0); ("load", 0); ("pop", 0) ]);
   ]
 
 let atomic_mutators = [ "set"; "exchange"; "compare_and_set"; "fetch_and_add"; "incr"; "decr" ]

@@ -1,4 +1,7 @@
-(* Unboxed structure-of-arrays binary min-heap.
+(* Unboxed structure-of-arrays binary min-heap: the scheduler's
+   overflow heap, holding only the events its timer wheel refuses (those
+   behind the wheel's frontier and those past its horizon), and a
+   standalone priority queue for benchmarks and tests.
 
    Times, insertion instants, component ids and sequence numbers live in
    [int array]s and payloads in a plain ['a array] padded with a
@@ -23,7 +26,9 @@
    decides, which depends only on construction order, not on which
    scheduler happened to insert first.  The residual [seq] tie-break
    then only ever compares events of one component inserted in one
-   instant — program order, identical at any shard count. *)
+   instant — program order, identical at any shard count.  [lt] is the
+   one comparator of that order: the timer wheel sorts its run and
+   merges the run with this heap by it. *)
 
 type tiebreak = Fifo | Lifo
 
@@ -135,9 +140,9 @@ let rec sift_down t ~fifo n i time born src seq =
   end
 
 (* [add_at_ns] is the scheduler-facing entry point: the scheduler owns
-   the sequence counter (it is shared with the timer wheel so wheel
-   overflow and direct heap adds draw from one stream), so the seq is a
-   caller argument here.  [add] below keeps the self-sequencing API for
+   the sequence counter (it is shared with the timer wheel, so the
+   wheel's run and this heap rank their events by one stream), so the
+   seq is a caller argument here.  [add] below keeps the self-sequencing API for
    standalone users (benchmarks, tests). *)
 let add_at_ns t ~time_ns:time ~born_ns:born ~src ~seq value =
   if t.size = Array.length t.times then grow t;

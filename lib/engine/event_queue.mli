@@ -1,15 +1,22 @@
-(** Priority queue of timestamped events.
+(** Priority queue of timestamped events: the scheduler's overflow heap.
 
-    An array-based binary min-heap ordered by (time, born, insertion
-    sequence), where [born] is the simulation instant the event was
-    inserted at.  In a single-scheduler run the insertion clock is
-    nondecreasing, so born-order equals seq-order and the pop sequence
-    is the classic "same-instant events fire in insertion order" FIFO
-    the deterministic simulator relies on.  Under PDES a boundary event
+    An array-based binary min-heap ordered by (time, born, src,
+    insertion sequence), where [born] is the simulation instant the
+    event was inserted at and [src] the owning component's id.  In a
+    single-scheduler run the insertion clock is nondecreasing, so
+    born-order equals seq-order and the pop sequence is the classic
+    "same-instant events fire in insertion order" FIFO the
+    deterministic simulator relies on.  Under PDES a boundary event
     injected at a window barrier carries the sending shard's insertion
     instant as its [born], which makes same-timestamp ties between
     injected and locally scheduled events resolve exactly as the serial
     engine would have resolved them.
+
+    The scheduler keeps here only the events its {!Timer_wheel} refuses
+    (behind the wheel's frontier, or past its horizon), and pops the
+    smaller of this heap's top and the wheel run's head by {!lt}, the
+    one comparator of the order.  Benchmarks and tests use the queue
+    standalone.
 
     The heap is a structure of unboxed arrays: the four key columns are
     [int array]s compared as ints, and payloads live in a plain
@@ -28,6 +35,12 @@ type tiebreak =
   | Fifo  (** same-(time, born, src) events pop in insertion order *)
   | Lifo  (** ... in reverse insertion order (the perturbation check) *)
 
+val lt : fifo:bool -> int -> int -> int -> int -> int -> int -> int -> int -> bool
+(** [lt ~fifo t1 b1 c1 s1 t2 b2 c2 s2]: whether the event keyed (time
+    [t1], born [b1], src [c1], seq [s1]) pops before the one keyed
+    ([t2], [b2], [c2], [s2]); [fifo] is [true] under {!Fifo}, [false]
+    under {!Lifo}. *)
+
 val create : ?capacity:int -> ?tiebreak:tiebreak -> dummy:'a -> unit -> 'a t
 (** [create ~dummy ()] makes an empty queue of a fixed tie-break ([Fifo]
     by default).  [dummy] pads unused array slots; any value works. *)
@@ -39,8 +52,7 @@ val add_at_ns :
   'a t -> time_ns:int -> born_ns:int -> src:int -> seq:int -> 'a -> unit
 (** Raw add with a caller-owned insertion instant and sequence number.
     The scheduler shares one sequence stream between this heap and the
-    timer wheel, so wheel entries flushed into the heap keep their
-    original tie-break rank.  Do not mix with [add] on the same queue. *)
+    timer wheel, so the two rank their events by one stream.  Do not mix with [add] on the same queue. *)
 
 val pop : 'a t -> (Sim_time.t * 'a) option
 (** Remove and return the earliest event, or [None] if empty. *)

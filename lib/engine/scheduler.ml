@@ -2,12 +2,14 @@
    defunctionalized (zero-allocation) path for steady-state events.
 
    Two structures hold pending events.  Short-horizon timers — link
-   hops, TCP RTO/TLP — land in a hierarchical {!Timer_wheel}; far-future
-   events (quiesce horizons, long idle timers) overflow into the
-   {!Event_queue} binary heap.  Both draw sequence numbers from one
-   scheduler-owned counter, and the wheel flushes whole windows into the
-   heap before the clock can reach them, so pop order is exactly that of
-   a single binary heap under the (time, born, src, seq) total order.
+   hops, TCP RTO/TLP — land in a hierarchical {!Timer_wheel}; the
+   events it refuses, behind its frontier or past its ~1.07 s horizon,
+   go to the {!Event_queue} binary heap.  Both draw sequence numbers
+   from one scheduler-owned counter.  When its sorted run is empty the
+   wheel loads whole windows into it before the clock can reach them,
+   and each step dispatches the smaller of the run's head and the
+   heap's top by {!Event_queue.lt}, so pop order is exactly that of a
+   single binary heap under the (time, born, src, seq) total order.
    [born] is the insertion instant and [src] the owning component's
    construction-order id; together they make same-timestamp tie-breaking
    shard-invariant under PDES (see {!Event_queue}).  The wheel is a
@@ -300,8 +302,9 @@ let create ?(mode = Run_mode.default) () =
       audit = mode.Run_mode.audit;
       clock = Sim_time.zero;
       fired = 0;
-      queue = Event_queue.create ~tiebreak:mode.Run_mode.tiebreak ~dummy:0 ();
-      wheel = Timer_wheel.create ();
+      (* most runs never put an event in the heap *)
+      queue = Event_queue.create ~capacity:16 ~tiebreak:mode.Run_mode.tiebreak ~dummy:0 ();
+      wheel = Timer_wheel.create ~tiebreak:mode.Run_mode.tiebreak;
       slab =
         {
           thunks = Array.make 16 nop;
@@ -334,55 +337,62 @@ let create ?(mode = Run_mode.default) () =
 
 (* ---- dequeue ---- *)
 
-(* Make the heap top the global minimum: if the wheel might hold an
-   earlier entry (its O(1) lower bound does not exceed the heap top),
-   flush every window up to the heap top into the heap.  With an empty
-   heap, flush just the earliest occupied window.  Either way the heap
-   top afterwards precedes every entry still staged in the wheel. *)
-let prepare t =
-  if not (Timer_wheel.is_empty t.wheel) then begin
-    let heap_min = Event_queue.min_time_ns t.queue in
-    if Timer_wheel.min_bound_ns t.wheel <= heap_min then
-      if heap_min = max_int then Timer_wheel.advance_next t.wheel ~into:t.queue
-      else Timer_wheel.advance t.wheel ~upto_ns:heap_min ~into:t.queue
-  end
+(* Refill the wheel's run once it is empty: load every window the heap
+   top does not precede (the earliest occupied one when the heap is
+   empty).  Either way the smaller of the run's head and the heap top
+   afterwards precedes every entry still staged in the wheel. *)
+let prepare t = Timer_wheel.load t.wheel ~upto_ns:(Event_queue.min_time_ns t.queue)
 
 let next_time_ns t =
   prepare t;
-  Event_queue.min_time_ns t.queue
+  if Timer_wheel.run_first t.wheel t.queue then Timer_wheel.head_time_ns t.wheel
+  else Event_queue.min_time_ns t.queue
 
-(* [step] minus the wheel flush, for drivers that just called [prepare]
-   as part of their own horizon check ([run] / [run_until]): fusing the
-   two saves a second flush decision per event. *)
-let step_prepared t =
-  if Event_queue.is_empty t.queue then false
+(* run event [ev], popped with key (time_ns, cur_born, cur_key_src,
+   cur_seq) *)
+let dispatch t ~time_ns ev =
+  if t.audit then check_clock t time_ns;
+  t.clock <- Sim_time.of_ns time_ns;
+  t.fired <- t.fired + 1;
+  if ev >= 0 then begin
+    let k = ev land max_kind in
+    t.cur_src <- t.kind_srcs.(k);
+    (* lint: allow alloc-partial-app — dispatch-table fetch returns the per-component closure registered once at construction; the arrow-result rule over-approximates *)
+    t.handlers.(k) (ev lsr kind_bits)
+  end
   else begin
-    let time_ns = Event_queue.min_time_ns t.queue in
-    t.cur_seq <- Event_queue.min_seq t.queue;
-    t.cur_born <- Event_queue.min_born t.queue;
-    t.cur_key_src <- Event_queue.min_src t.queue;
-    let ev = Event_queue.pop_unsafe t.queue in
-    if t.audit then check_clock t time_ns;
-    t.clock <- Sim_time.of_ns time_ns;
-    t.fired <- t.fired + 1;
-    if ev >= 0 then begin
-      let k = ev land max_kind in
-      t.cur_src <- t.kind_srcs.(k);
-      (* lint: allow alloc-partial-app — dispatch-table fetch returns the per-component closure registered once at construction; the arrow-result rule over-approximates *)
-      t.handlers.(k) (ev lsr kind_bits)
-    end
-    else begin
-      (* free the slot before running the thunk, which may schedule *)
-      let i = lnot ev in
-      let slab = t.slab in
-      let f = slab.thunks.(i) in
-      t.cur_src <- slab.srcs.(i);
-      slab.thunks.(i) <- nop;
-      slab.free.(slab.n_free) <- i;
-      slab.n_free <- slab.n_free + 1;
-      f ()
-    end;
-    t.cur_born <- max_int;
+    (* free the slot before running the thunk, which may schedule *)
+    let i = lnot ev in
+    let slab = t.slab in
+    let f = slab.thunks.(i) in
+    t.cur_src <- slab.srcs.(i);
+    slab.thunks.(i) <- nop;
+    slab.free.(slab.n_free) <- i;
+    slab.n_free <- slab.n_free + 1;
+    f ()
+  end;
+  t.cur_born <- max_int
+
+(* [step] minus the refill, for drivers that just called [prepare] as
+   part of their own horizon check ([run] / [run_until]): fusing the
+   two saves a second refill decision per event. *)
+let step_prepared t =
+  let w = t.wheel and q = t.queue in
+  if Timer_wheel.run_first w q then begin
+    let time_ns = Timer_wheel.head_time_ns w in
+    t.cur_seq <- Timer_wheel.head_seq w;
+    t.cur_born <- Timer_wheel.head_born w;
+    t.cur_key_src <- Timer_wheel.head_src w;
+    dispatch t ~time_ns (Timer_wheel.pop w);
+    true
+  end
+  else if Event_queue.is_empty q then false
+  else begin
+    let time_ns = Event_queue.min_time_ns q in
+    t.cur_seq <- Event_queue.min_seq q;
+    t.cur_born <- Event_queue.min_born q;
+    t.cur_key_src <- Event_queue.min_src q;
+    dispatch t ~time_ns (Event_queue.pop_unsafe q);
     true
   end
 
@@ -406,8 +416,7 @@ let step t =
    next event lies beyond it and the horizon lies ahead of the clock, and
    an empty queue leaves the clock alone *)
 let rec run_until t ~until_ns =
-  prepare t;
-  let time_ns = Event_queue.min_time_ns t.queue in
+  let time_ns = next_time_ns t in
   if time_ns = max_int then ()
   else if time_ns > until_ns then begin
     if until_ns > Sim_time.to_ns t.clock then t.clock <- Sim_time.of_ns until_ns

@@ -2,9 +2,11 @@
 
     The scheduler owns the simulation clock and the pending-event set,
     split between a hierarchical timing wheel (short-horizon timers) and
-    an overflow binary heap (far future).  Both share one insertion-
-    sequence stream and the wheel flushes whole windows into the heap
-    ahead of the clock, so pop order is exactly that of a single binary
+    an overflow binary heap (the events the wheel refuses: behind its
+    frontier or past its horizon).  Both share one insertion-sequence
+    stream; the wheel loads whole windows into its sorted run ahead of
+    the clock, and each step dispatches the smaller of the run's head
+    and the heap's top, so pop order is exactly that of a single binary
     heap under the (time, born, src, seq) total order.
 
     A pending event is one immediate [int], so neither structure holds
@@ -139,8 +141,8 @@ val armed : t -> timer -> bool
 val next_time_ns : t -> int
 (** Timestamp (ns) of the earliest pending event, stale timer events
     included, or [max_int] when the queue is empty.  Used by the conservative PDES
-    barrier loop ({!Shard}) to compute the next safe window; flushes
-    due wheel windows into the heap, exactly like {!step} would. *)
+    barrier loop ({!Shard}) to compute the next safe window; refills
+    the wheel's run from due windows, exactly like {!step} would. *)
 
 val run : ?until:Sim_time.t -> t -> unit
 (** Drain the event queue.  [until] stops the clock at the given horizon

@@ -1,28 +1,34 @@
-(* Hierarchical timing wheel staging short-horizon events for the
-   scheduler's binary heap.
+(* Hierarchical timing wheel and its sorted run: the scheduler's store
+   for short-horizon events.
 
    The wheel is a set of [levels] rings of [2^bits] slots each; a level-k
    slot spans [2^(g_bits + k*bits)] ns, so with 3 levels of 256 slots at
    64 ns granularity the wheel covers ~1.07 s of simulated future —
    every link hop and TCP RTO/TLP the simulator arms.  Events beyond the
-   horizon (or behind the flushed frontier) are refused by [add]; the
-   caller keeps them in the overflow heap.
+   horizon (or behind the frontier) are refused by [add]; the caller
+   keeps them in its overflow heap.
 
    A slot holds unsorted (time, born, src, seq, payload) entries packed
    five ints apiece in one growable [int array]: the payload is the
-   scheduler's immediate event code, so staging and flushing an entry
-   writes no pointer.  Ordering is delegated entirely to the destination
-   heap: [advance] flushes whole slots — complete windows, in window
-   order, before the caller's clock can reach them — so the heap's
-   (time, born, src, seq) comparator reproduces exactly the pop order of
-   a pure binary heap.  The wheel never reorders, delays, or drops an
-   event.
+   scheduler's immediate event code, so staging an entry writes no
+   pointer.
+
+   [load] moves whole level-0 windows — complete windows, in window
+   order, before the caller's clock can reach them — into the run: one
+   [int array] of five-int entries, insertion-sorted by (time, born,
+   src, seq) under {!Event_queue.lt}, the heap's own comparator.  The
+   frontier then lies past every loaded window, so every entry still
+   staged is later than every entry of the run, and the caller that
+   pops the smaller of the run's head and its heap's top reproduces
+   exactly the pop order of one binary heap.  The wheel never reorders,
+   delays, or drops an event.
 
    Two costs matter on the scheduler's per-pop path:
-   - [min_bound_ns] is O(1): a cached lower bound on the earliest queued
-     entry time, tightened by [add] and raised past flushed windows by
-     [advance], so the common "heap top pops next" case is one compare.
-   - [advance] skips runs of empty slots via a per-level occupancy
+   - [load]'s guard is O(1): a cached lower bound [lb] on the earliest
+     staged entry time, tightened by [add] and raised past loaded
+     windows, so the common "the heap top pops next" case is one
+     compare.
+   - [load] skips runs of empty slots via a per-level occupancy
      bitmap (32 slots per word, find-first-set) instead of stepping the
      frontier one granule at a time across idle gaps or reading up to
      [levels * 2^bits] slot lengths per hop. *)
@@ -42,23 +48,33 @@ type t = {
   (* per-level slot-occupancy bitmap, 32 bits per word: bit [i land 31]
      of [occ.(level * occ_words + (i lsr 5))] is set iff ring slot [i]
      of that level is non-empty.  [next_occupied_window] runs once per
-     flushed window on the scheduler's hot path; scanning a handful of
+     loaded window on the scheduler's hot path; scanning a handful of
      words beats reading up to [2^bits] slot lengths per level *)
   occ : int array;
   mutable frontier : int; (* absolute ns, multiple of 2^g_bits *)
-  mutable count : int;
-  mutable lb : int; (* lower bound on min queued entry time, ns *)
+  mutable count : int; (* staged entries, the run's excluded *)
+  mutable lb : int; (* lower bound on min staged entry time, ns *)
+  fifo : bool; (* the run's residual tie-break, as the heap's *)
+  (* the run: [stride] ints per entry, sorted; entries [head, tail) of
+     it (offsets in ints) are loaded and not yet popped *)
+  mutable run : int array;
+  mutable head : int;
+  mutable tail : int;
 }
 
 let occ_words = (1 lsl bits) lsr 5 (* words per level; power of two *)
 
-let create () =
+let create ~tiebreak =
   {
     slots = Array.init (levels lsl bits) (fun _ -> { data = [||]; len = 0 });
     occ = Array.make (levels * occ_words) 0;
     frontier = 0;
     count = 0;
     lb = max_int;
+    fifo = (match tiebreak with Event_queue.Fifo -> true | Event_queue.Lifo -> false);
+    run = Array.make (16 * stride) 0;
+    head = 0;
+    tail = 0;
   }
 
 (* [idx] is the level-major slot index (level lsl bits) lor ring *)
@@ -72,9 +88,7 @@ let[@inline] occ_clear t idx =
   let wi = (level * occ_words) + (ring lsr 5) in
   t.occ.(wi) <- t.occ.(wi) land lnot (1 lsl (ring land 31))
 
-let size t = t.count
-let is_empty t = t.count = 0
-let min_bound_ns t = if t.count = 0 then max_int else t.lb
+let size t = t.count + ((t.tail - t.head) / stride)
 
 (* ns span of one level-k slot, as a shift *)
 let[@inline] shift k = g_bits + (k * bits)
@@ -102,7 +116,7 @@ let slot_push t idx ~time_ns ~born_ns ~src ~seq v =
    slot.  A time sharing the frontier's level-k slot (k > 0) always fits
    a lower level, since one level-k slot spans a whole level-(k-1) ring —
    so the slot the frontier sits in is empty at every level above 0,
-   which is what lets [advance] jump the frontier across idle gaps. *)
+   which is what lets [load] jump the frontier across idle gaps. *)
 let rec place t ~time_ns ~born_ns ~src ~seq v k =
   if k = levels then false
   else begin
@@ -144,7 +158,7 @@ let[@inline] ctz w =
 
 (* whole words after the start word, wrapping; then the start word's low
    bits (positions before [start]) close the circle.  Top-level (not a
-   local closure) so the per-[advance] call allocates nothing. *)
+   local closure) so the per-[load] call allocates nothing. *)
 let rec scan_words occ ~base ~wi ~bit ~words ~start ~mask j =
   if j > words then max_int
   else begin
@@ -186,12 +200,74 @@ let rec next_occupied_window t k best =
     next_occupied_window t (k + 1) (if w < best then w else best)
   end
 
-(* Flush one slot's entries [i, len): level 0 empties into the heap with
-   original (time, born, src, seq) keys, while higher levels cascade each
-   entry down ([place] from level 0 always succeeds here because the
-   frontier sits at the slot's window start, putting the whole window
-   within reach of the ring below). *)
-let rec flush_entries t ~level d len i ~into =
+(* ---- the run ---- *)
+
+let[@inline] head_time_ns t = t.run.(t.head)
+let[@inline] head_born t = t.run.(t.head + 1)
+let[@inline] head_src t = t.run.(t.head + 2)
+let[@inline] head_seq t = t.run.(t.head + 3)
+
+(* whether the run's head pops before the heap's top *)
+let run_first t q =
+  t.tail > t.head
+  && (Event_queue.is_empty q
+     || Event_queue.lt ~fifo:t.fifo (head_time_ns t) (head_born t) (head_src t) (head_seq t)
+          (Event_queue.min_time_ns q) (Event_queue.min_born q) (Event_queue.min_src q)
+          (Event_queue.min_seq q))
+
+let pop t =
+  let h = t.head in
+  let v = t.run.(h + 4) in
+  if h + stride = t.tail then begin
+    t.head <- 0;
+    t.tail <- 0
+  end
+  else t.head <- h + stride;
+  v
+
+(* The offset at which an entry keyed (time, born, src, seq) belongs
+   among the run's first [o] ints, each later entry moved up one. *)
+let rec seat r ~fifo o time born src seq =
+  if
+    o > 0
+    && Event_queue.lt ~fifo time born src seq r.(o - stride) r.(o - 4) r.(o - 3)
+         r.(o - 2)
+  then begin
+    for i = o - stride to o - 1 do
+      r.(i + stride) <- r.(i)
+    done;
+    seat r ~fifo (o - stride) time born src seq
+  end
+  else o
+
+(* Insert into the run, which [load] fills only while it is empty:
+   entries arrive window by window, in window order, so each walks back
+   past its own window's later entries at most. *)
+let run_push t ~time_ns ~born_ns ~src ~seq v =
+  let n = t.tail in
+  if n = Array.length t.run then begin
+    (* amortized doubling: O(log n) times per wheel, never in steady state — lint: allow alloc-array *)
+    let run = Array.make (2 * n) 0 in
+    Array.blit t.run 0 run 0 n;
+    t.run <- run
+  end;
+  let r = t.run in
+  let o = seat r ~fifo:t.fifo n time_ns born_ns src seq in
+  r.(o) <- time_ns;
+  r.(o + 1) <- born_ns;
+  r.(o + 2) <- src;
+  r.(o + 3) <- seq;
+  r.(o + 4) <- v;
+  t.tail <- n + stride
+
+(* ---- loading ---- *)
+
+(* Empty one slot's entries [i, len): level 0 into the run with their
+   original (time, born, src, seq) keys, while higher levels cascade
+   each entry down ([place] from level 0 always succeeds here because
+   the frontier sits at the slot's window start, putting the whole
+   window within reach of the ring below). *)
+let rec flush_entries t ~level d len i =
   if i < len then begin
     let o = i * stride in
     let time_ns = d.(o)
@@ -203,48 +279,47 @@ let rec flush_entries t ~level d len i ~into =
        argument above; stay safe anyway *)
     if level = 0 || not (place t ~time_ns ~born_ns ~src ~seq v 0) then begin
       t.count <- t.count - 1;
-      Event_queue.add_at_ns into ~time_ns ~born_ns ~src ~seq v
+      run_push t ~time_ns ~born_ns ~src ~seq v
     end;
-    flush_entries t ~level d len (i + 1) ~into
+    flush_entries t ~level d len (i + 1)
   end
 
 (* The slot is emptied before its entries are re-placed.  A cascade
    re-places into lower levels, never back into this slot; even if it
    did, each re-push writes at or below the entry just read, so no
    unread entry is overwritten. *)
-let flush_slot t ~level idx ~into =
+let flush_slot t ~level idx =
   let s = t.slots.(idx) in
   let n = s.len in
   if n > 0 then begin
     s.len <- 0;
     occ_clear t idx;
-    flush_entries t ~level s.data n 0 ~into
+    flush_entries t ~level s.data n 0
   end
 
 (* Cascade every level from [k] down to 1 whose slot the frontier is
    entering (all lower index bits zero). *)
-let rec cascade t ~into k =
+let rec cascade t k =
   if k > 0 then begin
     let sh = shift k in
     if t.frontier land ((1 lsl sh) - 1) = 0 then
-      flush_slot t ~level:k
-        ((k lsl bits) lor ((t.frontier lsr sh) land ((1 lsl bits) - 1)))
-        ~into;
-    cascade t ~into (k - 1)
+      flush_slot t ~level:k ((k lsl bits) lor ((t.frontier lsr sh) land ((1 lsl bits) - 1)));
+    cascade t (k - 1)
   end
 
-(* Cascade the upper levels, then flush the level-0 slot and step one
-   granule. *)
-let step_frontier t ~into =
-  cascade t ~into (levels - 1);
-  flush_slot t ~level:0 ((t.frontier lsr g_bits) land ((1 lsl bits) - 1)) ~into;
+(* Cascade the upper levels, then load the level-0 slot and step one
+   granule: an entry added at this window's ring index from now on is a
+   whole ring later, and waits for the next lap. *)
+let step_frontier t =
+  cascade t (levels - 1);
+  flush_slot t ~level:0 ((t.frontier lsr g_bits) land ((1 lsl bits) - 1));
   t.frontier <- t.frontier + (1 lsl g_bits)
 
-(* Flush every window whose start is <= [upto_ns] into [into], jumping
-   the frontier across empty stretches.  Afterwards every remaining
-   wheel entry's time exceeds [upto_ns], so a heap top at or before
-   [upto_ns] is the true global minimum. *)
-let rec advance_from t ~upto_ns ~target ~into =
+(* Load every window whose start is <= [upto_ns], jumping the frontier
+   across empty stretches.  Afterwards every staged entry's time
+   exceeds [upto_ns], so a heap top at or before [upto_ns] precedes
+   every staged entry. *)
+let rec load_upto t ~upto_ns ~target =
   if t.count = 0 then begin
     if t.frontier < target then t.frontier <- target;
     t.lb <- max_int
@@ -259,27 +334,26 @@ let rec advance_from t ~upto_ns ~target ~into =
     end
     else begin
       if next > t.frontier then t.frontier <- next;
-      step_frontier t ~into;
-      advance_from t ~upto_ns ~target ~into
+      step_frontier t;
+      load_upto t ~upto_ns ~target
     end
   end
 
-let advance t ~upto_ns ~into =
-  (* first granule boundary strictly past [upto_ns] *)
-  let target = ((upto_ns lsr g_bits) + 1) lsl g_bits in
-  advance_from t ~upto_ns ~target ~into
-
-(* Flush just the earliest occupied window (used when the heap is empty:
-   afterwards the heap top precedes every remaining wheel entry, because
-   cascaded survivors land in strictly later windows). *)
-let rec advance_next_from t ~into ~before =
-  if t.count > 0 && Event_queue.size into = before then begin
+(* Load just the earliest occupied window (the heap is empty):
+   cascaded survivors land in strictly later windows. *)
+let rec load_next t =
+  if t.count > 0 && t.tail = 0 then begin
     let next = next_occupied_window t 0 max_int in
     if next > t.frontier then t.frontier <- next;
-    step_frontier t ~into;
-    advance_next_from t ~into ~before
+    step_frontier t;
+    load_next t
   end
   else if t.count = 0 then t.lb <- max_int
   else if t.lb < t.frontier then t.lb <- t.frontier
 
-let advance_next t ~into = advance_next_from t ~into ~before:(Event_queue.size into)
+let load t ~upto_ns =
+  if t.tail = 0 && t.count > 0 && t.lb <= upto_ns then
+    if upto_ns = max_int then load_next t
+    else
+      (* the first granule boundary strictly past [upto_ns] *)
+      load_upto t ~upto_ns ~target:(((upto_ns lsr g_bits) + 1) lsl g_bits)

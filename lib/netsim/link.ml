@@ -55,9 +55,19 @@ type sink =
    the state before it *)
 type flip = { at_ns : int; was_up : bool }
 
+(* the serializer's nominal rate, and the last frame length started
+   with its serialization time at the rate then in force; a brownout's
+   change of rate resets [memo_len].  Kept out of [t], whose block would
+   otherwise cross an allocator size class *)
+type serializer = {
+  rate_bps : float;
+  mutable memo_len : int;
+  mutable memo_tx : Sim_time.span;
+}
+
 type t = {
   sched : Scheduler.t;
-  rate_bps : float;
+  ser : serializer;
   prop_delay : Sim_time.span;
   queue : Pkt_queue.t;
   dre : Dre.t;
@@ -115,8 +125,19 @@ let set_switch_sink t ~latency ~src f =
 
 let effective_rate t =
   match t.brownout with
-  | None -> t.rate_bps
-  | Some b -> t.rate_bps *. b.capacity_frac
+  | None -> t.ser.rate_bps
+  | Some b -> t.ser.rate_bps *. b.capacity_frac
+
+(* the serialization time of a [len]-byte frame starting now: a link
+   sees a few frame lengths, so the float divide runs once per change of
+   length or rate *)
+let tx_span t len =
+  let s = t.ser in
+  if len <> s.memo_len then begin
+    s.memo_tx <- Sim_time.tx_time ~bytes_len:len ~rate_bps:(effective_rate t);
+    s.memo_len <- len
+  end;
+  s.memo_tx
 
 (* a brownout corrupts the packet on the wire with the configured
    probability; the stream is only consumed while a brownout is installed,
@@ -164,7 +185,7 @@ let rec start_tx t ~start_ns =
     Dre.observe_at t.dre ~now_ns:start_ns ~bytes_len:pkt.Packet.size;
     t.tx_bytes <- t.tx_bytes + pkt.Packet.size;
     t.tx_packets <- t.tx_packets + 1;
-    let tx = Sim_time.tx_time ~bytes_len:pkt.Packet.size ~rate_bps:(effective_rate t) in
+    let tx = tx_span t pkt.Packet.size in
     (* departures key events in absolute ns — lint: allow sema-time-boundary *)
     let depart_ns = start_ns + Sim_time.span_ns tx in
     t.start_ns <- start_ns;
@@ -249,7 +270,7 @@ let create ~sched ~rate_bps ~prop_delay ?queue ?(label = "link") () =
   let t =
     {
       sched;
-      rate_bps;
+      ser = { rate_bps; memo_len = -1; memo_tx = Sim_time.zero_span };
       prop_delay;
       queue;
       dre = Dre.create ~rate_bps sched;
@@ -365,11 +386,13 @@ let set_brownout t ~capacity_frac ~loss_prob ~rng =
   if loss_prob < 0.0 || loss_prob >= 1.0 then
     invalid_arg "Link.set_brownout: loss_prob must be in [0, 1)";
   catch_up t;
-  t.brownout <- Some { capacity_frac; loss_prob; rng }
+  t.brownout <- Some { capacity_frac; loss_prob; rng };
+  t.ser.memo_len <- -1
 
 let clear_brownout t =
   catch_up t;
-  t.brownout <- None
+  t.brownout <- None;
+  t.ser.memo_len <- -1
 
 let utilization t =
   catch_up t;
@@ -379,7 +402,7 @@ let queue t =
   catch_up t;
   t.queue
 
-let rate_bps t = t.rate_bps
+let rate_bps t = t.ser.rate_bps
 let label t = t.label
 
 let tx_bytes t =

@@ -158,52 +158,49 @@ let make_tenant ~src ~dst ~(seg : tcp_seg) =
   let size = seg.payload + inner_header_bytes in
   make ~size (Tenant { src; dst; inner_ecn = Not_ect; seg })
 
-(* Flow keys hash the 5-tuple through a reusable scratch record instead
-   of allocating a fresh tuple per call.  A mutable record of five
-   immediate ints has the same runtime representation as a 5-tuple of
-   ints (tag 0, five immediate fields), and [Hashtbl.hash] is purely
-   structural, so the key values — which feed ECMP port choices and
-   flowlet tables, i.e. the digests — are bit-identical to the tuple
-   version (asserted in test/test_netsim.ml).  Domain-local because
-   parallel sweeps hash on several domains at once. *)
-(* fields are written then consumed structurally by [Hashtbl.hash],
-   never read individually — hence the warning suppression *)
-type flow_key_scratch = {
-  mutable fk_a : int; [@warning "-69"]
-  mutable fk_b : int; [@warning "-69"]
-  mutable fk_c : int; [@warning "-69"]
-  mutable fk_d : int; [@warning "-69"]
-  mutable fk_e : int; [@warning "-69"]
-}
-[@@warning "-69"]
+(* Flow keys are [Hashtbl.hash (src, dst, src_port, dst_port, subflow)]
+   — they feed ECMP port choices and flowlet tables, i.e. the digests —
+   computed here without the runtime's [caml_hash] call or a tuple:
+   MurmurHash3's 32-bit mix of the block header (wosize 5, tag 0), then
+   of each field as the runtime mixes an immediate, then its final mix,
+   masked to 30 bits.  The 32-bit words are [Int32] locals, which
+   ocamlopt keeps unboxed, so nothing is allocated and nothing needs
+   masking (test_netsim pins the result against [Hashtbl.hash] of the
+   tuple, across the whole int range). *)
+let[@inline] rotl32 x n =
+  Int32.logor (Int32.shift_left x n) (Int32.shift_right_logical x (32 - n))
 
-let flow_key_key =
-  Domain.DLS.new_key (fun () ->
-      { fk_a = 0; fk_b = 0; fk_c = 0; fk_d = 0; fk_e = 0 })
+(* MurmurHash3's mix of [d] into [h] *)
+let[@inline] mix h d =
+  let d = Int32.mul (rotl32 (Int32.mul d 0xcc9e2d51l) 15) 0x1b873593l in
+  Int32.add (Int32.mul (rotl32 (Int32.logxor h d) 13) 5l) 0xe6546b64l
+
+(* [caml_hash_mix_intnat] of the immediate [n], whose machine word is
+   [2n + 1]: its low 32 bits, xor its high 32 bits (bits 31..62 of [n]),
+   xor its sign folded over 32 bits *)
+let[@inline] mix_int h n = mix h (Int32.of_int (((n lsl 1) lor 1) lxor (n asr 31) lxor (n asr 62)))
+
+let[@inline] final_mix h =
+  let h = Int32.mul (Int32.logxor h (Int32.shift_right_logical h 16)) 0x85ebca6bl in
+  let h = Int32.mul (Int32.logxor h (Int32.shift_right_logical h 13)) 0xc2b2ae35l in
+  Int32.logxor h (Int32.shift_right_logical h 16)
+
+(* the header of a 5-field block of tag 0 (wosize 5 lsl 10), as
+   [caml_hash] mixes it *)
+let tuple5_header = 0x1400l
+
+let[@inline] hash5 a b c d e =
+  let h = mix 0l tuple5_header in
+  let h = mix_int (mix_int (mix_int (mix_int (mix_int h a) b) c) d) e in
+  Int32.to_int (final_mix h) land 0x3FFF_FFFF
 
 let tcp_flow_key inner =
   let s = inner.seg in
-  let k = Domain.DLS.get flow_key_key in
-  k.fk_a <- Addr.to_int inner.src;
-  k.fk_b <- Addr.to_int inner.dst;
-  k.fk_c <- s.src_port;
-  k.fk_d <- s.dst_port;
-  k.fk_e <- s.subflow;
-  (* ECMP and flowlet state, and so every digest, are keyed on this
-     generic hash — lint: allow poly-compare *)
-  Hashtbl.hash k
+  hash5 (Addr.to_int inner.src) (Addr.to_int inner.dst) s.src_port s.dst_port s.subflow
 
 let tcp_flow_key_rev inner =
   let s = inner.seg in
-  let k = Domain.DLS.get flow_key_key in
-  k.fk_a <- Addr.to_int inner.dst;
-  k.fk_b <- Addr.to_int inner.src;
-  k.fk_c <- s.dst_port;
-  k.fk_d <- s.src_port;
-  k.fk_e <- s.subflow;
-  (* ECMP and flowlet state, and so every digest, are keyed on this
-     generic hash — lint: allow poly-compare *)
-  Hashtbl.hash k
+  hash5 (Addr.to_int inner.dst) (Addr.to_int inner.src) s.dst_port s.src_port s.subflow
 
 let route_dst t =
   match (t.encap, t.payload) with

@@ -163,7 +163,9 @@ val install_encap :
     that vary the destination port build their headers directly. *)
 
 val tcp_flow_key : inner -> int
-(** Deterministic hash of the inner 5-tuple (src, dst, ports, subflow). *)
+(** Deterministic hash of the inner 5-tuple: [Hashtbl.hash (src, dst,
+    src_port, dst_port, subflow)], computed in OCaml with no runtime
+    call and no allocation. *)
 
 val tcp_flow_key_rev : inner -> int
 (** Key of the {e reverse} flow: what [tcp_flow_key] returns for traffic

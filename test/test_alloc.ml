@@ -218,6 +218,24 @@ let test_tcp_timer_roots () =
       | _ -> Alcotest.failf "%s is not in the hot region" handler)
     [ "Tcp.on_rto"; "Tcp.on_tlp" ]
 
+(* A named per-event entry point that resolves to no node is listed as
+   absent, not dropped.  Over the engine library alone the engine's
+   named roots resolve and the packet path's (TCP, links) are absent. *)
+let test_absent_named_roots () =
+  let units =
+    fst (Analysis.Cmt_load.load ~root:"../lib/engine" ~source_prefixes:[ "lib/engine/" ])
+  in
+  let hot = Analysis.Alloc_extract.hot_region (Analysis.Race_extract.analyze units) in
+  let absent = hot.Analysis.Alloc_extract.h_absent in
+  List.iter
+    (fun id -> Alcotest.(check bool) (id ^ " resolves") false (List.mem id absent))
+    [ "Scheduler.run"; "Scheduler.step"; "Timer_wheel.load" ];
+  List.iter
+    (fun id -> Alcotest.(check bool) (id ^ " is absent") true (List.mem id absent))
+    [ "Tcp.on_ack"; "Link.send" ];
+  Alcotest.(check bool) "an absent root is no root" false
+    (List.mem_assoc "Tcp.on_ack" hot.Analysis.Alloc_extract.h_roots)
+
 let test_deterministic_output () =
   let render () =
     let new_keys = Hashtbl.create 1 in
@@ -276,6 +294,8 @@ let () =
           Alcotest.test_case "namesake gates stay hot" `Quick test_namesake_gate_hot;
           Alcotest.test_case "tcp timer handlers are dispatch roots" `Quick
             test_tcp_timer_roots;
+          Alcotest.test_case "unresolved named roots are listed absent" `Quick
+            test_absent_named_roots;
           Alcotest.test_case "deterministic report" `Quick
             test_deterministic_output;
           Alcotest.test_case "findings sorted" `Quick test_findings_sorted;

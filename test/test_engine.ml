@@ -485,6 +485,97 @@ let test_timer_churn () =
   check_int "nothing pending after run" 0 (Scheduler.pending_events s);
   check_bool "disarmed after firing" false (Scheduler.armed s tm)
 
+(* ---------------------------- the wheel's run ------------------------ *)
+
+(* A scheduler of [tiebreak] with kinds logging their arg's letter,
+   ranked under 100, 200 and 300. *)
+let run_fixture tiebreak =
+  let s = Scheduler.create ~mode:{ Run_mode.default with Run_mode.tiebreak } () in
+  let log = Buffer.create 16 in
+  let note c = Buffer.add_char log c in
+  let kind src f =
+    let k = Scheduler.register_kind s f in
+    Scheduler.set_kind_src s ~kind:k ~src;
+    k
+  in
+  let letter a = note (Char.chr a) in
+  let k100 = kind 100 letter and k200 = kind 200 letter in
+  (s, log, note, kind, k100, k200)
+
+(* The run holds one window's entries at 1000 ns; the first one's
+   handler schedules, at its own instant, a zero-delay closure and two
+   injected events born earlier.  The wheel refuses all three (their
+   window is loaded), so the heap holds them, and each fires in key
+   order among the run's remaining entries: the (1000, 20, 200) one
+   between born 10 and born 30, the (1000, 50, 100) one after or
+   before the run's two of that key by the tie-break, and the closure,
+   born at 1000, last. *)
+let test_run_merges_heap tiebreak want () =
+  let s, log, note, kind, k100, k200 = run_fixture tiebreak in
+  let at born k c = Scheduler.inject_tag s ~time_ns:1000 ~born_ns:born ~kind:k ~arg:(Char.code c) in
+  let first =
+    kind 300 (fun _ ->
+        note 'd';
+        Scheduler.schedule s ~after:Sim_time.zero_span (fun () -> note 'z');
+        at 20 k200 'e';
+        at 50 k100 'g')
+  in
+  Scheduler.schedule_tag s ~after:(Sim_time.ns 1000) ~kind:first ~arg:0;
+  at 10 k100 'a';
+  at 30 k200 'b';
+  at 50 k100 '1';
+  at 50 k100 '2';
+  at 1000 k100 'f';
+  check_int "set-up: all staged in the wheel" 0 (Scheduler.heap_scheduled s);
+  Scheduler.run s;
+  check_int "the handler's three went to the heap" 3 (Scheduler.heap_scheduled s);
+  Alcotest.(check string) "key order" want (Buffer.contents log)
+
+(* An event 16,384 ns (one level-0 lap) ahead of a drained entry maps
+   to the ring index of the window being drained: it is staged for the
+   next lap and fires after that window and every window before it. *)
+let test_run_next_lap tiebreak () =
+  let s, log, note, kind, k100, _ = run_fixture tiebreak in
+  let fired = ref [] in
+  let stamp c =
+    note c;
+    fired := Sim_time.to_ns (Scheduler.now s) :: !fired
+  in
+  let lap = kind 300 (fun _ -> stamp 'y') in
+  let first =
+    kind 300 (fun _ ->
+        stamp 'x';
+        let wheel = Scheduler.wheel_scheduled s in
+        Scheduler.schedule_tag s ~after:(Sim_time.ns 16_384) ~kind:lap ~arg:0;
+        check_int "staged in the wheel" (wheel + 1) (Scheduler.wheel_scheduled s))
+  in
+  let late = kind 100 (fun _ -> stamp 'w') in
+  Scheduler.schedule_tag s ~after:(Sim_time.ns 1000) ~kind:first ~arg:0;
+  Scheduler.inject_tag s ~time_ns:1010 ~born_ns:0 ~kind:k100 ~arg:(Char.code 'a');
+  Scheduler.schedule_tag s ~after:(Sim_time.ns 2000) ~kind:late ~arg:0;
+  Scheduler.schedule_tag s ~after:(Sim_time.ns 17_383) ~kind:late ~arg:0;
+  Scheduler.run s;
+  Alcotest.(check string) "order" "xawwy" (Buffer.contents log);
+  Alcotest.(check (list int)) "times" [ 1000; 2000; 17_383; 17_384 ] (List.rev !fired);
+  check_int "nothing in the heap" 0 (Scheduler.heap_scheduled s)
+
+(* [pending_events] counts the run's entries not yet popped *)
+let test_run_pending tiebreak () =
+  let s, _, _, _, k100, _ = run_fixture tiebreak in
+  for i = 0 to 2 do
+    Scheduler.inject_tag s ~time_ns:500 ~born_ns:i ~kind:k100 ~arg:(Char.code 'a')
+  done;
+  Scheduler.inject_tag s ~time_ns:5_000_000_000 ~born_ns:0 ~kind:k100 ~arg:(Char.code 'b');
+  check_int "one beyond the horizon" 1 (Scheduler.heap_scheduled s);
+  let pending () = Scheduler.pending_events s in
+  check_int "before" 4 (pending ());
+  let steps =
+    List.init 4 (fun _ ->
+        let (_ : bool) = Scheduler.step s in
+        pending ())
+  in
+  Alcotest.(check (list int)) "after each step" [ 3; 2; 1; 0 ] steps
+
 let test_sched_tag_range () =
   let s = Scheduler.create () in
   let k = Scheduler.register_kind s (fun _ -> ()) in
@@ -736,6 +827,18 @@ let () =
           Alcotest.test_case "out-of-range kind or arg raises" `Quick test_sched_tag_range;
           qc prop_sched_matches_model;
         ] );
+      ( "wheel run",
+        List.concat_map
+          (fun (name, tiebreak, want) ->
+            [
+              Alcotest.test_case ("handler's events merge from the heap, " ^ name) `Quick
+                (test_run_merges_heap tiebreak want);
+              Alcotest.test_case ("next lap fires after the window, " ^ name) `Quick
+                (test_run_next_lap tiebreak);
+              Alcotest.test_case ("pending counts the run, " ^ name) `Quick
+                (test_run_pending tiebreak);
+            ])
+          [ ("fifo", Event_queue.Fifo, "daeb12gfz"); ("lifo", Event_queue.Lifo, "daebg21fz") ] );
       ( "int_table",
         [
           qc prop_int_table_model;

@@ -53,17 +53,35 @@ let test_flow_key_stability () =
   let key p = match p.Packet.payload with Packet.Tenant i -> Packet.tcp_flow_key i | _ -> 0 in
   check_int "same tuple same key" (key a) (key b)
 
+(* an int field of a flow key: mostly small, else near a word boundary
+   where the runtime's hash folds high bits in (2^31, 2^32, 2^62) or
+   negative *)
+let flow_field_gen ~nonneg =
+  let open QCheck.Gen in
+  let near =
+    map2
+      (fun base d -> base + d)
+      (oneofl
+         ([ 0; 1 lsl 31; 1 lsl 32; max_int ]
+         @ if nonneg then [] else [ -(1 lsl 31); -(1 lsl 32); min_int; -1 ]))
+      (int_range (-3) 3)
+  in
+  let v = frequency [ (2, int_bound 65_535); (3, near); (1, int) ] in
+  if nonneg then map (fun x -> if x < 0 then x land max_int else x) v else v
+
 let prop_flow_key_matches_tuple_hash =
-  (* the scratch-record hash must be bit-identical to hashing the plain
-     5-tuple — [Hashtbl.hash] is structural and a mutable all-int record
-     has a tuple's runtime representation.  The key values feed ECMP
-     port choices, so this equality is what keeps digests stable across
-     the allocation-free rewrite. *)
-  QCheck.Test.make ~name:"flow key equals tuple hash" ~count:500
+  (* [tcp_flow_key] mixes the five ints itself, and must equal hashing
+     the plain 5-tuple with [Hashtbl.hash]: the key values feed ECMP
+     port choices, so this equality is what keeps digests stable.  The
+     fields reach past 2^31, 2^32 and [max_int], and ports and subflows
+     go negative, where the runtime folds a value's high word. *)
+  let field = flow_field_gen ~nonneg:false and addr = flow_field_gen ~nonneg:true in
+  QCheck.Test.make ~name:"flow key equals tuple hash" ~count:2000
     QCheck.(
-      quad (int_bound 1023) (int_bound 1023)
-        (pair (int_bound 65_535) (int_bound 65_535))
-        (int_bound 7))
+      make
+        ~print:(fun (src, dst, (sp, dp), subflow) ->
+          Printf.sprintf "src %d dst %d ports %d %d subflow %d" src dst sp dp subflow)
+        Gen.(quad addr addr (pair field field) field))
     (fun (src, dst, (sp, dp), subflow) ->
       let seg = { (mk_seg ()) with Packet.src_port = sp; dst_port = dp; subflow } in
       let pkt =
@@ -417,6 +435,46 @@ let test_link_one_event_per_frame () =
   check_int "delivered" n !got;
   check_int "events" n (Scheduler.events_fired sched);
   check_int "tx packets" n (Link.tx_packets link)
+
+(* A link memoizes a frame length's serialization time; a brownout set
+   and cleared while frames queue must still re-time each frame at the
+   rate in force at its start.  Nine frames queue at 0 on a 10 Gbit/s
+   link with no propagation delay: six of 1440 B (the second starts
+   before the brownout at 2000 ns, the third after it, the fifth before
+   the clear at 7000 ns, the sixth after), then two of 740 B (a new
+   length after a run of equal ones) and one of 1440 B again. *)
+let test_link_memo_follows_rate () =
+  let sched = Scheduler.create () in
+  let rate = 10e9 in
+  let link = Link.create ~sched ~rate_bps:rate ~prop_delay:Sim_time.zero_span () in
+  let departures = ref [] in
+  Link.set_sink link (fun _ -> departures := Sim_time.to_ns (Scheduler.now sched) :: !departures);
+  let frames = [ 1440; 1440; 1440; 1440; 1440; 1440; 740; 740; 1440 ] in
+  List.iter
+    (fun bytes -> Link.send link (mk_data ~payload:(bytes - Packet.inner_header_bytes) ()))
+    frames;
+  Scheduler.schedule_at sched ~time:(Sim_time.of_ns 2000) (fun () ->
+      Link.set_brownout link ~capacity_frac:0.5 ~loss_prob:0.0 ~rng:(Rng.create 1));
+  Scheduler.schedule_at sched ~time:(Sim_time.of_ns 7000) (fun () ->
+      Link.clear_brownout link);
+  Scheduler.run sched;
+  (* the rate at each frame's start, from the start instants 0, 1152,
+     2304 (browned out), 4608, 6912, 9216 (cleared), ... *)
+  let fracs = [ 1.0; 1.0; 0.5; 0.5; 0.5; 1.0; 1.0; 1.0; 1.0 ] in
+  let want =
+    List.rev
+      (snd
+         (List.fold_left2
+            (fun (start, acc) bytes frac ->
+              let tx = Sim_time.tx_time ~bytes_len:bytes ~rate_bps:(rate *. frac) in
+              let depart = start + Sim_time.span_ns tx in
+              (depart, depart :: acc))
+            (0, []) frames fracs))
+  in
+  Alcotest.(check (list int)) "departures" want (List.rev !departures);
+  Alcotest.(check (list int)) "the start instants the rates assume"
+    [ 1152; 2304; 4608; 6912; 9216 ]
+    (List.filteri (fun i _ -> i < 5) want)
 
 (* A link goes down while its one ring holds all three sections, after
    the ring wrapped and grew past its 32 initial slots: 4 departed
@@ -1014,6 +1072,8 @@ let () =
             test_link_one_event_per_frame;
           Alcotest.test_case "down with departed, serializing and queued frames" `Quick
             test_link_down_three_sections;
+          Alcotest.test_case "memoized tx time follows a brownout" `Quick
+            test_link_memo_follows_rate;
           qc prop_lazy_serializer_matches_events;
         ] );
       ( "switch-hop",
