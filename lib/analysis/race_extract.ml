@@ -165,11 +165,10 @@ let unprotected_mutators =
         ("blit_string", 2) ] );
     ("Buffer", [ ("clear", 0); ("reset", 0); ("truncate", 0) ]);
     ("Stdlib", [ (":=", 0); ("incr", 0); ("decr", 0) ]);
-    (* repo-local mutable structures on the event path; Event_queue and
-       Timer_wheel are plain records of arrays, every entry point below
-       rewrites them in place *)
-    ( "Event_queue",
-      [ ("add", 0); ("add_at_ns", 0); ("pop", 0); ("pop_unsafe", 0) ] );
+    (* repo-local mutable structures, plain records of arrays that every
+       entry point below rewrites in place: Timer_wheel, the scheduler's
+       event store, and Event_queue, a standalone heap *)
+    ("Event_queue", [ ("add", 0); ("add_at_ns", 0); ("pop", 0) ]);
     ("Timer_wheel", [ ("add", 0); ("load", 0); ("pop", 0) ]);
   ]
 

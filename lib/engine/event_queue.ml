@@ -1,18 +1,5 @@
-(* Unboxed structure-of-arrays binary min-heap: the scheduler's
-   overflow heap, holding only the events its timer wheel refuses (those
-   behind the wheel's frontier and those past its horizon), and a
-   standalone priority queue for benchmarks and tests.
-
-   Times, insertion instants, component ids and sequence numbers live in
-   [int array]s and payloads in a plain ['a array] padded with a
-   caller-supplied [dummy], so [add] and [pop_unsafe] allocate nothing
-   (the only allocation left is [pop]'s [Some (time, value)] result).
-   The [dummy] fills slots above [size] so vacated payloads are released
-   to the GC without an [option] box.  The scheduler instantiates the
-   heap at [int] — each payload is an immediate event code — but the
-   module is compiled once, at ['a], so every payload write (a sift's
-   move, [add], [pop]) is still a [caml_modify] call, at any
-   instantiation.
+(* The (time, born, src, seq) event order, and an unboxed
+   structure-of-arrays binary min-heap under it.
 
    Events order by (time, born, src, seq): [born] is the simulation
    instant the event was inserted at and [src] is a global id of the
@@ -27,8 +14,18 @@
    scheduler happened to insert first.  The residual [seq] tie-break
    then only ever compares events of one component inserted in one
    instant — program order, identical at any shard count.  [lt] is the
-   one comparator of that order: the timer wheel sorts its run and
-   merges the run with this heap by it. *)
+   one comparator of that order: the timer wheel, the scheduler's one
+   store, sorts its run by it.
+
+   The heap is off the simulator's path.  It is the subject of
+   perfbench's [engine.event_queue_ns] microbenchmark and test_engine's
+   bare-heap reference for the wheel's pop order.  Times, insertion
+   instants, component ids and sequence numbers live in [int array]s
+   and payloads in a plain ['a array] padded with a caller-supplied
+   [dummy], so [add] allocates nothing and [pop] only its
+   [Some (time, value)] result.  The [dummy] fills slots above [size]
+   so vacated payloads are released to the GC without an [option]
+   box. *)
 
 type tiebreak = Fifo | Lifo
 
@@ -139,11 +136,8 @@ let rec sift_down t ~fifo n i time born src seq =
     else i
   end
 
-(* [add_at_ns] is the scheduler-facing entry point: the scheduler owns
-   the sequence counter (it is shared with the timer wheel, so the
-   wheel's run and this heap rank their events by one stream), so the
-   seq is a caller argument here.  [add] below keeps the self-sequencing API for
-   standalone users (benchmarks, tests). *)
+(* [add_at_ns] takes the caller's key, as the scheduler ranks its
+   events; [add] below sequences its own, for the microbenchmark. *)
 let add_at_ns t ~time_ns:time ~born_ns:born ~src ~seq value =
   if t.size = Array.length t.times then grow t;
   let i = sift_up t ~fifo:t.fifo t.size time born src seq in
@@ -167,29 +161,15 @@ let[@inline] reseat t ~fifo n ~from i =
   let j = sift_down t ~fifo n i time born src seq in
   set t j ~time ~born ~src ~seq value
 
-(* Allocation-free pop for the scheduler's hot loop: the caller must
-   check emptiness (and read [min_time_ns]) first.  The last entry is
-   re-seated at the root and its hole sifted down. *)
-let pop_unsafe t =
-  let top = t.values.(0) in
-  let n = t.size - 1 in
-  t.size <- n;
-  if n > 0 then reseat t ~fifo:t.fifo n ~from:n 0;
-  (* release the vacated payload slot for GC *)
-  t.values.(n) <- t.dummy;
-  top
-
+(* The last entry is re-seated at the root and its hole sifted down. *)
 let pop t =
   if t.size = 0 then None
   else begin
-    let top_time = t.times.(0) in
-    let top_value = pop_unsafe t in
-    Some (Sim_time.of_ns top_time, top_value)
+    let time = t.times.(0) and top = t.values.(0) in
+    let n = t.size - 1 in
+    t.size <- n;
+    if n > 0 then reseat t ~fifo:t.fifo n ~from:n 0;
+    (* release the vacated payload slot for GC *)
+    t.values.(n) <- t.dummy;
+    Some (Sim_time.of_ns time, top)
   end
-
-let min_time_ns t = if t.size = 0 then max_int else t.times.(0)
-let min_seq t = t.seqs.(0)
-let min_born t = t.borns.(0)
-let min_src t = t.srcs.(0)
-let size t = t.size
-let is_empty t = t.size = 0

@@ -1,24 +1,19 @@
-(* Discrete-event scheduler: timing wheel + overflow heap, with a
-   defunctionalized (zero-allocation) path for steady-state events.
+(* Discrete-event scheduler: one timing wheel, with a defunctionalized
+   (zero-allocation) path for steady-state events.
 
-   Two structures hold pending events.  Short-horizon timers — link
-   hops, TCP RTO/TLP — land in a hierarchical {!Timer_wheel}; the
-   events it refuses, behind its frontier or past its ~1.07 s horizon,
-   go to the {!Event_queue} binary heap.  Both draw sequence numbers
-   from one scheduler-owned counter.  When its sorted run is empty the
-   wheel loads whole windows into it before the clock can reach them,
-   and each step dispatches the smaller of the run's head and the
-   heap's top by {!Event_queue.lt}, so pop order is exactly that of a
-   single binary heap under the (time, born, src, seq) total order.
-   [born] is the insertion instant and [src] the owning component's
-   construction-order id; together they make same-timestamp tie-breaking
-   shard-invariant under PDES (see {!Event_queue}).  The wheel is a
-   measured speed-up, not an ordering need: routing every event straight
-   to the heap kept every FCT digest and event count but cost 15-29% of
-   perfbench payload MB/s on all four workloads (2-core Intel Xeon,
-   OCaml 5.1.1, 4 alternating pairs each, the wheel ahead in all 16).
+   One store holds pending events: a hierarchical {!Timer_wheel}, whose
+   sequence numbers come from a scheduler-owned counter.  When its
+   sorted run is empty the wheel loads whole windows into it before the
+   clock can reach them, and each step dispatches the run's head, so
+   pop order is exactly that of a single binary heap under the (time,
+   born, src, seq) total order.  An event behind the wheel's frontier is
+   seated straight into the run, one past its ~1.07 s horizon parked
+   until the frontier nears it.  [born] is the insertion instant and
+   [src] the owning component's construction-order id; together they
+   make same-timestamp tie-breaking shard-invariant under PDES (see
+   {!Event_queue.lt}).
 
-   A pending event is one immediate [int], so neither structure holds a
+   A pending event is one immediate [int], so the wheel holds no
    pointer:
    - a tagged event (>= 0) packs its handler kind and operand as
      [kind lor (arg lsl kind_bits)]: a component registers a handler
@@ -90,10 +85,9 @@ type t = {
   audit : bool; (* the run mode's: guards every check *)
   mutable clock : Sim_time.t;
   mutable fired : int;
-  queue : int Event_queue.t;
   wheel : Timer_wheel.t;
   slab : slab;
-  mutable next_seq : int; (* shared by wheel and heap: one tie-break stream *)
+  mutable next_seq : int; (* the residual tie-break: events scheduled so far *)
   mutable handlers : (int -> unit) array;
   mutable kind_srcs : int array; (* component id per registered kind *)
   mutable n_kinds : int;
@@ -106,8 +100,7 @@ type t = {
   mutable timers : int array;
   mutable timer_fire : (int -> unit) array;
   mutable n_timers : int;
-  mutable wheel_scheduled : int;
-  mutable heap_scheduled : int;
+  mutable heap_scheduled : int; (* events not staged in a window *)
   (* audited runs: the latest dispatch time, and the first [max_kept]
      of the [n_violations] recorded, newest first *)
   mutable watermark_ns : int;
@@ -172,12 +165,8 @@ let set_kind_src t ~kind ~src = t.kind_srcs.(kind) <- src
 let push_born t ~time_ns ~born_ns ~src ev =
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
-  if Timer_wheel.add t.wheel ~time_ns ~born_ns ~src ~seq ev then
-    t.wheel_scheduled <- t.wheel_scheduled + 1
-  else begin
-    t.heap_scheduled <- t.heap_scheduled + 1;
-    Event_queue.add_at_ns t.queue ~time_ns ~born_ns ~src ~seq ev
-  end
+  if not (Timer_wheel.add t.wheel ~time_ns ~born_ns ~src ~seq ev) then
+    t.heap_scheduled <- t.heap_scheduled + 1
 
 (* every locally scheduled event is born at the scheduler's own clock —
    exactly the instant the serial engine would have inserted it at *)
@@ -302,8 +291,6 @@ let create ?(mode = Run_mode.default) () =
       audit = mode.Run_mode.audit;
       clock = Sim_time.zero;
       fired = 0;
-      (* most runs never put an event in the heap *)
-      queue = Event_queue.create ~capacity:16 ~tiebreak:mode.Run_mode.tiebreak ~dummy:0 ();
       wheel = Timer_wheel.create ~tiebreak:mode.Run_mode.tiebreak;
       slab =
         {
@@ -323,7 +310,6 @@ let create ?(mode = Run_mode.default) () =
       timers = Array.make (8 * row) 0;
       timer_fire = Array.make 8 nop_handler;
       n_timers = 0;
-      wheel_scheduled = 0;
       heap_scheduled = 0;
       watermark_ns = 0;
       violations = [];
@@ -337,16 +323,13 @@ let create ?(mode = Run_mode.default) () =
 
 (* ---- dequeue ---- *)
 
-(* Refill the wheel's run once it is empty: load every window the heap
-   top does not precede (the earliest occupied one when the heap is
-   empty).  Either way the smaller of the run's head and the heap top
-   afterwards precedes every entry still staged in the wheel. *)
-let prepare t = Timer_wheel.load t.wheel ~upto_ns:(Event_queue.min_time_ns t.queue)
+(* Refill the wheel's run once it is empty: afterwards the run's head,
+   if any, is the earliest pending event. *)
+let prepare t = Timer_wheel.load t.wheel
 
 let next_time_ns t =
   prepare t;
-  if Timer_wheel.run_first t.wheel t.queue then Timer_wheel.head_time_ns t.wheel
-  else Event_queue.min_time_ns t.queue
+  if Timer_wheel.run_empty t.wheel then max_int else Timer_wheel.head_time_ns t.wheel
 
 (* run event [ev], popped with key (time_ns, cur_born, cur_key_src,
    cur_seq) *)
@@ -377,22 +360,14 @@ let dispatch t ~time_ns ev =
    part of their own horizon check ([run] / [run_until]): fusing the
    two saves a second refill decision per event. *)
 let step_prepared t =
-  let w = t.wheel and q = t.queue in
-  if Timer_wheel.run_first w q then begin
+  let w = t.wheel in
+  if Timer_wheel.run_empty w then false
+  else begin
     let time_ns = Timer_wheel.head_time_ns w in
     t.cur_seq <- Timer_wheel.head_seq w;
     t.cur_born <- Timer_wheel.head_born w;
     t.cur_key_src <- Timer_wheel.head_src w;
     dispatch t ~time_ns (Timer_wheel.pop w);
-    true
-  end
-  else if Event_queue.is_empty q then false
-  else begin
-    let time_ns = Event_queue.min_time_ns q in
-    t.cur_seq <- Event_queue.min_seq q;
-    t.cur_born <- Event_queue.min_born q;
-    t.cur_key_src <- Event_queue.min_src q;
-    dispatch t ~time_ns (Event_queue.pop_unsafe q);
     true
   end
 
@@ -432,9 +407,9 @@ let run ?until t =
 
 (* ---- accounting ---- *)
 
-let pending_events t = Event_queue.size t.queue + Timer_wheel.size t.wheel
+let pending_events t = Timer_wheel.size t.wheel
 let events_fired t = t.fired
-let wheel_scheduled t = t.wheel_scheduled
+let wheel_scheduled t = t.next_seq - t.heap_scheduled
 let heap_scheduled t = t.heap_scheduled
 let compactions (_ : t) = 0
 let batched_events (_ : t) = 0

@@ -1,16 +1,13 @@
 (** Discrete-event scheduler.
 
     The scheduler owns the simulation clock and the pending-event set,
-    split between a hierarchical timing wheel (short-horizon timers) and
-    an overflow binary heap (the events the wheel refuses: behind its
-    frontier or past its horizon).  Both share one insertion-sequence
-    stream; the wheel loads whole windows into its sorted run ahead of
-    the clock, and each step dispatches the smaller of the run's head
-    and the heap's top, so pop order is exactly that of a single binary
-    heap under the (time, born, src, seq) total order.
+    one hierarchical timing wheel ({!Timer_wheel}).  The wheel loads
+    whole windows into its sorted run ahead of the clock, and each step
+    dispatches the run's head, so pop order is exactly that of a single
+    binary heap under the (time, born, src, seq) total order.
 
-    A pending event is one immediate [int], so neither structure holds
-    a pointer.  Steady-state events use the defunctionalized path:
+    A pending event is one immediate [int], so the wheel holds no
+    pointer.  Steady-state events use the defunctionalized path:
     components register a handler kind once ({!register_kind}) and
     schedule (kind, arg) pairs ({!schedule_tag}) packed into the event
     code itself, allocating nothing per event.  Closure scheduling
@@ -25,7 +22,7 @@ type t
 
 val create : ?mode:Run_mode.t -> unit -> t
 (** A scheduler running under [mode] ({!Run_mode.default}) for its whole
-    life: its queue's tie-break and whether it audits. *)
+    life: its event order's tie-break and whether it audits. *)
 
 (** {2 Runtime invariant auditor}
     Audited, the scheduler checks that dispatch times never decrease,
@@ -160,17 +157,18 @@ val run_until : t -> until_ns:int -> unit
 
 (* oracle of test_engine's timer churn and scheduler model cases — lint: allow dead-export *)
 val pending_events : t -> int
-(** Queued events in wheel + heap, stale timer events included. *)
+(** Queued events, stale timer events included. *)
 
 val events_fired : t -> int
 (** Total events dispatched since creation (throughput accounting for the
     benchmark harness), stale timer events included. *)
 
 val wheel_scheduled : t -> int
-(** Events that entered the timing wheel. *)
+(** Events staged in one of the wheel's windows. *)
 
 val heap_scheduled : t -> int
-(** Events that went straight to the overflow heap. *)
+(** Events not staged in a window: seated straight into the wheel's run
+    (behind its frontier) or parked past its horizon. *)
 
 val compactions : t -> int
 (** Always 0: nothing is cancelled, so nothing is swept; kept for

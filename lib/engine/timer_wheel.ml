@@ -1,37 +1,33 @@
-(* Hierarchical timing wheel and its sorted run: the scheduler's store
-   for short-horizon events.
+(* Hierarchical timing wheel and its sorted run: the scheduler's one
+   store of pending events.
 
    The wheel is a set of [levels] rings of [2^bits] slots each; a level-k
    slot spans [2^(g_bits + k*bits)] ns, so with 3 levels of 256 slots at
    64 ns granularity the wheel covers ~1.07 s of simulated future —
-   every link hop and TCP RTO/TLP the simulator arms.  Events beyond the
-   horizon (or behind the frontier) are refused by [add]; the caller
-   keeps them in its overflow heap.
+   every link hop and TCP RTO/TLP the simulator arms.  [add] takes every
+   event: one behind the frontier is seated straight into the run, one
+   past the horizon is parked in the top level's farthest slot and
+   placed again when that slot cascades.
 
    A slot holds unsorted (time, born, src, seq, payload) entries packed
    five ints apiece in one growable [int array]: the payload is the
    scheduler's immediate event code, so staging an entry writes no
    pointer.
 
-   [load] moves whole level-0 windows — complete windows, in window
-   order, before the caller's clock can reach them — into the run: one
-   [int array] of five-int entries, insertion-sorted by (time, born,
-   src, seq) under {!Event_queue.lt}, the heap's own comparator.  The
-   frontier then lies past every loaded window, so every entry still
-   staged is later than every entry of the run, and the caller that
-   pops the smaller of the run's head and its heap's top reproduces
-   exactly the pop order of one binary heap.  The wheel never reorders,
-   delays, or drops an event.
+   Once the run is empty, [load] moves the earliest occupied level-0
+   window, whole, into it: one [int array] of five-int entries,
+   insertion-sorted by (time, born, src, seq) under {!Event_queue.lt}.
+   The frontier then lies past every loaded window, so every entry
+   still staged is later than every entry of the run, and popping the
+   run's head pops in exactly the order of one binary heap.  An entry
+   added behind the frontier belongs among the run's entries; the same
+   insertion sort seats it there, never before the run's head.  The
+   wheel never reorders, delays, or drops an event.
 
-   Two costs matter on the scheduler's per-pop path:
-   - [load]'s guard is O(1): a cached lower bound [lb] on the earliest
-     staged entry time, tightened by [add] and raised past loaded
-     windows, so the common "the heap top pops next" case is one
-     compare.
-   - [load] skips runs of empty slots via a per-level occupancy
-     bitmap (32 slots per word, find-first-set) instead of stepping the
-     frontier one granule at a time across idle gaps or reading up to
-     [levels * 2^bits] slot lengths per hop. *)
+   [load] skips runs of empty slots via a per-level occupancy bitmap
+   (32 slots per word, find-first-set) instead of stepping the frontier
+   one granule at a time across idle gaps or reading up to
+   [levels * 2^bits] slot lengths per hop. *)
 
 type slot = {
   mutable data : int array; (* [stride] ints per entry, see [slot_push] *)
@@ -53,10 +49,10 @@ type t = {
   occ : int array;
   mutable frontier : int; (* absolute ns, multiple of 2^g_bits *)
   mutable count : int; (* staged entries, the run's excluded *)
-  mutable lb : int; (* lower bound on min staged entry time, ns *)
-  fifo : bool; (* the run's residual tie-break, as the heap's *)
+  fifo : bool; (* the run's residual tie-break, as a heap's *)
   (* the run: [stride] ints per entry, sorted; entries [head, tail) of
-     it (offsets in ints) are loaded and not yet popped *)
+     it (offsets in ints) are not yet popped, and [tail] is 0 iff none
+     is left *)
   mutable run : int array;
   mutable head : int;
   mutable tail : int;
@@ -70,7 +66,6 @@ let create ~tiebreak =
     occ = Array.make (levels * occ_words) 0;
     frontier = 0;
     count = 0;
-    lb = max_int;
     fifo = (match tiebreak with Event_queue.Fifo -> true | Event_queue.Lifo -> false);
     run = Array.make (16 * stride) 0;
     head = 0;
@@ -116,28 +111,19 @@ let slot_push t idx ~time_ns ~born_ns ~src ~seq v =
    slot.  A time sharing the frontier's level-k slot (k > 0) always fits
    a lower level, since one level-k slot spans a whole level-(k-1) ring —
    so the slot the frontier sits in is empty at every level above 0,
-   which is what lets [load] jump the frontier across idle gaps. *)
+   which is what lets [load] jump the frontier across idle gaps.  A time
+   past the top level's window is parked in that level's farthest slot,
+   whose window the frontier reaches before the time; [false] then. *)
 let rec place t ~time_ns ~born_ns ~src ~seq v k =
-  if k = levels then false
-  else begin
-    let sh = shift k in
-    let mask = (1 lsl bits) - 1 in
-    if (time_ns lsr sh) - (t.frontier lsr sh) <= mask then begin
-      let idx = (k lsl bits) lor ((time_ns lsr sh) land mask) in
-      slot_push t idx ~time_ns ~born_ns ~src ~seq v;
-      true
-    end
-    else place t ~time_ns ~born_ns ~src ~seq v (k + 1)
+  let sh = shift k in
+  let mask = (1 lsl bits) - 1 in
+  let ahead = (time_ns lsr sh) - (t.frontier lsr sh) in
+  if ahead <= mask || k = levels - 1 then begin
+    let idx = (k lsl bits) lor (((t.frontier lsr sh) + Int.min ahead mask) land mask) in
+    slot_push t idx ~time_ns ~born_ns ~src ~seq v;
+    ahead <= mask
   end
-
-let add t ~time_ns ~born_ns ~src ~seq v =
-  if time_ns < t.frontier then false
-  else if place t ~time_ns ~born_ns ~src ~seq v 0 then begin
-    t.count <- t.count + 1;
-    if time_ns < t.lb then t.lb <- time_ns;
-    true
-  end
-  else false
+  else place t ~time_ns ~born_ns ~src ~seq v (k + 1)
 
 (* a de Bruijn sequence B(2, 5): the top 5 bits of the 32-bit word
    [debruijn lsl i] differ for every i in 0..31; [ctz_table] maps them
@@ -202,18 +188,11 @@ let rec next_occupied_window t k best =
 
 (* ---- the run ---- *)
 
+let[@inline] run_empty t = t.tail = 0
 let[@inline] head_time_ns t = t.run.(t.head)
 let[@inline] head_born t = t.run.(t.head + 1)
 let[@inline] head_src t = t.run.(t.head + 2)
 let[@inline] head_seq t = t.run.(t.head + 3)
-
-(* whether the run's head pops before the heap's top *)
-let run_first t q =
-  t.tail > t.head
-  && (Event_queue.is_empty q
-     || Event_queue.lt ~fifo:t.fifo (head_time_ns t) (head_born t) (head_src t) (head_seq t)
-          (Event_queue.min_time_ns q) (Event_queue.min_born q) (Event_queue.min_src q)
-          (Event_queue.min_seq q))
 
 let pop t =
   let h = t.head in
@@ -226,33 +205,44 @@ let pop t =
   v
 
 (* The offset at which an entry keyed (time, born, src, seq) belongs
-   among the run's first [o] ints, each later entry moved up one. *)
-let rec seat r ~fifo o time born src seq =
+   among the run's ints [head, o), each later entry moved up one. *)
+let rec seat r ~fifo ~head o time born src seq =
   if
-    o > 0
+    o > head
     && Event_queue.lt ~fifo time born src seq r.(o - stride) r.(o - 4) r.(o - 3)
          r.(o - 2)
   then begin
     for i = o - stride to o - 1 do
       r.(i + stride) <- r.(i)
     done;
-    seat r ~fifo (o - stride) time born src seq
+    seat r ~fifo ~head (o - stride) time born src seq
   end
   else o
 
-(* Insert into the run, which [load] fills only while it is empty:
-   entries arrive window by window, in window order, so each walks back
-   past its own window's later entries at most. *)
+(* Insert into the run.  [load] fills it only while it is empty, window
+   by window, in window order, so each entry walks back past its own
+   window's later entries at most; an entry added behind the frontier
+   walks back past the unpopped entries later than it.  A full run
+   slides its unpopped entries to the front, into an array twice as
+   long unless at most half of it is unpopped: seats into a run that
+   never empties would otherwise grow it without bound. *)
 let run_push t ~time_ns ~born_ns ~src ~seq v =
-  let n = t.tail in
-  if n = Array.length t.run then begin
-    (* amortized doubling: O(log n) times per wheel, never in steady state — lint: allow alloc-array *)
-    let run = Array.make (2 * n) 0 in
-    Array.blit t.run 0 run 0 n;
-    t.run <- run
+  if t.tail = Array.length t.run then begin
+    let live = t.tail - t.head in
+    let run =
+      if 2 * live <= t.tail then t.run
+      else
+        (* amortized doubling: O(log n) times per wheel, never in steady state — lint: allow alloc-array *)
+        Array.make (2 * t.tail) 0
+    in
+    Array.blit t.run t.head run 0 live;
+    t.run <- run;
+    t.head <- 0;
+    t.tail <- live
   end;
+  let n = t.tail in
   let r = t.run in
-  let o = seat r ~fifo:t.fifo n time_ns born_ns src seq in
+  let o = seat r ~fifo:t.fifo ~head:t.head n time_ns born_ns src seq in
   r.(o) <- time_ns;
   r.(o + 1) <- born_ns;
   r.(o + 2) <- src;
@@ -260,13 +250,23 @@ let run_push t ~time_ns ~born_ns ~src ~seq v =
   r.(o + 4) <- v;
   t.tail <- n + stride
 
+let add t ~time_ns ~born_ns ~src ~seq v =
+  if time_ns < t.frontier then begin
+    run_push t ~time_ns ~born_ns ~src ~seq v;
+    false
+  end
+  else begin
+    t.count <- t.count + 1;
+    place t ~time_ns ~born_ns ~src ~seq v 0
+  end
+
 (* ---- loading ---- *)
 
 (* Empty one slot's entries [i, len): level 0 into the run with their
    original (time, born, src, seq) keys, while higher levels cascade
-   each entry down ([place] from level 0 always succeeds here because
-   the frontier sits at the slot's window start, putting the whole
-   window within reach of the ring below). *)
+   each entry down ([place] from level 0 puts it within reach of the
+   ring below, because the frontier sits at the slot's window start,
+   unless it is parked past the horizon again). *)
 let rec flush_entries t ~level d len i =
   if i < len then begin
     let o = i * stride in
@@ -275,19 +275,22 @@ let rec flush_entries t ~level d len i =
     and src = d.(o + 2)
     and seq = d.(o + 3)
     and v = d.(o + 4) in
-    (* at level > 0 the [place] fallback is unreachable by the window
-       argument above; stay safe anyway *)
-    if level = 0 || not (place t ~time_ns ~born_ns ~src ~seq v 0) then begin
+    if level = 0 then begin
       t.count <- t.count - 1;
       run_push t ~time_ns ~born_ns ~src ~seq v
+    end
+    else begin
+      let (_ : bool) = place t ~time_ns ~born_ns ~src ~seq v 0 in
+      ()
     end;
     flush_entries t ~level d len (i + 1)
   end
 
 (* The slot is emptied before its entries are re-placed.  A cascade
-   re-places into lower levels, never back into this slot; even if it
-   did, each re-push writes at or below the entry just read, so no
-   unread entry is overwritten. *)
+   re-places into lower levels, or parks in the top level's farthest
+   slot, never back into this slot, the frontier's; even if it did,
+   each re-push writes at or below the entry just read, so no unread
+   entry is overwritten. *)
 let flush_slot t ~level idx =
   let s = t.slots.(idx) in
   let n = s.len in
@@ -315,45 +318,12 @@ let step_frontier t =
   flush_slot t ~level:0 ((t.frontier lsr g_bits) land ((1 lsl bits) - 1));
   t.frontier <- t.frontier + (1 lsl g_bits)
 
-(* Load every window whose start is <= [upto_ns], jumping the frontier
-   across empty stretches.  Afterwards every staged entry's time
-   exceeds [upto_ns], so a heap top at or before [upto_ns] precedes
-   every staged entry. *)
-let rec load_upto t ~upto_ns ~target =
-  if t.count = 0 then begin
-    if t.frontier < target then t.frontier <- target;
-    t.lb <- max_int
-  end
-  else begin
-    let next = next_occupied_window t 0 max_int in
-    if next > upto_ns then begin
-      (* [next] is granule-aligned and > upto_ns, hence >= target: the
-         jump cannot skip an occupied window's boundary *)
-      if t.frontier < target then t.frontier <- target;
-      if t.lb < next then t.lb <- next
-    end
-    else begin
-      if next > t.frontier then t.frontier <- next;
-      step_frontier t;
-      load_upto t ~upto_ns ~target
-    end
-  end
-
-(* Load just the earliest occupied window (the heap is empty):
-   cascaded survivors land in strictly later windows. *)
-let rec load_next t =
-  if t.count > 0 && t.tail = 0 then begin
-    let next = next_occupied_window t 0 max_int in
-    if next > t.frontier then t.frontier <- next;
+(* Jump the frontier to the earliest occupied window, never behind it,
+   and load that window until the run holds an entry: cascaded entries
+   land in strictly later windows. *)
+let rec load t =
+  if t.tail = 0 && t.count > 0 then begin
+    t.frontier <- next_occupied_window t 0 max_int;
     step_frontier t;
-    load_next t
+    load t
   end
-  else if t.count = 0 then t.lb <- max_int
-  else if t.lb < t.frontier then t.lb <- t.frontier
-
-let load t ~upto_ns =
-  if t.tail = 0 && t.count > 0 && t.lb <= upto_ns then
-    if upto_ns = max_int then load_next t
-    else
-      (* the first granule boundary strictly past [upto_ns] *)
-      load_upto t ~upto_ns ~target:(((upto_ns lsr g_bits) + 1) lsl g_bits)

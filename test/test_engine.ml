@@ -190,7 +190,7 @@ let test_eq_ordering () =
   Alcotest.(check string) "a first" "a" (pop ());
   Alcotest.(check string) "b second" "b" (pop ());
   Alcotest.(check string) "c third" "c" (pop ());
-  check_bool "empty" true (Event_queue.is_empty q)
+  check_bool "empty" true (Option.is_none (Event_queue.pop q))
 
 let test_eq_fifo_same_time () =
   let q = Event_queue.create ~dummy:(-1) () in
@@ -203,28 +203,7 @@ let test_eq_fifo_same_time () =
     | None -> Alcotest.fail "queue empty early"
   done
 
-let test_eq_grows () =
-  let q = Event_queue.create ~capacity:2 ~dummy:(-1) () in
-  for i = 0 to 999 do
-    Event_queue.add q ~time:(Sim_time.of_ns i) i
-  done;
-  check_int "size" 1000 (Event_queue.size q);
-  check_int "earliest" 0 (Event_queue.min_time_ns q)
-
-let test_eq_lifo_tiebreak () =
-  (* the perturbation check builds queues with the same-timestamp
-     tie-break reversed; a queue must honor it from its creation *)
-  let q = Event_queue.create ~tiebreak:Event_queue.Lifo ~dummy:(-1) () in
-  for i = 0 to 9 do
-    Event_queue.add q ~time:(Sim_time.of_ns 5) i
-  done;
-  for i = 9 downto 0 do
-    match Event_queue.pop q with
-    | Some (_, v) -> check_int "reverse insertion order" i v
-    | None -> Alcotest.fail "queue empty early"
-  done
-
-(* reference model: a stable sort of (time, insertion index) pairs *)
+(* every entry, in pop order *)
 let drain_all q =
   let rec go acc =
     match Event_queue.pop q with
@@ -233,6 +212,32 @@ let drain_all q =
   in
   go []
 
+(* a queue under the scheduler's keys: time, born, src and seq *)
+let add_key q ~time_ns ~seq v = Event_queue.add_at_ns q ~time_ns ~born_ns:0 ~src:0 ~seq v
+
+let test_eq_grows () =
+  let q = Event_queue.create ~capacity:2 ~dummy:(-1) () in
+  for i = 999 downto 0 do
+    add_key q ~time_ns:i ~seq:(999 - i) i
+  done;
+  let popped = List.map snd (drain_all q) in
+  check_int "size" 1000 (List.length popped);
+  check_int "earliest" 0 (List.hd popped)
+
+let test_eq_lifo_tiebreak () =
+  (* the perturbation check builds queues with the same-timestamp
+     tie-break reversed; a queue must honor it from its creation *)
+  let q = Event_queue.create ~tiebreak:Event_queue.Lifo ~dummy:(-1) () in
+  for i = 0 to 9 do
+    add_key q ~time_ns:5 ~seq:i i
+  done;
+  for i = 9 downto 0 do
+    match Event_queue.pop q with
+    | Some (_, v) -> check_int "reverse insertion order" i v
+    | None -> Alcotest.fail "queue empty early"
+  done
+
+(* reference model: a stable sort of (time, insertion index) pairs *)
 let prop_eq_sorted =
   QCheck.Test.make ~name:"event_queue pops in non-decreasing time order" ~count:200
     QCheck.(list (int_bound 1_000_000))
@@ -388,8 +393,8 @@ let prop_scheduler_fires_all =
 (* Schedule the workload through [schedule d f] (run [f] in [d] ns) and
    return the firing log, as indices into the delay list (nested
    re-arms offset by 10_000).  [scale] spreads delays across the
-   wheel's levels and past its ~1.07 s horizon, where events overflow
-   into the binary heap; handlers of the shortest timers re-arm
+   wheel's levels and past its ~1.07 s horizon, where events are parked
+   until the frontier nears them; handlers of the shortest timers re-arm
    far-future events to exercise insertion against an advanced
    frontier. *)
 let wheel_workload ~schedule delays =
@@ -425,10 +430,15 @@ let heap_run_order ~tiebreak delays =
           ~seq:!seq f;
         incr seq)
   in
-  while not (Event_queue.is_empty q) do
-    clock := Event_queue.min_time_ns q;
-    (Event_queue.pop_unsafe q) ()
-  done;
+  let rec drain () =
+    match Event_queue.pop q with
+    | Some (time, f) ->
+      clock := Sim_time.to_ns time;
+      f ();
+      drain ()
+    | None -> ()
+  in
+  drain ();
   List.rev !log
 
 let prop_wheel_matches_heap =
@@ -504,13 +514,13 @@ let run_fixture tiebreak =
 
 (* The run holds one window's entries at 1000 ns; the first one's
    handler schedules, at its own instant, a zero-delay closure and two
-   injected events born earlier.  The wheel refuses all three (their
-   window is loaded), so the heap holds them, and each fires in key
-   order among the run's remaining entries: the (1000, 20, 200) one
+   injected events born earlier.  Their window is loaded, so the wheel
+   seats all three straight into the run, and each fires in key order
+   among the run's remaining entries: the (1000, 20, 200) one
    between born 10 and born 30, the (1000, 50, 100) one after or
    before the run's two of that key by the tie-break, and the closure,
    born at 1000, last. *)
-let test_run_merges_heap tiebreak want () =
+let test_run_seats tiebreak want () =
   let s, log, note, kind, k100, k200 = run_fixture tiebreak in
   let at born k c = Scheduler.inject_tag s ~time_ns:1000 ~born_ns:born ~kind:k ~arg:(Char.code c) in
   let first =
@@ -528,7 +538,7 @@ let test_run_merges_heap tiebreak want () =
   at 1000 k100 'f';
   check_int "set-up: all staged in the wheel" 0 (Scheduler.heap_scheduled s);
   Scheduler.run s;
-  check_int "the handler's three went to the heap" 3 (Scheduler.heap_scheduled s);
+  check_int "the handler's three were seated" 3 (Scheduler.heap_scheduled s);
   Alcotest.(check string) "key order" want (Buffer.contents log)
 
 (* An event 16,384 ns (one level-0 lap) ahead of a drained entry maps
@@ -557,7 +567,7 @@ let test_run_next_lap tiebreak () =
   Scheduler.run s;
   Alcotest.(check string) "order" "xawwy" (Buffer.contents log);
   Alcotest.(check (list int)) "times" [ 1000; 2000; 17_383; 17_384 ] (List.rev !fired);
-  check_int "nothing in the heap" 0 (Scheduler.heap_scheduled s)
+  check_int "everything staged" 0 (Scheduler.heap_scheduled s)
 
 (* [pending_events] counts the run's entries not yet popped *)
 let test_run_pending tiebreak () =
@@ -575,6 +585,72 @@ let test_run_pending tiebreak () =
         pending ())
   in
   Alcotest.(check (list int)) "after each step" [ 3; 2; 1; 0 ] steps
+
+(* The handler of the run's second entry (born 20) seats two events at
+   its own instant: one born 40, between the unpopped born-30 and
+   born-50 entries, and one born 5, whose key precedes every entry
+   popped so far: it lands at the head, never before it, and fires
+   next. *)
+let test_run_seat_after_head tiebreak () =
+  let s, log, note, kind, k100, k200 = run_fixture tiebreak in
+  let at born k c = Scheduler.inject_tag s ~time_ns:1000 ~born_ns:born ~kind:k ~arg:(Char.code c) in
+  let h =
+    kind 300 (fun _ ->
+        note 'h';
+        at 40 k200 'x';
+        at 5 k100 'y')
+  in
+  at 10 k100 'a';
+  Scheduler.inject_tag s ~time_ns:1000 ~born_ns:20 ~kind:h ~arg:0;
+  at 30 k200 'b';
+  at 50 k100 'c';
+  Scheduler.run s;
+  Alcotest.(check string) "key order" "ahybxc" (Buffer.contents log);
+  check_int "both seated" 2 (Scheduler.heap_scheduled s)
+
+(* Twenty events seated in reverse key order, while four popped entries
+   sit in front of the run's head, grow the run past its 16 initial
+   entries; each walks back past the ones seated before it. *)
+let test_run_grows_past_popped tiebreak () =
+  let s, log, note, kind, k100, _ = run_fixture tiebreak in
+  let at born k c = Scheduler.inject_tag s ~time_ns:1000 ~born_ns:born ~kind:k ~arg:(Char.code c) in
+  let h =
+    kind 300 (fun _ ->
+        note 'h';
+        for i = 0 to 19 do
+          at (99 - i) k100 (Char.chr (Char.code 'A' + i))
+        done)
+  in
+  at 0 k100 'a';
+  at 2 k100 'b';
+  at 4 k100 'c';
+  Scheduler.inject_tag s ~time_ns:1000 ~born_ns:6 ~kind:h ~arg:0;
+  at 100 k100 'z';
+  Scheduler.run s;
+  Alcotest.(check string) "key order" "abchTSRQPONMLKJIHGFEDCBAz" (Buffer.contents log);
+  check_int "nothing pending" 0 (Scheduler.pending_events s)
+
+(* One event 5 s ahead, past the horizon, then a chain of 1,000 events
+   1 us apart: the far event is parked in the wheel, every link of the
+   chain is staged in a window and fires in order before it, and only
+   the far event is not staged. *)
+let test_run_far_event tiebreak () =
+  let s, _, _, kind, _, _ = run_fixture tiebreak in
+  let fired = ref [] in
+  let far = kind 100 (fun _ -> fired := -1 :: !fired) in
+  let link = ref 0 in
+  link :=
+    kind 200 (fun n ->
+        fired := n :: !fired;
+        if n < 999 then Scheduler.schedule_tag s ~after:(Sim_time.us 1) ~kind:!link ~arg:(n + 1));
+  Scheduler.schedule_tag s ~after:(Sim_time.sec 5.0) ~kind:far ~arg:0;
+  Scheduler.schedule_tag s ~after:(Sim_time.us 1) ~kind:!link ~arg:0;
+  Scheduler.run s;
+  Alcotest.(check (list int)) "the chain, then the far event"
+    (List.init 1000 Fun.id @ [ -1 ])
+    (List.rev !fired);
+  check_int "the far event fired at 5 s" 5_000_000_000 (Sim_time.to_ns (Scheduler.now s));
+  check_int "only the far event not staged" 1 (Scheduler.heap_scheduled s)
 
 let test_sched_tag_range () =
   let s = Scheduler.create () in
@@ -831,8 +907,15 @@ let () =
         List.concat_map
           (fun (name, tiebreak, want) ->
             [
+              (* the name predates the one store: the events are seated into the run *)
               Alcotest.test_case ("handler's events merge from the heap, " ^ name) `Quick
-                (test_run_merges_heap tiebreak want);
+                (test_run_seats tiebreak want);
+              Alcotest.test_case ("a seated event lands at or after the head, " ^ name) `Quick
+                (test_run_seat_after_head tiebreak);
+              Alcotest.test_case ("the run grows past popped entries, " ^ name) `Quick
+                (test_run_grows_past_popped tiebreak);
+              Alcotest.test_case ("a far event waits for a chain, " ^ name) `Quick
+                (test_run_far_event tiebreak);
               Alcotest.test_case ("next lap fires after the window, " ^ name) `Quick
                 (test_run_next_lap tiebreak);
               Alcotest.test_case ("pending counts the run, " ^ name) `Quick
